@@ -62,7 +62,7 @@ race:
 # runs once inside opensys_guard.sh, which holds the deterministic
 # steady-state p99 JCT to its BENCH_opensys.json budget.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkCore_|BenchmarkTopology_FlowChurn' \
+	$(GO) test -run '^$$' -bench 'BenchmarkCore_|BenchmarkTopology_FlowChurn$$' \
 		-benchmem -benchtime 200x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulation_FaultChurn' \
 		-benchmem -benchtime 1x .

@@ -543,13 +543,16 @@ func BenchmarkCore_AssignProb(b *testing.B) {
 	}
 }
 
-func benchFlowChurn(b *testing.B, forceFull bool) {
+// BenchmarkTopology_FlowChurn exercises max-min share recomputation under
+// flow start/finish churn on the 60-node testbed: every start outside a
+// dispatched event is committed by the next Pending call, so it measures
+// one solver pass per churn.
+func BenchmarkTopology_FlowChurn(b *testing.B) {
 	eng := sim.NewEngine()
 	net, err := topology.NewCluster(eng, topology.DefaultSpec())
 	if err != nil {
 		b.Fatal(err)
 	}
-	net.Net().SetForceFullRecompute(forceFull)
 	rng := sim.NewRNG(3)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -564,18 +567,7 @@ func benchFlowChurn(b *testing.B, forceFull bool) {
 	if _, err := eng.RunAll(); err != nil {
 		b.Fatal(err)
 	}
-	if !forceFull {
-		b.ReportMetric(float64(net.Net().IncrementalRecomputes()), "inc_recomputes")
-	}
 }
-
-// BenchmarkTopology_FlowChurn exercises max-min share recomputation under
-// flow start/finish churn with the incremental component-local pass; the
-// Full variant forces the old whole-network progressive filling on every
-// churn event.
-func BenchmarkTopology_FlowChurn(b *testing.B) { benchFlowChurn(b, false) }
-
-func BenchmarkTopology_FlowChurnFull(b *testing.B) { benchFlowChurn(b, true) }
 
 func BenchmarkSim_ScheduleStep(b *testing.B) {
 	eng := sim.NewEngine()

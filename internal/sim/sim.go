@@ -180,8 +180,9 @@ func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
 // Pending returns the number of events currently queued (including
 // cancelled events that have not yet been discarded). Commit hooks run
-// first so that work deferred within the current instant — e.g. flow
-// completions awaiting a coalesced rate recompute — is counted.
+// first, so churn made outside any dispatch — e.g. flows started before
+// the run, whose completion events the flow network's share solve has
+// yet to queue — is counted.
 func (e *Engine) Pending() int {
 	for _, c := range e.commits {
 		c()
@@ -190,10 +191,12 @@ func (e *Engine) Pending() int {
 }
 
 // AddCommitHook registers fn to run after every dispatched event callback
-// returns, still at the callback's timestamp. Deferred work that must
-// complete before the clock can advance — coalesced flow-rate recomputes,
-// batched observability emission — hangs off this hook. Hooks run in
-// registration order and must not unregister.
+// returns, still at the callback's timestamp, and before Run or Step
+// picks the next event. Work that must complete before the clock can
+// advance hangs off this hook: the flow network's one max-min solve per
+// churning event, which queues its completion events, and batched
+// observability emission. Hooks run in registration order and must not
+// unregister.
 func (e *Engine) AddCommitHook(fn func()) {
 	if fn == nil {
 		panic("sim: nil commit hook")
@@ -240,28 +243,6 @@ func (e *Engine) After(d Duration, fn func()) *Event {
 // scheduled anew. Engine-owned events (returned by Schedule/After) must
 // not be passed here.
 func (e *Engine) Reschedule(ev *Event, at Time, fn func()) {
-	e.RescheduleSeq(ev, at, e.seq, fn)
-	e.seq++
-}
-
-// ReserveSeq consumes and returns the next FIFO sequence number without
-// queueing anything. Callers that defer a Reschedule — e.g. the flow
-// network's coalesced completion-event maintenance — reserve the sequence
-// number at the moment non-deferred code would have called Reschedule,
-// then apply it later with RescheduleSeq. Both the deferred event's
-// same-instant tie-breaks and the numbering of every subsequently
-// scheduled event then match the non-deferred execution exactly.
-func (e *Engine) ReserveSeq() uint64 {
-	s := e.seq
-	e.seq++
-	return s
-}
-
-// RescheduleSeq is Reschedule with an explicit FIFO sequence number,
-// previously obtained from ReserveSeq; it does not consume a fresh one.
-// Reusing a seq for two simultaneously queued events breaks the total
-// order, so each reservation must be applied at most once.
-func (e *Engine) RescheduleSeq(ev *Event, at Time, seq uint64, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, e.now))
 	}
@@ -272,8 +253,9 @@ func (e *Engine) RescheduleSeq(ev *Event, at Time, seq uint64, fn func()) {
 		panic("sim: reschedule of an engine-owned event")
 	}
 	e.queue.remove(ev)
-	ev.at, ev.seq, ev.fn = at, seq, fn
+	ev.at, ev.seq, ev.fn = at, e.seq, fn
 	ev.cancel = false
+	e.seq++
 	e.queue.push(ev)
 }
 

@@ -22,6 +22,7 @@ func TestCongestionAlphaDegradesGoodput(t *testing.T) {
 	var t1, t2 sim.Time
 	c.Transfer(0, 1, 62.5e6, func() { t1 = eng.Now() })
 	c.Transfer(0, 2, 62.5e6, func() { t2 = eng.Now() })
+	c.Net().Flush()
 	if err := c.Net().CheckFeasible(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mapsched/internal/obs"
 	"mapsched/internal/sim"
@@ -30,7 +29,7 @@ type Flow struct {
 	links      []LinkID // owned copy of the path; storage reused across lives
 	total      float64  // original size in bytes
 	remaining  float64  // bytes left; NaN-free, >= 0
-	rate       float64  // current max-min share, bytes/second
+	rate       float64  // max-min share as of the last commit, bytes/second
 	lastUpdate sim.Time
 	done       func()
 	doneEv     sim.Event // embedded completion event, rescheduled in place
@@ -41,16 +40,13 @@ type Flow struct {
 	finished   bool
 
 	// Pool/emission state.
-	inLive       bool   // referenced by liveList (tombstoned until compacted)
-	released     bool   // owner dropped its reference; recycle when safe
-	pendingStart bool   // flow_start emission deferred to the next flush
-	resched      bool   // queued for completion-event maintenance at flush
-	doneSeq      uint64 // FIFO seq reserved at churn time for the deferred Reschedule
+	inLive       bool // referenced by liveList (tombstoned until compacted)
+	released     bool // owner dropped its reference; recycle when safe
+	pendingStart bool // flow_start emission deferred to the next flush
 
 	slots  []int   // position of this flow in each path link's flow list
 	next   float64 // scratch rate assigned by the current filling pass
 	frozen bool    // scratch flag for progressive filling
-	visit  uint64  // scratch stamp for component discovery
 
 	// Node endpoints for observability; -1 when the caller did not tag
 	// the flow. announced suppresses flow_rate events until the
@@ -59,8 +55,9 @@ type Flow struct {
 	announced bool
 }
 
-// Rate returns the flow's current bandwidth share in bytes/second. Shares
-// are recomputed eagerly at every churn, so the field is always current.
+// Rate returns the flow's bandwidth share in bytes/second as of the last
+// commit (FlowNet.Flush). Churn inside a dispatched event does not move it
+// until that event commits; a flow started mid-event reads 0 until then.
 func (f *Flow) Rate() float64 { return f.rate }
 
 // Remaining returns the bytes left to transfer as of the last rate change.
@@ -81,16 +78,15 @@ type link struct {
 // FlowNet is a flow-level network simulator: each active flow receives a
 // max-min fair share of the capacity of every directed link on its path.
 //
-// Shares are recomputed eagerly at every churn (flow start, finish,
-// cancel, capacity change) — the settle arithmetic that charges progress
-// at the old rate is float-associative-sensitive, so running the solver
-// per churn keeps decision streams bit-identical with pre-optimization
-// builds. What IS coalesced, per simulated instant, is everything the
-// solver's results feed: completion-event queue maintenance (a flow whose
-// share changes k times within one instant gets one Reschedule, not k
-// cancel/reschedule round-trips — this was ~93% of all queue traffic) and
-// flow_start/flow_rate observability emissions, both batched into the
-// engine's commit hook at the end of the dispatching event.
+// Churn (flow start, finish, cancel, capacity or alpha change) updates
+// link occupancy and the epoch at once, so occupancy-only reads
+// (ProspectiveRate, PathRate, LinkFlowCount) are exact mid-event. The
+// shares themselves are solved once per churning event, in Flush — the
+// engine's commit hook, which runs before the clock can move — as a pure
+// function of the live-flow set: one progressive fill over every live
+// flow in creation order and every loaded link in ascending order. Its
+// results, completion-event reschedules and flow_rate/flow_start
+// emissions, are applied in the same pass.
 type FlowNet struct {
 	eng   *sim.Engine
 	links []link
@@ -102,37 +98,30 @@ type FlowNet struct {
 	liveCount int
 	alpha     float64 //lint:epoch-guarded congestion inefficiency scales every effective capacity; see Spec.CongestionAlpha
 
-	// epoch counts observable rate/occupancy changes. Any quantity derived
-	// from link occupancy or flow rates (ProspectiveRate, PathRate) is
-	// constant between epochs, which lets higher layers cache derived
-	// costs with exact invalidation.
-	epoch uint64
+	// epoch counts churn: any quantity derived from link occupancy and
+	// capacity (ProspectiveRate, PathRate) is constant between epochs,
+	// which lets higher layers cache derived costs with exact
+	// invalidation. Every churn also leaves the shares dirty until the
+	// next Flush re-solves them.
+	epoch  uint64
+	dirty  bool
+	passes int64 // solver passes
 
-	forceFull bool  // disable the incremental path (testing / comparison)
-	eager     bool  // per-churn queue ops and emissions, pre-coalescing style (testing)
-	fullRecs  int64 // full progressive-filling passes
-	incRecs   int64 // component-local passes (avoided full recomputes)
-
-	// Coalescing state: flows whose completion event must be rescheduled
-	// (or parked) for the current instant, and flows whose flow_start
-	// emission is deferred until their first share is known.
-	pendingResched []*Flow
-	pendingStarts  []*Flow
+	// Flows whose flow_start emission is deferred until their first share
+	// is known.
+	pendingStarts []*Flow
 
 	// freeFlows recycles Flow objects. A flow is recycled only once it is
 	// finished, its owner has Released it, no liveList tombstone remains,
-	// its completion event is off the queue, and no deferred maintenance
-	// or emission mentions it — so a stale pointer can never observe or
+	// its completion event is off the queue, and no deferred flow_start
+	// emission mentions it — so a stale pointer can never observe or
 	// cancel another transfer's state.
 	freeFlows []*Flow
 
 	// Reusable scratch state, sized to len(links).
-	remCap    []float64
-	cnt       []int
-	linkVisit []uint64
-	visitID   uint64
-	flowsBuf  []*Flow
-	linksBuf  []int
+	remCap   []float64
+	cnt      []int
+	linksBuf []int
 
 	// stats
 	started   int64
@@ -144,9 +133,9 @@ type FlowNet struct {
 	obs *obs.Stream
 }
 
-// NewFlowNet returns an empty network bound to eng. Deferred completion
-// rescheduling and emission batches ride eng's commit hook, firing at the
-// end of each dispatched event.
+// NewFlowNet returns an empty network bound to eng. The share solve and
+// emission batches ride eng's commit hook, firing at the end of each
+// dispatched event.
 func NewFlowNet(eng *sim.Engine) *FlowNet {
 	n := &FlowNet{eng: eng}
 	eng.AddCommitHook(n.Flush)
@@ -166,7 +155,7 @@ func (n *FlowNet) SetCongestionAlpha(alpha float64) {
 		return
 	}
 	n.alpha = alpha
-	n.mark(nil)
+	n.mark()
 }
 
 // SetStream attaches the observability stream flow events are emitted
@@ -199,32 +188,18 @@ func (n *FlowNet) flowEvent(t obs.Type, f *Flow, withLinks bool, reason string) 
 	}
 }
 
-// SetForceFullRecompute disables the incremental component-local recompute,
-// running full progressive filling on every churn. Used by equivalence
-// tests and benchmarks comparing the two paths.
-func (n *FlowNet) SetForceFullRecompute(force bool) { n.forceFull = force }
-
-// SetEagerRecompute disables per-instant coalescing of completion-event
-// maintenance and emissions: every fill performs its queue operations and
-// flow_rate/flow_start emissions inline, exactly the pre-coalescing
-// behavior. Used by equivalence tests proving the coalesced path leaves
-// decision streams bit-identical.
-func (n *FlowNet) SetEagerRecompute(eager bool) {
-	n.Flush()
-	n.eager = eager
-}
-
-// Epoch returns the rate-recomputation counter. Between equal epochs no
-// link occupancy or flow rate has changed, so path-rate observations are
-// guaranteed stable.
+// Epoch returns the churn counter. Between equal epochs no link occupancy
+// or capacity has changed, so path-rate observations are guaranteed
+// stable; flow shares settle at the commit following each bump.
 func (n *FlowNet) Epoch() uint64 { return n.epoch }
 
-// FullRecomputes returns the number of full progressive-filling passes.
-func (n *FlowNet) FullRecomputes() int64 { return n.fullRecs }
+// FullRecomputes returns the number of solver passes: at most one per
+// committed event that churned.
+func (n *FlowNet) FullRecomputes() int64 { return n.passes }
 
-// IncrementalRecomputes returns the number of component-local passes,
-// i.e. full recomputes avoided by the incremental path.
-func (n *FlowNet) IncrementalRecomputes() int64 { return n.incRecs }
+// IncrementalRecomputes is always 0: every solve is a full pass over the
+// live flows. It remains for callers that report solver counters.
+func (n *FlowNet) IncrementalRecomputes() int64 { return 0 }
 
 // effCapacity returns a link's aggregate goodput when carrying n flows.
 func (n *FlowNet) effCapacity(l int, flows int) float64 {
@@ -243,7 +218,6 @@ func (n *FlowNet) AddLink(capacity float64) LinkID {
 	n.links = append(n.links, link{capacity: capacity})
 	n.remCap = append(n.remCap, 0)
 	n.cnt = append(n.cnt, 0)
-	n.linkVisit = append(n.linkVisit, 0)
 	return LinkID(len(n.links) - 1)
 }
 
@@ -261,7 +235,7 @@ func (n *FlowNet) SetLinkCapacity(l LinkID, capacity float64) {
 		return
 	}
 	n.links[l].capacity = capacity
-	n.mark(nil)
+	n.mark()
 }
 
 // LinkCapacity returns a link's current capacity (bytes/second).
@@ -318,11 +292,11 @@ func (n *FlowNet) Release(f *Flow) {
 
 // maybeRecycle returns f to the pool when no reference to it can remain:
 // the owner released it, it is off the liveList, its completion event is
-// not queued, and no deferred maintenance or emission mentions it. The
+// not queued, and no deferred flow_start emission mentions it. The
 // reset clears every field — a recycled flow must carry nothing of its
 // previous life.
 func (n *FlowNet) maybeRecycle(f *Flow) {
-	if !f.released || !f.finished || f.inLive || f.pendingStart || f.resched || f.doneEv.Queued() {
+	if !f.released || !f.finished || f.inLive || f.pendingStart || f.doneEv.Queued() {
 		return
 	}
 	links, slots, finishFn, net := f.links[:0], f.slots[:0], f.finishFn, f.net
@@ -361,16 +335,6 @@ func (n *FlowNet) StartFlowBetween(src, dst NodeID, path []LinkID, bytes float64
 	}
 	f.kind = flowNet
 	n.attach(f)
-	n.mark(f)
-	if n.eager {
-		if n.obs.Enabled() {
-			n.obs.Emit(n.flowEvent(obs.FlowStart, f, true, ""))
-		}
-		f.announced = true
-	} else {
-		f.pendingStart = true
-		n.pendingStarts = append(n.pendingStarts, f)
-	}
 	return f
 }
 
@@ -388,16 +352,6 @@ func (n *FlowNet) StartPersistentFlowBetween(src, dst NodeID, path []LinkID) *Fl
 	f.remaining = math.Inf(1)
 	f.persistent = true
 	n.attach(f)
-	n.mark(f)
-	if n.eager {
-		if n.obs.Enabled() {
-			n.obs.Emit(n.flowEvent(obs.FlowStart, f, true, ""))
-		}
-		f.announced = true
-	} else {
-		f.pendingStart = true
-		n.pendingStarts = append(n.pendingStarts, f)
-	}
 	return f
 }
 
@@ -449,10 +403,9 @@ func (n *FlowNet) Cancel(f *Flow) {
 	n.settle(f)
 	f.finished = true
 	n.detach(f)
-	n.mark(f)
 	if n.obs.Enabled() {
-		// A flow cancelled in its start instant has its start emission
-		// still deferred; emit it first so the stream stays well-formed.
+		// A flow cancelled in its start event has its start emission still
+		// deferred; emit it first so the stream stays well-formed.
 		if f.pendingStart {
 			n.emitPendingStart(f)
 		}
@@ -461,7 +414,7 @@ func (n *FlowNet) Cancel(f *Flow) {
 }
 
 // emitPendingStart emits f's deferred flow_start immediately and removes
-// it from the pending list. Only used on the rare cancel-in-start-instant
+// it from the pending list. Only used on the rare cancel-in-start-event
 // path; normal starts are emitted in batch by Flush.
 func (n *FlowNet) emitPendingStart(f *Flow) {
 	n.obs.Emit(n.flowEvent(obs.FlowStart, f, true, ""))
@@ -475,7 +428,9 @@ func (n *FlowNet) emitPendingStart(f *Flow) {
 	}
 }
 
-// attach registers f on every link of its path and in the live list.
+// attach registers f on every link of its path and in the live list,
+// marks the churn, and defers its flow_start to the next flush, when its
+// first share is known.
 func (n *FlowNet) attach(f *Flow) {
 	if cap(f.slots) < len(f.links) {
 		f.slots = make([]int, len(f.links))
@@ -489,11 +444,14 @@ func (n *FlowNet) attach(f *Flow) {
 	n.liveList = append(n.liveList, f)
 	f.inLive = true
 	n.liveCount++
+	n.mark()
+	f.pendingStart = true
+	n.pendingStarts = append(n.pendingStarts, f)
 }
 
 // detach removes f from its links (swap-remove, fixing the moved flow's
-// slot) and drops its pending completion event. The live-list entry is
-// tombstoned and reclaimed by the next compaction.
+// slot), drops its pending completion event and marks the churn. The
+// live-list entry is tombstoned and reclaimed by the next compaction.
 func (n *FlowNet) detach(f *Flow) {
 	for i, l := range f.links {
 		fl := n.links[l].flows
@@ -513,6 +471,7 @@ func (n *FlowNet) detach(f *Flow) {
 	}
 	n.liveCount--
 	n.eng.Remove(&f.doneEv)
+	n.mark()
 }
 
 // compactLive drops tombstoned (finished) flows from the live list,
@@ -552,27 +511,25 @@ func (n *FlowNet) settle(f *Flow) {
 	f.lastUpdate = now
 }
 
-// mark records churn around seed (nil = a global change such as capacity
-// or alpha), bumps the epoch, and reruns the share solver immediately.
-// Only the solver's downstream effects — completion-event queue traffic
-// and emissions — are deferred to the end of the instant; the rates and
-// settlement arithmetic happen per churn, exactly as pre-coalescing
-// builds, which is what keeps decision streams bit-identical.
-func (n *FlowNet) mark(seed *Flow) {
+// mark records churn: it bumps the epoch, which occupancy-only reads key
+// on, and leaves the share solve to the next Flush.
+func (n *FlowNet) mark() {
 	n.epoch++
-	n.recompute(seed)
+	n.dirty = true
 }
 
-// Flush materializes the deferred per-instant work: one completion-event
-// reschedule (or park) per touched flow, then the batch of deferred
-// flow_start emissions. It is the engine's commit hook, running at the
-// end of every dispatched event.
+// Flush commits the event's churn: one share solve if anything churned,
+// then the batch of deferred flow_start emissions. It is the engine's
+// commit hook, running at the end of every dispatched event and before
+// Run or Step picks the next one, so no simulated time passes at a stale
+// share.
 func (n *FlowNet) Flush() {
-	if len(n.pendingResched) > 0 {
-		n.flushResched()
+	if n.dirty {
+		n.dirty = false
+		n.solve()
 	}
 
-	// Announce the flows born this instant, in creation order, now that
+	// Announce the flows born this event, in creation order, now that
 	// their first share is known.
 	if len(n.pendingStarts) > 0 {
 		emit := n.obs.Enabled()
@@ -589,33 +546,29 @@ func (n *FlowNet) Flush() {
 	}
 }
 
-// flushResched performs the coalesced completion-event maintenance: every
-// flow whose share changed this instant gets exactly one queue operation,
-// against its final rate but with the FIFO seq reserved at its last churn
-// (see fill) — so same-instant tie-breaks are bit-identical to the eager
-// per-churn Reschedule stream. The creation-id sort only fixes the order
-// of the flow_rate emissions, which carry no seq of their own.
-func (n *FlowNet) flushResched() {
-	pend := n.pendingResched
-	// Insertion sort by id: fills append in id order, so the list is
-	// nearly sorted already and this is cheaper than sort.Slice.
-	for i := 1; i < len(pend); i++ {
-		for j := i; j > 0 && pend[j].id < pend[j-1].id; j-- {
-			pend[j], pend[j-1] = pend[j-1], pend[j]
-		}
+// solve recomputes every live flow's max-min share and applies the ones
+// that changed: settle progress at the old rate, emit flow_rate, and move
+// (or park) the completion event. A flow whose share is unchanged is left
+// alone — its pending event already fires at the right absolute time.
+// Flows are handled in creation order, so the completion events of one
+// commit take fresh FIFO seqs in a deterministic sequence.
+func (n *FlowNet) solve() {
+	n.compactLive()
+	if n.liveCount == 0 {
+		return
 	}
+	n.passes++
+	n.fill()
+
 	emit := n.obs.Enabled()
 	now := n.eng.Now()
-	for i, f := range pend {
-		pend[i] = nil
-		f.resched = false
-		if f.finished {
-			// Finished or cancelled later in the same instant; its event is
-			// already off the queue.
-			n.maybeRecycle(f)
+	for _, f := range n.liveList {
+		if f.next == f.rate {
 			continue
 		}
-		if emit && f.announced && !f.pendingStart {
+		n.settle(f)
+		f.rate = f.next
+		if emit && f.announced {
 			n.obs.Emit(n.flowEvent(obs.FlowRate, f, false, ""))
 		}
 		if f.persistent {
@@ -626,105 +579,27 @@ func (n *FlowNet) flushResched() {
 			n.eng.Remove(&f.doneEv)
 			continue
 		}
-		n.eng.RescheduleSeq(&f.doneEv, now+sim.Time(f.remaining/f.rate), f.doneSeq, f.finishFn)
+		n.eng.Reschedule(&f.doneEv, now+sim.Time(f.remaining/f.rate), f.finishFn)
 	}
-	n.pendingResched = pend[:0]
 }
 
-// recompute refreshes max-min fair shares after seed started or departed.
-// A nil seed, a forced-full configuration, or a component covering most of
-// the live flows falls back to a full pass over every loaded link.
-func (n *FlowNet) recompute(seed *Flow) {
-	if n.liveCount == 0 {
-		n.compactLive()
-		return
-	}
-	if n.forceFull || seed == nil {
-		n.fullRecompute()
-		return
-	}
-
-	// Discover the connected component of links and flows reachable from
-	// the seed's path. The seed itself is included only if still attached.
-	// When the component spans most of the network, component discovery
-	// plus local filling saves nothing over a full pass, so discovery
-	// aborts as soon as the component crosses half the live flows instead
-	// of enumerating the rest.
-	n.visitID++
-	stamp := n.visitID
-	compLinks := n.linksBuf[:0]
-	compFlows := n.flowsBuf[:0]
-	for _, l := range seed.links {
-		if n.linkVisit[l] != stamp {
-			n.linkVisit[l] = stamp
-			compLinks = append(compLinks, int(l))
-		}
-	}
-	for head := 0; head < len(compLinks) && 2*len(compFlows) < n.liveCount; head++ {
-		for _, f := range n.links[compLinks[head]].flows {
-			if f.visit == stamp {
-				continue
-			}
-			f.visit = stamp
-			compFlows = append(compFlows, f)
-			for _, l := range f.links {
-				if n.linkVisit[l] != stamp {
-					n.linkVisit[l] = stamp
-					compLinks = append(compLinks, int(l))
-				}
-			}
-		}
-	}
-	n.linksBuf, n.flowsBuf = compLinks, compFlows
-
-	if len(compFlows) == 0 {
-		return // departed flow was alone on its path
-	}
-	if 2*len(compFlows) >= n.liveCount {
-		n.fullRecompute()
-		return
-	}
-	n.incRecs++
-	if len(n.liveList) > 2*n.liveCount+16 {
-		n.compactLive() // bound tombstone growth on incremental-only churn
-	}
-
-	// Deterministic orders: flows by creation id (event tie-breaks), links
-	// ascending (bottleneck tie-breaks match the full pass).
-	sort.Slice(compFlows, func(a, b int) bool { return compFlows[a].id < compFlows[b].id })
-	sort.Ints(compLinks)
-	n.fill(compLinks, compFlows)
-}
-
-// fullRecompute runs progressive filling over all live flows. The live
-// list is already in creation-id order, so no sort is needed — just a
-// compaction pass dropping finished flows.
-func (n *FlowNet) fullRecompute() {
-	n.fullRecs++
-	n.compactLive()
+// fill runs progressive filling (max-min fairness) over the live list,
+// writing each flow's share to its scratch next field. The result depends
+// only on the set of live paths: flows are visited in creation-id order,
+// links in ascending order, and within a round every crossing of a link
+// subtracts the same share, so the order of flows inside a link's slice
+// is immaterial. The fill loop allocates nothing.
+func (n *FlowNet) fill() {
 	links := n.linksBuf[:0]
-	for i := range n.links {
-		if len(n.links[i].flows) > 0 {
-			links = append(links, i)
+	for l := range n.links {
+		if c := len(n.links[l].flows); c > 0 {
+			n.cnt[l] = c
+			n.remCap[l] = n.effCapacity(l, c)
+			links = append(links, l)
 		}
 	}
 	n.linksBuf = links
-	n.fill(links, n.liveList)
-}
-
-// fill runs progressive filling (max-min fairness) over the given flows,
-// whose link usage is exactly covered by links (ascending order), then
-// settles every flow whose share changed and records it for the coalesced
-// completion-event maintenance at instant end (or, in eager mode,
-// reschedules it inline). Flows whose share is unchanged are left entirely
-// alone: their pending event already fires at the correct absolute time.
-// Flows are handled in creation order so simultaneous completions fire in
-// a deterministic sequence. The fill loop allocates nothing.
-func (n *FlowNet) fill(links []int, flows []*Flow) {
-	for _, l := range links {
-		n.cnt[l] = len(n.links[l].flows)
-		n.remCap[l] = n.effCapacity(l, n.cnt[l])
-	}
+	flows := n.liveList
 	for _, f := range flows {
 		f.frozen = false
 	}
@@ -780,52 +655,6 @@ func (n *FlowNet) fill(links []int, flows []*Flow) {
 			}
 		}
 	}
-
-	// Apply changed shares: settle progress under the old rate, then hand
-	// the flow to the coalesced per-instant maintenance (one queue
-	// operation per flow per instant, against its final rate). The settle
-	// runs here, per fill, because charging progress is float-sensitive to
-	// grouping: regrouping the decrements would drift completion times by
-	// an ulp and break bit-identity with pre-coalescing builds.
-	emit := n.obs.Enabled()
-	now := n.eng.Now()
-	for _, f := range flows {
-		if f.next == f.rate {
-			continue
-		}
-		n.settle(f)
-		f.rate = f.next
-		if !n.eager {
-			if !f.resched {
-				f.resched = true
-				n.pendingResched = append(n.pendingResched, f)
-			}
-			// Reserve the completion event's FIFO slot now — at the exact
-			// point the eager path calls Reschedule — even though the
-			// queue operation is deferred to flushResched. Same-instant
-			// ties (two flows completing together, or a completion tying
-			// with an event scheduled later in this dispatch) and the seq
-			// numbering of everything scheduled after this churn then
-			// match the eager stream bit-for-bit. A later churn in the
-			// same instant overwrites the reservation, exactly as eager's
-			// re-Reschedule would assign a fresh seq.
-			if !f.persistent && f.rate > 0 {
-				f.doneSeq = n.eng.ReserveSeq()
-			}
-			continue
-		}
-		if emit && f.announced {
-			n.obs.Emit(n.flowEvent(obs.FlowRate, f, false, ""))
-		}
-		if f.persistent {
-			continue
-		}
-		if f.rate <= 0 {
-			n.eng.Remove(&f.doneEv)
-			continue
-		}
-		n.eng.Reschedule(&f.doneEv, now+sim.Time(f.remaining/f.rate), f.finishFn)
-	}
 }
 
 // fire dispatches a flow's completion event according to its kind.
@@ -867,10 +696,9 @@ func (n *FlowNet) finish(f *Flow) {
 	f.remaining = 0
 	n.completed++
 	n.bytesDone += f.total
+	// Detach before the callback: the occupancy change must be observable
+	// to any path-rate reading the callback makes.
 	n.detach(f)
-	// Mark before the callback: occupancy changes and the refill must be
-	// observable to any path-rate reading the callback makes.
-	n.mark(f)
 	if n.obs.Enabled() {
 		n.obs.Emit(n.flowEvent(obs.FlowFinish, f, false, ""))
 	}
@@ -901,9 +729,14 @@ func (n *FlowNet) ProspectiveRate(path []LinkID) float64 {
 
 // CheckFeasible verifies that no link is oversubscribed: the sum of flow
 // rates on each link must not exceed its capacity (within tolerance).
-// Rates are recomputed eagerly at churn, so no flush is needed.
-// Used by property tests.
+// Shares are solved at commit points, so it must be called at one —
+// after Flush, e.g. from a later commit hook or between Run/Step calls;
+// between a churn and its commit it reports that instead. Used by
+// property tests.
 func (n *FlowNet) CheckFeasible() error {
+	if n.dirty {
+		return fmt.Errorf("topology: CheckFeasible called between a churn and its commit")
+	}
 	const tol = 1e-6
 	for i := range n.links {
 		var sum float64

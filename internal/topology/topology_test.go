@@ -151,6 +151,7 @@ func TestCrossRackBottleneck(t *testing.T) {
 		i := i
 		c.Transfer(NodeID(i), NodeID(30+i), 62.5e6, func() { times[i] = eng.Now() })
 	}
+	c.Net().Flush()
 	if err := c.Net().CheckFeasible(); err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +256,8 @@ func TestPersistentCrossTraffic(t *testing.T) {
 }
 
 func TestFeasibilityUnderRandomLoad(t *testing.T) {
-	// Property: at every completion point, no link is oversubscribed, and
-	// all flows eventually finish.
+	// Property: at every commit point, no link is oversubscribed, and all
+	// flows eventually finish.
 	rng := sim.NewRNG(123)
 	for trial := 0; trial < 20; trial++ {
 		eng := sim.NewEngine()
@@ -264,6 +265,11 @@ func TestFeasibilityUnderRandomLoad(t *testing.T) {
 		spec.Racks = 1 + rng.Intn(3)
 		spec.NodesPerRack = 2 + rng.Intn(6)
 		c := mustCluster(t, eng, spec)
+		eng.AddCommitHook(func() {
+			if err := c.Net().CheckFeasible(); err != nil {
+				t.Error(err)
+			}
+		})
 		n := c.Size()
 		total := 30
 		finished := 0
@@ -273,12 +279,7 @@ func TestFeasibilityUnderRandomLoad(t *testing.T) {
 			bytes := rng.Uniform(1e6, 5e8)
 			delay := rng.Uniform(0, 3)
 			eng.Schedule(sim.Time(delay), func() {
-				c.Transfer(src, dst, bytes, func() {
-					finished++
-					if err := c.Net().CheckFeasible(); err != nil {
-						t.Error(err)
-					}
-				})
+				c.Transfer(src, dst, bytes, func() { finished++ })
 			})
 		}
 		if _, err := eng.RunAll(); err != nil {
