@@ -57,7 +57,7 @@ race:
 # cluster-scale selection bench runs its whole 100→5000-node grid so a
 # scaling regression in the class-collapsed hot path surfaces too, and
 # the placement-service bench exercises the concurrent decide path at
-# 1/4/8 readers before placement_guard.sh holds its p99 budget and
+# 1/4/8 readers before placement_guard.sh holds its p50 budget and
 # journal_guard.sh the journal-on delta budget. The open-system cell
 # runs once inside opensys_guard.sh, which holds the deterministic
 # steady-state p99 JCT to its BENCH_opensys.json budget.

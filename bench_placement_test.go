@@ -5,7 +5,7 @@ package mapsched
 // delta-applying writer churning slot state in the background — the
 // service's intended operating regime. scripts/bench.sh records the
 // numbers in BENCH_placement.json and scripts/placement_guard.sh holds
-// the p99 latency budget.
+// the 4-reader median latency budget.
 
 import (
 	"fmt"

@@ -259,28 +259,6 @@ func BenchmarkSimulation_ProbabilisticObserved(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulation_ProbabilisticNaive is the reference path: same
-// batch, same decisions, but with every cost recomputed from scratch on
-// each scheduling round (ProbabilisticConfig.Naive). The gap to
-// BenchmarkSimulation_Probabilistic is the end-to-end win of the
-// incremental cost caches.
-func BenchmarkSimulation_ProbabilisticNaive(b *testing.B) {
-	s := benchSetup()
-	cfg := sched.DefaultProbabilisticConfig()
-	cfg.Pmin = s.Pmin
-	cfg.Naive = true
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := s.RunBatch(workload.Wordcount, sched.NewProbabilistic(cfg))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Unfinished != 0 {
-			b.Fatal("unfinished jobs under naive probabilistic")
-		}
-	}
-}
-
 // BenchmarkSimulation_FaultChurn is the same batch under a hostile fault
 // plan — crashes, a slowdown, a degraded link, transient attempt
 // failures — so it prices the whole recovery machinery: detection sweeps,
@@ -506,7 +484,9 @@ func BenchmarkCore_ReduceCostEval(b *testing.B) {
 	}
 }
 
-func benchSelectMapTask(b *testing.B, cached bool) {
+// BenchmarkCore_SelectMapTask runs Algorithm 1 through the evaluator the
+// cost model picks for a classed cluster: the MapCoster.
+func BenchmarkCore_SelectMapTask(b *testing.B) {
 	cm, j := microFixture(b)
 	for _, m := range j.Maps {
 		m.State = job.TaskPending
@@ -517,10 +497,7 @@ func benchSelectMapTask(b *testing.B, cached bool) {
 	for i := range avail {
 		avail[i] = topology.NodeID(i)
 	}
-	var ev core.MapCostEvaluator = cm.Evaluator()
-	if cached {
-		ev = cm.NewMapCoster()
-	}
+	ev := cm.MapEvaluator()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -529,13 +506,6 @@ func benchSelectMapTask(b *testing.B, cached bool) {
 		}
 	}
 }
-
-// BenchmarkCore_SelectMapTask runs Algorithm 1 through the MapCoster (the
-// production path); the Naive variant recomputes every replica distance
-// and cluster average per offer, as the seed implementation did.
-func BenchmarkCore_SelectMapTask(b *testing.B) { benchSelectMapTask(b, true) }
-
-func BenchmarkCore_SelectMapTaskNaive(b *testing.B) { benchSelectMapTask(b, false) }
 
 func BenchmarkCore_AssignProb(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -673,9 +643,9 @@ func BenchmarkAnalysis_TradeoffCurve(b *testing.B) {
 }
 
 // flatView hides a Cluster's ClassedNetwork interface so a hop-mode cost
-// model over it takes the per-node path — the pre-class-collapse code,
-// kept measurable as the baseline BenchmarkSelect_ClusterScale compares
-// against. Distances are bit-identical to the classed view.
+// model over it evaluates Formula 1 directly over every node — the seed
+// path BenchmarkSelect_ClusterScale compares against. Distances are
+// bit-identical to the classed view.
 type flatView struct{ c *topology.Cluster }
 
 func (f flatView) Size() int                             { return f.c.Size() }
@@ -732,9 +702,7 @@ func scaleSelectFixture(b *testing.B, nodes int) (*topology.Cluster, *hdfs.Store
 // per-heartbeat hot path) across cluster sizes, with the avail set
 // churning on every offer as it does under live slot traffic:
 //
-//	classed - production path: class-collapsed C_avg + pruning (this PR)
-//	pernode - the pre-PR cached path: per-node distance rows, O(nodes)
-//	          re-summation per avail change
+//	classed - production path: the MapCoster's class-collapsed C_avg
 //	naive   - the seed path: direct Formula 1 over every (task, node)
 //
 // Per-offer time for classed grows with the number of distance classes
@@ -742,34 +710,19 @@ func scaleSelectFixture(b *testing.B, nodes int) (*topology.Cluster, *hdfs.Store
 func BenchmarkSelect_ClusterScale(b *testing.B) {
 	for _, nodes := range []int{100, 500, 1000, 2000, 5000} {
 		cl, store, j, avails := scaleSelectFixture(b, nodes)
-		for _, variant := range []string{"classed", "pernode", "naive"} {
-			var ev core.MapCostEvaluator
-			switch variant {
-			case "classed":
-				cm, err := core.NewCostModel(cl, store, nil, core.ModeHops)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if cm.Classes() == nil {
-					b.Fatal("cluster did not collapse into classes")
-				}
-				ev = cm.NewMapCoster()
-			case "pernode":
-				cm, err := core.NewCostModel(flatView{cl}, store, nil, core.ModeHops)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if cm.Classes() != nil {
-					b.Fatal("flat view unexpectedly classed")
-				}
-				ev = cm.NewMapCoster()
-			case "naive":
-				cm, err := core.NewCostModel(flatView{cl}, store, nil, core.ModeHops)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ev = cm.Evaluator()
+		for _, variant := range []string{"classed", "naive"} {
+			var net topology.Network = cl
+			if variant == "naive" {
+				net = flatView{cl}
 			}
+			cm, err := core.NewCostModel(net, store, nil, core.ModeHops)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if (cm.Classes() != nil) != (variant == "classed") {
+				b.Fatalf("%s: Classes() = %v", variant, cm.Classes())
+			}
+			ev := cm.MapEvaluator()
 			b.Run(fmt.Sprintf("n%d/%s", nodes, variant), func(b *testing.B) {
 				version := uint64(3)
 				b.ReportAllocs()

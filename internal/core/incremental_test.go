@@ -206,85 +206,84 @@ func TestReduceCosterAvgTracksNetworkEpoch(t *testing.T) {
 	}
 }
 
-// hideEpoch strips the Epoch method from a rate observer, simulating a
-// custom observer with unknown dynamics.
-type hideEpoch struct{ r topology.RateObserver }
-
-func (h hideEpoch) PathRate(a, b topology.NodeID) float64 { return h.r.PathRate(a, b) }
-
 // TestMapCosterMatchesNaive checks the cached Formula 1 path against the
-// direct computation, bit for bit, across distance modes, epoch churn and
-// changing avail sets — including the no-epoch-signal fallback.
+// direct computation, bit for bit, across changing avail sets and replica
+// loss (the only thing that stales a row in hop mode), down to blocks with
+// no replica left.
 func TestMapCosterMatchesNaive(t *testing.T) {
-	cases := []struct {
-		name string
-		mode Mode
-		hide bool
-	}{
-		{"hops", ModeHops, false},
-		{"netcond", ModeNetworkCondition, false},
-		{"netcond-no-epoch", ModeNetworkCondition, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			eng, cl, cm, j := churnSetup(t, tc.mode, 13)
-			if tc.hide {
-				var err error
-				cm, err = NewCostModel(cl, cm.store, hideEpoch{cl}, tc.mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, ok := cm.DistanceEpoch(); ok {
-					t.Fatal("epoch unexpectedly available")
+	t.Run("hops", func(t *testing.T) {
+		_, cl, cm, j := churnSetup(t, ModeHops, 13)
+		mc, ok := cm.MapEvaluator().(*MapCoster)
+		if !ok {
+			t.Fatal("classed hop model did not pick the MapCoster")
+		}
+		rng := sim.NewRNG(14)
+		for round := 0; round < 25; round++ {
+			if round%2 == 1 {
+				m := j.Maps[rng.Intn(3)]
+				if reps := cm.store.Replicas(m.Block); len(reps) > 0 {
+					cm.store.RemoveReplica(m.Block, reps[rng.Intn(len(reps))])
 				}
 			}
-			mc := cm.NewMapCoster()
-			rng := sim.NewRNG(14)
-			for round := 0; round < 25; round++ {
-				if tc.mode == ModeNetworkCondition && round%3 == 0 {
-					src := topology.NodeID(rng.Intn(cl.Size()))
-					dst := topology.NodeID(rng.Intn(cl.Size()))
-					if src != dst {
-						cl.Transfer(src, dst, 2e6, nil)
-					}
-					for i := 0; i < 5 && eng.Pending() > 0; i++ {
-						eng.Step()
-					}
+			avail := randomAvail(rng, cl.Size())
+			for _, m := range j.Maps {
+				n := topology.NodeID(rng.Intn(cl.Size()))
+				if got, want := mc.Cost(m, n), cm.MapCost(m, n); got != want {
+					t.Fatalf("round %d: Cost(m%d,%d) = %v, naive %v", round, m.Index, n, got, want)
 				}
-				avail := randomAvail(rng, cl.Size())
-				for _, m := range j.Maps {
-					n := topology.NodeID(rng.Intn(cl.Size()))
-					if got, want := mc.Cost(m, n), cm.MapCost(m, n); got != want {
-						t.Fatalf("round %d: Cost(m%d,%d) = %v, naive %v", round, m.Index, n, got, want)
-					}
-					if got, want := mc.CostAvg(m, NewAvail(avail)), cm.MapCostAvg(m, avail); got != want {
-						t.Fatalf("round %d: CostAvg(m%d) = %v, naive %v", round, m.Index, got, want)
-					}
+				if got, want := mc.CostAvg(m, NewAvail(avail)), cm.MapCostAvg(m, avail); got != want {
+					t.Fatalf("round %d: CostAvg(m%d) = %v, naive %v", round, m.Index, got, want)
 				}
 			}
-			if mc.Len() != len(j.Maps) {
-				t.Fatalf("cached rows = %d, want %d", mc.Len(), len(j.Maps))
-			}
-			mc.Forget(j)
-			if mc.Len() != 0 {
-				t.Fatalf("Forget left %d rows", mc.Len())
-			}
-		})
-	}
+		}
+		lost := false
+		for _, m := range j.Maps[:3] {
+			lost = lost || len(cm.store.Replicas(m.Block)) == 0
+		}
+		if !lost {
+			t.Fatal("no block lost its last replica")
+		}
+		if mc.Len() != len(j.Maps) {
+			t.Fatalf("cached rows = %d, want %d", mc.Len(), len(j.Maps))
+		}
+		mc.Forget(j)
+		if mc.Len() != 0 {
+			t.Fatalf("Forget left %d rows", mc.Len())
+		}
+	})
 }
 
 // TestSelectMapTaskWithMatchesDirect checks Algorithm 1 end to end: the
 // cached evaluator must pick the same task with the same probability and
-// costs as the uncached one.
+// costs as the uncached one. The candidates mix two jobs' block sizes
+// (and a short tail block), so a large remote task can out-save a small
+// local one.
 func TestSelectMapTaskWithMatchesDirect(t *testing.T) {
 	_, cl, cm, j := churnSetup(t, ModeHops, 17)
-	mc := cm.NewMapCoster()
+	small, err := job.New(2, job.Spec{
+		Name: "small", Profile: j.Spec.Profile, InputBytes: 20*16e6 + 5e6, BlockSize: 16e6,
+		NumReduces: 3, Replication: 2,
+	}, cm.store, sim.NewRNG(19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tasks []*job.MapTask
+	for k := 0; k < len(j.Maps) || k < len(small.Maps); k++ {
+		if k < len(j.Maps) {
+			tasks = append(tasks, j.Maps[k])
+		}
+		if k < len(small.Maps) {
+			tasks = append(tasks, small.Maps[k])
+		}
+	}
+	mc := cm.MapEvaluator()
 	rng := sim.NewRNG(18)
-	for round := 0; round < 20; round++ {
+	locals := 0
+	for round := 0; round < 40; round++ {
 		avail := NewAvail(randomAvail(rng, cl.Size()))
 		node := topology.NodeID(rng.Intn(cl.Size()))
-		a, okA := SelectMapTask(cm, nil, j.Maps, node, avail)
-		b, okB := SelectMapTaskWith(mc, nil, j.Maps, node, avail)
+		a, okA := SelectMapTask(cm, nil, tasks, node, avail)
+		b, okB := SelectMapTaskWith(mc, nil, tasks, node, avail)
 		if okA != okB {
 			t.Fatalf("round %d: ok %v vs %v", round, okA, okB)
 		}
@@ -297,5 +296,32 @@ func TestSelectMapTaskWithMatchesDirect(t *testing.T) {
 		if a.Local != b.Local {
 			t.Fatalf("round %d: local differs: %+v vs %+v", round, a.Local, b.Local)
 		}
+		// Brute force: Best has the largest saving, Local the largest among
+		// zero-cost candidates, the earlier task winning ties.
+		var best, local *job.MapTask
+		var bestS, localS float64
+		for _, m := range tasks {
+			c := cm.MapCost(m, node)
+			if math.IsInf(c, 1) {
+				continue
+			}
+			s := cm.MapCostAvg(m, avail.Nodes) - c
+			if best == nil || s > bestS {
+				best, bestS = m, s
+			}
+			if c == 0 && (local == nil || s > localS) {
+				local, localS = m, s
+			}
+		}
+		if a.Best.MapTask != best || a.Local.MapTask != local {
+			t.Fatalf("round %d: selected best %v local %v, brute force says %v and %v",
+				round, a.Best.MapTask, a.Local.MapTask, best, local)
+		}
+		if a.HasLocal() && a.Local != a.Best {
+			locals++
+		}
+	}
+	if locals == 0 {
+		t.Fatal("no round had a remote best beside a local candidate")
 	}
 }

@@ -76,30 +76,14 @@ func (s MapSelection) HasLocal() bool { return s.Local.MapTask != nil }
 // MapCostEvaluator abstracts Formula 1 so Algorithm 1 can run against
 // either the direct CostModel computation or a MapCoster cache. The two
 // implementations produce bit-identical costs, so selection decisions do
-// not depend on which one is plugged in.
+// not depend on which one is plugged in; CostModel.MapEvaluator picks the
+// one that pays for the model.
 type MapCostEvaluator interface {
 	Cost(m *job.MapTask, i topology.NodeID) float64
 	CostAvg(m *job.MapTask, avail Avail) float64
 }
 
-// SelectOptimizer is implemented by evaluators that can prune the
-// candidate scan: SavingBound caps the saving any placement of a task can
-// reach, SizeOrder yields candidate indices with bounds non-increasing,
-// and ZeroCost identifies data-local placements without evaluating costs.
-// Pruning never changes the selected candidates — the bound-ordered scan
-// stops only once no remaining task can beat (or tie) the incumbent.
-type SelectOptimizer interface {
-	Prunable() bool
-	SavingBound(m *job.MapTask) float64
-	SizeOrder(tasks []*job.MapTask) []int
-	ZeroCost(m *job.MapTask, i topology.NodeID) bool
-}
-
-// pruneMinTasks is the scan length below which the bound-ordered scan is
-// not worth its sorting overhead.
-const pruneMinTasks = 16
-
-// directMapCost is the uncached reference evaluator.
+// directMapCost is the uncached evaluator.
 type directMapCost struct{ cm *CostModel }
 
 func (d directMapCost) Cost(m *job.MapTask, i topology.NodeID) float64 {
@@ -110,8 +94,18 @@ func (d directMapCost) CostAvg(m *job.MapTask, avail Avail) float64 {
 	return d.cm.MapCostAvg(m, avail.Nodes)
 }
 
-// Evaluator returns the uncached MapCostEvaluator view of the model.
-func (c *CostModel) Evaluator() MapCostEvaluator { return directMapCost{c} }
+// MapEvaluator returns the Formula 1 evaluator for a scheduling session.
+// With distance classes (hop mode on a classed network) it is a fresh
+// MapCoster, whose rows stay valid until a block loses a replica. Without
+// them it is the direct evaluator: in network-condition mode every flow
+// churn moves the distances, so a cache would refill its rows on nearly
+// every offer and only add overhead.
+func (c *CostModel) MapEvaluator() MapCostEvaluator {
+	if c.classes != nil {
+		return c.newMapCoster()
+	}
+	return directMapCost{c}
+}
 
 // SelectMapTask runs lines 2–9 of Algorithm 1 against the uncached cost
 // model; see SelectMapTaskWith.
@@ -128,61 +122,23 @@ func SelectMapTask(cm *CostModel, model ProbabilityModel, tasks []*job.MapTask, 
 // out-save a small local one). Ties on saving go to the earlier task, for
 // determinism. ok is false when tasks is empty or no candidate is
 // schedulable.
-//
-// When the evaluator is a SelectOptimizer, candidates are scanned in
-// non-increasing SavingBound order and the scan stops at the first bound
-// strictly below the incumbent's saving — no pruned task can beat or tie
-// Best. The pruned tail is swept once more for zero-cost placements only
-// (their savings sit below the cut too, so Best is final, but the
-// data-local rule needs them): decisions are bit-identical to the full
-// scan.
-func SelectMapTaskWith(ev MapCostEvaluator, model ProbabilityModel, tasks []*job.MapTask, i topology.NodeID, avail Avail) (MapSelection, bool) {
+func SelectMapTaskWith(ev MapCostEvaluator, model ProbabilityModel, tasks []*job.MapTask, i topology.NodeID, avail Avail) (sel MapSelection, ok bool) {
 	if model == nil {
 		model = Exponential{}
 	}
-	var sel MapSelection
-	ok := false
-	bestPos, localPos := -1, -1
-	consider := func(pos int, m *job.MapTask) {
+	for _, m := range tasks {
 		cost := ev.Cost(m, i)
 		if math.IsInf(cost, 1) {
-			return
+			continue
 		}
 		avg := ev.CostAvg(m, avail)
 		c := Choice{MapTask: m, Prob: model.Prob(avg, cost), Cost: cost, AvgCost: avg}
 		s := c.Saving()
-		if bestPos < 0 || s > sel.Best.Saving() || (s == sel.Best.Saving() && pos < bestPos) {
-			sel.Best, bestPos, ok = c, pos, true
+		if !ok || s > sel.Best.Saving() {
+			sel.Best, ok = c, true
 		}
-		if cost == 0 {
-			if localPos < 0 || s > sel.Local.Saving() || (s == sel.Local.Saving() && pos < localPos) {
-				sel.Local, localPos = c, pos
-			}
-		}
-	}
-	so, prune := ev.(SelectOptimizer)
-	if prune {
-		prune = so.Prunable() && len(tasks) > pruneMinTasks
-	}
-	if !prune {
-		for pos, m := range tasks {
-			consider(pos, m)
-		}
-		return sel, ok
-	}
-	order := so.SizeOrder(tasks)
-	cut := len(order)
-	for oi, pos := range order {
-		m := tasks[pos]
-		if ok && so.SavingBound(m) < sel.Best.Saving() {
-			cut = oi
-			break
-		}
-		consider(pos, m)
-	}
-	for _, pos := range order[cut:] {
-		if m := tasks[pos]; so.ZeroCost(m, i) {
-			consider(pos, m)
+		if cost == 0 && (!sel.HasLocal() || s > sel.Local.Saving()) {
+			sel.Local = c
 		}
 	}
 	return sel, ok

@@ -3,84 +3,7 @@ package experiments
 import (
 	"reflect"
 	"testing"
-
-	"mapsched/internal/core"
-	"mapsched/internal/engine"
-	"mapsched/internal/job"
-	"mapsched/internal/sched"
-	"mapsched/internal/workload"
 )
-
-// runProbabilistic executes one batch under the probabilistic scheduler
-// with the cost caches on or off and returns the full result plus the
-// final per-task state.
-func runProbabilistic(t *testing.T, mode core.Mode, wk workload.Kind, naive bool) (*engine.Result, []*job.Job) {
-	t.Helper()
-	s := DefaultSetup()
-	s.Workload.Scale = 12
-	s.Engine.Seed = 7
-	s.Engine.CostMode = mode
-	if mode == core.ModeHops {
-		s.Engine.CrossTraffic = 0
-	}
-	specs, err := workload.Specs(workload.Batch(wk), s.Workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sched.DefaultProbabilisticConfig()
-	cfg.Pmin = s.Pmin
-	cfg.Naive = naive
-	sim, err := engine.New(s.Engine, specs, sched.NewProbabilistic(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, sim.Jobs()
-}
-
-// TestOptimizedSchedulerMatchesNaive is the end-to-end equivalence proof
-// for the incremental cost caches: under a fixed seed, the cached
-// scheduler and the naive reference scheduler must make byte-identical
-// scheduling decisions — same per-task placements, launch and finish
-// instants, locality classes, event counts and aggregate metrics — for
-// every workload batch, in both distance modes.
-func TestOptimizedSchedulerMatchesNaive(t *testing.T) {
-	for _, mode := range []core.Mode{core.ModeHops, core.ModeNetworkCondition} {
-		for _, wk := range workload.Kinds() {
-			t.Run(mode.String()+"/"+wk.String(), func(t *testing.T) {
-				t.Parallel()
-				optRes, optJobs := runProbabilistic(t, mode, wk, false)
-				refRes, refJobs := runProbabilistic(t, mode, wk, true)
-				if !reflect.DeepEqual(optRes, refRes) {
-					t.Fatalf("results diverge:\noptimized: %+v\nnaive:     %+v", optRes, refRes)
-				}
-				if len(optJobs) != len(refJobs) {
-					t.Fatalf("job counts differ: %d vs %d", len(optJobs), len(refJobs))
-				}
-				for ji := range optJobs {
-					a, b := optJobs[ji], refJobs[ji]
-					for mi := range a.Maps {
-						ma, mb := a.Maps[mi], b.Maps[mi]
-						if ma.Node != mb.Node || ma.State != mb.State || ma.Launch != mb.Launch ||
-							ma.Finish != mb.Finish || ma.Locality != mb.Locality {
-							t.Fatalf("job %d map %d diverges: %+v vs %+v", ji, mi, ma, mb)
-						}
-					}
-					for ri := range a.Reduces {
-						ra, rb := a.Reduces[ri], b.Reduces[ri]
-						if ra.Node != rb.Node || ra.State != rb.State || ra.Launch != rb.Launch ||
-							ra.Finish != rb.Finish || ra.ShuffledBytes != rb.ShuffledBytes {
-							t.Fatalf("job %d reduce %d diverges: %+v vs %+v", ji, ri, ra, rb)
-						}
-					}
-				}
-			})
-		}
-	}
-}
 
 // TestParallelComparisonIsDeterministic runs the full three-scheduler ×
 // three-batch comparison twice through the parallel harness and requires

@@ -33,12 +33,6 @@ type Config struct {
 	// the paper's exponential model (Formula 4). Section V calls the
 	// exploration of alternative models out as future work.
 	Model core.ProbabilityModel
-	// Naive disables the incremental cost caches: map costs are evaluated
-	// directly against the cost model and reduce costers are rebuilt from
-	// scratch whenever they go stale. The cached path is bit-identical to
-	// this one; the flag exists for the equivalence tests and benchmarks
-	// that prove it.
-	Naive bool
 }
 
 // DefaultConfig returns the paper's settings.
@@ -222,10 +216,9 @@ type Decider struct {
 	sweptLen  int
 	sweptTail job.ID
 
-	// mapCost evaluates Formula 1: a per-Decider MapCoster on the cached
-	// path, the direct cost model when cfg.Naive is set.
+	// mapCost evaluates Formula 1 on the path the cost model picks (see
+	// core.CostModel.MapEvaluator).
 	mapCost core.MapCostEvaluator
-	maps    *core.MapCoster // nil on the naive path
 }
 
 // costerEntry is one cached reduce coster with its last refresh time.
@@ -270,12 +263,7 @@ func NewDecider(svc *Service, cfg Config, rng *sim.RNG, stream *obs.Stream) *Dec
 		return d
 	}
 	d.cost = cost
-	if cfg.Naive {
-		d.mapCost = cost.Evaluator()
-	} else {
-		d.maps = cost.NewMapCoster()
-		d.mapCost = d.maps
-	}
+	d.mapCost = cost.MapEvaluator()
 	return d
 }
 
@@ -313,18 +301,16 @@ func (d *Decider) NewReduceCoster(j *job.Job, est core.Estimator) *core.ReduceCo
 }
 
 // coster returns a fresh-enough reduce coster for j. A stale coster is
-// brought up to date incrementally (or rebuilt from scratch on the naive
-// path — the two are bit-identical, see core.ReduceCoster.Refresh).
+// brought up to date incrementally (bit-identical to a rebuild, see
+// core.ReduceCoster.Refresh).
 func (d *Decider) coster(j *job.Job, now sim.Time) *core.ReduceCoster {
 	if e, ok := d.costerCache[j.ID]; ok {
 		if float64(now-e.at) < costerMaxAge {
 			return e.rc
 		}
-		if !d.cfg.Naive {
-			e.rc.Refresh()
-			d.costerCache[j.ID] = costerEntry{at: now, rc: e.rc}
-			return e.rc
-		}
+		e.rc.Refresh()
+		d.costerCache[j.ID] = costerEntry{at: now, rc: e.rc}
+		return e.rc
 	}
 	rc := d.cost.NewReduceCoster(j, d.cfg.Estimator)
 	d.costerCache[j.ID] = costerEntry{at: now, rc: rc}
@@ -355,8 +341,8 @@ func (d *Decider) sweep(req *Request) {
 	}
 	for id, e := range d.costerCache {
 		if _, ok := live[id]; !ok {
-			if d.maps != nil {
-				d.maps.Forget(e.rc.Job())
+			if mc, ok := d.mapCost.(*core.MapCoster); ok {
+				mc.Forget(e.rc.Job())
 			}
 			delete(d.costerCache, id)
 		}

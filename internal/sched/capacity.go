@@ -39,7 +39,7 @@ type Capacity struct {
 // NewCapacity returns a Builder for the baseline.
 func NewCapacity(cfg CapacityConfig) Builder {
 	return func(env Env) Scheduler {
-		dec := placement.NewDecider(env.Place, placement.Config{Naive: true}, env.RNG, env.Obs)
+		dec := placement.NewDecider(env.Place, placement.Config{}, env.RNG, env.Obs)
 		return &Capacity{env: env, cfg: cfg, dec: dec, waits: make(map[*job.ReduceTask]int)}
 	}
 }

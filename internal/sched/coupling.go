@@ -53,7 +53,7 @@ type Coupling struct {
 // NewCoupling returns a Builder for the baseline.
 func NewCoupling(cfg CouplingConfig) Builder {
 	return func(env Env) Scheduler {
-		dec := placement.NewDecider(env.Place, placement.Config{Naive: true}, env.RNG, env.Obs)
+		dec := placement.NewDecider(env.Place, placement.Config{}, env.RNG, env.Obs)
 		return &Coupling{env: env, cfg: cfg, dec: dec, waits: make(map[*job.ReduceTask]int)}
 	}
 }

@@ -44,9 +44,7 @@ type FairDelay struct {
 // NewFairDelay returns a Builder for the baseline.
 func NewFairDelay(cfg FairDelayConfig) Builder {
 	return func(env Env) Scheduler {
-		// Naive: the baseline only needs locality lookups and the shared
-		// RNG stream from its session, not the incremental cost caches.
-		dec := placement.NewDecider(env.Place, placement.Config{Naive: true}, env.RNG, env.Obs)
+		dec := placement.NewDecider(env.Place, placement.Config{}, env.RNG, env.Obs)
 		return &FairDelay{env: env, cfg: cfg, dec: dec, skips: make(map[job.ID]int)}
 	}
 }

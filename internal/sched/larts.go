@@ -50,7 +50,7 @@ func NewLARTS(cfg LARTSConfig) Builder {
 		return &LARTS{
 			env:   env,
 			cfg:   cfg,
-			dec:   placement.NewDecider(env.Place, placement.Config{Naive: true}, env.RNG, env.Obs),
+			dec:   placement.NewDecider(env.Place, placement.Config{}, env.RNG, env.Obs),
 			maps:  NewFairDelay(cfg.Fair)(env).(*FairDelay),
 			waits: make(map[*job.ReduceTask]int),
 		}

@@ -23,7 +23,7 @@ type Duration = float64
 // Infinity is a time later than any event the simulator will ever fire.
 const Infinity Time = Time(math.MaxFloat64)
 
-// Event is a scheduled callback. The zero value is inert.
+// Event is a scheduled callback. The zero value is inert and unqueued.
 //
 // Lifetime: an *Event returned by Schedule or After belongs to the engine.
 // It may be read (At, Cancelled) and cancelled only until its callback runs
@@ -36,24 +36,16 @@ type Event struct {
 	at     Time
 	seq    uint64 // FIFO tie-break for equal timestamps
 	fn     func()
-	index  int // position in the heap / calendar bucket; -1 when not queued
-	bucket int // calendar bucket; -1 when not queued, -2 in overflow
+	index  int // heap position + 1; 0 when not queued, so Event{} is unqueued
 	cancel bool
 	pooled bool // engine-owned: recycled after firing or removal
 }
-
-// UnqueuedEvent returns an Event value initialized as not-queued, ready
-// for embedding in a caller-owned structure and driving with Reschedule.
-// (The zero Event works too, but its queued-state fields only become
-// meaningful after the first Reschedule.)
-func UnqueuedEvent() Event { return Event{index: -1, bucket: -1} }
 
 // At returns the simulated time the event fires at.
 func (e *Event) At() Time { return e.at }
 
 // Queued reports whether the event is currently in an engine's queue.
-// Meaningful only for events initialized via engine APIs or UnqueuedEvent.
-func (e *Event) Queued() bool { return e.index >= 0 }
+func (e *Event) Queued() bool { return e.index > 0 }
 
 // Cancelled reports whether Cancel was called on the event.
 func (e *Event) Cancelled() bool { return e.cancel }
@@ -62,86 +54,46 @@ func (e *Event) Cancelled() bool { return e.cancel }
 // that already fired or was already cancelled is a no-op.
 func (e *Event) Cancel() { e.cancel = true }
 
-// eventQueue is the pending-event set. Pop order is the total order
-// (at, seq) ascending, so every implementation is pop-for-pop identical;
-// cancelled events stay queued (and counted) until popped or removed.
-type eventQueue interface {
-	push(ev *Event)
-	popMin() *Event // earliest (at, seq) event, nil if empty
-	remove(ev *Event) bool
-	len() int
-}
+// eventHeap is the pending-event set: a container/heap min-heap in the
+// total order (at, seq). Cancelled events stay queued (and counted) until
+// popped or removed.
+type eventHeap []*Event
 
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+func (h eventHeap) Len() int { return len(h) }
+
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
-	return a.seq < b.seq
+	return h[i].seq < h[j].seq
 }
 
-// heapQueue is the classic container/heap implementation, kept behind
-// QueueHeap as the reference the calendar queue is equivalence-tested
-// against.
-type heapQueue []*Event
-
-func (h heapQueue) Len() int           { return len(h) }
-func (h heapQueue) Less(i, j int) bool { return eventLess(h[i], h[j]) }
-func (h heapQueue) Swap(i, j int) {
+func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].index = i + 1
+	h[j].index = j + 1
 }
 
-func (h *heapQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+func (h *eventHeap) Push(x any) {
+	ev := x.(*Event)
+	*h = append(*h, ev)
+	ev.index = len(*h)
 }
 
-func (h *heapQueue) Pop() any {
+func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
-	e := old[n-1]
+	ev := old[n-1]
 	old[n-1] = nil
-	e.index = -1
+	ev.index = 0
 	*h = old[:n-1]
-	return e
+	return ev
 }
-
-func (h *heapQueue) push(ev *Event) { heap.Push(h, ev) }
-
-func (h *heapQueue) popMin() *Event {
-	if len(*h) == 0 {
-		return nil
-	}
-	return heap.Pop(h).(*Event)
-}
-
-func (h *heapQueue) remove(ev *Event) bool {
-	if ev.index < 0 || ev.index >= len(*h) || (*h)[ev.index] != ev {
-		return false
-	}
-	heap.Remove(h, ev.index)
-	return true
-}
-
-func (h *heapQueue) len() int { return len(*h) }
-
-// QueueKind selects the pending-event set implementation.
-type QueueKind int
-
-const (
-	// QueueCalendar is the default: a self-resizing calendar queue with
-	// amortized O(1) push/pop on the simulator's clustered timestamps.
-	QueueCalendar QueueKind = iota
-	// QueueHeap is the container/heap reference implementation.
-	QueueHeap
-)
 
 // Engine is a discrete-event simulator. Create one with NewEngine.
 type Engine struct {
 	now     Time
-	queue   eventQueue
+	queue   eventHeap
 	seq     uint64
 	fired   uint64 // events executed (for diagnostics and loop guards)
 	limit   uint64 // safety cap on executed events; 0 means unlimited
@@ -150,23 +102,8 @@ type Engine struct {
 	commits []func() // run after each dispatched callback returns
 }
 
-// NewEngine returns an engine with the clock at 0, using the calendar
-// event queue.
-func NewEngine() *Engine { return NewEngineWithQueue(QueueCalendar) }
-
-// NewEngineWithQueue returns an engine using the given queue implementation.
-// Decision streams are bit-identical across kinds; QueueHeap exists as the
-// cross-implementation reference and escape hatch.
-func NewEngineWithQueue(k QueueKind) *Engine {
-	e := &Engine{}
-	switch k {
-	case QueueHeap:
-		e.queue = &heapQueue{}
-	default:
-		e.queue = newCalendarQueue()
-	}
-	return e
-}
+// NewEngine returns an engine with the clock at 0.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -187,7 +124,7 @@ func (e *Engine) Pending() int {
 	for _, c := range e.commits {
 		c()
 	}
-	return e.queue.len()
+	return len(e.queue)
 }
 
 // AddCommitHook registers fn to run after every dispatched event callback
@@ -223,10 +160,9 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 		ev = &Event{}
 	}
 	ev.at, ev.seq, ev.fn = at, e.seq, fn
-	ev.index, ev.bucket = -1, -1
 	ev.cancel, ev.pooled = false, true
 	e.seq++
-	e.queue.push(ev)
+	heap.Push(&e.queue, ev)
 	return ev
 }
 
@@ -236,8 +172,8 @@ func (e *Engine) After(d Duration, fn func()) *Event {
 }
 
 // Reschedule (re)queues the caller-owned event ev to fire fn at absolute
-// time at, removing it from the queue first if currently pending and
-// clearing any cancellation. It allocates nothing: hot paths embed an
+// time at, moving it within the queue if currently pending and clearing
+// any cancellation. It allocates nothing: hot paths embed an
 // Event value and move it instead of scheduling fresh events. The event
 // gets a new FIFO sequence number, exactly as if it had been cancelled and
 // scheduled anew. Engine-owned events (returned by Schedule/After) must
@@ -252,11 +188,15 @@ func (e *Engine) Reschedule(ev *Event, at Time, fn func()) {
 	if ev.pooled {
 		panic("sim: reschedule of an engine-owned event")
 	}
-	e.queue.remove(ev)
+	i := e.slot(ev)
 	ev.at, ev.seq, ev.fn = at, e.seq, fn
 	ev.cancel = false
 	e.seq++
-	e.queue.push(ev)
+	if i >= 0 {
+		heap.Fix(&e.queue, i) // still queued: one sift moves it to its new key
+	} else {
+		heap.Push(&e.queue, ev)
+	}
 }
 
 // Remove drops ev from the queue immediately (stronger than Cancel, which
@@ -267,9 +207,24 @@ func (e *Engine) Remove(ev *Event) {
 	if ev == nil {
 		return
 	}
-	if e.queue.remove(ev) && ev.pooled {
+	i := e.slot(ev)
+	if i < 0 {
+		return
+	}
+	heap.Remove(&e.queue, i)
+	if ev.pooled {
 		e.recycle(ev)
 	}
+}
+
+// slot returns ev's position in this engine's queue, or -1 when it is
+// not queued here.
+func (e *Engine) slot(ev *Event) int {
+	i := ev.index - 1
+	if i < 0 || i >= len(e.queue) || e.queue[i] != ev {
+		return -1
+	}
+	return i
 }
 
 // recycle resets a detached engine-owned event and returns it to the free
@@ -277,7 +232,7 @@ func (e *Engine) Remove(ev *Event) {
 // never leak into the event's next life.
 func (e *Engine) recycle(ev *Event) {
 	//lint:pooled Event
-	*ev = Event{index: -1, bucket: -1}
+	*ev = Event{}
 	e.free = append(e.free, ev)
 }
 
@@ -285,10 +240,10 @@ func (e *Engine) recycle(ev *Event) {
 // reaping (and recycling) cancelled events along the way.
 func (e *Engine) popLive() *Event {
 	for {
-		ev := e.queue.popMin()
-		if ev == nil {
+		if len(e.queue) == 0 {
 			return nil
 		}
+		ev := heap.Pop(&e.queue).(*Event)
 		if !ev.cancel {
 			return ev
 		}
@@ -355,7 +310,7 @@ func (e *Engine) Run(until Time) (Time, error) {
 		if next.at > until {
 			// Too early to fire: put it back untouched (same seq, so the
 			// FIFO order is preserved) and stop.
-			e.queue.push(next)
+			heap.Push(&e.queue, next)
 			break
 		}
 		e.dispatch(next)
@@ -363,7 +318,7 @@ func (e *Engine) Run(until Time) (Time, error) {
 			return e.now, fmt.Errorf("sim: event limit %d exceeded at t=%v", e.limit, e.now)
 		}
 	}
-	if until < Infinity && e.now < until && e.queue.len() == 0 {
+	if until < Infinity && e.now < until && len(e.queue) == 0 {
 		// Advance the clock to the horizon so periodic processes resumed
 		// by the caller observe a consistent notion of "now".
 		e.now = until

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -214,29 +216,26 @@ func TestFiredCounter(t *testing.T) {
 }
 
 func TestHeapPropertyRandomOrder(t *testing.T) {
-	// Property: for any set of timestamps, execution order is sorted —
-	// under both queue implementations.
-	for _, kind := range []QueueKind{QueueCalendar, QueueHeap} {
-		f := func(stamps []uint16) bool {
-			e := NewEngineWithQueue(kind)
-			var got []Time
-			for _, s := range stamps {
-				at := Time(s)
-				e.Schedule(at, func() { got = append(got, at) })
-			}
-			if _, err := e.RunAll(); err != nil {
+	// Property: for any set of timestamps, execution order is sorted.
+	f := func(stamps []uint16) bool {
+		e := NewEngine()
+		var got []Time
+		for _, s := range stamps {
+			at := Time(s)
+			e.Schedule(at, func() { got = append(got, at) })
+		}
+		if _, err := e.RunAll(); err != nil {
+			return false
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] < got[i-1] {
 				return false
 			}
-			for i := 1; i < len(got); i++ {
-				if got[i] < got[i-1] {
-					return false
-				}
-			}
-			return len(got) == len(stamps)
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Fatalf("queue kind %v: %v", kind, err)
-		}
+		return len(got) == len(stamps)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -427,5 +426,384 @@ func TestRNGForkIgnoresParentDrawCount(t *testing.T) {
 		if xAfterY.Int63() != xAlone.Int63() {
 			t.Fatalf("draw %d differs: fork order changed a sibling's stream", i)
 		}
+	}
+}
+
+// TestRescheduleSemantics covers the caller-owned event contract: moving a
+// pending event, reviving a cancelled one, and the new-seq FIFO placement.
+func TestRescheduleSemantics(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	var ev Event
+	e.Reschedule(&ev, 5, func() { order = append(order, "owned") })
+	e.Reschedule(&ev, 2, func() { order = append(order, "moved") })
+	if e.Pending() != 1 {
+		t.Fatalf("Pending() = %d after rescheduling the same event, want 1", e.Pending())
+	}
+	e.Schedule(2, func() { order = append(order, "later-seq") })
+	// Rescheduling assigns a fresh seq: the owned event now ties at t=2
+	// but must fire after the Schedule above.
+	e.Reschedule(&ev, 2, func() { order = append(order, "moved-again") })
+	if _, err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"later-seq", "moved-again"}
+	if len(order) != len(want) || order[0] != want[0] || order[1] != want[1] {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+
+	// A cancelled owned event is revived by Reschedule.
+	ev.Cancel()
+	e.Reschedule(&ev, e.Now()+1, func() { order = append(order, "revived") })
+	if ev.Cancelled() {
+		t.Fatal("Reschedule left the event cancelled")
+	}
+	if _, err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if order[len(order)-1] != "revived" {
+		t.Fatalf("revived event did not fire: %v", order)
+	}
+
+	// Remove detaches an owned event without recycling it.
+	e.Reschedule(&ev, e.Now()+1, func() { t.Error("removed event fired") })
+	e.Remove(&ev)
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after Remove, want 0", e.Pending())
+	}
+	if _, err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEventPoolReuseAfterCancel is the stale-callback guard: an event that
+// was cancelled and reaped may be recycled into a new Schedule, and the
+// old life's cancellation or callback must not leak into the new one.
+func TestEventPoolReuseAfterCancel(t *testing.T) {
+	e := NewEngine()
+	stale := false
+	ev := e.Schedule(1, func() { stale = true })
+	ev.Cancel()
+	if _, err := e.RunAll(); err != nil { // reaps + recycles ev
+		t.Fatal(err)
+	}
+	ran := 0
+	ev2 := e.Schedule(e.Now()+1, func() { ran++ })
+	if ev2 != ev {
+		t.Log("allocator did not reuse the event; pool path not exercised")
+	}
+	if ev2.Cancelled() {
+		t.Fatal("recycled event started life cancelled")
+	}
+	if _, err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if stale {
+		t.Fatal("stale callback from the event's previous life fired")
+	}
+	if ran != 1 {
+		t.Fatalf("recycled event fired %d times, want 1", ran)
+	}
+}
+
+// TestCommitHooksRunPerDispatch verifies hook ordering and timing: after
+// every dispatched callback, at the callback's timestamp.
+func TestCommitHooksRunPerDispatch(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	e.AddCommitHook(func() { log = append(log, fmt.Sprintf("commit@%v", e.Now())) })
+	e.Schedule(1, func() { log = append(log, "a") })
+	e.Schedule(1, func() { log = append(log, "b") })
+	e.Schedule(3, func() { log = append(log, "c") })
+	if _, err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Run flushes hooks once on entry, then after every dispatch.
+	want := []string{"commit@0", "a", "commit@1", "b", "commit@1", "c", "commit@3"}
+	if len(log) != len(want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("log = %v, want %v", log, want)
+		}
+	}
+}
+
+// TestZeroEventUnqueued pins the zero Event as a ready caller-owned event:
+// it is not queued, Remove leaves the queue alone, and Reschedule queues
+// it.
+func TestZeroEventUnqueued(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(1, func() {}) // occupies the heap's first slot
+	var ev Event
+	if ev.Queued() {
+		t.Fatal("zero Event reports Queued()")
+	}
+	e.Remove(&ev)
+	if e.Pending() != 1 {
+		t.Fatalf("Pending() = %d after removing a zero Event, want 1", e.Pending())
+	}
+	ran := false
+	e.Reschedule(&ev, 2, func() { ran = true })
+	if !ev.Queued() || e.Pending() != 2 {
+		t.Fatalf("Reschedule of a zero Event: Queued() = %v, Pending() = %d", ev.Queued(), e.Pending())
+	}
+	if _, err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if !ran || ev.Queued() {
+		t.Fatalf("after the run: ran = %v, Queued() = %v", ran, ev.Queued())
+	}
+}
+
+// TestQueueCrossImplEquivalence checks the event heap against a reference
+// implementation: a plain list that pops the (at, seq) minimum. Both are
+// driven with an identical, seeded stream of push / pop / remove
+// operations (equal-timestamp clusters, far-future outliers, Infinity,
+// grid-aligned ties) and must agree pop for pop; every queued event's
+// index must stay its heap position + 1, and a popped or removed event
+// must read unqueued.
+func TestQueueCrossImplEquivalence(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		trial := trial
+		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
+			rng := NewRNG(int64(1000 + trial))
+			var h eventHeap
+			var ref []*Event // the reference queue, in push order
+			seq := uint64(0)
+			mkAt := func() Time {
+				switch rng.Intn(10) {
+				case 0: // equal-timestamp cluster
+					return Time(rng.Intn(4))
+				case 1: // far-future outlier
+					return Time(1e12 * (1 + rng.Float64()))
+				case 2:
+					return Infinity
+				case 3, 4: // grid-aligned ties
+					return Time(rng.Intn(400)) * 0.245
+				default:
+					return Time(100 * rng.Float64())
+				}
+			}
+			refMin := func() int {
+				m := 0
+				for i, ev := range ref {
+					if ev.at < ref[m].at || (ev.at == ref[m].at && ev.seq < ref[m].seq) {
+						m = i
+					}
+				}
+				return m
+			}
+			pop := func(op int) {
+				if len(ref) == 0 {
+					if h.Len() != 0 {
+						t.Fatalf("op %d: reference empty, heap holds %d", op, h.Len())
+					}
+					return
+				}
+				m := refMin()
+				got := heap.Pop(&h).(*Event)
+				if got != ref[m] {
+					t.Fatalf("op %d: heap popped (at=%v seq=%d), reference (at=%v seq=%d)",
+						op, got.at, got.seq, ref[m].at, ref[m].seq)
+				}
+				if got.Queued() {
+					t.Fatalf("op %d: popped event still reports Queued()", op)
+				}
+				ref = append(ref[:m], ref[m+1:]...)
+			}
+			for op := 0; op < 4000; op++ {
+				switch r := rng.Float64(); {
+				case r < 0.55:
+					ev := &Event{at: mkAt(), seq: seq}
+					seq++
+					heap.Push(&h, ev)
+					ref = append(ref, ev)
+				case r < 0.75 && len(ref) > 0:
+					i := rng.Intn(len(ref))
+					ev := ref[i]
+					heap.Remove(&h, ev.index-1)
+					if ev.Queued() {
+						t.Fatalf("op %d: removed event still reports Queued()", op)
+					}
+					ref = append(ref[:i], ref[i+1:]...)
+				default:
+					pop(op)
+				}
+				if h.Len() != len(ref) {
+					t.Fatalf("op %d: len mismatch: heap %d, reference %d", op, h.Len(), len(ref))
+				}
+				for i, ev := range h {
+					if ev.index != i+1 {
+						t.Fatalf("op %d: event at heap slot %d has index %d", op, i, ev.index)
+					}
+				}
+			}
+			for op := 4000; len(ref) > 0; op++ { // the tails must match too
+				pop(op)
+			}
+			if h.Len() != 0 {
+				t.Fatalf("drained reference, heap holds %d", h.Len())
+			}
+		})
+	}
+}
+
+// TestEngineCrossImplEquivalence checks the engine against a reference
+// implementation: a plain list of the live events that fires the
+// (at, seq) minimum, seq being the order of the Schedule or Reschedule
+// call. A seeded random workload schedules from inside callbacks
+// (equal-timestamp clusters, far-future outliers), cancels and removes
+// engine-owned events, and reschedules, cancels and removes caller-owned
+// ones. Every dispatch must be the reference's next event, and both must
+// drain together.
+func TestEngineCrossImplEquivalence(t *testing.T) {
+	type key struct {
+		id  int
+		at  Time
+		seq uint64
+	}
+	for trial := 0; trial < 20; trial++ {
+		func() {
+			rng := NewRNG(int64(1000 + trial))
+			e := NewEngine()
+			var (
+				live    []key // the reference queue
+				seq     uint64
+				nextID  int
+				handles []*Event // engine-owned events still live
+				hids    []int
+				owned   [8]Event
+				oid     [8]int // live id of each owned event, -1 if none
+			)
+			for k := range oid {
+				oid[k] = -1
+			}
+			drop := func(id int) {
+				for i, k := range live {
+					if k.id == id {
+						live = append(live[:i], live[i+1:]...)
+						return
+					}
+				}
+				t.Fatalf("trial %d: id %d missing from the reference", trial, id)
+			}
+			dropHandle := func(i int) {
+				drop(hids[i])
+				handles = append(handles[:i], handles[i+1:]...)
+				hids = append(hids[:i], hids[i+1:]...)
+			}
+			mkAt := func() Time {
+				switch rng.Intn(8) {
+				case 0:
+					return e.Now() // same-instant cluster
+				case 1:
+					return e.Now() + 1e12*(1+Time(rng.Float64())) // far-future outlier
+				case 2, 3:
+					return e.Now() + Time(rng.Intn(8))*0.25 // grid ties
+				default:
+					return e.Now() + Time(3*rng.Float64())
+				}
+			}
+			var fire func(id int)
+			add := func(at Time) (int, func()) {
+				id := nextID
+				nextID++
+				live = append(live, key{id, at, seq})
+				seq++
+				return id, func() { fire(id) }
+			}
+			fire = func(id int) {
+				if len(live) == 0 {
+					t.Fatalf("trial %d: dispatched id %d at %v, reference is empty", trial, id, e.Now())
+				}
+				want := 0
+				for i, k := range live {
+					if k.at < live[want].at || (k.at == live[want].at && k.seq < live[want].seq) {
+						want = i
+					}
+				}
+				if live[want].id != id || live[want].at != e.Now() {
+					t.Fatalf("trial %d: dispatched id %d at %v, reference next is %+v", trial, id, e.Now(), live[want])
+				}
+				drop(id)
+				for i, h := range hids {
+					if h == id {
+						handles = append(handles[:i], handles[i+1:]...)
+						hids = append(hids[:i], hids[i+1:]...)
+						break
+					}
+				}
+				for k := range oid {
+					if oid[k] == id {
+						oid[k] = -1
+					}
+				}
+				if nextID > 3000 {
+					return
+				}
+				for n := 0; n < 3; n++ {
+					op := rng.Intn(8)
+					if n == 0 {
+						op = 0 // one child per dispatch keeps the workload alive
+					}
+					switch op {
+					case 0, 1, 2, 3:
+						at := mkAt()
+						id, fn := add(at)
+						handles = append(handles, e.Schedule(at, fn))
+						hids = append(hids, id)
+					case 4:
+						if len(handles) > 0 {
+							i := rng.Intn(len(handles))
+							handles[i].Cancel() // stale once reaped: forget it now
+							dropHandle(i)
+						}
+					case 5:
+						if len(handles) > 0 {
+							i := rng.Intn(len(handles))
+							e.Remove(handles[i])
+							dropHandle(i)
+						}
+					case 6:
+						k := rng.Intn(len(owned))
+						if oid[k] >= 0 {
+							drop(oid[k])
+						}
+						at := mkAt()
+						id, fn := add(at)
+						oid[k] = id
+						e.Reschedule(&owned[k], at, fn)
+					case 7:
+						k := rng.Intn(len(owned))
+						if rng.Bernoulli(0.5) {
+							owned[k].Cancel()
+						} else {
+							e.Remove(&owned[k])
+						}
+						if oid[k] >= 0 {
+							drop(oid[k])
+							oid[k] = -1
+						}
+					}
+				}
+			}
+			for i := 0; i < 20; i++ {
+				at := Time(i) * 0.1
+				id, fn := add(at)
+				handles = append(handles, e.Schedule(at, fn))
+				hids = append(hids, id)
+			}
+			if _, err := e.RunAll(); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			if len(live) != 0 || e.Pending() != 0 {
+				t.Fatalf("trial %d: drained engine, but the reference holds %d events and Pending() = %d", trial, len(live), e.Pending())
+			}
+			if nextID < 1000 {
+				t.Fatalf("trial %d: workload scheduled only %d events", trial, nextID)
+			}
+		}()
 	}
 }

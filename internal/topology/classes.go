@@ -20,7 +20,6 @@ type Classes struct {
 	of   []int       // node -> class index
 	d    [][]float64 // class x class distances, see above
 	size []int       // members per class
-	maxD float64     // largest finite entry of d
 }
 
 // Num returns the number of classes.
@@ -35,11 +34,6 @@ func (c *Classes) D(a, b int) float64 { return c.d[a][b] }
 
 // Size returns the number of nodes in class a.
 func (c *Classes) Size(a int) int { return c.size[a] }
-
-// MaxDist returns the largest finite class distance — an upper bound on
-// any single node-to-node distance, used to bound cost savings during
-// candidate pruning.
-func (c *Classes) MaxDist() float64 { return c.maxD }
 
 // ClassedNetwork is implemented by networks whose static distance matrix
 // collapses into equivalence classes. Classes may return nil when no
@@ -81,7 +75,6 @@ func (c *Cluster) Classes() *Classes {
 		}
 		cl.d[r] = row
 	}
-	cl.maxD = maxFinite(cl.d)
 	c.classes = cl
 	return cl
 }
@@ -139,8 +132,7 @@ func DeriveClasses(net Network) (*Classes, bool) {
 		cl.d[a] = row
 	}
 	// Exhaustive verification: the class matrix must reproduce every
-	// pairwise distance, and distinct nodes must never be at distance <= 0
-	// (zero would break the data-local shortcut used by pruning).
+	// pairwise distance, and distinct nodes must never be at distance <= 0.
 	for i := 0; i < n; i++ {
 		for k := 0; k < n; k++ {
 			if i == k {
@@ -153,7 +145,6 @@ func DeriveClasses(net Network) (*Classes, bool) {
 			}
 		}
 	}
-	cl.maxD = maxFinite(cl.d)
 	return cl, true
 }
 
@@ -192,18 +183,4 @@ func intraDistance(net Network, of []int, a int) float64 {
 		return net.Distance(first, NodeID(i))
 	}
 	return math.Inf(1)
-}
-
-// maxFinite returns the largest finite entry of d (0 for an all-Inf
-// degenerate matrix).
-func maxFinite(d [][]float64) float64 {
-	var max float64
-	for _, row := range d {
-		for _, v := range row {
-			if !math.IsInf(v, 1) && v > max {
-				max = v
-			}
-		}
-	}
-	return max
 }

@@ -41,9 +41,6 @@ func TestClusterClassesAreRacks(t *testing.T) {
 			}
 		}
 	}
-	if cl.MaxDist() != spec.CrossRackDist {
-		t.Fatalf("MaxDist = %v, want %v", cl.MaxDist(), spec.CrossRackDist)
-	}
 	if c.Classes() != cl {
 		t.Fatal("Classes() not memoized")
 	}
@@ -51,7 +48,7 @@ func TestClusterClassesAreRacks(t *testing.T) {
 
 // TestClusterClassesSingletonRacks pins the singleton-class convention:
 // with one node per rack no intra-class pair exists, so the diagonal is
-// +Inf and MaxDist stays the largest finite entry.
+// +Inf.
 func TestClusterClassesSingletonRacks(t *testing.T) {
 	spec := DefaultSpec()
 	spec.Racks = 3
@@ -65,9 +62,6 @@ func TestClusterClassesSingletonRacks(t *testing.T) {
 		if !math.IsInf(cl.D(a, a), 1) {
 			t.Fatalf("singleton intra-distance D(%d,%d) = %v, want +Inf", a, a, cl.D(a, a))
 		}
-	}
-	if cl.MaxDist() != spec.CrossRackDist {
-		t.Fatalf("MaxDist = %v, want finite %v", cl.MaxDist(), spec.CrossRackDist)
 	}
 }
 

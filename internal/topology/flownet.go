@@ -264,7 +264,6 @@ func (n *FlowNet) allocFlow(src, dst NodeID, path []LinkID) *Flow {
 		n.freeFlows = n.freeFlows[:k-1]
 	} else {
 		f = &Flow{net: n}
-		f.doneEv = sim.UnqueuedEvent()
 		ff := f
 		f.finishFn = func() { ff.net.fire(ff) }
 	}
@@ -302,7 +301,6 @@ func (n *FlowNet) maybeRecycle(f *Flow) {
 	links, slots, finishFn, net := f.links[:0], f.slots[:0], f.finishFn, f.net
 	//lint:pooled Flow
 	*f = Flow{net: net, links: links, slots: slots, finishFn: finishFn}
-	f.doneEv = sim.UnqueuedEvent()
 	n.freeFlows = append(n.freeFlows, f)
 }
 

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// The kernel-speed pass (calendar queue, pooled events/flows/attempts,
+// Kernel-speed work (the event queue, pooled events/flows/attempts,
 // coalesced recomputes) is gated on the scheduler's decision stream staying
 // bit-identical. The files under testdata/kernel_golden were recorded before
 // the pass and pin every non-flow event (submissions, offers, assignments,

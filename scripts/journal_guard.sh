@@ -2,10 +2,10 @@
 # Journal-on delta-latency guard for the placement service: re-measures
 # BenchmarkPlacement_Journal/on briefly and fails when its ns/op exceeds
 # the budget recorded in BENCH_placement.json by more than the recorded
-# tolerance. Like placement_guard.sh, the tolerance is deliberately wide
-# (200%): the guard exists to catch structural regressions on the
-# journaled delta path (an fsync, a reflection-based encoder, an
-# accidental full-state write per delta), not machine-load noise.
+# tolerance. The tolerance is deliberately wide (200%): the guard exists
+# to catch structural regressions on the journaled delta path (an fsync,
+# a reflection-based encoder, an accidental full-state write per delta),
+# not machine-load noise.
 #
 # Usage: sh scripts/journal_guard.sh   (run from anywhere; cds to the root)
 
