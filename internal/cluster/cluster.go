@@ -239,15 +239,17 @@ func (n *Node) ReleaseReduce() {
 // availState tracks one slot kind's availability set incrementally: a
 // monotonically increasing version (bumped on every membership change, so
 // downstream caches get an O(1) identity check), optional per-class member
-// counts, and a lazily rebuilt ID-ordered snapshot slice. The cache
-// slice is handed out to readers and stays immutable once published:
-// only the //lint:publish rebuild/recount sites below may write here.
+// counts, and a lazily rebuilt ID-ordered snapshot slice with a copy of
+// the counts beside it. The cache and published slices are handed out to
+// readers and stay immutable once published: only the //lint:publish
+// rebuild/recount sites below may write here.
 //
 //lint:immutable-after-publish
 type availState struct {
-	version uint64
-	dirty   bool
-	cache   []topology.NodeID
+	version   uint64
+	dirty     bool
+	cache     []topology.NodeID
+	published []int // counts as of the last rebuild; never written after
 
 	classes *topology.Classes
 	counts  []int // per-class free-node counts; nil until SetClasses
@@ -269,9 +271,10 @@ func (a *availState) flip(id topology.NodeID, free bool) {
 	}
 }
 
-// snapshot returns the ID-ordered availability slice, rebuilding it only
-// after membership changed. A fresh slice is allocated per rebuild so
-// snapshots held by earlier scheduler contexts stay immutable.
+// snapshot returns the ID-ordered availability slice, rebuilding it and
+// republishing the counts only after membership or classes changed.
+// Fresh slices are allocated per rebuild so snapshots held by earlier
+// scheduler contexts stay immutable.
 //
 //lint:publish availState
 func (a *availState) snapshot(nodes []*Node, free func(*Node) bool) []topology.NodeID {
@@ -283,20 +286,22 @@ func (a *availState) snapshot(nodes []*Node, free func(*Node) bool) []topology.N
 			}
 		}
 		a.cache = out
+		a.published = append([]int(nil), a.counts...)
 		a.dirty = false
 	}
 	return a.cache
 }
 
 // setClasses installs (or clears) the class structure and recounts from
-// scratch; membership itself is unchanged but the version bumps so caches
-// that captured counts re-read them.
+// scratch; membership itself is unchanged but the version bumps and the
+// state turns dirty so the next snapshot republishes the counts.
 //
 //lint:publish availState
 func (a *availState) setClasses(c *topology.Classes, nodes []*Node, free func(*Node) bool) {
 	a.classes = c
 	a.counts = nil
 	a.version++
+	a.dirty = true
 	if c == nil {
 		return
 	}
@@ -363,18 +368,21 @@ func (s *State) AvailReduceNodes() []topology.NodeID {
 }
 
 // AvailMap returns the map-slot availability set plus its per-class counts
-// (nil before SetClasses) and identity version. The counts are a copy:
-// flip mutates the live array in place, and snapshots must stay immutable.
+// (nil before SetClasses) and identity version. The counts are the copy
+// published with the node slice, once per version: flip mutates the live
+// array in place, and snapshots must stay immutable. Callers must not
+// mutate either slice.
 func (s *State) AvailMap() (nodes []topology.NodeID, counts []int, version uint64) {
-	return s.availMap.snapshot(s.nodes, freeMap),
-		append([]int(nil), s.availMap.counts...), s.availMap.version
+	nodes = s.availMap.snapshot(s.nodes, freeMap)
+	return nodes, s.availMap.published, s.availMap.version
 }
 
 // AvailReduce returns the reduce-slot availability set plus its per-class
-// counts (nil before SetClasses) and identity version.
+// counts (nil before SetClasses) and identity version, published as for
+// AvailMap.
 func (s *State) AvailReduce() (nodes []topology.NodeID, counts []int, version uint64) {
-	return s.availReduce.snapshot(s.nodes, freeReduce),
-		append([]int(nil), s.availReduce.counts...), s.availReduce.version
+	nodes = s.availReduce.snapshot(s.nodes, freeReduce)
+	return nodes, s.availReduce.published, s.availReduce.version
 }
 
 // Versions returns both availability sets' identity versions without

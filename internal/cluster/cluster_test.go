@@ -288,9 +288,45 @@ func TestAvailCountsTrackChurn(t *testing.T) {
 	s.Node(7).ReleaseReduce()
 	check("release reduce 7")
 
-	// Clearing the classes drops the counts entirely.
-	s.SetClasses(nil)
-	if _, counts, _ := s.AvailMap(); counts != nil {
-		t.Fatalf("counts %v after clearing classes, want nil", counts)
+	// The counts are published once per version: at an unchanged version
+	// every read returns the same slice and allocates nothing.
+	for pass, get := range map[string]func() ([]topology.NodeID, []int, uint64){
+		"map": s.AvailMap, "reduce": s.AvailReduce,
+	} {
+		_, first, _ := get()
+		_, second, _ := get()
+		if &first[0] != &second[0] {
+			t.Fatalf("%s: counts republished at an unchanged version", pass)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { get() }); allocs != 0 {
+			t.Fatalf("%s: %v allocs per read at an unchanged version, want 0", pass, allocs)
+		}
 	}
+
+	// A slice handed out before a flip keeps its contents after it.
+	_, before, _ := s.AvailMap()
+	held := append([]int(nil), before...)
+	if err := n3.AcquireMap(); err != nil { // its last free slot: node 3 leaves
+		t.Fatal(err)
+	}
+	check("reacquire 3")
+	if !reflect.DeepEqual(before, held) {
+		t.Fatalf("published counts changed under a flip: %v, were %v", before, held)
+	}
+	if _, after, _ := s.AvailMap(); reflect.DeepEqual(after, held) {
+		t.Fatalf("counts %v unchanged though node 3 left the map set", after)
+	}
+
+	// SetClasses republishes without a membership change: clearing the
+	// classes drops the counts entirely, reinstalling them recounts.
+	s.SetClasses(nil)
+	for pass, get := range map[string]func() ([]topology.NodeID, []int, uint64){
+		"map": s.AvailMap, "reduce": s.AvailReduce,
+	} {
+		if _, counts, _ := get(); counts != nil {
+			t.Fatalf("%s counts %v after clearing classes, want nil", pass, counts)
+		}
+	}
+	s.SetClasses(classes)
+	check("reinstall classes")
 }

@@ -748,7 +748,16 @@ func (s *Simulation) buildCtx() *sched.Context {
 // the current instant, so the scheduler's estimator sees fresh d_read and
 // A_jf values, exactly as heartbeat-reported counters would provide.
 // With speculation a task's progress is that of its fastest attempt.
+//
+// Progress is read only by reduce-side decisions (the slowstart gate,
+// Coupling's pacing and the reduce estimators), and those run only for
+// jobs with a pending reduce, so the walk is skipped when no active job
+// has one. An attempt's progress is a function of the current instant,
+// so a skipped refresh leaves nothing for a later one to catch up on.
 func (s *Simulation) refreshProgress() {
+	if !s.anyPendingReduce() {
+		return
+	}
 	now := s.eng.Now()
 	for m, run := range s.runningMaps {
 		best := 0.0
@@ -759,6 +768,17 @@ func (s *Simulation) refreshProgress() {
 		}
 		m.Progress = best
 	}
+}
+
+// anyPendingReduce reports whether some active job has a reduce task not
+// yet launched.
+func (s *Simulation) anyPendingReduce() bool {
+	for _, j := range s.active {
+		if j.HasPendingReduces() {
+			return true
+		}
+	}
+	return false
 }
 
 // aliveNearest returns the closest live replica of the block, or ok=false

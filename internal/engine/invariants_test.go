@@ -4,10 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"mapsched/internal/faults"
 	"mapsched/internal/hdfs"
 	"mapsched/internal/job"
 	"mapsched/internal/sched"
 	"mapsched/internal/sim"
+	"mapsched/internal/topology"
 	"mapsched/internal/workload"
 )
 
@@ -217,23 +219,149 @@ func TestForcedRemoteAccounting(t *testing.T) {
 	}
 }
 
-// TestProgressVisibleToScheduler verifies that the heartbeat-time progress
-// refresh exposes advancing d_read values during the map phase.
-func TestProgressVisibleToScheduler(t *testing.T) {
-	cfg := tinyConfig()
-	s, err := New(cfg, tinySpecs(t), sched.NewFairDelay(sched.DefaultFairDelayConfig()))
+// progressOracle wraps a scheduler and checks, at every AssignReduce
+// call on which a reduce decision can read map progress (some job has a
+// pending reduce), that every running map's Progress equals its fastest
+// live attempt's progress at ctx.Now, and that it never moves backwards
+// while the map keeps its launch and loses no attempt.
+type progressOracle struct {
+	sched.Scheduler
+	t    *testing.T
+	sim  *Simulation
+	last map[*job.MapTask]progressMark
+
+	checked, skipped int // reads checked; calls with running maps but nothing to read
+}
+
+type progressMark struct {
+	launch sim.Time
+	dead   int
+	p      float64
+}
+
+func (o *progressOracle) AssignReduce(ctx *sched.Context, node topology.NodeID) *job.ReduceTask {
+	pending := false
+	for _, j := range ctx.Jobs {
+		pending = pending || j.HasPendingReduces()
+	}
+	if !pending {
+		if len(o.sim.runningMaps) > 0 {
+			o.skipped++
+		}
+		return o.Scheduler.AssignReduce(ctx, node)
+	}
+	if ctx.Now != o.sim.eng.Now() {
+		o.t.Fatalf("ctx.Now %v, engine clock %v", ctx.Now, o.sim.eng.Now())
+	}
+	for m, run := range o.sim.runningMaps {
+		want, dead := 0.0, 0
+		for _, a := range run.attempts {
+			if a.dead {
+				dead++
+			} else if p := a.progress(ctx.Now); p > want {
+				want = p
+			}
+		}
+		if m.Progress != want {
+			o.t.Fatalf("t=%v: map %s/%d progress %v, fastest live attempt %v",
+				ctx.Now, m.Job.Spec.Name, m.Index, m.Progress, want)
+		}
+		if prev, ok := o.last[m]; ok && prev.launch == m.Launch && prev.dead == dead && m.Progress < prev.p {
+			o.t.Fatalf("t=%v: map %s/%d progress fell from %v to %v",
+				ctx.Now, m.Job.Spec.Name, m.Index, prev.p, m.Progress)
+		}
+		o.last[m] = progressMark{launch: m.Launch, dead: dead, p: m.Progress}
+		o.checked++
+	}
+	return o.Scheduler.AssignReduce(ctx, node)
+}
+
+// progressSpecs builds two jobs whose maps run in several waves on one
+// map slot per node, with fewer reduces than nodes.
+func progressSpecs(t *testing.T) []job.Spec {
+	t.Helper()
+	specs, err := workload.Specs([]workload.JobDef{
+		{JobID: "01", Kind: workload.Wordcount, InputGB: 20, Maps: 160, Reduces: 40},
+		{JobID: "11", Kind: workload.Terasort, InputGB: 20, Maps: 199, Reduces: 45},
+	}, workload.Options{Scale: 5, Replication: 3, SubmitStagger: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
+	for i := range specs {
+		specs[i].Profile.ComputeJitter = 0.45
 	}
-	// After the run every task is done, with Progress pinned to 1.
-	for _, j := range s.Jobs() {
-		for _, m := range j.Maps {
-			if m.Progress != 1 {
-				t.Fatalf("map %d progress %v after completion", m.Index, m.Progress)
-			}
+	return specs
+}
+
+// TestProgressVisibleToScheduler verifies that map progress is fresh at
+// every reduce decision that can read it, under the schedulers whose
+// reduce decisions read it, with speculative backups and with a fault
+// plan, and that the run also offers reduce slots while no job has a
+// pending reduce (the heartbeats that skip the refresh).
+func TestProgressVisibleToScheduler(t *testing.T) {
+	// Enough reduce slots that every reduce launches while maps still
+	// run, so later offers find nothing that reads progress.
+	base := tinyConfig()
+	base.ReduceSlotsPerNode = 4
+	base.Topology.NodesPerRack = 8
+	base.MapSlotsPerNode = 1
+	specCfg := base
+	specCfg.Speculation = true
+	specCfg.SpecSlowdown = 1.25
+	specCfg.SpecMinCompleted = 2
+	specCfg.CrossTraffic = 12
+	faultCfg := base
+	faultCfg.Faults.Crashes = []faults.NodeCrash{{Node: 1, At: 8}}
+	faultCfg.Faults.TaskFailProb = 0.15
+	faultCfg.Faults.MaxTaskAttempts = 50
+	for _, sc := range []struct {
+		name string
+		b    sched.Builder
+	}{
+		{"probabilistic", sched.NewProbabilistic(sched.DefaultProbabilisticConfig())},
+		{"coupling", sched.NewCoupling(sched.DefaultCouplingConfig())},
+	} {
+		for _, c := range []struct {
+			name  string
+			cfg   Config
+			fired func(*Result) int
+		}{
+			{"speculation", specCfg, func(r *Result) int { return r.Speculated }},
+			{"faults", faultCfg, func(r *Result) int { return r.AttemptFailures }},
+		} {
+			t.Run(sc.name+"/"+c.name, func(t *testing.T) {
+				o := &progressOracle{t: t, last: make(map[*job.MapTask]progressMark)}
+				s, err := New(c.cfg, progressSpecs(t), func(env sched.Env) sched.Scheduler {
+					o.Scheduler = sc.b(env)
+					return o
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.sim = s
+				res, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Unfinished != 0 {
+					t.Fatalf("unfinished: %s", res)
+				}
+				if c.fired(res) == 0 {
+					t.Fatalf("no %s fired: %s", c.name, res)
+				}
+				if o.checked == 0 || o.skipped == 0 {
+					t.Fatalf("%d progress reads checked, %d offers with nothing to read: want both > 0",
+						o.checked, o.skipped)
+				}
+				// After the run every task is done, with Progress pinned to 1.
+				for _, j := range s.Jobs() {
+					for _, m := range j.Maps {
+						if m.Progress != 1 {
+							t.Fatalf("map %d progress %v after completion", m.Index, m.Progress)
+						}
+					}
+				}
+			})
 		}
 	}
 }

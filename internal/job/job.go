@@ -164,8 +164,11 @@ type MapTask struct {
 	Launch   sim.Time
 	Finish   sim.Time
 
-	// Progress accounting: fraction of input consumed as of the engine's
-	// last update, in [0,1]. d_read = Progress * Size.
+	// Progress accounting: fraction of input consumed, in [0,1].
+	// d_read = Progress * Size. The engine refreshes it at the start of
+	// every heartbeat on which a reduce decision can read it (some active
+	// job has a pending reduce), so it is fresh whenever a reduce decision
+	// reads it and may be stale otherwise. Finished maps hold 1.
 	Progress float64
 }
 
