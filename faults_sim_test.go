@@ -72,6 +72,10 @@ func TestJobsTerminateUnderEveryFaultType(t *testing.T) {
 		{"taskfail", "taskfail:0.1", 2},
 		{"taskfail_exhausting", "taskfail:0.6;attempts:2", 2},
 		{"combined", "crash:3@10;slow:5@5+40*4;link:7@5+30*0.2;replica:9@8;taskfail:0.05", 3},
+		// The fault-churn plan (two crashes, a slowdown, a degraded link
+		// and transient attempt failures), with the 60-node testbed's
+		// nodes 20, 40, 10 and 30 remapped onto the 12-node cluster.
+		{"fault_churn", "crash:4@20;crash:8@60;slow:2@10+120*3;link:6@15+90*0.2;taskfail:0.05", 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

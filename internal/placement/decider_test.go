@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"testing"
 
 	"mapsched/internal/cluster"
@@ -9,6 +10,7 @@ import (
 	"mapsched/internal/job"
 	"mapsched/internal/sim"
 	"mapsched/internal/topology"
+	"mapsched/internal/workload"
 )
 
 // fixture builds a 2-rack/4-node-per-rack cluster with a decision
@@ -264,5 +266,53 @@ func TestServiceDeltasMoveEpochAndAvail(t *testing.T) {
 	}
 	if f.svc.Epoch() <= base {
 		t.Fatalf("epoch %d did not advance past %d", f.svc.Epoch(), base)
+	}
+}
+
+// decideAllocBudget is the allocation count of one Snapshot+PlaceMap
+// decision at 5,000 nodes, as measured at commit 0507bb7.
+const decideAllocBudget = 29
+
+// TestDecideAllocs holds a map placement decision — snapshot, Algorithm
+// 1 scan, gate — against a 5,000-node service holding four Wordcount
+// jobs of 100 pending maps (the decide5k workload's state) to
+// decideAllocBudget. Allocation counts are immune to host load, so a
+// rise means the decision path itself got more expensive; its wall-clock
+// speed is judged by cmd/mrbench's decide5k workload.
+func TestDecideAllocs(t *testing.T) {
+	f := newFixtureSized(t, 1250) // 1,250 racks of 4: 5,000 nodes
+	nodes := f.net.Size()
+	rngJobs := f.rng.Fork("jobs")
+	var jobs []*job.Job
+	for i := 1; i <= 4; i++ {
+		j, err := job.New(job.ID(i), job.Spec{
+			Name:        fmt.Sprintf("decide-%d", i),
+			Profile:     workload.ProfileFor(workload.Wordcount),
+			InputBytes:  100 * 128e6,
+			BlockSize:   128e6,
+			NumReduces:  30,
+			Replication: 3,
+		}, f.store, rngJobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	d := f.decider(DefaultConfig())
+	req := &Request{Jobs: jobs, Slowstart: 0.05}
+	i, placed := 0, 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		v := f.svc.Snapshot()
+		req.AvailMap, req.AvailReduce = v.AvailMap, v.AvailReduce
+		if m, _ := d.PlaceMap(req, topology.NodeID(i%nodes)); m != nil {
+			placed++
+		}
+		i++
+	})
+	if placed == 0 {
+		t.Fatal("no decision placed a map")
+	}
+	if allocs > decideAllocBudget {
+		t.Fatalf("%.0f allocs per decision, budget %d", allocs, decideAllocBudget)
 	}
 }

@@ -492,3 +492,52 @@ func FuzzDecodeJournal(fz *testing.F) {
 		}
 	})
 }
+
+// Journaled delta budgets at 5,000 nodes, as measured at commit 0507bb7:
+// allocations per acquire+release pair, and journal bytes over a
+// 2,000-pair loop (166.3 bytes per pair).
+const (
+	journalPairAllocBudget = 6
+	journalPairs           = 2000
+	journalBytesBudget     = 332_655
+)
+
+// TestJournaledDeltaCost holds the journaled delta path — one slot
+// acquire+release pair on a 5,000-node service — to its allocation and
+// byte budgets. Both are deterministic, so a rise means a structural
+// regression (a reflection-based encoder, an accidental full-state write
+// per delta), not host noise; the path's wall-clock speed is judged by
+// cmd/mrbench's decide5k workload, whose writer journals every delta.
+func TestJournaledDeltaCost(t *testing.T) {
+	f := newFixtureSized(t, 1250) // 1,250 racks of 4: 5,000 nodes
+	nodes := f.net.Size()
+	var buf bytes.Buffer
+	if err := f.svc.StartJournal(&buf); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	pair := func() {
+		n := topology.NodeID(i % nodes)
+		i++
+		if err := f.svc.ApplySlotAcquire(MapSlot, n); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.svc.ApplySlotRelease(MapSlot, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := buf.Len()
+	for range journalPairs {
+		pair()
+	}
+	if got := buf.Len() - start; got > journalBytesBudget {
+		t.Fatalf("%d journal bytes over %d pairs (%.1f per pair), budget %d",
+			got, journalPairs, float64(got)/journalPairs, journalBytesBudget)
+	}
+	if raceEnabled {
+		return // the race detector's instrumentation allocates too
+	}
+	if allocs := testing.AllocsPerRun(journalPairs, pair); allocs > journalPairAllocBudget {
+		t.Fatalf("%.0f allocs per journaled pair, budget %d", allocs, journalPairAllocBudget)
+	}
+}
