@@ -9,7 +9,7 @@
 GO ?= go
 SCHEDLINT ?= bin/schedlint
 
-.PHONY: all build vet lint lint-json lint-fix test race fuzz-smoke bench check experiments FORCE
+.PHONY: all build vet lint lint-json lint-fix test race fuzz-smoke bench check experiments goldens FORCE
 
 all: check
 
@@ -71,3 +71,14 @@ check: vet lint build race fuzz-smoke
 # Regenerate the paper's tables and figures at the canonical scale.
 experiments:
 	$(GO) run ./cmd/experiments -run all -scale 3
+
+# Regenerate both committed experiment outputs into a temp dir and
+# require them byte-identical to the committed copies: a change that
+# moves a simulated figure must say so by committing the new output.
+goldens:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/experiments" ./cmd/experiments && \
+	"$$tmp/experiments" -run all -scale 3 > "$$tmp/experiments_output.txt" && \
+	cmp "$$tmp/experiments_output.txt" experiments_output.txt && \
+	"$$tmp/experiments" -run seeds -scale 3 > "$$tmp/seed_study_output.txt" && \
+	cmp "$$tmp/seed_study_output.txt" seed_study_output.txt

@@ -28,15 +28,6 @@ import (
 	"mapsched/internal/topology"
 )
 
-// NodeFailure schedules the permanent failure of a node at a simulated
-// time: its tasks are killed, its stored map outputs become unavailable,
-// and it stops heartbeating. It is the legacy spelling of
-// faults.NodeCrash and follows the same detection-lag semantics.
-type NodeFailure struct {
-	Node int
-	At   float64
-}
-
 // Config describes one simulated cluster run.
 type Config struct {
 	// Topology is the physical cluster shape. The default mirrors the
@@ -78,10 +69,6 @@ type Config struct {
 	Speculation      bool
 	SpecSlowdown     float64 // default 1.8
 	SpecMinCompleted int     // default 3
-
-	// Failures permanently kills nodes at the given times. Equivalent to
-	// listing the nodes in Faults.Crashes.
-	Failures []NodeFailure
 
 	// Faults is the deterministic fault-injection plan: scripted crashes,
 	// slowdowns, link degradations and replica losses plus the transient
@@ -181,21 +168,7 @@ func (c Config) Validate() error {
 	if c.HeartbeatExpiry < 0 {
 		return fmt.Errorf("engine: negative heartbeat expiry")
 	}
-	n := c.Topology.Racks * c.Topology.NodesPerRack
-	failed := make(map[int]bool, len(c.Failures))
-	for _, f := range c.Failures {
-		if f.Node < 0 || f.Node >= n {
-			return fmt.Errorf("engine: failure of node %d outside cluster of %d", f.Node, n)
-		}
-		if f.At < 0 {
-			return fmt.Errorf("engine: failure at negative time")
-		}
-		if failed[f.Node] {
-			return fmt.Errorf("engine: duplicate failure of node %d", f.Node)
-		}
-		failed[f.Node] = true
-	}
-	if err := c.Faults.Validate(n); err != nil {
+	if err := c.Faults.Validate(c.Topology.Racks * c.Topology.NodesPerRack); err != nil {
 		return err
 	}
 	if err := c.Open.Validate(); err != nil {
@@ -624,13 +597,9 @@ func (s *Simulation) Run() (*Result, error) {
 		s.eng.Schedule(a.At, func() { s.arrive(a) })
 	}
 
-	// Scheduled faults: legacy Failures and the fault plan both route
-	// through crashNode, which kills the node physically and arms the
-	// heartbeat-expiry timer for JobTracker-side recovery.
-	for _, f := range s.cfg.Failures {
-		n := topology.NodeID(f.Node)
-		s.eng.Schedule(sim.Time(f.At), func() { s.crashNode(n) })
-	}
+	// Scheduled faults. Crashes route through crashNode, which kills the
+	// node physically and arms the heartbeat-expiry timer for
+	// JobTracker-side recovery.
 	s.scheduleFaults()
 
 	// Heartbeat chains, phase-offset per node so offers do not synchronize.
@@ -815,10 +784,8 @@ func (s *Simulation) launchMap(m *job.MapTask, n topology.NodeID) bool {
 		panic(fmt.Sprintf("engine: %v", err))
 	}
 	s.sampleUtil()
-	m.State = job.TaskRunning
-	m.Node = n
+	m.Run(n, s.eng.Now())
 	m.Locality = s.cost.Locality(m, n)
-	m.Launch = s.eng.Now()
 	if s.obs.Enabled() {
 		e := s.taskEvent(obs.TaskStart, n, m.Job, "map", m.Index)
 		e.Locality = m.Locality.String()
@@ -912,9 +879,7 @@ func (s *Simulation) winMap(m *job.MapTask, run *mapRun, winner *mapAttempt) {
 		}
 	}
 	winner.dead = true // no further callbacks
-	m.State = job.TaskDone
-	m.Progress = 1
-	m.Finish = s.eng.Now()
+	m.Complete(s.eng.Now())
 	m.Node = winner.node
 	m.Locality = winner.locality
 	delete(s.runningMaps, m)
@@ -929,7 +894,6 @@ func (s *Simulation) winMap(m *job.MapTask, run *mapRun, winner *mapAttempt) {
 	}
 
 	j := m.Job
-	j.DoneMaps++
 	if st := s.stats[j.ID]; st != nil {
 		st.completed++
 		st.totalDur += float64(m.Finish - winner.launch)
@@ -1076,9 +1040,7 @@ func (s *Simulation) launchReduce(r *job.ReduceTask, n topology.NodeID) {
 		panic(fmt.Sprintf("engine: %v", err))
 	}
 	s.sampleUtil()
-	r.State = job.TaskRunning
-	r.Node = n
-	r.Launch = s.eng.Now()
+	r.Run(n, s.eng.Now())
 	r.Locality = s.reduceLocality(r.Job, n)
 	if s.obs.Enabled() {
 		e := s.taskEvent(obs.TaskStart, n, r.Job, "reduce", r.Index)
@@ -1160,17 +1122,7 @@ func (s *Simulation) enqueueDoneMaps(r *job.ReduceTask, att *redAttempt) {
 			continue
 		}
 		if s.dead[m.Node] {
-			lostAt := m.Node
-			m.State = job.TaskPending
-			m.Progress = 0
-			m.Node = -1
-			r.Job.DoneMaps--
-			s.relaunchedMaps++
-			if s.obs.Enabled() {
-				e := s.taskEvent(obs.TaskRelaunch, lostAt, m.Job, "map", m.Index)
-				e.Reason = "output_lost"
-				s.obs.Emit(e)
-			}
+			s.relaunchLostOutput(m)
 			continue
 		}
 		s.enqueueFetch(att, m.Node, bytes, m)
@@ -1273,8 +1225,7 @@ func (s *Simulation) finishReduce(r *job.ReduceTask, run *reduceRun, winner *red
 		}
 	}
 	winner.dead = true // no further callbacks
-	r.State = job.TaskDone
-	r.Finish = s.eng.Now()
+	r.Complete(s.eng.Now())
 	r.Node = winner.node
 	r.Locality = winner.locality
 	r.ShuffledBytes = winner.shuffled
@@ -1290,19 +1241,13 @@ func (s *Simulation) finishReduce(r *job.ReduceTask, run *reduceRun, winner *red
 	}
 
 	j := r.Job
-	j.DoneReds++
 	if st := s.stats[j.ID]; st != nil {
 		st.redCompleted++
 		st.redTotalDur += r.RunTime()
 	}
 	if j.Done() {
 		j.Finished = s.eng.Now()
-		for i, a := range s.active {
-			if a == j {
-				s.active = append(s.active[:i], s.active[i+1:]...)
-				break
-			}
-		}
+		s.deactivate(j)
 		if s.obs.Enabled() {
 			e := obs.Event{T: float64(j.Finished), Type: obs.JobFinish, Node: -1, Job: j.Spec.Name}
 			e.Dur = float64(j.Finished - j.Submitted)
@@ -1313,6 +1258,16 @@ func (s *Simulation) finishReduce(r *job.ReduceTask, run *reduceRun, winner *red
 	// Every attempt is dead (winner included) and detached; recycle the
 	// run and its attempts.
 	s.releaseReduceRun(run)
+}
+
+// deactivate drops j from the active job list.
+func (s *Simulation) deactivate(j *job.Job) {
+	for i, a := range s.active {
+		if a == j {
+			s.active = append(s.active[:i], s.active[i+1:]...)
+			return
+		}
+	}
 }
 
 // outputStillNeeded reports whether any unfinished reduce of j still needs

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mapsched/internal/faults"
 	"mapsched/internal/job"
 	"mapsched/internal/sched"
 	"mapsched/internal/topology"
@@ -32,7 +33,7 @@ func faultSpecs(t *testing.T, jitter float64) []job.Spec {
 
 func TestNodeFailureRecovery(t *testing.T) {
 	cfg := tinyConfig() // 2 racks x 4 nodes
-	cfg.Failures = []NodeFailure{{Node: 1, At: 8}, {Node: 5, At: 20}}
+	cfg.Faults.Crashes = []faults.NodeCrash{{Node: 1, At: 8}, {Node: 5, At: 20}}
 	s, err := New(cfg, faultSpecs(t, 0.2), sched.NewProbabilistic(sched.DefaultProbabilisticConfig()))
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestNodeFailureRecovery(t *testing.T) {
 
 func TestNodeFailureBeforeAnyWork(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.Failures = []NodeFailure{{Node: 0, At: 0}}
+	cfg.Faults.Crashes = []faults.NodeCrash{{Node: 0, At: 0}}
 	s, err := New(cfg, faultSpecs(t, 0.1), sched.NewFairDelay(sched.DefaultFairDelayConfig()))
 	if err != nil {
 		t.Fatal(err)
@@ -86,14 +87,19 @@ func TestNodeFailureBeforeAnyWork(t *testing.T) {
 
 func TestFailureValidation(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.Failures = []NodeFailure{{Node: 99, At: 1}}
+	cfg.Faults.Crashes = []faults.NodeCrash{{Node: 99, At: 1}}
 	if err := cfg.Validate(); err == nil {
 		t.Error("out-of-range failure node accepted")
 	}
 	cfg = tinyConfig()
-	cfg.Failures = []NodeFailure{{Node: 0, At: -1}}
+	cfg.Faults.Crashes = []faults.NodeCrash{{Node: 0, At: -1}}
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative failure time accepted")
+	}
+	cfg = tinyConfig()
+	cfg.Faults.Crashes = []faults.NodeCrash{{Node: 0, At: 1}, {Node: 0, At: 2}}
+	if err := cfg.Validate(); err == nil {
+		t.Error("duplicate failure of one node accepted")
 	}
 }
 
@@ -105,7 +111,7 @@ func TestFailureRelaunchAccounting(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		cfg := tinyConfig()
 		cfg.Seed = seed
-		cfg.Failures = []NodeFailure{{Node: 2, At: 8}}
+		cfg.Faults.Crashes = []faults.NodeCrash{{Node: 2, At: 8}}
 		s, err := New(cfg, faultSpecs(t, 0.2), sched.NewFairDelay(sched.DefaultFairDelayConfig()))
 		if err != nil {
 			t.Fatal(err)
@@ -208,7 +214,7 @@ func TestSpeculationAndFailureTogether(t *testing.T) {
 	cfg.Speculation = true
 	cfg.SpecSlowdown = 1.3
 	cfg.SpecMinCompleted = 2
-	cfg.Failures = []NodeFailure{{Node: 3, At: 12}}
+	cfg.Faults.Crashes = []faults.NodeCrash{{Node: 3, At: 12}}
 	s, err := New(cfg, faultSpecs(t, 0.4), sched.NewProbabilistic(sched.DefaultProbabilisticConfig()))
 	if err != nil {
 		t.Fatal(err)

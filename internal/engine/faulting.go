@@ -249,7 +249,7 @@ func (s *Simulation) detectNode(d topology.NodeID) {
 			}
 		}
 		if run.liveAttempts() == 0 {
-			s.revertReduceTask(r, run, d, "host_failed")
+			s.revertReduceTask(r, d, "host_failed")
 			continue
 		}
 		if r.Node == d {
@@ -261,21 +261,8 @@ func (s *Simulation) detectNode(d topology.NodeID) {
 	// needed by an unfinished reduce.
 	for _, j := range s.active {
 		for _, m := range j.Maps {
-			if m.State != job.TaskDone || m.Node != d {
-				continue
-			}
-			if !s.outputStillNeeded(j, m) {
-				continue
-			}
-			m.State = job.TaskPending
-			m.Progress = 0
-			m.Node = -1
-			j.DoneMaps--
-			s.relaunchedMaps++
-			if s.obs.Enabled() {
-				e := s.taskEvent(obs.TaskRelaunch, d, m.Job, "map", m.Index)
-				e.Reason = "output_lost"
-				s.obs.Emit(e)
+			if m.State == job.TaskDone && m.Node == d && s.outputStillNeeded(j, m) {
+				s.relaunchLostOutput(m)
 			}
 		}
 	}
@@ -287,16 +274,47 @@ func (s *Simulation) detectNode(d topology.NodeID) {
 	s.loseReplicas(d, "node_dead")
 }
 
-// revertMapTask returns a running map task to the pending pool after its
-// attempts died.
-func (s *Simulation) revertMapTask(m *job.MapTask, at topology.NodeID, reason string) {
+// resetMap returns map task m to pending: its live attempts are killed
+// (releasing the slots of those on uncrashed nodes), its run is recycled,
+// and a done task is uncounted from its job.
+func (s *Simulation) resetMap(m *job.MapTask) {
 	if run := s.runningMaps[m]; run != nil {
+		for _, a := range run.attempts {
+			if !a.dead {
+				s.killAttempt(a, !s.crashed[a.node])
+			}
+		}
 		delete(s.runningMaps, m)
 		s.releaseMapRun(run)
 	}
-	m.State = job.TaskPending
-	m.Progress = 0
-	m.Node = -1
+	m.Reset()
+}
+
+// resetReduce is resetMap for reduce task r.
+func (s *Simulation) resetReduce(r *job.ReduceTask) {
+	if run := s.runningReds[r]; run != nil {
+		for _, a := range run.attempts {
+			if !a.dead {
+				s.killRedAttempt(a, !s.crashed[a.node])
+			}
+		}
+		delete(s.runningReds, r)
+		s.releaseReduceRun(run)
+	}
+	r.Reset()
+}
+
+// relaunchLostOutput re-queues a done map whose output node was declared
+// dead, so its re-execution regenerates the output.
+func (s *Simulation) relaunchLostOutput(m *job.MapTask) {
+	s.relaunchedMaps++
+	s.revertMapTask(m, m.Node, "output_lost")
+}
+
+// revertMapTask returns map task m to the pending pool after its attempts
+// died (or its output was lost) and reports the relaunch at node at.
+func (s *Simulation) revertMapTask(m *job.MapTask, at topology.NodeID, reason string) {
+	s.resetMap(m)
 	if s.obs.Enabled() {
 		e := s.taskEvent(obs.TaskRelaunch, at, m.Job, "map", m.Index)
 		e.Reason = reason
@@ -306,18 +324,8 @@ func (s *Simulation) revertMapTask(m *job.MapTask, at topology.NodeID, reason st
 
 // revertReduceTask returns a running reduce task to the pending pool,
 // killing any attempt still alive.
-func (s *Simulation) revertReduceTask(r *job.ReduceTask, run *reduceRun, at topology.NodeID, reason string) {
-	for _, att := range run.attempts {
-		if !att.dead {
-			s.killRedAttempt(att, !s.crashed[att.node])
-		}
-	}
-	delete(s.runningReds, r)
-	s.releaseReduceRun(run)
-	r.State = job.TaskPending
-	r.Node = -1
-	r.ShuffledBytes = 0
-	r.Locality = job.LocalityUnknown
+func (s *Simulation) revertReduceTask(r *job.ReduceTask, at topology.NodeID, reason string) {
+	s.resetReduce(r)
 	s.relaunchedReduces++
 	if s.obs.Enabled() {
 		e := s.taskEvent(obs.TaskRelaunch, at, r.Job, "reduce", r.Index)
@@ -416,7 +424,7 @@ func (s *Simulation) failReduceAttempt(r *job.ReduceTask, run *reduceRun, att *r
 		s.obs.Emit(s.taskEvent(obs.AttemptFail, node, r.Job, "reduce", r.Index))
 	}
 	if run.liveAttempts() == 0 {
-		s.revertReduceTask(r, run, node, "attempt_fail")
+		s.revertReduceTask(r, node, "attempt_fail")
 	} else if r.Node == node {
 		s.repointReduce(r, run)
 	}
@@ -520,47 +528,17 @@ func (s *Simulation) failJob(j *job.Job, reason string) {
 	j.Failed = true
 	j.Finished = s.eng.Now()
 	for _, m := range j.Maps {
-		if m.State != job.TaskRunning {
-			continue
+		if m.State == job.TaskRunning {
+			s.resetMap(m)
 		}
-		if run := s.runningMaps[m]; run != nil {
-			for _, a := range run.attempts {
-				if !a.dead {
-					s.killAttempt(a, !s.crashed[a.node])
-				}
-			}
-			delete(s.runningMaps, m)
-			s.releaseMapRun(run)
-		}
-		m.State = job.TaskPending
-		m.Progress = 0
-		m.Node = -1
 	}
 	for _, r := range j.Reduces {
-		if r.State != job.TaskRunning {
-			continue
+		if r.State == job.TaskRunning {
+			s.resetReduce(r)
 		}
-		if run := s.runningReds[r]; run != nil {
-			for _, a := range run.attempts {
-				if !a.dead {
-					s.killRedAttempt(a, !s.crashed[a.node])
-				}
-			}
-			delete(s.runningReds, r)
-			s.releaseReduceRun(run)
-		}
-		r.State = job.TaskPending
-		r.Node = -1
-		r.ShuffledBytes = 0
-		r.Locality = job.LocalityUnknown
 	}
 	s.sampleUtil()
-	for i, a := range s.active {
-		if a == j {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			break
-		}
-	}
+	s.deactivate(j)
 	if s.obs.Enabled() {
 		e := obs.Event{T: float64(s.eng.Now()), Type: obs.JobFail, Node: -1, Job: j.Spec.Name}
 		e.Reason = reason

@@ -375,44 +375,14 @@ func (s *Simulation) preempt(j *job.Job, t *tenantState) {
 	s.preemptions++
 	t.preempted++
 	for _, m := range j.Maps {
-		if run := s.runningMaps[m]; run != nil {
-			for _, a := range run.attempts {
-				if !a.dead {
-					s.killAttempt(a, !s.crashed[a.node])
-				}
-			}
-			delete(s.runningMaps, m)
-			s.releaseMapRun(run)
-		}
-		m.State = job.TaskPending
-		m.Progress = 0
-		m.Node = -1
+		s.resetMap(m)
 	}
-	j.DoneMaps = 0
 	for _, r := range j.Reduces {
-		if run := s.runningReds[r]; run != nil {
-			for _, a := range run.attempts {
-				if !a.dead {
-					s.killRedAttempt(a, !s.crashed[a.node])
-				}
-			}
-			delete(s.runningReds, r)
-			s.releaseReduceRun(run)
-		}
-		r.State = job.TaskPending
-		r.Node = -1
-		r.ShuffledBytes = 0
-		r.Locality = job.LocalityUnknown
+		s.resetReduce(r)
 	}
-	j.DoneReds = 0
 	delete(s.stats, j.ID)
 	s.sampleUtil()
-	for i, a := range s.active {
-		if a == j {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			break
-		}
-	}
+	s.deactivate(j)
 	t.active--
 	s.openActiveN--
 	info := s.openJobs[j]

@@ -7,6 +7,7 @@ import (
 	"mapsched/internal/analysis"
 	"mapsched/internal/core"
 	"mapsched/internal/engine"
+	"mapsched/internal/faults"
 	"mapsched/internal/metrics"
 	"mapsched/internal/sched"
 	"mapsched/internal/workload"
@@ -82,7 +83,7 @@ func FaultTolerance(s Setup) ([]FaultPoint, error) {
 			sp := s
 			if v == 1 {
 				n := s.Engine.Topology.Racks * s.Engine.Topology.NodesPerRack
-				sp.Engine.Failures = []engine.NodeFailure{
+				sp.Engine.Faults.Crashes = []faults.NodeCrash{
 					{Node: n / 3, At: 20},
 					{Node: 2 * n / 3, At: 60},
 				}

@@ -53,8 +53,8 @@ type ScalePoint struct {
 // The workload is held fixed while the cluster grows (strong scaling):
 // the sweep shows the schedulers' placement quality and the simulation's
 // event volume as functions of cluster size, while the wall-clock
-// trajectory of the selection path itself is measured by
-// BenchmarkSelect_ClusterScale. All (size × scheduler) cells run in
+// trajectory of the selection path itself is timed by cmd/mrbench's
+// batch5k workload. All (size × scheduler) cells run in
 // parallel and every simulation is self-contained, so the output is
 // identical for any -workers count.
 func ScaleSweep(s Setup, grid []ScaleSize) ([]ScalePoint, error) {

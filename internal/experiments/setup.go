@@ -84,20 +84,29 @@ func DefaultSetup() Setup {
 	}
 }
 
-// BuilderFor returns the scheduler builder for a kind under this setup.
-func (s Setup) BuilderFor(k SchedulerKind) sched.Builder {
+// Builder returns the scheduler builder for a kind. pc configures the
+// probabilistic scheduler; the baselines run their default configs.
+func Builder(k SchedulerKind, pc sched.ProbabilisticConfig) (sched.Builder, error) {
 	switch k {
 	case Probabilistic:
-		cfg := sched.DefaultProbabilisticConfig()
-		cfg.Pmin = s.Pmin
-		return sched.NewProbabilistic(cfg)
+		return sched.NewProbabilistic(pc), nil
 	case Coupling:
-		return sched.NewCoupling(sched.DefaultCouplingConfig())
+		return sched.NewCoupling(sched.DefaultCouplingConfig()), nil
 	case Fair:
-		return sched.NewFairDelay(sched.DefaultFairDelayConfig())
-	default:
-		panic(fmt.Sprintf("experiments: unknown scheduler kind %d", int(k)))
+		return sched.NewFairDelay(sched.DefaultFairDelayConfig()), nil
 	}
+	return nil, fmt.Errorf("experiments: unknown scheduler kind %d", int(k))
+}
+
+// BuilderFor returns the scheduler builder for a kind under this setup.
+func (s Setup) BuilderFor(k SchedulerKind) sched.Builder {
+	pc := sched.DefaultProbabilisticConfig()
+	pc.Pmin = s.Pmin
+	b, err := Builder(k, pc)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // RunBatch simulates one Table II batch (one application class) under one

@@ -157,7 +157,10 @@ type MapTask struct {
 	// OutputCurve is the exponent γ of this task's output-vs-input curve.
 	OutputCurve float64
 
-	// Runtime state, maintained by the engine.
+	// Runtime state. State moves only through Run, Complete and Reset,
+	// which keep the job's DoneMaps count in step; the engine and the
+	// placement clients set Locality, and refine Node and Progress,
+	// between transitions.
 	State    TaskState
 	Node     topology.NodeID
 	Locality Locality
@@ -199,11 +202,44 @@ func (m *MapTask) CurrentOut(f int) float64 {
 // RunTime returns the task's duration; valid once done.
 func (m *MapTask) RunTime() float64 { return float64(m.Finish - m.Launch) }
 
+// setState is the one writer of State: it keeps the job's DoneMaps
+// equal to the number of its maps in TaskDone.
+func (m *MapTask) setState(st TaskState) {
+	if m.State == TaskDone {
+		m.Job.DoneMaps--
+	}
+	if st == TaskDone {
+		m.Job.DoneMaps++
+	}
+	m.State = st
+}
+
+// Run marks the task running on node n from time at.
+func (m *MapTask) Run(n topology.NodeID, at sim.Time) {
+	m.setState(TaskRunning)
+	m.Node, m.Launch = n, at
+}
+
+// Complete marks the task done at time at with all of its input read.
+func (m *MapTask) Complete(at sim.Time) {
+	m.setState(TaskDone)
+	m.Progress, m.Finish = 1, at
+}
+
+// Reset returns the task to pending with no progress and no node.
+// Locality, Launch and Finish keep their last values.
+func (m *MapTask) Reset() {
+	m.setState(TaskPending)
+	m.Progress, m.Node = 0, -1
+}
+
 // ReduceTask is one reduce task R_f.
 type ReduceTask struct {
 	Job   *Job
 	Index int
 
+	// Runtime state. State moves only through Run, Complete and Reset,
+	// which keep the job's DoneReds count in step.
 	State    TaskState
 	Node     topology.NodeID
 	Locality Locality
@@ -227,6 +263,37 @@ func (r *ReduceTask) ExpectedInput() float64 {
 // RunTime returns the task's duration; valid once done.
 func (r *ReduceTask) RunTime() float64 { return float64(r.Finish - r.Launch) }
 
+// setState is the one writer of State: it keeps the job's DoneReds
+// equal to the number of its reduces in TaskDone.
+func (r *ReduceTask) setState(st TaskState) {
+	if r.State == TaskDone {
+		r.Job.DoneReds--
+	}
+	if st == TaskDone {
+		r.Job.DoneReds++
+	}
+	r.State = st
+}
+
+// Run marks the task running on node n from time at.
+func (r *ReduceTask) Run(n topology.NodeID, at sim.Time) {
+	r.setState(TaskRunning)
+	r.Node, r.Launch = n, at
+}
+
+// Complete marks the task done at time at.
+func (r *ReduceTask) Complete(at sim.Time) {
+	r.setState(TaskDone)
+	r.Finish = at
+}
+
+// Reset returns the task to pending with no node, locality or shuffled
+// bytes. Launch and Finish keep their last values.
+func (r *ReduceTask) Reset() {
+	r.setState(TaskPending)
+	r.Node, r.Locality, r.ShuffledBytes = -1, LocalityUnknown, 0
+}
+
 // Job is an instantiated MapReduce job.
 type Job struct {
 	ID      ID
@@ -236,8 +303,10 @@ type Job struct {
 
 	Submitted sim.Time
 	Finished  sim.Time
-	DoneMaps  int
-	DoneReds  int
+	// DoneMaps and DoneReds count the tasks in TaskDone; the task
+	// transition methods maintain them.
+	DoneMaps int
+	DoneReds int
 
 	// Failed marks a job the engine terminated unsuccessfully — a task
 	// exhausted its attempt budget, or every replica of an unread input

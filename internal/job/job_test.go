@@ -382,3 +382,85 @@ func TestLocalityString(t *testing.T) {
 		}
 	}
 }
+
+// TestTaskTransitionsKeepDoneCounts applies random Run, Complete and
+// Reset steps across a job's tasks, in any order and from any state.
+// After every step DoneMaps and DoneReds must equal a rescan of the task
+// states, and the transition must have set exactly the fields its doc
+// names.
+func TestTaskTransitionsKeepDoneCounts(t *testing.T) {
+	j := mustJob(t, Spec{
+		Name:       "wc",
+		Profile:    testProfile(),
+		InputBytes: 12 * 128e6,
+		BlockSize:  128e6,
+		NumReduces: 5,
+	})
+	rng := sim.NewRNG(7)
+	for step := 1; step <= 5000; step++ {
+		at := sim.Time(step)
+		n := topology.NodeID(rng.Intn(10))
+		op := rng.Intn(3)
+		if rng.Intn(2) == 0 {
+			m := j.Maps[rng.Intn(len(j.Maps))]
+			switch op {
+			case 0:
+				m.Run(n, at)
+				if m.State != TaskRunning || m.Node != n || m.Launch != at {
+					t.Fatalf("step %d: Run left map %+v", step, *m)
+				}
+				m.Progress = rng.Float64()
+			case 1:
+				m.Complete(at)
+				if m.State != TaskDone || m.Progress != 1 || m.Finish != at {
+					t.Fatalf("step %d: Complete left map %+v", step, *m)
+				}
+			case 2:
+				m.Locality = Locality(rng.Intn(4))
+				launch, finish, loc := m.Launch, m.Finish, m.Locality
+				m.Reset()
+				if m.State != TaskPending || m.Progress != 0 || m.Node != -1 ||
+					m.Launch != launch || m.Finish != finish || m.Locality != loc {
+					t.Fatalf("step %d: Reset left map %+v", step, *m)
+				}
+			}
+		} else {
+			r := j.Reduces[rng.Intn(len(j.Reduces))]
+			switch op {
+			case 0:
+				r.Run(n, at)
+				if r.State != TaskRunning || r.Node != n || r.Launch != at {
+					t.Fatalf("step %d: Run left reduce %+v", step, *r)
+				}
+				r.Locality, r.ShuffledBytes = LocalNode, rng.Float64()
+			case 1:
+				r.Complete(at)
+				if r.State != TaskDone || r.Finish != at {
+					t.Fatalf("step %d: Complete left reduce %+v", step, *r)
+				}
+			case 2:
+				launch, finish := r.Launch, r.Finish
+				r.Reset()
+				if r.State != TaskPending || r.Node != -1 || r.Locality != LocalityUnknown ||
+					r.ShuffledBytes != 0 || r.Launch != launch || r.Finish != finish {
+					t.Fatalf("step %d: Reset left reduce %+v", step, *r)
+				}
+			}
+		}
+		doneMaps, doneReds := 0, 0
+		for _, m := range j.Maps {
+			if m.State == TaskDone {
+				doneMaps++
+			}
+		}
+		for _, r := range j.Reduces {
+			if r.State == TaskDone {
+				doneReds++
+			}
+		}
+		if j.DoneMaps != doneMaps || j.DoneReds != doneReds {
+			t.Fatalf("step %d: counts DoneMaps=%d DoneReds=%d, rescan %d/%d",
+				step, j.DoneMaps, j.DoneReds, doneMaps, doneReds)
+		}
+	}
+}

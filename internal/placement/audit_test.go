@@ -103,10 +103,12 @@ func TestStartAuditorReportsThroughSinks(t *testing.T) {
 		t.Fatalf("clean service audited dirty: %s", r)
 	}
 
-	// Inject drift and wait for the auditor to see it. Update gives the
-	// mutation the write lock (so the injection itself is race-free) but
-	// still bypasses the store's usage bookkeeping.
-	f.svc.Update(func() { f.store.Replicas(b1)[0] = 5 })
+	// Inject drift and wait for the auditor to see it. An acquire's client
+	// hook gives the mutation the write lock (so the injection itself is
+	// race-free) but still bypasses the store's usage bookkeeping.
+	if err := f.svc.ApplySlotAcquireNoted(MapSlot, 2, "", nil, func() { f.store.Replicas(b1)[0] = 5 }); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.After(5 * time.Second)
 	for {
 		select {

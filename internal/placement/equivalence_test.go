@@ -22,23 +22,13 @@ type referenceScheduler struct {
 
 func (s *referenceScheduler) Name() string { return "reference" }
 
-func request(ctx *sched.Context) *placement.Request {
-	return &placement.Request{
-		Now:         ctx.Now,
-		Jobs:        ctx.Jobs,
-		AvailMap:    ctx.AvailMap,
-		AvailReduce: ctx.AvailReduce,
-		Slowstart:   ctx.Slowstart,
-	}
-}
-
 func (s *referenceScheduler) AssignMap(ctx *sched.Context, node topology.NodeID) *job.MapTask {
-	m, _ := s.dec.PlaceMap(request(ctx), node)
+	m, _ := s.dec.PlaceMap(ctx, node)
 	return m
 }
 
 func (s *referenceScheduler) AssignReduce(ctx *sched.Context, node topology.NodeID) *job.ReduceTask {
-	r, _ := s.dec.PlaceReduce(request(ctx), node)
+	r, _ := s.dec.PlaceReduce(ctx, node)
 	return r
 }
 

@@ -52,7 +52,6 @@ const (
 	OpOffline         Op = "offline"
 	OpBlacklist       Op = "blacklist"
 	OpLinkFactor      Op = "link_factor"
-	OpUpdate          Op = "update"
 )
 
 // recordVersion is the journal wire-format version this build writes
@@ -254,7 +253,7 @@ func DecodeJournal(r io.Reader) (*DecodedJournal, error) {
 			dec.Epoch = rec.Seq
 			started = true
 		case OpAcquire, OpRelease, OpReplicaAdd, OpReplicaLoss, OpNodeReplicaLoss,
-			OpOffline, OpBlacklist, OpLinkFactor, OpUpdate:
+			OpOffline, OpBlacklist, OpLinkFactor:
 			if started && rec.Seq != dec.Epoch+1 {
 				dec.Err = tailError(sc, fmt.Errorf("line %d: seq %d breaks chain at %d", line, rec.Seq, dec.Epoch))
 				return dec, nil
@@ -412,7 +411,7 @@ func (s *Service) StopJournal() {
 // journalLocked appends one delta record under the write lock, stamping
 // the seq the epoch will hold after the delta applies. It is called
 // after validation and before mutation: a failed append rejects the
-// delta with the state untouched. Every Apply*/Update* delta method
+// delta with the state untouched. Every Apply* delta method
 // must reach this helper (the deltajournal analyzer proves it).
 //
 //lint:journal-append

@@ -44,7 +44,7 @@ func journalScript(t testing.TB, f *fixture, b1 hdfs.BlockID) int {
 		func() error { _, err := f.svc.ApplyReplicaAdd(b1, 4); return err },
 		func() error { _, err := f.svc.ApplyReplicaLoss(b1, 0); return err },
 		func() error { _, err := f.svc.ApplyNodeReplicaLoss(4); return err },
-		func() error { return f.svc.UpdateNoted("client-note", func() {}) },
+		func() error { return f.svc.ApplySlotAcquireNoted(MapSlot, 2, "client-note", nil, nil) },
 		func() error { return f.svc.ApplyNodeOffline(5, false) },
 	}
 	for i, step := range steps {
@@ -174,7 +174,7 @@ func TestRecoverFromCheckpointAndJournal(t *testing.T) {
 	if _, err := f.svc.ApplyReplicaAdd(b1, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.svc.UpdateNoted("post-cp", func() {}); err != nil {
+	if err := f.svc.ApplySlotAcquireNoted(MapSlot, 1, "post-cp", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -73,7 +73,7 @@ type linkScaler interface {
 // access, and the delta epoch only advances for deltas applied through
 // the Service.
 //
-// Every Apply*/Update* delta method journals before it mutates; the
+// Every Apply* delta method journals before it mutates; the
 // deltajournal analyzer enforces the pairing.
 //
 //lint:journaled
@@ -271,7 +271,7 @@ func (s *Service) ApplySlotAcquire(k SlotKind, n topology.NodeID) error {
 // after the service-level validation passes, pre (if non-nil) may
 // reject the delta with client-level validation; note is recorded in
 // the journal and surfaced by Recover; fn (if non-nil) runs after the
-// slot is acquired to mutate client-owned state the way Update would.
+// slot is acquired to mutate client-owned state (task lifecycles).
 func (s *Service) ApplySlotAcquireNoted(k SlotKind, n topology.NodeID, note string, pre func() error, fn func()) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -455,40 +455,6 @@ func (s *Service) ApplyNodeBlacklist(n topology.NodeID, b bool) error {
 		return err
 	}
 	node.SetBlacklisted(b)
-	s.appliedLocked()
-	return nil
-}
-
-// Update runs fn under the write lock and counts it as one applied
-// delta: use it for mutations of client-owned state that decisions
-// read — task states, job membership — so they stay inside the
-// writer/reader contract. fn may touch the state behind Slots() and
-// Store() directly but must not call other Service methods (they take
-// the same lock). The availability snapshots are rematerialized after
-// fn returns.
-//
-// With a journal attached the delta is recorded as an opaque update:
-// recovery bumps the epoch but cannot re-run fn, so journaled services
-// should describe the mutation through UpdateNoted and rebuild the
-// client state from the surfaced notes.
-func (s *Service) Update(fn func()) {
-	// The only possible failure is a broken journal; the epoch still
-	// advances so the caller's mutation stays ordered, matching the
-	// pre-journal contract of this method.
-	_ = s.UpdateNoted("", fn)
-}
-
-// UpdateNoted is Update with a journal annotation: note rides in the
-// journal record and is surfaced by Recover, letting the client replay
-// its half of the mutation. Returns ErrJournalBroken (delta rejected,
-// fn not run) when the journal append fails.
-func (s *Service) UpdateNoted(note string, fn func()) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.journalLocked(Record{Op: OpUpdate, Note: note}); err != nil {
-		return err
-	}
-	fn()
 	s.appliedLocked()
 	return nil
 }

@@ -240,11 +240,6 @@ func (s *Service) applyRecord(r *Record) error {
 		return s.ApplyNodeBlacklist(n, r.On)
 	case OpLinkFactor:
 		return s.ApplyLinkFactor(n, r.F)
-	case OpUpdate:
-		// The client's half of the mutation is replayed from the
-		// surfaced note; the service's half is the epoch bump.
-		s.Update(func() {})
-		return nil
 	}
 	return fmt.Errorf("unknown op %q", r.Op)
 }

@@ -196,12 +196,10 @@ func (r *replayer) step(i int) error {
 		n := topology.NodeID(ev.Node)
 		kind := MapSlot
 		if ev.Task.Kind == "map" {
-			m := j.Maps[ev.Task.Index]
-			m.State, m.Node, m.Launch = job.TaskRunning, n, sim.Time(ev.T)
+			j.Maps[ev.Task.Index].Run(n, sim.Time(ev.T))
 		} else {
 			kind = ReduceSlot
-			rt := j.Reduces[ev.Task.Index]
-			rt.State, rt.Node, rt.Launch = job.TaskRunning, n, sim.Time(ev.T)
+			j.Reduces[ev.Task.Index].Run(n, sim.Time(ev.T))
 		}
 		if !r.statesOnly {
 			if err := r.svc.ApplySlotAcquire(kind, n); err != nil {
@@ -218,14 +216,10 @@ func (r *replayer) step(i int) error {
 		n := topology.NodeID(ev.Node)
 		kind := MapSlot
 		if ev.Task.Kind == "map" {
-			m := j.Maps[ev.Task.Index]
-			m.State, m.Progress, m.Finish = job.TaskDone, 1, sim.Time(ev.T)
-			j.DoneMaps++
+			j.Maps[ev.Task.Index].Complete(sim.Time(ev.T))
 		} else {
 			kind = ReduceSlot
-			rt := j.Reduces[ev.Task.Index]
-			rt.State, rt.Finish = job.TaskDone, sim.Time(ev.T)
-			j.DoneReds++
+			j.Reduces[ev.Task.Index].Complete(sim.Time(ev.T))
 		}
 		if !r.statesOnly {
 			if err := r.svc.ApplySlotRelease(kind, n); err != nil {

@@ -66,13 +66,13 @@ func (p *Probabilistic) Name() string {
 // service; see placement.Decider.PlaceMap for the selection and gate
 // semantics.
 func (p *Probabilistic) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
-	m, _ := p.dec.PlaceMap(ctx.request(), node)
+	m, _ := p.dec.PlaceMap(ctx, node)
 	return m
 }
 
 // AssignReduce implements Algorithm 2 on the offered node via the
 // decision service; see placement.Decider.PlaceReduce.
 func (p *Probabilistic) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceTask {
-	r, _ := p.dec.PlaceReduce(ctx.request(), node)
+	r, _ := p.dec.PlaceReduce(ctx, node)
 	return r
 }

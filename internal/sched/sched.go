@@ -18,7 +18,6 @@
 package sched
 
 import (
-	"mapsched/internal/core"
 	"mapsched/internal/job"
 	"mapsched/internal/obs"
 	"mapsched/internal/placement"
@@ -39,42 +38,11 @@ type Env struct {
 	Obs *obs.Stream
 }
 
-// Context is the cluster snapshot for one assignment decision. The engine
-// refreshes task progress (d_read, A_jf) before building it.
-type Context struct {
-	Now  sim.Time
-	Jobs []*job.Job // submitted, unfinished jobs in submission order
-
-	// AvailMap / AvailReduce snapshot the nodes that currently have at
-	// least one free slot of the kind (the N_m and N_r sets of
-	// Formulas 4–5), including the offered node, plus the optional
-	// per-class counts and identity version the class-collapsed cost sums
-	// consume (see core.Avail).
-	AvailMap    core.Avail
-	AvailReduce core.Avail
-
-	// Slowstart is the map-progress fraction a job must reach before its
-	// reduce tasks become schedulable (Hadoop's
-	// mapred.reduce.slowstart.completed.maps, default 0.05).
-	Slowstart float64
-
-	// req is the placement.Request the Context is translated into on
-	// every decision; its scratch buffers persist across offers when the
-	// engine reuses the Context object.
-	req placement.Request
-}
-
-// request refreshes the embedded placement request from the Context's
-// public fields and returns it. The result aliases Context state: valid
-// until the Context is rebuilt.
-func (ctx *Context) request() *placement.Request {
-	ctx.req.Now = ctx.Now
-	ctx.req.Jobs = ctx.Jobs
-	ctx.req.AvailMap = ctx.AvailMap
-	ctx.req.AvailReduce = ctx.AvailReduce
-	ctx.req.Slowstart = ctx.Slowstart
-	return &ctx.req
-}
+// Context is the cluster snapshot for one assignment decision: the
+// placement request the Decider sessions read. The engine refreshes task
+// progress (d_read, A_jf) before building it, and reuses one Context
+// across offers so its OrderJobs scratch buffers persist.
+type Context = placement.Request
 
 // Scheduler decides task placements when a node offers free slots.
 // Returning nil leaves the slot idle until a later heartbeat.
@@ -115,5 +83,5 @@ const (
 // the next orderJobs call on the same Context, never retained by
 // schedulers.
 func orderJobs(ctx *Context, policy JobPolicy, kind taskKind) []*job.Job {
-	return placement.OrderJobs(ctx.request(), policy, kind)
+	return placement.OrderJobs(ctx, policy, kind)
 }

@@ -44,7 +44,7 @@ import (
 	"mapsched/internal/faults"
 	"mapsched/internal/hdfs"
 	"mapsched/internal/obs"
-	"mapsched/internal/sched"
+	"mapsched/internal/placement"
 	"mapsched/internal/sim"
 	"mapsched/internal/trace"
 	"mapsched/internal/workload"
@@ -216,6 +216,19 @@ func buildOptions(opts []Option) (options, error) {
 		}
 	}
 	return o, nil
+}
+
+// placementConfig derives the decision config from the options: New's
+// probabilistic scheduler, the standalone placement service and Replay
+// all decide under it.
+func (o *options) placementConfig() placement.Config {
+	pc := placement.DefaultConfig()
+	pc.Pmin = o.pmin
+	pc.Deterministic = o.deterministic
+	if o.estimator != nil {
+		pc.Estimator = o.estimator
+	}
+	return pc
 }
 
 // workloadOptions derives the workload shaping from the options.
@@ -418,22 +431,9 @@ func New(cfg ClusterConfig, defs []JobDef, kind SchedulerKind, opts ...Option) (
 		}
 		cfg.Open = open
 	}
-	var builder sched.Builder
-	switch kind {
-	case experiments.Probabilistic:
-		pc := sched.DefaultProbabilisticConfig()
-		pc.Pmin = o.pmin
-		pc.Deterministic = o.deterministic
-		if o.estimator != nil {
-			pc.Estimator = o.estimator
-		}
-		builder = sched.NewProbabilistic(pc)
-	case experiments.Coupling:
-		builder = sched.NewCoupling(sched.DefaultCouplingConfig())
-	case experiments.Fair:
-		builder = sched.NewFairDelay(sched.DefaultFairDelayConfig())
-	default:
-		return nil, fmt.Errorf("mapsched: unknown scheduler kind %v", kind)
+	builder, err := experiments.Builder(kind, o.placementConfig())
+	if err != nil {
+		return nil, fmt.Errorf("mapsched: %w", err)
 	}
 	eng, err := engine.New(cfg, specs, builder)
 	if err != nil {

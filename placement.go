@@ -102,17 +102,11 @@ func buildPlacementParts(cfg ClusterConfig, defs []JobDef, o options) (*placemen
 	for _, ob := range o.observers {
 		stream.Attach(ob)
 	}
-	pc := placement.DefaultConfig()
-	pc.Pmin = o.pmin
-	pc.Deterministic = o.deterministic
-	if o.estimator != nil {
-		pc.Estimator = o.estimator
-	}
 	return &placementParts{
 		deps: placement.Deps{
 			Net: topo, Store: store, Rate: topo, Slots: slots, Mode: cfg.CostMode,
 		},
-		pc:     pc,
+		pc:     o.placementConfig(),
 		sched:  root.Fork("sched"),
 		jobs:   root.Fork("jobs"),
 		stream: stream,
@@ -291,11 +285,12 @@ func (p *PlacementService) Commit(d PlacementDecision) error {
 		}
 		return nil
 	}
+	// The service has no clock: task times stay zero.
 	fn := func() {
 		if m != nil {
-			m.State, m.Node = job.TaskRunning, n
+			m.Run(n, 0)
 		} else {
-			r.State, r.Node = job.TaskRunning, n
+			r.Run(n, 0)
 		}
 	}
 	return p.svc.ApplySlotAcquireNoted(slotKindOf(m), n, taskNote(d), pre, fn)
@@ -305,7 +300,7 @@ func (p *PlacementService) Commit(d PlacementDecision) error {
 // released, as one journaled delta. Completing a task that is not
 // running is rejected with no state change.
 func (p *PlacementService) Complete(d PlacementDecision) error {
-	j, m, r, err := p.task(d)
+	_, m, r, err := p.task(d)
 	if err != nil {
 		return err
 	}
@@ -321,11 +316,9 @@ func (p *PlacementService) Complete(d PlacementDecision) error {
 	}
 	fn := func() {
 		if m != nil {
-			m.State, m.Progress = job.TaskDone, 1
-			j.DoneMaps++
+			m.Complete(0)
 		} else {
-			r.State = job.TaskDone
-			j.DoneReds++
+			r.Complete(0)
 		}
 	}
 	return p.svc.ApplySlotReleaseNoted(slotKindOf(m), n, taskNote(d), pre, fn)
@@ -464,21 +457,16 @@ func RecoverPlacementService(cfg ClusterConfig, defs []JobDef, checkpoint, journ
 		default:
 			return nil, nil, fmt.Errorf("mapsched: seq %d: note names unknown %s task %d of %q", note.Seq, note.Kind, idx, name)
 		}
-		switch note.Op {
-		case placement.OpAcquire:
-			if m != nil {
-				m.State, m.Node = job.TaskRunning, topology.NodeID(note.Node)
-			} else {
-				r.State, r.Node = job.TaskRunning, topology.NodeID(note.Node)
-			}
-		case placement.OpRelease:
-			if m != nil {
-				m.State, m.Progress = job.TaskDone, 1
-				j.DoneMaps++
-			} else {
-				r.State = job.TaskDone
-				j.DoneReds++
-			}
+		n := topology.NodeID(note.Node)
+		switch {
+		case note.Op == placement.OpAcquire && m != nil:
+			m.Run(n, 0)
+		case note.Op == placement.OpAcquire:
+			r.Run(n, 0)
+		case note.Op == placement.OpRelease && m != nil:
+			m.Complete(0)
+		case note.Op == placement.OpRelease:
+			r.Complete(0)
 		}
 	}
 	if o.journal != nil {
@@ -530,18 +518,12 @@ func Replay(cfg ClusterConfig, defs []JobDef, events []Event, opts ...Option) (*
 	if err != nil {
 		return nil, err
 	}
-	pc := placement.DefaultConfig()
-	pc.Pmin = o.pmin
-	pc.Deterministic = o.deterministic
-	if o.estimator != nil {
-		pc.Estimator = o.estimator
-	}
 	return placement.Replay(placement.ReplayConfig{
 		Topology:           cfg.Topology,
 		MapSlotsPerNode:    cfg.MapSlotsPerNode,
 		ReduceSlotsPerNode: cfg.ReduceSlotsPerNode,
 		Seed:               o.seed,
 		Specs:              specs,
-		Sched:              pc,
+		Sched:              o.placementConfig(),
 	}, events)
 }
