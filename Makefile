@@ -54,10 +54,11 @@ race:
 
 # Short native-fuzz smoke over every parser/decoder fuzz target in the
 # tree: seeds plus a few seconds of mutation each, so a crash in the
-# journal decoder or the fault-plan DSL parser surfaces in CI without a
-# dedicated long-running fuzz job.
+# journal or checkpoint decoder or the fault-plan DSL parser surfaces
+# in CI without a dedicated long-running fuzz job.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeJournal' -fuzztime 5s ./internal/placement
+	$(GO) test -run '^$$' -fuzz 'FuzzRecoverCheckpoint' -fuzztime 5s ./internal/placement
 	$(GO) test -run '^$$' -fuzz 'FuzzParsePlan' -fuzztime 5s ./internal/faults
 	$(GO) test -run '^$$' -fuzz 'FuzzCDF' -fuzztime 5s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz 'FuzzHistogramQuantile' -fuzztime 5s ./internal/metrics

@@ -38,8 +38,8 @@
 //     extend into the goroutine body, which is walked lock-free);
 //   - guarded reference-typed fields returned while the guard is held
 //     — the interior pointer outlives the deferred unlock, handing
-//     callers unsynchronized state (the Service.Slots()/Store()
-//     escape hatches this PR audits);
+//     callers unsynchronized state (a deliberate escape hatch needs a
+//     //lint:allow lockheld line saying why);
 //   - the PR 7 close-out bug class: `defer f(..., &v)` paired with
 //     `return v` from a function with unnamed results — the deferred
 //     write lands after the result is copied and never reaches the

@@ -50,11 +50,10 @@ const (
 	ReplicaLoss     Type = "replica_loss"     // HDFS replicas removed from a node
 	JobFail         Type = "job_fail"         // a job terminated unsuccessfully
 
-	// Placement-service crash-safety events (internal/placement:
-	// journal, recovery, invariant auditor; DESIGN.md §16).
-	AuditPass      Type = "audit_pass"      // invariant audit found zero drift
-	AuditDrift     Type = "audit_drift"     // invariant audit detected state drift (Reason lists it)
-	JournalRecover Type = "journal_recover" // a service was rebuilt from checkpoint+journal
+	// Placement-service invariant auditor events (internal/placement;
+	// DESIGN.md §16).
+	AuditPass  Type = "audit_pass"  // invariant audit found zero drift
+	AuditDrift Type = "audit_drift" // invariant audit detected state drift (Reason lists it)
 
 	// Open-system workload events (engine.Config.Open; DESIGN.md §18).
 	// Reason carries the tenant name on job_arrival/job_admit.

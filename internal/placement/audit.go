@@ -131,7 +131,7 @@ func (s *Service) Audit() AuditReport {
 	// 6. Link factors finite and non-negative.
 	r.Checks++
 	for i, f := range s.linkFactors {
-		if math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
+		if badLinkFactor(f) {
 			drift("node %d: link factor %v", i, f)
 		}
 	}

@@ -2,8 +2,8 @@
 // every delta applied through the Service, plus full-state checkpoints.
 // Together they make the service crash-safe: Recover rebuilds a Service
 // whose epoch, availability snapshots and subsequent decision stream
-// are bit-identical to the uninterrupted run (see recover.go and the
-// kill/restart chaos harness in chaos.go).
+// are bit-identical to the uninterrupted run (see recover.go; the
+// façade's kill/restart chaos test drives the whole path).
 //
 // Wire format. One record per line, each line a small envelope:
 //
@@ -91,7 +91,8 @@ type LinkState struct {
 // Checkpoint is a full-state snapshot of a Service: everything needed
 // to rebuild its scheduler-visible state over the same base deps. The
 // replica slices preserve exact order — Nearest breaks distance ties by
-// slice order, so order is decision-relevant.
+// slice order, so order is decision-relevant. Note is the client's
+// opaque state at the same cut, surfaced by Recover.
 type Checkpoint struct {
 	V          int         `json:"v"`
 	Epoch      uint64      `json:"epoch"`
@@ -102,6 +103,7 @@ type Checkpoint struct {
 	Blacklist  []int       `json:"blacklist,omitempty"`
 	Links      []LinkState `json:"links,omitempty"`
 	Replicas   [][]int     `json:"replicas"`
+	Note       string      `json:"note,omitempty"`
 }
 
 // envelope is the CRC wrapper around every journal/checkpoint line.
@@ -306,15 +308,21 @@ func tailError(sc *bufio.Scanner, detail error) error {
 }
 
 // WriteCheckpoint writes a full-state snapshot of the service as a
-// single CRC-protected line. A checkpoint plus the journal suffix past
-// its epoch is a complete recovery input; callers typically checkpoint
-// periodically and rotate the journal at the same cut.
-func (s *Service) WriteCheckpoint(w io.Writer) error {
+// single CRC-protected line. note, if non-nil, runs under the read lock
+// — where no noted delta's client hook can interleave — and its result
+// rides in the same line, so client state and service state share one
+// cut. A checkpoint plus the journal suffix past its epoch is a
+// complete recovery input; callers typically checkpoint periodically
+// and rotate the journal at the same cut.
+func (s *Service) WriteCheckpoint(w io.Writer, note func() string) error {
 	s.mu.RLock()
 	cp := Checkpoint{
 		V:     recordVersion,
 		Epoch: s.epoch,
 		Nodes: s.slots.Size(),
+	}
+	if note != nil {
+		cp.Note = note()
 	}
 	cp.UsedMap = make([]int, cp.Nodes)
 	cp.UsedReduce = make([]int, cp.Nodes)

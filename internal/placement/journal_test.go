@@ -3,6 +3,9 @@ package placement
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"strings"
 	"testing"
 
 	"mapsched/internal/cluster"
@@ -67,7 +70,7 @@ func recoveryDeps(t testing.TB) Deps {
 func fingerprint(t testing.TB, s *Service) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.WriteCheckpoint(&buf); err != nil {
+	if err := s.WriteCheckpoint(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -165,7 +168,7 @@ func TestRecoverFromCheckpointAndJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cp bytes.Buffer
-	if err := f.svc.WriteCheckpoint(&cp); err != nil {
+	if err := f.svc.WriteCheckpoint(&cp, func() string { return "client-state" }); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.svc.ApplyLinkFactor(3, 0.25); err != nil {
@@ -185,11 +188,13 @@ func TestRecoverFromCheckpointAndJournal(t *testing.T) {
 	if rec.CheckpointEpoch != 3 || rec.Skipped != 3 || rec.Applied != 3 {
 		t.Fatalf("cpEpoch=%d skipped=%d applied=%d, want 3/3/3", rec.CheckpointEpoch, rec.Skipped, rec.Applied)
 	}
-	// Notes surface for the whole journal, checkpoint-covered records
-	// included: the checkpoint restores service state only, so clients
-	// rebuild theirs from the full note stream.
-	if len(rec.Notes) != 2 || rec.Notes[0].Note != `"job-a" 3` || rec.Notes[1].Note != "post-cp" {
-		t.Fatalf("surfaced notes %+v, want the in-checkpoint and post-checkpoint notes in order", rec.Notes)
+	// The checkpoint carries the client state at its cut, so only the
+	// notes past it surface.
+	if rec.CheckpointNote != "client-state" {
+		t.Fatalf("checkpoint note %q, want %q", rec.CheckpointNote, "client-state")
+	}
+	if len(rec.Notes) != 1 || rec.Notes[0].Note != "post-cp" {
+		t.Fatalf("surfaced notes %+v, want only the post-checkpoint note", rec.Notes)
 	}
 	if !bytes.Equal(fingerprint(t, rec.Service), fingerprint(t, f.svc)) {
 		t.Fatal("recovered state fingerprint diverges from the original")
@@ -211,7 +216,7 @@ func TestJournalDamage(t *testing.T) {
 	}
 	n := journalScript(t, f, b1)
 	clean := buf.Bytes()
-	lines := journalLines(clean)
+	lines := bytes.Split(bytes.TrimSuffix(clean, []byte("\n")), []byte("\n"))
 	if len(lines) != n+1 { // begin marker + one line per delta
 		t.Fatalf("journal has %d lines, want %d", len(lines), n+1)
 	}
@@ -238,12 +243,12 @@ func TestJournalDamage(t *testing.T) {
 			dup := append([][]byte{}, lines[:4]...)
 			dup = append(dup, lines[3])
 			dup = append(dup, lines[4:]...)
-			return joinLines(dup)
+			return append(bytes.Join(dup, []byte("\n")), '\n')
 		}, ErrCorruptRecord, 3},
 		{"reordered_records", func() []byte {
 			swapped := append([][]byte{}, lines...)
 			swapped[2], swapped[3] = swapped[3], swapped[2]
-			return joinLines(swapped)
+			return append(bytes.Join(swapped, []byte("\n")), '\n')
 		}, ErrCorruptRecord, 1},
 		{"garbage", func() []byte {
 			return []byte("not a journal\nstill not\n")
@@ -372,7 +377,7 @@ func TestRecoverRejectsBadCheckpoints(t *testing.T) {
 	// A checkpoint from a bigger cluster contradicts the deps.
 	big := newFixtureSized(t, 4) // 4 racks => 16 nodes
 	var cp bytes.Buffer
-	if err := big.svc.WriteCheckpoint(&cp); err != nil {
+	if err := big.svc.WriteCheckpoint(&cp, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Recover(recoveryDeps(t), bytes.NewReader(cp.Bytes()), nil); !errors.Is(err, ErrBadCheckpoint) {
@@ -394,6 +399,69 @@ func TestRecoverRejectsBadCheckpoints(t *testing.T) {
 	if _, err := Recover(recoveryDeps(t), nil, bytes.NewReader(journal.Bytes())); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("gapped journal: %v, want ErrBadCheckpoint", err)
 	}
+}
+
+// sealedCheckpoint seals checkpoint JSON with a valid CRC, so a test
+// reaches restoreCheckpoint with contents WriteCheckpoint never writes.
+func sealedCheckpoint(body []byte) []byte {
+	return fmt.Appendf(nil, `{"crc":"%08x","rec":%s}`+"\n", crc32.ChecksumIEEE(body), body)
+}
+
+// badLinkCheckpoint is a CRC-valid checkpoint of the journalFixture
+// cluster whose one link factor no delta may set.
+const badLinkCheckpoint = `{"v":1,"epoch":4,"nodes":8,"used_map":[0,0,0,0,0,0,0,0],` +
+	`"used_reduce":[0,0,0,0,0,0,0,0],"links":[{"node":3,"factor":-2}],"replicas":[[0],[7]]}`
+
+// TestRecoverRejectsBadLinkFactor holds checkpoint restore to the
+// delta path's link rule: a factor ApplyLinkFactor rejects with
+// ErrBadLinkFactor fails the restore with ErrBadCheckpoint.
+func TestRecoverRejectsBadLinkFactor(t *testing.T) {
+	f, _, _ := journalFixture(t)
+	if err := f.svc.ApplyLinkFactor(3, -2); !errors.Is(err, ErrBadLinkFactor) {
+		t.Fatalf("ApplyLinkFactor(-2) = %v, want ErrBadLinkFactor", err)
+	}
+	ok := strings.Replace(badLinkCheckpoint, "-2", "0.5", 1)
+	if _, err := Recover(recoveryDeps(t), bytes.NewReader(sealedCheckpoint([]byte(ok))), nil); err != nil {
+		t.Fatalf("valid checkpoint: %v", err)
+	}
+	_, err := Recover(recoveryDeps(t), bytes.NewReader(sealedCheckpoint([]byte(badLinkCheckpoint))), nil)
+	if !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("negative link factor restored: %v, want ErrBadCheckpoint", err)
+	}
+}
+
+// FuzzRecoverCheckpoint feeds arbitrary checkpoint JSON, sealed with a
+// valid CRC so it reaches restoreCheckpoint: Recover must never panic,
+// and either fail with ErrBadCheckpoint or return a service that
+// audits clean.
+func FuzzRecoverCheckpoint(fz *testing.F) {
+	f, b1, _ := journalFixture(fz)
+	journalScript(fz, f, b1)
+	var cp bytes.Buffer
+	if err := f.svc.WriteCheckpoint(&cp, func() string { return "client-state" }); err != nil {
+		fz.Fatal(err)
+	}
+	body, err := openLine(bytes.TrimSpace(cp.Bytes()))
+	if err != nil {
+		fz.Fatal(err)
+	}
+	fz.Add([]byte(body))
+	fz.Add([]byte(badLinkCheckpoint))
+	fz.Add([]byte(`{"v":1,"nodes":8}`))
+	fz.Add([]byte("{}"))
+
+	fz.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := Recover(recoveryDeps(t), bytes.NewReader(sealedCheckpoint(data)), nil)
+		if err != nil {
+			if !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("Recover failed with %v, want ErrBadCheckpoint", err)
+			}
+			return
+		}
+		if a := rec.Service.Audit(); !a.Clean() {
+			t.Fatalf("restored checkpoint audits dirty: %s", a)
+		}
+	})
 }
 
 // newFixtureSized builds a fixture with the given rack count (the

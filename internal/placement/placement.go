@@ -176,24 +176,6 @@ func (s *Service) Epoch() uint64 {
 // Mode returns the distance interpretation the service was built with.
 func (s *Service) Mode() core.Mode { return s.mode }
 
-// Slots exposes the underlying slot state for embedded (single-
-// threaded) clients; standalone concurrent clients must use the Apply*
-// deltas instead. Audited escape hatch: the returned pointer leaves
-// the lock scope by design — the embedded engine owns the whole
-// process single-threaded, and the concurrent stress tests never touch
-// it. Concurrent mutation through it would corrupt the epoch/snapshot
-// bookkeeping the auditor checks.
-//
-//lint:allow lockheld audited escape hatch for single-threaded embedded clients (see doc)
-func (s *Service) Slots() *cluster.State { return s.slots }
-
-// Store exposes the underlying block store for embedded (single-
-// threaded) clients only; the same audited-escape-hatch caveats as
-// Slots apply.
-//
-//lint:allow lockheld audited escape hatch for single-threaded embedded clients (see doc)
-func (s *Service) Store() *hdfs.Store { return s.store }
-
 // View is a consistent read of the service's availability state. Views
 // are handed to concurrent readers by value, and the Avail node/count
 // slices alias the published snapshots — once built, a View is never
@@ -474,7 +456,7 @@ func (s *Service) ApplyLinkFactor(n topology.NodeID, factor float64) error {
 	if !ok {
 		return fmt.Errorf("%w: network %T does not support link rescaling", ErrUnknownLink, s.net)
 	}
-	if math.IsNaN(factor) || math.IsInf(factor, 0) || factor < 0 {
+	if badLinkFactor(factor) {
 		return fmt.Errorf("%w: %v", ErrBadLinkFactor, factor)
 	}
 	if err := s.journalLocked(Record{Op: OpLinkFactor, Node: int(n), F: factor}); err != nil {
@@ -490,4 +472,10 @@ func (s *Service) ApplyLinkFactor(n topology.NodeID, factor float64) error {
 	s.linkFactors[n] = factor
 	s.appliedLocked()
 	return nil
+}
+
+// badLinkFactor reports a link factor no delta or checkpoint may set:
+// non-finite or negative.
+func badLinkFactor(f float64) bool {
+	return math.IsNaN(f) || math.IsInf(f, 0) || f < 0
 }

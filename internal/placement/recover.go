@@ -1,8 +1,8 @@
 // Recovery: rebuild a crashed Service from its checkpoint and delta
 // journal. The recovered service's epoch, availability snapshots and
 // subsequent decision stream are bit-identical to the uninterrupted
-// run — proven by the kill/restart chaos harness (chaos.go) and the
-// recover tests.
+// run — proven by the recover tests here and the façade's kill/restart
+// chaos test in the root package.
 package placement
 
 import (
@@ -34,9 +34,10 @@ type Note struct {
 type Recovery struct {
 	// Service is the recovered service, epoch-identical to the crashed
 	// one at its last journaled delta. No journal is attached; call
-	// StartJournal to resume journaling (typically appending to the same
-	// file — the fresh begin marker logically truncates any damaged
-	// tail).
+	// StartJournal to resume journaling, either into a fresh journal
+	// beside a fresh checkpoint or appending to the same file after
+	// truncating it to JournalValidBytes (a begin marker appended after
+	// a torn tail joins the torn line, and the next decode stops there).
 	Service *Service
 	// Epoch is the recovered delta epoch.
 	Epoch uint64
@@ -46,12 +47,12 @@ type Recovery struct {
 	// Applied and Skipped count journal records re-applied and records
 	// at or below the checkpoint epoch (already inside the checkpoint).
 	Applied, Skipped int
-	// Notes are the client annotations of every valid journal record in
-	// order — including records the checkpoint already covers: the
-	// checkpoint restores only service state, so clients replay the full
-	// note stream (or persist their own state separately) to rebuild
-	// theirs.
-	Notes []Note
+	// CheckpointNote is the client state the checkpoint carried (see
+	// WriteCheckpoint); Notes are the client annotations of the journal
+	// records past the checkpoint epoch, in order. A client restores
+	// CheckpointNote, then replays Notes.
+	CheckpointNote string
+	Notes          []Note
 	// Tail is nil when the journal decoded cleanly; otherwise it wraps
 	// ErrTruncatedTail or ErrCorruptRecord and the service state is
 	// recovered up to the last valid record before the damage.
@@ -92,6 +93,7 @@ func Recover(d Deps, checkpoint, journal io.Reader) (*Recovery, error) {
 			return nil, err
 		}
 		rec.CheckpointEpoch = cp.Epoch
+		rec.CheckpointNote = cp.Note
 	}
 	rec.Epoch = svc.Epoch()
 
@@ -104,12 +106,12 @@ func Recover(d Deps, checkpoint, journal io.Reader) (*Recovery, error) {
 		rec.JournalValidBytes = dec.ValidBytes
 		for i := range dec.Records {
 			r := &dec.Records[i]
-			if r.Note != "" {
-				rec.Notes = append(rec.Notes, Note{Seq: r.Seq, Op: r.Op, Kind: r.Kind, Node: r.Node, Note: r.Note})
-			}
 			if r.Seq <= rec.CheckpointEpoch {
 				rec.Skipped++
 				continue
+			}
+			if r.Note != "" {
+				rec.Notes = append(rec.Notes, Note{Seq: r.Seq, Op: r.Op, Kind: r.Kind, Node: r.Node, Note: r.Note})
 			}
 			if r.Seq != svc.Epoch()+1 {
 				return nil, fmt.Errorf("%w: journal resumes at seq %d, state at epoch %d",
@@ -176,16 +178,16 @@ func (s *Service) restoreCheckpoint(cp *Checkpoint) error {
 			if l.Node < 0 || l.Node >= cp.Nodes {
 				return fmt.Errorf("%w: link node %d out of range", ErrBadCheckpoint, l.Node)
 			}
+			if badLinkFactor(l.Factor) {
+				return fmt.Errorf("%w: link node %d: factor %v", ErrBadCheckpoint, l.Node, l.Factor)
+			}
 			ls.SetHostLinkFactor(topology.NodeID(l.Node), l.Factor)
 			s.linkFactors[l.Node] = l.Factor
 		}
 	}
-	// The base store may hold more blocks than the checkpoint captured:
-	// the client recreates later blocks itself while replaying its own
-	// event prefix, and every post-checkpoint replica delta is in the
-	// journal. More checkpointed blocks than the store holds is a
-	// contradiction.
-	if len(cp.Replicas) > s.store.NumBlocks() {
+	// The base deps hold every block (clients create them before a
+	// checkpoint can exist), so any other count is a contradiction.
+	if len(cp.Replicas) != s.store.NumBlocks() {
 		return fmt.Errorf("%w: checkpoint has %d blocks, store %d", ErrBadCheckpoint, len(cp.Replicas), s.store.NumBlocks())
 	}
 	nodes := make([]topology.NodeID, 0, 8)

@@ -3,6 +3,7 @@ package mapsched
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"mapsched/internal/cluster"
 	"mapsched/internal/hdfs"
@@ -324,38 +325,21 @@ func (p *PlacementService) Complete(d PlacementDecision) error {
 	return p.svc.ApplySlotReleaseNoted(slotKindOf(m), n, taskNote(d), pre, fn)
 }
 
-// checkNode bounds-checks a public node index.
-func (p *PlacementService) checkNode(node int) error {
-	if node < 0 || node >= p.svc.Slots().Size() {
-		return fmt.Errorf("mapsched: node %d out of range", node)
-	}
-	return nil
-}
-
 // SetNodeOffline marks a node dead (offline=true) or revived: an
 // offline node offers no slots and drops out of every candidate set.
 func (p *PlacementService) SetNodeOffline(node int, offline bool) error {
-	if err := p.checkNode(node); err != nil {
-		return err
-	}
 	return p.svc.ApplyNodeOffline(topology.NodeID(node), offline)
 }
 
 // SetNodeBlacklisted marks a node as taking no new tasks (running ones
 // keep their slots), or clears the mark.
 func (p *PlacementService) SetNodeBlacklisted(node int, blacklisted bool) error {
-	if err := p.checkNode(node); err != nil {
-		return err
-	}
 	return p.svc.ApplyNodeBlacklist(topology.NodeID(node), blacklisted)
 }
 
 // SetLinkFactor rescales a node's host access link capacity (1 restores
 // nominal); network-condition costs see the change immediately.
 func (p *PlacementService) SetLinkFactor(node int, factor float64) error {
-	if err := p.checkNode(node); err != nil {
-		return err
-	}
 	if factor <= 0 {
 		return fmt.Errorf("mapsched: link factor %v must be positive", factor)
 	}
@@ -366,20 +350,59 @@ func (p *PlacementService) SetLinkFactor(node int, factor float64) error {
 // with its disks) and returns how many were lost. Map costs reroute to
 // the surviving replicas on the next decision.
 func (p *PlacementService) LoseNodeReplicas(node int) (int, error) {
-	if err := p.checkNode(node); err != nil {
-		return 0, err
-	}
 	return p.svc.ApplyNodeReplicaLoss(topology.NodeID(node))
 }
 
 // WriteCheckpoint writes a CRC-protected full-state snapshot of the
 // service (slot usage, node health, link factors, replica sets, delta
-// epoch) as one line to w. A checkpoint plus the journal records past
-// its epoch is a complete RecoverPlacementService input; callers
-// typically checkpoint periodically and rotate the journal at the same
-// cut.
+// epoch, and every running and done task) as one line to w. A
+// checkpoint plus the journal records past its epoch is a complete
+// RecoverPlacementService input; callers typically checkpoint
+// periodically and rotate the journal at the same cut.
 func (p *PlacementService) WriteCheckpoint(w io.Writer) error {
-	return p.svc.WriteCheckpoint(w)
+	return p.svc.WriteCheckpoint(w, p.taskStates)
+}
+
+// taskStates lists every running and done task, one `kind node "job"
+// index state` line each: the client half of a checkpoint, which
+// RecoverPlacementService restores before replaying journal notes.
+func (p *PlacementService) taskStates() string {
+	var b strings.Builder
+	for _, j := range p.jobs {
+		for _, m := range j.Maps {
+			if m.State != job.TaskPending {
+				fmt.Fprintf(&b, "map %d %q %d %s\n", m.Node, j.Spec.Name, m.Index, m.State)
+			}
+		}
+		for _, r := range j.Reduces {
+			if r.State != job.TaskPending {
+				fmt.Fprintf(&b, "reduce %d %q %d %s\n", r.Node, j.Spec.Name, r.Index, r.State)
+			}
+		}
+	}
+	return b.String()
+}
+
+// restoreTask replays one recorded task transition during recovery:
+// the task runs on node, and is done too when done is set.
+func (p *PlacementService) restoreTask(kind string, node int, name string, idx int, done bool) error {
+	_, m, r, err := p.task(PlacementDecision{Assigned: true, Kind: kind, Node: node, Job: name, Task: idx})
+	if err != nil {
+		return err
+	}
+	n := topology.NodeID(node)
+	if m != nil {
+		m.Run(n, 0)
+		if done {
+			m.Complete(0)
+		}
+	} else {
+		r.Run(n, 0)
+		if done {
+			r.Complete(0)
+		}
+	}
+	return nil
 }
 
 // PlacementRecovery reports how a RecoverPlacementService call rebuilt
@@ -395,17 +418,26 @@ type PlacementRecovery struct {
 	// error (a truncated tail is the normal crash shape) and the state
 	// recovered to the last valid record.
 	Tail error
+	// ValidBytes is the byte length of the journal's valid line prefix:
+	// truncate the journal to it before appending.
+	ValidBytes int64
 }
 
 // RecoverPlacementService rebuilds a crashed placement service from the
 // checkpoint and/or delta journal it wrote, given the same cfg, defs
 // and options the original was built with (the deterministic base the
 // durable state applies over). Task and job progress is restored from
-// the journaled Commit/Complete annotations. Either reader may be nil.
+// the checkpoint's task list and the journaled Commit/Complete
+// annotations past it. Either reader may be nil.
 //
-// Pass WithJournal to resume journaling — appending to the original
-// journal file is safe: the fresh begin marker logically truncates any
-// damaged tail.
+// Pass WithJournal to resume journaling: the recovered service writes a
+// begin marker and every later delta to it. Either point it at a fresh
+// journal and write a fresh checkpoint, or append to the original
+// journal truncated to ValidBytes — the new records must follow the
+// last valid line, because a record appended after a torn tail joins
+// the torn line and the next recovery stops there. A journal that
+// added nothing past the checkpoint (Applied is 0) may end behind
+// Epoch; rotate it instead of appending.
 //
 // The recovered service's cluster state and decision inputs are
 // bit-identical to the crashed one's. The decision session itself
@@ -433,40 +465,34 @@ func RecoverPlacementService(cfg ClusterConfig, defs []JobDef, checkpoint, journ
 		return nil, nil, err
 	}
 	p := parts.wire(rec.Service, cfg.Slowstart, jobs, byName)
-	// Replay the client half of the journaled deltas: the notes written
-	// by Commit (acquire) and Complete (release) rebuild task states and
-	// job progress in order. The slot half was already re-applied by
-	// Recover.
+	// Rebuild the client half: the checkpoint's task list, then the
+	// notes written by Commit (acquire) and Complete (release) past it,
+	// in order. The slot half was already restored by Recover.
+	for _, line := range strings.Split(strings.TrimSuffix(rec.CheckpointNote, "\n"), "\n") {
+		if line == "" {
+			continue
+		}
+		var kind, name, state string
+		var node, idx int
+		if _, err := fmt.Sscanf(line, "%s %d %q %d %s", &kind, &node, &name, &idx, &state); err != nil {
+			return nil, nil, fmt.Errorf("mapsched: checkpoint: bad task line %q: %v", line, err)
+		}
+		done := state == job.TaskDone.String()
+		if !done && state != job.TaskRunning.String() {
+			return nil, nil, fmt.Errorf("mapsched: checkpoint: task line %q: state %q", line, state)
+		}
+		if err := p.restoreTask(kind, node, name, idx, done); err != nil {
+			return nil, nil, fmt.Errorf("mapsched: checkpoint: %w", err)
+		}
+	}
 	for _, note := range rec.Notes {
 		var name string
 		var idx int
 		if _, err := fmt.Sscanf(note.Note, "%q %d", &name, &idx); err != nil {
 			return nil, nil, fmt.Errorf("mapsched: seq %d: bad task note %q: %v", note.Seq, note.Note, err)
 		}
-		j := p.byName[name]
-		if j == nil {
-			return nil, nil, fmt.Errorf("mapsched: seq %d: note names unknown job %q", note.Seq, name)
-		}
-		var m *job.MapTask
-		var r *job.ReduceTask
-		switch {
-		case note.Kind != "reduce" && idx >= 0 && idx < len(j.Maps):
-			m = j.Maps[idx]
-		case note.Kind == "reduce" && idx >= 0 && idx < len(j.Reduces):
-			r = j.Reduces[idx]
-		default:
-			return nil, nil, fmt.Errorf("mapsched: seq %d: note names unknown %s task %d of %q", note.Seq, note.Kind, idx, name)
-		}
-		n := topology.NodeID(note.Node)
-		switch {
-		case note.Op == placement.OpAcquire && m != nil:
-			m.Run(n, 0)
-		case note.Op == placement.OpAcquire:
-			r.Run(n, 0)
-		case note.Op == placement.OpRelease && m != nil:
-			m.Complete(0)
-		case note.Op == placement.OpRelease:
-			r.Complete(0)
+		if err := p.restoreTask(note.Kind, note.Node, name, idx, note.Op == placement.OpRelease); err != nil {
+			return nil, nil, fmt.Errorf("mapsched: seq %d: %w", note.Seq, err)
 		}
 	}
 	if o.journal != nil {
@@ -480,6 +506,7 @@ func RecoverPlacementService(cfg ClusterConfig, defs []JobDef, checkpoint, journ
 		Applied:         rec.Applied,
 		Skipped:         rec.Skipped,
 		Tail:            rec.Tail,
+		ValidBytes:      rec.JournalValidBytes,
 	}, nil
 }
 

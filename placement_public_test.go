@@ -96,27 +96,12 @@ func TestReplayPublicRoundTrip(t *testing.T) {
 // under WithDeterministic its subsequent decision stream is
 // bit-identical to the uninterrupted original's.
 func TestPlacementServiceCrashRecovery(t *testing.T) {
-	cfg := mapsched.DefaultClusterConfig()
-	cfg.Topology.Racks = 2
-	cfg.Topology.NodesPerRack = 4
-	defs := mapsched.Batch(mapsched.Wordcount)[:2]
-	opts := []mapsched.Option{mapsched.WithSeed(3), mapsched.WithScale(40), mapsched.WithDeterministic()}
-
 	var journal bytes.Buffer
-	svc, err := mapsched.NewPlacementService(cfg, defs, append(opts, mapsched.WithJournal(&journal))...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, cfg, defs, opts := crashTestService(t, &journal)
 
 	// Live a little: two committed tasks (one completed), a dead node, a
 	// degraded link — every delta journaled.
-	d1 := svc.DecideMap(0, 0)
-	if !d1.Assigned {
-		t.Fatalf("first offer declined: %+v", d1)
-	}
-	if err := svc.Commit(d1); err != nil {
-		t.Fatal(err)
-	}
+	d1 := commitOn(t, svc, 0)
 	if err := svc.Complete(d1); err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +109,7 @@ func TestPlacementServiceCrashRecovery(t *testing.T) {
 	if err := svc.WriteCheckpoint(&checkpoint); err != nil {
 		t.Fatal(err)
 	}
-	d2 := svc.DecideMap(1, 1)
-	if !d2.Assigned {
-		t.Fatalf("second offer declined: %+v", d2)
-	}
-	if err := svc.Commit(d2); err != nil {
-		t.Fatal(err)
-	}
+	d2 := commitOn(t, svc, 1)
 	if err := svc.SetNodeOffline(5, true); err != nil {
 		t.Fatal(err)
 	}
@@ -183,5 +162,100 @@ func TestWithJournalRejectsNilWriter(t *testing.T) {
 		mapsched.WithJournal(nil))
 	if !errors.Is(err, mapsched.ErrInvalidOption) {
 		t.Fatalf("WithJournal(nil) = %v, want ErrInvalidOption", err)
+	}
+}
+
+// crashTestService builds a small journaled deterministic service for
+// the crash-recovery regressions below.
+func crashTestService(t *testing.T, journal *bytes.Buffer) (*mapsched.PlacementService, mapsched.ClusterConfig, []mapsched.JobDef, []mapsched.Option) {
+	t.Helper()
+	cfg := mapsched.DefaultClusterConfig()
+	cfg.Topology.Racks = 2
+	cfg.Topology.NodesPerRack = 4
+	defs := mapsched.Batch(mapsched.Wordcount)[:2]
+	opts := []mapsched.Option{mapsched.WithSeed(3), mapsched.WithScale(40), mapsched.WithDeterministic()}
+	svc, err := mapsched.NewPlacementService(cfg, defs, append(opts, mapsched.WithJournal(journal))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc, cfg, defs, opts
+}
+
+// commitOn decides and commits one map task on node.
+func commitOn(t *testing.T, svc *mapsched.PlacementService, node int) mapsched.PlacementDecision {
+	t.Helper()
+	d := svc.DecideMap(0, node)
+	if !d.Assigned {
+		t.Fatalf("offer on node %d declined: %+v", node, d)
+	}
+	if err := svc.Commit(d); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestRecoveredJournalAppendsAfterValidPrefix is the append-after-crash
+// protocol of RecoverPlacementService: a torn journal, cut to
+// ValidBytes and appended to by the recovered service, recovers again
+// to every delta. Left in place, the torn line swallows the next
+// record's begin marker and hides every later delta.
+func TestRecoveredJournalAppendsAfterValidPrefix(t *testing.T) {
+	var journal bytes.Buffer
+	svc, cfg, defs, opts := crashTestService(t, &journal)
+	for node := 0; node < 3; node++ {
+		commitOn(t, svc, node)
+	}
+	torn := journal.Bytes()[:journal.Len()-5] // crash mid-append of the third commit
+
+	var tail bytes.Buffer
+	rec, rcv, err := mapsched.RecoverPlacementService(cfg, defs, nil, bytes.NewReader(torn),
+		append(opts, mapsched.WithJournal(&tail))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rcv.Epoch != 2 || rcv.Tail == nil || rcv.ValidBytes <= 0 || rcv.ValidBytes >= int64(len(torn)) {
+		t.Fatalf("recovery %+v, want epoch 2 with a torn tail inside the journal", rcv)
+	}
+	commitOn(t, rec, 3)
+
+	resumed := append(append([]byte(nil), torn[:rcv.ValidBytes]...), tail.Bytes()...)
+	again, rcv2, err := mapsched.RecoverPlacementService(cfg, defs, nil, bytes.NewReader(resumed), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rcv2.Tail != nil || rcv2.Epoch != rec.Epoch() || again.Epoch() != rec.Epoch() {
+		t.Fatalf("recovered epoch %d (tail %v), service reached %d", rcv2.Epoch, rcv2.Tail, rec.Epoch())
+	}
+}
+
+// TestCheckpointCarriesTaskState rotates the journal at a checkpoint
+// cut: a task committed before the cut must still be running after a
+// recovery from the checkpoint plus the rotated journal — completable,
+// and not committable a second time.
+func TestCheckpointCarriesTaskState(t *testing.T) {
+	var journal bytes.Buffer
+	svc, cfg, defs, opts := crashTestService(t, &journal)
+	d1 := commitOn(t, svc, 0)
+	var checkpoint bytes.Buffer
+	if err := svc.WriteCheckpoint(&checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	cut := journal.Len() // rotate: later records go to a fresh journal file
+	commitOn(t, svc, 1)
+	rotated := journal.Bytes()[cut:]
+
+	rec, rcv, err := mapsched.RecoverPlacementService(cfg, defs,
+		bytes.NewReader(checkpoint.Bytes()), bytes.NewReader(rotated), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rcv.Epoch != 2 || rcv.CheckpointEpoch != 1 {
+		t.Fatalf("recovery %+v, want epoch 2 over a checkpoint at 1", rcv)
+	}
+	if err := rec.Commit(d1); err == nil {
+		t.Fatal("a task running at the checkpoint was committed a second time")
+	}
+	if err := rec.Complete(d1); err != nil {
+		t.Fatalf("completing a task running at the checkpoint: %v", err)
 	}
 }
