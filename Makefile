@@ -52,10 +52,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short native-fuzz smoke over every parser/decoder fuzz target in the
-# tree: seeds plus a few seconds of mutation each, so a crash in the
-# journal or checkpoint decoder or the fault-plan DSL parser surfaces
-# in CI without a dedicated long-running fuzz job.
+# Short native-fuzz smoke over every fuzz target in the tree: seeds plus
+# a few seconds of mutation each, so a crash in the journal or checkpoint
+# decoder or the fault-plan DSL parser, or a whole simulation run that
+# leaks slots, flows or shuffle bytes, surfaces in CI without a dedicated
+# long-running fuzz job.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeJournal' -fuzztime 5s ./internal/placement
 	$(GO) test -run '^$$' -fuzz 'FuzzRecoverCheckpoint' -fuzztime 5s ./internal/placement
@@ -63,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCDF' -fuzztime 5s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz 'FuzzHistogramQuantile' -fuzztime 5s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz 'FuzzAssignProb' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzSimulation' -fuzztime 5s ./internal/engine
 
 bench:
 	bash cmd/mrbench/run.sh
