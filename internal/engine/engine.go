@@ -14,6 +14,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 
 	"mapsched/internal/cluster"
 	"mapsched/internal/core"
@@ -177,32 +178,84 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// mapAttempt is one execution attempt of a map task (there can be two
-// when speculation fires). Attempts are pooled (see pool.go): the bound
-// callbacks persist across lives, everything else is per-life state.
-type mapAttempt struct {
-	m            *job.MapTask
-	run          *mapRun
+// kind tells map tasks from reduce tasks where the task lifecycle is
+// shared; paired per-kind state is indexed by it.
+type kind int
+
+const (
+	mapKind kind = iota
+	reduceKind
+	numKinds
+)
+
+// String returns the kind as obs task references spell it.
+func (k kind) String() string {
+	if k == mapKind {
+		return "map"
+	}
+	return "reduce"
+}
+
+// taskRef names one task: its job, its kind and its index in the job's
+// task list of that kind.
+type taskRef struct {
+	j     *job.Job
+	kind  kind
+	index int
+}
+
+func mapRef(m *job.MapTask) taskRef       { return taskRef{m.Job, mapKind, m.Index} }
+func reduceRef(r *job.ReduceTask) taskRef { return taskRef{r.Job, reduceKind, r.Index} }
+
+func (t taskRef) mapTask() *job.MapTask       { return t.j.Maps[t.index] }
+func (t taskRef) reduceTask() *job.ReduceTask { return t.j.Reduces[t.index] }
+
+// before orders tasks by (job, index), the order in which the engine
+// walks running tasks so that map-iteration order cannot influence the
+// simulation.
+func (t taskRef) before(u taskRef) bool {
+	return t.j.ID < u.j.ID || (t.j.ID == u.j.ID && t.index < u.index)
+}
+
+// attempt is one execution attempt of a map or reduce task; a task has
+// two when speculation fires. A map attempt streams its input from a
+// replica while it computes. A reduce attempt first shuffles every map's
+// output for its partition, then computes. Attempts are pooled per kind
+// (see pool.go): the bound callbacks and a reduce attempt's shuffle maps
+// persist across lives, everything else is per-life state.
+type attempt struct {
+	run          *taskRun
 	node         topology.NodeID
 	locality     job.Locality
 	launch       sim.Time
-	fetch        *topology.Flow
-	fetchSrc     topology.NodeID // replica the input streams from
-	fetchDone    bool
 	computeStart sim.Time
 	computeDur   float64
-	computeEv    *sim.Event
-	failEv       *sim.Event // scripted transient failure, if drawn
-	computeDone  bool
+	computeEv    *sim.Event // compute completion, or a reduce's scripted failure
 	dead         bool
 
-	fetchFn   func() //lint:pooled-keep bound once: input stream completion
+	// Map attempts: the input stream and the transient-failure timer.
+	fetch       *topology.Flow
+	fetchSrc    topology.NodeID // replica the input streams from
+	fetchDone   bool
+	computeDone bool
+	failEv      *sim.Event // scripted transient failure, if drawn
+
+	// Reduce attempts: the shuffle, then the compute phase.
+	pendingSrc map[topology.NodeID]*srcBucket
+	queue      []topology.NodeID // FIFO of sources with pending bytes
+	flights    map[*topology.Flow]*flight
+	got        map[*job.MapTask]bool // output enqueued, fetched or in flight
+	shuffled   float64               // intermediate bytes received so far
+	computing  bool
+	failFrac   float64 // > 0: scripted transient failure at this compute fraction
+
+	fetchFn   func() //lint:pooled-keep bound once: input stream completion (maps)
 	computeFn func() //lint:pooled-keep bound once: compute phase completion
-	failFn    func() //lint:pooled-keep bound once: transient-failure timer
+	failFn    func() //lint:pooled-keep bound once: scripted transient failure
 }
 
-// progress returns the attempt's compute progress in [0, 1).
-func (a *mapAttempt) progress(now sim.Time) float64 {
+// progress returns a map attempt's compute progress in [0, 1).
+func (a *attempt) progress(now sim.Time) float64 {
 	if a.dead || a.computeDur <= 0 {
 		return 0
 	}
@@ -216,13 +269,14 @@ func (a *mapAttempt) progress(now sim.Time) float64 {
 	return p
 }
 
-// mapRun is the engine-side execution state of a running map task.
-type mapRun struct {
-	attempts []*mapAttempt
+// taskRun is the engine-side execution state of a running task.
+type taskRun struct {
+	task     taskRef
+	attempts []*attempt
 }
 
 // liveAttempts counts attempts that have not been killed.
-func (r *mapRun) liveAttempts() int {
+func (r *taskRun) liveAttempts() int {
 	n := 0
 	for _, a := range r.attempts {
 		if !a.dead {
@@ -242,7 +296,7 @@ type srcBucket struct {
 // flight is an in-progress shuffle fetch. Flights are pooled (see
 // pool.go): doneFn persists across lives.
 type flight struct {
-	att    *redAttempt
+	att    *attempt
 	src    topology.NodeID
 	bytes  float64
 	maps   []*job.MapTask
@@ -250,55 +304,10 @@ type flight struct {
 	doneFn func() //lint:pooled-keep bound once: fetch flow completion
 }
 
-// redAttempt is one execution attempt of a reduce task: its own shuffle
-// state (sources, in-flight fetches, received bytes) and compute phase.
-// There can be two attempts when reduce speculation fires. Attempts are
-// pooled (see pool.go): the bound callbacks and the shuffle-state maps
-// persist across lives.
-type redAttempt struct {
-	r            *job.ReduceTask
-	run          *reduceRun
-	node         topology.NodeID
-	locality     job.Locality
-	launch       sim.Time
-	pendingSrc   map[topology.NodeID]*srcBucket
-	queue        []topology.NodeID // FIFO of sources with pending bytes
-	flights      map[*topology.Flow]*flight
-	got          map[*job.MapTask]bool // output enqueued, fetched or in flight
-	shuffled     float64               // intermediate bytes received so far
-	computing    bool
-	computeStart sim.Time
-	computeDur   float64
-	computeEv    *sim.Event
-	failFrac     float64 // > 0: scripted transient failure at this compute fraction
-	dead         bool
-
-	finishFn func() //lint:pooled-keep bound once: compute phase completion
-	failCFn  func() //lint:pooled-keep bound once: scripted mid-compute failure
-}
-
-// reduceRun is the engine-side execution state of a running reduce task.
-type reduceRun struct {
-	attempts []*redAttempt
-}
-
-// liveAttempts counts attempts that have not been killed.
-func (r *reduceRun) liveAttempts() int {
-	n := 0
-	for _, a := range r.attempts {
-		if !a.dead {
-			n++
-		}
-	}
-	return n
-}
-
-// jobStats accumulates completed-task durations for speculation.
+// jobStats accumulates completed-task durations per kind for speculation.
 type jobStats struct {
-	completed    int
-	totalDur     float64
-	redCompleted int
-	redTotalDur  float64
+	completed [numKinds]int
+	totalDur  [numKinds]float64
 }
 
 // Simulation is one configured run.
@@ -321,18 +330,15 @@ type Simulation struct {
 	jobs   []*job.Job
 	active []*job.Job
 
-	runningMaps map[*job.MapTask]*mapRun
-	runningReds map[*job.ReduceTask]*reduceRun
-	stats       map[job.ID]*jobStats
-	speedOf     []float64 // per-node compute-speed multiplier (1 = nominal)
-	baseSpeed   []float64 // speedOf before transient slowdowns (heterogeneity only)
+	running   [numKinds]map[taskRef]*taskRun
+	stats     map[job.ID]*jobStats
+	speedOf   []float64 // per-node compute-speed multiplier (1 = nominal)
+	baseSpeed []float64 // speedOf before transient slowdowns (heterogeneity only)
 
 	// Free lists for the pooled hot-path records (pool.go) and the
 	// per-node heartbeat closures, allocated once instead of per beat.
-	freeMapRuns []*mapRun
-	freeMapAtts []*mapAttempt
-	freeRedRuns []*reduceRun
-	freeRedAtts []*redAttempt
+	freeRuns    []*taskRun
+	freeAtts    [numKinds][]*attempt
 	freeBuckets []*srcBucket
 	freeFlights []*flight
 	hbFns       []func()
@@ -349,11 +355,9 @@ type Simulation struct {
 	crashed   map[topology.NodeID]bool
 	dead      map[topology.NodeID]bool
 	hbExpiry  float64
-	heldMap   map[topology.NodeID]int // slots of crash-killed attempts awaiting detection
-	heldRed   map[topology.NodeID]int
-	mapFails  map[*job.MapTask]int // transient failures per task (attempt cap)
-	redFails  map[*job.ReduceTask]int
-	nodeFails map[failKey]int // per-(job, node) attempt failures (blacklist)
+	held      [numKinds]map[topology.NodeID]int // slots of crash-killed attempts awaiting detection
+	fails     map[taskRef]int                   // transient failures per task (attempt cap)
+	nodeFails map[failKey]int                   // per-(job, node) attempt failures (blacklist)
 	blacklist map[topology.NodeID]bool
 	// blacklistHolds counts, per blacklisted node, the active jobs whose
 	// failure tally crossed the threshold; the last holder's teardown
@@ -384,21 +388,18 @@ type Simulation struct {
 	utilMap    metrics.TimeAvg
 	utilReduce metrics.TimeAvg
 
-	mapTimes    []float64
-	reduceTimes []float64
-	ran         bool
+	times [numKinds][]float64 // per-task running times
+	ran   bool
 
 	mapRemoteBytes     float64 // map input fetched across the network
 	shuffleRemoteBytes float64 // intermediate data moved across the network
 	shuffleLocalBytes  float64 // intermediate data served from local disk
 
-	speculated        int // backup map attempts launched
-	specWins          int // map backups that finished first
-	speculatedReds    int // backup reduce attempts launched
-	specRedWins       int // reduce backups that finished first
-	relaunchedMaps    int // done maps re-executed after node failure
-	relaunchedReduces int // running reduces restarted after node failure
-	attemptFailures   int // transient attempt failures injected
+	speculated        [numKinds]int // backup attempts launched
+	specWins          [numKinds]int // backups that finished first
+	relaunchedMaps    int           // done maps re-executed after node failure
+	relaunchedReduces int           // running reduces restarted after node failure
+	attemptFailures   int           // transient attempt failures injected
 }
 
 // failKey indexes the per-(job, node) attempt-failure tallies.
@@ -460,28 +461,27 @@ func New(cfg Config, specs []job.Spec, builder sched.Builder) (*Simulation, erro
 		return nil, err
 	}
 	s := &Simulation{
-		cfg:         cfg,
-		eng:         eng,
-		topo:        topo,
-		store:       store,
-		state:       state,
-		cost:        cost,
-		place:       place,
-		rngEngine:   root.Fork("engine"),
-		rngJobs:     root.Fork("jobs"),
-		specs:       specs,
-		runningMaps: make(map[*job.MapTask]*mapRun),
-		runningReds: make(map[*job.ReduceTask]*reduceRun),
-		stats:       make(map[job.ID]*jobStats),
-		crashed:     make(map[topology.NodeID]bool),
-		dead:        make(map[topology.NodeID]bool),
-		heldMap:     make(map[topology.NodeID]int),
-		heldRed:     make(map[topology.NodeID]int),
-		mapFails:    make(map[*job.MapTask]int),
-		redFails:    make(map[*job.ReduceTask]int),
-		nodeFails:   make(map[failKey]int),
-		blacklist:   make(map[topology.NodeID]bool),
-		obs:         obs.NewStream(),
+		cfg:       cfg,
+		eng:       eng,
+		topo:      topo,
+		store:     store,
+		state:     state,
+		cost:      cost,
+		place:     place,
+		rngEngine: root.Fork("engine"),
+		rngJobs:   root.Fork("jobs"),
+		specs:     specs,
+		stats:     make(map[job.ID]*jobStats),
+		crashed:   make(map[topology.NodeID]bool),
+		dead:      make(map[topology.NodeID]bool),
+		fails:     make(map[taskRef]int),
+		nodeFails: make(map[failKey]int),
+		blacklist: make(map[topology.NodeID]bool),
+		obs:       obs.NewStream(),
+	}
+	for k := range s.running {
+		s.running[k] = make(map[taskRef]*taskRun)
+		s.held[k] = make(map[topology.NodeID]int)
 	}
 	s.blacklistHolds = make(map[topology.NodeID]int)
 	s.initOpen()
@@ -549,13 +549,13 @@ func (s *Simulation) Attach(o obs.Observer) error {
 }
 
 // taskEvent seeds a task-lifecycle observation.
-func (s *Simulation) taskEvent(t obs.Type, node topology.NodeID, j *job.Job, kind string, index int) obs.Event {
+func (s *Simulation) taskEvent(typ obs.Type, node topology.NodeID, t taskRef) obs.Event {
 	return obs.Event{
 		T:    float64(s.eng.Now()),
-		Type: t,
+		Type: typ,
 		Node: int(node),
-		Job:  j.Spec.Name,
-		Task: &obs.TaskRef{Kind: kind, Index: index},
+		Job:  t.j.Spec.Name,
+		Task: &obs.TaskRef{Kind: t.kind.String(), Index: t.index},
 	}
 }
 
@@ -676,7 +676,7 @@ func (s *Simulation) heartbeat(n topology.NodeID) {
 	// Speculative execution fills slots that have no pending work left.
 	if s.cfg.Speculation {
 		for node.FreeMapSlots() > 0 {
-			if !s.trySpeculate(n) {
+			if !s.trySpeculate(mapKind, n) {
 				break
 			}
 		}
@@ -691,7 +691,7 @@ func (s *Simulation) heartbeat(n topology.NodeID) {
 	}
 	if s.cfg.Speculation {
 		for node.FreeReduceSlots() > 0 {
-			if !s.trySpeculateReduce(n) {
+			if !s.trySpeculate(reduceKind, n) {
 				break
 			}
 		}
@@ -728,14 +728,14 @@ func (s *Simulation) refreshProgress() {
 		return
 	}
 	now := s.eng.Now()
-	for m, run := range s.runningMaps {
+	for t, run := range s.running[mapKind] {
 		best := 0.0
 		for _, a := range run.attempts {
 			if p := a.progress(now); p > best {
 				best = p
 			}
 		}
-		m.Progress = best
+		t.mapTask().Progress = best
 	}
 }
 
@@ -771,6 +771,31 @@ func (s *Simulation) aliveNearest(b hdfs.BlockID, from topology.NodeID) (topolog
 	return best, found
 }
 
+// acquireSlot takes a slot of kind k on node n for a new attempt and
+// samples utilization. The scheduler offered the node because it had a
+// free slot, so a refusal is a bookkeeping bug.
+func (s *Simulation) acquireSlot(k kind, n topology.NodeID) {
+	var err error
+	if k == mapKind {
+		err = s.state.Node(n).AcquireMap()
+	} else {
+		err = s.state.Node(n).AcquireReduce()
+	}
+	if err != nil {
+		panic(fmt.Sprintf("engine: %v", err))
+	}
+	s.sampleUtil()
+}
+
+// releaseSlot frees a slot of kind k on node n.
+func (s *Simulation) releaseSlot(k kind, n topology.NodeID) {
+	if k == mapKind {
+		s.state.Node(n).ReleaseMap()
+	} else {
+		s.state.Node(n).ReleaseReduce()
+	}
+}
+
 // launchMap starts map task m on node n. It reports false when the task
 // cannot run (all replicas lost), leaving the task pending.
 func (s *Simulation) launchMap(m *job.MapTask, n topology.NodeID) bool {
@@ -780,34 +805,65 @@ func (s *Simulation) launchMap(m *job.MapTask, n topology.NodeID) bool {
 	if _, ok := s.aliveNearest(m.Block, n); !ok {
 		return false
 	}
-	if err := s.state.Node(n).AcquireMap(); err != nil {
-		panic(fmt.Sprintf("engine: %v", err))
-	}
-	s.sampleUtil()
+	s.acquireSlot(mapKind, n)
 	m.Run(n, s.eng.Now())
 	m.Locality = s.cost.Locality(m, n)
-	if s.obs.Enabled() {
-		e := s.taskEvent(obs.TaskStart, n, m.Job, "map", m.Index)
-		e.Locality = m.Locality.String()
-		e.Wait = float64(m.Launch - m.Job.Submitted)
-		s.obs.Emit(e)
-	}
-	run := s.newMapRun()
-	s.runningMaps[m] = run
-	s.startAttempt(m, run, n)
+	s.startRun(mapRef(m), n, m.Locality)
 	return true
 }
 
-// startAttempt begins one execution attempt of m on node n: an input
-// stream from the nearest live replica overlapped with the compute work.
-func (s *Simulation) startAttempt(m *job.MapTask, run *mapRun, n topology.NodeID) {
-	prof := m.Job.Spec.Profile
-	att := s.newMapAttempt(m, run)
+// launchReduce starts reduce task r on node n.
+func (s *Simulation) launchReduce(r *job.ReduceTask, n topology.NodeID) {
+	if r.State != job.TaskPending {
+		panic(fmt.Sprintf("engine: launching reduce %s/%d in state %v", r.Job.Spec.Name, r.Index, r.State))
+	}
+	s.acquireSlot(reduceKind, n)
+	r.Run(n, s.eng.Now())
+	r.Locality = s.reduceLocality(r.Job, n)
+	s.startRun(reduceRef(r), n, r.Locality)
+}
+
+// startRun reports the launch of task t on node n at locality loc and
+// starts its first attempt there.
+func (s *Simulation) startRun(t taskRef, n topology.NodeID, loc job.Locality) {
+	if s.obs.Enabled() {
+		e := s.taskEvent(obs.TaskStart, n, t)
+		e.Locality = loc.String()
+		e.Wait = float64(s.eng.Now() - t.j.Submitted)
+		s.obs.Emit(e)
+	}
+	run := s.newRun(t)
+	s.running[t.kind][t] = run
+	s.startAttempt(run, n)
+}
+
+// startAttempt begins one execution attempt of run's task on node n. A
+// map attempt streams its input from the nearest live replica while it
+// computes; a reduce attempt starts by fetching the output of every
+// finished map.
+func (s *Simulation) startAttempt(run *taskRun, n topology.NodeID) {
+	att := s.newAttempt(run)
 	att.node = n
-	att.locality = s.cost.Locality(m, n)
 	att.launch = s.eng.Now()
 	run.attempts = append(run.attempts, att)
-
+	if run.task.kind == reduceKind {
+		r := run.task.reduceTask()
+		att.locality = s.reduceLocality(r.Job, n)
+		if p := s.cfg.Faults.TaskFailProb; p > 0 && s.rngFaults.Bernoulli(p) {
+			// Reduce compute duration is unknown until the shuffle drains,
+			// so remember the failure point as a fraction of the eventual
+			// compute phase. Strictly positive so the failure event fires
+			// mid-phase.
+			att.failFrac = 0.05 + 0.9*s.rngFaults.Float64()
+		}
+		s.enqueueDoneMaps(r, att)
+		s.pumpShuffle(att)
+		s.maybeStartReduceCompute(att)
+		return
+	}
+	m := run.task.mapTask()
+	prof := m.Job.Spec.Profile
+	att.locality = s.cost.Locality(m, n)
 	src, _ := s.aliveNearest(m.Block, n) // caller checked ok
 	if src != n {
 		s.mapRemoteBytes += m.Size
@@ -829,15 +885,17 @@ func (s *Simulation) startAttempt(m *job.MapTask, run *mapRun, n topology.NodeID
 
 // checkAttempt completes the map when an attempt has both streamed its
 // input and finished computing.
-func (s *Simulation) checkAttempt(m *job.MapTask, run *mapRun, att *mapAttempt) {
-	if att.fetchDone && att.computeDone && m.State == job.TaskRunning {
-		s.winMap(m, run, att)
+func (s *Simulation) checkAttempt(att *attempt) {
+	if att.fetchDone && att.computeDone && att.run.task.mapTask().State == job.TaskRunning {
+		s.winMap(att.run, att)
 	}
 }
 
-// killAttempt cancels an attempt and releases its slot (when its node is
-// still alive; crashed nodes release bookkeeping at failure detection).
-func (s *Simulation) killAttempt(att *mapAttempt, releaseSlot bool) {
+// kill cancels an attempt — a map's input stream, a reduce's fetches,
+// its compute or failure events — and releases its slot when its node
+// is still alive (crashed nodes release bookkeeping at failure
+// detection).
+func (s *Simulation) kill(att *attempt, releaseSlot bool) {
 	if att.dead {
 		return
 	}
@@ -849,6 +907,26 @@ func (s *Simulation) killAttempt(att *mapAttempt, releaseSlot bool) {
 		s.topo.Net().Release(att.fetch)
 		att.fetch = nil
 	}
+	if len(att.flights) > 0 {
+		flows := make([]*topology.Flow, 0, len(att.flights))
+		for flow := range att.flights {
+			flows = append(flows, flow)
+		}
+		sort.Slice(flows, func(a, b int) bool {
+			fa, fb := att.flights[flows[a]], att.flights[flows[b]]
+			if fa.bytes != fb.bytes {
+				return fa.bytes < fb.bytes
+			}
+			return fa.src < fb.src
+		})
+		for _, flow := range flows {
+			fl := att.flights[flow]
+			s.topo.Net().Cancel(flow)
+			s.topo.Net().Release(flow)
+			delete(att.flights, flow)
+			s.releaseFlight(fl)
+		}
+	}
 	if att.computeEv != nil {
 		att.computeEv.Cancel()
 		s.eng.Remove(att.computeEv)
@@ -859,52 +937,73 @@ func (s *Simulation) killAttempt(att *mapAttempt, releaseSlot bool) {
 		att.failEv = nil
 	}
 	if releaseSlot {
-		s.state.Node(att.node).ReleaseMap()
+		s.releaseSlot(att.run.task.kind, att.node)
 	}
 }
 
-// winMap completes a map task via the winning attempt: kills any backup,
-// feeds the output to the running reduces and updates job state.
-func (s *Simulation) winMap(m *job.MapTask, run *mapRun, winner *mapAttempt) {
+// complete finishes run's task through its winning attempt: any backup
+// is killed, the task is marked done where the winner ran, its slot is
+// freed, and its running time feeds the metrics and the speculation
+// estimate. The caller recycles the run.
+func (s *Simulation) complete(run *taskRun, winner *attempt) {
+	t := run.task
 	for _, a := range run.attempts {
-		if a != winner {
-			s.killAttempt(a, !s.crashed[a.node])
+		if a != winner && !a.dead {
+			s.kill(a, !s.crashed[a.node])
 			s.sampleUtil()
 		}
 	}
 	if winner != run.attempts[0] {
-		s.specWins++
+		s.specWins[t.kind]++
 		if s.obs.Enabled() {
-			s.obs.Emit(s.taskEvent(obs.SpecWin, winner.node, m.Job, "map", m.Index))
+			s.obs.Emit(s.taskEvent(obs.SpecWin, winner.node, t))
 		}
 	}
 	winner.dead = true // no further callbacks
-	m.Complete(s.eng.Now())
-	m.Node = winner.node
-	m.Locality = winner.locality
-	delete(s.runningMaps, m)
-	s.state.Node(winner.node).ReleaseMap()
+	now := s.eng.Now()
+	// A map's time runs from its winning attempt's launch, a reduce's from
+	// the task's first launch.
+	var dur float64
+	if t.kind == mapKind {
+		m := t.mapTask()
+		m.Complete(now)
+		m.Node, m.Locality = winner.node, winner.locality
+		dur = float64(now - winner.launch)
+	} else {
+		r := t.reduceTask()
+		r.Complete(now)
+		r.Node, r.Locality, r.ShuffledBytes = winner.node, winner.locality, winner.shuffled
+		dur = r.RunTime()
+	}
+	delete(s.running[t.kind], t)
+	s.releaseSlot(t.kind, winner.node)
 	s.sampleUtil()
-	s.mapTimes = append(s.mapTimes, float64(m.Finish-winner.launch))
+	s.times[t.kind] = append(s.times[t.kind], dur)
 	if s.obs.Enabled() {
-		e := s.taskEvent(obs.TaskFinish, winner.node, m.Job, "map", m.Index)
-		e.Locality = m.Locality.String()
-		e.Dur = float64(m.Finish - winner.launch)
+		e := s.taskEvent(obs.TaskFinish, winner.node, t)
+		e.Locality = winner.locality.String()
+		e.Dur = dur
 		s.obs.Emit(e)
 	}
-
-	j := m.Job
-	if st := s.stats[j.ID]; st != nil {
-		st.completed++
-		st.totalDur += float64(m.Finish - winner.launch)
+	if st := s.stats[t.j.ID]; st != nil {
+		st.completed[t.kind]++
+		st.totalDur[t.kind] += dur
 	}
+}
+
+// winMap completes a map task via the winning attempt and feeds its
+// output to the job's running reduces.
+func (s *Simulation) winMap(run *taskRun, winner *attempt) {
+	s.complete(run, winner)
+	m := run.task.mapTask()
+	j := m.Job
 	// Feed this map's partitions to every live attempt of the job's
 	// running reduces.
 	for _, r := range j.Reduces {
 		if r.State != job.TaskRunning {
 			continue
 		}
-		rrun := s.runningReds[r]
+		rrun := s.running[reduceKind][reduceRef(r)]
 		if rrun == nil {
 			continue
 		}
@@ -915,162 +1014,82 @@ func (s *Simulation) winMap(m *job.MapTask, run *mapRun, winner *mapAttempt) {
 			if bytes := m.Out[r.Index]; bytes > 0 && !att.got[m] {
 				s.enqueueFetch(att, m.Node, bytes, m)
 			}
-			s.pumpShuffle(r, rrun, att)
-			s.maybeStartReduceCompute(r, rrun, att)
+			s.pumpShuffle(att)
+			s.maybeStartReduceCompute(att)
 		}
 	}
 	// Every attempt is dead (winner included) and detached; recycle the
 	// run and its attempts.
-	s.releaseMapRun(run)
+	s.releaseRun(run)
 }
 
-// trySpeculate launches a backup attempt of the worst straggling map on
-// node n; it reports whether one launched.
-func (s *Simulation) trySpeculate(n topology.NodeID) bool {
-	now := s.eng.Now()
-	var worst *job.MapTask
-	var worstRun *mapRun
-	worstScore := s.cfg.SpecSlowdown
-	for m, run := range s.runningMaps {
-		if len(run.attempts) != 1 || run.attempts[0].dead {
-			continue // already backed up
+// finishReduce completes a reduce task via the winning attempt and
+// possibly finishes its job.
+func (s *Simulation) finishReduce(run *taskRun, winner *attempt) {
+	s.complete(run, winner)
+	j := run.task.j
+	if j.Done() {
+		j.Finished = s.eng.Now()
+		s.deactivate(j)
+		if s.obs.Enabled() {
+			e := obs.Event{T: float64(j.Finished), Type: obs.JobFinish, Node: -1, Job: j.Spec.Name}
+			e.Dur = float64(j.Finished - j.Submitted)
+			s.obs.Emit(e)
 		}
-		if run.attempts[0].node == n {
-			continue // a backup on the same node cannot help
-		}
-		st := s.stats[m.Job.ID]
-		if st == nil || st.completed < s.cfg.SpecMinCompleted {
-			continue
-		}
-		avg := st.totalDur / float64(st.completed)
-		if avg <= 0 {
-			continue
-		}
-		score := float64(now-run.attempts[0].launch) / avg
-		// Strict ordering with a deterministic tie-break (job, index) so
-		// map-iteration order cannot influence the simulation.
-		if score > worstScore ||
-			(score == worstScore && worst != nil &&
-				(m.Job.ID < worst.Job.ID || (m.Job.ID == worst.Job.ID && m.Index < worst.Index))) {
-			worstScore = score
-			worst = m
-			worstRun = run
-		}
+		s.onJobEnd(j)
 	}
-	if worst == nil {
-		return false
-	}
-	if _, ok := s.aliveNearest(worst.Block, n); !ok {
-		return false
-	}
-	if err := s.state.Node(n).AcquireMap(); err != nil {
-		panic(fmt.Sprintf("engine: %v", err))
-	}
-	s.sampleUtil()
-	s.speculated++
-	if s.obs.Enabled() {
-		s.obs.Emit(s.taskEvent(obs.SpecStart, n, worst.Job, "map", worst.Index))
-	}
-	s.startAttempt(worst, worstRun, n)
-	return true
+	// Every attempt is dead (winner included) and detached; recycle the
+	// run and its attempts.
+	s.releaseRun(run)
 }
 
-// trySpeculateReduce launches a backup attempt of the worst straggling
-// reduce on node n, reusing the map-speculation slowdown threshold
-// against the job's mean completed-reduce duration; it reports whether
-// one launched.
-func (s *Simulation) trySpeculateReduce(n topology.NodeID) bool {
+// trySpeculate launches a backup attempt of the worst straggling task of
+// kind k on node n; it reports whether one launched. A straggler's only
+// attempt has run more than SpecSlowdown times its job's mean duration
+// of completed tasks of that kind (with at least SpecMinCompleted of
+// them); a backup of a map needs a live replica of its input.
+func (s *Simulation) trySpeculate(k kind, n topology.NodeID) bool {
 	now := s.eng.Now()
-	var worst *job.ReduceTask
-	var worstRun *reduceRun
+	var worst *taskRun
 	worstScore := s.cfg.SpecSlowdown
-	for r, run := range s.runningReds {
+	for t, run := range s.running[k] {
 		if len(run.attempts) != 1 || run.attempts[0].dead {
 			continue // already backed up, or awaiting failure detection
 		}
 		if run.attempts[0].node == n {
 			continue // a backup on the same node cannot help
 		}
-		st := s.stats[r.Job.ID]
-		if st == nil || st.redCompleted < s.cfg.SpecMinCompleted {
+		st := s.stats[t.j.ID]
+		if st == nil || st.completed[k] < s.cfg.SpecMinCompleted {
 			continue
 		}
-		avg := st.redTotalDur / float64(st.redCompleted)
+		avg := st.totalDur[k] / float64(st.completed[k])
 		if avg <= 0 {
 			continue
 		}
 		score := float64(now-run.attempts[0].launch) / avg
 		// Strict ordering with a deterministic tie-break (job, index) so
 		// map-iteration order cannot influence the simulation.
-		if score > worstScore ||
-			(score == worstScore && worst != nil &&
-				(r.Job.ID < worst.Job.ID || (r.Job.ID == worst.Job.ID && r.Index < worst.Index))) {
+		if score > worstScore || (score == worstScore && worst != nil && t.before(worst.task)) {
 			worstScore = score
-			worst = r
-			worstRun = run
+			worst = run
 		}
 	}
 	if worst == nil {
 		return false
 	}
-	if err := s.state.Node(n).AcquireReduce(); err != nil {
-		panic(fmt.Sprintf("engine: %v", err))
+	if k == mapKind {
+		if _, ok := s.aliveNearest(worst.task.mapTask().Block, n); !ok {
+			return false
+		}
 	}
-	s.sampleUtil()
-	s.speculatedReds++
+	s.acquireSlot(k, n)
+	s.speculated[k]++
 	if s.obs.Enabled() {
-		s.obs.Emit(s.taskEvent(obs.SpecStart, n, worst.Job, "reduce", worst.Index))
+		s.obs.Emit(s.taskEvent(obs.SpecStart, n, worst.task))
 	}
-	// The backup re-fetches every finished map's output independently.
-	att := s.newRedAttempt(worst, worstRun, n)
-	worstRun.attempts = append(worstRun.attempts, att)
-	s.enqueueDoneMaps(worst, att)
-	s.pumpShuffle(worst, worstRun, att)
-	s.maybeStartReduceCompute(worst, worstRun, att)
+	s.startAttempt(worst, n)
 	return true
-}
-
-// launchReduce starts reduce task r on node n and queues fetches for all
-// already-finished maps.
-func (s *Simulation) launchReduce(r *job.ReduceTask, n topology.NodeID) {
-	if r.State != job.TaskPending {
-		panic(fmt.Sprintf("engine: launching reduce %s/%d in state %v", r.Job.Spec.Name, r.Index, r.State))
-	}
-	if err := s.state.Node(n).AcquireReduce(); err != nil {
-		panic(fmt.Sprintf("engine: %v", err))
-	}
-	s.sampleUtil()
-	r.Run(n, s.eng.Now())
-	r.Locality = s.reduceLocality(r.Job, n)
-	if s.obs.Enabled() {
-		e := s.taskEvent(obs.TaskStart, n, r.Job, "reduce", r.Index)
-		e.Locality = r.Locality.String()
-		e.Wait = float64(r.Launch - r.Job.Submitted)
-		s.obs.Emit(e)
-	}
-	run := s.newReduceRun()
-	s.runningReds[r] = run
-	att := s.newRedAttempt(r, run, n)
-	run.attempts = append(run.attempts, att)
-	s.enqueueDoneMaps(r, att)
-	s.pumpShuffle(r, run, att)
-	s.maybeStartReduceCompute(r, run, att)
-}
-
-// newRedAttempt builds one reduce execution attempt on node n, drawing
-// its transient-failure fate when the fault plan has one.
-func (s *Simulation) newRedAttempt(r *job.ReduceTask, run *reduceRun, n topology.NodeID) *redAttempt {
-	att := s.newRedAttemptRecord(r, run)
-	att.node = n
-	att.locality = s.reduceLocality(r.Job, n)
-	att.launch = s.eng.Now()
-	if p := s.cfg.Faults.TaskFailProb; p > 0 && s.rngFaults.Bernoulli(p) {
-		// Reduce compute duration is unknown until the shuffle drains, so
-		// remember the failure point as a fraction of the eventual compute
-		// phase. Strictly positive so the failure event fires mid-phase.
-		att.failFrac = 0.05 + 0.9*s.rngFaults.Float64()
-	}
-	return att
 }
 
 // reduceLocality classifies a reduce placement: local node if the node
@@ -1112,7 +1131,7 @@ func (s *Simulation) reduceLocality(j *job.Job, n topology.NodeID) job.Locality 
 // reverts to pending and its re-execution feeds this attempt on finish.
 // Outputs on crashed-but-undetected nodes are queued normally; the
 // JobTracker does not know yet, and the detection sweep reclaims them.
-func (s *Simulation) enqueueDoneMaps(r *job.ReduceTask, att *redAttempt) {
+func (s *Simulation) enqueueDoneMaps(r *job.ReduceTask, att *attempt) {
 	for _, m := range r.Job.Maps {
 		if m.State != job.TaskDone {
 			continue
@@ -1131,7 +1150,7 @@ func (s *Simulation) enqueueDoneMaps(r *job.ReduceTask, att *redAttempt) {
 
 // enqueueFetch adds a map's bytes from src to a reduce attempt's shuffle
 // queue, coalescing with bytes already queued from the same source.
-func (s *Simulation) enqueueFetch(att *redAttempt, src topology.NodeID, bytes float64, m *job.MapTask) {
+func (s *Simulation) enqueueFetch(att *attempt, src topology.NodeID, bytes float64, m *job.MapTask) {
 	b, ok := att.pendingSrc[src]
 	if !ok {
 		b = s.newBucket()
@@ -1145,7 +1164,7 @@ func (s *Simulation) enqueueFetch(att *redAttempt, src topology.NodeID, bytes fl
 
 // pumpShuffle starts fetch flows up to the parallelism bound for one
 // reduce attempt.
-func (s *Simulation) pumpShuffle(r *job.ReduceTask, run *reduceRun, att *redAttempt) {
+func (s *Simulation) pumpShuffle(att *attempt) {
 	for len(att.flights) < s.cfg.ShuffleParallelism && len(att.queue) > 0 {
 		// Sources whose TaskTracker crashed cannot serve a fetch, but the
 		// JobTracker has not noticed yet: leave their entries queued
@@ -1187,15 +1206,16 @@ func (s *Simulation) pumpShuffle(r *job.ReduceTask, run *reduceRun, att *redAtte
 	}
 }
 
-// maybeStartReduceCompute begins an attempt's sort/reduce phase once every
-// map of the job finished and its fetches drained.
-func (s *Simulation) maybeStartReduceCompute(r *job.ReduceTask, run *reduceRun, att *redAttempt) {
-	if att.dead || att.computing || !r.Job.MapsDone() ||
+// maybeStartReduceCompute begins a reduce attempt's sort/reduce phase
+// once every map of the job finished and its fetches drained.
+func (s *Simulation) maybeStartReduceCompute(att *attempt) {
+	j := att.run.task.j
+	if att.dead || att.computing || !j.MapsDone() ||
 		len(att.flights) > 0 || len(att.queue) > 0 || len(att.pendingSrc) > 0 {
 		return
 	}
 	att.computing = true
-	prof := r.Job.Spec.Profile
+	prof := j.Spec.Profile
 	dur := s.cfg.TaskOverhead +
 		s.rngEngine.Jitter(att.shuffled/(prof.ReduceRate*s.speedOf[att.node]), prof.ComputeJitter)
 	att.computeStart = s.eng.Now()
@@ -1203,61 +1223,10 @@ func (s *Simulation) maybeStartReduceCompute(r *job.ReduceTask, run *reduceRun, 
 	if att.failFrac > 0 {
 		// A transiently failing attempt never reaches completion; its
 		// scripted failure fires partway through the compute phase.
-		att.computeEv = s.eng.After(att.failFrac*dur, att.failCFn)
+		att.computeEv = s.eng.After(att.failFrac*dur, att.failFn)
 		return
 	}
-	att.computeEv = s.eng.After(dur, att.finishFn)
-}
-
-// finishReduce completes a reduce task via the winning attempt (killing
-// any backup) and possibly finishes its job.
-func (s *Simulation) finishReduce(r *job.ReduceTask, run *reduceRun, winner *redAttempt) {
-	for _, a := range run.attempts {
-		if a != winner && !a.dead {
-			s.killRedAttempt(a, !s.crashed[a.node])
-			s.sampleUtil()
-		}
-	}
-	if winner != run.attempts[0] {
-		s.specRedWins++
-		if s.obs.Enabled() {
-			s.obs.Emit(s.taskEvent(obs.SpecWin, winner.node, r.Job, "reduce", r.Index))
-		}
-	}
-	winner.dead = true // no further callbacks
-	r.Complete(s.eng.Now())
-	r.Node = winner.node
-	r.Locality = winner.locality
-	r.ShuffledBytes = winner.shuffled
-	delete(s.runningReds, r)
-	s.state.Node(winner.node).ReleaseReduce()
-	s.sampleUtil()
-	s.reduceTimes = append(s.reduceTimes, r.RunTime())
-	if s.obs.Enabled() {
-		e := s.taskEvent(obs.TaskFinish, r.Node, r.Job, "reduce", r.Index)
-		e.Locality = r.Locality.String()
-		e.Dur = r.RunTime()
-		s.obs.Emit(e)
-	}
-
-	j := r.Job
-	if st := s.stats[j.ID]; st != nil {
-		st.redCompleted++
-		st.redTotalDur += r.RunTime()
-	}
-	if j.Done() {
-		j.Finished = s.eng.Now()
-		s.deactivate(j)
-		if s.obs.Enabled() {
-			e := obs.Event{T: float64(j.Finished), Type: obs.JobFinish, Node: -1, Job: j.Spec.Name}
-			e.Dur = float64(j.Finished - j.Submitted)
-			s.obs.Emit(e)
-		}
-		s.onJobEnd(j)
-	}
-	// Every attempt is dead (winner included) and detached; recycle the
-	// run and its attempts.
-	s.releaseReduceRun(run)
+	att.computeEv = s.eng.After(dur, att.computeFn)
 }
 
 // deactivate drops j from the active job list.
@@ -1284,7 +1253,7 @@ func (s *Simulation) outputStillNeeded(j *job.Job, m *job.MapTask) bool {
 		case job.TaskPending:
 			return true
 		case job.TaskRunning:
-			run := s.runningReds[r]
+			run := s.running[reduceKind][reduceRef(r)]
 			if run == nil || run.liveAttempts() == 0 {
 				return true
 			}

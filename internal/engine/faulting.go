@@ -49,40 +49,20 @@ func (s *Simulation) scheduleFaults() {
 	}
 }
 
-// sortedRunningMaps returns the running map tasks in (job, index) order so
-// fault handling iterates deterministically.
-func sortedRunningMaps(running map[*job.MapTask]*mapRun) []*job.MapTask {
-	out := make([]*job.MapTask, 0, len(running))
-	for m := range running {
-		out = append(out, m)
+// sortedRuns returns the running tasks of kind k in (job, index) order,
+// so fault handling iterates deterministically.
+func (s *Simulation) sortedRuns(k kind) []*taskRun {
+	out := make([]*taskRun, 0, len(s.running[k]))
+	for _, run := range s.running[k] {
+		out = append(out, run)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Job.ID != out[b].Job.ID {
-			return out[a].Job.ID < out[b].Job.ID
-		}
-		return out[a].Index < out[b].Index
-	})
-	return out
-}
-
-// sortedRunningReds returns the running reduce tasks in (job, index) order.
-func sortedRunningReds(running map[*job.ReduceTask]*reduceRun) []*job.ReduceTask {
-	out := make([]*job.ReduceTask, 0, len(running))
-	for r := range running {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Job.ID != out[b].Job.ID {
-			return out[a].Job.ID < out[b].Job.ID
-		}
-		return out[a].Index < out[b].Index
-	})
+	sort.Slice(out, func(a, b int) bool { return out[a].task.before(out[b].task) })
 	return out
 }
 
 // crashNode kills node d physically. Attempts on d die without releasing
 // their slots (the JobTracker still believes they run; the counts are
-// parked in heldMap/heldRed until detection). Attempts elsewhere that were
+// parked in held until detection). Attempts elsewhere that were
 // streaming data from d lose those transfers: map-input fetches restart
 // from another replica, shuffle fetches re-queue until detection clears
 // them. Finally the heartbeat-expiry timer is armed.
@@ -95,42 +75,28 @@ func (s *Simulation) crashNode(d topology.NodeID) {
 		s.obs.Emit(obs.Event{T: float64(s.eng.Now()), Type: obs.NodeFail, Node: int(d)})
 	}
 
-	for _, m := range sortedRunningMaps(s.runningMaps) {
-		run := s.runningMaps[m]
-		srcLost := false
-		for _, a := range run.attempts {
-			if a.dead {
-				continue
-			}
-			if a.node == d {
-				s.killAttempt(a, false)
-				s.heldMap[d]++
-				continue
-			}
-			if a.fetchSrc == d && !a.fetchDone {
-				if !s.restartMapFetch(m, run, a) {
-					srcLost = true
+	for k := mapKind; k < numKinds; k++ {
+		for _, run := range s.sortedRuns(k) {
+			srcLost := false
+			for _, a := range run.attempts {
+				switch {
+				case a.dead:
+				case a.node == d:
+					s.kill(a, false)
+					s.held[k][d]++
+				case k == mapKind && a.fetchSrc == d && !a.fetchDone:
+					if !s.restartMapFetch(a) {
+						srcLost = true
+					}
+				default:
+					s.reclaimCrashedFetches(a, d)
 				}
 			}
-		}
-		// Only revert when a live tracker reported the loss; a task whose
-		// every attempt sat on d is reverted at detection instead.
-		if srcLost && run.liveAttempts() == 0 {
-			s.revertMapTask(m, d, "source_lost")
-		}
-	}
-
-	for _, r := range sortedRunningReds(s.runningReds) {
-		for _, att := range s.runningReds[r].attempts {
-			if att.dead {
-				continue
+			// Only revert when a live tracker reported the loss; a task whose
+			// every attempt sat on d is reverted at detection instead.
+			if srcLost && run.liveAttempts() == 0 {
+				s.revert(run.task, d, "source_lost")
 			}
-			if att.node == d {
-				s.killRedAttempt(att, false)
-				s.heldRed[d]++
-				continue
-			}
-			s.reclaimCrashedFetches(att, d)
 		}
 	}
 
@@ -141,7 +107,8 @@ func (s *Simulation) crashNode(d topology.NodeID) {
 // replica after its source crashed. When no replica survives the attempt
 // is killed (reported by false); compute keeps its original schedule
 // otherwise — the re-read overlaps it just like the first read did.
-func (s *Simulation) restartMapFetch(m *job.MapTask, run *mapRun, att *mapAttempt) bool {
+func (s *Simulation) restartMapFetch(att *attempt) bool {
+	m := att.run.task.mapTask()
 	if att.fetch != nil && !att.fetch.Finished() {
 		s.topo.Net().Cancel(att.fetch)
 		s.topo.Net().Release(att.fetch)
@@ -149,7 +116,7 @@ func (s *Simulation) restartMapFetch(m *job.MapTask, run *mapRun, att *mapAttemp
 	}
 	src, ok := s.aliveNearest(m.Block, att.node)
 	if !ok {
-		s.killAttempt(att, !s.crashed[att.node])
+		s.kill(att, !s.crashed[att.node])
 		s.sampleUtil()
 		return false
 	}
@@ -164,8 +131,9 @@ func (s *Simulation) restartMapFetch(m *job.MapTask, run *mapRun, att *mapAttemp
 // reclaimCrashedFetches aborts a reduce attempt's in-flight fetches from
 // the crashed node d and re-queues their bytes under source d. pumpShuffle
 // skips crashed sources, so the bytes stay pending (blocking the compute
-// phase) until detection drops the bucket and re-executes the maps.
-func (s *Simulation) reclaimCrashedFetches(att *redAttempt, d topology.NodeID) {
+// phase) until detection drops the bucket and re-executes the maps. A map
+// attempt has no fetches to reclaim.
+func (s *Simulation) reclaimCrashedFetches(att *attempt, d topology.NodeID) {
 	var doomed []*topology.Flow
 	for flow, fl := range att.flights {
 		if fl.src == d {
@@ -209,28 +177,24 @@ func (s *Simulation) detectNode(d topology.NodeID) {
 	}
 
 	// Reclaim the slots of attempts that died with the node.
-	node := s.state.Node(d)
-	for i := 0; i < s.heldMap[d]; i++ {
-		node.ReleaseMap()
+	for k := range s.held {
+		for i := 0; i < s.held[k][d]; i++ {
+			s.releaseSlot(kind(k), d)
+		}
+		delete(s.held[k], d)
 	}
-	for i := 0; i < s.heldRed[d]; i++ {
-		node.ReleaseReduce()
-	}
-	delete(s.heldMap, d)
-	delete(s.heldRed, d)
 
 	// Revert running map tasks whose every attempt died on d.
-	for _, m := range sortedRunningMaps(s.runningMaps) {
-		if s.runningMaps[m].liveAttempts() == 0 {
-			s.revertMapTask(m, d, "attempt_lost")
+	for _, run := range s.sortedRuns(mapKind) {
+		if run.liveAttempts() == 0 {
+			s.revert(run.task, d, "attempt_lost")
 		}
 	}
 
 	// Reduces: drop shuffle state sourced from d (the contributing maps
 	// are re-executed below), revert tasks with no surviving attempt, and
 	// re-point tasks whose canonical attempt died while a backup lives.
-	for _, r := range sortedRunningReds(s.runningReds) {
-		run := s.runningReds[r]
+	for _, run := range s.sortedRuns(reduceKind) {
 		for _, att := range run.attempts {
 			if att.dead {
 				continue
@@ -249,10 +213,10 @@ func (s *Simulation) detectNode(d topology.NodeID) {
 			}
 		}
 		if run.liveAttempts() == 0 {
-			s.revertReduceTask(r, d, "host_failed")
+			s.revert(run.task, d, "host_failed")
 			continue
 		}
-		if r.Node == d {
+		if r := run.task.reduceTask(); r.Node == d {
 			s.repointReduce(r, run)
 		}
 	}
@@ -269,66 +233,49 @@ func (s *Simulation) detectNode(d topology.NodeID) {
 
 	// Take the node out of the cluster and prune its block replicas; jobs
 	// whose pending input lost its last replica fail here.
-	node.SetOffline(true)
+	s.state.Node(d).SetOffline(true)
 	s.sampleUtil()
 	s.loseReplicas(d, "node_dead")
 }
 
-// resetMap returns map task m to pending: its live attempts are killed
+// reset returns task t to pending: its live attempts are killed
 // (releasing the slots of those on uncrashed nodes), its run is recycled,
 // and a done task is uncounted from its job.
-func (s *Simulation) resetMap(m *job.MapTask) {
-	if run := s.runningMaps[m]; run != nil {
+func (s *Simulation) reset(t taskRef) {
+	if run := s.running[t.kind][t]; run != nil {
 		for _, a := range run.attempts {
 			if !a.dead {
-				s.killAttempt(a, !s.crashed[a.node])
+				s.kill(a, !s.crashed[a.node])
 			}
 		}
-		delete(s.runningMaps, m)
-		s.releaseMapRun(run)
+		delete(s.running[t.kind], t)
+		s.releaseRun(run)
 	}
-	m.Reset()
-}
-
-// resetReduce is resetMap for reduce task r.
-func (s *Simulation) resetReduce(r *job.ReduceTask) {
-	if run := s.runningReds[r]; run != nil {
-		for _, a := range run.attempts {
-			if !a.dead {
-				s.killRedAttempt(a, !s.crashed[a.node])
-			}
-		}
-		delete(s.runningReds, r)
-		s.releaseReduceRun(run)
+	if t.kind == mapKind {
+		t.mapTask().Reset()
+	} else {
+		t.reduceTask().Reset()
 	}
-	r.Reset()
 }
 
 // relaunchLostOutput re-queues a done map whose output node was declared
 // dead, so its re-execution regenerates the output.
 func (s *Simulation) relaunchLostOutput(m *job.MapTask) {
 	s.relaunchedMaps++
-	s.revertMapTask(m, m.Node, "output_lost")
+	s.revert(mapRef(m), m.Node, "output_lost")
 }
 
-// revertMapTask returns map task m to the pending pool after its attempts
-// died (or its output was lost) and reports the relaunch at node at.
-func (s *Simulation) revertMapTask(m *job.MapTask, at topology.NodeID, reason string) {
-	s.resetMap(m)
-	if s.obs.Enabled() {
-		e := s.taskEvent(obs.TaskRelaunch, at, m.Job, "map", m.Index)
-		e.Reason = reason
-		s.obs.Emit(e)
+// revert returns task t to the pending pool after its attempts died (or
+// a map's output was lost) and reports the relaunch at node at. Every
+// reduce revert counts as a relaunch; a map counts only when its output
+// was lost (relaunchLostOutput).
+func (s *Simulation) revert(t taskRef, at topology.NodeID, reason string) {
+	s.reset(t)
+	if t.kind == reduceKind {
+		s.relaunchedReduces++
 	}
-}
-
-// revertReduceTask returns a running reduce task to the pending pool,
-// killing any attempt still alive.
-func (s *Simulation) revertReduceTask(r *job.ReduceTask, at topology.NodeID, reason string) {
-	s.resetReduce(r)
-	s.relaunchedReduces++
 	if s.obs.Enabled() {
-		e := s.taskEvent(obs.TaskRelaunch, at, r.Job, "reduce", r.Index)
+		e := s.taskEvent(obs.TaskRelaunch, at, t)
 		e.Reason = reason
 		s.obs.Emit(e)
 	}
@@ -336,7 +283,7 @@ func (s *Simulation) revertReduceTask(r *job.ReduceTask, at topology.NodeID, rea
 
 // repointReduce re-targets a reduce task's reported placement at its first
 // surviving attempt (after the canonical one died).
-func (s *Simulation) repointReduce(r *job.ReduceTask, run *reduceRun) {
+func (s *Simulation) repointReduce(r *job.ReduceTask, run *taskRun) {
 	for _, att := range run.attempts {
 		if !att.dead {
 			r.Node = att.node
@@ -347,91 +294,34 @@ func (s *Simulation) repointReduce(r *job.ReduceTask, run *reduceRun) {
 	}
 }
 
-// killRedAttempt cancels a reduce attempt and releases its slot (when its
-// node is still alive; crashed nodes release bookkeeping at detection).
-func (s *Simulation) killRedAttempt(att *redAttempt, releaseSlot bool) {
-	if att.dead {
-		return
-	}
-	att.dead = true
-	var flows []*topology.Flow
-	for flow := range att.flights {
-		flows = append(flows, flow)
-	}
-	sort.Slice(flows, func(a, b int) bool {
-		fa, fb := att.flights[flows[a]], att.flights[flows[b]]
-		if fa.bytes != fb.bytes {
-			return fa.bytes < fb.bytes
-		}
-		return fa.src < fb.src
-	})
-	for _, flow := range flows {
-		fl := att.flights[flow]
-		s.topo.Net().Cancel(flow)
-		s.topo.Net().Release(flow)
-		delete(att.flights, flow)
-		s.releaseFlight(fl)
-	}
-	if att.computeEv != nil {
-		att.computeEv.Cancel()
-		s.eng.Remove(att.computeEv)
-		att.computeEv = nil
-	}
-	if releaseSlot {
-		s.state.Node(att.node).ReleaseReduce()
-	}
-}
-
-// failMapAttempt is a scripted transient failure of one map attempt: the
-// attempt dies, the task reverts when no attempt survives, and the retry
-// and blacklist tallies advance.
-func (s *Simulation) failMapAttempt(m *job.MapTask, run *mapRun, att *mapAttempt) {
-	if att.dead || m.State != job.TaskRunning || s.runningMaps[m] != run {
+// failAttempt is a scripted transient failure of one attempt: the
+// attempt dies, the task reverts when no attempt survives (a reduce
+// re-points at a surviving backup instead), and the retry and blacklist
+// tallies advance.
+func (s *Simulation) failAttempt(att *attempt) {
+	run := att.run
+	t := run.task
+	if att.dead || s.running[t.kind][t] != run {
 		return
 	}
 	// Reverting the task recycles the run and its attempts, so att must
 	// not be read past that point.
 	node := att.node
-	s.killAttempt(att, !s.crashed[node])
+	s.kill(att, !s.crashed[node])
 	s.sampleUtil()
 	s.attemptFailures++
 	if s.obs.Enabled() {
-		s.obs.Emit(s.taskEvent(obs.AttemptFail, node, m.Job, "map", m.Index))
+		s.obs.Emit(s.taskEvent(obs.AttemptFail, node, t))
 	}
 	if run.liveAttempts() == 0 {
-		s.revertMapTask(m, node, "attempt_fail")
+		s.revert(t, node, "attempt_fail")
+	} else if t.kind == reduceKind && t.reduceTask().Node == node {
+		s.repointReduce(t.reduceTask(), run)
 	}
-	s.noteNodeFailure(m.Job, node)
-	s.mapFails[m]++
-	if s.mapFails[m] >= s.cfg.Faults.MaxAttempts() {
-		s.failJob(m.Job, "map_attempts_exhausted")
-	}
-}
-
-// failReduceAttempt is the reduce-side transient failure, scheduled at a
-// fraction of the attempt's compute phase.
-func (s *Simulation) failReduceAttempt(r *job.ReduceTask, run *reduceRun, att *redAttempt) {
-	if att.dead || s.runningReds[r] != run {
-		return
-	}
-	// Reverting the task recycles the run and its attempts, so att must
-	// not be read past that point.
-	node := att.node
-	s.killRedAttempt(att, !s.crashed[node])
-	s.sampleUtil()
-	s.attemptFailures++
-	if s.obs.Enabled() {
-		s.obs.Emit(s.taskEvent(obs.AttemptFail, node, r.Job, "reduce", r.Index))
-	}
-	if run.liveAttempts() == 0 {
-		s.revertReduceTask(r, node, "attempt_fail")
-	} else if r.Node == node {
-		s.repointReduce(r, run)
-	}
-	s.noteNodeFailure(r.Job, node)
-	s.redFails[r]++
-	if s.redFails[r] >= s.cfg.Faults.MaxAttempts() {
-		s.failJob(r.Job, "reduce_attempts_exhausted")
+	s.noteNodeFailure(t.j, node)
+	s.fails[t]++
+	if s.fails[t] >= s.cfg.Faults.MaxAttempts() {
+		s.failJob(t.j, t.kind.String()+"_attempts_exhausted")
 	}
 }
 
@@ -486,11 +376,10 @@ func (s *Simulation) noteNodeFailure(j *job.Job, n topology.NodeID) {
 // back into the candidate sets. Nodes are scanned by ID so the release
 // order is deterministic.
 func (s *Simulation) releaseJobFaultState(j *job.Job) {
-	for _, m := range j.Maps {
-		delete(s.mapFails, m)
-	}
-	for _, r := range j.Reduces {
-		delete(s.redFails, r)
+	for t := range s.fails {
+		if t.j == j {
+			delete(s.fails, t)
+		}
 	}
 	delete(s.stats, j.ID)
 	threshold := s.cfg.Faults.BlacklistThreshold()
@@ -527,14 +416,14 @@ func (s *Simulation) failJob(j *job.Job, reason string) {
 	}
 	j.Failed = true
 	j.Finished = s.eng.Now()
-	for _, m := range j.Maps {
+	for i, m := range j.Maps {
 		if m.State == job.TaskRunning {
-			s.resetMap(m)
+			s.reset(taskRef{j, mapKind, i})
 		}
 	}
-	for _, r := range j.Reduces {
+	for i, r := range j.Reduces {
 		if r.State == job.TaskRunning {
-			s.resetReduce(r)
+			s.reset(taskRef{j, reduceKind, i})
 		}
 	}
 	s.sampleUtil()
@@ -568,49 +457,33 @@ func (s *Simulation) applySlowdown(n topology.NodeID, factor float64) {
 	now := s.eng.Now()
 	ratio := old / next // > 1: remaining work takes longer
 
-	for _, m := range sortedRunningMaps(s.runningMaps) {
-		run := s.runningMaps[m]
-		for _, a := range run.attempts {
-			if a.dead || a.node != n || a.computeDone || a.computeEv == nil {
-				continue
-			}
-			elapsed := float64(now - a.computeStart)
-			remaining := a.computeDur - elapsed
-			if remaining <= 0 {
-				continue
-			}
-			a.computeEv.Cancel()
-			s.eng.Remove(a.computeEv)
-			remaining *= ratio
-			a.computeDur = elapsed + remaining
-			a.computeEv = s.eng.After(remaining, a.computeFn)
-		}
-	}
-	for _, r := range sortedRunningReds(s.runningReds) {
-		run := s.runningReds[r]
-		for _, a := range run.attempts {
-			if a.dead || a.node != n || !a.computing || a.computeEv == nil {
-				continue
-			}
-			elapsed := float64(now - a.computeStart)
-			remaining := a.computeDur - elapsed
-			if remaining <= 0 {
-				continue
-			}
-			a.computeEv.Cancel()
-			s.eng.Remove(a.computeEv)
-			remaining *= ratio
-			a.computeDur = elapsed + remaining
-			if a.failFrac > 0 {
-				// The pending event was the scripted mid-compute failure at
-				// failFrac × dur; keep it at the same progress point.
-				fireIn := a.failFrac*a.computeDur - elapsed
-				if fireIn < 0 {
-					fireIn = 0
+	for k := mapKind; k < numKinds; k++ {
+		for _, run := range s.sortedRuns(k) {
+			for _, a := range run.attempts {
+				if a.dead || a.node != n || a.computeDone || a.computeEv == nil {
+					continue
 				}
-				a.computeEv = s.eng.After(fireIn, a.failCFn)
-			} else {
-				a.computeEv = s.eng.After(remaining, a.finishFn)
+				elapsed := float64(now - a.computeStart)
+				remaining := a.computeDur - elapsed
+				if remaining <= 0 {
+					continue
+				}
+				a.computeEv.Cancel()
+				s.eng.Remove(a.computeEv)
+				remaining *= ratio
+				a.computeDur = elapsed + remaining
+				if a.failFrac > 0 {
+					// The pending event was a reduce's scripted mid-compute
+					// failure at failFrac × dur; keep it at the same progress
+					// point.
+					fireIn := a.failFrac*a.computeDur - elapsed
+					if fireIn < 0 {
+						fireIn = 0
+					}
+					a.computeEv = s.eng.After(fireIn, a.failFn)
+				} else {
+					a.computeEv = s.eng.After(remaining, a.computeFn)
+				}
 			}
 		}
 	}

@@ -245,7 +245,7 @@ func (o *progressOracle) AssignReduce(ctx *sched.Context, node topology.NodeID) 
 		pending = pending || j.HasPendingReduces()
 	}
 	if !pending {
-		if len(o.sim.runningMaps) > 0 {
+		if len(o.sim.running[mapKind]) > 0 {
 			o.skipped++
 		}
 		return o.Scheduler.AssignReduce(ctx, node)
@@ -253,7 +253,8 @@ func (o *progressOracle) AssignReduce(ctx *sched.Context, node topology.NodeID) 
 	if ctx.Now != o.sim.eng.Now() {
 		o.t.Fatalf("ctx.Now %v, engine clock %v", ctx.Now, o.sim.eng.Now())
 	}
-	for m, run := range o.sim.runningMaps {
+	for t, run := range o.sim.running[mapKind] {
+		m := t.mapTask()
 		want, dead := 0.0, 0
 		for _, a := range run.attempts {
 			if a.dead {

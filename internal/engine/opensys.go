@@ -374,11 +374,11 @@ func (s *Simulation) newestActiveJob(t *tenantState) *job.Job {
 func (s *Simulation) preempt(j *job.Job, t *tenantState) {
 	s.preemptions++
 	t.preempted++
-	for _, m := range j.Maps {
-		s.resetMap(m)
+	for i := range j.Maps {
+		s.reset(taskRef{j, mapKind, i})
 	}
-	for _, r := range j.Reduces {
-		s.resetReduce(r)
+	for i := range j.Reduces {
+		s.reset(taskRef{j, reduceKind, i})
 	}
 	delete(s.stats, j.ID)
 	s.sampleUtil()

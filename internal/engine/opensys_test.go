@@ -180,11 +180,8 @@ func TestBlacklistReleasedAcrossArrivalStream(t *testing.T) {
 	if n := len(s.blacklistHolds); n != 0 {
 		t.Errorf("%d blacklist hold counts leaked", n)
 	}
-	if n := len(s.mapFails); n != 0 {
-		t.Errorf("%d map retry tallies leaked", n)
-	}
-	if n := len(s.redFails); n != 0 {
-		t.Errorf("%d reduce retry tallies leaked", n)
+	if n := len(s.fails); n != 0 {
+		t.Errorf("%d map and reduce retry tallies leaked", n)
 	}
 	if n := len(s.stats); n != 0 {
 		t.Errorf("%d speculation stats leaked", n)
@@ -253,35 +250,30 @@ func TestOpenSystemPoolReset(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, att := range s.freeMapAtts {
-		if att.m != nil || att.run != nil || att.fetch != nil ||
+	for i, att := range s.freeAtts[mapKind] {
+		if att.run != nil || att.fetch != nil ||
 			att.computeEv != nil || att.failEv != nil || att.dead ||
 			att.fetchDone || att.computeDone || att.computeDur != 0 {
-			t.Fatalf("pooled mapAttempt %d not reset: %+v", i, att)
+			t.Fatalf("pooled map attempt %d not reset: %+v", i, att)
 		}
 		if att.fetchFn == nil || att.computeFn == nil || att.failFn == nil {
-			t.Fatalf("pooled mapAttempt %d lost its bound callbacks", i)
+			t.Fatalf("pooled map attempt %d lost its bound callbacks", i)
 		}
 	}
-	for i, att := range s.freeRedAtts {
-		if att.r != nil || att.run != nil || att.computeEv != nil || att.dead ||
+	for i, att := range s.freeAtts[reduceKind] {
+		if att.run != nil || att.computeEv != nil || att.dead ||
 			att.computing || att.shuffled != 0 || att.failFrac != 0 ||
 			len(att.pendingSrc) != 0 || len(att.flights) != 0 ||
 			len(att.got) != 0 || len(att.queue) != 0 {
-			t.Fatalf("pooled redAttempt %d not reset: %+v", i, att)
+			t.Fatalf("pooled reduce attempt %d not reset: %+v", i, att)
 		}
-		if att.finishFn == nil || att.failCFn == nil {
-			t.Fatalf("pooled redAttempt %d lost its bound callbacks", i)
-		}
-	}
-	for i, run := range s.freeMapRuns {
-		if len(run.attempts) != 0 {
-			t.Fatalf("pooled mapRun %d kept %d attempts", i, len(run.attempts))
+		if att.computeFn == nil || att.failFn == nil {
+			t.Fatalf("pooled reduce attempt %d lost its bound callbacks", i)
 		}
 	}
-	for i, run := range s.freeRedRuns {
-		if len(run.attempts) != 0 {
-			t.Fatalf("pooled reduceRun %d kept %d attempts", i, len(run.attempts))
+	for i, run := range s.freeRuns {
+		if run.task != (taskRef{}) || len(run.attempts) != 0 {
+			t.Fatalf("pooled run %d kept task %+v and %d attempts", i, run.task, len(run.attempts))
 		}
 	}
 	for i, b := range s.freeBuckets {

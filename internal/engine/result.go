@@ -181,15 +181,15 @@ func (s *Simulation) collect() *Result {
 		res.ReduceLocality.Merge(jr.ReduceLocality)
 		res.Jobs = append(res.Jobs, jr)
 	}
-	res.MapTimes = s.mapTimes
-	res.ReduceTimes = s.reduceTimes
+	res.MapTimes = s.times[mapKind]
+	res.ReduceTimes = s.times[reduceKind]
 	res.MapRemoteBytes = s.mapRemoteBytes
 	res.ShuffleRemoteBytes = s.shuffleRemoteBytes
 	res.ShuffleLocalBytes = s.shuffleLocalBytes
-	res.Speculated = s.speculated
-	res.SpecWins = s.specWins
-	res.SpeculatedReduces = s.speculatedReds
-	res.SpecReduceWins = s.specRedWins
+	res.Speculated = s.speculated[mapKind]
+	res.SpecWins = s.specWins[mapKind]
+	res.SpeculatedReduces = s.speculated[reduceKind]
+	res.SpecReduceWins = s.specWins[reduceKind]
 	res.RelaunchedMaps = s.relaunchedMaps
 	res.RelaunchedReduces = s.relaunchedReduces
 	res.AttemptFailures = s.attemptFailures
