@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mrreplay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		wlName = fs.String("workload", "wordcount", "batch the recording ran: wordcount, terasort, grep")
+		wlName = fs.String("workload", "wordcount", "batch the recording ran, named as for mrsim")
 		scale  = fs.Int("scale", 6, "workload scale divisor of the recording")
 		seed   = fs.Int64("seed", 1, "seed of the recording")
 		nodes  = fs.Int("nodes", 60, "nodes per rack of the recording")
@@ -71,16 +71,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var batch []mapsched.JobDef
-	switch *wlName {
-	case "wordcount":
-		batch = mapsched.Batch(mapsched.Wordcount)
-	case "terasort":
-		batch = mapsched.Batch(mapsched.Terasort)
-	case "grep":
-		batch = mapsched.Batch(mapsched.Grep)
-	default:
-		return fail(fmt.Errorf("unknown workload %q", *wlName))
+	batch, err := mapsched.ParseBatch(*wlName)
+	if err != nil {
+		return fail(err)
 	}
 
 	f, err := os.Open(fs.Arg(0))

@@ -10,9 +10,9 @@ import (
 	"mapsched"
 )
 
-// recordEvents runs a small hop-cost probabilistic simulation and
-// writes its JSONL event log to a temp file, returning the path.
-func recordEvents(t *testing.T, opts ...mapsched.Option) string {
+// recordEvents runs a small hop-cost probabilistic simulation of batch
+// and writes its JSONL event log to a temp file, returning the path.
+func recordEvents(t *testing.T, batch []mapsched.JobDef, opts ...mapsched.Option) string {
 	t.Helper()
 	cfg := mapsched.DefaultClusterConfig()
 	cfg.Topology.Racks = 2
@@ -26,7 +26,7 @@ func recordEvents(t *testing.T, opts ...mapsched.Option) string {
 	all := append([]mapsched.Option{
 		mapsched.WithSeed(5), mapsched.WithScale(40), mapsched.WithCostMode(mapsched.ModeHops),
 	}, opts...)
-	sim, err := mapsched.New(cfg, mapsched.Batch(mapsched.Grep), mapsched.SchedulerProbabilistic, all...)
+	sim, err := mapsched.New(cfg, batch, mapsched.SchedulerProbabilistic, all...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func recordEvents(t *testing.T, opts ...mapsched.Option) string {
 // the replayable envelope.
 func TestRunVerdictExitCodes(t *testing.T) {
 	flags := []string{"-workload", "grep", "-nodes", "4", "-racks", "2", "-scale", "40", "-seed", "5"}
-	clean := recordEvents(t)
+	clean := recordEvents(t, mapsched.Batch(mapsched.Grep))
 
 	var out, errb bytes.Buffer
 	if code := run(append(append([]string{}, flags...), clean), &out, &errb); code != 0 {
@@ -76,7 +76,7 @@ func TestRunVerdictExitCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := recordEvents(t, mapsched.WithFaultPlan(plan), mapsched.WithReplication(2))
+	faulty := recordEvents(t, mapsched.Batch(mapsched.Grep), mapsched.WithFaultPlan(plan), mapsched.WithReplication(2))
 	out.Reset()
 	errb.Reset()
 	if code := run(append(append([]string{}, flags...), faulty), &out, &errb); code != exitNotReplayable {
@@ -85,6 +85,24 @@ func TestRunVerdictExitCodes(t *testing.T) {
 	line := strings.TrimSpace(errb.String())
 	if !strings.HasPrefix(line, `mrreplay: status=not_replayable reason="`) || strings.Count(line, "\n") != 0 {
 		t.Fatalf("stderr is not the one-line machine-readable rejection: %q", line)
+	}
+
+	// Workload names parse as mrsim parses them: in any case, short
+	// forms, and all for the whole of Table II.
+	for _, tc := range []struct {
+		name  string
+		batch []mapsched.JobDef
+	}{
+		{"all", mapsched.TableII()},
+		{"WC", mapsched.Batch(mapsched.Wordcount)},
+	} {
+		out.Reset()
+		errb.Reset()
+		args := []string{"-workload", tc.name, "-nodes", "4", "-racks", "2", "-scale", "40", "-seed", "5",
+			recordEvents(t, tc.batch)}
+		if code := run(args, &out, &errb); code != 0 || !strings.Contains(out.String(), "faithful") {
+			t.Fatalf("-workload %s exited %d\nstdout: %s\nstderr: %s", tc.name, code, out.String(), errb.String())
+		}
 	}
 
 	// Usage errors stay on the conventional code 2.

@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		schedName = fs.String("sched", "probabilistic", "scheduler: probabilistic, coupling, fair")
-		wlName    = fs.String("workload", "wordcount", "batch: wordcount, terasort, grep")
+		wlName    = fs.String("workload", "wordcount", "batch: wordcount (wc), terasort (ts), grep, or all")
 		scale     = fs.Int("scale", 6, "workload scale divisor")
 		seed      = fs.Int64("seed", 1, "simulation seed")
 		nodes     = fs.Int("nodes", 60, "nodes per rack")
@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	batch, err := workloadBatch(*wlName)
+	batch, err := mapsched.ParseBatch(*wlName)
 	if err != nil {
 		return fail(err)
 	}
@@ -255,20 +255,5 @@ func schedulerKind(name string) (mapsched.SchedulerKind, error) {
 		return mapsched.SchedulerFair, nil
 	default:
 		return 0, fmt.Errorf("unknown scheduler %q", name)
-	}
-}
-
-func workloadBatch(name string) ([]mapsched.JobDef, error) {
-	switch strings.ToLower(name) {
-	case "wordcount", "wc":
-		return mapsched.Batch(mapsched.Wordcount), nil
-	case "terasort", "ts":
-		return mapsched.Batch(mapsched.Terasort), nil
-	case "grep":
-		return mapsched.Batch(mapsched.Grep), nil
-	case "all":
-		return mapsched.TableII(), nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q", name)
 	}
 }

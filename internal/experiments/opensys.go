@@ -92,17 +92,14 @@ func CalibrateRates(tenants []workload.Tenant, rho float64, s Setup) []workload.
 	return out
 }
 
-// RunOpen is the open-system leaf: it expands the plan into the
-// deterministic arrival stream, configures the engine's open-system
-// mode and runs one simulation. Like RunBatch it holds a worker-gate
-// slot for the duration, so composite sweeps fan out freely while at
-// most SetMaxWorkers simulations execute at once.
-func (s Setup) RunOpen(plan workload.ArrivalPlan, tenants []workload.Tenant, b sched.Builder) (*engine.Result, error) {
-	arrivals, err := workload.BuildArrivals(plan, tenants, s.Engine.Seed, s.Workload)
+// OpenSystem expands an arrival plan into its deterministic arrival
+// stream for the seed and workload options, and returns it with the
+// tenants' admission policies as the engine's open-system mode.
+func OpenSystem(plan workload.ArrivalPlan, tenants []workload.Tenant, seed int64, wo workload.Options) (engine.OpenSystem, error) {
+	arrivals, err := workload.BuildArrivals(plan, tenants, seed, wo)
 	if err != nil {
-		return nil, err
+		return engine.OpenSystem{}, err
 	}
-	cfg := s.Engine
 	open := engine.OpenSystem{
 		MaxActive: plan.MaxActive,
 		Preempt:   plan.Preempt,
@@ -119,6 +116,20 @@ func (s Setup) RunOpen(plan workload.ArrivalPlan, tenants []workload.Tenant, b s
 	for i, a := range arrivals {
 		open.Arrivals[i] = engine.Arrival{At: sim.Time(a.At), Tenant: a.Tenant, Spec: a.Spec}
 	}
+	return open, nil
+}
+
+// RunOpen is the open-system leaf: it expands the plan into the
+// deterministic arrival stream, configures the engine's open-system
+// mode and runs one simulation. Like RunBatch it holds a worker-gate
+// slot for the duration, so composite sweeps fan out freely while at
+// most SetMaxWorkers simulations execute at once.
+func (s Setup) RunOpen(plan workload.ArrivalPlan, tenants []workload.Tenant, b sched.Builder) (*engine.Result, error) {
+	open, err := OpenSystem(plan, tenants, s.Engine.Seed, s.Workload)
+	if err != nil {
+		return nil, err
+	}
+	cfg := s.Engine
 	cfg.Open = open
 	run, err := engine.New(cfg, nil, b)
 	if err != nil {

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"mapsched/internal/core"
 	"mapsched/internal/engine"
@@ -45,7 +46,6 @@ import (
 	"mapsched/internal/hdfs"
 	"mapsched/internal/obs"
 	"mapsched/internal/placement"
-	"mapsched/internal/sim"
 	"mapsched/internal/trace"
 	"mapsched/internal/workload"
 )
@@ -142,6 +142,23 @@ func TableII() []JobDef { return workload.TableII() }
 
 // Batch returns the 10-job batch of one application class.
 func Batch(k Kind) []JobDef { return workload.Batch(k) }
+
+// ParseBatch parses a command-line workload name in any case: wordcount
+// (wc), terasort (ts) or grep for one class's batch, or all for the
+// whole of Table II.
+func ParseBatch(name string) ([]JobDef, error) {
+	switch strings.ToLower(name) {
+	case "wordcount", "wc":
+		return Batch(Wordcount), nil
+	case "terasort", "ts":
+		return Batch(Terasort), nil
+	case "grep":
+		return Batch(Grep), nil
+	case "all":
+		return TableII(), nil
+	}
+	return nil, fmt.Errorf("unknown workload %q", name)
+}
 
 // options collects New's functional options. Every optional int carries a
 // set flag so explicit zero values ("no cross traffic", "no storage
@@ -409,27 +426,10 @@ func New(cfg ClusterConfig, defs []JobDef, kind SchedulerKind, opts ...Option) (
 		return nil, err
 	}
 	if o.arrivalsSet {
-		arr, err := workload.BuildArrivals(o.arrivalPlan, o.tenants, o.seed, o.workloadOptions())
+		cfg.Open, err = experiments.OpenSystem(o.arrivalPlan, o.tenants, o.seed, o.workloadOptions())
 		if err != nil {
 			return nil, err
 		}
-		open := engine.OpenSystem{
-			MaxActive: o.arrivalPlan.MaxActive,
-			Preempt:   o.arrivalPlan.Preempt,
-			Warmup:    o.arrivalPlan.Warmup,
-		}
-		for _, t := range o.tenants {
-			open.Tenants = append(open.Tenants, engine.TenantPolicy{
-				Name:     t.Name,
-				Weight:   t.Weight,
-				QueueCap: t.QueueCap,
-			})
-		}
-		open.Arrivals = make([]engine.Arrival, len(arr))
-		for i, a := range arr {
-			open.Arrivals[i] = engine.Arrival{At: sim.Time(a.At), Tenant: a.Tenant, Spec: a.Spec}
-		}
-		cfg.Open = open
 	}
 	builder, err := experiments.Builder(kind, o.placementConfig())
 	if err != nil {
