@@ -11,7 +11,6 @@ import (
 
 	"mapsched/internal/core"
 	"mapsched/internal/engine"
-	"mapsched/internal/job"
 	"mapsched/internal/metrics"
 	"mapsched/internal/sched"
 	"mapsched/internal/workload"
@@ -249,5 +248,3 @@ func findJob(jobs []engine.JobResult, name string) (engine.JobResult, bool) {
 	}
 	return engine.JobResult{}, false
 }
-
-var _ = job.TaskDone // referenced by figures.go

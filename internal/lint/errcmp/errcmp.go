@@ -1,9 +1,9 @@
 // Package errcmp implements the schedlint analyzer enforcing the
 // sentinel-error comparison contract: error variables annotated
-// `//lint:sentinel` (the ErrDeltaConflict hierarchy, ErrNotReplayable,
-// ErrDeciderInvalid, ErrInvalidOption) must be compared with
-// errors.Is, never `==`/`!=` or an identity switch. The placement
-// errors deliberately wrap — ErrStaleSlot and friends carry
+// `//lint:sentinel` (the ErrDeltaConflict hierarchy, ErrDeciderInvalid,
+// the root package's replay-envelope error, ErrInvalidOption) must be
+// compared with errors.Is, never `==`/`!=` or an identity switch. The
+// placement errors deliberately wrap — ErrStaleSlot and friends carry
 // ErrDeltaConflict in their chain — so an identity comparison that
 // happens to pass today silently stops matching the moment a call
 // site adds context with fmt.Errorf("...: %w", err).

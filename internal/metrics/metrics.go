@@ -110,9 +110,6 @@ func (c CDF) Points(n int) []Point {
 	return out
 }
 
-// Values returns the sorted underlying sample (shared slice; do not modify).
-func (c CDF) Values() []float64 { return c.sorted }
-
 // TimeAvg integrates a step function over (simulated) time and reports its
 // time-weighted mean — used for slot-utilization accounting. The zero
 // value starts integrating at t = 0 with value 0; call Update at every

@@ -69,12 +69,6 @@ var (
 	ErrJournalBroken = errors.New("placement: journal broken")
 )
 
-// ErrNotReplayable reports an event stream outside the replay envelope
-// (fault, speculation or ModeNetworkCondition streams; see Replay).
-//
-//lint:sentinel
-var ErrNotReplayable = errors.New("placement: stream not replayable")
-
 // ErrDeciderInvalid reports a Decider whose cost model could not be
 // built from the service's deps; its decision methods surface it
 // through Outcome.Err instead of deciding.

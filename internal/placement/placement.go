@@ -22,10 +22,11 @@
 //
 // The simulation engine is the first client: its schedulers route
 // AssignMap/AssignReduce through a Decider over a Service wrapping the
-// engine's live objects, producing bit-identical decision streams. The
-// Replay driver is the second: it re-derives a recorded decision
-// stream against a Service fed only deltas, proving the engine-free
-// path computes the exact same numbers.
+// engine's live objects, producing bit-identical decision streams.
+// Standalone clients — the root package's PlacementService façade, and
+// through it the recorded-stream replay — build their own Service and
+// move it only through the delta methods, proving the engine-free path
+// computes the exact same numbers.
 package placement
 
 import (

@@ -60,9 +60,6 @@ type Flow struct {
 // until that event commits; a flow started mid-event reads 0 until then.
 func (f *Flow) Rate() float64 { return f.rate }
 
-// Remaining returns the bytes left to transfer as of the last rate change.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // Finished reports whether the flow has completed or been cancelled.
 func (f *Flow) Finished() bool { return f.finished }
 
@@ -80,7 +77,7 @@ type link struct {
 //
 // Churn (flow start, finish, cancel, capacity or alpha change) updates
 // link occupancy and the epoch at once, so occupancy-only reads
-// (ProspectiveRate, PathRate, LinkFlowCount) are exact mid-event. The
+// (ProspectiveRate, PathRate) are exact mid-event. The
 // shares themselves are solved once per churning event, in Flush — the
 // engine's commit hook, which runs before the clock can move — as a pure
 // function of the live-flow set: one progressive fill over every live
@@ -237,12 +234,6 @@ func (n *FlowNet) SetLinkCapacity(l LinkID, capacity float64) {
 	n.links[l].capacity = capacity
 	n.mark()
 }
-
-// LinkCapacity returns a link's current capacity (bytes/second).
-func (n *FlowNet) LinkCapacity(l LinkID) float64 { return n.links[l].capacity }
-
-// LinkFlowCount returns the number of active flows on l.
-func (n *FlowNet) LinkFlowCount(l LinkID) int { return len(n.links[l].flows) }
 
 // ActiveFlows returns the number of in-flight flows.
 func (n *FlowNet) ActiveFlows() int { return n.liveCount }

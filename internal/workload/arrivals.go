@@ -133,13 +133,6 @@ func (t Tenant) MeanServiceDemand(o Options, taskOverhead, linkBps float64) (map
 	return mapSec / n, redSec / n
 }
 
-// MeanServiceSeconds is the total of MeanServiceDemand: the expected
-// per-job slot-seconds demand across both slot pools.
-func (t Tenant) MeanServiceSeconds(o Options, taskOverhead, linkBps float64) float64 {
-	m, r := t.MeanServiceDemand(o, taskOverhead, linkBps)
-	return m + r
-}
-
 // TraceArrival is one scripted arrival of a trace-driven stream.
 type TraceArrival struct {
 	At     float64 // arrival instant, simulated seconds

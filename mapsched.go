@@ -192,8 +192,8 @@ type options struct {
 // Option customizes New, NewPlacementService and Replay.
 type Option func(*options)
 
-// ErrInvalidOption is wrapped by every option-domain error New and
-// NewPlacementService return, so callers can match the whole class with
+// ErrInvalidOption is wrapped by every option-domain error New,
+// NewPlacementService and Replay return, so callers can match the whole class with
 // errors.Is.
 var ErrInvalidOption = errors.New("invalid option")
 
@@ -324,8 +324,9 @@ func WithHeartbeatExpiry(seconds float64) Option {
 // service: every state delta (Commit, Complete, node health, links,
 // replicas) is appended to w as a CRC-protected JSONL record before it
 // applies. Together with WriteCheckpoint the journal lets
-// RecoverPlacementService rebuild the service after a crash. Only
-// NewPlacementService and RecoverPlacementService consume it.
+// RecoverPlacementService rebuild the service after a crash. Its
+// consumers are NewPlacementService, RecoverPlacementService and Replay;
+// New rejects it with ErrInvalidOption.
 func WithJournal(w io.Writer) Option {
 	return func(o *options) { o.journal = w; o.journalSet = true }
 }
@@ -407,6 +408,9 @@ func New(cfg ClusterConfig, defs []JobDef, kind SchedulerKind, opts ...Option) (
 	}
 	if len(defs) == 0 && !o.arrivalsSet {
 		return nil, fmt.Errorf("mapsched: no jobs to run")
+	}
+	if o.journalSet {
+		return nil, fmt.Errorf("mapsched: %w: a simulation does not journal; WithJournal is for placement services", ErrInvalidOption)
 	}
 	cfg.Seed = o.seed
 	if o.costModeSet {

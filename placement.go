@@ -1,11 +1,14 @@
 package mapsched
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"mapsched/internal/cluster"
+	"mapsched/internal/core"
 	"mapsched/internal/hdfs"
 	"mapsched/internal/job"
 	"mapsched/internal/obs"
@@ -227,25 +230,42 @@ func decisionOf(out placement.Outcome, node int, kind string) PlacementDecision 
 	}
 }
 
+// taskRef is a decision's task as the façade moves it: the transitions
+// MapTask and ReduceTask share, the task's state and the slot kind it
+// occupies.
+type taskRef struct {
+	lifecycle
+	state *job.TaskState
+	slot  placement.SlotKind
+}
+
+// lifecycle is the pair of transitions the façade drives on a task.
+type lifecycle interface {
+	Run(n topology.NodeID, at sim.Time)
+	Complete(at sim.Time)
+}
+
 // task resolves a decision back to its task.
-func (p *PlacementService) task(d PlacementDecision) (*job.Job, *job.MapTask, *job.ReduceTask, error) {
+func (p *PlacementService) task(d PlacementDecision) (taskRef, error) {
 	if !d.Assigned {
-		return nil, nil, nil, fmt.Errorf("mapsched: decision placed no task")
+		return taskRef{}, fmt.Errorf("mapsched: decision placed no task")
 	}
 	j := p.byName[d.Job]
 	if j == nil {
-		return nil, nil, nil, fmt.Errorf("mapsched: unknown job %q", d.Job)
+		return taskRef{}, fmt.Errorf("mapsched: unknown job %q", d.Job)
 	}
 	if d.Kind == "map" {
 		if d.Task < 0 || d.Task >= len(j.Maps) {
-			return nil, nil, nil, fmt.Errorf("mapsched: job %q has no map %d", d.Job, d.Task)
+			return taskRef{}, fmt.Errorf("mapsched: job %q has no map %d", d.Job, d.Task)
 		}
-		return j, j.Maps[d.Task], nil, nil
+		m := j.Maps[d.Task]
+		return taskRef{m, &m.State, placement.MapSlot}, nil
 	}
 	if d.Task < 0 || d.Task >= len(j.Reduces) {
-		return nil, nil, nil, fmt.Errorf("mapsched: job %q has no reduce %d", d.Job, d.Task)
+		return taskRef{}, fmt.Errorf("mapsched: job %q has no reduce %d", d.Job, d.Task)
 	}
-	return j, nil, j.Reduces[d.Task], nil
+	r := j.Reduces[d.Task]
+	return taskRef{r, &r.State, placement.ReduceSlot}, nil
 }
 
 // taskNote encodes the client half of a committed or completed
@@ -255,12 +275,15 @@ func taskNote(d PlacementDecision) string {
 	return fmt.Sprintf("%q %d", d.Job, d.Task)
 }
 
-// slotKindOf maps a decision's kind to the slot it occupies.
-func slotKindOf(m *job.MapTask) placement.SlotKind {
-	if m == nil {
-		return placement.ReduceSlot
+// expect is the validation hook of Commit and Complete: the decision's
+// task must be in state want.
+func expect(t taskRef, d PlacementDecision, want job.TaskState) func() error {
+	return func() error {
+		if *t.state != want {
+			return fmt.Errorf("mapsched: %s %d of %q is not %s", d.Kind, d.Task, d.Job, want)
+		}
+		return nil
 	}
-	return placement.MapSlot
 }
 
 // Commit takes an assigned decision: the task starts running on the
@@ -269,60 +292,26 @@ func slotKindOf(m *job.MapTask) placement.SlotKind {
 // slot (or offline/blacklisted), is rejected with a typed error and no
 // state change.
 func (p *PlacementService) Commit(d PlacementDecision) error {
-	_, m, r, err := p.task(d)
+	t, err := p.task(d)
 	if err != nil {
 		return err
 	}
 	n := topology.NodeID(d.Node)
-	pre := func() error {
-		st := job.TaskState(0)
-		if m != nil {
-			st = m.State
-		} else {
-			st = r.State
-		}
-		if st != job.TaskPending {
-			return fmt.Errorf("mapsched: %s %d of %q is not pending", d.Kind, d.Task, d.Job)
-		}
-		return nil
-	}
 	// The service has no clock: task times stay zero.
-	fn := func() {
-		if m != nil {
-			m.Run(n, 0)
-		} else {
-			r.Run(n, 0)
-		}
-	}
-	return p.svc.ApplySlotAcquireNoted(slotKindOf(m), n, taskNote(d), pre, fn)
+	return p.svc.ApplySlotAcquireNoted(t.slot, n, taskNote(d), expect(t, d, job.TaskPending),
+		func() { t.Run(n, 0) })
 }
 
 // Complete finishes a committed task: it is marked done and its slot
 // released, as one journaled delta. Completing a task that is not
 // running is rejected with no state change.
 func (p *PlacementService) Complete(d PlacementDecision) error {
-	_, m, r, err := p.task(d)
+	t, err := p.task(d)
 	if err != nil {
 		return err
 	}
-	n := topology.NodeID(d.Node)
-	pre := func() error {
-		if m != nil && m.State != job.TaskRunning {
-			return fmt.Errorf("mapsched: map %d of %q is not running", d.Task, d.Job)
-		}
-		if m == nil && r.State != job.TaskRunning {
-			return fmt.Errorf("mapsched: reduce %d of %q is not running", d.Task, d.Job)
-		}
-		return nil
-	}
-	fn := func() {
-		if m != nil {
-			m.Complete(0)
-		} else {
-			r.Complete(0)
-		}
-	}
-	return p.svc.ApplySlotReleaseNoted(slotKindOf(m), n, taskNote(d), pre, fn)
+	return p.svc.ApplySlotReleaseNoted(t.slot, topology.NodeID(d.Node), taskNote(d), expect(t, d, job.TaskRunning),
+		func() { t.Complete(0) })
 }
 
 // SetNodeOffline marks a node dead (offline=true) or revived: an
@@ -386,21 +375,13 @@ func (p *PlacementService) taskStates() string {
 // restoreTask replays one recorded task transition during recovery:
 // the task runs on node, and is done too when done is set.
 func (p *PlacementService) restoreTask(kind string, node int, name string, idx int, done bool) error {
-	_, m, r, err := p.task(PlacementDecision{Assigned: true, Kind: kind, Node: node, Job: name, Task: idx})
+	t, err := p.task(PlacementDecision{Assigned: true, Kind: kind, Node: node, Job: name, Task: idx})
 	if err != nil {
 		return err
 	}
-	n := topology.NodeID(node)
-	if m != nil {
-		m.Run(n, 0)
-		if done {
-			m.Complete(0)
-		}
-	} else {
-		r.Run(n, 0)
-		if done {
-			r.Complete(0)
-		}
+	t.Run(topology.NodeID(node), 0)
+	if done {
+		t.Complete(0)
 	}
 	return nil
 }
@@ -514,22 +495,53 @@ func RecoverPlacementService(cfg ClusterConfig, defs []JobDef, checkpoint, journ
 // (fault, speculation or network-condition streams): match with
 // errors.Is to distinguish "this stream cannot be verified" from a
 // malformed input.
-var ErrNotReplayable = placement.ErrNotReplayable
+//
+//lint:sentinel
+var ErrNotReplayable = errors.New("mapsched: stream not replayable")
 
-// ReplayReport summarizes a Replay: how many recorded decisions were
-// re-derived engine-free and which, if any, disagreed.
-type ReplayReport = placement.ReplayReport
+// ReplayReport summarizes a Replay: how many recorded map decisions were
+// re-derived engine-free and whether any disagreed with the recording.
+type ReplayReport struct {
+	// Events is the total number of stream events consumed.
+	Events int
+	// MapDecisions is the number of recorded map decision events
+	// (offer / assign / skip with a breakdown) that were re-derived.
+	MapDecisions int
+	// Deltas is the number of lifecycle events applied as Commit or
+	// Complete deltas.
+	Deltas int
+	// Mismatches lists recorded decisions the engine-free path
+	// disagreed with (empty on a faithful replay).
+	Mismatches []string
+}
+
+// Ok reports whether every re-derived decision matched the recording.
+func (r *ReplayReport) Ok() bool { return len(r.Mismatches) == 0 }
+
+// maxMismatches bounds the report so a systematically wrong replay stays
+// readable.
+const maxMismatches = 20
 
 // Replay re-derives the map placement decisions of a recorded event
 // log (a JSONLSink stream read back with ReadEventLog) without running
-// the simulation: the cluster and jobs are rebuilt from the same
-// configuration, defs and options the recording ran with, the recorded
-// task lifecycle is fed back in as state deltas, and every recorded
-// map decision's task and C / C_avg / P breakdown is recomputed and
-// checked bit-for-bit.
+// the simulation. It is a client of the placement service: the service
+// is built by NewPlacementService from the same configuration, defs and
+// options the recording ran with (the seed forks make block placement a
+// pure function of them), every recorded task_start / task_finish is
+// applied as Commit / Complete, and every recorded map decision's task
+// and C / C_avg / P breakdown is recomputed and checked bit-for-bit.
+// The applied lifecycle goes through the façade's validated, journaled
+// delta path, so WithJournal records exactly the journal a live service
+// would write for the same transitions.
 //
-// Supported recordings are hop-cost, fault-free, speculation-free runs
-// (see internal/placement.Replay for why); others return an error.
+// Replay is exact for map decisions of hop-cost, fault-free,
+// speculation-free probabilistic runs: map costs are a pure function of
+// block placement and slot availability, both of which the stream
+// reconstructs. Reduce decisions depend on continuously-evolving task
+// progress (the A_jf estimates) that heartbeat streams do not record,
+// and fault or speculation events move slots outside the recorded task
+// lifecycle, so those streams are rejected (ErrNotReplayable) rather
+// than replayed wrong.
 func Replay(cfg ClusterConfig, defs []JobDef, events []Event, opts ...Option) (*ReplayReport, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
@@ -539,18 +551,112 @@ func Replay(cfg ClusterConfig, defs []JobDef, events []Event, opts ...Option) (*
 		cfg.CostMode = o.costMode
 	}
 	if cfg.CostMode != ModeHops {
-		return nil, fmt.Errorf("mapsched: %w: only hop-cost recordings are replayable", ErrNotReplayable)
+		return nil, fmt.Errorf("%w: only hop-cost recordings are replayable", ErrNotReplayable)
 	}
-	specs, err := workload.Specs(defs, o.workloadOptions())
+	p, err := NewPlacementService(cfg, defs, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return placement.Replay(placement.ReplayConfig{
-		Topology:           cfg.Topology,
-		MapSlotsPerNode:    cfg.MapSlotsPerNode,
-		ReduceSlotsPerNode: cfg.ReduceSlotsPerNode,
-		Seed:               o.seed,
-		Specs:              specs,
-		Sched:              o.placementConfig(),
-	}, events)
+
+	rep := &ReplayReport{Events: len(events)}
+	mismatch := func(i int, ev *Event, format string, args ...any) {
+		if len(rep.Mismatches) >= maxMismatches {
+			return
+		}
+		head := fmt.Sprintf("event %d (%s %s t=%.3f): ", i, ev.Type, ev.Job, ev.T)
+		rep.Mismatches = append(rep.Mismatches, head+fmt.Sprintf(format, args...))
+	}
+	// The engine submits the batch in spec order (Submit = position ×
+	// stagger), so the jobs NewPlacementService built up front are the
+	// submission sequence; active mirrors the engine's live job list.
+	submitted := 0
+	var active []*job.Job
+
+	for i := range events {
+		ev := &events[i]
+		switch ev.Type {
+		case obs.JobSubmit:
+			if submitted == len(p.jobs) || p.jobs[submitted].Spec.Name != ev.Job {
+				return nil, fmt.Errorf("mapsched: replay: event %d: job_submit %q is not the next job of the batch", i, ev.Job)
+			}
+			active = append(active, p.jobs[submitted])
+			submitted++
+
+		case obs.JobFinish:
+			active = slices.DeleteFunc(active, func(j *job.Job) bool { return j.Spec.Name == ev.Job })
+
+		case obs.TaskStart, obs.TaskFinish:
+			if j := p.byName[ev.Job]; j == nil || int(j.ID) > submitted || ev.Task == nil {
+				return nil, fmt.Errorf("mapsched: replay: event %d: %s for unknown job %q", i, ev.Type, ev.Job)
+			}
+			d := PlacementDecision{Assigned: true, Node: ev.Node, Job: ev.Job, Kind: ev.Task.Kind, Task: ev.Task.Index}
+			apply := p.Complete
+			if ev.Type == obs.TaskStart {
+				apply = p.Commit
+			}
+			if err := apply(d); err != nil {
+				return nil, fmt.Errorf("mapsched: replay: event %d: %w", i, err)
+			}
+			rep.Deltas++
+
+		case obs.TaskOffer, obs.TaskAssign, obs.TaskSkip:
+			if ev.Task == nil || ev.Task.Kind != "map" || ev.Task.Index < 0 {
+				continue // reduce decisions carry unrecorded progress state
+			}
+			if ev.Decision == nil {
+				return nil, fmt.Errorf("mapsched: replay: event %d: map decision without a breakdown (not a probabilistic recording)", i)
+			}
+			rep.MapDecisions++
+			req := p.requestAt(ev.T)
+			req.Jobs = active
+			e := p.dec.EvaluateMap(req, topology.NodeID(ev.Node))
+
+			var want core.Choice
+			switch d := ev.Decision; d.Draw {
+			case "local":
+				if !e.InstantLocal {
+					mismatch(i, ev, "recorded instant-local assign, evaluation found none")
+					continue
+				}
+				want = e.Best
+			case "local_fallback":
+				if e.InstantLocal || !e.HasLocal {
+					mismatch(i, ev, "recorded local fallback, evaluation has instant=%v local=%v", e.InstantLocal, e.HasLocal)
+					continue
+				}
+				want = e.Local
+			default: // the gate's offer / accept / deterministic / below_pmin / decline
+				if e.InstantLocal || !e.HasBest {
+					mismatch(i, ev, "recorded gated decision, evaluation has instant=%v best=%v", e.InstantLocal, e.HasBest)
+					continue
+				}
+				want = e.Best
+			}
+			m := want.MapTask
+			if m.Job.Spec.Name != ev.Job || m.Index != ev.Task.Index {
+				mismatch(i, ev, "chose %s/%d, recording has %s/%d", m.Job.Spec.Name, m.Index, ev.Job, ev.Task.Index)
+				continue
+			}
+			// The breakdown must agree bit-for-bit. Instant-local and
+			// fallback assigns record C=0 / P=1 by construction; gated
+			// events carry the candidate's computed cost and probability.
+			gotC, gotAvg, gotP := want.Cost, want.AvgCost, want.Prob
+			if ev.Decision.Draw == "local" || ev.Decision.Draw == "local_fallback" {
+				gotC, gotP = 0, 1
+			}
+			if gotC != ev.Decision.C || gotAvg != ev.Decision.CAvg || gotP != ev.Decision.P {
+				mismatch(i, ev, "breakdown C=%v CAvg=%v P=%v, recording has C=%v CAvg=%v P=%v",
+					gotC, gotAvg, gotP, ev.Decision.C, ev.Decision.CAvg, ev.Decision.P)
+			}
+
+		case obs.SpecStart, obs.SpecWin, obs.NodeFail, obs.FailureDetected,
+			obs.TaskRelaunch, obs.AttemptFail, obs.NodeBlacklist,
+			obs.ReplicaLoss, obs.LinkDegrade, obs.NodeSlow, obs.JobFail:
+			return nil, fmt.Errorf("%w: event %d: %s streams move slots outside the recorded task lifecycle", ErrNotReplayable, i, ev.Type)
+
+		default:
+			// Flow-level events carry no placement state.
+		}
+	}
+	return rep, nil
 }

@@ -54,16 +54,19 @@ func TestPlacementServiceLifecycle(t *testing.T) {
 }
 
 // TestReplayPublicRoundTrip records a simulation through the public API
-// and replays its decision stream engine-free through the public API.
+// and replays its decision stream engine-free through the public API:
+// the faithful replay, its journal, and every way a recording falls
+// outside what Replay can verify.
 func TestReplayPublicRoundTrip(t *testing.T) {
 	cfg := mapsched.DefaultClusterConfig()
 	cfg.Topology.Racks = 2
 	cfg.Topology.NodesPerRack = 4
+	defs := mapsched.Batch(mapsched.Grep)
 
 	var events []mapsched.Event
 	collect := mapsched.ObserverFunc(func(e mapsched.Event) { events = append(events, e) })
 	opts := []mapsched.Option{mapsched.WithSeed(5), mapsched.WithScale(40)}
-	sim, err := mapsched.New(cfg, mapsched.Batch(mapsched.Grep), mapsched.SchedulerProbabilistic,
+	sim, err := mapsched.New(cfg, defs, mapsched.SchedulerProbabilistic,
 		append(opts, mapsched.WithObserver(collect))...)
 	if err != nil {
 		t.Fatal(err)
@@ -72,21 +75,66 @@ func TestReplayPublicRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := mapsched.Replay(cfg, mapsched.Batch(mapsched.Grep), events, opts...)
+	// The faithful replay journals its lifecycle through the façade's
+	// delta path: recovering that journal lands on one delta per
+	// applied lifecycle event.
+	var journal bytes.Buffer
+	rep, err := mapsched.Replay(cfg, defs, events, append(opts, mapsched.WithJournal(&journal))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.MapDecisions == 0 {
-		t.Fatal("no map decisions replayed")
+	if rep.MapDecisions == 0 || rep.Deltas == 0 {
+		t.Fatalf("replay verified %d map decisions over %d deltas", rep.MapDecisions, rep.Deltas)
 	}
 	if !rep.Ok() {
 		t.Fatalf("replay disagreed with the recording: %v", rep.Mismatches)
 	}
+	_, rcv, err := mapsched.RecoverPlacementService(cfg, defs, nil, &journal, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rcv.Tail != nil || rcv.Epoch != uint64(rep.Deltas) {
+		t.Fatalf("replay journal recovered to epoch %d (tail %v), want %d deltas", rcv.Epoch, rcv.Tail, rep.Deltas)
+	}
 
-	// Network-condition recordings are out of the replayable envelope.
-	cfg.CostMode = mapsched.ModeNetworkCondition
-	if _, err := mapsched.Replay(cfg, mapsched.Batch(mapsched.Grep), events, opts...); err == nil {
-		t.Fatal("netcond replay accepted")
+	// A replay against the wrong seed rebuilds different block
+	// placements: the report must say so rather than silently pass.
+	wrong, err := mapsched.Replay(cfg, defs, events, mapsched.WithSeed(6), mapsched.WithScale(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrong.Ok() {
+		t.Fatal("replay against the wrong seed reported a faithful stream")
+	}
+
+	// Recordings Replay cannot verify: a spliced speculation launch (the
+	// tiny jobs above never straggle, so fabricate the event) and a
+	// network-condition recording are outside the envelope; two swapped
+	// submissions are not the batch's submission order.
+	half := len(events) / 2
+	spliced := append(append(append([]mapsched.Event{}, events[:half]...),
+		mapsched.Event{Type: "spec_start", Job: defs[0].Name()}), events[half:]...)
+	if _, err := mapsched.Replay(cfg, defs, spliced, opts...); !errors.Is(err, mapsched.ErrNotReplayable) {
+		t.Fatalf("spliced spec_start: err = %v, want ErrNotReplayable", err)
+	}
+	netcond := cfg
+	netcond.CostMode = mapsched.ModeNetworkCondition
+	if _, err := mapsched.Replay(netcond, defs, events, opts...); !errors.Is(err, mapsched.ErrNotReplayable) {
+		t.Fatalf("netcond replay: err = %v, want ErrNotReplayable", err)
+	}
+	var submits []int
+	for i, e := range events {
+		if e.Type == "job_submit" {
+			submits = append(submits, i)
+		}
+	}
+	if len(submits) < 2 {
+		t.Fatalf("recording has %d job_submit events, want >= 2", len(submits))
+	}
+	swapped := append([]mapsched.Event{}, events...)
+	swapped[submits[0]], swapped[submits[1]] = swapped[submits[1]], swapped[submits[0]]
+	if _, err := mapsched.Replay(cfg, defs, swapped, opts...); err == nil {
+		t.Fatal("replay accepted swapped job submissions")
 	}
 }
 
@@ -155,13 +203,26 @@ func TestPlacementServiceCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestWithJournalRejectsNilWriter pins the option contract.
+// TestWithJournalRejectsNilWriter pins the option contract: a nil
+// writer is rejected, and so is any journal given to New, which has no
+// delta path to journal.
 func TestWithJournalRejectsNilWriter(t *testing.T) {
 	cfg := mapsched.DefaultClusterConfig()
-	_, err := mapsched.NewPlacementService(cfg, mapsched.Batch(mapsched.Grep)[:1],
-		mapsched.WithJournal(nil))
-	if !errors.Is(err, mapsched.ErrInvalidOption) {
-		t.Fatalf("WithJournal(nil) = %v, want ErrInvalidOption", err)
+	defs := mapsched.Batch(mapsched.Grep)[:1]
+	var buf bytes.Buffer
+	for name, build := range map[string]func() error{
+		"NewPlacementService(nil)": func() error {
+			_, err := mapsched.NewPlacementService(cfg, defs, mapsched.WithJournal(nil))
+			return err
+		},
+		"New(&buf)": func() error {
+			_, err := mapsched.New(cfg, defs, mapsched.SchedulerProbabilistic, mapsched.WithJournal(&buf))
+			return err
+		},
+	} {
+		if err := build(); !errors.Is(err, mapsched.ErrInvalidOption) {
+			t.Fatalf("%s = %v, want ErrInvalidOption", name, err)
+		}
 	}
 }
 
