@@ -22,8 +22,8 @@ vet:
 # schedlint statically enforces the simulator's determinism, cache
 # invalidation, concurrency and persistence contracts (see DESIGN.md
 # §12 and §17): nodeterminism, epochbump, poolreset, obsvocab,
-# optflag, lockheld, snapshotfree, deltajournal and errcmp, run
-# through the `go vet` tool protocol.
+# optflag, lockheld, snapshotfree, deltajournal, errcmp and funnel,
+# run through the `go vet` tool protocol.
 $(SCHEDLINT): FORCE
 	$(GO) build -o $(SCHEDLINT) ./cmd/schedlint
 

@@ -24,6 +24,9 @@
 //	               //lint:journal-append helper
 //	errcmp         //lint:sentinel errors compared with errors.Is,
 //	               never == or identity switch (with suggested fix)
+//	funnel         //lint:funnel fields written only by the
+//	               //lint:funnel functions of their package (the task
+//	               transitions that keep the per-job task counts)
 //
 // It speaks the `go vet` tool protocol; run it through the driver:
 //
@@ -44,7 +47,7 @@
 //
 // A file can suppress one analyzer for the whole file with a
 // `//lint:allow <analyzer> [reason]` comment; the v2 analyzers
-// (lockheld, snapshotfree, deltajournal, errcmp) additionally scope
+// (lockheld, snapshotfree, deltajournal, errcmp) and funnel additionally scope
 // an allow in a declaration's doc comment to that declaration alone.
 package main
 

@@ -41,7 +41,9 @@ func headroom(used, req, cap Resources) int {
 // container model where map and reduce tasks request resource vectors
 // from a shared node capacity (the paper's Section V future work).
 type Node struct {
-	ID          topology.NodeID
+	ID topology.NodeID
+	// MapSlots and ReduceSlots are the node's fixed slot counts, set at
+	// New; State.TotalSlots keeps their sum.
 	MapSlots    int
 	ReduceSlots int
 
@@ -56,9 +58,31 @@ type Node struct {
 	mapReq, reduceReq Resources
 
 	// st points back to the owning State so slot transitions keep the
-	// cluster-wide availability sets incremental; nil for bare Node values
-	// built outside New (unit tests), which then behave as before.
+	// cluster-wide availability sets and slot totals incremental; nil for
+	// bare Node values built outside New (unit tests), which then behave
+	// as before.
 	st *State
+}
+
+// addUsed moves the node's occupied slot counts and, with them, the
+// cluster-wide totals UsedSlots reports.
+func (n *Node) addUsed(maps, reduces int) {
+	n.usedMap += maps
+	n.usedReduce += reduces
+	if n.st != nil {
+		n.st.usedMap += maps
+		n.st.usedReduce += reduces
+	}
+}
+
+// capacitySlots returns the node's slot capacities: its fixed slot
+// counts, or in container mode how many containers of each kind fit the
+// idle node.
+func (n *Node) capacitySlots() (maps, reduces int) {
+	if n.resourceMode {
+		return headroom(Resources{}, n.mapReq, n.capacity), headroom(Resources{}, n.reduceReq, n.capacity)
+	}
+	return n.MapSlots, n.ReduceSlots
 }
 
 // freeBefore snapshots the node's availability in both slot kinds; paired
@@ -120,11 +144,17 @@ func (n *Node) EnableResources(capacity, mapReq, reduceReq Resources) error {
 		return fmt.Errorf("cluster: node %d: cannot switch modes with tasks running", n.ID)
 	}
 	bm, br := n.freeBefore()
+	tm, tr := n.capacitySlots()
 	n.resourceMode = true
 	n.capacity = capacity
 	n.mapReq = mapReq
 	n.reduceReq = reduceReq
 	n.noteChange(bm, br)
+	if n.st != nil {
+		m, r := n.capacitySlots()
+		n.st.totalMap += m - tm
+		n.st.totalReduce += r - tr
+	}
 	return nil
 }
 
@@ -174,14 +204,14 @@ func (n *Node) AcquireMap() error {
 		}
 		n.used.MemMB += n.mapReq.MemMB
 		n.used.VCores += n.mapReq.VCores
-		n.usedMap++
+		n.addUsed(1, 0)
 		n.noteChange(bm, br)
 		return nil
 	}
 	if n.usedMap >= n.MapSlots {
 		return fmt.Errorf("cluster: node %d has no free map slot", n.ID)
 	}
-	n.usedMap++
+	n.addUsed(1, 0)
 	n.noteChange(bm, br)
 	return nil
 }
@@ -193,7 +223,7 @@ func (n *Node) ReleaseMap() {
 		panic(fmt.Sprintf("cluster: node %d released an unheld map slot", n.ID))
 	}
 	bm, br := n.freeBefore()
-	n.usedMap--
+	n.addUsed(-1, 0)
 	if n.resourceMode {
 		n.used.MemMB -= n.mapReq.MemMB
 		n.used.VCores -= n.mapReq.VCores
@@ -210,14 +240,14 @@ func (n *Node) AcquireReduce() error {
 		}
 		n.used.MemMB += n.reduceReq.MemMB
 		n.used.VCores += n.reduceReq.VCores
-		n.usedReduce++
+		n.addUsed(0, 1)
 		n.noteChange(bm, br)
 		return nil
 	}
 	if n.usedReduce >= n.ReduceSlots {
 		return fmt.Errorf("cluster: node %d has no free reduce slot", n.ID)
 	}
-	n.usedReduce++
+	n.addUsed(0, 1)
 	n.noteChange(bm, br)
 	return nil
 }
@@ -228,7 +258,7 @@ func (n *Node) ReleaseReduce() {
 		panic(fmt.Sprintf("cluster: node %d released an unheld reduce slot", n.ID))
 	}
 	bm, br := n.freeBefore()
-	n.usedReduce--
+	n.addUsed(0, -1)
 	if n.resourceMode {
 		n.used.MemMB -= n.reduceReq.MemMB
 		n.used.VCores -= n.reduceReq.VCores
@@ -318,6 +348,12 @@ type State struct {
 	nodes       []*Node
 	availMap    availState
 	availReduce availState
+
+	// Cluster-wide occupied and capacity slot totals, kept by the nodes'
+	// Acquire*/Release* and EnableResources so the utilization sample
+	// taken on every slot transition is O(1).
+	usedMap, usedReduce   int
+	totalMap, totalReduce int
 }
 
 // New creates a cluster of n nodes with uniform slot counts.
@@ -329,7 +365,10 @@ func New(n, mapSlots, reduceSlots int) (*State, error) {
 		return nil, fmt.Errorf("cluster: negative slot counts")
 	}
 	// Versions start at 1: consumers use 0 as "no identity known".
-	s := &State{availMap: availState{version: 1}, availReduce: availState{version: 1}}
+	s := &State{
+		availMap: availState{version: 1}, availReduce: availState{version: 1},
+		totalMap: n * mapSlots, totalReduce: n * reduceSlots,
+	}
 	s.nodes = make([]*Node, n)
 	for i := range s.nodes {
 		s.nodes[i] = &Node{ID: topology.NodeID(i), MapSlots: mapSlots, ReduceSlots: reduceSlots, st: s}
@@ -393,29 +432,12 @@ func (s *State) Versions() (mapVersion, reduceVersion uint64) {
 }
 
 // UsedSlots returns the cluster-wide occupied map and reduce slot counts.
-func (s *State) UsedSlots() (maps, reduces int) {
-	for _, n := range s.nodes {
-		maps += n.usedMap
-		reduces += n.usedReduce
-	}
-	return maps, reduces
-}
+func (s *State) UsedSlots() (maps, reduces int) { return s.usedMap, s.usedReduce }
 
 // TotalSlots returns the cluster-wide slot capacities. In container mode
 // the capacity is expressed as how many containers of each kind would fit
 // an idle cluster.
-func (s *State) TotalSlots() (maps, reduces int) {
-	for _, n := range s.nodes {
-		if n.resourceMode {
-			maps += headroom(Resources{}, n.mapReq, n.capacity)
-			reduces += headroom(Resources{}, n.reduceReq, n.capacity)
-			continue
-		}
-		maps += n.MapSlots
-		reduces += n.ReduceSlots
-	}
-	return maps, reduces
-}
+func (s *State) TotalSlots() (maps, reduces int) { return s.totalMap, s.totalReduce }
 
 // EnableResources switches every node to the container model.
 func (s *State) EnableResources(capacity, mapReq, reduceReq Resources) error {

@@ -330,3 +330,72 @@ func TestAvailCountsTrackChurn(t *testing.T) {
 	s.SetClasses(classes)
 	check("reinstall classes")
 }
+
+// TestSlotTotalsMatchNodeSums drives random acquires, releases, offline
+// and blacklist flips and container-mode switches (some failing) across
+// a cluster: after every step UsedSlots and TotalSlots, which the nodes
+// keep incrementally, must equal a per-node sum.
+func TestSlotTotalsMatchNodeSums(t *testing.T) {
+	s, err := New(6, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.NewRNG(11)
+	capacity := Resources{MemMB: 8192, VCores: 4}
+	mapReq, redReq := Resources{MemMB: 2048, VCores: 1}, Resources{MemMB: 3072, VCores: 1}
+	for step := 1; step <= 3000; step++ {
+		n := s.Node(topology.NodeID(rng.Intn(s.Size())))
+		switch rng.Intn(8) {
+		case 0:
+			_ = n.AcquireMap() // may be full, offline or blacklisted
+		case 1:
+			_ = n.AcquireReduce()
+		case 2:
+			if n.UsedMapSlots() > 0 {
+				n.ReleaseMap()
+			}
+		case 3:
+			if n.UsedReduceSlots() > 0 {
+				n.ReleaseReduce()
+			}
+		case 4:
+			n.SetOffline(!n.Offline())
+		case 5:
+			n.SetBlacklisted(!n.Blacklisted())
+		case 6:
+			_ = n.EnableResources(capacity, mapReq, redReq) // fails while tasks run
+		case 7:
+			if rng.Intn(50) == 0 {
+				_ = s.EnableResources(capacity, mapReq, redReq) // may stop part-way
+			}
+		}
+		var um, ur, tm, tr int
+		for id := 0; id < s.Size(); id++ {
+			nd := s.Node(topology.NodeID(id))
+			um += nd.UsedMapSlots()
+			ur += nd.UsedReduceSlots()
+			if nd.ResourceMode() {
+				tm += headroom(Resources{}, nd.mapReq, nd.capacity)
+				tr += headroom(Resources{}, nd.reduceReq, nd.capacity)
+			} else {
+				tm += nd.MapSlots
+				tr += nd.ReduceSlots
+			}
+		}
+		if gm, gr := s.UsedSlots(); gm != um || gr != ur {
+			t.Fatalf("step %d: UsedSlots = (%d,%d), node sum (%d,%d)", step, gm, gr, um, ur)
+		}
+		if gm, gr := s.TotalSlots(); gm != tm || gr != tr {
+			t.Fatalf("step %d: TotalSlots = (%d,%d), node sum (%d,%d)", step, gm, gr, tm, tr)
+		}
+	}
+	modes := 0
+	for id := 0; id < s.Size(); id++ {
+		if s.Node(topology.NodeID(id)).ResourceMode() {
+			modes++
+		}
+	}
+	if modes == 0 {
+		t.Fatal("no node reached container mode: the switch was never exercised")
+	}
+}

@@ -50,15 +50,13 @@ func fig2Setup(t *testing.T) (*CostModel, *job.Job) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &job.Job{ID: 1, Spec: job.Spec{Name: "fig2", Profile: prof}}
-	j.Maps = []*job.MapTask{
-		{Job: j, Index: 0, Block: b1, Size: 128, Out: []float64{10, 5}, OutputCurve: 1, Node: -1},
-		{Job: j, Index: 1, Block: b2, Size: 128, Out: []float64{20, 10}, OutputCurve: 1, Node: -1},
-	}
-	j.Reduces = []*job.ReduceTask{
-		{Job: j, Index: 0, Node: -1},
-		{Job: j, Index: 1, Node: -1},
-	}
+	j := job.Assemble(1, job.Spec{Name: "fig2", Profile: prof}, []*job.MapTask{
+		{Index: 0, Block: b1, Size: 128, Out: []float64{10, 5}, OutputCurve: 1, Node: -1},
+		{Index: 1, Block: b2, Size: 128, Out: []float64{20, 10}, OutputCurve: 1, Node: -1},
+	}, []*job.ReduceTask{
+		{Index: 0, Node: -1},
+		{Index: 1, Node: -1},
+	})
 	cm, err := NewCostModel(net, store, nil, ModeHops)
 	if err != nil {
 		t.Fatal(err)
@@ -486,20 +484,18 @@ func TestSelectReduceSkipsUnreachablePlacements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &job.Job{ID: 1, Spec: job.Spec{Name: "sever", Profile: job.Profile{
-		Name: "sever", MapSelectivity: 1, MapRate: 1e6, ReduceRate: 1e6,
-	}}}
 	// R1 is fed only by the map on node 1, R2 only by the map on node 2.
-	j.Maps = []*job.MapTask{
-		{Job: j, Index: 0, Block: b1, Size: 128, Out: []float64{10, 0}, OutputCurve: 1,
+	j := job.Assemble(1, job.Spec{Name: "sever", Profile: job.Profile{
+		Name: "sever", MapSelectivity: 1, MapRate: 1e6, ReduceRate: 1e6,
+	}}, []*job.MapTask{
+		{Index: 0, Block: b1, Size: 128, Out: []float64{10, 0}, OutputCurve: 1,
 			Node: 1, State: job.TaskDone, Progress: 1},
-		{Job: j, Index: 1, Block: b2, Size: 128, Out: []float64{0, 10}, OutputCurve: 1,
+		{Index: 1, Block: b2, Size: 128, Out: []float64{0, 10}, OutputCurve: 1,
 			Node: 2, State: job.TaskDone, Progress: 1},
-	}
-	j.Reduces = []*job.ReduceTask{
-		{Job: j, Index: 0, Node: -1},
-		{Job: j, Index: 1, Node: -1},
-	}
+	}, []*job.ReduceTask{
+		{Index: 0, Node: -1},
+		{Index: 1, Node: -1},
+	})
 	cm, err := NewCostModel(net, store, net, ModeNetworkCondition)
 	if err != nil {
 		t.Fatal(err)

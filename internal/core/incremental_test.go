@@ -57,8 +57,7 @@ func churnMaps(j *job.Job, n int, rng *sim.RNG, nodes int) {
 		m := j.Maps[rng.Intn(len(j.Maps))]
 		switch rng.Intn(5) {
 		case 0: // launch or relocate
-			m.State = job.TaskRunning
-			m.Node = topology.NodeID(rng.Intn(nodes))
+			m.Run(topology.NodeID(rng.Intn(nodes)), 0)
 			m.Progress = rng.Float64()
 		case 1: // progress advance
 			if m.State == job.TaskRunning {
@@ -66,13 +65,10 @@ func churnMaps(j *job.Job, n int, rng *sim.RNG, nodes int) {
 			}
 		case 2: // finish
 			if m.State == job.TaskRunning {
-				m.State = job.TaskDone
-				m.Progress = 1
+				m.Complete(0)
 			}
 		case 3: // node failure: task reverts to pending
-			m.State = job.TaskPending
-			m.Node = -1
-			m.Progress = 0
+			m.Reset()
 		case 4: // speculation win on another node
 			if m.State == job.TaskRunning {
 				m.Node = topology.NodeID(rng.Intn(nodes))

@@ -2,6 +2,14 @@
 // reduce tasks bound to key-space partitions, the intermediate-data matrix
 // I (I_jf = bytes map j produces for reduce f), and the per-task progress
 // counters (d_read, A_jf) that the paper's estimator consumes.
+//
+// Task state moves only through the MapTask/ReduceTask Run, Complete and
+// Reset methods, over one private setState per task kind. That funnel
+// keeps per-job pending, running and done counts, which Assemble seeds
+// from the tasks' initial states, so the scheduler's hot questions —
+// does a job have a pending task, how many of its tasks run — are O(1)
+// instead of rescans of every task. The schedlint funnel analyzer holds
+// the fields marked //lint:funnel to their funnel methods.
 package job
 
 import (
@@ -158,10 +166,10 @@ type MapTask struct {
 	OutputCurve float64
 
 	// Runtime state. State moves only through Run, Complete and Reset,
-	// which keep the job's DoneMaps count in step; the engine and the
+	// which keep the job's task counts in step; the engine and the
 	// placement clients set Locality, and refine Node and Progress,
 	// between transitions.
-	State    TaskState
+	State    TaskState //lint:funnel
 	Node     topology.NodeID
 	Locality Locality
 	Launch   sim.Time
@@ -202,15 +210,13 @@ func (m *MapTask) CurrentOut(f int) float64 {
 // RunTime returns the task's duration; valid once done.
 func (m *MapTask) RunTime() float64 { return float64(m.Finish - m.Launch) }
 
-// setState is the one writer of State: it keeps the job's DoneMaps
-// equal to the number of its maps in TaskDone.
+// setState is the one writer of State: it moves the task between the
+// job's per-state map counts.
+//
+//lint:funnel
 func (m *MapTask) setState(st TaskState) {
-	if m.State == TaskDone {
-		m.Job.DoneMaps--
-	}
-	if st == TaskDone {
-		m.Job.DoneMaps++
-	}
+	m.Job.countMap(m.State, -1)
+	m.Job.countMap(st, 1)
 	m.State = st
 }
 
@@ -239,8 +245,8 @@ type ReduceTask struct {
 	Index int
 
 	// Runtime state. State moves only through Run, Complete and Reset,
-	// which keep the job's DoneReds count in step.
-	State    TaskState
+	// which keep the job's task counts in step.
+	State    TaskState //lint:funnel
 	Node     topology.NodeID
 	Locality Locality
 	Launch   sim.Time
@@ -263,15 +269,13 @@ func (r *ReduceTask) ExpectedInput() float64 {
 // RunTime returns the task's duration; valid once done.
 func (r *ReduceTask) RunTime() float64 { return float64(r.Finish - r.Launch) }
 
-// setState is the one writer of State: it keeps the job's DoneReds
-// equal to the number of its reduces in TaskDone.
+// setState is the one writer of State: it moves the task between the
+// job's per-state reduce counts.
+//
+//lint:funnel
 func (r *ReduceTask) setState(st TaskState) {
-	if r.State == TaskDone {
-		r.Job.DoneReds--
-	}
-	if st == TaskDone {
-		r.Job.DoneReds++
-	}
+	r.Job.countReduce(r.State, -1)
+	r.Job.countReduce(st, 1)
 	r.State = st
 }
 
@@ -303,10 +307,15 @@ type Job struct {
 
 	Submitted sim.Time
 	Finished  sim.Time
-	// DoneMaps and DoneReds count the tasks in TaskDone; the task
-	// transition methods maintain them.
-	DoneMaps int
-	DoneReds int
+	// DoneMaps and DoneReds count the tasks in TaskDone. Only the task
+	// transition methods and Assemble write them, together with the
+	// pending and running counts below.
+	DoneMaps int //lint:funnel
+	DoneReds int //lint:funnel
+
+	// Tasks in TaskPending and TaskRunning, per kind.
+	pendingMaps, runningMaps int
+	pendingReds, runningReds int
 
 	// Failed marks a job the engine terminated unsuccessfully — a task
 	// exhausted its attempt budget, or every replica of an unread input
@@ -338,9 +347,8 @@ func New(id ID, spec Spec, store *hdfs.Store, rng *sim.RNG) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("job %s: %w", spec.Name, err)
 	}
-	j := &Job{ID: id, Spec: spec, Submitted: spec.Submit}
-
 	weights := partitionWeights(spec.NumReduces, spec.Profile.PartitionSkew, rng)
+	maps := make([]*MapTask, 0, len(blocks))
 	for idx, b := range blocks {
 		size := store.Size(b)
 		sel := rng.Jitter(spec.Profile.MapSelectivity, spec.Profile.SelectivityJitter)
@@ -350,8 +358,7 @@ func New(id ID, spec Spec, store *hdfs.Store, rng *sim.RNG) (*Job, error) {
 			out[f] = total * weights[f]
 		}
 		curve := rng.Jitter(1.0, spec.Profile.OutputCurveSpread)
-		j.Maps = append(j.Maps, &MapTask{
-			Job:         j,
+		maps = append(maps, &MapTask{
 			Index:       idx,
 			Block:       b,
 			Size:        size,
@@ -360,10 +367,56 @@ func New(id ID, spec Spec, store *hdfs.Store, rng *sim.RNG) (*Job, error) {
 			Node:        -1,
 		})
 	}
-	for f := 0; f < spec.NumReduces; f++ {
-		j.Reduces = append(j.Reduces, &ReduceTask{Job: j, Index: f, Node: -1})
+	reduces := make([]*ReduceTask, spec.NumReduces)
+	for f := range reduces {
+		reduces[f] = &ReduceTask{Index: f, Node: -1}
 	}
-	return j, nil
+	return Assemble(id, spec, maps, reduces), nil
+}
+
+// Assemble builds a job over the given tasks: it points every task back
+// at the job and counts the tasks' states, so the per-state counts start
+// equal to a rescan whatever states the tasks were built in. New calls
+// it; so do tests that lay out tasks by hand.
+func Assemble(id ID, spec Spec, maps []*MapTask, reduces []*ReduceTask) *Job {
+	j := &Job{ID: id, Spec: spec, Maps: maps, Reduces: reduces, Submitted: spec.Submit}
+	for _, m := range maps {
+		m.Job = j
+		j.countMap(m.State, 1)
+	}
+	for _, r := range reduces {
+		r.Job = j
+		j.countReduce(r.State, 1)
+	}
+	return j
+}
+
+// countMap adds d to the job's count of maps in state st.
+//
+//lint:funnel
+func (j *Job) countMap(st TaskState, d int) {
+	switch st {
+	case TaskPending:
+		j.pendingMaps += d
+	case TaskRunning:
+		j.runningMaps += d
+	case TaskDone:
+		j.DoneMaps += d
+	}
+}
+
+// countReduce adds d to the job's count of reduces in state st.
+//
+//lint:funnel
+func (j *Job) countReduce(st TaskState, d int) {
+	switch st {
+	case TaskPending:
+		j.pendingReds += d
+	case TaskRunning:
+		j.runningReds += d
+	case TaskDone:
+		j.DoneReds += d
+	}
 }
 
 // partitionWeights draws normalized reduce-partition weights: uniform for
@@ -423,63 +476,47 @@ func (j *Job) MapProgress() float64 {
 	return p / float64(len(j.Maps))
 }
 
-// HasPendingMaps reports whether any map task is not yet launched,
-// without materializing the slice PendingMaps would build.
-func (j *Job) HasPendingMaps() bool {
-	for _, m := range j.Maps {
-		if m.State == TaskPending {
-			return true
-		}
-	}
-	return false
-}
+// HasPendingMaps reports whether any map task is not yet launched.
+func (j *Job) HasPendingMaps() bool { return j.pendingMaps > 0 }
 
 // HasPendingReduces reports whether any reduce task is not yet launched.
-func (j *Job) HasPendingReduces() bool {
-	for _, r := range j.Reduces {
-		if r.State == TaskPending {
-			return true
-		}
-	}
-	return false
-}
+func (j *Job) HasPendingReduces() bool { return j.pendingReds > 0 }
 
-// PendingMaps returns map tasks not yet launched.
-func (j *Job) PendingMaps() []*MapTask {
-	var out []*MapTask
+// AppendPendingMaps appends the map tasks not yet launched to dst, in
+// task-index order, and returns the extended slice. The scan stops at
+// the last pending task, so callers reusing dst allocate nothing.
+func (j *Job) AppendPendingMaps(dst []*MapTask) []*MapTask {
+	left := j.pendingMaps
 	for _, m := range j.Maps {
+		if left == 0 {
+			break
+		}
 		if m.State == TaskPending {
-			out = append(out, m)
+			dst = append(dst, m)
+			left--
 		}
 	}
-	return out
+	return dst
 }
 
-// PendingReduces returns reduce tasks not yet launched.
-func (j *Job) PendingReduces() []*ReduceTask {
-	var out []*ReduceTask
+// AppendPendingReduces appends the reduce tasks not yet launched to dst,
+// in task-index order, as AppendPendingMaps does for maps.
+func (j *Job) AppendPendingReduces(dst []*ReduceTask) []*ReduceTask {
+	left := j.pendingReds
 	for _, r := range j.Reduces {
+		if left == 0 {
+			break
+		}
 		if r.State == TaskPending {
-			out = append(out, r)
+			dst = append(dst, r)
+			left--
 		}
 	}
-	return out
+	return dst
 }
 
 // RunningTasks returns the number of currently running map and reduce tasks.
-func (j *Job) RunningTasks() (maps, reduces int) {
-	for _, m := range j.Maps {
-		if m.State == TaskRunning {
-			maps++
-		}
-	}
-	for _, r := range j.Reduces {
-		if r.State == TaskRunning {
-			reduces++
-		}
-	}
-	return maps, reduces
-}
+func (j *Job) RunningTasks() (maps, reduces int) { return j.runningMaps, j.runningReds }
 
 // HasReduceOn reports whether the job currently has a running reduce task
 // on the node — Algorithm 2 line 1 forbids co-locating two simultaneously
@@ -487,6 +524,9 @@ func (j *Job) RunningTasks() (maps, reduces int) {
 // congestion). Finished reduces release the node: with ~190 reduces per
 // job on 60 nodes the rule could not otherwise be satisfied.
 func (j *Job) HasReduceOn(n topology.NodeID) bool {
+	if j.runningReds == 0 {
+		return false
+	}
 	for _, r := range j.Reduces {
 		if r.State == TaskRunning && r.Node == n {
 			return true

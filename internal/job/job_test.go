@@ -141,8 +141,7 @@ func TestCurrentOutProgressCurve(t *testing.T) {
 		InputBytes: 128e6, BlockSize: 128e6, NumReduces: 2,
 	})
 	m := j.Maps[0]
-	m.State = TaskRunning
-	m.Progress = 0
+	m.Run(0, 0)
 	if got := m.CurrentOut(0); got != 0 {
 		t.Fatalf("CurrentOut at progress 0 = %v, want 0", got)
 	}
@@ -155,7 +154,7 @@ func TestCurrentOutProgressCurve(t *testing.T) {
 	if got := m.CurrentOut(0); math.Abs(got-m.Out[0]) > 1e-6 {
 		t.Fatalf("CurrentOut at 1 = %v, want %v", got, m.Out[0])
 	}
-	m.State = TaskDone
+	m.Complete(0)
 	m.Progress = 0.3 // stale progress must not matter once done
 	if got := m.CurrentOut(0); got != m.Out[0] {
 		t.Fatalf("done task CurrentOut = %v, want full %v", got, m.Out[0])
@@ -171,7 +170,7 @@ func TestEstimatorIdentityWhenCurveIsOne(t *testing.T) {
 	})
 	m := j.Maps[0]
 	m.OutputCurve = 1
-	m.State = TaskRunning
+	m.Run(0, 0)
 	for _, p := range []float64{0.1, 0.25, 0.5, 0.9} {
 		m.Progress = p
 		for f := range m.Out {
@@ -191,17 +190,15 @@ func TestMapProgressAggregation(t *testing.T) {
 	if p := j.MapProgress(); p != 0 {
 		t.Fatalf("initial MapProgress = %v, want 0", p)
 	}
-	j.Maps[0].State = TaskDone
-	j.DoneMaps = 1
-	j.Maps[1].State = TaskRunning
+	j.Maps[0].Complete(0)
+	j.Maps[1].Run(1, 0)
 	j.Maps[1].Progress = 0.5
 	if p := j.MapProgress(); math.Abs(p-0.375) > 1e-9 {
 		t.Fatalf("MapProgress = %v, want 0.375", p)
 	}
 	for _, m := range j.Maps {
-		m.State = TaskDone
+		m.Complete(0)
 	}
-	j.DoneMaps = 4
 	if p := j.MapProgress(); p != 1 {
 		t.Fatalf("final MapProgress = %v, want 1", p)
 	}
@@ -215,13 +212,17 @@ func TestPendingAndRunningViews(t *testing.T) {
 		Name: "wc", Profile: testProfile(),
 		InputBytes: 3 * 128e6, BlockSize: 128e6, NumReduces: 3,
 	})
-	if len(j.PendingMaps()) != 3 || len(j.PendingReduces()) != 3 {
+	if len(j.AppendPendingMaps(nil)) != 3 || len(j.AppendPendingReduces(nil)) != 3 {
 		t.Fatal("fresh job has wrong pending counts")
 	}
-	j.Maps[0].State = TaskRunning
-	j.Reduces[1].State = TaskRunning
-	if len(j.PendingMaps()) != 2 || len(j.PendingReduces()) != 2 {
+	j.Maps[0].Run(0, 0)
+	j.Reduces[1].Run(1, 0)
+	maps, reds := j.AppendPendingMaps(nil), j.AppendPendingReduces(nil)
+	if len(maps) != 2 || len(reds) != 2 {
 		t.Fatal("pending views did not shrink")
+	}
+	if maps[0] != j.Maps[1] || maps[1] != j.Maps[2] || reds[0] != j.Reduces[0] || reds[1] != j.Reduces[2] {
+		t.Fatal("pending views not in task-index order")
 	}
 	m, r := j.RunningTasks()
 	if m != 1 || r != 1 {
@@ -237,12 +238,11 @@ func TestHasReduceOn(t *testing.T) {
 	if j.HasReduceOn(3) {
 		t.Fatal("fresh job claims a reduce on node 3")
 	}
-	j.Reduces[0].State = TaskRunning
-	j.Reduces[0].Node = 3
+	j.Reduces[0].Run(3, 0)
 	if !j.HasReduceOn(3) {
 		t.Fatal("running reduce on node 3 not detected")
 	}
-	j.Reduces[0].State = TaskDone
+	j.Reduces[0].Complete(0)
 	if j.HasReduceOn(3) {
 		t.Fatal("finished reduce still blocks node 3 (rule covers running reduces only)")
 	}
@@ -385,7 +385,8 @@ func TestLocalityString(t *testing.T) {
 
 // TestTaskTransitionsKeepDoneCounts applies random Run, Complete and
 // Reset steps across a job's tasks, in any order and from any state.
-// After every step DoneMaps and DoneReds must equal a rescan of the task
+// After every step the pending, running and done counts — and the
+// pending views built from them — must equal a rescan of the task
 // states, and the transition must have set exactly the fields its doc
 // names.
 func TestTaskTransitionsKeepDoneCounts(t *testing.T) {
@@ -447,20 +448,101 @@ func TestTaskTransitionsKeepDoneCounts(t *testing.T) {
 				}
 			}
 		}
-		doneMaps, doneReds := 0, 0
-		for _, m := range j.Maps {
-			if m.State == TaskDone {
-				doneMaps++
-			}
+		checkCounts(t, step, j)
+	}
+}
+
+// checkCounts compares every count-backed view of j with a rescan of
+// its task states.
+func checkCounts(t *testing.T, step int, j *Job) {
+	t.Helper()
+	var mapsIn, redsIn [3]int
+	var pendMaps []*MapTask
+	var pendReds []*ReduceTask
+	for _, m := range j.Maps {
+		mapsIn[m.State]++
+		if m.State == TaskPending {
+			pendMaps = append(pendMaps, m)
 		}
-		for _, r := range j.Reduces {
-			if r.State == TaskDone {
-				doneReds++
-			}
+	}
+	for _, r := range j.Reduces {
+		redsIn[r.State]++
+		if r.State == TaskPending {
+			pendReds = append(pendReds, r)
 		}
-		if j.DoneMaps != doneMaps || j.DoneReds != doneReds {
-			t.Fatalf("step %d: counts DoneMaps=%d DoneReds=%d, rescan %d/%d",
-				step, j.DoneMaps, j.DoneReds, doneMaps, doneReds)
+	}
+	if j.DoneMaps != mapsIn[TaskDone] || j.DoneReds != redsIn[TaskDone] {
+		t.Fatalf("step %d: counts DoneMaps=%d DoneReds=%d, rescan %d/%d",
+			step, j.DoneMaps, j.DoneReds, mapsIn[TaskDone], redsIn[TaskDone])
+	}
+	if rm, rr := j.RunningTasks(); rm != mapsIn[TaskRunning] || rr != redsIn[TaskRunning] {
+		t.Fatalf("step %d: RunningTasks = (%d,%d), rescan (%d,%d)",
+			step, rm, rr, mapsIn[TaskRunning], redsIn[TaskRunning])
+	}
+	if j.HasPendingMaps() != (mapsIn[TaskPending] > 0) || j.HasPendingReduces() != (redsIn[TaskPending] > 0) {
+		t.Fatalf("step %d: HasPending = (%v,%v), rescan pending (%d,%d)",
+			step, j.HasPendingMaps(), j.HasPendingReduces(), mapsIn[TaskPending], redsIn[TaskPending])
+	}
+	// The views append after existing elements: seed dst with a sentinel.
+	gotMaps := j.AppendPendingMaps([]*MapTask{nil})
+	if len(gotMaps) != 1+len(pendMaps) || gotMaps[0] != nil {
+		t.Fatalf("step %d: AppendPendingMaps returned %d tasks after the sentinel, rescan %d",
+			step, len(gotMaps)-1, len(pendMaps))
+	}
+	for i, m := range pendMaps {
+		if gotMaps[1+i] != m {
+			t.Fatalf("step %d: pending map %d is task %d, rescan task %d", step, i, gotMaps[1+i].Index, m.Index)
 		}
+	}
+	gotReds := j.AppendPendingReduces([]*ReduceTask{nil})
+	if len(gotReds) != 1+len(pendReds) || gotReds[0] != nil {
+		t.Fatalf("step %d: AppendPendingReduces returned %d tasks after the sentinel, rescan %d",
+			step, len(gotReds)-1, len(pendReds))
+	}
+	for i, r := range pendReds {
+		if gotReds[1+i] != r {
+			t.Fatalf("step %d: pending reduce %d is task %d, rescan task %d", step, i, gotReds[1+i].Index, r.Index)
+		}
+	}
+}
+
+// TestAssembleCountsInitialStates builds a job from tasks laid out in
+// every state: Assemble must wire the back-pointers and start the counts
+// equal to a rescan, and the funnel must keep them there afterwards.
+func TestAssembleCountsInitialStates(t *testing.T) {
+	maps := []*MapTask{
+		{Index: 0, Node: -1},
+		{Index: 1, State: TaskRunning, Node: 2},
+		{Index: 2, State: TaskDone, Node: 3, Progress: 1},
+		{Index: 3, Node: -1},
+	}
+	reduces := []*ReduceTask{
+		{Index: 0, State: TaskDone, Node: 1},
+		{Index: 1, State: TaskRunning, Node: 4},
+		{Index: 2, Node: -1},
+	}
+	j := Assemble(5, Spec{Name: "laid-out", Submit: 7}, maps, reduces)
+	if j.ID != 5 || j.Submitted != 7 {
+		t.Fatalf("Assemble set ID=%d Submitted=%v, want 5 and the spec's submit time", j.ID, j.Submitted)
+	}
+	for _, m := range j.Maps {
+		if m.Job != j {
+			t.Fatalf("map %d does not point back at its job", m.Index)
+		}
+	}
+	for _, r := range j.Reduces {
+		if r.Job != j {
+			t.Fatalf("reduce %d does not point back at its job", r.Index)
+		}
+	}
+	checkCounts(t, 0, j)
+	if !j.HasReduceOn(4) || j.HasReduceOn(1) {
+		t.Fatal("HasReduceOn disagrees with the laid-out running reduce")
+	}
+	j.Maps[1].Complete(1)
+	j.Reduces[1].Reset()
+	checkCounts(t, 1, j)
+	if j.HasReduceOn(4) {
+		t.Fatal("reset reduce still blocks its node")
 	}
 }

@@ -65,7 +65,15 @@
 //
 // on a package-level error var declaration (or a whole var block),
 // marking sentinels that must be compared with errors.Is, never == —
-// the errcmp analyzer enforces it and suggests the rewrite.
+// the errcmp analyzer enforces it and suggests the rewrite. The
+// state-funnel contract uses one marker in two places:
+//
+//	//lint:funnel
+//
+// on a struct field, marking state that only its funnel may write (a
+// task's State, whose writer keeps per-job counts in step), and in the
+// doc comment of a function or method of the same package, marking it
+// as part of that funnel; the funnel analyzer enforces it.
 //
 // Alongside the file-level //lint:allow, an allow directive in a
 // function or method's doc comment suppresses the named analyzers for
@@ -92,6 +100,7 @@ const (
 	journalAppendMark = "//lint:journal-append"
 	journalExhPrefix  = "//lint:journal-exhaustive"
 	sentinelMarker    = "//lint:sentinel"
+	funnelMarker      = "//lint:funnel"
 )
 
 // ParseAllow extracts the analyzer names from a single comment line. It
@@ -364,4 +373,12 @@ func JournalExhaustive(doc *ast.CommentGroup) (typeName string, except []string)
 // covers one var).
 func IsSentinel(groups ...*ast.CommentGroup) bool {
 	return hasMarker(sentinelMarker, groups...)
+}
+
+// IsFunnel reports whether any of the comment groups carries the
+// //lint:funnel marker: on a struct field (doc or trailing comment) it
+// marks a funnel-written field, in a function's doc comment a funnel
+// writer.
+func IsFunnel(groups ...*ast.CommentGroup) bool {
+	return hasMarker(funnelMarker, groups...)
 }

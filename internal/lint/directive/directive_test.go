@@ -227,3 +227,37 @@ type s struct {
 		}
 	}
 }
+
+func TestIsFunnel(t *testing.T) {
+	src := `package p
+
+type task struct {
+	State int //lint:funnel
+	//lint:funnel the done count moves with State
+	Done int
+	Node int // not funnel-written
+	Other int //lint:funnel-ish
+}
+
+// setState is the funnel.
+//
+//lint:funnel
+func (t *task) setState(s int) {}
+
+// run calls the funnel.
+func (t *task) run() {}
+`
+	f := parse(t, src)
+	fields := f.Decls[0].(*ast.GenDecl).Specs[0].(*ast.TypeSpec).Type.(*ast.StructType).Fields.List
+	for i, want := range []bool{true, true, false, false} {
+		if got := directive.IsFunnel(fields[i].Doc, fields[i].Comment); got != want {
+			t.Errorf("field %s: IsFunnel = %v, want %v", fields[i].Names[0].Name, got, want)
+		}
+	}
+	if !directive.IsFunnel(f.Decls[1].(*ast.FuncDecl).Doc) {
+		t.Error("funnel method marker not recognized")
+	}
+	if directive.IsFunnel(f.Decls[2].(*ast.FuncDecl).Doc) {
+		t.Error("plain method read as a funnel")
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"mapsched/internal/lint/deltajournal"
 	"mapsched/internal/lint/epochbump"
 	"mapsched/internal/lint/errcmp"
+	"mapsched/internal/lint/funnel"
 	"mapsched/internal/lint/lockheld"
 	"mapsched/internal/lint/nodeterminism"
 	"mapsched/internal/lint/obsvocab"
@@ -20,9 +21,9 @@ import (
 )
 
 // Analyzers returns the full schedlint suite in a fixed order: the
-// five determinism/cache contracts from PRs 4 and 6 first, then the
-// four concurrency/persistence contracts added with the crash-safe
-// placement service.
+// five determinism/cache contracts first, then the four
+// concurrency/persistence contracts added with the crash-safe
+// placement service, then the task-state funnel contract.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		nodeterminism.Analyzer,
@@ -34,5 +35,6 @@ func Analyzers() []*analysis.Analyzer {
 		snapshotfree.Analyzer,
 		deltajournal.Analyzer,
 		errcmp.Analyzer,
+		funnel.Analyzer,
 	}
 }

@@ -10,10 +10,10 @@ import (
 	"mapsched/internal/lint"
 )
 
-// TestSuiteComposition pins the analyzer roster and its order: nine
+// TestSuiteComposition pins the analyzer roster and its order: ten
 // analyzers, the determinism/cache contracts first, then the
-// concurrency/persistence contracts. A new analyzer (or a dropped
-// one) must show up here deliberately.
+// concurrency/persistence contracts, then the task-state funnel. A new
+// analyzer (or a dropped one) must show up here deliberately.
 func TestSuiteComposition(t *testing.T) {
 	want := []string{
 		"nodeterminism",
@@ -25,6 +25,7 @@ func TestSuiteComposition(t *testing.T) {
 		"snapshotfree",
 		"deltajournal",
 		"errcmp",
+		"funnel",
 	}
 	got := lint.Analyzers()
 	if len(got) != len(want) {
@@ -41,7 +42,7 @@ func TestSuiteComposition(t *testing.T) {
 }
 
 // TestSelfLint builds the schedlint vet tool and runs it over the
-// whole repository: the nine analyzers must pass clean on the
+// whole repository: the ten analyzers must pass clean on the
 // codebase whose invariants they encode (the no-false-positive check
 // on real code, and the gate that keeps future PRs honest). This is
 // the same invocation `make lint` and CI use.

@@ -219,6 +219,11 @@ type Decider struct {
 	// mapCost evaluates Formula 1 on the path the cost model picks (see
 	// core.CostModel.MapEvaluator).
 	mapCost core.MapCostEvaluator
+
+	// mapBuf and redBuf hold one job's pending tasks during a candidate
+	// scan, reused across decisions so the scan allocates nothing.
+	mapBuf []*job.MapTask
+	redBuf []*job.ReduceTask
 }
 
 // costerEntry is one cached reduce coster with its last refresh time.
@@ -393,7 +398,8 @@ func (d *Decider) scanMaps(req *Request, node topology.NodeID) mapScan {
 	d.sweep(req)
 	var s mapScan
 	for _, j := range OrderJobs(req, d.cfg.JobPolicy, MapTasks) {
-		sel, ok := core.SelectMapTaskWith(d.mapCost, d.cfg.Model, j.PendingMaps(), node, req.AvailMap)
+		d.mapBuf = j.AppendPendingMaps(d.mapBuf[:0])
+		sel, ok := core.SelectMapTaskWith(d.mapCost, d.cfg.Model, d.mapBuf, node, req.AvailMap)
 		if !ok {
 			continue
 		}
@@ -605,7 +611,8 @@ func (d *Decider) selectReduce(req *Request, node topology.NodeID, spread bool) 
 			continue // Algorithm 2 line 1
 		}
 		rc := d.coster(j, req.Now)
-		c, ok := core.SelectReduceTask(rc, d.cfg.Model, j.PendingReduces(), node, req.AvailReduce)
+		d.redBuf = j.AppendPendingReduces(d.redBuf[:0])
+		c, ok := core.SelectReduceTask(rc, d.cfg.Model, d.redBuf, node, req.AvailReduce)
 		if !ok {
 			continue
 		}

@@ -60,12 +60,7 @@ func (p placeAt) Place(topology.Network, *sim.RNG, int) []topology.NodeID {
 // replicated on exactly the given node) and nReduces reduce tasks.
 func (f *fixture) addJob(t testing.TB, id job.ID, blockNodes []topology.NodeID, nReduces int) *job.Job {
 	t.Helper()
-	j := &job.Job{ID: id, Spec: job.Spec{
-		Name: "test-job",
-		Profile: job.Profile{
-			Name: "test", MapSelectivity: 1, MapRate: 10e6, ReduceRate: 10e6,
-		},
-	}}
+	var maps []*job.MapTask
 	for idx, n := range blockNodes {
 		b, err := f.store.AddBlock(64e6, 1, placeAt{nodes: []topology.NodeID{n}})
 		if err != nil {
@@ -75,14 +70,20 @@ func (f *fixture) addJob(t testing.TB, id job.ID, blockNodes []topology.NodeID, 
 		for i := range out {
 			out[i] = 1e6
 		}
-		j.Maps = append(j.Maps, &job.MapTask{
-			Job: j, Index: idx, Block: b, Size: 64e6, Out: out, OutputCurve: 1, Node: -1,
+		maps = append(maps, &job.MapTask{
+			Index: idx, Block: b, Size: 64e6, Out: out, OutputCurve: 1, Node: -1,
 		})
 	}
-	for fi := 0; fi < nReduces; fi++ {
-		j.Reduces = append(j.Reduces, &job.ReduceTask{Job: j, Index: fi, Node: -1})
+	reduces := make([]*job.ReduceTask, nReduces)
+	for fi := range reduces {
+		reduces[fi] = &job.ReduceTask{Index: fi, Node: -1}
 	}
-	return j
+	return job.Assemble(id, job.Spec{
+		Name: "test-job",
+		Profile: job.Profile{
+			Name: "test", MapSelectivity: 1, MapRate: 10e6, ReduceRate: 10e6,
+		},
+	}, maps, reduces)
 }
 
 func allNodes(n int) []topology.NodeID {
@@ -104,11 +105,9 @@ func reqFor(jobs ...*job.Job) *Request {
 
 func finishMaps(j *job.Job) *job.Job {
 	for _, m := range j.Maps {
-		m.State = job.TaskDone
-		m.Node = topology.NodeID(m.Index)
-		m.Progress = 1
+		m.Run(topology.NodeID(m.Index), 0)
+		m.Complete(0)
 	}
-	j.DoneMaps = len(j.Maps)
 	return j
 }
 

@@ -3,7 +3,6 @@ package sched
 import (
 	"testing"
 
-	"mapsched/internal/job"
 	"mapsched/internal/topology"
 )
 
@@ -20,18 +19,14 @@ func TestLARTSReducePrefersDataNode(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0}, 1)
 	// All of the reduce's input sits on node 2.
-	j.Maps[0].State = job.TaskDone
-	j.Maps[0].Node = 2
-	j.Maps[0].Progress = 1
-	j.DoneMaps = 1
+	finish(j.Maps[0], 2)
 	l := NewLARTS(DefaultLARTSConfig())(f.env).(*LARTS)
 	ctx := ctxFor(j)
 	// The data node is accepted immediately.
 	if got := l.AssignReduce(ctx, 2); got == nil {
 		t.Fatal("LARTS declined the max-data node")
 	}
-	j.Reduces[0].State = job.TaskPending
-	j.Reduces[0].Node = -1
+	j.Reduces[0].Reset()
 	delete(l.waits, j.Reduces[0])
 	// A dataless node is declined at first...
 	if got := l.AssignReduce(ctx, 7); got != nil {
@@ -53,9 +48,7 @@ func TestLARTSReducePrefersDataNode(t *testing.T) {
 func TestLARTSReduceNoDataYet(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0}, 1)
-	j.Maps[0].State = job.TaskRunning
-	j.Maps[0].Node = 0
-	j.Maps[0].Progress = 0 // launched but nothing read: no shuffle data known
+	j.Maps[0].Run(0, 0) // launched but nothing read: no shuffle data known
 	l := NewLARTS(DefaultLARTSConfig())(f.env).(*LARTS)
 	ctx := ctxFor(j)
 	ctx.Slowstart = 0
@@ -98,10 +91,7 @@ func TestCapacityMapNeverIdlesSlots(t *testing.T) {
 func TestCapacityReduceWaitsForData(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0}, 1)
-	j.Maps[0].State = job.TaskDone
-	j.Maps[0].Node = 2
-	j.Maps[0].Progress = 1
-	j.DoneMaps = 1
+	finish(j.Maps[0], 2)
 	cfg := DefaultCapacityConfig()
 	c := NewCapacity(cfg)(f.env).(*Capacity)
 	ctx := ctxFor(j)
@@ -109,8 +99,7 @@ func TestCapacityReduceWaitsForData(t *testing.T) {
 	if got := c.AssignReduce(ctx, 2); got == nil {
 		t.Fatal("capacity declined the data node")
 	}
-	j.Reduces[0].State = job.TaskPending
-	j.Reduces[0].Node = -1
+	j.Reduces[0].Reset()
 	delete(c.waits, j.Reduces[0])
 	// Dataless node: declines, then bounded fallback.
 	declines := 0

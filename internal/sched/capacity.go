@@ -34,6 +34,7 @@ type Capacity struct {
 	cfg   CapacityConfig
 	dec   *placement.Decider
 	waits map[*job.ReduceTask]int
+	pendingBuf
 }
 
 // NewCapacity returns a Builder for the baseline.
@@ -59,7 +60,7 @@ func (c *Capacity) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
 	}
 	var rackChoice *job.MapTask
 	for _, j := range jobs {
-		for _, m := range j.PendingMaps() {
+		for _, m := range c.pendingMaps(j) {
 			switch c.dec.Locality(m, node) {
 			case job.LocalNode:
 				return m
@@ -73,14 +74,14 @@ func (c *Capacity) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
 	if rackChoice != nil {
 		return rackChoice
 	}
-	return jobs[0].PendingMaps()[0]
+	return c.pendingMaps(jobs[0])[0]
 }
 
 // AssignReduce delays each reduce until the offered node holds some of
 // its input, up to the wait bound.
 func (c *Capacity) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceTask {
 	for _, j := range orderJobs(ctx, c.cfg.JobPolicy, reduceKind) {
-		pending := j.PendingReduces()
+		pending := c.pendingReduces(j)
 		if len(pending) == 0 {
 			continue
 		}

@@ -48,6 +48,7 @@ type Coupling struct {
 	cfg   CouplingConfig
 	dec   *placement.Decider
 	waits map[*job.ReduceTask]int
+	pendingBuf
 }
 
 // NewCoupling returns a Builder for the baseline.
@@ -67,7 +68,7 @@ func (c *Coupling) Name() string {
 // by the offered node's locality degree for that task.
 func (c *Coupling) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
 	for _, j := range orderJobs(ctx, c.cfg.JobPolicy, mapKind) {
-		pending := j.PendingMaps()
+		pending := c.pendingMaps(j)
 		if len(pending) == 0 {
 			continue
 		}
@@ -141,7 +142,7 @@ func (c *Coupling) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceT
 		if launched >= allowed {
 			continue
 		}
-		pending := j.PendingReduces()
+		pending := c.pendingReduces(j)
 		if len(pending) == 0 {
 			continue
 		}

@@ -39,6 +39,7 @@ type FairDelay struct {
 	cfg   FairDelayConfig
 	dec   *placement.Decider
 	skips map[job.ID]int // consecutive offers the job declined for locality
+	pendingBuf
 }
 
 // NewFairDelay returns a Builder for the baseline.
@@ -58,7 +59,7 @@ func (f *FairDelay) Name() string {
 // job has been skipped long enough, fall back to rack-local, then any.
 func (f *FairDelay) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
 	for _, j := range orderJobs(ctx, f.cfg.JobPolicy, mapKind) {
-		pending := j.PendingMaps()
+		pending := f.pendingMaps(j)
 		var local, rack, any *job.MapTask
 		for _, m := range pending {
 			switch f.dec.Locality(m, node) {
@@ -125,7 +126,7 @@ func (f *FairDelay) emitAssign(ctx *Context, node topology.NodeID, m *job.MapTas
 // with no placement preference.
 func (f *FairDelay) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceTask {
 	for _, j := range orderJobs(ctx, f.cfg.JobPolicy, reduceKind) {
-		pending := j.PendingReduces()
+		pending := f.pendingReduces(j)
 		if len(pending) == 0 {
 			continue
 		}

@@ -42,6 +42,7 @@ type LARTS struct {
 	dec   *placement.Decider
 	maps  *FairDelay
 	waits map[*job.ReduceTask]int
+	pendingBuf
 }
 
 // NewLARTS returns a Builder for the baseline.
@@ -73,7 +74,7 @@ func (l *LARTS) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
 // maximum-data node, and otherwise waits a bounded number of offers.
 func (l *LARTS) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceTask {
 	for _, j := range orderJobs(ctx, l.cfg.Fair.JobPolicy, reduceKind) {
-		pending := j.PendingReduces()
+		pending := l.pendingReduces(j)
 		if len(pending) == 0 {
 			continue
 		}

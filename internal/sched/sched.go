@@ -85,3 +85,23 @@ const (
 func orderJobs(ctx *Context, policy JobPolicy, kind taskKind) []*job.Job {
 	return placement.OrderJobs(ctx, policy, kind)
 }
+
+// pendingBuf is a baseline scheduler's scratch for one job's pending
+// tasks, reused across offers so listing candidates allocates nothing.
+// Each returned slice is valid until the next call of the same kind.
+type pendingBuf struct {
+	maps []*job.MapTask
+	reds []*job.ReduceTask
+}
+
+// pendingMaps lists j's pending maps in task-index order.
+func (b *pendingBuf) pendingMaps(j *job.Job) []*job.MapTask {
+	b.maps = j.AppendPendingMaps(b.maps[:0])
+	return b.maps
+}
+
+// pendingReduces lists j's pending reduces in task-index order.
+func (b *pendingBuf) pendingReduces(j *job.Job) []*job.ReduceTask {
+	b.reds = j.AppendPendingReduces(b.reds[:0])
+	return b.reds
+}

@@ -59,12 +59,7 @@ func (p placeAt) Place(topology.Network, *sim.RNG, int) []topology.NodeID {
 // replicated on exactly the given node) and nReduces reduce tasks.
 func (f *fixture) addJob(t *testing.T, id job.ID, blockNodes []topology.NodeID, nReduces int) *job.Job {
 	t.Helper()
-	j := &job.Job{ID: id, Spec: job.Spec{
-		Name: "test-job",
-		Profile: job.Profile{
-			Name: "test", MapSelectivity: 1, MapRate: 10e6, ReduceRate: 10e6,
-		},
-	}}
+	var maps []*job.MapTask
 	for idx, n := range blockNodes {
 		b, err := f.store.AddBlock(64e6, 1, placeAt{nodes: []topology.NodeID{n}})
 		if err != nil {
@@ -74,14 +69,26 @@ func (f *fixture) addJob(t *testing.T, id job.ID, blockNodes []topology.NodeID, 
 		for i := range out {
 			out[i] = 1e6
 		}
-		j.Maps = append(j.Maps, &job.MapTask{
-			Job: j, Index: idx, Block: b, Size: 64e6, Out: out, OutputCurve: 1, Node: -1,
+		maps = append(maps, &job.MapTask{
+			Index: idx, Block: b, Size: 64e6, Out: out, OutputCurve: 1, Node: -1,
 		})
 	}
-	for fi := 0; fi < nReduces; fi++ {
-		j.Reduces = append(j.Reduces, &job.ReduceTask{Job: j, Index: fi, Node: -1})
+	reduces := make([]*job.ReduceTask, nReduces)
+	for fi := range reduces {
+		reduces[fi] = &job.ReduceTask{Index: fi, Node: -1}
 	}
-	return j
+	return job.Assemble(id, job.Spec{
+		Name: "test-job",
+		Profile: job.Profile{
+			Name: "test", MapSelectivity: 1, MapRate: 10e6, ReduceRate: 10e6,
+		},
+	}, maps, reduces)
+}
+
+// finish runs a map on node n and completes it, as the engine would.
+func finish(m *job.MapTask, n topology.NodeID) {
+	m.Run(n, 0)
+	m.Complete(0)
 }
 
 func allNodes(n int) []topology.NodeID {
@@ -139,7 +146,7 @@ func TestProbabilisticDeterministicAlwaysAssigns(t *testing.T) {
 		if got := p.AssignMap(ctxFor(j), 0); got == nil {
 			t.Fatal("deterministic variant declined a feasible assignment")
 		}
-		j.Maps[0].State = job.TaskPending // reset
+		j.Maps[0].Reset()
 	}
 }
 
@@ -187,15 +194,11 @@ func TestProbabilisticReduceSpread(t *testing.T) {
 	// Launch j1's maps so reduces have data and are eligible.
 	for _, jj := range []*job.Job{j1, j2} {
 		for _, m := range jj.Maps {
-			m.State = job.TaskDone
-			m.Node = topology.NodeID(m.Index)
-			m.Progress = 1
+			finish(m, topology.NodeID(m.Index))
 		}
-		jj.DoneMaps = len(jj.Maps)
 	}
 	// j1 already runs a reduce on node 6.
-	j1.Reduces[0].State = job.TaskRunning
-	j1.Reduces[0].Node = 6
+	j1.Reduces[0].Run(6, 0)
 	cfg := DefaultProbabilisticConfig()
 	cfg.Deterministic = true // remove randomness from this test
 	p := NewProbabilistic(cfg)(f.env).(*Probabilistic)
@@ -217,12 +220,8 @@ func TestProbabilisticReduceSpread(t *testing.T) {
 func TestProbabilisticReduceSecondPassWhenOnlyJobBlocked(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0}, 3)
-	j.Maps[0].State = job.TaskDone
-	j.Maps[0].Node = 0
-	j.Maps[0].Progress = 1
-	j.DoneMaps = 1
-	j.Reduces[0].State = job.TaskRunning
-	j.Reduces[0].Node = 6
+	finish(j.Maps[0], 0)
+	j.Reduces[0].Run(6, 0)
 	cfg := DefaultProbabilisticConfig()
 	cfg.Deterministic = true
 	p := NewProbabilistic(cfg)(f.env).(*Probabilistic)
@@ -244,11 +243,8 @@ func TestSlowstartGatesReduces(t *testing.T) {
 	}
 	// Finish half the maps.
 	for i := 0; i < 2; i++ {
-		j.Maps[i].State = job.TaskDone
-		j.Maps[i].Node = topology.NodeID(i)
-		j.Maps[i].Progress = 1
+		finish(j.Maps[i], topology.NodeID(i))
 	}
-	j.DoneMaps = 2
 	assigned := false
 	for i := 0; i < 20 && !assigned; i++ {
 		assigned = p.AssignReduce(ctx, 0) != nil
@@ -271,7 +267,7 @@ func TestFairDelayPrefersLocalThenWaits(t *testing.T) {
 	if got := fd.AssignMap(ctx, 3); got == nil {
 		t.Fatal("local offer declined")
 	}
-	j.Maps[0].State = job.TaskPending
+	j.Maps[0].Reset()
 	// Non-local offers: first NodeLocalSkips offers are declined.
 	if got := fd.AssignMap(ctx, 0); got != nil {
 		t.Fatalf("offer 1 accepted before delay expired: %v", got)
@@ -306,10 +302,7 @@ func TestFairDelayFallsBackToAnyNode(t *testing.T) {
 func TestFairDelayReduceIsUnconstrained(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0}, 3)
-	j.Maps[0].State = job.TaskDone
-	j.Maps[0].Progress = 1
-	j.Maps[0].Node = 0
-	j.DoneMaps = 1
+	finish(j.Maps[0], 0)
 	fd := NewFairDelay(DefaultFairDelayConfig())(f.env).(*FairDelay)
 	if got := fd.AssignReduce(ctxFor(j), 5); got == nil {
 		t.Fatal("fair reduce assignment declined a free slot")
@@ -333,7 +326,7 @@ func TestCouplingRemoteIsProbabilistic(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		if got := c.AssignMap(ctxFor(j), 7); got != nil {
 			assigned++
-			j.Maps[0].State = job.TaskPending
+			j.Maps[0].Reset()
 		} else {
 			declined++
 		}
@@ -358,16 +351,12 @@ func TestCouplingPacesReduces(t *testing.T) {
 	}
 	// Half the maps done: allow 2 concurrent reduces.
 	for i := 0; i < 2; i++ {
-		j.Maps[i].State = job.TaskDone
-		j.Maps[i].Node = topology.NodeID(i)
-		j.Maps[i].Progress = 1
+		finish(j.Maps[i], topology.NodeID(i))
 	}
-	j.DoneMaps = 2
 	launched := 0
 	for n := 0; n < 8; n++ {
 		if got := c.AssignReduce(ctx, topology.NodeID(n)); got != nil {
-			got.State = job.TaskRunning
-			got.Node = topology.NodeID(n)
+			got.Run(topology.NodeID(n), 0)
 			launched++
 		}
 	}
@@ -382,10 +371,7 @@ func TestCouplingPacesReduces(t *testing.T) {
 func TestCouplingCentralityWaitBound(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0}, 1)
-	j.Maps[0].State = job.TaskDone
-	j.Maps[0].Node = 0
-	j.Maps[0].Progress = 1
-	j.DoneMaps = 1
+	finish(j.Maps[0], 0)
 	cfg := DefaultCouplingConfig()
 	cfg.MaxWaitRounds = 3
 	c := NewCoupling(cfg)(f.env).(*Coupling)
@@ -411,7 +397,7 @@ func TestOrderJobsFairVsFIFO(t *testing.T) {
 	j1 := f.addJob(t, 1, []topology.NodeID{0, 1}, 1)
 	j2 := f.addJob(t, 2, []topology.NodeID{2, 3}, 1)
 	// j1 has one running map, j2 none: fair order puts j2 first.
-	j1.Maps[0].State = job.TaskRunning
+	j1.Maps[0].Run(0, 0)
 	ctx := ctxFor(j1, j2)
 	fair := orderJobs(ctx, FairJobs, mapKind)
 	if len(fair) != 2 || fair[0] != j2 {
@@ -434,7 +420,7 @@ func ids(jobs []*job.Job) []job.ID {
 func TestOrderJobsSkipsDrainedJobs(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0}, 1)
-	j.Maps[0].State = job.TaskDone
+	finish(j.Maps[0], 0)
 	if got := orderJobs(ctxFor(j), FairJobs, mapKind); len(got) != 0 {
 		t.Fatalf("job with no pending maps still offered: %v", ids(got))
 	}

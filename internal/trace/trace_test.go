@@ -9,20 +9,17 @@ import (
 )
 
 func sampleJobs() []*job.Job {
-	j := &job.Job{ID: 1, Spec: job.Spec{Name: "wc", InputBytes: 1e9}}
-	j.Submitted = 1
-	j.Finished = 100
-	j.Maps = []*job.MapTask{
-		{Job: j, Index: 0, Size: 5e8, State: job.TaskDone, Node: 3,
+	j := job.Assemble(1, job.Spec{Name: "wc", InputBytes: 1e9, Submit: 1}, []*job.MapTask{
+		{Index: 0, Size: 5e8, State: job.TaskDone, Node: 3,
 			Locality: job.LocalNode, Launch: 2, Finish: 10},
-		{Job: j, Index: 1, Size: 5e8, State: job.TaskDone, Node: 1,
+		{Index: 1, Size: 5e8, State: job.TaskDone, Node: 1,
 			Locality: job.LocalRack, Launch: 1, Finish: 12},
-		{Job: j, Index: 2, Size: 5e8, State: job.TaskPending, Node: -1},
-	}
-	j.Reduces = []*job.ReduceTask{
-		{Job: j, Index: 0, State: job.TaskDone, Node: 2,
+		{Index: 2, Size: 5e8, State: job.TaskPending, Node: -1},
+	}, []*job.ReduceTask{
+		{Index: 0, State: job.TaskDone, Node: 2,
 			Locality: job.LocalRack, Launch: 5, Finish: 100, ShuffledBytes: 2e8},
-	}
+	})
+	j.Finished = 100
 	return []*job.Job{j}
 }
 

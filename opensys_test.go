@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"mapsched/internal/engine"
 	"mapsched/internal/experiments"
 	"mapsched/internal/metrics"
+	"mapsched/internal/workload"
 )
 
 // openEventTypes are the event kinds only the open-system layer emits.
@@ -223,26 +225,52 @@ func TestOpenSystemTenantIsolation(t *testing.T) {
 // seconds (382.5, truncated) recorded at commit 687caf3, plus 25 %.
 const openSteadyP99Budget = 382 * 125 / 100 // 477 simulated seconds
 
-// TestOpenSystemSteadyP99Budget runs one open-system sweep cell (the
-// experiments' three tenants at load 0.9 on the 60-node testbed, with
-// weighted admission and preemption on, under the probabilistic
-// scheduler) and holds its steady-state p99 JCT to openSteadyP99Budget.
-// The figure is simulated time, a function of the seed alone, so a trip
-// means scheduling or admission behaviour changed; the 25 % only absorbs
-// intentional workload retuning.
-func TestOpenSystemSteadyP99Budget(t *testing.T) {
-	s := benchSetup()
+// runOpenCell runs one open-system sweep cell: the experiments' three
+// tenants at load 0.9 on the 60-node testbed, with weighted admission
+// and preemption on, under the probabilistic scheduler.
+func runOpenCell(tb testing.TB, s experiments.Setup, tenants []workload.Tenant) *engine.Result {
+	tb.Helper()
 	nodes := s.Engine.Topology.Racks * s.Engine.Topology.NodesPerRack
-	tenants := experiments.CalibrateRates(experiments.OpenTenants(), 0.9, s)
 	res, err := s.RunOpen(experiments.OpenPlan(nodes), tenants, s.BuilderFor(experiments.Probabilistic))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return res
+}
+
+// TestOpenSystemSteadyP99Budget runs the open-system cell and holds its
+// steady-state p99 JCT to openSteadyP99Budget. The figure is simulated
+// time, a function of the seed alone, so a trip means scheduling or
+// admission behaviour changed; the 25 % only absorbs intentional
+// workload retuning.
+func TestOpenSystemSteadyP99Budget(t *testing.T) {
+	s := benchSetup()
+	res := runOpenCell(t, s, experiments.CalibrateRates(experiments.OpenTenants(), 0.9, s))
 	jct := metrics.NewCDF(res.SteadyJCTs())
 	if jct.N() == 0 {
 		t.Fatal("no steady-state completions")
 	}
 	if p99 := jct.Quantile(0.99); p99 > openSteadyP99Budget {
 		t.Fatalf("steady-state p99 JCT %.1f s, budget %d s", p99, openSteadyP99Budget)
+	}
+}
+
+// openAllocBudget bounds the allocations of one open-system cell run:
+// 791,846 while every reduce decision built a fresh pending-task slice,
+// 149,468 with the slices reused; the budget leaves room above the
+// latter without readmitting a per-decision allocation.
+const openAllocBudget = 200_000
+
+// TestOpenSystemAllocBudget holds the open-system cell to
+// openAllocBudget, as TestSimulationAllocBudget does for the closed
+// batch. The count does not depend on machine load: a trip means a
+// per-decision or per-offer allocation came back.
+func TestOpenSystemAllocBudget(t *testing.T) {
+	s := benchSetup()
+	tenants := experiments.CalibrateRates(experiments.OpenTenants(), 0.9, s)
+	allocs := testing.AllocsPerRun(1, func() { runOpenCell(t, s, tenants) })
+	t.Logf("%.0f allocs per open-system cell", allocs)
+	if allocs > openAllocBudget {
+		t.Fatalf("%.0f allocs per open-system cell, budget %d", allocs, openAllocBudget)
 	}
 }

@@ -231,12 +231,18 @@ func decisionOf(out placement.Outcome, node int, kind string) PlacementDecision 
 }
 
 // taskRef is a decision's task as the façade moves it: the transitions
-// MapTask and ReduceTask share, the task's state and the slot kind it
-// occupies.
+// MapTask and ReduceTask share and the slot kind it occupies.
 type taskRef struct {
 	lifecycle
-	state *job.TaskState
-	slot  placement.SlotKind
+	slot placement.SlotKind
+}
+
+// state reads the task's current lifecycle state.
+func (t taskRef) state() job.TaskState {
+	if m, ok := t.lifecycle.(*job.MapTask); ok {
+		return m.State
+	}
+	return t.lifecycle.(*job.ReduceTask).State
 }
 
 // lifecycle is the pair of transitions the façade drives on a task.
@@ -258,14 +264,12 @@ func (p *PlacementService) task(d PlacementDecision) (taskRef, error) {
 		if d.Task < 0 || d.Task >= len(j.Maps) {
 			return taskRef{}, fmt.Errorf("mapsched: job %q has no map %d", d.Job, d.Task)
 		}
-		m := j.Maps[d.Task]
-		return taskRef{m, &m.State, placement.MapSlot}, nil
+		return taskRef{j.Maps[d.Task], placement.MapSlot}, nil
 	}
 	if d.Task < 0 || d.Task >= len(j.Reduces) {
 		return taskRef{}, fmt.Errorf("mapsched: job %q has no reduce %d", d.Job, d.Task)
 	}
-	r := j.Reduces[d.Task]
-	return taskRef{r, &r.State, placement.ReduceSlot}, nil
+	return taskRef{j.Reduces[d.Task], placement.ReduceSlot}, nil
 }
 
 // taskNote encodes the client half of a committed or completed
@@ -279,7 +283,7 @@ func taskNote(d PlacementDecision) string {
 // task must be in state want.
 func expect(t taskRef, d PlacementDecision, want job.TaskState) func() error {
 	return func() error {
-		if *t.state != want {
+		if t.state() != want {
 			return fmt.Errorf("mapsched: %s %d of %q is not %s", d.Kind, d.Task, d.Job, want)
 		}
 		return nil
