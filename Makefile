@@ -1,8 +1,9 @@
 # Development entry points. `make check` is the full gate run before
 # committing: vet, the schedlint static contracts, build, the complete
 # test suite under the race detector (which includes the deterministic
-# allocation and simulated-latency budget tests), and a short
-# native-fuzz smoke over the parser/decoder fuzz targets. `make bench`
+# allocation and simulated-latency budget tests), a short native-fuzz
+# smoke over every fuzz target, and the byte-identical experiment
+# goldens. `make bench`
 # runs the end-to-end benchmark, cmd/mrbench (see its README for
 # -compare and -trace).
 
@@ -56,20 +57,20 @@ race:
 # a few seconds of mutation each, so a crash in the journal or checkpoint
 # decoder or the fault-plan DSL parser, or a whole simulation run that
 # leaks slots, flows or shuffle bytes, surfaces in CI without a dedicated
-# long-running fuzz job.
+# long-running fuzz job. The target list comes from `go test -list`, so a
+# new fuzz target joins the smoke without editing this file.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz 'FuzzDecodeJournal' -fuzztime 5s ./internal/placement
-	$(GO) test -run '^$$' -fuzz 'FuzzRecoverCheckpoint' -fuzztime 5s ./internal/placement
-	$(GO) test -run '^$$' -fuzz 'FuzzParsePlan' -fuzztime 5s ./internal/faults
-	$(GO) test -run '^$$' -fuzz 'FuzzCDF' -fuzztime 5s ./internal/metrics
-	$(GO) test -run '^$$' -fuzz 'FuzzHistogramQuantile' -fuzztime 5s ./internal/metrics
-	$(GO) test -run '^$$' -fuzz 'FuzzAssignProb' -fuzztime 5s ./internal/core
-	$(GO) test -run '^$$' -fuzz 'FuzzSimulation' -fuzztime 5s ./internal/engine
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ { n[++k] = $$1; next } /^ok/ { for (i = 1; i <= k; i++) print $$2, n[i] } { k = 0 }' | \
+	while read -r pkg name; do \
+		echo "$(GO) test -run '^$$' -fuzz '^$$name\$$' -fuzztime 5s $$pkg"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 5s "$$pkg" || exit 1; \
+	done
 
 bench:
 	bash cmd/mrbench/run.sh
 
-check: vet lint build race fuzz-smoke
+check: vet lint build race fuzz-smoke goldens
 
 # Regenerate the paper's tables and figures at the canonical scale.
 experiments:

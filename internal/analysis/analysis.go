@@ -79,12 +79,6 @@ func (a Acceptance) ExpectedOffers() float64 {
 	return 1 / pbar
 }
 
-// ExpectedDelay converts ExpectedOffers into time given the mean
-// inter-offer interval (heartbeat period / number of offering slots).
-func (a Acceptance) ExpectedDelay(offerInterval float64) float64 {
-	return a.ExpectedOffers() * offerInterval
-}
-
 // ExpectedCost returns E[C | assigned] = Σ P_i·C_i / Σ P_i: the mean
 // transmission cost of the placement the probabilistic rule converges to.
 // It is NaN when the task starves.
@@ -99,22 +93,6 @@ func (a Acceptance) ExpectedCost() float64 {
 	}
 	return num / den
 }
-
-// GreedyCost returns min_i C_i — the cost an (unrealizable) oracle that
-// always waits for the best node achieves.
-func (a Acceptance) GreedyCost() float64 {
-	best := math.Inf(1)
-	for _, c := range a.Costs {
-		if c < best {
-			best = c
-		}
-	}
-	return best
-}
-
-// RandomCost returns C_avg — the cost of assigning uniformly at random
-// (the fully eager policy).
-func (a Acceptance) RandomCost() float64 { return a.Avg }
 
 // Saving returns the fractional expected-cost reduction of the
 // probabilistic rule relative to uniform random assignment:

@@ -17,7 +17,7 @@ func ExampleAccept() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("expected cost:   %.1f (random: %.1f)\n", a.ExpectedCost(), a.RandomCost())
+	fmt.Printf("expected cost:   %.1f (random: %.1f)\n", a.ExpectedCost(), a.Avg)
 	fmt.Printf("expected offers: %.2f\n", a.ExpectedOffers())
 	fmt.Printf("saving:          %.0f%%\n", 100*a.Saving())
 	// Output:

@@ -161,9 +161,6 @@ func (n *Node) EnableResources(capacity, mapReq, reduceReq Resources) error {
 // ResourceMode reports whether the node uses the container model.
 func (n *Node) ResourceMode() bool { return n.resourceMode }
 
-// Used returns the consumed resources (container mode only).
-func (n *Node) Used() Resources { return n.used }
-
 // FreeMapSlots returns how many more map tasks the node can start right
 // now (0 when offline or blacklisted). In container mode this is the
 // resource headroom measured in map containers.

@@ -148,8 +148,8 @@ func TestResourceModeAccounting(t *testing.T) {
 	n.ReleaseMap()
 	n.ReleaseMap()
 	n.ReleaseReduce()
-	if n.Used() != (Resources{}) {
-		t.Fatalf("resources leaked: %+v", n.Used())
+	if n.used != (Resources{}) {
+		t.Fatalf("resources leaked: %+v", n.used)
 	}
 	if n.FreeMapSlots() != 4 {
 		t.Fatal("capacity not restored")

@@ -19,6 +19,15 @@ var fig2H = [][]float64{
 	{6, 4, 6, 0},
 }
 
+// distMatrix is a network given directly by its distance matrix, all nodes
+// in rack 0. It has no class structure, so the cost model evaluates it per
+// node.
+type distMatrix [][]float64
+
+func (h distMatrix) Size() int                             { return len(h) }
+func (h distMatrix) Distance(a, b topology.NodeID) float64 { return h[a][b] }
+func (h distMatrix) Rack(topology.NodeID) int              { return 0 }
+
 type fixedPolicy struct{ nodes []topology.NodeID }
 
 func (p fixedPolicy) Name() string { return "fixed" }
@@ -31,11 +40,7 @@ func (p fixedPolicy) Place(topology.Network, *sim.RNG, int) []topology.NodeID {
 // I = [[10,5],[20,10]] MB.
 func fig2Setup(t *testing.T) (*CostModel, *job.Job) {
 	t.Helper()
-	eng := sim.NewEngine()
-	net, err := topology.NewMatrix(eng, fig2H, nil, 100e6, 400e6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := distMatrix(fig2H)
 	store := hdfs.NewStore(net, sim.NewRNG(1))
 	prof := job.Profile{
 		Name: "fig2", MapSelectivity: 1, MapRate: 1e6, ReduceRate: 1e6,
@@ -242,6 +247,17 @@ func TestAssignProbProperties(t *testing.T) {
 	}
 }
 
+// CostCeiling returns the largest placement cost (as a multiple of C_avg)
+// that still clears the threshold pmin: from P ≥ P_min follows
+// C ≤ C_avg / (−ln(1−P_min)). pmin outside (0,1) returns +Inf (no
+// ceiling).
+func CostCeiling(pmin float64) float64 {
+	if pmin <= 0 || pmin >= 1 {
+		return math.Inf(1)
+	}
+	return 1 / (-math.Log(1 - pmin))
+}
+
 func TestCostCeiling(t *testing.T) {
 	// From P >= Pmin: C <= C_avg / (-ln(1-Pmin)). At the ceiling the
 	// probability equals Pmin exactly.
@@ -262,7 +278,7 @@ func TestSelectMapTaskPrefersLocal(t *testing.T) {
 	cm, j := fig2Setup(t)
 	avail := []topology.NodeID{0, 1, 2, 3}
 	// On D1 (node 0): M1's block is local (P = 1), M2's is 10 hops away.
-	sel, ok := SelectMapTask(cm, nil, j.Maps, 0, NewAvail(avail))
+	sel, ok := SelectMapTaskWith(directMapCost{cm}, nil, j.Maps, 0, NewAvail(avail))
 	if !ok {
 		t.Fatal("no candidate selected")
 	}
@@ -277,7 +293,7 @@ func TestSelectMapTaskPrefersLocal(t *testing.T) {
 	}
 	// On D4 (node 3): neither block local; M2 (10 hops from D1... D2→D4 is
 	// 4) is nearer than M1 (D1→D4 is 6): M2 wins.
-	sel, ok = SelectMapTask(cm, nil, j.Maps, 3, NewAvail(avail))
+	sel, ok = SelectMapTaskWith(directMapCost{cm}, nil, j.Maps, 3, NewAvail(avail))
 	if !ok {
 		t.Fatal("no candidate selected on D4")
 	}
@@ -294,7 +310,7 @@ func TestSelectMapTaskPrefersLocal(t *testing.T) {
 
 func TestSelectMapTaskEmpty(t *testing.T) {
 	cm, _ := fig2Setup(t)
-	if _, ok := SelectMapTask(cm, nil, nil, 0, NewAvail([]topology.NodeID{0})); ok {
+	if _, ok := SelectMapTaskWith(directMapCost{cm}, nil, nil, 0, NewAvail([]topology.NodeID{0})); ok {
 		t.Fatal("selection from empty candidate list succeeded")
 	}
 }
@@ -540,7 +556,7 @@ func (fixedProb) Prob(avg, cost float64) float64 {
 func TestSelectionProbComesFromModel(t *testing.T) {
 	cm, j := fig2Setup(t)
 	avail := NewAvail([]topology.NodeID{0, 1, 2, 3})
-	sel, ok := SelectMapTask(cm, fixedProb{}, j.Maps, 3, avail) // remote-only node
+	sel, ok := SelectMapTaskWith(directMapCost{cm}, fixedProb{}, j.Maps, 3, avail) // remote-only node
 	if !ok {
 		t.Fatal("no candidate")
 	}

@@ -49,10 +49,11 @@ type CostModel struct {
 	mode  Mode
 
 	// classes is the distance-class view of the network in hop mode (nil
-	// otherwise, and nil when the network has no class structure): hop
-	// distances depend only on the (class(a), class(b)) pair, so sums over
-	// the avail set collapse to per-class terms. Network-condition mode
-	// keeps per-pair dynamic distances and never collapses.
+	// otherwise, and nil for a network without class structure, such as
+	// the Fig. 2 test fixture): hop distances depend only on the
+	// (class(a), class(b)) pair, so sums over the avail set collapse to
+	// per-class terms. Network-condition mode keeps per-pair dynamic
+	// distances and never collapses.
 	classes *topology.Classes
 
 	// Scratch buffers for the class-collapsed sums, sized to classes.Num().
@@ -72,19 +73,14 @@ func NewCostModel(net topology.Network, store *hdfs.Store, rate topology.RateObs
 	c := &CostModel{net: net, store: store, rate: rate, mode: mode}
 	if mode == ModeHops {
 		if cn, ok := net.(topology.ClassedNetwork); ok {
-			if cl := cn.Classes(); cl != nil {
-				c.classes = cl
-				c.clCounts = make([]int, cl.Num())
-				c.clReps = make([]int, cl.Num())
-				c.clMinD = make([]float64, cl.Num())
-			}
+			c.classes = cn.Classes()
+			c.clCounts = make([]int, c.classes.Num())
+			c.clReps = make([]int, c.classes.Num())
+			c.clMinD = make([]float64, c.classes.Num())
 		}
 	}
 	return c, nil
 }
-
-// Mode returns the distance interpretation in use.
-func (c *CostModel) Mode() Mode { return c.mode }
 
 // Classes returns the distance-class structure the model collapses sums
 // over, or nil when costs are evaluated per node.
@@ -108,31 +104,19 @@ func (c *CostModel) Distance(a, b topology.NodeID) float64 {
 	}
 }
 
-// epochObserver is implemented by rate observers whose PathRate output is
-// constant between advances of a counter (topology.Cluster exposes its
-// flow network's recompute epoch; topology.Matrix rates never change).
-type epochObserver interface {
-	Epoch() uint64
-}
-
 // DistanceEpoch returns a counter that advances whenever a cost derived
-// from Distance and the block store may change; ok reports whether such a
-// signal exists. The counter is the sum of two monotone components: the
-// store's replica-mutation epoch (replica loss moves a block's nearest
-// replica even when distances are static) and, in network-condition mode,
-// the rate observer's recompute epoch. Since both only grow, equal sums
-// imply both are unchanged. In hop mode with an immutable store the value
-// is constantly 0, preserving pre-fault cache behaviour. When the rate
-// observer exposes no epoch, ok is false and callers must treat every
-// distance as volatile (caching would change scheduling decisions).
-func (c *CostModel) DistanceEpoch() (uint64, bool) {
+// from Distance and the block store may change. The counter is the sum of
+// two monotone components: the store's replica-mutation epoch (replica
+// loss moves a block's nearest replica even when distances are static)
+// and, in network-condition mode, the rate observer's recompute epoch.
+// Since both only grow, equal sums imply both are unchanged. In hop mode
+// with an immutable store the value is constantly 0, preserving pre-fault
+// cache behaviour.
+func (c *CostModel) DistanceEpoch() uint64 {
 	if c.mode != ModeNetworkCondition {
-		return c.store.Epoch(), true
+		return c.store.Epoch()
 	}
-	if eo, ok := c.rate.(epochObserver); ok {
-		return eo.Epoch() + c.store.Epoch(), true
-	}
-	return 0, false
+	return c.rate.Epoch() + c.store.Epoch()
 }
 
 // MapCost returns C_m(i,j) = B_j · min_{l: L_lj=1} h_il (Formula 1): the
@@ -530,17 +514,15 @@ func (rc *ReduceCoster) Cost(i topology.NodeID, f int) float64 {
 // (avail set, distance epoch); the result is identical to averaging Cost
 // over avail. A matching non-zero a.Version revalidates the cache in
 // O(1); the node-list comparison is the fallback for ad-hoc snapshots.
-// With a class structure each inner sum is the O(classes) classHSum; when
-// distances are volatile with no epoch signal the sums are recomputed on
-// every call.
+// With a class structure each inner sum is the O(classes) classHSum.
 func (rc *ReduceCoster) CostAvg(f int, a Avail) float64 {
 	avail := a.Nodes
 	if len(avail) == 0 {
 		return 0
 	}
-	ep, epOK := rc.cm.DistanceEpoch()
+	ep := rc.cm.DistanceEpoch()
 	sameAvail := (a.Version != 0 && a.Version == rc.availVersion) || equalNodes(rc.availCache, avail)
-	if !epOK || ep != rc.availEpoch || !rc.hValid || !sameAvail {
+	if ep != rc.availEpoch || !rc.hValid || !sameAvail {
 		rc.availEpoch = ep
 		rc.availCache = append(rc.availCache[:0], avail...)
 		if cap(rc.hSum) < len(rc.nodes) {

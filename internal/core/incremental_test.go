@@ -11,6 +11,9 @@ import (
 	"mapsched/internal/topology"
 )
 
+// Len returns the number of cached block rows.
+func (mc *MapCoster) Len() int { return len(mc.rows) }
+
 // churnSetup builds a multi-rack cluster with a randomly placed job for
 // the cache-equivalence tests.
 func churnSetup(t *testing.T, mode Mode, seed int64) (*sim.Engine, *topology.Cluster, *CostModel, *job.Job) {
@@ -35,11 +38,7 @@ func churnSetup(t *testing.T, mode Mode, seed int64) (*sim.Engine, *topology.Clu
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rate topology.RateObserver
-	if mode == ModeNetworkCondition {
-		rate = cl
-	}
-	cm, err := NewCostModel(cl, store, rate, mode)
+	cm, err := NewCostModel(cl, store, cl, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +277,7 @@ func TestSelectMapTaskWithMatchesDirect(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		avail := NewAvail(randomAvail(rng, cl.Size()))
 		node := topology.NodeID(rng.Intn(cl.Size()))
-		a, okA := SelectMapTask(cm, nil, tasks, node, avail)
+		a, okA := SelectMapTaskWith(directMapCost{cm}, nil, tasks, node, avail)
 		b, okB := SelectMapTaskWith(mc, nil, tasks, node, avail)
 		if okA != okB {
 			t.Fatalf("round %d: ok %v vs %v", round, okA, okB)

@@ -46,7 +46,7 @@ func (c *CostModel) newMapCoster() *MapCoster {
 
 // row returns the (refreshed) distance row for the task's block.
 func (mc *MapCoster) row(m *job.MapTask) *mapRow {
-	ep, _ := mc.cm.DistanceEpoch() // always available in hop mode
+	ep := mc.cm.DistanceEpoch()
 	r := mc.rows[m.Block]
 	if r == nil {
 		r = &mapRow{classMinD: make([]float64, mc.cm.classes.Num())}
@@ -118,6 +118,3 @@ func (mc *MapCoster) Forget(j *job.Job) {
 		delete(mc.rows, m.Block)
 	}
 }
-
-// Len returns the number of cached block rows (exposed for leak tests).
-func (mc *MapCoster) Len() int { return len(mc.rows) }

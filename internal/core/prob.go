@@ -29,17 +29,6 @@ func AssignProb(avg, cost float64) float64 {
 	return 1 - math.Exp(-avg/cost)
 }
 
-// CostCeiling returns the largest placement cost (as a multiple of C_avg)
-// that still clears the threshold pmin: from P ≥ P_min follows
-// C ≤ C_avg / (−ln(1−P_min)). Exposed for analysis and the P_min sweep
-// experiment. pmin outside (0,1) returns +Inf (no ceiling).
-func CostCeiling(pmin float64) float64 {
-	if pmin <= 0 || pmin >= 1 {
-		return math.Inf(1)
-	}
-	return 1 / (-math.Log(1 - pmin))
-}
-
 // Choice is the outcome of the candidate-selection step of Algorithms 1–2.
 type Choice struct {
 	MapTask    *job.MapTask    // set for map selection
@@ -105,12 +94,6 @@ func (c *CostModel) MapEvaluator() MapCostEvaluator {
 		return c.newMapCoster()
 	}
 	return directMapCost{c}
-}
-
-// SelectMapTask runs lines 2–9 of Algorithm 1 against the uncached cost
-// model; see SelectMapTaskWith.
-func SelectMapTask(cm *CostModel, model ProbabilityModel, tasks []*job.MapTask, i topology.NodeID, avail Avail) (MapSelection, bool) {
-	return SelectMapTaskWith(directMapCost{cm}, model, tasks, i, avail)
 }
 
 // SelectMapTaskWith runs lines 2–9 of Algorithm 1: for every candidate map

@@ -527,13 +527,6 @@ func New(cfg Config, specs []job.Spec, builder sched.Builder) (*Simulation, erro
 	return s, nil
 }
 
-// Cost exposes the cost model (for tests).
-func (s *Simulation) Cost() *core.CostModel { return s.cost }
-
-// Placement exposes the placement decision service the schedulers decide
-// against (for tests and tools).
-func (s *Simulation) Placement() *placement.Service { return s.place }
-
 // Attach subscribes an observer to the simulation's event stream. It must
 // be called before Run: attaching mid-run would see a stream missing its
 // prefix, which defeats the reproducibility guarantee.

@@ -6,11 +6,30 @@ import (
 
 	"mapsched/internal/cluster"
 	"mapsched/internal/job"
+	"mapsched/internal/metrics"
 	"mapsched/internal/sched"
 	"mapsched/internal/sim"
 	"mapsched/internal/topology"
 	"mapsched/internal/workload"
 )
+
+// TaskLocality returns map+reduce locality tallies merged (Table III
+// counts tasks of both kinds).
+func (r *Result) TaskLocality() metrics.LocalityCount {
+	l := r.MapLocality
+	l.Merge(r.ReduceLocality)
+	return l
+}
+
+// JobByName finds a job result; ok is false when absent.
+func (r *Result) JobByName(name string) (JobResult, bool) {
+	for _, j := range r.Jobs {
+		if j.Name == name {
+			return j, true
+		}
+	}
+	return JobResult{}, false
+}
 
 // tinyConfig is a small cluster that keeps tests fast.
 func tinyConfig() Config {

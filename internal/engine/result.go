@@ -92,24 +92,6 @@ func (r *Result) JobCompletionCDF() metrics.CDF {
 	return metrics.NewCDF(r.CompletionTimes())
 }
 
-// TaskLocality returns map+reduce locality tallies merged (Table III
-// counts tasks of both kinds).
-func (r *Result) TaskLocality() metrics.LocalityCount {
-	l := r.MapLocality
-	l.Merge(r.ReduceLocality)
-	return l
-}
-
-// JobByName finds a job result; ok is false when absent.
-func (r *Result) JobByName(name string) (JobResult, bool) {
-	for _, j := range r.Jobs {
-		if j.Name == name {
-			return j, true
-		}
-	}
-	return JobResult{}, false
-}
-
 // String summarizes the run for logs.
 func (r *Result) String() string {
 	return fmt.Sprintf("%s: %d jobs (%d unfinished), makespan %.1fs, map util %.2f, reduce util %.2f",

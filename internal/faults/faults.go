@@ -12,6 +12,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -88,14 +89,6 @@ type Plan struct {
 	BlacklistAfter int
 }
 
-// Empty reports whether the plan injects nothing: no scripted faults and
-// a zero task-failure probability. Retry/blacklist settings alone do not
-// make a plan non-empty — with no failure source they are unreachable.
-func (p Plan) Empty() bool {
-	return len(p.Crashes) == 0 && len(p.Slowdowns) == 0 && len(p.Links) == 0 &&
-		len(p.ReplicaLosses) == 0 && p.TaskFailProb == 0
-}
-
 // MaxAttempts returns the effective per-task attempt cap.
 func (p Plan) MaxAttempts() int {
 	if p.MaxTaskAttempts <= 0 {
@@ -114,16 +107,24 @@ func (p Plan) BlacklistThreshold() int {
 }
 
 // Validate reports whether the plan is usable on a cluster of n nodes.
+// Every time, duration, factor and probability must be finite: the parser
+// accepts NaN and ±Inf as numbers, and either would corrupt the engine's
+// clocks and rates.
 func (p Plan) Validate(nodes int) error {
-	checkNode := func(kind string, node int) error {
+	checkNode := func(kind string, node int, vs ...float64) error {
 		if node < 0 || node >= nodes {
 			return fmt.Errorf("faults: %s of node %d outside cluster of %d", kind, node, nodes)
+		}
+		for _, v := range vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("faults: %s of node %d has non-finite value %v", kind, node, v)
+			}
 		}
 		return nil
 	}
 	crashed := make(map[int]bool)
 	for _, c := range p.Crashes {
-		if err := checkNode("crash", c.Node); err != nil {
+		if err := checkNode("crash", c.Node, c.At); err != nil {
 			return err
 		}
 		if c.At < 0 {
@@ -135,7 +136,7 @@ func (p Plan) Validate(nodes int) error {
 		crashed[c.Node] = true
 	}
 	for _, sl := range p.Slowdowns {
-		if err := checkNode("slowdown", sl.Node); err != nil {
+		if err := checkNode("slowdown", sl.Node, sl.At, sl.Duration, sl.Factor); err != nil {
 			return err
 		}
 		if sl.At < 0 || sl.Duration < 0 {
@@ -146,7 +147,7 @@ func (p Plan) Validate(nodes int) error {
 		}
 	}
 	for _, l := range p.Links {
-		if err := checkNode("link degrade", l.Node); err != nil {
+		if err := checkNode("link degrade", l.Node, l.At, l.Duration, l.Factor); err != nil {
 			return err
 		}
 		if l.At < 0 || l.Duration < 0 {
@@ -160,14 +161,14 @@ func (p Plan) Validate(nodes int) error {
 		}
 	}
 	for _, r := range p.ReplicaLosses {
-		if err := checkNode("replica loss", r.Node); err != nil {
+		if err := checkNode("replica loss", r.Node, r.At); err != nil {
 			return err
 		}
 		if r.At < 0 {
 			return fmt.Errorf("faults: replica loss of node %d at negative time", r.Node)
 		}
 	}
-	if p.TaskFailProb < 0 || p.TaskFailProb > 1 {
+	if !(p.TaskFailProb >= 0 && p.TaskFailProb <= 1) {
 		return fmt.Errorf("faults: task failure probability %v outside [0,1]", p.TaskFailProb)
 	}
 	if p.MaxTaskAttempts < 0 {

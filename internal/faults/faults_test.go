@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// Empty reports whether the plan injects nothing: no scripted faults and
+// a zero task-failure probability. Retry/blacklist settings alone do not
+// make a plan non-empty — with no failure source they are unreachable.
+func (p Plan) Empty() bool {
+	return len(p.Crashes) == 0 && len(p.Slowdowns) == 0 && len(p.Links) == 0 &&
+		len(p.ReplicaLosses) == 0 && p.TaskFailProb == 0
+}
+
 func TestEmpty(t *testing.T) {
 	if !(Plan{}).Empty() {
 		t.Fatal("zero plan not empty")
@@ -63,12 +71,31 @@ func TestValidate(t *testing.T) {
 		{TaskFailProb: 1.5},                      // probability
 		{TaskFailProb: 0.1, MaxTaskAttempts: -1}, // negative cap
 		{TaskFailProb: 0.1, BlacklistAfter: -2},  // negative threshold
+		// The DSL parses NaN and ±Inf as numbers; Validate rejects them.
+		mustParse(t, "slow:1@10*NaN"),
+		mustParse(t, "slow:1@10+NaN*2"),
+		mustParse(t, "crash:1@NaN"),
+		mustParse(t, "link:1@10+5*NaN"),
+		mustParse(t, "link:1@Inf+5*0.5"),
+		mustParse(t, "taskfail:NaN"),
+		mustParse(t, "crash:1@Inf"),
+		mustParse(t, "replica:1@-Inf"),
 	}
 	for i, p := range bad {
 		if err := p.Validate(4); err == nil {
 			t.Fatalf("bad plan %d accepted: %+v", i, p)
 		}
 	}
+}
+
+// mustParse parses a fault spec the DSL accepts.
+func mustParse(t *testing.T, spec string) Plan {
+	t.Helper()
+	p, err := ParseSpec(spec)
+	if err != nil {
+		t.Fatalf("spec %q: %v", spec, err)
+	}
+	return p
 }
 
 func TestParseSpec(t *testing.T) {

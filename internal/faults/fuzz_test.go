@@ -2,12 +2,14 @@ package faults
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
 // FuzzParsePlan hammers the fault-DSL parser: arbitrary input must
 // never panic, must parse deterministically, and an accepted plan must
 // survive Validate against a finite cluster without panicking either.
+// A plan Validate accepts carries only finite numbers.
 func FuzzParsePlan(f *testing.F) {
 	f.Add("crash:3@60; slow:7@30+120*2.5; link:4@10+40*0.1; replica:2@5; taskfail:0.02; attempts:5; blacklist:2")
 	f.Add("slow:1@10*3")
@@ -19,6 +21,7 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add("taskfail:1e309")
 	f.Add("CRASH:3@60")
 	f.Add("slow:-1@-2+-3*-4")
+	f.Add("crash:1@Inf;replica:1@-Inf")
 
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := ParseSpec(spec)
@@ -39,7 +42,11 @@ func FuzzParsePlan(f *testing.F) {
 		}
 		// Validation may reject (out-of-range nodes, bad domains) but
 		// must never panic, whatever the parser let through.
-		_ = p.Validate(8)
+		// %+v prints a NaN or infinite number as NaN, +Inf or -Inf, and
+		// no Plan field name contains either word.
+		if s := fmt.Sprintf("%+v", p); p.Validate(8) == nil && (strings.Contains(s, "NaN") || strings.Contains(s, "Inf")) {
+			t.Fatalf("spec %q validated with a non-finite number: %s", spec, s)
+		}
 		_ = p.Validate(0)
 	})
 }

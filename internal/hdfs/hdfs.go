@@ -134,21 +134,6 @@ func (s *Store) HasReplica(id BlockID, n topology.NodeID) bool {
 	return false
 }
 
-// Nearest returns the replica of id closest to from under the network's
-// distance matrix, together with the distance (min over L_lj=1 of h_il).
-func (s *Store) Nearest(id BlockID, from topology.NodeID) (topology.NodeID, float64) {
-	best := topology.NodeID(-1)
-	bestD := math.Inf(1)
-	for _, r := range s.blocks[id].Replicas {
-		d := s.net.Distance(from, r)
-		if d < bestD {
-			bestD = d
-			best = r
-		}
-	}
-	return best, bestD
-}
-
 // Epoch returns the replica-mutation counter. Replica sets are immutable
 // between equal epochs, so caches keyed on replica locations (the core
 // cost model's per-block rows) can invalidate exactly. Initial placement
@@ -250,23 +235,6 @@ func (s *Store) SetReplicas(id BlockID, nodes []topology.NodeID) error {
 
 // Usage returns the bytes stored on node n across all replicas.
 func (s *Store) Usage(n topology.NodeID) float64 { return s.usage[n] }
-
-// UsageImbalance returns max/mean node usage; 1.0 is perfectly balanced.
-// Returns 0 for an empty store.
-func (s *Store) UsageImbalance() float64 {
-	var sum, max float64
-	for _, u := range s.usage {
-		sum += u
-		if u > max {
-			max = u
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := sum / float64(len(s.usage))
-	return max / mean
-}
 
 // RackAware is the default HDFS placement policy: the first replica on a
 // uniformly random node, the second on a node in a different rack when the

@@ -9,6 +9,38 @@ import (
 	"mapsched/internal/topology"
 )
 
+// UsageImbalance returns max/mean node usage; 1.0 is perfectly balanced.
+// Returns 0 for an empty store.
+func (s *Store) UsageImbalance() float64 {
+	var sum, max float64
+	for _, u := range s.usage {
+		sum += u
+		if u > max {
+			max = u
+		}
+	}
+	if sum == 0 {
+		return 0
+	}
+	mean := sum / float64(len(s.usage))
+	return max / mean
+}
+
+// Nearest returns the replica of id closest to from under the network's
+// distance matrix, together with the distance (min over L_lj=1 of h_il).
+func (s *Store) Nearest(id BlockID, from topology.NodeID) (topology.NodeID, float64) {
+	best := topology.NodeID(-1)
+	bestD := math.Inf(1)
+	for _, r := range s.blocks[id].Replicas {
+		d := s.net.Distance(from, r)
+		if d < bestD {
+			bestD = d
+			best = r
+		}
+	}
+	return best, bestD
+}
+
 func testNet(t *testing.T, racks, perRack int) *topology.Cluster {
 	t.Helper()
 	spec := topology.DefaultSpec()

@@ -207,9 +207,6 @@ func (m *MapTask) CurrentOut(f int) float64 {
 	return m.Out[f] * math.Pow(m.Progress, m.OutputCurve)
 }
 
-// RunTime returns the task's duration; valid once done.
-func (m *MapTask) RunTime() float64 { return float64(m.Finish - m.Launch) }
-
 // setState is the one writer of State: it moves the task between the
 // job's per-state map counts.
 //

@@ -60,22 +60,13 @@ func Analyze(t *testing.T, a *analysis.Analyzer, pkg string) ([]analysis.Diagnos
 	return h.diags, h.fset
 }
 
-// RunFiles is Run over an explicit directory with no sibling-package
-// resolution (used by the directive tests to lint arbitrary fixtures).
-func RunFiles(t *testing.T, a *analysis.Analyzer, dir string) []analysis.Diagnostic {
-	t.Helper()
-	h := newHarness(t, a, "")
-	h.loadDir("files", dir)
-	return h.diags
-}
-
 // harness owns the shared FileSet, the loaded-package memo, and the
 // in-memory fact store one Run call accumulates across packages.
 type harness struct {
 	t      *testing.T
 	a      *analysis.Analyzer
 	fset   *token.FileSet
-	root   string // testdata/src root for sibling imports; "" disables
+	root   string // testdata/src root for sibling imports
 	std    types.Importer
 	loaded map[string]*loadedPkg
 	order  []string // load completion order, for allFiles determinism
@@ -122,10 +113,8 @@ func newHarness(t *testing.T, a *analysis.Analyzer, root string) *harness {
 // the sibling fixture package; everything else falls through to the
 // standard-library source importer.
 func (h *harness) Import(path string) (*types.Package, error) {
-	if h.root != "" {
-		if dir := filepath.Join(h.root, path); dirExists(dir) {
-			return h.load(path).tpkg, nil
-		}
+	if dir := filepath.Join(h.root, path); dirExists(dir) {
+		return h.load(path).tpkg, nil
 	}
 	return h.std.Import(path)
 }

@@ -8,6 +8,30 @@ import (
 	"testing/quick"
 )
 
+// Point is one (x, F(x)) pair of a rendered CDF curve.
+type Point struct {
+	X float64
+	F float64
+}
+
+// Points samples the CDF at n evenly spaced quantiles, suitable for
+// printing a figure's series. n < 2 returns at most one point.
+func (c CDF) Points(n int) []Point {
+	if len(c.sorted) == 0 || n < 1 {
+		return nil
+	}
+	if n == 1 {
+		return []Point{{X: c.Max(), F: 1}}
+	}
+	out := make([]Point, 0, n)
+	for i := 0; i < n; i++ {
+		q := float64(i) / float64(n-1)
+		x := c.Quantile(q)
+		out = append(out, Point{X: x, F: c.At(x)})
+	}
+	return out
+}
+
 func TestCDFAt(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3, 4})
 	cases := []struct{ x, want float64 }{

@@ -83,23 +83,12 @@ func (h *Histogram) Observe(v float64) {
 // N returns the sample count.
 func (h *Histogram) N() int64 { return h.n }
 
-// Sum returns the sample total.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Mean returns the sample mean (NaN when empty).
 func (h *Histogram) Mean() float64 {
 	if h.n == 0 {
 		return math.NaN()
 	}
 	return h.sum / float64(h.n)
-}
-
-// Min returns the smallest observed sample (NaN when empty).
-func (h *Histogram) Min() float64 {
-	if h.n == 0 {
-		return math.NaN()
-	}
-	return h.min
 }
 
 // Max returns the largest observed sample (NaN when empty).

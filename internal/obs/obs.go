@@ -50,8 +50,8 @@ const (
 	ReplicaLoss     Type = "replica_loss"     // HDFS replicas removed from a node
 	JobFail         Type = "job_fail"         // a job terminated unsuccessfully
 
-	// Placement-service invariant auditor events (internal/placement;
-	// DESIGN.md §16).
+	// Placement-service invariant audit events, emitted by the background
+	// audit harness of the internal/placement stress tests (DESIGN.md §16).
 	AuditPass  Type = "audit_pass"  // invariant audit found zero drift
 	AuditDrift Type = "audit_drift" // invariant audit detected state drift (Reason lists it)
 
@@ -152,19 +152,6 @@ func (s *Stream) Emit(e Event) {
 	}
 	for _, o := range s.obs {
 		o.Observe(e)
-	}
-}
-
-// Multi fans one observer call out to several sinks.
-func Multi(sinks ...Observer) Observer { return multi(sinks) }
-
-type multi []Observer
-
-func (m multi) Observe(e Event) {
-	for _, o := range m {
-		if o != nil {
-			o.Observe(e)
-		}
 	}
 }
 

@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// Multi fans one observer call out to several sinks.
+func Multi(sinks ...Observer) Observer { return multi(sinks) }
+
+type multi []Observer
+
+func (m multi) Observe(e Event) {
+	for _, o := range m {
+		if o != nil {
+			o.Observe(e)
+		}
+	}
+}
+
 func TestNilStreamIsDisabled(t *testing.T) {
 	var s *Stream
 	if s.Enabled() {

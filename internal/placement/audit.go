@@ -1,27 +1,17 @@
-// Background invariant auditor: rebuild the service's derived state —
-// availability membership, per-class free-slot counts, store usage —
-// from scratch and diff it against the incrementally maintained state.
-// The runtime analogue of the schedlint epoch contracts: the static
-// analyzers prove mutation sites bump the right epochs, the auditor
-// proves the incremental bookkeeping still equals ground truth while
-// the service runs.
-//
-// The wall clock below paces the opt-in background auditor only; audit
-// results never feed a simulated decision or any deterministic output.
-//
-//lint:allow nodeterminism background auditor cadence is wall-clock, results never feed decisions
+// Invariant audit: rebuild the service's derived state — availability
+// membership, per-class free-slot counts, store usage — from scratch and
+// diff it against the incrementally maintained state. The runtime
+// analogue of the schedlint epoch contracts: the static analyzers prove
+// mutation sites bump the right epochs, the audit proves the incremental
+// bookkeeping still equals ground truth while the service runs.
 package placement
 
 import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
-	"time"
 
 	"mapsched/internal/hdfs"
-	"mapsched/internal/metrics"
-	"mapsched/internal/obs"
 	"mapsched/internal/topology"
 )
 
@@ -183,77 +173,5 @@ func (s *Service) auditAvailLocked(r *AuditReport, kind string, snapshot []topol
 		if counts[c] != wantCounts[c] {
 			drift("%s avail class %d count %d, recomputed %d", kind, c, counts[c], wantCounts[c])
 		}
-	}
-}
-
-// AuditorConfig tunes StartAuditor.
-type AuditorConfig struct {
-	// Interval paces the background audits (default 1s).
-	Interval time.Duration
-	// Stream, when non-nil, receives an audit_pass or audit_drift event
-	// per audit (audit_drift carries the drift list in Reason).
-	Stream *obs.Stream
-	// Metrics, when non-nil, tallies placement_audit_pass and
-	// placement_audit_drift counters.
-	Metrics *metrics.Registry
-	// OnReport, when non-nil, receives every report (tests, logging).
-	OnReport func(AuditReport)
-}
-
-// StartAuditor runs Audit in a background goroutine at the configured
-// interval, reporting through the configured sinks, until the returned
-// stop function is called (stop blocks until the goroutine exits; it is
-// safe to call once). Audits serialize with delta writers and deciders
-// through the service lock, so the auditor is race-free against both.
-func (s *Service) StartAuditor(cfg AuditorConfig) (stop func()) {
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
-	}
-	var pass, fail *metrics.Counter
-	if cfg.Metrics != nil {
-		pass = cfg.Metrics.Counter("placement_audit_pass")
-		fail = cfg.Metrics.Counter("placement_audit_drift")
-	}
-	report := func() {
-		r := s.Audit()
-		if r.Clean() {
-			if pass != nil {
-				pass.Inc()
-			}
-			if cfg.Stream.Enabled() {
-				cfg.Stream.Emit(obs.Event{Type: obs.AuditPass, Node: -1})
-			}
-		} else {
-			if fail != nil {
-				fail.Inc()
-			}
-			if cfg.Stream.Enabled() {
-				cfg.Stream.Emit(obs.Event{Type: obs.AuditDrift, Node: -1, Reason: strings.Join(r.Drift, "; ")})
-			}
-		}
-		if cfg.OnReport != nil {
-			cfg.OnReport(r)
-		}
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				report()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		wg.Wait()
 	}
 }

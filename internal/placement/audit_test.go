@@ -11,6 +11,76 @@ import (
 	"mapsched/internal/topology"
 )
 
+// AuditorConfig tunes StartAuditor.
+type AuditorConfig struct {
+	// Interval paces the background audits.
+	Interval time.Duration
+	// Stream, when non-nil, receives an audit_pass or audit_drift event
+	// per audit (audit_drift carries the drift list in Reason).
+	Stream *obs.Stream
+	// Metrics, when non-nil, tallies placement_audit_pass and
+	// placement_audit_drift counters.
+	Metrics *metrics.Registry
+	// OnReport, when non-nil, receives every report (tests, logging).
+	OnReport func(AuditReport)
+}
+
+// StartAuditor is the background-audit harness of the stress tests: it
+// runs Audit in a goroutine at the configured interval, reporting through
+// the configured sinks, until the returned stop function is called (stop
+// blocks until the goroutine exits; it is safe to call once). Audits
+// serialize with delta writers and deciders through the service lock, so
+// the auditor is race-free against both.
+func (s *Service) StartAuditor(cfg AuditorConfig) (stop func()) {
+	var pass, fail *metrics.Counter
+	if cfg.Metrics != nil {
+		pass = cfg.Metrics.Counter("placement_audit_pass")
+		fail = cfg.Metrics.Counter("placement_audit_drift")
+	}
+	report := func() {
+		r := s.Audit()
+		if r.Clean() {
+			if pass != nil {
+				pass.Inc()
+			}
+			if cfg.Stream.Enabled() {
+				cfg.Stream.Emit(obs.Event{Type: obs.AuditPass, Node: -1})
+			}
+		} else {
+			if fail != nil {
+				fail.Inc()
+			}
+			if cfg.Stream.Enabled() {
+				cfg.Stream.Emit(obs.Event{Type: obs.AuditDrift, Node: -1, Reason: strings.Join(r.Drift, "; ")})
+			}
+		}
+		if cfg.OnReport != nil {
+			cfg.OnReport(r)
+		}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t := time.NewTicker(cfg.Interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+				report()
+			}
+		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(done) })
+		wg.Wait()
+	}
+}
+
 // TestAuditCleanUnderDeltas runs the full delta vocabulary and audits
 // after every step: the incremental state must never drift from the
 // from-scratch rebuild.

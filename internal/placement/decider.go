@@ -275,9 +275,6 @@ func NewDecider(svc *Service, cfg Config, rng *sim.RNG, stream *obs.Stream) *Dec
 // Err reports why the Decider is invalid (nil for a usable one).
 func (d *Decider) Err() error { return d.err }
 
-// Config returns the decision configuration the session runs under.
-func (d *Decider) Config() Config { return d.cfg }
-
 // Mode returns the service's distance interpretation.
 func (d *Decider) Mode() core.Mode { return d.svc.mode }
 

@@ -37,9 +37,6 @@ var (
 	// ErrNodeUnavailable rejects an acquire on an offline or blacklisted
 	// node: such nodes offer no slots.
 	ErrNodeUnavailable = fmt.Errorf("%w: node unavailable", ErrDeltaConflict)
-	// ErrUnknownLink rejects a link delta the network cannot express
-	// (the topology does not support runtime link rescaling).
-	ErrUnknownLink = fmt.Errorf("%w: unknown link", ErrDeltaConflict)
 	// ErrBadLinkFactor rejects a non-finite or negative link factor.
 	ErrBadLinkFactor = fmt.Errorf("%w: bad link factor", ErrDeltaConflict)
 )

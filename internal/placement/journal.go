@@ -396,7 +396,7 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 //
 // If an append ever fails, the journal is broken: the failing delta and
 // every later one are rejected with ErrJournalBroken (the state did not
-// change), until StopJournal or a fresh StartJournal.
+// change), until a fresh StartJournal.
 func (s *Service) StartJournal(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -406,14 +406,6 @@ func (s *Service) StartJournal(w io.Writer) error {
 	}
 	s.journal = j
 	return nil
-}
-
-// StopJournal detaches the journal (if any); subsequent deltas are no
-// longer recorded.
-func (s *Service) StopJournal() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.journal = nil
 }
 
 // journalLocked appends one delta record under the write lock, stamping

@@ -15,6 +15,14 @@ import (
 	"mapsched/internal/topology"
 )
 
+// StopJournal detaches the journal (if any); subsequent deltas are no
+// longer recorded.
+func (s *Service) StopJournal() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.journal = nil
+}
+
 // journalFixture is a fixture with two pre-placed blocks — the base
 // state a recovery rebuilds over. Both sides of a recovery test build
 // one from the same seed, so their base states are identical.

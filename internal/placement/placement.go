@@ -44,8 +44,10 @@ import (
 // (the simulation engine) they are the engine's live objects; in
 // standalone use the caller constructs them directly.
 type Deps struct {
-	// Net resolves node distances (and racks for locality tagging).
-	Net topology.Network
+	// Net is the cluster topology: it resolves node distances (and racks
+	// for locality tagging) and carries the host links ApplyLinkFactor
+	// rescales.
+	Net *topology.Cluster
 	// Store is the replicated block store map costs read from.
 	Store *hdfs.Store
 	// Rate observes path rates; required for ModeNetworkCondition.
@@ -55,12 +57,6 @@ type Deps struct {
 	Slots *cluster.State
 	// Mode selects hop-count or network-condition distances.
 	Mode core.Mode
-}
-
-// linkScaler is implemented by networks whose host access links can be
-// rescaled at runtime (topology.Cluster).
-type linkScaler interface {
-	SetHostLinkFactor(a topology.NodeID, factor float64)
 }
 
 // Service is the shared half of the placement decision service. All
@@ -83,7 +79,7 @@ type Service struct {
 
 	// net, rate, mode and classes are set once in NewService and never
 	// written again, so they are safe to read without the lock.
-	net     topology.Network
+	net     *topology.Cluster
 	rate    topology.RateObserver
 	mode    core.Mode
 	classes *topology.Classes
@@ -125,8 +121,8 @@ type Service struct {
 //
 //lint:allow lockheld constructor: s is unpublished, no reader can exist before return
 func NewService(d Deps) (*Service, error) {
-	if d.Slots == nil {
-		return nil, fmt.Errorf("placement: nil slot state")
+	if d.Net == nil || d.Slots == nil {
+		return nil, fmt.Errorf("placement: nil network or slot state")
 	}
 	// Validates the net/store/rate/mode combination and derives the
 	// class structure; Deciders rebuild their own models from the same
@@ -173,9 +169,6 @@ func (s *Service) Epoch() uint64 {
 	defer s.mu.RUnlock()
 	return s.epoch
 }
-
-// Mode returns the distance interpretation the service was built with.
-func (s *Service) Mode() core.Mode { return s.mode }
 
 // View is a consistent read of the service's availability state. Views
 // are handed to concurrent readers by value, and the Avail node/count
@@ -443,19 +436,14 @@ func (s *Service) ApplyNodeBlacklist(n topology.NodeID, b bool) error {
 }
 
 // ApplyLinkFactor rescales node n's host access link capacity by
-// factor (1 restores nominal, 0 severs). Only supported when the
-// network exposes runtime link scaling; network-condition costs then
-// see the change through the rate observer. Unknown nodes, unsupported
-// networks and non-finite or negative factors are rejected.
+// factor (1 restores nominal, 0 severs); network-condition costs see
+// the change through the rate observer. Unknown nodes and non-finite or
+// negative factors are rejected.
 func (s *Service) ApplyLinkFactor(n topology.NodeID, factor float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, err := s.nodeLocked(n); err != nil {
 		return err
-	}
-	ls, ok := s.net.(linkScaler)
-	if !ok {
-		return fmt.Errorf("%w: network %T does not support link rescaling", ErrUnknownLink, s.net)
 	}
 	if badLinkFactor(factor) {
 		return fmt.Errorf("%w: %v", ErrBadLinkFactor, factor)
@@ -463,7 +451,7 @@ func (s *Service) ApplyLinkFactor(n topology.NodeID, factor float64) error {
 	if err := s.journalLocked(Record{Op: OpLinkFactor, Node: int(n), F: factor}); err != nil {
 		return err
 	}
-	ls.SetHostLinkFactor(n, factor)
+	s.net.SetHostLinkFactor(n, factor)
 	if s.linkFactors == nil {
 		s.linkFactors = make([]float64, s.slots.Size())
 		for i := range s.linkFactors {

@@ -166,10 +166,6 @@ func (s *Service) restoreCheckpoint(cp *Checkpoint) error {
 		s.slots.Node(topology.NodeID(i)).SetBlacklisted(true)
 	}
 	if len(cp.Links) > 0 {
-		ls, ok := s.net.(linkScaler)
-		if !ok {
-			return fmt.Errorf("%w: checkpoint rescales links but network %T cannot", ErrBadCheckpoint, s.net)
-		}
 		s.linkFactors = make([]float64, s.slots.Size())
 		for i := range s.linkFactors {
 			s.linkFactors[i] = 1
@@ -181,7 +177,7 @@ func (s *Service) restoreCheckpoint(cp *Checkpoint) error {
 			if badLinkFactor(l.Factor) {
 				return fmt.Errorf("%w: link node %d: factor %v", ErrBadCheckpoint, l.Node, l.Factor)
 			}
-			ls.SetHostLinkFactor(topology.NodeID(l.Node), l.Factor)
+			s.net.SetHostLinkFactor(topology.NodeID(l.Node), l.Factor)
 			s.linkFactors[l.Node] = l.Factor
 		}
 	}

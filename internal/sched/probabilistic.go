@@ -47,9 +47,6 @@ func NewProbabilistic(cfg ProbabilisticConfig) Builder {
 	}
 }
 
-// Decider exposes the underlying decision session (tests and tools).
-func (p *Probabilistic) Decider() *placement.Decider { return p.dec }
-
 // Name implements Scheduler.
 func (p *Probabilistic) Name() string {
 	n := "probabilistic"

@@ -41,17 +41,11 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 // Int63 returns a non-negative 63-bit value.
 func (g *RNG) Int63() int64 { return g.r.Int63() }
 
-// NormFloat64 returns a standard normal variate.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
 // ExpFloat64 returns an exponential variate with mean 1.
 func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Uniform returns a uniform value in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {

@@ -47,9 +47,6 @@ func (e *Event) At() Time { return e.at }
 // Queued reports whether the event is currently in an engine's queue.
 func (e *Event) Queued() bool { return e.index > 0 }
 
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancel }
-
 // Cancel prevents the event's callback from running. Cancelling an event
 // that already fired or was already cancelled is a no-op.
 func (e *Event) Cancel() { e.cancel = true }
@@ -114,18 +111,6 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // SetEventLimit caps the number of events Run will execute; exceeding the
 // cap makes Run return an error. Zero disables the cap.
 func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
-
-// Pending returns the number of events currently queued (including
-// cancelled events that have not yet been discarded). Commit hooks run
-// first, so churn made outside any dispatch — e.g. flows started before
-// the run, whose completion events the flow network's share solve has
-// yet to queue — is counted.
-func (e *Engine) Pending() int {
-	for _, c := range e.commits {
-		c()
-	}
-	return len(e.queue)
-}
 
 // AddCommitHook registers fn to run after every dispatched event callback
 // returns, still at the callback's timestamp, and before Run or Step
@@ -325,6 +310,3 @@ func (e *Engine) Run(until Time) (Time, error) {
 	}
 	return e.now, nil
 }
-
-// RunAll executes events until the queue drains.
-func (e *Engine) RunAll() (Time, error) { return e.Run(Infinity) }

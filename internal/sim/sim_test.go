@@ -8,6 +8,24 @@ import (
 	"testing/quick"
 )
 
+// Shuffle randomizes the order of n elements using swap.
+func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
+
+// Pending returns the number of events currently queued (including
+// cancelled events that have not yet been discarded). Commit hooks run
+// first, so churn made outside any dispatch — e.g. flows started before
+// the run, whose completion events the flow network's share solve has
+// yet to queue — is counted.
+func (e *Engine) Pending() int {
+	for _, c := range e.commits {
+		c()
+	}
+	return len(e.queue)
+}
+
+// NormFloat64 returns a standard normal variate.
+func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
+
 func TestEngineStartsAtZero(t *testing.T) {
 	e := NewEngine()
 	if e.Now() != 0 {
@@ -24,7 +42,7 @@ func TestScheduleAndRunOrder(t *testing.T) {
 	e.Schedule(3, func() { order = append(order, 3) })
 	e.Schedule(1, func() { order = append(order, 1) })
 	e.Schedule(2, func() { order = append(order, 2) })
-	if _, err := e.RunAll(); err != nil {
+	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{1, 2, 3}
@@ -48,7 +66,7 @@ func TestEqualTimestampsFIFO(t *testing.T) {
 		i := i
 		e.Schedule(5, func() { order = append(order, i) })
 	}
-	if _, err := e.RunAll(); err != nil {
+	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range order {
@@ -64,7 +82,7 @@ func TestAfterRelative(t *testing.T) {
 	e.Schedule(10, func() {
 		e.After(5, func() { at = e.Now() })
 	})
-	if _, err := e.RunAll(); err != nil {
+	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if at != 15 {
@@ -82,7 +100,7 @@ func TestSchedulePastPanics(t *testing.T) {
 		}()
 		e.Schedule(5, func() {})
 	})
-	if _, err := e.RunAll(); err != nil {
+	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -102,13 +120,13 @@ func TestCancel(t *testing.T) {
 	ran := false
 	ev := e.Schedule(1, func() { ran = true })
 	ev.Cancel()
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if !ev.cancel {
+		t.Fatal("cancel = false after Cancel")
 	}
-	// After RunAll the engine has reaped (and may recycle) the cancelled
+	// After Run the engine has reaped (and may recycle) the cancelled
 	// event, so ev must not be inspected past this point — that is the
 	// documented Event lifetime.
-	if _, err := e.RunAll(); err != nil {
+	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if ran {
@@ -124,7 +142,7 @@ func TestRemove(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() = %d after Remove, want 0", e.Pending())
 	}
-	if _, err := e.RunAll(); err != nil {
+	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if ran {
@@ -154,7 +172,7 @@ func TestRunUntilHorizon(t *testing.T) {
 		t.Fatalf("Pending() = %d, want 1", e.Pending())
 	}
 	// Resume to completion.
-	if _, err := e.RunAll(); err != nil {
+	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if len(ran) != 2 {
@@ -180,7 +198,7 @@ func TestEventLimit(t *testing.T) {
 	tick = func() { e.After(1, tick) }
 	e.After(1, tick)
 	e.SetEventLimit(50)
-	if _, err := e.RunAll(); err == nil {
+	if _, err := e.Run(Infinity); err == nil {
 		t.Fatal("runaway loop did not trip the event limit")
 	}
 }
@@ -207,7 +225,7 @@ func TestFiredCounter(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		e.Schedule(Time(i), func() {})
 	}
-	if _, err := e.RunAll(); err != nil {
+	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if e.Fired() != 7 {
@@ -224,7 +242,7 @@ func TestHeapPropertyRandomOrder(t *testing.T) {
 			at := Time(s)
 			e.Schedule(at, func() { got = append(got, at) })
 		}
-		if _, err := e.RunAll(); err != nil {
+		if _, err := e.Run(Infinity); err != nil {
 			return false
 		}
 		for i := 1; i < len(got); i++ {
@@ -444,7 +462,7 @@ func TestRescheduleSemantics(t *testing.T) {
 	// Rescheduling assigns a fresh seq: the owned event now ties at t=2
 	// but must fire after the Schedule above.
 	e.Reschedule(&ev, 2, func() { order = append(order, "moved-again") })
-	if _, err := e.RunAll(); err != nil {
+	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"later-seq", "moved-again"}
@@ -455,10 +473,10 @@ func TestRescheduleSemantics(t *testing.T) {
 	// A cancelled owned event is revived by Reschedule.
 	ev.Cancel()
 	e.Reschedule(&ev, e.Now()+1, func() { order = append(order, "revived") })
-	if ev.Cancelled() {
+	if ev.cancel {
 		t.Fatal("Reschedule left the event cancelled")
 	}
-	if _, err := e.RunAll(); err != nil {
+	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if order[len(order)-1] != "revived" {
@@ -471,7 +489,7 @@ func TestRescheduleSemantics(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() = %d after Remove, want 0", e.Pending())
 	}
-	if _, err := e.RunAll(); err != nil {
+	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -484,7 +502,7 @@ func TestEventPoolReuseAfterCancel(t *testing.T) {
 	stale := false
 	ev := e.Schedule(1, func() { stale = true })
 	ev.Cancel()
-	if _, err := e.RunAll(); err != nil { // reaps + recycles ev
+	if _, err := e.Run(Infinity); err != nil { // reaps + recycles ev
 		t.Fatal(err)
 	}
 	ran := 0
@@ -492,10 +510,10 @@ func TestEventPoolReuseAfterCancel(t *testing.T) {
 	if ev2 != ev {
 		t.Log("allocator did not reuse the event; pool path not exercised")
 	}
-	if ev2.Cancelled() {
+	if ev2.cancel {
 		t.Fatal("recycled event started life cancelled")
 	}
-	if _, err := e.RunAll(); err != nil {
+	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if stale {
@@ -515,7 +533,7 @@ func TestCommitHooksRunPerDispatch(t *testing.T) {
 	e.Schedule(1, func() { log = append(log, "a") })
 	e.Schedule(1, func() { log = append(log, "b") })
 	e.Schedule(3, func() { log = append(log, "c") })
-	if _, err := e.RunAll(); err != nil {
+	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	// Run flushes hooks once on entry, then after every dispatch.
@@ -549,7 +567,7 @@ func TestZeroEventUnqueued(t *testing.T) {
 	if !ev.Queued() || e.Pending() != 2 {
 		t.Fatalf("Reschedule of a zero Event: Queued() = %v, Pending() = %d", ev.Queued(), e.Pending())
 	}
-	if _, err := e.RunAll(); err != nil {
+	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if !ran || ev.Queued() {
@@ -795,7 +813,7 @@ func TestEngineCrossImplEquivalence(t *testing.T) {
 				handles = append(handles, e.Schedule(at, fn))
 				hids = append(hids, id)
 			}
-			if _, err := e.RunAll(); err != nil {
+			if _, err := e.Run(Infinity); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 			if len(live) != 0 || e.Pending() != 0 {

@@ -7,6 +7,17 @@ import (
 	"mapsched/internal/sim"
 )
 
+// Size returns the number of nodes in class a.
+func (c *Classes) Size(a int) int {
+	n := 0
+	for _, o := range c.of {
+		if o == a {
+			n++
+		}
+	}
+	return n
+}
+
 // TestClusterClassesAreRacks pins the hierarchical topology's class
 // structure: one class per rack, SameRackDist on the diagonal,
 // CrossRackDist elsewhere, and membership matching Rack().

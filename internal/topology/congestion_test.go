@@ -26,7 +26,7 @@ func TestCongestionAlphaDegradesGoodput(t *testing.T) {
 	if err := c.Net().CheckFeasible(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	// Each rate = (125e6/1.1)/2 = 56.82e6 -> 62.5e6 bytes in 1.1 s.
@@ -48,7 +48,7 @@ func TestCongestionAlphaSingleFlowUnaffected(t *testing.T) {
 	}
 	var at sim.Time
 	c.Transfer(0, 1, 125e6, func() { at = eng.Now() })
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(float64(at)-1.0) > 1e-9 {

@@ -55,11 +55,6 @@ type Flow struct {
 	announced bool
 }
 
-// Rate returns the flow's bandwidth share in bytes/second as of the last
-// commit (FlowNet.Flush). Churn inside a dispatched event does not move it
-// until that event commits; a flow started mid-event reads 0 until then.
-func (f *Flow) Rate() float64 { return f.rate }
-
 // Finished reports whether the flow has completed or been cancelled.
 func (f *Flow) Finished() bool { return f.finished }
 
@@ -241,9 +236,6 @@ func (n *FlowNet) ActiveFlows() int { return n.liveCount }
 // Completed returns the number of flows that finished normally.
 func (n *FlowNet) Completed() int64 { return n.completed }
 
-// BytesDelivered returns total bytes carried by completed flows.
-func (n *FlowNet) BytesDelivered() float64 { return n.bytesDone }
-
 // allocFlow returns a reset Flow (from the pool when possible) with a
 // fresh creation id, its completion callback bound, and the path copied
 // into owned storage.
@@ -295,19 +287,14 @@ func (n *FlowNet) maybeRecycle(f *Flow) {
 	n.freeFlows = append(n.freeFlows, f)
 }
 
-// StartFlow begins transferring bytes across the given path and calls done
-// (if non-nil) at completion. Zero or negative sizes complete immediately
-// via a zero-delay event so callbacks still run in event order.
-func (n *FlowNet) StartFlow(path []LinkID, bytes float64, done func()) *Flow {
-	return n.StartFlowBetween(-1, -1, path, bytes, done)
-}
-
-// StartFlowBetween is StartFlow with the flow tagged by its source and
-// destination node, so flow events carry endpoints the FlowNet itself
-// does not know about.
+// StartFlowBetween begins transferring bytes across the given path and
+// calls done (if non-nil) at completion. Zero or negative sizes complete
+// immediately via a zero-delay event so callbacks still run in event
+// order. The flow is tagged by its source and destination node, so flow
+// events carry endpoints the FlowNet itself does not know about.
 func (n *FlowNet) StartFlowBetween(src, dst NodeID, path []LinkID, bytes float64, done func()) *Flow {
 	if len(path) == 0 {
-		panic("topology: StartFlow with empty path; use LocalTransfer")
+		panic("topology: StartFlowBetween with empty path; use LocalTransferAt")
 	}
 	f := n.allocFlow(src, dst, path)
 	f.total, f.remaining, f.done = bytes, bytes, done
@@ -327,14 +314,9 @@ func (n *FlowNet) StartFlowBetween(src, dst NodeID, path []LinkID, bytes float64
 	return f
 }
 
-// StartPersistentFlow begins a background flow that never completes (until
-// cancelled) and always consumes its fair share on the path.
-func (n *FlowNet) StartPersistentFlow(path []LinkID) *Flow {
-	return n.StartPersistentFlowBetween(-1, -1, path)
-}
-
-// StartPersistentFlowBetween is StartPersistentFlow with node endpoints
-// attached for observability.
+// StartPersistentFlowBetween begins a background flow that never
+// completes (until cancelled) and always consumes its fair share on the
+// path, tagged with node endpoints for observability.
 func (n *FlowNet) StartPersistentFlowBetween(src, dst NodeID, path []LinkID) *Flow {
 	f := n.allocFlow(src, dst, path)
 	f.kind = flowNet
@@ -344,14 +326,9 @@ func (n *FlowNet) StartPersistentFlowBetween(src, dst NodeID, path []LinkID) *Fl
 	return f
 }
 
-// LocalTransfer models a same-node disk read at the given bandwidth; it
-// does not contend with network flows.
-func (n *FlowNet) LocalTransfer(bytes, diskBps float64, done func()) *Flow {
-	return n.LocalTransferAt(-1, bytes, diskBps, done)
-}
-
-// LocalTransferAt is LocalTransfer tagged with the node whose disk
-// serves the read.
+// LocalTransferAt models a same-node disk read at the given bandwidth,
+// tagged with the node whose disk serves the read; it does not contend
+// with network flows.
 func (n *FlowNet) LocalTransferAt(node NodeID, bytes, diskBps float64, done func()) *Flow {
 	if diskBps <= 0 {
 		panic(fmt.Sprintf("topology: disk bandwidth %v must be positive", diskBps))

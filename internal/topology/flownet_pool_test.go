@@ -31,7 +31,7 @@ func TestFlowReuseAfterCancel(t *testing.T) {
 	c.Net().Cancel(old)
 	c.Net().Release(old)
 	// The flush commit hook runs at the next step; give it one.
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 
@@ -44,7 +44,7 @@ func TestFlowReuseAfterCancel(t *testing.T) {
 	if fresh.Finished() {
 		t.Fatal("recycled flow started life finished")
 	}
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if staleFired {
@@ -79,7 +79,7 @@ func TestFlowReuseAfterMidTransferCancel(t *testing.T) {
 			t.Log("allocator did not reuse the flow; pool path not exercised")
 		}
 	})
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if staleFired {

@@ -8,6 +8,21 @@ import (
 	"mapsched/internal/sim"
 )
 
+// Rate returns the flow's bandwidth share in bytes/second as of the last
+// commit (FlowNet.Flush). Churn inside a dispatched event does not move it
+// until that event commits; a flow started mid-event reads 0 until then.
+func (f *Flow) Rate() float64 { return f.rate }
+
+// StartFlow is StartFlowBetween on an untagged flow.
+func (n *FlowNet) StartFlow(path []LinkID, bytes float64, done func()) *Flow {
+	return n.StartFlowBetween(-1, -1, path, bytes, done)
+}
+
+// StartPersistentFlow is StartPersistentFlowBetween on an untagged flow.
+func (n *FlowNet) StartPersistentFlow(path []LinkID) *Flow {
+	return n.StartPersistentFlowBetween(-1, -1, path)
+}
+
 // randomPath returns one to three distinct links out of nl.
 func randomPath(rng *sim.RNG, nl int) []LinkID {
 	k := 1 + rng.Intn(3)
@@ -132,7 +147,7 @@ func TestMaxMinOracle(t *testing.T) {
 				}
 			}
 		})
-		if _, err := eng.RunAll(); err != nil {
+		if _, err := eng.Run(sim.Infinity); err != nil {
 			t.Fatal(err)
 		}
 		if fired+cancelled != started {

@@ -3,15 +3,12 @@
 // flow-level network simulator that assigns max-min fair bandwidth shares
 // to concurrent transfers.
 //
-// Two concrete topologies are provided:
-//
-//   - Cluster: a hierarchical rack/core topology (hosts → top-of-rack →
-//     core) matching the Palmetto testbed layout in Section III of the
-//     paper. Transfers become flows across directed links with capacity
-//     sharing, so the "network condition" (path transmission rate) emerges
-//     from contention.
-//   - Matrix: an arbitrary distance matrix, used for unit tests and for
-//     reproducing the worked example of Fig. 2 exactly.
+// Cluster is the one topology: a hierarchical rack/core network (hosts →
+// top-of-rack → core) matching the Palmetto testbed layout in Section III
+// of the paper. Transfers become flows across directed links with capacity
+// sharing, so the "network condition" (path transmission rate) emerges
+// from contention. Its distance matrix collapses to rack classes
+// (Classes).
 package topology
 
 import (
@@ -41,14 +38,10 @@ type Network interface {
 // h_ab with the inverse of this rate to make the cost bandwidth-aware.
 type RateObserver interface {
 	PathRate(a, b NodeID) float64
-}
-
-// Transferer starts data movements in simulated time.
-type Transferer interface {
-	// Transfer moves bytes from src to dst and invokes done on completion.
-	// A transfer with src == dst is a local disk read. Zero-byte transfers
-	// complete on the next event cycle.
-	Transfer(src, dst NodeID, bytes float64, done func()) *Flow
+	// Epoch advances whenever a PathRate observation may have changed:
+	// equal epochs guarantee equal rates, so derived cost caches can
+	// invalidate exactly.
+	Epoch() uint64
 }
 
 // Spec configures a hierarchical Cluster topology.
@@ -138,9 +131,7 @@ type Cluster struct {
 }
 
 var (
-	_ Network        = (*Cluster)(nil)
 	_ RateObserver   = (*Cluster)(nil)
-	_ Transferer     = (*Cluster)(nil)
 	_ ClassedNetwork = (*Cluster)(nil)
 )
 
@@ -175,9 +166,6 @@ func (c *Cluster) Size() int { return c.n }
 
 // Rack returns the rack index of node a.
 func (c *Cluster) Rack(a NodeID) int { return int(a) / c.spec.NodesPerRack }
-
-// Spec returns the configuration the cluster was built with.
-func (c *Cluster) Spec() Spec { return c.spec }
 
 // Distance returns the H-matrix entry between two hosts: 0 (same node),
 // SameRackDist, or CrossRackDist.
@@ -218,8 +206,10 @@ func (c *Cluster) PathRate(a, b NodeID) float64 {
 	return c.net.ProspectiveRate(c.path(a, b))
 }
 
-// Transfer moves bytes from src to dst. Remote transfers become flows in
-// the shared network; local transfers are limited by disk bandwidth.
+// Transfer moves bytes from src to dst and invokes done on completion.
+// Remote transfers become flows in the shared network; local transfers
+// (src == dst) are limited by disk bandwidth. Zero-byte transfers complete
+// on the next event cycle.
 func (c *Cluster) Transfer(src, dst NodeID, bytes float64, done func()) *Flow {
 	if src == dst {
 		return c.net.LocalTransferAt(src, bytes, c.spec.DiskBps, done)

@@ -85,7 +85,7 @@ func TestSingleFlowFullRate(t *testing.T) {
 
 	var doneAt sim.Time
 	c.Transfer(0, 1, 125e6, func() { doneAt = eng.Now() }) // 1 second at 1 Gb/s
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(float64(doneAt)-1.0) > 1e-9 {
@@ -104,7 +104,7 @@ func TestTwoFlowsShareHostUplink(t *testing.T) {
 	// Both flows leave node 0: they share its 125 MB/s uplink.
 	c.Transfer(0, 1, 125e6, func() { t1 = eng.Now() })
 	c.Transfer(0, 2, 125e6, func() { t2 = eng.Now() })
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	// Each gets 62.5 MB/s -> 2 seconds.
@@ -123,7 +123,7 @@ func TestDepartureSpeedsUpRemainder(t *testing.T) {
 	var tShort, tLong sim.Time
 	c.Transfer(0, 1, 62.5e6, func() { tShort = eng.Now() }) // half the bytes
 	c.Transfer(0, 2, 125e6, func() { tLong = eng.Now() })
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	// Short: 62.5 MB at 62.5 MB/s -> 1 s. Long: 62.5 MB in the first
@@ -155,7 +155,7 @@ func TestCrossRackBottleneck(t *testing.T) {
 	if err := c.Net().CheckFeasible(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	for i, tt := range times {
@@ -173,7 +173,7 @@ func TestLocalTransferUsesDisk(t *testing.T) {
 
 	var at sim.Time
 	c.Transfer(5, 5, 400e6, func() { at = eng.Now() })
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(float64(at)-1.0) > 1e-9 {
@@ -186,7 +186,7 @@ func TestZeroByteTransferCompletes(t *testing.T) {
 	c := mustCluster(t, eng, DefaultSpec())
 	ran := false
 	c.Transfer(0, 1, 0, func() { ran = true })
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -232,7 +232,7 @@ func TestPersistentCrossTraffic(t *testing.T) {
 	}
 	var at sim.Time
 	c.Transfer(0, 2, 62.5e6, func() { at = eng.Now() })
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	// Shares node-0 uplink with the persistent flow: 62.5 MB/s -> 1 s.
@@ -244,7 +244,7 @@ func TestPersistentCrossTraffic(t *testing.T) {
 	var at2 sim.Time
 	start := eng.Now()
 	c.Transfer(0, 2, 125e6, func() { at2 = eng.Now() })
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(float64(at2-start)-1.0) > 1e-9 {
@@ -282,7 +282,7 @@ func TestFeasibilityUnderRandomLoad(t *testing.T) {
 				c.Transfer(src, dst, bytes, func() { finished++ })
 			})
 		}
-		if _, err := eng.RunAll(); err != nil {
+		if _, err := eng.Run(sim.Infinity); err != nil {
 			t.Fatal(err)
 		}
 		if finished != total {
@@ -293,6 +293,9 @@ func TestFeasibilityUnderRandomLoad(t *testing.T) {
 		}
 	}
 }
+
+// BytesDelivered returns total bytes carried by completed flows.
+func (n *FlowNet) BytesDelivered() float64 { return n.bytesDone }
 
 func TestFlowConservation(t *testing.T) {
 	eng := sim.NewEngine()
@@ -307,7 +310,7 @@ func TestFlowConservation(t *testing.T) {
 		sent += b
 		c.Transfer(NodeID(rng.Intn(10)), NodeID(rng.Intn(10)), b, nil)
 	}
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	got := c.Net().BytesDelivered()
@@ -340,7 +343,7 @@ func TestMatrixFig2Example(t *testing.T) {
 	}
 	var at sim.Time
 	m.Transfer(0, 1, 100e6, func() { at = eng.Now() })
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(float64(at)-1.0) > 1e-9 {
@@ -383,7 +386,7 @@ func TestCancelFinishedFlowHarmless(t *testing.T) {
 	eng := sim.NewEngine()
 	c := mustCluster(t, eng, DefaultSpec())
 	f := c.Transfer(0, 1, 1e6, nil)
-	if _, err := eng.RunAll(); err != nil {
+	if _, err := eng.Run(sim.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	if !f.Finished() {

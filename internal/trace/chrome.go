@@ -29,19 +29,15 @@ const (
 	laneEvents
 )
 
-// WriteChrome renders the trace as Chrome trace_event JSON: one process
-// per node, one complete-event per executed task (map and reduce on
-// separate lanes), with job, locality and bytes in args. Simulated
+// WriteChromeWith renders the trace as Chrome trace_event JSON: one
+// process per node, one complete-event per executed task (map and reduce
+// on separate lanes), with job, locality and bytes in args. Simulated
 // seconds become trace microseconds 1:1 so second-scale simulations stay
-// zoomable. Load the output in chrome://tracing or ui.perfetto.dev.
-func (t *Trace) WriteChrome(w io.Writer) error {
-	return t.WriteChromeWith(w, nil)
-}
-
-// WriteChromeWith is WriteChrome plus an observability event log rendered
-// as instant markers on each node's event lane: scheduler decisions carry
-// their C / C_avg / P breakdown in args, so clicking an assignment in the
-// viewer shows why it happened.
+// zoomable. Load the output in chrome://tracing or ui.perfetto.dev. A
+// non-nil observability event log is rendered as instant markers on each
+// node's event lane: scheduler decisions carry their C / C_avg / P
+// breakdown in args, so clicking an assignment in the viewer shows why it
+// happened.
 func (t *Trace) WriteChromeWith(w io.Writer, events []obs.Event) error {
 	evs := make([]chromeEvent, 0, len(t.Tasks)+len(events))
 	for _, task := range t.Tasks {

@@ -12,7 +12,7 @@ import (
 func TestWriteChrome(t *testing.T) {
 	tr := FromJobs("prob", sampleJobs())
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChromeWith(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var evs []map[string]any
@@ -35,7 +35,7 @@ func TestWriteChrome(t *testing.T) {
 	}
 	// Determinism: a second render is byte-identical.
 	var again bytes.Buffer
-	if err := tr.WriteChrome(&again); err != nil {
+	if err := tr.WriteChromeWith(&again, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -74,7 +74,7 @@ func TestWriteChromeWithEvents(t *testing.T) {
 func TestWriteChromeEmpty(t *testing.T) {
 	tr := &Trace{Scheduler: "x"}
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tr.WriteChromeWith(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var evs []any

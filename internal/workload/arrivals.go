@@ -46,14 +46,6 @@ type Tenant struct {
 	QueueCap int
 }
 
-// weight returns the effective admission weight (unset means 1).
-func (t Tenant) weight() float64 {
-	if t.Weight <= 0 {
-		return 1
-	}
-	return t.Weight
-}
-
 // Validate reports whether the tenant definition is usable.
 func (t Tenant) Validate() error {
 	if t.Name == "" {

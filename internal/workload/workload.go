@@ -53,11 +53,6 @@ func (k Kind) String() string {
 // Kinds lists the paper's application classes in Table II order.
 func Kinds() []Kind { return []Kind{Wordcount, Terasort, Grep} }
 
-// ExtendedKinds lists every application class including the extensions.
-func ExtendedKinds() []Kind {
-	return []Kind{Wordcount, Terasort, Grep, PageRank, KMeans, Join}
-}
-
 // ProfileFor returns the behaviour profile of an application class.
 //
 // Selectivities are chosen to reproduce the shuffle-intensity mix of
@@ -291,39 +286,3 @@ func (d JobDef) ShuffleBytes() float64 {
 
 // InputBytes returns the input volume in bytes.
 func (d JobDef) InputBytes() float64 { return float64(d.InputGB) * 1e9 }
-
-// MixedBatch synthesizes a batch of n jobs drawing uniformly from the
-// extended application suite with input sizes in [minGB, maxGB],
-// deterministically from the seed. Task counts follow the Table II
-// pattern: one map per ~115 MB of input, reduces in the 120-200 range
-// scaled by input share.
-func MixedBatch(n int, minGB, maxGB int, seed int64) []JobDef {
-	if n < 1 {
-		return nil
-	}
-	if minGB < 1 {
-		minGB = 1
-	}
-	if maxGB < minGB {
-		maxGB = minGB
-	}
-	rng := sim.NewRNG(seed)
-	kinds := ExtendedKinds()
-	out := make([]JobDef, 0, n)
-	for i := 0; i < n; i++ {
-		gb := minGB + rng.Intn(maxGB-minGB+1)
-		maps := int(float64(gb)*1e9/115e6) + rng.Intn(20)
-		if maps < 1 {
-			maps = 1
-		}
-		reduces := 120 + rng.Intn(81)
-		out = append(out, JobDef{
-			JobID:   fmt.Sprintf("M%02d", i+1),
-			Kind:    kinds[rng.Intn(len(kinds))],
-			InputGB: gb,
-			Maps:    maps,
-			Reduces: reduces,
-		})
-	}
-	return out
-}
