@@ -350,15 +350,14 @@ type Simulation struct {
 
 	// Failure state. crashed marks nodes physically dead at the fault
 	// instant: their attempts stop and heartbeats cease, but the
-	// JobTracker's bookkeeping is untouched. dead marks nodes whose
-	// heartbeat-expiry lapsed: slots reclaimed, work re-queued, offline.
+	// JobTracker's bookkeeping is untouched. A node whose heartbeat-expiry
+	// lapsed (slots reclaimed, work re-queued) is Offline in the placement
+	// service, which also holds the Blacklisted flags.
 	crashed   map[topology.NodeID]bool
-	dead      map[topology.NodeID]bool
 	hbExpiry  float64
 	held      [numKinds]map[topology.NodeID]int // slots of crash-killed attempts awaiting detection
 	fails     map[taskRef]int                   // transient failures per task (attempt cap)
 	nodeFails map[failKey]int                   // per-(job, node) attempt failures (blacklist)
-	blacklist map[topology.NodeID]bool
 	// blacklistHolds counts, per blacklisted node, the active jobs whose
 	// failure tally crossed the threshold; the last holder's teardown
 	// releases the node back into the candidate sets (DESIGN.md §18).
@@ -445,11 +444,13 @@ func New(cfg Config, specs []job.Spec, builder sched.Builder) (*Simulation, erro
 	}
 	// The placement decision service wraps the simulation's live state;
 	// the schedulers route every decision through Decider sessions
-	// against it. It also installs the distance-class structure on the
-	// cluster state (hop-mode costs collapse into rack classes, and the
-	// state maintains per-class free-slot counts incrementally so the
-	// schedulers' C_avg sums are O(classes) per offer). The engine keeps
-	// its own cost model for locality tagging at task launch.
+	// against it, and the engine applies every slot, node-health, link
+	// and replica change to that state as a Service delta. It also
+	// installs the distance-class structure on the cluster state
+	// (hop-mode costs collapse into rack classes, and the state maintains
+	// per-class free-slot counts incrementally so the schedulers' C_avg
+	// sums are O(classes) per offer). The engine keeps its own cost model
+	// for locality tagging at task launch.
 	place, err := placement.NewService(placement.Deps{
 		Net:   topo,
 		Store: store,
@@ -473,10 +474,8 @@ func New(cfg Config, specs []job.Spec, builder sched.Builder) (*Simulation, erro
 		specs:     specs,
 		stats:     make(map[job.ID]*jobStats),
 		crashed:   make(map[topology.NodeID]bool),
-		dead:      make(map[topology.NodeID]bool),
 		fails:     make(map[taskRef]int),
 		nodeFails: make(map[failKey]int),
-		blacklist: make(map[topology.NodeID]bool),
 		obs:       obs.NewStream(),
 	}
 	for k := range s.running {
@@ -696,12 +695,11 @@ func (s *Simulation) heartbeat(n topology.NodeID) {
 // simulation's single reused Context. Schedulers never retain the
 // context beyond the Assign call, so in-place refresh is safe.
 func (s *Simulation) buildCtx() *sched.Context {
-	am, amCounts, amVer := s.state.AvailMap()
-	ar, arCounts, arVer := s.state.AvailReduce()
+	v := s.place.Snapshot()
 	s.ctx.Now = s.eng.Now()
 	s.ctx.Jobs = s.active
-	s.ctx.AvailMap = core.Avail{Nodes: am, Counts: amCounts, Version: amVer}
-	s.ctx.AvailReduce = core.Avail{Nodes: ar, Counts: arCounts, Version: arVer}
+	s.ctx.AvailMap = v.AvailMap
+	s.ctx.AvailReduce = v.AvailReduce
 	s.ctx.Slowstart = s.cfg.Slowstart
 	return &s.ctx
 }
@@ -764,29 +762,28 @@ func (s *Simulation) aliveNearest(b hdfs.BlockID, from topology.NodeID) (topolog
 	return best, found
 }
 
-// acquireSlot takes a slot of kind k on node n for a new attempt and
-// samples utilization. The scheduler offered the node because it had a
-// free slot, so a refusal is a bookkeeping bug.
-func (s *Simulation) acquireSlot(k kind, n topology.NodeID) {
-	var err error
-	if k == mapKind {
-		err = s.state.Node(n).AcquireMap()
-	} else {
-		err = s.state.Node(n).AcquireReduce()
-	}
+// slotKinds maps a task kind to the placement service's slot kind.
+var slotKinds = [numKinds]placement.SlotKind{placement.MapSlot, placement.ReduceSlot}
+
+// mustApply panics on a rejected placement delta. The engine applies
+// only deltas its own bookkeeping says are valid (the scheduler offered
+// the node because it had a free slot), so a rejection is an engine bug.
+func mustApply(err error) {
 	if err != nil {
 		panic(fmt.Sprintf("engine: %v", err))
 	}
+}
+
+// acquireSlot takes a slot of kind k on node n for a new attempt and
+// samples utilization.
+func (s *Simulation) acquireSlot(k kind, n topology.NodeID) {
+	mustApply(s.place.ApplySlotAcquire(slotKinds[k], n))
 	s.sampleUtil()
 }
 
 // releaseSlot frees a slot of kind k on node n.
 func (s *Simulation) releaseSlot(k kind, n topology.NodeID) {
-	if k == mapKind {
-		s.state.Node(n).ReleaseMap()
-	} else {
-		s.state.Node(n).ReleaseReduce()
-	}
+	mustApply(s.place.ApplySlotRelease(slotKinds[k], n))
 }
 
 // launchMap starts map task m on node n. It reports false when the task
@@ -1133,7 +1130,7 @@ func (s *Simulation) enqueueDoneMaps(r *job.ReduceTask, att *attempt) {
 		if bytes <= 0 {
 			continue
 		}
-		if s.dead[m.Node] {
+		if s.state.Node(m.Node).Offline() {
 			s.relaunchLostOutput(m)
 			continue
 		}

@@ -1,12 +1,18 @@
 package engine
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
+	"mapsched/internal/cluster"
 	"mapsched/internal/faults"
+	"mapsched/internal/hdfs"
 	"mapsched/internal/job"
+	"mapsched/internal/placement"
 	"mapsched/internal/sched"
+	"mapsched/internal/sim"
 	"mapsched/internal/topology"
 	"mapsched/internal/workload"
 )
@@ -301,4 +307,89 @@ func TestHeterogeneityValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("speedup factor accepted as slowdown")
 	}
+}
+
+// TestJournalRecoversEngineState runs the fault-churn plan (two crashes,
+// a slowdown, a degraded link, transient attempt failures, plus a
+// blacklist threshold of one failure so blacklist flags move too) with a
+// delta journal attached. It cuts the run at several instants and
+// recovers a fresh placement service from the journal alone. Every slot,
+// offline, blacklist and link-factor change the engine made went through
+// the service, so the recovered state matches the engine's on every
+// node, at the same epoch. Replica sets are left out: the input files
+// are created at job submission, which is not a delta, so the fresh
+// store the journal replays over holds no blocks.
+func TestJournalRecoversEngineState(t *testing.T) {
+	plan, err := faults.ParseSpec("crash:4@20;crash:8@60;slow:2@10+120*3;link:6@15+90*0.2;taskfail:0.05;blacklist:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := workload.Specs(workload.Batch(workload.Wordcount), workload.Options{Scale: 30, Replication: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offline, blacklisted, links int
+	for _, cut := range []float64{50, 100, 150} {
+		cfg := DefaultConfig()
+		cfg.Topology.NodesPerRack = 12
+		cfg.Seed = 3
+		cfg.Faults = plan
+		cfg.MaxSimTime = cut
+		s, err := New(cfg, specs, sched.NewProbabilistic(sched.DefaultProbabilisticConfig()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var journal bytes.Buffer
+		if err := s.place.StartJournal(&journal); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+
+		net, err := topology.NewCluster(sim.NewEngine(), cfg.Topology)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots, err := cluster.New(net.Size(), cfg.MapSlotsPerNode, cfg.ReduceSlotsPerNode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := placement.Recover(placement.Deps{
+			Net: net, Store: hdfs.NewStore(net, sim.NewRNG(1)), Rate: net, Slots: slots, Mode: cfg.CostMode,
+		}, nil, &journal)
+		if err != nil {
+			t.Fatalf("cut %v: %v", cut, err)
+		}
+		if rec.Tail != nil {
+			t.Fatalf("cut %v: journal tail: %v", cut, rec.Tail)
+		}
+		want, got := checkpointOf(t, s.place), checkpointOf(t, rec.Service)
+		want.Replicas, got.Replicas = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut %v: recovered %+v, engine %+v", cut, got, want)
+		}
+		offline += len(got.Offline)
+		blacklisted += len(got.Blacklist)
+		links += len(got.Links)
+	}
+	if offline == 0 || blacklisted == 0 || links == 0 {
+		t.Fatalf("the cuts saw %d offline, %d blacklisted and %d degraded nodes; the plan no longer exercises every node delta",
+			offline, blacklisted, links)
+	}
+}
+
+// checkpointOf captures svc's scheduler-visible state as a decoded
+// checkpoint.
+func checkpointOf(t *testing.T, svc *placement.Service) *placement.Checkpoint {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := svc.WriteCheckpoint(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := placement.DecodeCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
 }

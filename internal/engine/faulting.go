@@ -166,10 +166,9 @@ func (s *Simulation) reclaimCrashedFetches(att *attempt, d topology.NodeID) {
 // detectNode is the JobTracker's reaction once node d's heartbeats have
 // been silent for the expiry window.
 func (s *Simulation) detectNode(d topology.NodeID) {
-	if s.dead[d] {
+	if s.state.Node(d).Offline() {
 		return
 	}
-	s.dead[d] = true
 	if s.obs.Enabled() {
 		e := obs.Event{T: float64(s.eng.Now()), Type: obs.FailureDetected, Node: int(d)}
 		e.Dur = s.hbExpiry
@@ -233,7 +232,7 @@ func (s *Simulation) detectNode(d topology.NodeID) {
 
 	// Take the node out of the cluster and prune its block replicas; jobs
 	// whose pending input lost its last replica fail here.
-	s.state.Node(d).SetOffline(true)
+	mustApply(s.place.ApplyNodeOffline(d, true))
 	s.sampleUtil()
 	s.loseReplicas(d, "node_dead")
 }
@@ -340,16 +339,15 @@ func (s *Simulation) noteNodeFailure(j *job.Job, n topology.NodeID) {
 	if s.nodeFails[key] < threshold {
 		return
 	}
-	if s.blacklist[n] {
+	if s.state.Node(n).Blacklisted() {
 		if s.nodeFails[key] == threshold {
 			s.blacklistHolds[n]++ // this job now holds the entry too
 		}
 		return
 	}
-	if 2*(len(s.blacklist)+1) >= s.topo.Size() {
+	if 2*(len(s.blacklistHolds)+1) >= s.topo.Size() {
 		return
 	}
-	s.blacklist[n] = true
 	s.everBlacklisted++
 	// Every active job already past the threshold holds the entry — not
 	// just j: their tallies may have crossed while the cap refused the
@@ -364,7 +362,7 @@ func (s *Simulation) noteNodeFailure(j *job.Job, n topology.NodeID) {
 		holds = 1 // j left the active set mid-teardown; count it anyway
 	}
 	s.blacklistHolds[n] = holds
-	s.state.Node(n).SetBlacklisted(true)
+	mustApply(s.place.ApplyNodeBlacklist(n, true))
 	if s.obs.Enabled() {
 		s.obs.Emit(obs.Event{T: float64(s.eng.Now()), Type: obs.NodeBlacklist, Node: int(n), Job: j.Spec.Name})
 	}
@@ -391,7 +389,7 @@ func (s *Simulation) releaseJobFaultState(j *job.Job) {
 			continue
 		}
 		delete(s.nodeFails, key)
-		if count < threshold || !s.blacklist[n] {
+		if count < threshold || !s.state.Node(n).Blacklisted() {
 			continue
 		}
 		s.blacklistHolds[n]--
@@ -399,8 +397,7 @@ func (s *Simulation) releaseJobFaultState(j *job.Job) {
 			continue
 		}
 		delete(s.blacklistHolds, n)
-		delete(s.blacklist, n)
-		s.state.Node(n).SetBlacklisted(false)
+		mustApply(s.place.ApplyNodeBlacklist(n, false))
 		if s.obs.Enabled() {
 			s.obs.Emit(obs.Event{T: float64(s.eng.Now()), Type: obs.NodeUnblacklist, Node: int(n), Job: j.Spec.Name})
 		}
@@ -493,7 +490,7 @@ func (s *Simulation) applySlowdown(n topology.NodeID, factor float64) {
 // (factor 1 restores it). The flow network re-shares every flow and bumps
 // its epoch, so network-condition cost caches invalidate exactly.
 func (s *Simulation) degradeLink(n topology.NodeID, factor float64) {
-	s.topo.SetHostLinkFactor(n, factor)
+	mustApply(s.place.ApplyLinkFactor(n, factor))
 	if s.obs.Enabled() {
 		s.obs.Emit(obs.Event{T: float64(s.eng.Now()), Type: obs.LinkDegrade, Node: int(n), Factor: factor})
 	}
@@ -502,7 +499,8 @@ func (s *Simulation) degradeLink(n topology.NodeID, factor float64) {
 // loseReplicas drops every block replica stored on node n and fails any
 // active job left with a pending map whose block has no replica anywhere.
 func (s *Simulation) loseReplicas(n topology.NodeID, reason string) {
-	lost := s.store.RemoveNodeReplicas(n)
+	lost, err := s.place.ApplyNodeReplicaLoss(n)
+	mustApply(err)
 	if lost == 0 {
 		return
 	}

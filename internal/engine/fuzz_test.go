@@ -85,8 +85,10 @@ func fuzzRun(t *testing.T, data []byte) (Config, []job.Spec) {
 // FuzzSimulation runs whole simulations over fuzzed topologies, fault
 // plans and speculation/heterogeneity settings, and checks that every
 // run drains: all jobs end, reduces of successful jobs received exactly
-// their input, slots, running sets and shuffle flows are empty, and the
-// cross traffic left on the network is a feasible allocation.
+// their input, slots, running sets and shuffle flows are empty, the
+// cross traffic left on the network is a feasible allocation, and the
+// placement service every slot, node-health, link and replica change
+// went through audits clean.
 func FuzzSimulation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 2, 1, 7, 3, 0x7f, 4, 1, 3, 5, 3, 12, 5, 20, 2, 30, 4, 25, 10, 5, 8, 5, 0, 9, 3, 1, 12, 4, 2, 5, 7})
@@ -126,6 +128,9 @@ func FuzzSimulation(f *testing.F) {
 		}
 		if err := s.topo.Net().CheckFeasible(); err != nil {
 			t.Fatal(err)
+		}
+		if a := s.place.Audit(); !a.Clean() {
+			t.Fatal(a)
 		}
 	})
 }

@@ -21,7 +21,10 @@ import (
 //   - each reduce received exactly its expected shuffle input,
 //   - the locality tallies cover every task and no remote tasks appear in
 //     single-rack clusters,
-//   - slot accounting returns to zero.
+//   - slot accounting returns to zero,
+//   - the placement service audits clean and, since no trial injects
+//     faults or speculates, counted exactly one acquire and one release
+//     delta per task.
 func TestRandomizedInvariants(t *testing.T) {
 	rng := sim.NewRNG(2024)
 	builders := []sched.Builder{
@@ -100,6 +103,16 @@ func TestRandomizedInvariants(t *testing.T) {
 		if s.topo.Net().ActiveFlows() != cfg.CrossTraffic {
 			t.Fatalf("trial %d: %d flows still active, want only the %d background ones",
 				trial, s.topo.Net().ActiveFlows(), cfg.CrossTraffic)
+		}
+		if a := s.place.Audit(); !a.Clean() {
+			t.Fatalf("trial %d: %v", trial, a)
+		}
+		tasks := 0
+		for _, j := range s.Jobs() {
+			tasks += j.NumMaps() + j.NumReduces()
+		}
+		if got, want := s.place.Epoch(), uint64(2*tasks); got != want {
+			t.Fatalf("trial %d: placement epoch %d, want %d (one acquire and one release per task)", trial, got, want)
 		}
 	}
 }

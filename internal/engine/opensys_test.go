@@ -174,8 +174,10 @@ func TestBlacklistReleasedAcrossArrivalStream(t *testing.T) {
 	if n := len(s.nodeFails); n != 0 {
 		t.Errorf("%d per-(job,node) failure tallies leaked", n)
 	}
-	if n := len(s.blacklist); n != 0 {
-		t.Errorf("%d blacklist entries leaked past their jobs", n)
+	for i := 0; i < s.state.Size(); i++ {
+		if s.state.Node(topology.NodeID(i)).Blacklisted() {
+			t.Errorf("node %d stayed blacklisted past its jobs", i)
+		}
 	}
 	if n := len(s.blacklistHolds); n != 0 {
 		t.Errorf("%d blacklist hold counts leaked", n)

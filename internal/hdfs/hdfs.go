@@ -189,12 +189,15 @@ func (s *Store) RemoveNodeReplicas(n topology.NodeID) int {
 		for j, r := range b.Replicas {
 			if r == n {
 				b.Replicas = append(b.Replicas[:j], b.Replicas[j+1:]...)
-				s.usage[n] -= b.Size
 				lost++
 				break
 			}
 		}
 	}
+	// Node n holds nothing now. Zeroing its usage instead of subtracting
+	// each block size keeps the rounding of the add/subtract sequence
+	// from leaving a residue on an empty node.
+	s.usage[n] = 0
 	if lost > 0 {
 		s.epoch++
 	}

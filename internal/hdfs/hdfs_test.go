@@ -242,6 +242,17 @@ func TestUsageAccounting(t *testing.T) {
 	if got := s.UsageImbalance(); math.Abs(got-2.0) > 1e-9 {
 		t.Fatalf("UsageImbalance = %v, want 2", got)
 	}
+	// Losing every replica on a node leaves its usage exactly zero, even
+	// where subtracting the sizes back out would round: 0.1+0.2-0.1-0.2
+	// is 5.55e-17 in float64.
+	for _, size := range []float64{0.1, 0.2} {
+		if _, err := s.AddBlock(size, 1, fixedPolicy{nodes: []topology.NodeID{3}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lost := s.RemoveNodeReplicas(3); lost != 2 || s.Usage(3) != 0 {
+		t.Fatalf("RemoveNodeReplicas(3) = %d, usage %v; want 2, 0", lost, s.Usage(3))
+	}
 }
 
 func TestUsageImbalanceEmpty(t *testing.T) {

@@ -30,25 +30,10 @@ var testOnlyAllowed = map[string]string{
 // analysis.Fact), so they are skipped. The match is textual: a name
 // collision can hide a finding but never invent one.
 func TestNoTestOnlyExports(t *testing.T) {
-	root := filepath.Join("..", "..")
-	internal := filepath.Join(root, "internal") + string(filepath.Separator)
-	fset := token.NewFileSet()
+	internal := filepath.Join(moduleRoot, "internal") + string(filepath.Separator)
 	var decls []*ast.Ident
 	refs := map[string]int{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if name := d.Name(); d.IsDir() && path != root && (name == "testdata" || name == "third_party" || strings.HasPrefix(name, ".")) {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	fset := walkModule(t, func(path string, f *ast.File) {
 		own := map[*ast.Ident]bool{}
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() && exportedRecv(fd) {
@@ -64,11 +49,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(decls) == 0 {
 		t.Fatal("found no exported functions under internal/; is the module root wrong?")
 	}
@@ -78,6 +59,38 @@ func TestNoTestOnlyExports(t *testing.T) {
 				fset.Position(id.Pos()), id.Name)
 		}
 	}
+}
+
+// moduleRoot is the module root relative to this package's directory.
+var moduleRoot = filepath.Join("..", "..")
+
+// walkModule parses every non-test Go file of the module outside
+// testdata, third_party and hidden directories and hands each to fn with
+// its path. It returns the file set positions resolve against.
+func walkModule(t *testing.T, fn func(path string, f *ast.File)) *token.FileSet {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(moduleRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if name := d.Name(); d.IsDir() && path != moduleRoot && (name == "testdata" || name == "third_party" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset
 }
 
 // exportedRecv reports whether fd is a plain function or a method of an

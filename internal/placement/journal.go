@@ -389,10 +389,9 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 // StartJournal attaches a delta journal: every subsequent delta is
 // appended to w (inside the write lock, so records are totally ordered
 // and seq-contiguous) before it is applied. The first record is a begin
-// marker carrying the current epoch. Journaling a service that is also
-// mutated behind its back (embedded engine use) records only the deltas
-// applied through the Service — standalone services get the complete
-// history Recover needs.
+// marker carrying the current epoch. Every client changes state only
+// through the deltas, so the journal holds the complete history Recover
+// needs.
 //
 // If an append ever fails, the journal is broken: the failing delta and
 // every later one are rejected with ErrJournalBroken (the state did not
@@ -414,12 +413,17 @@ func (s *Service) StartJournal(w io.Writer) error {
 // delta with the state untouched. Every Apply* delta method
 // must reach this helper (the deltajournal analyzer proves it).
 //
+// The record is copied only past the nil-journal return: the encoder
+// append hands it to makes the copy escape, and a delta with no journal
+// attached must not pay that heap allocation.
+//
 //lint:journal-append
 func (s *Service) journalLocked(rec Record) error {
 	if s.journal == nil {
 		return nil
 	}
-	rec.V = recordVersion
-	rec.Seq = s.epoch + 1
-	return s.journal.append(&rec)
+	r := rec
+	r.V = recordVersion
+	r.Seq = s.epoch + 1
+	return s.journal.append(&r)
 }

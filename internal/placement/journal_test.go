@@ -617,3 +617,26 @@ func TestJournaledDeltaCost(t *testing.T) {
 		t.Fatalf("%.0f allocs per journaled pair, budget %d", allocs, journalPairAllocBudget)
 	}
 }
+
+// TestUnjournaledDeltaAllocs holds a slot acquire+release pair on a node
+// with spare slots and no journal attached to zero allocations: the
+// pair moves no node in or out of the availability sets, so nothing is
+// republished, and with no journal no record is built. The simulation
+// engine applies every slot change this way.
+func TestUnjournaledDeltaAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	f := newFixture(t)
+	pair := func() {
+		if err := f.svc.ApplySlotAcquire(MapSlot, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.svc.ApplySlotRelease(MapSlot, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, pair); allocs != 0 {
+		t.Fatalf("%.2f allocs per unjournaled acquire+release pair, want 0", allocs)
+	}
+}

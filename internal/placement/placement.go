@@ -22,11 +22,14 @@
 //
 // The simulation engine is the first client: its schedulers route
 // AssignMap/AssignReduce through a Decider over a Service wrapping the
-// engine's live objects, producing bit-identical decision streams.
-// Standalone clients — the root package's PlacementService façade, and
-// through it the recorded-stream replay — build their own Service and
-// move it only through the delta methods, proving the engine-free path
-// computes the exact same numbers.
+// engine's live objects, producing bit-identical decision streams, and
+// the engine applies every slot, node-health, link and replica change
+// as a delta. Standalone clients — the root package's PlacementService
+// façade, and through it the recorded-stream replay — build their own
+// Service the same way, proving the engine-free path computes the exact
+// same numbers. Whoever the client, the delta methods are the one
+// mutation path: each change is validated, journaled and counted in the
+// epoch.
 package placement
 
 import (
@@ -40,9 +43,8 @@ import (
 	"mapsched/internal/topology"
 )
 
-// Deps are the state objects a Service is built over. In embedded use
-// (the simulation engine) they are the engine's live objects; in
-// standalone use the caller constructs them directly.
+// Deps are the state objects a Service is built over. Once the Service
+// is built, callers change them only through its delta methods.
 type Deps struct {
 	// Net is the cluster topology: it resolves node distances (and racks
 	// for locality tagging) and carries the host links ApplyLinkFactor
@@ -62,13 +64,6 @@ type Deps struct {
 // Service is the shared half of the placement decision service. All
 // exported methods are safe for concurrent use; see the package
 // comment for the writer/reader contract.
-//
-// Embedded note: when the Service wraps a single-threaded simulation's
-// live objects, the engine mutates them directly (slot acquire on task
-// launch, replica loss on faults) instead of calling Apply* — the
-// concurrency contract then degenerates to plain single-threaded
-// access, and the delta epoch only advances for deltas applied through
-// the Service.
 //
 // Every Apply* delta method journals before it mutates; the
 // deltajournal analyzer enforces the pairing.

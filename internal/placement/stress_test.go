@@ -68,6 +68,10 @@ func TestConcurrentReadersUnderDeltas(t *testing.T) {
 			case 0:
 				f.svc.ApplyReplicaAdd(churn, topology.NodeID(1+i%7))
 			case 1:
+				// Drop the replica case 0 added, then a whole node's.
+				if removed, err := f.svc.ApplyReplicaLoss(churn, topology.NodeID(1+(i-1)%7)); err != nil || !removed {
+					t.Errorf("replica loss %d: removed=%v, err=%v", i, removed, err)
+				}
 				f.svc.ApplyNodeReplicaLoss(topology.NodeID(1 + i%7))
 			case 2:
 				f.svc.ApplyNodeOffline(n, true)
