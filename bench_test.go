@@ -15,6 +15,7 @@ package mapsched
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -25,6 +26,7 @@ import (
 	"mapsched/internal/engine"
 	"mapsched/internal/experiments"
 	"mapsched/internal/hdfs"
+	"mapsched/internal/job"
 	"mapsched/internal/metrics"
 	"mapsched/internal/obs"
 	"mapsched/internal/sched"
@@ -246,6 +248,31 @@ func TestSimulationAllocBudget(t *testing.T) {
 	}
 }
 
+// runObservedBatch runs the Wordcount batch of runProbabilisticBatch
+// with o attached, and flushes o if it is a JSONL sink.
+func runObservedBatch(tb testing.TB, s experiments.Setup, specs []job.Spec, o obs.Observer) {
+	tb.Helper()
+	sim, err := engine.New(s.Engine, specs, s.BuilderFor(experiments.Probabilistic))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := sim.Attach(o); err != nil {
+		tb.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res.Unfinished != 0 {
+		tb.Fatal("unfinished jobs under observed probabilistic")
+	}
+	if sink, ok := o.(*obs.JSONL); ok {
+		if err := sink.Flush(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulation_ProbabilisticObserved is the same batch with an
 // observer attached consuming every event. The gap to
 // BenchmarkSimulation_Probabilistic is the cost of the observability
@@ -259,27 +286,39 @@ func BenchmarkSimulation_ProbabilisticObserved(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sim, err := engine.New(s.Engine, specs, s.BuilderFor(experiments.Probabilistic))
-		if err != nil {
-			b.Fatal(err)
-		}
 		var seen uint64
-		if err := sim.Attach(obs.Func(func(obs.Event) { seen++ })); err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Unfinished != 0 {
-			b.Fatal("unfinished jobs under observed probabilistic")
-		}
+		runObservedBatch(b, s, specs, obs.Func(func(obs.Event) { seen++ }))
 		if seen == 0 {
 			b.Fatal("observer saw no events")
 		}
 		if i == 0 {
 			b.ReportMetric(float64(seen), "obs_events")
 		}
+	}
+}
+
+// jsonlAllocGap bounds what a JSONL sink may allocate beyond a no-op
+// observer over one Wordcount batch: 249,881 objects while the sink
+// called json.Marshal per event, 2 with the hand-written encoder.
+const jsonlAllocGap = 64
+
+// TestJSONLSinkAllocGap holds the JSONL sink to jsonlAllocGap. Like
+// TestSimulationAllocBudget it counts allocations, which machine load
+// does not move: a trip means the encoder allocates per event again.
+func TestJSONLSinkAllocGap(t *testing.T) {
+	s := benchSetup()
+	specs, err := workload.Specs(workload.Batch(workload.Wordcount), s.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func(newObserver func() obs.Observer) float64 {
+		return testing.AllocsPerRun(1, func() { runObservedBatch(t, s, specs, newObserver()) })
+	}
+	noop := batch(func() obs.Observer { return obs.Func(func(obs.Event) {}) })
+	sink := batch(func() obs.Observer { return obs.NewJSONL(io.Discard) })
+	t.Logf("%.0f allocs per observed batch, %.0f with a JSONL sink", noop, sink)
+	if gap := sink - noop; gap > jsonlAllocGap {
+		t.Fatalf("JSONL sink allocates %.0f objects per batch beyond a no-op observer, budget %d", gap, jsonlAllocGap)
 	}
 }
 

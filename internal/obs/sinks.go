@@ -10,18 +10,27 @@ import (
 	"mapsched/internal/metrics"
 )
 
-// JSONL writes one JSON object per event to a writer. Encoding uses the
-// Event struct's fixed field order, so a deterministic simulation
-// produces a byte-identical log. The first encoding or write error is
-// latched and returned by Flush; subsequent events are dropped.
+// JSONL writes one JSON object per event to a writer. Events are encoded
+// by appendEvent, a hand-written encoder whose output is pinned byte for
+// byte to json.Marshal's (the Event struct's field order and omitempty
+// rules), so a deterministic simulation produces a byte-identical log.
+// Lines collect in one reused buffer, written to w once it passes 64 KiB
+// and at Flush. The first encoding or write error is latched and
+// returned by Flush: an event that fails to encode writes nothing, the
+// whole lines before it are still written, and later events are dropped.
 type JSONL struct {
-	w   *bufio.Writer
+	w   io.Writer
+	buf []byte
 	err error
 }
 
+// jsonlFlushAt is the buffered size at which Observe writes to w.
+const jsonlFlushAt = 64 << 10
+
 // NewJSONL returns a JSONL sink over w.
 func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{w: bufio.NewWriter(w)}
+	// Room for a full buffer plus one long line, so the buffer never grows.
+	return &JSONL{w: w, buf: make([]byte, 0, jsonlFlushAt+4<<10)}
 }
 
 // Observe implements Observer.
@@ -29,29 +38,36 @@ func (j *JSONL) Observe(e Event) {
 	if j.err != nil {
 		return
 	}
-	b, err := json.Marshal(e)
+	// On an error the partial line lies past len(j.buf), so it is dropped.
+	b, err := appendEvent(j.buf, e)
 	if err != nil {
 		j.err = fmt.Errorf("obs: encode event: %w", err)
 		return
 	}
-	if _, err := j.w.Write(b); err != nil {
-		j.err = fmt.Errorf("obs: write event: %w", err)
-		return
-	}
-	if err := j.w.WriteByte('\n'); err != nil {
-		j.err = fmt.Errorf("obs: write event: %w", err)
+	j.buf = append(b, '\n')
+	if len(j.buf) >= jsonlFlushAt {
+		j.write()
 	}
 }
 
-// Flush drains the buffer and returns the first error encountered.
+// Flush writes the buffered lines and returns the first error encountered.
 func (j *JSONL) Flush() error {
-	if j.err != nil {
-		return j.err
-	}
-	if err := j.w.Flush(); err != nil {
-		j.err = fmt.Errorf("obs: flush: %w", err)
+	if len(j.buf) > 0 {
+		j.write()
 	}
 	return j.err
+}
+
+// write hands the buffered lines to w and empties the buffer.
+func (j *JSONL) write() {
+	n, err := j.w.Write(j.buf)
+	if err == nil && n < len(j.buf) {
+		err = io.ErrShortWrite
+	}
+	j.buf = j.buf[:0]
+	if err != nil && j.err == nil {
+		j.err = fmt.Errorf("obs: write events: %w", err)
+	}
 }
 
 // ReadJSONL parses an event log written by the JSONL sink.

@@ -113,6 +113,49 @@ func TestKernelGoldenDecisionStreams(t *testing.T) {
 	}
 }
 
+// TestJSONLSinkMatchesMarshal pins the whole event log, flow events
+// included, to encoding/json: a JSONL sink and a json.Marshal observer
+// attached to the same run must write the same bytes. The kernel goldens
+// above drop flow_* lines, which are most of a log.
+func TestJSONLSinkMatchesMarshal(t *testing.T) {
+	faulty := goldenScenarios(t)[3]
+	for _, sc := range []goldenScenario{
+		{faulty.name + "_crosstraffic", faulty.defs, faulty.kind,
+			append([]Option{WithCrossTraffic(25)}, faulty.opts...)},
+		{"opensys_multitenant_s5", nil, SchedulerProbabilistic, openGoldenOptions()},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			var got, want bytes.Buffer
+			sink := NewJSONLSink(&got)
+			marshal := ObserverFunc(func(e Event) {
+				b, err := json.Marshal(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Write(b)
+				want.WriteByte('\n')
+			})
+			opts := append([]Option{WithObserver(sink), WithObserver(marshal)}, sc.opts...)
+			sim, err := New(smallConfig(), sc.defs, sc.kind, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(want.String(), `"type":"flow_rate"`) {
+				t.Fatal("the run emitted no flow_rate events")
+			}
+			if got.String() != want.String() {
+				t.Fatalf("JSONL sink diverged from json.Marshal:\n%s", firstDiff(want.String(), got.String()))
+			}
+		})
+	}
+}
+
 // firstDiff locates the first differing line for a readable failure message.
 func firstDiff(want, got string) string {
 	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")

@@ -381,7 +381,7 @@ type (
 
 // NewJSONLSink returns an event-log sink writing one JSON object per
 // event to w. Call Flush after the run to drain the buffer and collect
-// the first write error.
+// the first encoding or write error.
 func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONL(w) }
 
 // NewSummarySink returns a streaming-metrics sink (locality hit rate,
