@@ -24,9 +24,19 @@ var updateGolden = flag.Bool("update-golden", false,
 
 type goldenScenario struct {
 	name string
+	cfg  ClusterConfig
 	defs []JobDef
 	kind SchedulerKind
 	opts []Option
+}
+
+// rackConfig is smallConfig reshaped to racks × perRack nodes, so the
+// hop-mode goldens pin multi-rack and singleton-rack decision streams.
+func rackConfig(racks, perRack int) ClusterConfig {
+	cfg := smallConfig()
+	cfg.Topology.Racks = racks
+	cfg.Topology.NodesPerRack = perRack
+	return cfg
 }
 
 func goldenScenarios(t *testing.T) []goldenScenario {
@@ -36,14 +46,18 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 		t.Fatal(err)
 	}
 	return []goldenScenario{
-		{"terasort_prob_s11", Batch(Terasort), SchedulerProbabilistic,
+		{"terasort_prob_s11", smallConfig(), Batch(Terasort), SchedulerProbabilistic,
 			[]Option{WithSeed(11), WithScale(30)}},
-		{"wordcount_fair_s7", Batch(Wordcount), SchedulerFair,
+		{"wordcount_fair_s7", smallConfig(), Batch(Wordcount), SchedulerFair,
 			[]Option{WithSeed(7), WithScale(30)}},
-		{"grep_coupling_s3", Batch(Grep), SchedulerCoupling,
+		{"grep_coupling_s3", smallConfig(), Batch(Grep), SchedulerCoupling,
 			[]Option{WithSeed(3), WithScale(30), WithCrossTraffic(25)}},
-		{"terasort_faulty_s11", Batch(Terasort), SchedulerProbabilistic,
+		{"terasort_faulty_s11", smallConfig(), Batch(Terasort), SchedulerProbabilistic,
 			[]Option{WithSeed(11), WithScale(30), WithFaultPlan(plan)}},
+		{"terasort_prob_4x3_s5", rackConfig(4, 3), Batch(Terasort), SchedulerProbabilistic,
+			[]Option{WithSeed(5), WithScale(30)}},
+		{"wordcount_prob_12x1_s9", rackConfig(12, 1), Batch(Wordcount), SchedulerProbabilistic,
+			[]Option{WithSeed(9), WithScale(30)}},
 	}
 }
 
@@ -54,7 +68,7 @@ func decisionStream(t *testing.T, sc goldenScenario) string {
 	var buf bytes.Buffer
 	log := NewJSONLSink(&buf)
 	opts := append([]Option{WithObserver(log)}, sc.opts...)
-	sim, err := New(smallConfig(), sc.defs, sc.kind, opts...)
+	sim, err := New(sc.cfg, sc.defs, sc.kind, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +134,9 @@ func TestKernelGoldenDecisionStreams(t *testing.T) {
 func TestJSONLSinkMatchesMarshal(t *testing.T) {
 	faulty := goldenScenarios(t)[3]
 	for _, sc := range []goldenScenario{
-		{faulty.name + "_crosstraffic", faulty.defs, faulty.kind,
+		{faulty.name + "_crosstraffic", faulty.cfg, faulty.defs, faulty.kind,
 			append([]Option{WithCrossTraffic(25)}, faulty.opts...)},
-		{"opensys_multitenant_s5", nil, SchedulerProbabilistic, openGoldenOptions()},
+		{"opensys_multitenant_s5", smallConfig(), nil, SchedulerProbabilistic, openGoldenOptions()},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			var got, want bytes.Buffer
@@ -136,7 +150,7 @@ func TestJSONLSinkMatchesMarshal(t *testing.T) {
 				want.WriteByte('\n')
 			})
 			opts := append([]Option{WithObserver(sink), WithObserver(marshal)}, sc.opts...)
-			sim, err := New(smallConfig(), sc.defs, sc.kind, opts...)
+			sim, err := New(sc.cfg, sc.defs, sc.kind, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
