@@ -93,7 +93,7 @@ func (n *Node) freeBefore() (mapFree, reduceFree bool) {
 
 // noteChange compares the node's availability against the pre-mutation
 // snapshot and tells the State about 0↔free transitions, keeping the
-// avail sets and their per-class counts exact without per-offer rescans.
+// avail sets and their per-rack counts exact without per-offer rescans.
 func (n *Node) noteChange(mapWasFree, reduceWasFree bool) {
 	if n.st == nil {
 		return
@@ -265,7 +265,7 @@ func (n *Node) ReleaseReduce() {
 
 // availState tracks one slot kind's availability set incrementally: a
 // monotonically increasing version (bumped on every membership change, so
-// downstream caches get an O(1) identity check), optional per-class member
+// downstream caches get an O(1) identity check), optional per-rack member
 // counts, and a lazily rebuilt ID-ordered snapshot slice with a copy of
 // the counts beside it. The cache and published slices are handed out to
 // readers and stay immutable once published: only the //lint:publish
@@ -278,8 +278,8 @@ type availState struct {
 	cache     []topology.NodeID
 	published []int // counts as of the last rebuild; never written after
 
-	classes *topology.Classes
-	counts  []int // per-class free-node counts; nil until SetClasses
+	racks  *topology.Cluster
+	counts []int // per-rack free-node counts; nil until CountRacks
 }
 
 // flip records that node id entered (free=true) or left the availability
@@ -291,15 +291,16 @@ func (a *availState) flip(id topology.NodeID, free bool) {
 	a.dirty = true
 	if a.counts != nil {
 		if free {
-			a.counts[a.classes.Of(id)]++
+			a.counts[a.racks.Rack(id)]++
 		} else {
-			a.counts[a.classes.Of(id)]--
+			a.counts[a.racks.Rack(id)]--
 		}
 	}
 }
 
 // snapshot returns the ID-ordered availability slice, rebuilding it and
-// republishing the counts only after membership or classes changed.
+// republishing the counts only after membership changed or racks were
+// counted.
 // Fresh slices are allocated per rebuild so snapshots held by earlier
 // scheduler contexts stay immutable.
 //
@@ -319,23 +320,19 @@ func (a *availState) snapshot(nodes []*Node, free func(*Node) bool) []topology.N
 	return a.cache
 }
 
-// setClasses installs (or clears) the class structure and recounts from
-// scratch; membership itself is unchanged but the version bumps and the
-// state turns dirty so the next snapshot republishes the counts.
+// countRacks installs the rack structure and counts free nodes per rack
+// from scratch; membership itself is unchanged but the version bumps and
+// the state turns dirty so the next snapshot publishes the counts.
 //
 //lint:publish availState
-func (a *availState) setClasses(c *topology.Classes, nodes []*Node, free func(*Node) bool) {
-	a.classes = c
-	a.counts = nil
+func (a *availState) countRacks(c *topology.Cluster, nodes []*Node, free func(*Node) bool) {
+	a.racks = c
+	a.counts = make([]int, c.Racks())
 	a.version++
 	a.dirty = true
-	if c == nil {
-		return
-	}
-	a.counts = make([]int, c.Num())
 	for _, n := range nodes {
 		if free(n) {
-			a.counts[c.Of(n.ID)]++
+			a.counts[c.Rack(n.ID)]++
 		}
 	}
 }
@@ -382,12 +379,12 @@ func (s *State) Node(id topology.NodeID) *Node { return s.nodes[id] }
 func freeMap(n *Node) bool    { return n.FreeMapSlots() > 0 }
 func freeReduce(n *Node) bool { return n.FreeReduceSlots() > 0 }
 
-// SetClasses installs the topology's distance-class structure so the
-// availability sets also maintain per-class free-node counts (the O(1)
-// inputs of the class-collapsed Formula 4/5 sums). Pass nil to clear.
-func (s *State) SetClasses(c *topology.Classes) {
-	s.availMap.setClasses(c, s.nodes, freeMap)
-	s.availReduce.setClasses(c, s.nodes, freeReduce)
+// CountRacks makes the availability sets also maintain per-rack
+// free-node counts of topology c (the O(1) inputs of the rack-collapsed
+// Formula 4/5 sums).
+func (s *State) CountRacks(c *topology.Cluster) {
+	s.availMap.countRacks(c, s.nodes, freeMap)
+	s.availReduce.countRacks(c, s.nodes, freeReduce)
 }
 
 // AvailMapNodes returns the IDs of nodes with at least one free map slot
@@ -403,8 +400,8 @@ func (s *State) AvailReduceNodes() []topology.NodeID {
 	return s.availReduce.snapshot(s.nodes, freeReduce)
 }
 
-// AvailMap returns the map-slot availability set plus its per-class counts
-// (nil before SetClasses) and identity version. The counts are the copy
+// AvailMap returns the map-slot availability set plus its per-rack counts
+// (nil before CountRacks) and identity version. The counts are the copy
 // published with the node slice, once per version: flip mutates the live
 // array in place, and snapshots must stay immutable. Callers must not
 // mutate either slice.
@@ -413,8 +410,8 @@ func (s *State) AvailMap() (nodes []topology.NodeID, counts []int, version uint6
 	return nodes, s.availMap.published, s.availMap.version
 }
 
-// AvailReduce returns the reduce-slot availability set plus its per-class
-// counts (nil before SetClasses) and identity version, published as for
+// AvailReduce returns the reduce-slot availability set plus its per-rack
+// counts (nil before CountRacks) and identity version, published as for
 // AvailMap.
 func (s *State) AvailReduce() (nodes []topology.NodeID, counts []int, version uint64) {
 	nodes = s.availReduce.snapshot(s.nodes, freeReduce)

@@ -206,7 +206,7 @@ func TestResourceModeValidation(t *testing.T) {
 }
 
 // TestAvailCountsTrackChurn drives every availability-affecting mutation
-// and cross-checks the incrementally maintained per-class counts against
+// and cross-checks the incrementally maintained per-rack counts against
 // a from-scratch rescan after each step, plus the version contract: the
 // version changes whenever membership does and holds still otherwise.
 func TestAvailCountsTrackChurn(t *testing.T) {
@@ -217,12 +217,11 @@ func TestAvailCountsTrackChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classes := top.Classes()
 	s, err := New(8, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetClasses(classes)
+	s.CountRacks(top)
 
 	check := func(step string) {
 		t.Helper()
@@ -230,9 +229,9 @@ func TestAvailCountsTrackChurn(t *testing.T) {
 			"map": s.AvailMap, "reduce": s.AvailReduce,
 		} {
 			nodes, counts, _ := get()
-			want := make([]int, classes.Num())
+			want := make([]int, top.Racks())
 			for _, n := range nodes {
-				want[classes.Of(n)]++
+				want[top.Rack(n)]++
 			}
 			if !reflect.DeepEqual(counts, want) {
 				t.Fatalf("%s after %s: incremental counts %v, rescan %v (avail %v)",
@@ -316,19 +315,6 @@ func TestAvailCountsTrackChurn(t *testing.T) {
 	if _, after, _ := s.AvailMap(); reflect.DeepEqual(after, held) {
 		t.Fatalf("counts %v unchanged though node 3 left the map set", after)
 	}
-
-	// SetClasses republishes without a membership change: clearing the
-	// classes drops the counts entirely, reinstalling them recounts.
-	s.SetClasses(nil)
-	for pass, get := range map[string]func() ([]topology.NodeID, []int, uint64){
-		"map": s.AvailMap, "reduce": s.AvailReduce,
-	} {
-		if _, counts, _ := get(); counts != nil {
-			t.Fatalf("%s counts %v after clearing classes, want nil", pass, counts)
-		}
-	}
-	s.SetClasses(classes)
-	check("reinstall classes")
 }
 
 // TestSlotTotalsMatchNodeSums drives random acquires, releases, offline

@@ -8,8 +8,7 @@ import (
 
 // Avail is a snapshot of one slot kind's availability set (the N_m / N_r
 // of Formulas 4–5) together with the optional aggregates that let the
-// class-collapsed cost sums run in O(distance classes) instead of
-// O(nodes). Avail values are shared with concurrent readers by shallow
+// rack-collapsed cost sums run in O(racks) instead of O(nodes). Avail values are shared with concurrent readers by shallow
 // copy — the slices alias the producer's published snapshot — so once
 // built they are never written again (the snapshotfree analyzer
 // enforces this in every client package).
@@ -19,10 +18,10 @@ type Avail struct {
 	// Nodes lists the members in ascending NodeID order. Consumers may
 	// binary-search it and must not mutate it.
 	Nodes []topology.NodeID
-	// Counts holds per-class member counts (indexed by topology.Classes
-	// class index) maintained incrementally by the cluster state; nil when
-	// no class structure is installed — evaluators then derive counts by
-	// scanning Nodes.
+	// Counts holds per-rack member counts (indexed by Cluster.Rack)
+	// maintained incrementally by the cluster state; nil when the state
+	// does not count racks — evaluators then derive counts by scanning
+	// Nodes.
 	Counts []int
 	// Version identifies the (Nodes, Counts) content: producers bump it on
 	// every membership change, so equal non-zero versions mean equal

@@ -20,8 +20,7 @@ var fig2H = [][]float64{
 }
 
 // distMatrix is a network given directly by its distance matrix, all nodes
-// in rack 0. It has no class structure, so the cost model evaluates it per
-// node.
+// in rack 0. It is not a Cluster, so the cost model evaluates it per node.
 type distMatrix [][]float64
 
 func (h distMatrix) Size() int                             { return len(h) }
@@ -147,19 +146,25 @@ func TestPaperEstimatorExample(t *testing.T) {
 
 	ps := ProgressScaled{}
 	cs := CurrentSize{}
-	if est := ps.EstimateOutput(m2, 0); math.Abs(est-10) > 1e-9 {
+	if est := estimate(ps, m2, 0); math.Abs(est-10) > 1e-9 {
 		t.Fatalf("progress-scaled Î for M2 = %v, want 10", est)
 	}
-	if est := ps.EstimateOutput(m1, 0); math.Abs(est-5.0/0.9) > 1e-9 {
+	if est := estimate(ps, m1, 0); math.Abs(est-5.0/0.9) > 1e-9 {
 		t.Fatalf("progress-scaled Î for M1 = %v, want %v", est, 5.0/0.9)
 	}
-	if cs.EstimateOutput(m1, 0) <= cs.EstimateOutput(m2, 0) {
+	if estimate(cs, m1, 0) <= estimate(cs, m2, 0) {
 		t.Fatal("current-size should rank M1 above M2 (the paper's failure case)")
 	}
-	if ps.EstimateOutput(m1, 0) >= ps.EstimateOutput(m2, 0) {
+	if estimate(ps, m1, 0) >= estimate(ps, m2, 0) {
 		t.Fatal("progress-scaled should rank M2 above M1")
 	}
 	_ = cm
+}
+
+// estimate returns Î_jf = m.Out[f] · Scale(m), the estimate ReduceCoster
+// aggregates.
+func estimate(est Estimator, m *job.MapTask, f int) float64 {
+	return m.Out[f] * est.Scale(m)
 }
 
 func TestEstimatorZeroProgress(t *testing.T) {
@@ -168,11 +173,11 @@ func TestEstimatorZeroProgress(t *testing.T) {
 	m.State = job.TaskRunning
 	m.Progress = 0
 	for _, est := range []Estimator{ProgressScaled{}, CurrentSize{}} {
-		if v := est.EstimateOutput(m, 0); v != 0 {
+		if v := estimate(est, m, 0); v != 0 {
 			t.Fatalf("%s at zero progress = %v, want 0", est.Name(), v)
 		}
 	}
-	if v := (Oracle{}).EstimateOutput(m, 0); v != m.Out[0] {
+	if v := estimate(Oracle{}, m, 0); v != m.Out[0] {
 		t.Fatalf("oracle = %v, want ground truth %v", v, m.Out[0])
 	}
 }
@@ -181,8 +186,9 @@ func TestEstimatorExactOnDoneMaps(t *testing.T) {
 	_, j := fig2Setup(t)
 	m := j.Maps[1]
 	m.State = job.TaskDone
+	m.Progress = 0.3 // stale progress must not matter once done
 	for _, est := range []Estimator{ProgressScaled{}, CurrentSize{}, Oracle{}} {
-		if v := est.EstimateOutput(m, 1); v != m.Out[1] {
+		if v := estimate(est, m, 1); v != m.Out[1] {
 			t.Fatalf("%s on done map = %v, want %v", est.Name(), v, m.Out[1])
 		}
 	}
@@ -197,11 +203,32 @@ func TestEstimatorConvergesWithCurvedOutput(t *testing.T) {
 	ps := ProgressScaled{}
 	for _, p := range []float64{0.2, 0.5, 0.8, 0.99} {
 		m.Progress = p
-		err := math.Abs(ps.EstimateOutput(m, 0) - m.Out[0])
+		err := math.Abs(estimate(ps, m, 0) - m.Out[0])
 		if err > prevErr+1e-12 {
 			t.Fatalf("estimator error grew from %v to %v at progress %v", prevErr, err, p)
 		}
 		prevErr = err
+	}
+}
+
+func TestEstimatorIdentityWhenCurveIsOne(t *testing.T) {
+	// With γ = 1, A_jf · B_j / d_read == I_jf at any progress — the
+	// paper's estimator is exact for proportional output — while the
+	// current size A_jf is the fraction p of I_jf.
+	_, j := fig2Setup(t)
+	m := j.Maps[0]
+	m.State = job.TaskRunning
+	m.OutputCurve = 1
+	for _, p := range []float64{0.1, 0.25, 0.5, 0.9} {
+		m.Progress = p
+		for f := range m.Out {
+			if est := estimate(ProgressScaled{}, m, f); math.Abs(est-m.Out[f]) > 1e-6*m.Out[f] {
+				t.Fatalf("progress-scaled at p=%v: %v, want %v", p, est, m.Out[f])
+			}
+			if cur := estimate(CurrentSize{}, m, f); math.Abs(cur-p*m.Out[f]) > 1e-6*m.Out[f] {
+				t.Fatalf("current-size at p=%v: %v, want %v", p, cur, p*m.Out[f])
+			}
+		}
 	}
 }
 

@@ -48,18 +48,17 @@ type CostModel struct {
 	rate  topology.RateObserver // required for ModeNetworkCondition
 	mode  Mode
 
-	// classes is the distance-class view of the network in hop mode (nil
-	// otherwise, and nil for a network without class structure, such as
-	// the Fig. 2 test fixture): hop distances depend only on the
-	// (class(a), class(b)) pair, so sums over the avail set collapse to
-	// per-class terms. Network-condition mode keeps per-pair dynamic
-	// distances and never collapses.
-	classes *topology.Classes
+	// racks is the network in hop mode when it is a Cluster (nil
+	// otherwise, such as for the Fig. 2 test fixture): hop distances
+	// between distinct hosts depend only on their racks, so sums over the
+	// avail set collapse to per-rack terms. Network-condition mode keeps
+	// per-pair dynamic distances and never collapses.
+	racks *topology.Cluster
 
-	// Scratch buffers for the class-collapsed sums, sized to classes.Num().
-	clCounts []int     // per-class avail counts when the caller has none
-	clReps   []int     // per-class replicas-in-avail counts
-	clMinD   []float64 // per-class nearest-replica distance (uncached path)
+	// Scratch buffers for the rack-collapsed sums, sized to racks.Racks().
+	scratchCounts []int     // per-rack avail counts when the caller has none
+	scratchReps   []int     // per-rack replicas-in-avail counts
+	scratchMinD   []float64 // per-rack nearest-replica distance (uncached path)
 }
 
 // NewCostModel builds a cost model. rate may be nil when mode is ModeHops.
@@ -71,20 +70,14 @@ func NewCostModel(net topology.Network, store *hdfs.Store, rate topology.RateObs
 		return nil, fmt.Errorf("core: network-condition mode requires a rate observer")
 	}
 	c := &CostModel{net: net, store: store, rate: rate, mode: mode}
-	if mode == ModeHops {
-		if cn, ok := net.(topology.ClassedNetwork); ok {
-			c.classes = cn.Classes()
-			c.clCounts = make([]int, c.classes.Num())
-			c.clReps = make([]int, c.classes.Num())
-			c.clMinD = make([]float64, c.classes.Num())
-		}
+	if cl, ok := net.(*topology.Cluster); ok && mode == ModeHops {
+		c.racks = cl
+		c.scratchCounts = make([]int, cl.Racks())
+		c.scratchReps = make([]int, cl.Racks())
+		c.scratchMinD = make([]float64, cl.Racks())
 	}
 	return c, nil
 }
-
-// Classes returns the distance-class structure the model collapses sums
-// over, or nil when costs are evaluated per node.
-func (c *CostModel) Classes() *topology.Classes { return c.classes }
 
 // Distance returns the effective H entry for the pair (a, b): hop count in
 // ModeHops, or 1/rate in ModeNetworkCondition. The diagonal of H is 0 in
@@ -138,19 +131,19 @@ func (c *CostModel) MapCost(m *job.MapTask, i topology.NodeID) float64 {
 }
 
 // MapCostAvg returns C_avg = Σ_k C_m(k,j) / N_m over the nodes that
-// currently have free map slots (Algorithm 1 line 6). With a class
-// structure the per-node sum collapses to Σ_c n'_c · minD_c where n'_c
-// counts the class's free non-replica nodes (replica members cost 0) and
-// minD_c is the class's nearest-replica distance; the MapCoster computes
-// the identical expression, so the two stay bit-exact.
+// currently have free map slots (Algorithm 1 line 6). On a Cluster in hop
+// mode the per-node sum collapses to Σ_r n'_r · minD_r where n'_r counts
+// the rack's free non-replica nodes (replica members cost 0) and minD_r
+// is the rack's nearest-replica distance; the MapCoster computes the
+// identical expression, so the two stay bit-exact.
 func (c *CostModel) MapCostAvg(m *job.MapTask, avail []topology.NodeID) float64 {
 	if len(avail) == 0 {
 		return 0
 	}
-	if c.classes != nil {
+	if c.racks != nil {
 		replicas := c.store.Replicas(m.Block)
-		c.classMinD(replicas, c.clMinD)
-		return m.Size * c.classMapSum(replicas, avail, c.scanClassCounts(avail), c.clMinD) / float64(len(avail))
+		c.rackMinD(replicas, c.scratchMinD)
+		return m.Size * c.rackMapSum(replicas, avail, c.scanRackCounts(avail), c.scratchMinD) / float64(len(avail))
 	}
 	var sum float64
 	for _, k := range avail {
@@ -159,78 +152,76 @@ func (c *CostModel) MapCostAvg(m *job.MapTask, avail []topology.NodeID) float64 
 	return sum / float64(len(avail))
 }
 
-// scanClassCounts fills the scratch per-class counts by scanning avail —
+// scanRackCounts fills the scratch per-rack counts by scanning avail —
 // the reference path; the engine maintains the same counts incrementally.
-func (c *CostModel) scanClassCounts(avail []topology.NodeID) []int {
-	counts := c.clCounts
+func (c *CostModel) scanRackCounts(avail []topology.NodeID) []int {
+	counts := c.scratchCounts
 	for i := range counts {
 		counts[i] = 0
 	}
 	for _, k := range avail {
-		counts[c.classes.Of(k)]++
+		counts[c.racks.Rack(k)]++
 	}
 	return counts
 }
 
-// classMinD fills minD[ci] with the class's nearest-replica distance
-// min_{l: L_lj=1} D(ci, class(l)) — the class-collapsed form of Formula
-// 1's inner minimum (all-Inf when the block has no replicas).
-func (c *CostModel) classMinD(replicas []topology.NodeID, minD []float64) {
-	cl := c.classes
-	for ci := range minD {
+// rackMinD fills minD[r] with rack r's nearest-replica distance
+// min_{l: L_lj=1} RackDistance(r, rack(l)) — the rack-collapsed form of
+// Formula 1's inner minimum (all-Inf when the block has no replicas). It
+// is the distance from a non-replica node of rack r; the replica nodes
+// themselves read locally at distance 0.
+func (c *CostModel) rackMinD(replicas []topology.NodeID, minD []float64) {
+	for r := range minD {
 		best := math.Inf(1)
 		for _, l := range replicas {
-			if d := cl.D(ci, cl.Of(l)); d < best {
+			if d := c.racks.RackDistance(r, c.racks.Rack(l)); d < best {
 				best = d
 			}
 		}
-		minD[ci] = best
+		minD[r] = best
 	}
 }
 
-// classMapSum returns Σ_c n'_c · minD_c with n'_c = free nodes of class c
+// rackMapSum returns Σ_r n'_r · minD_r with n'_r = free nodes of rack r
 // minus the block's replicas among them (a replica node reads locally at
-// distance 0, and skipping n' <= 0 keeps a singleton class's +Inf intra
-// distance away from a zero multiplier). Both MapCostAvg and the
-// MapCoster funnel through this function so their float operation order —
-// and hence every selection decision — is identical.
-func (c *CostModel) classMapSum(replicas, avail []topology.NodeID, counts []int, minD []float64) float64 {
-	reps := c.clReps
+// distance 0). Both MapCostAvg and the MapCoster funnel through this
+// function so their float operation order — and hence every selection
+// decision — is identical.
+func (c *CostModel) rackMapSum(replicas, avail []topology.NodeID, counts []int, minD []float64) float64 {
+	reps := c.scratchReps
 	for _, l := range replicas {
 		if containsNode(avail, l) {
-			reps[c.classes.Of(l)]++
+			reps[c.racks.Rack(l)]++
 		}
 	}
 	var sum float64
-	for ci, n := range counts {
-		if n -= reps[ci]; n > 0 {
-			sum += float64(n) * minD[ci]
+	for r, n := range counts {
+		if n -= reps[r]; n > 0 {
+			sum += float64(n) * minD[r]
 		}
 	}
 	for _, l := range replicas {
-		reps[c.classes.Of(l)] = 0
+		reps[c.racks.Rack(l)] = 0
 	}
 	return sum
 }
 
-// classHSum returns Σ_{k in avail} h(p, k) collapsed to per-class terms:
-// each class contributes count·D(class(p), class(k)), with p itself
-// excluded from its own class (h(p,p) = 0). Skipping zero counts keeps a
-// singleton class's +Inf intra distance out of the sum.
-func (c *CostModel) classHSum(p topology.NodeID, counts []int, avail []topology.NodeID) float64 {
-	cl := c.classes
-	cp := cl.Of(p)
+// rackHSum returns Σ_{k in avail} h(p, k) collapsed to per-rack terms:
+// each rack contributes count·RackDistance(rack(p), r), with p itself
+// excluded from its own rack (h(p,p) = 0).
+func (c *CostModel) rackHSum(p topology.NodeID, counts []int, avail []topology.NodeID) float64 {
+	rp := c.racks.Rack(p)
 	self := 0
 	if containsNode(avail, p) {
 		self = 1
 	}
 	var sum float64
-	for ci, n := range counts {
-		if ci == cp {
+	for r, n := range counts {
+		if r == rp {
 			n -= self
 		}
 		if n > 0 {
-			sum += float64(n) * cl.D(cp, ci)
+			sum += float64(n) * c.racks.RackDistance(rp, r)
 		}
 	}
 	return sum
@@ -261,10 +252,9 @@ func (c *CostModel) Locality(m *job.MapTask, i topology.NodeID) job.Locality {
 // than O(#maps). Nodes are kept in ascending NodeID order so that a fresh
 // build and an incrementally Refreshed coster are bit-identical.
 type ReduceCoster struct {
-	cm   *CostModel
-	j    *job.Job
-	est  Estimator
-	scal ScalarEstimator // non-nil when est factors into Out[f]·Scale(m)
+	cm  *CostModel
+	j   *job.Job
+	est Estimator
 
 	nodes   []topology.NodeID       // nodes hosting ≥1 launched map, ascending
 	idx     map[topology.NodeID]int // node → index into nodes/s/members
@@ -273,7 +263,7 @@ type ReduceCoster struct {
 
 	// Per-map snapshot consumed by Refresh to detect which rows changed.
 	lastNode  []topology.NodeID // node at last snapshot; -1 when excluded
-	lastScale []float64         // Scale(m) at last snapshot (scal only)
+	lastScale []float64         // Scale(m) at last snapshot
 	dirtyBuf  []topology.NodeID
 
 	// CostAvg cache: hSum[pi] = Σ_{k in avail} h(p_i, k) for the avail set
@@ -294,7 +284,6 @@ type ReduceCoster struct {
 // matching Formula 2's use of the placement matrix X.
 func (c *CostModel) NewReduceCoster(j *job.Job, est Estimator) *ReduceCoster {
 	rc := &ReduceCoster{cm: c, j: j, est: est}
-	rc.scal, _ = est.(ScalarEstimator)
 	rc.idx = make(map[topology.NodeID]int)
 	rc.lastNode = make([]topology.NodeID, len(j.Maps))
 	rc.lastScale = make([]float64, len(j.Maps))
@@ -318,9 +307,7 @@ func (rc *ReduceCoster) rebuild() {
 			continue
 		}
 		rc.lastNode[i] = m.Node
-		if rc.scal != nil {
-			rc.lastScale[i] = rc.scal.Scale(m)
-		}
+		rc.lastScale[i] = rc.est.Scale(m)
 		pi, ok := rc.idx[m.Node]
 		if !ok {
 			pi = len(rc.nodes)
@@ -351,42 +338,32 @@ func (b byNode) Swap(i, j int) {
 	b.rc.members[i], b.rc.members[j] = b.rc.members[j], b.rc.members[i]
 }
 
-// computeRow re-aggregates S_pf for one node from its member maps in task
-// order. Both the full rebuild and the incremental Refresh funnel through
-// this function, so their float accumulation order — and hence every
-// derived cost — is identical.
+// computeRow re-aggregates S_pf = Σ Out[f]·Scale(m) for one node from its
+// member maps in task order. Both the full rebuild and the incremental
+// Refresh funnel through this function, so their float accumulation order
+// — and hence every derived cost — is identical.
 func (rc *ReduceCoster) computeRow(pi int) {
 	nf := rc.j.NumReduces()
 	row := rc.s[pi]
 	for f := range row {
 		row[f] = 0
 	}
-	if rc.scal != nil {
-		for _, mi := range rc.members[pi] {
-			m := rc.j.Maps[mi]
-			sc := rc.lastScale[mi]
-			for f := 0; f < nf; f++ {
-				row[f] += m.Out[f] * sc
-			}
-		}
-		return
-	}
 	for _, mi := range rc.members[pi] {
 		m := rc.j.Maps[mi]
+		sc := rc.lastScale[mi]
 		for f := 0; f < nf; f++ {
-			row[f] += rc.est.EstimateOutput(m, f)
+			row[f] += m.Out[f] * sc
 		}
 	}
 }
 
 // Refresh brings the snapshot up to date with the job's current task
-// state. With a ScalarEstimator only the rows whose contributing maps
-// changed (progress advanced, launched, finished, moved by speculation or
-// failure) are re-aggregated; other estimators fall back to a full
-// rebuild. The refreshed coster is bit-identical to a fresh
+// state. Only the rows whose contributing maps changed (progress
+// advanced, launched, finished, moved by speculation or failure) are
+// re-aggregated. The refreshed coster is bit-identical to a fresh
 // NewReduceCoster of the same job state.
 func (rc *ReduceCoster) Refresh() {
-	if rc.scal == nil || len(rc.lastNode) != len(rc.j.Maps) {
+	if len(rc.lastNode) != len(rc.j.Maps) {
 		rc.rebuild()
 		return
 	}
@@ -401,7 +378,7 @@ func (rc *ReduceCoster) Refresh() {
 			if cur < 0 {
 				continue
 			}
-			if sc := rc.scal.Scale(m); sc != rc.lastScale[i] {
+			if sc := rc.est.Scale(m); sc != rc.lastScale[i] {
 				rc.lastScale[i] = sc
 				dirty = append(dirty, cur)
 			}
@@ -419,7 +396,7 @@ func (rc *ReduceCoster) Refresh() {
 				structural = true
 			}
 			rc.members[pi] = insertInt(rc.members[pi], i)
-			rc.lastScale[i] = rc.scal.Scale(m)
+			rc.lastScale[i] = rc.est.Scale(m)
 			dirty = append(dirty, cur)
 		}
 		rc.lastNode[i] = cur
@@ -514,7 +491,7 @@ func (rc *ReduceCoster) Cost(i topology.NodeID, f int) float64 {
 // (avail set, distance epoch); the result is identical to averaging Cost
 // over avail. A matching non-zero a.Version revalidates the cache in
 // O(1); the node-list comparison is the fallback for ad-hoc snapshots.
-// With a class structure each inner sum is the O(classes) classHSum.
+// On a Cluster in hop mode each inner sum is the O(racks) rackHSum.
 func (rc *ReduceCoster) CostAvg(f int, a Avail) float64 {
 	avail := a.Nodes
 	if len(avail) == 0 {
@@ -529,13 +506,13 @@ func (rc *ReduceCoster) CostAvg(f int, a Avail) float64 {
 			rc.hSum = make([]float64, len(rc.nodes))
 		}
 		rc.hSum = rc.hSum[:len(rc.nodes)]
-		if rc.cm.classes != nil {
+		if rc.cm.racks != nil {
 			counts := a.Counts
 			if counts == nil {
-				counts = rc.cm.scanClassCounts(avail)
+				counts = rc.cm.scanRackCounts(avail)
 			}
 			for pi, p := range rc.nodes {
-				rc.hSum[pi] = rc.cm.classHSum(p, counts, avail)
+				rc.hSum[pi] = rc.cm.rackHSum(p, counts, avail)
 			}
 		} else {
 			for pi, p := range rc.nodes {

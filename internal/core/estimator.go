@@ -9,30 +9,18 @@ import (
 // Estimator predicts the final intermediate volume I_jf a map task will
 // have produced for a reduce partition, from scheduler-visible progress
 // counters only (the heartbeat-reported A_jf and d_read of Section
-// II-B-2).
+// II-B-2). Every estimator factors into the task's final output row times
+// a per-task scalar, Î_jf = m.Out[f] · Scale(m), which lets ReduceCoster
+// maintain its per-node aggregation incrementally: when a map's progress
+// changes, only its node's row is recomputed, at O(#reduces) per
+// contributing map instead of a full O(#maps × #reduces) re-aggregation.
 type Estimator interface {
-	// EstimateOutput returns the predicted final I_jf for map m and reduce
-	// partition f. Implementations must return 0 when no information is
-	// available (e.g. the map has not read any input yet).
-	EstimateOutput(m *job.MapTask, f int) float64
+	// Scale returns the per-task multiplier applied to m.Out. It is 0
+	// when no information is available (e.g. the map has not read any
+	// input yet).
+	Scale(m *job.MapTask) float64
 	// Name identifies the estimator in experiment output.
 	Name() string
-}
-
-// ScalarEstimator marks estimators whose prediction factors into the
-// task's final output row times a per-task scalar:
-//
-//	EstimateOutput(m, f) ≡ m.Out[f] · Scale(m)
-//
-// The factorization lets ReduceCoster maintain its per-node aggregation
-// incrementally: when a map's progress changes, only its node's row needs
-// recomputation, at O(#reduces) per contributing map instead of a full
-// O(#maps × #reduces) re-aggregation. All built-in estimators factor this
-// way; custom estimators that do not simply fall back to full rebuilds.
-type ScalarEstimator interface {
-	Estimator
-	// Scale returns the per-task multiplier applied to m.Out.
-	Scale(m *job.MapTask) float64
 }
 
 // ProgressScaled is the paper's estimator: Î_jf = A_jf · B_j / d_read —
@@ -43,19 +31,7 @@ type ProgressScaled struct{}
 // Name implements Estimator.
 func (ProgressScaled) Name() string { return "progress-scaled" }
 
-// EstimateOutput implements Estimator.
-func (ProgressScaled) EstimateOutput(m *job.MapTask, f int) float64 {
-	if m.State == job.TaskDone {
-		return m.Out[f] // A_jf at completion is the true I_jf
-	}
-	d := m.DRead()
-	if d <= 0 {
-		return 0
-	}
-	return m.CurrentOut(f) * m.Size / d
-}
-
-// Scale implements ScalarEstimator: Î_jf/I_jf = p^γ · B_j / d_read.
+// Scale implements Estimator: Î_jf/I_jf = p^γ · B_j / d_read.
 func (ProgressScaled) Scale(m *job.MapTask) float64 {
 	if m.State == job.TaskDone {
 		return 1
@@ -76,18 +52,7 @@ type CurrentSize struct{}
 // Name implements Estimator.
 func (CurrentSize) Name() string { return "current-size" }
 
-// EstimateOutput implements Estimator.
-func (CurrentSize) EstimateOutput(m *job.MapTask, f int) float64 {
-	if m.State == job.TaskDone {
-		return m.Out[f]
-	}
-	if m.DRead() <= 0 {
-		return 0
-	}
-	return m.CurrentOut(f)
-}
-
-// Scale implements ScalarEstimator: A_jf/I_jf = p^γ.
+// Scale implements Estimator: A_jf/I_jf = p^γ.
 func (CurrentSize) Scale(m *job.MapTask) float64 {
 	if m.State == job.TaskDone {
 		return 1
@@ -105,8 +70,5 @@ type Oracle struct{}
 // Name implements Estimator.
 func (Oracle) Name() string { return "oracle" }
 
-// EstimateOutput implements Estimator.
-func (Oracle) EstimateOutput(m *job.MapTask, f int) float64 { return m.Out[f] }
-
-// Scale implements ScalarEstimator.
+// Scale implements Estimator.
 func (Oracle) Scale(*job.MapTask) float64 { return 1 }

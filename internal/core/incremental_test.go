@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -14,14 +15,23 @@ import (
 // Len returns the number of cached block rows.
 func (mc *MapCoster) Len() int { return len(mc.rows) }
 
-// churnSetup builds a multi-rack cluster with a randomly placed job for
-// the cache-equivalence tests.
-func churnSetup(t *testing.T, mode Mode, seed int64) (*sim.Engine, *topology.Cluster, *CostModel, *job.Job) {
+// rackShape is a cluster shape: racks × perRack nodes.
+type rackShape struct{ racks, perRack int }
+
+func (s rackShape) String() string { return fmt.Sprintf("%dx%d", s.racks, s.perRack) }
+
+// rackShapes are the hop-mode shapes the rack-collapsed sums are checked
+// on: one rack, several multi-node racks, and singleton racks only.
+var rackShapes = []rackShape{{1, 12}, {3, 8}, {12, 1}}
+
+// churnSetup builds a cluster of the given shape with a randomly placed
+// job for the cache-equivalence tests.
+func churnSetup(t *testing.T, mode Mode, shape rackShape, seed int64) (*sim.Engine, *topology.Cluster, *CostModel, *job.Job) {
 	t.Helper()
 	eng := sim.NewEngine()
 	spec := topology.DefaultSpec()
-	spec.Racks = 3
-	spec.NodesPerRack = 8
+	spec.Racks = shape.racks
+	spec.NodesPerRack = shape.perRack
 	cl, err := topology.NewCluster(eng, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -120,48 +130,46 @@ func requireCostersEqual(t *testing.T, round int, got, want *ReduceCoster, nodes
 	}
 }
 
+// requireNear asserts that a rack-collapsed average matches its per-node
+// definition within relative 1e-12; +Inf must match +Inf exactly.
+func requireNear(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	if math.IsInf(got, 0) || math.IsInf(want, 0) || math.Abs(got-want) > 1e-12*math.Abs(want) {
+		t.Fatalf("%s = %v, per-node sum says %v", what, got, want)
+	}
+}
+
 // TestRefreshMatchesRebuild drives random task churn through an
 // incrementally refreshed ReduceCoster and checks it stays bit-identical
 // to a coster built from scratch at every step, for each built-in
-// estimator.
+// estimator and rack shape, and that its rack-collapsed CostAvg matches
+// the per-node average of Cost.
 func TestRefreshMatchesRebuild(t *testing.T) {
-	for _, est := range []Estimator{ProgressScaled{}, CurrentSize{}, Oracle{}} {
-		t.Run(est.Name(), func(t *testing.T) {
-			_, cl, cm, j := churnSetup(t, ModeHops, 21)
-			rng := sim.NewRNG(33)
-			rc := cm.NewReduceCoster(j, est)
-			for round := 0; round < 60; round++ {
-				churnMaps(j, 10, rng, cl.Size())
-				rc.Refresh()
-				requireCostersEqual(t, round, rc, cm.NewReduceCoster(j, est), cl.Size(), rng)
-			}
-		})
-	}
-}
-
-// nonScalar hides the ScalarEstimator factorization, forcing Refresh down
-// the full-rebuild fallback.
-type nonScalar struct{}
-
-func (nonScalar) Name() string { return "non-scalar" }
-func (nonScalar) EstimateOutput(m *job.MapTask, f int) float64 {
-	return ProgressScaled{}.EstimateOutput(m, f)
-}
-
-// TestRefreshFallsBackWithoutScalarEstimator checks the generic-estimator
-// path: Refresh must still equal a fresh build.
-func TestRefreshFallsBackWithoutScalarEstimator(t *testing.T) {
-	_, cl, cm, j := churnSetup(t, ModeHops, 5)
-	rng := sim.NewRNG(6)
-	est := nonScalar{}
-	if _, ok := Estimator(est).(ScalarEstimator); ok {
-		t.Fatal("test estimator unexpectedly scalar")
-	}
-	rc := cm.NewReduceCoster(j, est)
-	for round := 0; round < 20; round++ {
-		churnMaps(j, 10, rng, cl.Size())
-		rc.Refresh()
-		requireCostersEqual(t, round, rc, cm.NewReduceCoster(j, est), cl.Size(), rng)
+	for _, shape := range rackShapes {
+		for _, est := range []Estimator{ProgressScaled{}, CurrentSize{}, Oracle{}} {
+			t.Run(shape.String()+"/"+est.Name(), func(t *testing.T) {
+				_, cl, cm, j := churnSetup(t, ModeHops, shape, 21)
+				rng := sim.NewRNG(33)
+				rc := cm.NewReduceCoster(j, est)
+				for round := 0; round < 60; round++ {
+					churnMaps(j, 10, rng, cl.Size())
+					rc.Refresh()
+					requireCostersEqual(t, round, rc, cm.NewReduceCoster(j, est), cl.Size(), rng)
+					avail := randomAvail(rng, cl.Size())
+					for f := 0; f < j.NumReduces(); f++ {
+						var sum float64
+						for _, k := range avail {
+							sum += rc.Cost(k, f)
+						}
+						requireNear(t, fmt.Sprintf("round %d: CostAvg(%d)", round, f),
+							rc.CostAvg(f, NewAvail(avail)), sum/float64(len(avail)))
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -169,7 +177,7 @@ func TestRefreshFallsBackWithoutScalarEstimator(t *testing.T) {
 // network-condition mode: CostAvg must follow rate changes caused by flow
 // churn instead of serving stale distance sums.
 func TestReduceCosterAvgTracksNetworkEpoch(t *testing.T) {
-	eng, cl, cm, j := churnSetup(t, ModeNetworkCondition, 9)
+	eng, cl, cm, j := churnSetup(t, ModeNetworkCondition, rackShape{3, 8}, 9)
 	rng := sim.NewRNG(10)
 	churnMaps(j, 10, rng, cl.Size())
 	rc := cm.NewReduceCoster(j, ProgressScaled{})
@@ -204,48 +212,59 @@ func TestReduceCosterAvgTracksNetworkEpoch(t *testing.T) {
 // TestMapCosterMatchesNaive checks the cached Formula 1 path against the
 // direct computation, bit for bit, across changing avail sets and replica
 // loss (the only thing that stales a row in hop mode), down to blocks with
-// no replica left.
+// no replica left, and its rack-collapsed CostAvg against the per-node
+// average of MapCost, on every rack shape.
 func TestMapCosterMatchesNaive(t *testing.T) {
-	t.Run("hops", func(t *testing.T) {
-		_, cl, cm, j := churnSetup(t, ModeHops, 13)
-		mc, ok := cm.MapEvaluator().(*MapCoster)
-		if !ok {
-			t.Fatal("classed hop model did not pick the MapCoster")
-		}
-		rng := sim.NewRNG(14)
-		for round := 0; round < 25; round++ {
-			if round%2 == 1 {
-				m := j.Maps[rng.Intn(3)]
-				if reps := cm.store.Replicas(m.Block); len(reps) > 0 {
-					cm.store.RemoveReplica(m.Block, reps[rng.Intn(len(reps))])
-				}
-			}
-			avail := randomAvail(rng, cl.Size())
-			for _, m := range j.Maps {
-				n := topology.NodeID(rng.Intn(cl.Size()))
-				if got, want := mc.Cost(m, n), cm.MapCost(m, n); got != want {
-					t.Fatalf("round %d: Cost(m%d,%d) = %v, naive %v", round, m.Index, n, got, want)
-				}
-				if got, want := mc.CostAvg(m, NewAvail(avail)), cm.MapCostAvg(m, avail); got != want {
-					t.Fatalf("round %d: CostAvg(m%d) = %v, naive %v", round, m.Index, got, want)
-				}
+	for _, shape := range rackShapes {
+		t.Run(shape.String(), func(t *testing.T) { testMapCosterMatchesNaive(t, shape) })
+	}
+}
+
+func testMapCosterMatchesNaive(t *testing.T, shape rackShape) {
+	_, cl, cm, j := churnSetup(t, ModeHops, shape, 13)
+	mc, ok := cm.MapEvaluator().(*MapCoster)
+	if !ok {
+		t.Fatal("hop model on a Cluster did not pick the MapCoster")
+	}
+	rng := sim.NewRNG(14)
+	for round := 0; round < 25; round++ {
+		if round%2 == 1 {
+			m := j.Maps[rng.Intn(3)]
+			if reps := cm.store.Replicas(m.Block); len(reps) > 0 {
+				cm.store.RemoveReplica(m.Block, reps[rng.Intn(len(reps))])
 			}
 		}
-		lost := false
-		for _, m := range j.Maps[:3] {
-			lost = lost || len(cm.store.Replicas(m.Block)) == 0
+		avail := randomAvail(rng, cl.Size())
+		for _, m := range j.Maps {
+			n := topology.NodeID(rng.Intn(cl.Size()))
+			if got, want := mc.Cost(m, n), cm.MapCost(m, n); got != want {
+				t.Fatalf("round %d: Cost(m%d,%d) = %v, naive %v", round, m.Index, n, got, want)
+			}
+			got := mc.CostAvg(m, NewAvail(avail))
+			if want := cm.MapCostAvg(m, avail); got != want {
+				t.Fatalf("round %d: CostAvg(m%d) = %v, naive %v", round, m.Index, got, want)
+			}
+			var sum float64
+			for _, k := range avail {
+				sum += cm.MapCost(m, k)
+			}
+			requireNear(t, fmt.Sprintf("round %d: CostAvg(m%d)", round, m.Index), got, sum/float64(len(avail)))
 		}
-		if !lost {
-			t.Fatal("no block lost its last replica")
-		}
-		if mc.Len() != len(j.Maps) {
-			t.Fatalf("cached rows = %d, want %d", mc.Len(), len(j.Maps))
-		}
-		mc.Forget(j)
-		if mc.Len() != 0 {
-			t.Fatalf("Forget left %d rows", mc.Len())
-		}
-	})
+	}
+	lost := false
+	for _, m := range j.Maps[:3] {
+		lost = lost || len(cm.store.Replicas(m.Block)) == 0
+	}
+	if !lost {
+		t.Fatal("no block lost its last replica")
+	}
+	if mc.Len() != len(j.Maps) {
+		t.Fatalf("cached rows = %d, want %d", mc.Len(), len(j.Maps))
+	}
+	mc.Forget(j)
+	if mc.Len() != 0 {
+		t.Fatalf("Forget left %d rows", mc.Len())
+	}
 }
 
 // TestSelectMapTaskWithMatchesDirect checks Algorithm 1 end to end: the
@@ -254,7 +273,7 @@ func TestMapCosterMatchesNaive(t *testing.T) {
 // (and a short tail block), so a large remote task can out-save a small
 // local one.
 func TestSelectMapTaskWithMatchesDirect(t *testing.T) {
-	_, cl, cm, j := churnSetup(t, ModeHops, 17)
+	_, cl, cm, j := churnSetup(t, ModeHops, rackShape{3, 8}, 17)
 	small, err := job.New(2, job.Spec{
 		Name: "small", Profile: j.Spec.Profile, InputBytes: 20*16e6 + 5e6, BlockSize: 16e6,
 		NumReduces: 3, Replication: 2,

@@ -9,13 +9,13 @@ import (
 )
 
 // MapCoster caches Formula 1 evaluations across scheduling rounds on a
-// network that collapses into distance classes. For each input block it
-// precomputes the nearest-replica distance min_{l: L_lj=1} D(c, class(l))
-// per distance class c, and for the avail-node set of the current round it
-// caches the per-block cost sum feeding C_avg. Class distances are hop
-// counts and never change, so a row only goes stale when its block loses a
-// replica — which the CostModel's DistanceEpoch (the store's
-// replica-mutation epoch in hop mode) signals exactly. Every value it
+// Cluster in hop mode. For each input block it precomputes the
+// nearest-replica distance min_{l: L_lj=1} RackDistance(r, rack(l)) per
+// rack r, and for the avail-node set of the current round it caches the
+// per-block cost sum feeding C_avg. Rack distances are hop counts and
+// never change, so a row only goes stale when its block loses a replica —
+// which the CostModel's DistanceEpoch (the store's replica-mutation epoch
+// in hop mode) signals exactly. Every value it
 // returns is bit-identical to the uncached CostModel.MapCost / MapCostAvg.
 type MapCoster struct {
 	cm   *CostModel
@@ -31,14 +31,14 @@ type MapCoster struct {
 }
 
 type mapRow struct {
-	classMinD  []float64 // per distance class: min over replicas of D
+	rackMinD   []float64 // per rack: min over replicas of RackDistance
 	epoch      uint64    // distance epoch the row was filled at
 	sumVersion uint64    // seq costSum was computed at (0 = stale)
 	costSum    float64   // Σ_{k in avail} C_m(k, j), before the /N_m division
 }
 
-// newMapCoster builds an empty cache over a model with distance classes
-// (see MapEvaluator). One MapCoster serves all jobs; call Forget when a
+// newMapCoster builds an empty cache over a model that collapses sums per
+// rack (see MapEvaluator). One MapCoster serves all jobs; call Forget when a
 // job completes to release its rows.
 func (c *CostModel) newMapCoster() *MapCoster {
 	return &MapCoster{cm: c, rows: make(map[hdfs.BlockID]*mapRow), seq: 1}
@@ -49,26 +49,26 @@ func (mc *MapCoster) row(m *job.MapTask) *mapRow {
 	ep := mc.cm.DistanceEpoch()
 	r := mc.rows[m.Block]
 	if r == nil {
-		r = &mapRow{classMinD: make([]float64, mc.cm.classes.Num())}
+		r = &mapRow{rackMinD: make([]float64, mc.cm.racks.Racks())}
 		mc.rows[m.Block] = r
 	} else if r.epoch == ep {
 		return r
 	}
-	mc.cm.classMinD(mc.cm.store.Replicas(m.Block), r.classMinD)
+	mc.cm.rackMinD(mc.cm.store.Replicas(m.Block), r.rackMinD)
 	r.epoch = ep
 	r.sumVersion = 0 // distances changed: cached cost sum is stale
 	return r
 }
 
 // Cost returns C_m(i,j) (Formula 1), bit-identical to CostModel.MapCost.
-// The nearest-replica distance depends only on i's class — except on a
+// The nearest-replica distance depends only on i's rack — except on a
 // replica node itself, where it is 0.
 func (mc *MapCoster) Cost(m *job.MapTask, i topology.NodeID) float64 {
 	r := mc.row(m)
 	if mc.cm.store.HasReplica(m.Block, i) {
 		return 0 // m.Size · h_ii = 0
 	}
-	d := r.classMinD[mc.cm.classes.Of(i)]
+	d := r.rackMinD[mc.cm.racks.Rack(i)]
 	if math.IsInf(d, 1) {
 		return math.Inf(1) // no replicas: unschedulable
 	}
@@ -92,7 +92,7 @@ func (mc *MapCoster) syncAvail(a Avail) {
 }
 
 // CostAvg returns C_avg over the avail set, bit-identical to
-// CostModel.MapCostAvg: both funnel through CostModel.classMapSum.
+// CostModel.MapCostAvg: both funnel through CostModel.rackMapSum.
 func (mc *MapCoster) CostAvg(m *job.MapTask, a Avail) float64 {
 	if len(a.Nodes) == 0 {
 		return 0
@@ -102,10 +102,10 @@ func (mc *MapCoster) CostAvg(m *job.MapTask, a Avail) float64 {
 	if r.sumVersion != mc.seq {
 		counts := a.Counts
 		if counts == nil {
-			counts = mc.cm.scanClassCounts(mc.avail)
+			counts = mc.cm.scanRackCounts(mc.avail)
 		}
 		replicas := mc.cm.store.Replicas(m.Block)
-		r.costSum = m.Size * mc.cm.classMapSum(replicas, mc.avail, counts, r.classMinD)
+		r.costSum = m.Size * mc.cm.rackMapSum(replicas, mc.avail, counts, r.rackMinD)
 		r.sumVersion = mc.seq
 	}
 	return r.costSum / float64(len(a.Nodes))

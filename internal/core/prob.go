@@ -84,13 +84,12 @@ func (d directMapCost) CostAvg(m *job.MapTask, avail Avail) float64 {
 }
 
 // MapEvaluator returns the Formula 1 evaluator for a scheduling session.
-// With distance classes (hop mode on a classed network) it is a fresh
-// MapCoster, whose rows stay valid until a block loses a replica. Without
-// them it is the direct evaluator: in network-condition mode every flow
-// churn moves the distances, so a cache would refill its rows on nearly
-// every offer and only add overhead.
+// In hop mode on a Cluster it is a fresh MapCoster, whose rows stay valid
+// until a block loses a replica. Otherwise it is the direct evaluator: in
+// network-condition mode every flow churn moves the distances, so a cache
+// would refill its rows on nearly every offer and only add overhead.
 func (c *CostModel) MapEvaluator() MapCostEvaluator {
-	if c.classes != nil {
+	if c.racks != nil {
 		return c.newMapCoster()
 	}
 	return directMapCost{c}

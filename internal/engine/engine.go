@@ -445,12 +445,11 @@ func New(cfg Config, specs []job.Spec, builder sched.Builder) (*Simulation, erro
 	// The placement decision service wraps the simulation's live state;
 	// the schedulers route every decision through Decider sessions
 	// against it, and the engine applies every slot, node-health, link
-	// and replica change to that state as a Service delta. It also
-	// installs the distance-class structure on the cluster state
-	// (hop-mode costs collapse into rack classes, and the state maintains
-	// per-class free-slot counts incrementally so the schedulers' C_avg
-	// sums are O(classes) per offer). The engine keeps its own cost model
-	// for locality tagging at task launch.
+	// and replica change to that state as a Service delta. In hop mode
+	// it also has the cluster state count free slots per rack
+	// incrementally, so the schedulers' rack-collapsed C_avg sums are
+	// O(racks) per offer. The engine keeps its own cost model for
+	// locality tagging at task launch.
 	place, err := placement.NewService(placement.Deps{
 		Net:   topo,
 		Store: store,

@@ -10,9 +10,9 @@ import (
 
 // ScaleSize is one rung of the cluster-size sweep: racks × nodes-per-rack
 // gives the node count. Nodes-per-rack is held constant so the number of
-// distance classes (racks) grows linearly with the cluster while staying
-// two orders of magnitude below the node count — the regime the
-// class-collapsed cost sums are built for.
+// racks grows linearly with the cluster while staying two orders of
+// magnitude below the node count — the regime the rack-collapsed cost
+// sums are built for.
 type ScaleSize struct {
 	Racks        int
 	NodesPerRack int
@@ -46,9 +46,8 @@ type ScalePoint struct {
 }
 
 // ScaleSweep runs the Wordcount batch under every scheduler across the
-// cluster-size grid. Distances are hop-mode so the rack structure
-// collapses into distance classes and the class-aggregated selection path
-// carries the per-offer work; cross-traffic is off since background flows
+// cluster-size grid. Distances are hop-mode so the cost sums collapse per
+// rack and the rack-aggregated selection path carries the per-offer work; cross-traffic is off since background flows
 // at thousands of nodes would swamp the run without informing the sweep.
 // The workload is held fixed while the cluster grows (strong scaling):
 // the sweep shows the schedulers' placement quality and the simulation's

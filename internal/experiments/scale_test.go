@@ -8,7 +8,7 @@ import (
 )
 
 // smokeGrid is the CI-sized scale sweep: big enough to cross a rack
-// boundary and exercise the class-collapsed selection path, small enough
+// boundary and exercise the rack-collapsed selection path, small enough
 // to stay test-sized.
 func smokeGrid() []ScaleSize {
 	return []ScaleSize{{Racks: 2, NodesPerRack: 20}, {Racks: 4, NodesPerRack: 20}}

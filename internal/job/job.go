@@ -195,18 +195,6 @@ func (m *MapTask) TotalOut() float64 {
 // DRead returns d_read^j: bytes of input consumed so far.
 func (m *MapTask) DRead() float64 { return m.Progress * m.Size }
 
-// CurrentOut returns A_jf: the bytes produced so far for reduce f, under
-// the task's output curve.
-func (m *MapTask) CurrentOut(f int) float64 {
-	if m.State == TaskDone {
-		return m.Out[f]
-	}
-	if m.Progress <= 0 {
-		return 0
-	}
-	return m.Out[f] * math.Pow(m.Progress, m.OutputCurve)
-}
-
 // setState is the one writer of State: it moves the task between the
 // job's per-state map counts.
 //

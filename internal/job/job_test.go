@@ -135,53 +135,6 @@ func TestPartitionSkewConcentrates(t *testing.T) {
 	}
 }
 
-func TestCurrentOutProgressCurve(t *testing.T) {
-	j := mustJob(t, Spec{
-		Name: "wc", Profile: testProfile(),
-		InputBytes: 128e6, BlockSize: 128e6, NumReduces: 2,
-	})
-	m := j.Maps[0]
-	m.Run(0, 0)
-	if got := m.CurrentOut(0); got != 0 {
-		t.Fatalf("CurrentOut at progress 0 = %v, want 0", got)
-	}
-	m.Progress = 0.5
-	half := m.CurrentOut(0)
-	if half <= 0 || half >= m.Out[0] {
-		t.Fatalf("CurrentOut at 0.5 = %v, want within (0, %v)", half, m.Out[0])
-	}
-	m.Progress = 1
-	if got := m.CurrentOut(0); math.Abs(got-m.Out[0]) > 1e-6 {
-		t.Fatalf("CurrentOut at 1 = %v, want %v", got, m.Out[0])
-	}
-	m.Complete(0)
-	m.Progress = 0.3 // stale progress must not matter once done
-	if got := m.CurrentOut(0); got != m.Out[0] {
-		t.Fatalf("done task CurrentOut = %v, want full %v", got, m.Out[0])
-	}
-}
-
-func TestEstimatorIdentityWhenCurveIsOne(t *testing.T) {
-	// With γ = 1, A_jf * B_j / d_read == I_jf at any progress — the
-	// paper's estimator is exact for proportional output.
-	j := mustJob(t, Spec{
-		Name: "wc", Profile: testProfile(),
-		InputBytes: 128e6, BlockSize: 128e6, NumReduces: 3,
-	})
-	m := j.Maps[0]
-	m.OutputCurve = 1
-	m.Run(0, 0)
-	for _, p := range []float64{0.1, 0.25, 0.5, 0.9} {
-		m.Progress = p
-		for f := range m.Out {
-			est := m.CurrentOut(f) * m.Size / m.DRead()
-			if math.Abs(est-m.Out[f]) > 1e-6*m.Out[f] {
-				t.Fatalf("estimator at p=%v: %v, want %v", p, est, m.Out[f])
-			}
-		}
-	}
-}
-
 func TestMapProgressAggregation(t *testing.T) {
 	j := mustJob(t, Spec{
 		Name: "wc", Profile: testProfile(),

@@ -1,5 +1,5 @@
 // Invariant audit: rebuild the service's derived state — availability
-// membership, per-class free-slot counts, store usage — from scratch and
+// membership, per-rack free-slot counts, store usage — from scratch and
 // diff it against the incrementally maintained state. The runtime
 // analogue of the schedlint epoch contracts: the static analyzers prove
 // mutation sites bump the right epochs, the audit proves the incremental
@@ -44,7 +44,7 @@ const usageEps = 1e-6
 
 // Audit rebuilds the derived state from scratch under the write lock
 // and diffs it against the incremental state: slot-usage ranges,
-// availability-set membership, per-class free-slot counts, replica-set
+// availability-set membership, per-rack free-slot counts, replica-set
 // validity, store usage statistics and link factors. It is synchronous
 // and safe to call concurrently with deciders and delta writers (it
 // serializes as one writer turn; the epoch does not move).
@@ -70,7 +70,7 @@ func (s *Service) Audit() AuditReport {
 		}
 	}
 
-	// 2+3. Availability membership and per-class counts, rebuilt from
+	// 2+3. Availability membership and per-rack counts, rebuilt from
 	// per-node free-slot ground truth.
 	r.Checks += 2
 	s.auditAvailLocked(&r, "map", s.slots.AvailMapNodes(), func(n topology.NodeID) bool {
@@ -129,7 +129,7 @@ func (s *Service) Audit() AuditReport {
 }
 
 // auditAvailLocked checks one slot kind's published availability
-// snapshot and per-class counts against ground truth. Caller holds the
+// snapshot and per-rack counts against ground truth. Caller holds the
 // write lock and guarantees the snapshots are materialized
 // (refreshLocked ran after the last delta).
 func (s *Service) auditAvailLocked(r *AuditReport, kind string, snapshot []topology.NodeID, free func(topology.NodeID) bool, drift func(string, ...any)) {
@@ -158,20 +158,20 @@ func (s *Service) auditAvailLocked(r *AuditReport, kind string, snapshot []topol
 	} else {
 		_, counts, _ = s.slots.AvailReduce()
 	}
-	if counts == nil || s.classes == nil {
+	if counts == nil {
 		return
 	}
-	wantCounts := make([]int, s.classes.Num())
+	wantCounts := make([]int, s.net.Racks())
 	for _, n := range want {
-		wantCounts[s.classes.Of(n)]++
+		wantCounts[s.net.Rack(n)]++
 	}
 	if len(counts) != len(wantCounts) {
-		drift("%s avail has %d classes, topology %d", kind, len(counts), len(wantCounts))
+		drift("%s avail has %d racks, topology %d", kind, len(counts), len(wantCounts))
 		return
 	}
-	for c := range counts {
-		if counts[c] != wantCounts[c] {
-			drift("%s avail class %d count %d, recomputed %d", kind, c, counts[c], wantCounts[c])
+	for r := range counts {
+		if counts[r] != wantCounts[r] {
+			drift("%s avail rack %d count %d, recomputed %d", kind, r, counts[r], wantCounts[r])
 		}
 	}
 }

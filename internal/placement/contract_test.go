@@ -10,7 +10,7 @@ import (
 // TestDeltaContract is the defensive delta contract, table-driven: every
 // rejected delta returns its specific typed error, matches the
 // ErrDeltaConflict family via errors.Is, and leaves the epoch, the
-// availability snapshots and the per-class counts exactly as they were.
+// availability snapshots and the per-rack counts exactly as they were.
 func TestDeltaContract(t *testing.T) {
 	cases := []struct {
 		name string
@@ -164,7 +164,7 @@ func TestDeltaContract(t *testing.T) {
 }
 
 // assertAvailEqual fails the test when an availability snapshot or its
-// per-class counts changed across a rejected delta.
+// per-rack counts changed across a rejected delta.
 func assertAvailEqual(t *testing.T, kind string, nodesBefore, nodesAfter []topology.NodeID, countsBefore, countsAfter []int) {
 	t.Helper()
 	if len(nodesBefore) != len(nodesAfter) {
@@ -176,11 +176,11 @@ func assertAvailEqual(t *testing.T, kind string, nodesBefore, nodesAfter []topol
 		}
 	}
 	if len(countsBefore) != len(countsAfter) {
-		t.Fatalf("%s class count length changed: %d -> %d", kind, len(countsBefore), len(countsAfter))
+		t.Fatalf("%s rack count length changed: %d -> %d", kind, len(countsBefore), len(countsAfter))
 	}
 	for c := range countsBefore {
 		if countsBefore[c] != countsAfter[c] {
-			t.Fatalf("%s class %d count changed: %d -> %d", kind, c, countsBefore[c], countsAfter[c])
+			t.Fatalf("%s rack %d count changed: %d -> %d", kind, c, countsBefore[c], countsAfter[c])
 		}
 	}
 }

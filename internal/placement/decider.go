@@ -87,8 +87,8 @@ type Request struct {
 
 	// AvailMap / AvailReduce snapshot the nodes that currently have at
 	// least one free slot of the kind, including the offered node, plus
-	// the optional per-class counts and identity version the
-	// class-collapsed cost sums consume (see core.Avail).
+	// the optional per-rack counts and identity version the
+	// rack-collapsed cost sums consume (see core.Avail).
 	AvailMap    core.Avail
 	AvailReduce core.Avail
 
@@ -178,7 +178,7 @@ type Outcome struct {
 }
 
 // Decider is one client's decision session against a Service: it owns
-// the per-client cost model (whose class-collapse scratch buffers make
+// the per-client cost model (whose rack-collapse scratch buffers make
 // it single-threaded), the incremental map/reduce cost caches, the RNG
 // consumed by the Bernoulli gate, and the observer stream decisions are
 // emitted to. A Decider is NOT safe for concurrent use; run one per
@@ -259,7 +259,7 @@ func NewDecider(svc *Service, cfg Config, rng *sim.RNG, stream *obs.Stream) *Dec
 	defer svc.mu.RUnlock()
 	// The Service constructor validated the same inputs, so this cannot
 	// fail today; each Decider gets its own model because the
-	// class-collapse scratch buffers inside are single-threaded. Should
+	// rack-collapse scratch buffers inside are single-threaded. Should
 	// it ever fail, the Decider is invalid: decisions surface
 	// ErrDeciderInvalid through Outcome.Err instead of panicking.
 	cost, err := core.NewCostModel(svc.net, svc.store, svc.rate, svc.mode)

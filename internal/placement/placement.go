@@ -7,7 +7,7 @@
 //
 //   - Service owns the shared scheduler-visible state — the network,
 //     the replicated block store, the slot state with its Avail
-//     snapshots and per-class counts — behind a
+//     snapshots and per-rack counts — behind a
 //     writer-applies-deltas / concurrent-readers-decide contract: the
 //     Apply* methods mutate under the write lock (bumping a delta
 //     epoch and eagerly rematerializing the availability snapshots),
@@ -72,12 +72,11 @@ type Deps struct {
 type Service struct {
 	mu sync.RWMutex
 
-	// net, rate, mode and classes are set once in NewService and never
-	// written again, so they are safe to read without the lock.
-	net     *topology.Cluster
-	rate    topology.RateObserver
-	mode    core.Mode
-	classes *topology.Classes
+	// net, rate and mode are set once in NewService and never written
+	// again, so they are safe to read without the lock.
+	net  *topology.Cluster
+	rate topology.RateObserver
+	mode core.Mode
 
 	// store and slots are the mutable scheduler-visible state the
 	// writer/reader contract exists for: deltas rewrite them under the
@@ -109,35 +108,33 @@ type Service struct {
 	linkFactors []float64
 }
 
-// NewService builds a decision service over the given state. The slot
-// state adopts the network's distance-class structure (hop mode), so
-// its availability snapshots carry the per-class counts the collapsed
-// cost sums consume.
+// NewService builds a decision service over the given state. In hop mode
+// the slot state counts free nodes per rack, so its availability
+// snapshots carry the per-rack counts the collapsed cost sums consume.
 //
 //lint:allow lockheld constructor: s is unpublished, no reader can exist before return
 func NewService(d Deps) (*Service, error) {
 	if d.Net == nil || d.Slots == nil {
 		return nil, fmt.Errorf("placement: nil network or slot state")
 	}
-	// Validates the net/store/rate/mode combination and derives the
-	// class structure; Deciders rebuild their own models from the same
-	// inputs, so this one is only used for the validation and classes.
-	cm, err := core.NewCostModel(d.Net, d.Store, d.Rate, d.Mode)
-	if err != nil {
+	// Validates the net/store/rate/mode combination; Deciders build
+	// their own models from the same inputs.
+	if _, err := core.NewCostModel(d.Net, d.Store, d.Rate, d.Mode); err != nil {
 		return nil, err
 	}
 	if d.Net.Size() != d.Slots.Size() {
 		return nil, fmt.Errorf("placement: network has %d nodes, slot state %d", d.Net.Size(), d.Slots.Size())
 	}
 	s := &Service{
-		net:     d.Net,
-		store:   d.Store,
-		rate:    d.Rate,
-		slots:   d.Slots,
-		mode:    d.Mode,
-		classes: cm.Classes(),
+		net:   d.Net,
+		store: d.Store,
+		rate:  d.Rate,
+		slots: d.Slots,
+		mode:  d.Mode,
 	}
-	s.slots.SetClasses(s.classes)
+	if d.Mode == core.ModeHops {
+		s.slots.CountRacks(d.Net)
+	}
 	s.refreshLocked()
 	return s, nil
 }
@@ -177,7 +174,7 @@ type View struct {
 	Epoch       uint64
 }
 
-// Snapshot returns the current availability sets with their per-class
+// Snapshot returns the current availability sets with their per-rack
 // counts and identity versions, plus the delta epoch, read atomically
 // under the read lock. The node slices are copy-on-write (the slot
 // state allocates a fresh slice per membership change), so a returned

@@ -7,8 +7,8 @@
 // top-of-rack → core) matching the Palmetto testbed layout in Section III
 // of the paper. Transfers become flows across directed links with capacity
 // sharing, so the "network condition" (path transmission rate) emerges
-// from contention. Its distance matrix collapses to rack classes
-// (Classes).
+// from contention. Its hop distance between two hosts depends only on
+// their racks (RackDistance).
 package topology
 
 import (
@@ -126,14 +126,9 @@ type Cluster struct {
 	// it transiently (ProspectiveRate) or copies it (StartFlowBetween), so
 	// one scratch array replaces a per-transfer allocation.
 	pathBuf [4]LinkID
-
-	classes *Classes // memoized rack-level class view, built on first use
 }
 
-var (
-	_ RateObserver   = (*Cluster)(nil)
-	_ ClassedNetwork = (*Cluster)(nil)
-)
+var _ RateObserver = (*Cluster)(nil)
 
 // NewCluster builds the topology and its flow network on eng.
 func NewCluster(eng *sim.Engine, spec Spec) (*Cluster, error) {
@@ -167,17 +162,25 @@ func (c *Cluster) Size() int { return c.n }
 // Rack returns the rack index of node a.
 func (c *Cluster) Rack(a NodeID) int { return int(a) / c.spec.NodesPerRack }
 
-// Distance returns the H-matrix entry between two hosts: 0 (same node),
-// SameRackDist, or CrossRackDist.
-func (c *Cluster) Distance(a, b NodeID) float64 {
-	switch {
-	case a == b:
-		return 0
-	case c.Rack(a) == c.Rack(b):
+// Racks returns the number of racks.
+func (c *Cluster) Racks() int { return c.spec.Racks }
+
+// RackDistance returns the hop distance between two distinct hosts in
+// racks r and s: SameRackDist when r == s, CrossRackDist otherwise.
+func (c *Cluster) RackDistance(r, s int) float64 {
+	if r == s {
 		return c.spec.SameRackDist
-	default:
-		return c.spec.CrossRackDist
 	}
+	return c.spec.CrossRackDist
+}
+
+// Distance returns the H-matrix entry between two hosts: 0 for the same
+// node, RackDistance of their racks otherwise.
+func (c *Cluster) Distance(a, b NodeID) float64 {
+	if a == b {
+		return 0
+	}
+	return c.RackDistance(c.Rack(a), c.Rack(b))
 }
 
 // path returns the directed links a transfer from a to b traverses.

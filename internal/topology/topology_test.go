@@ -48,11 +48,18 @@ func TestClusterDistances(t *testing.T) {
 	if c.Rack(3) != 0 || c.Rack(4) != 1 || c.Rack(11) != 2 {
 		t.Fatalf("rack assignment wrong: %d %d %d", c.Rack(3), c.Rack(4), c.Rack(11))
 	}
-	// Symmetry.
+	if c.Racks() != 3 {
+		t.Fatalf("Racks() = %d, want 3", c.Racks())
+	}
+	// Symmetry, and every off-diagonal entry is its racks' distance.
 	for a := 0; a < c.Size(); a++ {
 		for b := 0; b < c.Size(); b++ {
-			if c.Distance(NodeID(a), NodeID(b)) != c.Distance(NodeID(b), NodeID(a)) {
+			d := c.Distance(NodeID(a), NodeID(b))
+			if d != c.Distance(NodeID(b), NodeID(a)) {
 				t.Fatalf("distance not symmetric for (%d,%d)", a, b)
+			}
+			if a != b && d != c.RackDistance(c.Rack(NodeID(a)), c.Rack(NodeID(b))) {
+				t.Fatalf("Distance(%d,%d) = %v, not its racks' distance", a, b, d)
 			}
 		}
 	}

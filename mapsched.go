@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"mapsched/internal/core"
@@ -204,8 +205,9 @@ func buildOptions(opts []Option) (options, error) {
 	for _, apply := range opts {
 		apply(&o)
 	}
+	// The float checks are written so that NaN fails them.
 	switch {
-	case o.pmin < 0 || o.pmin > 1:
+	case !(o.pmin >= 0 && o.pmin <= 1):
 		return o, fmt.Errorf("mapsched: %w: Pmin %v outside [0,1]", ErrInvalidOption, o.pmin)
 	case o.scale < 1:
 		return o, fmt.Errorf("mapsched: %w: scale %d must be >= 1", ErrInvalidOption, o.scale)
@@ -215,8 +217,8 @@ func buildOptions(opts []Option) (options, error) {
 		return o, fmt.Errorf("mapsched: %w: negative cross traffic %d", ErrInvalidOption, o.crossTraffic)
 	case o.storageSubsetSet && o.storageSubset < 0:
 		return o, fmt.Errorf("mapsched: %w: negative storage subset %d", ErrInvalidOption, o.storageSubset)
-	case o.hbExpirySet && o.hbExpiry < 0:
-		return o, fmt.Errorf("mapsched: %w: negative heartbeat expiry %v", ErrInvalidOption, o.hbExpiry)
+	case o.hbExpirySet && !(o.hbExpiry >= 0 && o.hbExpiry <= math.MaxFloat64):
+		return o, fmt.Errorf("mapsched: %w: heartbeat expiry %v must be finite and >= 0", ErrInvalidOption, o.hbExpiry)
 	case o.journalSet && o.journal == nil:
 		return o, fmt.Errorf("mapsched: %w: nil journal writer", ErrInvalidOption)
 	case o.tenantsSet && !o.arrivalsSet:

@@ -2,6 +2,7 @@ package mapsched
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -18,6 +19,7 @@ func TestOptionDomains(t *testing.T) {
 		{"pmin_above_one", WithPmin(1.01), false},
 		{"pmin_zero", WithPmin(0), true},
 		{"pmin_one", WithPmin(1), true},
+		{"pmin_nan", WithPmin(math.NaN()), false},
 		{"scale_zero", WithScale(0), false},
 		{"scale_negative", WithScale(-3), false},
 		{"scale_one", WithScale(1), true},
@@ -30,6 +32,8 @@ func TestOptionDomains(t *testing.T) {
 		{"storage_subset_zero", WithStorageSubset(0), true},
 		{"heartbeat_expiry_negative", WithHeartbeatExpiry(-1), false},
 		{"heartbeat_expiry_zero", WithHeartbeatExpiry(0), true},
+		{"heartbeat_expiry_nan", WithHeartbeatExpiry(math.NaN()), false},
+		{"heartbeat_expiry_inf", WithHeartbeatExpiry(math.Inf(1)), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
