@@ -1,11 +1,15 @@
 // Package cluster models the slot-based resource state of a Hadoop 1.x
 // cluster: each node exposes a fixed number of map and reduce computing
-// slots, acquired when a task launches and released at completion.
+// slots, acquired when a task launches and released at completion. All
+// per-kind state — slot counts, availability sets, cluster-wide totals —
+// is indexed by job.TaskKind, so each operation is written once for both
+// kinds.
 package cluster
 
 import (
 	"fmt"
 
+	"mapsched/internal/job"
 	"mapsched/internal/topology"
 )
 
@@ -40,22 +44,22 @@ func headroom(used, req, cap Resources) int {
 // modes: Hadoop 1.x fixed slots (the paper's testbed), or a YARN-style
 // container model where map and reduce tasks request resource vectors
 // from a shared node capacity (the paper's Section V future work).
+// Per-kind state is indexed by job.TaskKind, so every slot operation has
+// one code path for both kinds.
 type Node struct {
 	ID topology.NodeID
-	// MapSlots and ReduceSlots are the node's fixed slot counts, set at
-	// New; State.TotalSlots keeps their sum.
-	MapSlots    int
-	ReduceSlots int
+	// Slots are the node's fixed slot counts per task kind, set at New;
+	// State.TotalSlots keeps their sums.
+	Slots [2]int
 
-	usedMap     int
-	usedReduce  int
+	used        [2]int
 	offline     bool
 	blacklisted bool
 
-	resourceMode      bool
-	capacity          Resources
-	used              Resources
-	mapReq, reduceReq Resources
+	resourceMode bool
+	capacity     Resources
+	alloc        Resources    // container mode: resources held by running tasks
+	req          [2]Resources // container mode: per-task request by kind
 
 	// st points back to the owning State so slot transitions keep the
 	// cluster-wide availability sets and slot totals incremental; nil for
@@ -64,45 +68,35 @@ type Node struct {
 	st *State
 }
 
-// addUsed moves the node's occupied slot counts and, with them, the
-// cluster-wide totals UsedSlots reports.
-func (n *Node) addUsed(maps, reduces int) {
-	n.usedMap += maps
-	n.usedReduce += reduces
-	if n.st != nil {
-		n.st.usedMap += maps
-		n.st.usedReduce += reduces
-	}
-}
-
-// capacitySlots returns the node's slot capacities: its fixed slot
-// counts, or in container mode how many containers of each kind fit the
-// idle node.
-func (n *Node) capacitySlots() (maps, reduces int) {
+// capacitySlots returns how many kind-k tasks the idle node holds: its
+// fixed slot count, or in container mode how many k containers fit.
+func (n *Node) capacitySlots(k job.TaskKind) int {
 	if n.resourceMode {
-		return headroom(Resources{}, n.mapReq, n.capacity), headroom(Resources{}, n.reduceReq, n.capacity)
+		return headroom(Resources{}, n.req[k], n.capacity)
 	}
-	return n.MapSlots, n.ReduceSlots
+	return n.Slots[k]
 }
 
 // freeBefore snapshots the node's availability in both slot kinds; paired
 // with noteChange around every mutation.
-func (n *Node) freeBefore() (mapFree, reduceFree bool) {
-	return n.FreeMapSlots() > 0, n.FreeReduceSlots() > 0
+func (n *Node) freeBefore() (free [2]bool) {
+	for k := job.MapKind; k <= job.ReduceKind; k++ {
+		free[k] = n.FreeSlots(k) > 0
+	}
+	return free
 }
 
 // noteChange compares the node's availability against the pre-mutation
 // snapshot and tells the State about 0↔free transitions, keeping the
 // avail sets and their per-rack counts exact without per-offer rescans.
-func (n *Node) noteChange(mapWasFree, reduceWasFree bool) {
+func (n *Node) noteChange(was [2]bool) {
 	if n.st == nil {
 		return
 	}
-	if f := n.FreeMapSlots() > 0; f != mapWasFree {
-		n.st.availMap.flip(n.ID, f)
-	}
-	if f := n.FreeReduceSlots() > 0; f != reduceWasFree {
-		n.st.availReduce.flip(n.ID, f)
+	for k := job.MapKind; k <= job.ReduceKind; k++ {
+		if f := n.FreeSlots(k) > 0; f != was[k] {
+			n.st.avail[k].flip(n.ID, f)
+		}
 	}
 }
 
@@ -110,9 +104,9 @@ func (n *Node) noteChange(mapWasFree, reduceWasFree bool) {
 // slots. Slot bookkeeping of already-killed tasks must be released before
 // going offline.
 func (n *Node) SetOffline(off bool) {
-	bm, br := n.freeBefore()
+	was := n.freeBefore()
 	n.offline = off
-	n.noteChange(bm, br)
+	n.noteChange(was)
 }
 
 // Offline reports whether the node is dead.
@@ -123,9 +117,9 @@ func (n *Node) Offline() bool { return n.offline }
 // an offline node, keeps running its already-launched tasks — Hadoop's
 // per-job TaskTracker blacklist behaviour.
 func (n *Node) SetBlacklisted(b bool) {
-	bm, br := n.freeBefore()
+	was := n.freeBefore()
 	n.blacklisted = b
-	n.noteChange(bm, br)
+	n.noteChange(was)
 }
 
 // Blacklisted reports whether the node is blacklisted.
@@ -140,20 +134,19 @@ func (n *Node) EnableResources(capacity, mapReq, reduceReq Resources) error {
 	if mapReq.MemMB <= 0 || mapReq.VCores <= 0 || reduceReq.MemMB <= 0 || reduceReq.VCores <= 0 {
 		return fmt.Errorf("cluster: node %d: container requests must be positive", n.ID)
 	}
-	if n.usedMap != 0 || n.usedReduce != 0 {
+	if n.used != [2]int{} {
 		return fmt.Errorf("cluster: node %d: cannot switch modes with tasks running", n.ID)
 	}
-	bm, br := n.freeBefore()
-	tm, tr := n.capacitySlots()
+	was := n.freeBefore()
+	before := [2]int{n.capacitySlots(job.MapKind), n.capacitySlots(job.ReduceKind)}
 	n.resourceMode = true
 	n.capacity = capacity
-	n.mapReq = mapReq
-	n.reduceReq = reduceReq
-	n.noteChange(bm, br)
+	n.req = [2]Resources{mapReq, reduceReq}
+	n.noteChange(was)
 	if n.st != nil {
-		m, r := n.capacitySlots()
-		n.st.totalMap += m - tm
-		n.st.totalReduce += r - tr
+		for k := job.MapKind; k <= job.ReduceKind; k++ {
+			n.st.total[k] += n.capacitySlots(k) - before[k]
+		}
 	}
 	return nil
 }
@@ -161,106 +154,59 @@ func (n *Node) EnableResources(capacity, mapReq, reduceReq Resources) error {
 // ResourceMode reports whether the node uses the container model.
 func (n *Node) ResourceMode() bool { return n.resourceMode }
 
-// FreeMapSlots returns how many more map tasks the node can start right
+// FreeSlots returns how many more kind-k tasks the node can start right
 // now (0 when offline or blacklisted). In container mode this is the
-// resource headroom measured in map containers.
-func (n *Node) FreeMapSlots() int {
+// resource headroom measured in k containers.
+func (n *Node) FreeSlots(k job.TaskKind) int {
 	if n.offline || n.blacklisted {
 		return 0
 	}
 	if n.resourceMode {
-		return headroom(n.used, n.mapReq, n.capacity)
+		return headroom(n.alloc, n.req[k], n.capacity)
 	}
-	return n.MapSlots - n.usedMap
+	return n.Slots[k] - n.used[k]
 }
 
-// FreeReduceSlots returns how many more reduce tasks the node can start
-// right now (0 when offline or blacklisted).
-func (n *Node) FreeReduceSlots() int {
-	if n.offline || n.blacklisted {
-		return 0
-	}
+// UsedSlots returns the number of occupied kind-k slots.
+func (n *Node) UsedSlots(k job.TaskKind) int { return n.used[k] }
+
+// AcquireSlot occupies a kind-k slot (or container); it fails when none
+// fits.
+func (n *Node) AcquireSlot(k job.TaskKind) error {
+	was := n.freeBefore()
 	if n.resourceMode {
-		return headroom(n.used, n.reduceReq, n.capacity)
-	}
-	return n.ReduceSlots - n.usedReduce
-}
-
-// UsedMapSlots returns the number of occupied map slots.
-func (n *Node) UsedMapSlots() int { return n.usedMap }
-
-// UsedReduceSlots returns the number of occupied reduce slots.
-func (n *Node) UsedReduceSlots() int { return n.usedReduce }
-
-// AcquireMap occupies a map slot (or container); it fails when none fits.
-func (n *Node) AcquireMap() error {
-	bm, br := n.freeBefore()
-	if n.resourceMode {
-		if !fits(n.used, n.mapReq, n.capacity) {
-			return fmt.Errorf("cluster: node %d has no room for a map container", n.ID)
+		if !fits(n.alloc, n.req[k], n.capacity) {
+			return fmt.Errorf("cluster: node %d has no room for a %s container", n.ID, k)
 		}
-		n.used.MemMB += n.mapReq.MemMB
-		n.used.VCores += n.mapReq.VCores
-		n.addUsed(1, 0)
-		n.noteChange(bm, br)
-		return nil
+		n.alloc.MemMB += n.req[k].MemMB
+		n.alloc.VCores += n.req[k].VCores
+	} else if n.used[k] >= n.Slots[k] {
+		return fmt.Errorf("cluster: node %d has no free %s slot", n.ID, k)
 	}
-	if n.usedMap >= n.MapSlots {
-		return fmt.Errorf("cluster: node %d has no free map slot", n.ID)
+	n.used[k]++
+	if n.st != nil {
+		n.st.used[k]++
 	}
-	n.addUsed(1, 0)
-	n.noteChange(bm, br)
+	n.noteChange(was)
 	return nil
 }
 
-// ReleaseMap frees a map slot; releasing an unheld slot panics (it is
-// always an engine bug).
-func (n *Node) ReleaseMap() {
-	if n.usedMap <= 0 {
-		panic(fmt.Sprintf("cluster: node %d released an unheld map slot", n.ID))
+// ReleaseSlot frees a kind-k slot (or container); releasing an unheld
+// slot panics (it is always an engine bug).
+func (n *Node) ReleaseSlot(k job.TaskKind) {
+	if n.used[k] <= 0 {
+		panic(fmt.Sprintf("cluster: node %d released an unheld %s slot", n.ID, k))
 	}
-	bm, br := n.freeBefore()
-	n.addUsed(-1, 0)
+	was := n.freeBefore()
+	n.used[k]--
+	if n.st != nil {
+		n.st.used[k]--
+	}
 	if n.resourceMode {
-		n.used.MemMB -= n.mapReq.MemMB
-		n.used.VCores -= n.mapReq.VCores
+		n.alloc.MemMB -= n.req[k].MemMB
+		n.alloc.VCores -= n.req[k].VCores
 	}
-	n.noteChange(bm, br)
-}
-
-// AcquireReduce occupies a reduce slot (or container).
-func (n *Node) AcquireReduce() error {
-	bm, br := n.freeBefore()
-	if n.resourceMode {
-		if !fits(n.used, n.reduceReq, n.capacity) {
-			return fmt.Errorf("cluster: node %d has no room for a reduce container", n.ID)
-		}
-		n.used.MemMB += n.reduceReq.MemMB
-		n.used.VCores += n.reduceReq.VCores
-		n.addUsed(0, 1)
-		n.noteChange(bm, br)
-		return nil
-	}
-	if n.usedReduce >= n.ReduceSlots {
-		return fmt.Errorf("cluster: node %d has no free reduce slot", n.ID)
-	}
-	n.addUsed(0, 1)
-	n.noteChange(bm, br)
-	return nil
-}
-
-// ReleaseReduce frees a reduce slot (or container).
-func (n *Node) ReleaseReduce() {
-	if n.usedReduce <= 0 {
-		panic(fmt.Sprintf("cluster: node %d released an unheld reduce slot", n.ID))
-	}
-	bm, br := n.freeBefore()
-	n.addUsed(0, -1)
-	if n.resourceMode {
-		n.used.MemMB -= n.reduceReq.MemMB
-		n.used.VCores -= n.reduceReq.VCores
-	}
-	n.noteChange(bm, br)
+	n.noteChange(was)
 }
 
 // availState tracks one slot kind's availability set incrementally: a
@@ -305,11 +251,11 @@ func (a *availState) flip(id topology.NodeID, free bool) {
 // scheduler contexts stay immutable.
 //
 //lint:publish availState
-func (a *availState) snapshot(nodes []*Node, free func(*Node) bool) []topology.NodeID {
+func (a *availState) snapshot(nodes []*Node, k job.TaskKind) []topology.NodeID {
 	if a.cache == nil || a.dirty {
 		out := make([]topology.NodeID, 0, len(nodes))
 		for _, n := range nodes {
-			if free(n) {
+			if n.FreeSlots(k) > 0 {
 				out = append(out, n.ID)
 			}
 		}
@@ -325,13 +271,13 @@ func (a *availState) snapshot(nodes []*Node, free func(*Node) bool) []topology.N
 // the state turns dirty so the next snapshot publishes the counts.
 //
 //lint:publish availState
-func (a *availState) countRacks(c *topology.Cluster, nodes []*Node, free func(*Node) bool) {
+func (a *availState) countRacks(c *topology.Cluster, nodes []*Node, k job.TaskKind) {
 	a.racks = c
 	a.counts = make([]int, c.Racks())
 	a.version++
 	a.dirty = true
 	for _, n := range nodes {
-		if free(n) {
+		if n.FreeSlots(k) > 0 {
 			a.counts[c.Rack(n.ID)]++
 		}
 	}
@@ -339,15 +285,13 @@ func (a *availState) countRacks(c *topology.Cluster, nodes []*Node, free func(*N
 
 // State is the slot state of the whole cluster.
 type State struct {
-	nodes       []*Node
-	availMap    availState
-	availReduce availState
+	nodes []*Node
+	avail [2]availState // indexed by job.TaskKind
 
-	// Cluster-wide occupied and capacity slot totals, kept by the nodes'
-	// Acquire*/Release* and EnableResources so the utilization sample
-	// taken on every slot transition is O(1).
-	usedMap, usedReduce   int
-	totalMap, totalReduce int
+	// Cluster-wide occupied and capacity slot totals per kind, kept by the
+	// nodes' AcquireSlot/ReleaseSlot and EnableResources so the
+	// utilization sample taken on every slot transition is O(1).
+	used, total [2]int
 }
 
 // New creates a cluster of n nodes with uniform slot counts.
@@ -360,12 +304,12 @@ func New(n, mapSlots, reduceSlots int) (*State, error) {
 	}
 	// Versions start at 1: consumers use 0 as "no identity known".
 	s := &State{
-		availMap: availState{version: 1}, availReduce: availState{version: 1},
-		totalMap: n * mapSlots, totalReduce: n * reduceSlots,
+		avail: [2]availState{{version: 1}, {version: 1}},
+		total: [2]int{n * mapSlots, n * reduceSlots},
 	}
 	s.nodes = make([]*Node, n)
 	for i := range s.nodes {
-		s.nodes[i] = &Node{ID: topology.NodeID(i), MapSlots: mapSlots, ReduceSlots: reduceSlots, st: s}
+		s.nodes[i] = &Node{ID: topology.NodeID(i), Slots: [2]int{mapSlots, reduceSlots}, st: s}
 	}
 	return s, nil
 }
@@ -376,62 +320,49 @@ func (s *State) Size() int { return len(s.nodes) }
 // Node returns the node with the given ID.
 func (s *State) Node(id topology.NodeID) *Node { return s.nodes[id] }
 
-func freeMap(n *Node) bool    { return n.FreeMapSlots() > 0 }
-func freeReduce(n *Node) bool { return n.FreeReduceSlots() > 0 }
-
 // CountRacks makes the availability sets also maintain per-rack
 // free-node counts of topology c (the O(1) inputs of the rack-collapsed
 // Formula 4/5 sums).
 func (s *State) CountRacks(c *topology.Cluster) {
-	s.availMap.countRacks(c, s.nodes, freeMap)
-	s.availReduce.countRacks(c, s.nodes, freeReduce)
+	for k := job.MapKind; k <= job.ReduceKind; k++ {
+		s.avail[k].countRacks(c, s.nodes, k)
+	}
 }
 
-// AvailMapNodes returns the IDs of nodes with at least one free map slot
-// (the N_m set of Formula 4), in ID order for determinism. The slice is
-// cached between membership changes; callers must not mutate it.
-func (s *State) AvailMapNodes() []topology.NodeID {
-	return s.availMap.snapshot(s.nodes, freeMap)
+// AvailNodes returns the IDs of nodes with at least one free kind-k slot
+// (the N_m set of Formula 4 for maps, N_r of Formula 5 for reduces), in
+// ID order for determinism. The slice is cached between membership
+// changes; callers must not mutate it.
+func (s *State) AvailNodes(k job.TaskKind) []topology.NodeID {
+	return s.avail[k].snapshot(s.nodes, k)
 }
 
-// AvailReduceNodes returns the IDs of nodes with at least one free reduce
-// slot (the N_r set of Formula 5).
-func (s *State) AvailReduceNodes() []topology.NodeID {
-	return s.availReduce.snapshot(s.nodes, freeReduce)
-}
-
-// AvailMap returns the map-slot availability set plus its per-rack counts
+// Avail returns the kind-k availability set plus its per-rack counts
 // (nil before CountRacks) and identity version. The counts are the copy
 // published with the node slice, once per version: flip mutates the live
 // array in place, and snapshots must stay immutable. Callers must not
 // mutate either slice.
-func (s *State) AvailMap() (nodes []topology.NodeID, counts []int, version uint64) {
-	nodes = s.availMap.snapshot(s.nodes, freeMap)
-	return nodes, s.availMap.published, s.availMap.version
-}
-
-// AvailReduce returns the reduce-slot availability set plus its per-rack
-// counts (nil before CountRacks) and identity version, published as for
-// AvailMap.
-func (s *State) AvailReduce() (nodes []topology.NodeID, counts []int, version uint64) {
-	nodes = s.availReduce.snapshot(s.nodes, freeReduce)
-	return nodes, s.availReduce.published, s.availReduce.version
+func (s *State) Avail(k job.TaskKind) (nodes []topology.NodeID, counts []int, version uint64) {
+	nodes = s.avail[k].snapshot(s.nodes, k)
+	return nodes, s.avail[k].published, s.avail[k].version
 }
 
 // Versions returns both availability sets' identity versions without
 // materializing the snapshots — the O(1) consistency probe the placement
 // service's torn-read assertion uses.
 func (s *State) Versions() (mapVersion, reduceVersion uint64) {
-	return s.availMap.version, s.availReduce.version
+	return s.avail[job.MapKind].version, s.avail[job.ReduceKind].version
 }
 
 // UsedSlots returns the cluster-wide occupied map and reduce slot counts.
-func (s *State) UsedSlots() (maps, reduces int) { return s.usedMap, s.usedReduce }
+func (s *State) UsedSlots() (maps, reduces int) { return s.used[job.MapKind], s.used[job.ReduceKind] }
 
 // TotalSlots returns the cluster-wide slot capacities. In container mode
 // the capacity is expressed as how many containers of each kind would fit
 // an idle cluster.
-func (s *State) TotalSlots() (maps, reduces int) { return s.totalMap, s.totalReduce }
+func (s *State) TotalSlots() (maps, reduces int) {
+	return s.total[job.MapKind], s.total[job.ReduceKind]
+}
 
 // EnableResources switches every node to the container model.
 func (s *State) EnableResources(capacity, mapReq, reduceReq Resources) error {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mapsched/internal/job"
 	"mapsched/internal/sim"
 	"mapsched/internal/topology"
 )
@@ -34,33 +35,33 @@ func TestSlotLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := s.Node(0)
-	if n.FreeMapSlots() != 2 || n.FreeReduceSlots() != 1 {
+	if n.FreeSlots(job.MapKind) != 2 || n.FreeSlots(job.ReduceKind) != 1 {
 		t.Fatal("fresh node has wrong free counts")
 	}
-	if err := n.AcquireMap(); err != nil {
+	if err := n.AcquireSlot(job.MapKind); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AcquireMap(); err != nil {
+	if err := n.AcquireSlot(job.MapKind); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AcquireMap(); err == nil {
+	if err := n.AcquireSlot(job.MapKind); err == nil {
 		t.Fatal("over-acquired map slot")
 	}
-	if n.UsedMapSlots() != 2 {
-		t.Fatalf("UsedMapSlots = %d", n.UsedMapSlots())
+	if n.UsedSlots(job.MapKind) != 2 {
+		t.Fatalf("UsedSlots(map) = %d", n.UsedSlots(job.MapKind))
 	}
-	n.ReleaseMap()
-	if n.FreeMapSlots() != 1 {
+	n.ReleaseSlot(job.MapKind)
+	if n.FreeSlots(job.MapKind) != 1 {
 		t.Fatal("release did not free slot")
 	}
-	if err := n.AcquireReduce(); err != nil {
+	if err := n.AcquireSlot(job.ReduceKind); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AcquireReduce(); err == nil {
+	if err := n.AcquireSlot(job.ReduceKind); err == nil {
 		t.Fatal("over-acquired reduce slot")
 	}
-	n.ReleaseReduce()
-	if n.UsedReduceSlots() != 0 {
+	n.ReleaseSlot(job.ReduceKind)
+	if n.UsedSlots(job.ReduceKind) != 0 {
 		t.Fatal("reduce slot not released")
 	}
 }
@@ -68,38 +69,38 @@ func TestSlotLifecycle(t *testing.T) {
 func TestReleaseUnheldPanics(t *testing.T) {
 	s, _ := New(1, 1, 1)
 	n := s.Node(0)
-	for _, f := range []func(){n.ReleaseMap, n.ReleaseReduce} {
+	for k := job.MapKind; k <= job.ReduceKind; k++ {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Error("releasing unheld slot did not panic")
 				}
 			}()
-			f()
+			n.ReleaseSlot(k)
 		}()
 	}
 }
 
 func TestAvailNodeSets(t *testing.T) {
 	s, _ := New(3, 1, 1)
-	if got := s.AvailMapNodes(); len(got) != 3 {
-		t.Fatalf("AvailMapNodes = %v", got)
+	if got := s.AvailNodes(job.MapKind); len(got) != 3 {
+		t.Fatalf("AvailNodes(map) = %v", got)
 	}
-	if err := s.Node(1).AcquireMap(); err != nil {
+	if err := s.Node(1).AcquireSlot(job.MapKind); err != nil {
 		t.Fatal(err)
 	}
-	got := s.AvailMapNodes()
+	got := s.AvailNodes(job.MapKind)
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("AvailMapNodes after acquire = %v", got)
+		t.Fatalf("AvailNodes(map) after acquire = %v", got)
 	}
-	if err := s.Node(0).AcquireReduce(); err != nil {
+	if err := s.Node(0).AcquireSlot(job.ReduceKind); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Node(2).AcquireReduce(); err != nil {
+	if err := s.Node(2).AcquireSlot(job.ReduceKind); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.AvailReduceNodes(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("AvailReduceNodes = %v", got)
+	if got := s.AvailNodes(job.ReduceKind); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("AvailNodes(reduce) = %v", got)
 	}
 	um, ur := s.UsedSlots()
 	if um != 1 || ur != 2 {
@@ -122,36 +123,36 @@ func TestResourceModeAccounting(t *testing.T) {
 	if !n.ResourceMode() {
 		t.Fatal("resource mode not enabled")
 	}
-	if n.FreeMapSlots() != 4 || n.FreeReduceSlots() != 2 {
-		t.Fatalf("idle headroom = %d/%d, want 4/2", n.FreeMapSlots(), n.FreeReduceSlots())
+	if n.FreeSlots(job.MapKind) != 4 || n.FreeSlots(job.ReduceKind) != 2 {
+		t.Fatalf("idle headroom = %d/%d, want 4/2", n.FreeSlots(job.MapKind), n.FreeSlots(job.ReduceKind))
 	}
 	// One reduce container consumes half the node: only 2 maps fit beside it.
-	if err := n.AcquireReduce(); err != nil {
+	if err := n.AcquireSlot(job.ReduceKind); err != nil {
 		t.Fatal(err)
 	}
-	if n.FreeMapSlots() != 2 {
-		t.Fatalf("map headroom beside a reduce = %d, want 2", n.FreeMapSlots())
+	if n.FreeSlots(job.MapKind) != 2 {
+		t.Fatalf("map headroom beside a reduce = %d, want 2", n.FreeSlots(job.MapKind))
 	}
-	if err := n.AcquireMap(); err != nil {
+	if err := n.AcquireSlot(job.MapKind); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AcquireMap(); err != nil {
+	if err := n.AcquireSlot(job.MapKind); err != nil {
 		t.Fatal(err)
 	}
-	if n.FreeMapSlots() != 0 || n.FreeReduceSlots() != 0 {
+	if n.FreeSlots(job.MapKind) != 0 || n.FreeSlots(job.ReduceKind) != 0 {
 		t.Fatal("node should be full")
 	}
-	if err := n.AcquireMap(); err == nil {
+	if err := n.AcquireSlot(job.MapKind); err == nil {
 		t.Fatal("over-committed a full node")
 	}
 	// Releases restore the full capacity.
-	n.ReleaseMap()
-	n.ReleaseMap()
-	n.ReleaseReduce()
-	if n.used != (Resources{}) {
-		t.Fatalf("resources leaked: %+v", n.used)
+	n.ReleaseSlot(job.MapKind)
+	n.ReleaseSlot(job.MapKind)
+	n.ReleaseSlot(job.ReduceKind)
+	if n.alloc != (Resources{}) {
+		t.Fatalf("resources leaked: %+v", n.alloc)
 	}
-	if n.FreeMapSlots() != 4 {
+	if n.FreeSlots(job.MapKind) != 4 {
 		t.Fatal("capacity not restored")
 	}
 }
@@ -166,8 +167,8 @@ func TestResourceModeFungibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	launched := 0
-	for n.FreeMapSlots() > 0 {
-		if err := n.AcquireMap(); err != nil {
+	for n.FreeSlots(job.MapKind) > 0 {
+		if err := n.AcquireSlot(job.MapKind); err != nil {
 			t.Fatal(err)
 		}
 		launched++
@@ -186,13 +187,13 @@ func TestResourceModeValidation(t *testing.T) {
 	if err := n.EnableResources(Resources{MemMB: 1, VCores: 1}, Resources{}, Resources{MemMB: 1, VCores: 1}); err == nil {
 		t.Error("zero map request accepted")
 	}
-	if err := n.AcquireMap(); err != nil {
+	if err := n.AcquireSlot(job.MapKind); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.EnableResources(Resources{MemMB: 8, VCores: 8}, Resources{MemMB: 1, VCores: 1}, Resources{MemMB: 1, VCores: 1}); err == nil {
 		t.Error("mode switch with running tasks accepted")
 	}
-	n.ReleaseMap()
+	n.ReleaseSlot(job.MapKind)
 	// Cluster-wide enable.
 	s2, _ := New(3, 1, 1)
 	if err := s2.EnableResources(Resources{MemMB: 4096, VCores: 4},
@@ -225,21 +226,19 @@ func TestAvailCountsTrackChurn(t *testing.T) {
 
 	check := func(step string) {
 		t.Helper()
-		for pass, get := range map[string]func() ([]topology.NodeID, []int, uint64){
-			"map": s.AvailMap, "reduce": s.AvailReduce,
-		} {
-			nodes, counts, _ := get()
+		for k := job.MapKind; k <= job.ReduceKind; k++ {
+			nodes, counts, _ := s.Avail(k)
 			want := make([]int, top.Racks())
 			for _, n := range nodes {
 				want[top.Rack(n)]++
 			}
 			if !reflect.DeepEqual(counts, want) {
 				t.Fatalf("%s after %s: incremental counts %v, rescan %v (avail %v)",
-					pass, step, counts, want, nodes)
+					k, step, counts, want, nodes)
 			}
 		}
 	}
-	mapVersion := func() uint64 { _, _, v := s.AvailMap(); return v }
+	mapVersion := func() uint64 { _, _, v := s.Avail(job.MapKind); return v }
 
 	check("init")
 	v0 := mapVersion()
@@ -249,11 +248,11 @@ func TestAvailCountsTrackChurn(t *testing.T) {
 
 	// Fill node 3's map slots: leaves the map set at the second acquire.
 	n3 := s.Node(3)
-	if err := n3.AcquireMap(); err != nil {
+	if err := n3.AcquireSlot(job.MapKind); err != nil {
 		t.Fatal(err)
 	}
 	check("first acquire")
-	if err := n3.AcquireMap(); err != nil {
+	if err := n3.AcquireSlot(job.MapKind); err != nil {
 		t.Fatal(err)
 	}
 	check("second acquire")
@@ -272,7 +271,7 @@ func TestAvailCountsTrackChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("resource mode 6")
-	n3.ReleaseMap()
+	n3.ReleaseSlot(job.MapKind)
 	check("release")
 	s.Node(5).SetOffline(false)
 	check("online 5")
@@ -280,39 +279,37 @@ func TestAvailCountsTrackChurn(t *testing.T) {
 	check("unblacklist 0")
 
 	// Reduce-side churn too.
-	if err := s.Node(7).AcquireReduce(); err != nil {
+	if err := s.Node(7).AcquireSlot(job.ReduceKind); err != nil {
 		t.Fatal(err)
 	}
 	check("acquire reduce 7")
-	s.Node(7).ReleaseReduce()
+	s.Node(7).ReleaseSlot(job.ReduceKind)
 	check("release reduce 7")
 
 	// The counts are published once per version: at an unchanged version
 	// every read returns the same slice and allocates nothing.
-	for pass, get := range map[string]func() ([]topology.NodeID, []int, uint64){
-		"map": s.AvailMap, "reduce": s.AvailReduce,
-	} {
-		_, first, _ := get()
-		_, second, _ := get()
+	for k := job.MapKind; k <= job.ReduceKind; k++ {
+		_, first, _ := s.Avail(k)
+		_, second, _ := s.Avail(k)
 		if &first[0] != &second[0] {
-			t.Fatalf("%s: counts republished at an unchanged version", pass)
+			t.Fatalf("%s: counts republished at an unchanged version", k)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { get() }); allocs != 0 {
-			t.Fatalf("%s: %v allocs per read at an unchanged version, want 0", pass, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { s.Avail(k) }); allocs != 0 {
+			t.Fatalf("%s: %v allocs per read at an unchanged version, want 0", k, allocs)
 		}
 	}
 
 	// A slice handed out before a flip keeps its contents after it.
-	_, before, _ := s.AvailMap()
+	_, before, _ := s.Avail(job.MapKind)
 	held := append([]int(nil), before...)
-	if err := n3.AcquireMap(); err != nil { // its last free slot: node 3 leaves
+	if err := n3.AcquireSlot(job.MapKind); err != nil { // its last free slot: node 3 leaves
 		t.Fatal(err)
 	}
 	check("reacquire 3")
 	if !reflect.DeepEqual(before, held) {
 		t.Fatalf("published counts changed under a flip: %v, were %v", before, held)
 	}
-	if _, after, _ := s.AvailMap(); reflect.DeepEqual(after, held) {
+	if _, after, _ := s.Avail(job.MapKind); reflect.DeepEqual(after, held) {
 		t.Fatalf("counts %v unchanged though node 3 left the map set", after)
 	}
 }
@@ -333,16 +330,16 @@ func TestSlotTotalsMatchNodeSums(t *testing.T) {
 		n := s.Node(topology.NodeID(rng.Intn(s.Size())))
 		switch rng.Intn(8) {
 		case 0:
-			_ = n.AcquireMap() // may be full, offline or blacklisted
+			_ = n.AcquireSlot(job.MapKind) // may be full, offline or blacklisted
 		case 1:
-			_ = n.AcquireReduce()
+			_ = n.AcquireSlot(job.ReduceKind)
 		case 2:
-			if n.UsedMapSlots() > 0 {
-				n.ReleaseMap()
+			if n.UsedSlots(job.MapKind) > 0 {
+				n.ReleaseSlot(job.MapKind)
 			}
 		case 3:
-			if n.UsedReduceSlots() > 0 {
-				n.ReleaseReduce()
+			if n.UsedSlots(job.ReduceKind) > 0 {
+				n.ReleaseSlot(job.ReduceKind)
 			}
 		case 4:
 			n.SetOffline(!n.Offline())
@@ -358,14 +355,14 @@ func TestSlotTotalsMatchNodeSums(t *testing.T) {
 		var um, ur, tm, tr int
 		for id := 0; id < s.Size(); id++ {
 			nd := s.Node(topology.NodeID(id))
-			um += nd.UsedMapSlots()
-			ur += nd.UsedReduceSlots()
+			um += nd.UsedSlots(job.MapKind)
+			ur += nd.UsedSlots(job.ReduceKind)
 			if nd.ResourceMode() {
-				tm += headroom(Resources{}, nd.mapReq, nd.capacity)
-				tr += headroom(Resources{}, nd.reduceReq, nd.capacity)
+				tm += headroom(Resources{}, nd.req[job.MapKind], nd.capacity)
+				tr += headroom(Resources{}, nd.req[job.ReduceKind], nd.capacity)
 			} else {
-				tm += nd.MapSlots
-				tr += nd.ReduceSlots
+				tm += nd.Slots[job.MapKind]
+				tr += nd.Slots[job.ReduceKind]
 			}
 		}
 		if gm, gr := s.UsedSlots(); gm != um || gr != ur {

@@ -178,34 +178,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// kind tells map tasks from reduce tasks where the task lifecycle is
-// shared; paired per-kind state is indexed by it.
-type kind int
-
-const (
-	mapKind kind = iota
-	reduceKind
-	numKinds
-)
-
-// String returns the kind as obs task references spell it.
-func (k kind) String() string {
-	if k == mapKind {
-		return "map"
-	}
-	return "reduce"
-}
-
 // taskRef names one task: its job, its kind and its index in the job's
 // task list of that kind.
 type taskRef struct {
 	j     *job.Job
-	kind  kind
+	kind  job.TaskKind
 	index int
 }
 
-func mapRef(m *job.MapTask) taskRef       { return taskRef{m.Job, mapKind, m.Index} }
-func reduceRef(r *job.ReduceTask) taskRef { return taskRef{r.Job, reduceKind, r.Index} }
+func mapRef(m *job.MapTask) taskRef       { return taskRef{m.Job, job.MapKind, m.Index} }
+func reduceRef(r *job.ReduceTask) taskRef { return taskRef{r.Job, job.ReduceKind, r.Index} }
 
 func (t taskRef) mapTask() *job.MapTask       { return t.j.Maps[t.index] }
 func (t taskRef) reduceTask() *job.ReduceTask { return t.j.Reduces[t.index] }
@@ -305,9 +287,10 @@ type flight struct {
 }
 
 // jobStats accumulates completed-task durations per kind for speculation.
+// Here and in Simulation, per-kind arrays are indexed by job.TaskKind.
 type jobStats struct {
-	completed [numKinds]int
-	totalDur  [numKinds]float64
+	completed [2]int
+	totalDur  [2]float64
 }
 
 // Simulation is one configured run.
@@ -330,7 +313,7 @@ type Simulation struct {
 	jobs   []*job.Job
 	active []*job.Job
 
-	running   [numKinds]map[taskRef]*taskRun
+	running   [2]map[taskRef]*taskRun
 	stats     map[job.ID]*jobStats
 	speedOf   []float64 // per-node compute-speed multiplier (1 = nominal)
 	baseSpeed []float64 // speedOf before transient slowdowns (heterogeneity only)
@@ -338,7 +321,7 @@ type Simulation struct {
 	// Free lists for the pooled hot-path records (pool.go) and the
 	// per-node heartbeat closures, allocated once instead of per beat.
 	freeRuns    []*taskRun
-	freeAtts    [numKinds][]*attempt
+	freeAtts    [2][]*attempt
 	freeBuckets []*srcBucket
 	freeFlights []*flight
 	hbFns       []func()
@@ -355,9 +338,9 @@ type Simulation struct {
 	// service, which also holds the Blacklisted flags.
 	crashed   map[topology.NodeID]bool
 	hbExpiry  float64
-	held      [numKinds]map[topology.NodeID]int // slots of crash-killed attempts awaiting detection
-	fails     map[taskRef]int                   // transient failures per task (attempt cap)
-	nodeFails map[failKey]int                   // per-(job, node) attempt failures (blacklist)
+	held      [2]map[topology.NodeID]int // slots of crash-killed attempts awaiting detection
+	fails     map[taskRef]int            // transient failures per task (attempt cap)
+	nodeFails map[failKey]int            // per-(job, node) attempt failures (blacklist)
 	// blacklistHolds counts, per blacklisted node, the active jobs whose
 	// failure tally crossed the threshold; the last holder's teardown
 	// releases the node back into the candidate sets (DESIGN.md §18).
@@ -387,18 +370,18 @@ type Simulation struct {
 	utilMap    metrics.TimeAvg
 	utilReduce metrics.TimeAvg
 
-	times [numKinds][]float64 // per-task running times
+	times [2][]float64 // per-task running times
 	ran   bool
 
 	mapRemoteBytes     float64 // map input fetched across the network
 	shuffleRemoteBytes float64 // intermediate data moved across the network
 	shuffleLocalBytes  float64 // intermediate data served from local disk
 
-	speculated        [numKinds]int // backup attempts launched
-	specWins          [numKinds]int // backups that finished first
-	relaunchedMaps    int           // done maps re-executed after node failure
-	relaunchedReduces int           // running reduces restarted after node failure
-	attemptFailures   int           // transient attempt failures injected
+	speculated        [2]int // backup attempts launched
+	specWins          [2]int // backups that finished first
+	relaunchedMaps    int    // done maps re-executed after node failure
+	relaunchedReduces int    // running reduces restarted after node failure
+	attemptFailures   int    // transient attempt failures injected
 }
 
 // failKey indexes the per-(job, node) attempt-failure tallies.
@@ -654,7 +637,7 @@ func (s *Simulation) heartbeat(n topology.NodeID) {
 	}
 	s.refreshProgress()
 	node := s.state.Node(n)
-	for node.FreeMapSlots() > 0 {
+	for node.FreeSlots(job.MapKind) > 0 {
 		ctx := s.buildCtx()
 		m := s.sch.AssignMap(ctx, n)
 		if m == nil {
@@ -666,13 +649,13 @@ func (s *Simulation) heartbeat(n topology.NodeID) {
 	}
 	// Speculative execution fills slots that have no pending work left.
 	if s.cfg.Speculation {
-		for node.FreeMapSlots() > 0 {
-			if !s.trySpeculate(mapKind, n) {
+		for node.FreeSlots(job.MapKind) > 0 {
+			if !s.trySpeculate(job.MapKind, n) {
 				break
 			}
 		}
 	}
-	for node.FreeReduceSlots() > 0 {
+	for node.FreeSlots(job.ReduceKind) > 0 {
 		ctx := s.buildCtx()
 		r := s.sch.AssignReduce(ctx, n)
 		if r == nil {
@@ -681,8 +664,8 @@ func (s *Simulation) heartbeat(n topology.NodeID) {
 		s.launchReduce(r, n)
 	}
 	if s.cfg.Speculation {
-		for node.FreeReduceSlots() > 0 {
-			if !s.trySpeculate(reduceKind, n) {
+		for node.FreeSlots(job.ReduceKind) > 0 {
+			if !s.trySpeculate(job.ReduceKind, n) {
 				break
 			}
 		}
@@ -718,7 +701,7 @@ func (s *Simulation) refreshProgress() {
 		return
 	}
 	now := s.eng.Now()
-	for t, run := range s.running[mapKind] {
+	for t, run := range s.running[job.MapKind] {
 		best := 0.0
 		for _, a := range run.attempts {
 			if p := a.progress(now); p > best {
@@ -733,7 +716,7 @@ func (s *Simulation) refreshProgress() {
 // yet launched.
 func (s *Simulation) anyPendingReduce() bool {
 	for _, j := range s.active {
-		if j.HasPendingReduces() {
+		if j.HasPending(job.ReduceKind) {
 			return true
 		}
 	}
@@ -761,9 +744,6 @@ func (s *Simulation) aliveNearest(b hdfs.BlockID, from topology.NodeID) (topolog
 	return best, found
 }
 
-// slotKinds maps a task kind to the placement service's slot kind.
-var slotKinds = [numKinds]placement.SlotKind{placement.MapSlot, placement.ReduceSlot}
-
 // mustApply panics on a rejected placement delta. The engine applies
 // only deltas its own bookkeeping says are valid (the scheduler offered
 // the node because it had a free slot), so a rejection is an engine bug.
@@ -775,14 +755,14 @@ func mustApply(err error) {
 
 // acquireSlot takes a slot of kind k on node n for a new attempt and
 // samples utilization.
-func (s *Simulation) acquireSlot(k kind, n topology.NodeID) {
-	mustApply(s.place.ApplySlotAcquire(slotKinds[k], n))
+func (s *Simulation) acquireSlot(k job.TaskKind, n topology.NodeID) {
+	mustApply(s.place.ApplySlotAcquire(k, n))
 	s.sampleUtil()
 }
 
 // releaseSlot frees a slot of kind k on node n.
-func (s *Simulation) releaseSlot(k kind, n topology.NodeID) {
-	mustApply(s.place.ApplySlotRelease(slotKinds[k], n))
+func (s *Simulation) releaseSlot(k job.TaskKind, n topology.NodeID) {
+	mustApply(s.place.ApplySlotRelease(k, n))
 }
 
 // launchMap starts map task m on node n. It reports false when the task
@@ -794,7 +774,7 @@ func (s *Simulation) launchMap(m *job.MapTask, n topology.NodeID) bool {
 	if _, ok := s.aliveNearest(m.Block, n); !ok {
 		return false
 	}
-	s.acquireSlot(mapKind, n)
+	s.acquireSlot(job.MapKind, n)
 	m.Run(n, s.eng.Now())
 	m.Locality = s.cost.Locality(m, n)
 	s.startRun(mapRef(m), n, m.Locality)
@@ -806,7 +786,7 @@ func (s *Simulation) launchReduce(r *job.ReduceTask, n topology.NodeID) {
 	if r.State != job.TaskPending {
 		panic(fmt.Sprintf("engine: launching reduce %s/%d in state %v", r.Job.Spec.Name, r.Index, r.State))
 	}
-	s.acquireSlot(reduceKind, n)
+	s.acquireSlot(job.ReduceKind, n)
 	r.Run(n, s.eng.Now())
 	r.Locality = s.reduceLocality(r.Job, n)
 	s.startRun(reduceRef(r), n, r.Locality)
@@ -835,7 +815,7 @@ func (s *Simulation) startAttempt(run *taskRun, n topology.NodeID) {
 	att.node = n
 	att.launch = s.eng.Now()
 	run.attempts = append(run.attempts, att)
-	if run.task.kind == reduceKind {
+	if run.task.kind == job.ReduceKind {
 		r := run.task.reduceTask()
 		att.locality = s.reduceLocality(r.Job, n)
 		if p := s.cfg.Faults.TaskFailProb; p > 0 && s.rngFaults.Bernoulli(p) {
@@ -953,7 +933,7 @@ func (s *Simulation) complete(run *taskRun, winner *attempt) {
 	// A map's time runs from its winning attempt's launch, a reduce's from
 	// the task's first launch.
 	var dur float64
-	if t.kind == mapKind {
+	if t.kind == job.MapKind {
 		m := t.mapTask()
 		m.Complete(now)
 		m.Node, m.Locality = winner.node, winner.locality
@@ -992,7 +972,7 @@ func (s *Simulation) winMap(run *taskRun, winner *attempt) {
 		if r.State != job.TaskRunning {
 			continue
 		}
-		rrun := s.running[reduceKind][reduceRef(r)]
+		rrun := s.running[job.ReduceKind][reduceRef(r)]
 		if rrun == nil {
 			continue
 		}
@@ -1037,7 +1017,7 @@ func (s *Simulation) finishReduce(run *taskRun, winner *attempt) {
 // attempt has run more than SpecSlowdown times its job's mean duration
 // of completed tasks of that kind (with at least SpecMinCompleted of
 // them); a backup of a map needs a live replica of its input.
-func (s *Simulation) trySpeculate(k kind, n topology.NodeID) bool {
+func (s *Simulation) trySpeculate(k job.TaskKind, n topology.NodeID) bool {
 	now := s.eng.Now()
 	var worst *taskRun
 	worstScore := s.cfg.SpecSlowdown
@@ -1067,7 +1047,7 @@ func (s *Simulation) trySpeculate(k kind, n topology.NodeID) bool {
 	if worst == nil {
 		return false
 	}
-	if k == mapKind {
+	if k == job.MapKind {
 		if _, ok := s.aliveNearest(worst.task.mapTask().Block, n); !ok {
 			return false
 		}
@@ -1242,7 +1222,7 @@ func (s *Simulation) outputStillNeeded(j *job.Job, m *job.MapTask) bool {
 		case job.TaskPending:
 			return true
 		case job.TaskRunning:
-			run := s.running[reduceKind][reduceRef(r)]
+			run := s.running[job.ReduceKind][reduceRef(r)]
 			if run == nil || run.liveAttempts() == 0 {
 				return true
 			}

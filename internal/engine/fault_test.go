@@ -69,7 +69,7 @@ func TestNodeFailureRecovery(t *testing.T) {
 		if !node.Offline() {
 			t.Fatalf("node %d not offline", n)
 		}
-		if node.UsedMapSlots() != 0 || node.UsedReduceSlots() != 0 {
+		if node.UsedSlots(job.MapKind) != 0 || node.UsedSlots(job.ReduceKind) != 0 {
 			t.Fatalf("node %d leaked slots after failure", n)
 		}
 	}

@@ -51,7 +51,7 @@ func (s *Simulation) scheduleFaults() {
 
 // sortedRuns returns the running tasks of kind k in (job, index) order,
 // so fault handling iterates deterministically.
-func (s *Simulation) sortedRuns(k kind) []*taskRun {
+func (s *Simulation) sortedRuns(k job.TaskKind) []*taskRun {
 	out := make([]*taskRun, 0, len(s.running[k]))
 	for _, run := range s.running[k] {
 		out = append(out, run)
@@ -75,7 +75,7 @@ func (s *Simulation) crashNode(d topology.NodeID) {
 		s.obs.Emit(obs.Event{T: float64(s.eng.Now()), Type: obs.NodeFail, Node: int(d)})
 	}
 
-	for k := mapKind; k < numKinds; k++ {
+	for k := job.MapKind; k <= job.ReduceKind; k++ {
 		for _, run := range s.sortedRuns(k) {
 			srcLost := false
 			for _, a := range run.attempts {
@@ -84,7 +84,7 @@ func (s *Simulation) crashNode(d topology.NodeID) {
 				case a.node == d:
 					s.kill(a, false)
 					s.held[k][d]++
-				case k == mapKind && a.fetchSrc == d && !a.fetchDone:
+				case k == job.MapKind && a.fetchSrc == d && !a.fetchDone:
 					if !s.restartMapFetch(a) {
 						srcLost = true
 					}
@@ -176,15 +176,15 @@ func (s *Simulation) detectNode(d topology.NodeID) {
 	}
 
 	// Reclaim the slots of attempts that died with the node.
-	for k := range s.held {
+	for k := job.MapKind; k <= job.ReduceKind; k++ {
 		for i := 0; i < s.held[k][d]; i++ {
-			s.releaseSlot(kind(k), d)
+			s.releaseSlot(k, d)
 		}
 		delete(s.held[k], d)
 	}
 
 	// Revert running map tasks whose every attempt died on d.
-	for _, run := range s.sortedRuns(mapKind) {
+	for _, run := range s.sortedRuns(job.MapKind) {
 		if run.liveAttempts() == 0 {
 			s.revert(run.task, d, "attempt_lost")
 		}
@@ -193,7 +193,7 @@ func (s *Simulation) detectNode(d topology.NodeID) {
 	// Reduces: drop shuffle state sourced from d (the contributing maps
 	// are re-executed below), revert tasks with no surviving attempt, and
 	// re-point tasks whose canonical attempt died while a backup lives.
-	for _, run := range s.sortedRuns(reduceKind) {
+	for _, run := range s.sortedRuns(job.ReduceKind) {
 		for _, att := range run.attempts {
 			if att.dead {
 				continue
@@ -250,7 +250,7 @@ func (s *Simulation) reset(t taskRef) {
 		delete(s.running[t.kind], t)
 		s.releaseRun(run)
 	}
-	if t.kind == mapKind {
+	if t.kind == job.MapKind {
 		t.mapTask().Reset()
 	} else {
 		t.reduceTask().Reset()
@@ -270,7 +270,7 @@ func (s *Simulation) relaunchLostOutput(m *job.MapTask) {
 // was lost (relaunchLostOutput).
 func (s *Simulation) revert(t taskRef, at topology.NodeID, reason string) {
 	s.reset(t)
-	if t.kind == reduceKind {
+	if t.kind == job.ReduceKind {
 		s.relaunchedReduces++
 	}
 	if s.obs.Enabled() {
@@ -314,7 +314,7 @@ func (s *Simulation) failAttempt(att *attempt) {
 	}
 	if run.liveAttempts() == 0 {
 		s.revert(t, node, "attempt_fail")
-	} else if t.kind == reduceKind && t.reduceTask().Node == node {
+	} else if t.kind == job.ReduceKind && t.reduceTask().Node == node {
 		s.repointReduce(t.reduceTask(), run)
 	}
 	s.noteNodeFailure(t.j, node)
@@ -415,12 +415,12 @@ func (s *Simulation) failJob(j *job.Job, reason string) {
 	j.Finished = s.eng.Now()
 	for i, m := range j.Maps {
 		if m.State == job.TaskRunning {
-			s.reset(taskRef{j, mapKind, i})
+			s.reset(taskRef{j, job.MapKind, i})
 		}
 	}
 	for i, r := range j.Reduces {
 		if r.State == job.TaskRunning {
-			s.reset(taskRef{j, reduceKind, i})
+			s.reset(taskRef{j, job.ReduceKind, i})
 		}
 	}
 	s.sampleUtil()
@@ -454,7 +454,7 @@ func (s *Simulation) applySlowdown(n topology.NodeID, factor float64) {
 	now := s.eng.Now()
 	ratio := old / next // > 1: remaining work takes longer
 
-	for k := mapKind; k < numKinds; k++ {
+	for k := job.MapKind; k <= job.ReduceKind; k++ {
 		for _, run := range s.sortedRuns(k) {
 			for _, a := range run.attempts {
 				if a.dead || a.node != n || a.computeDone || a.computeEv == nil {

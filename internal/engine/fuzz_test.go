@@ -120,8 +120,8 @@ func FuzzSimulation(f *testing.F) {
 		if um, ur := s.state.UsedSlots(); um != 0 || ur != 0 {
 			t.Fatalf("slots still held after the run: %d map, %d reduce", um, ur)
 		}
-		if len(s.running[mapKind]) != 0 || len(s.running[reduceKind]) != 0 {
-			t.Fatalf("running sets not empty: %d maps, %d reduces", len(s.running[mapKind]), len(s.running[reduceKind]))
+		if len(s.running[job.MapKind]) != 0 || len(s.running[job.ReduceKind]) != 0 {
+			t.Fatalf("running sets not empty: %d maps, %d reduces", len(s.running[job.MapKind]), len(s.running[job.ReduceKind]))
 		}
 		if live := s.topo.Net().ActiveFlows(); live != cfg.CrossTraffic {
 			t.Fatalf("%d flows live after the run, want the %d cross-traffic flows", live, cfg.CrossTraffic)

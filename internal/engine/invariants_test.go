@@ -255,10 +255,10 @@ type progressMark struct {
 func (o *progressOracle) AssignReduce(ctx *sched.Context, node topology.NodeID) *job.ReduceTask {
 	pending := false
 	for _, j := range ctx.Jobs {
-		pending = pending || j.HasPendingReduces()
+		pending = pending || j.HasPending(job.ReduceKind)
 	}
 	if !pending {
-		if len(o.sim.running[mapKind]) > 0 {
+		if len(o.sim.running[job.MapKind]) > 0 {
 			o.skipped++
 		}
 		return o.Scheduler.AssignReduce(ctx, node)
@@ -266,7 +266,7 @@ func (o *progressOracle) AssignReduce(ctx *sched.Context, node topology.NodeID) 
 	if ctx.Now != o.sim.eng.Now() {
 		o.t.Fatalf("ctx.Now %v, engine clock %v", ctx.Now, o.sim.eng.Now())
 	}
-	for t, run := range o.sim.running[mapKind] {
+	for t, run := range o.sim.running[job.MapKind] {
 		m := t.mapTask()
 		want, dead := 0.0, 0
 		for _, a := range run.attempts {

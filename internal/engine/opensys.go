@@ -375,10 +375,10 @@ func (s *Simulation) preempt(j *job.Job, t *tenantState) {
 	s.preemptions++
 	t.preempted++
 	for i := range j.Maps {
-		s.reset(taskRef{j, mapKind, i})
+		s.reset(taskRef{j, job.MapKind, i})
 	}
 	for i := range j.Reduces {
-		s.reset(taskRef{j, reduceKind, i})
+		s.reset(taskRef{j, job.ReduceKind, i})
 	}
 	delete(s.stats, j.ID)
 	s.sampleUtil()

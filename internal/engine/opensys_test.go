@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mapsched/internal/faults"
+	"mapsched/internal/job"
 	"mapsched/internal/obs"
 	"mapsched/internal/sched"
 	"mapsched/internal/sim"
@@ -252,7 +253,7 @@ func TestOpenSystemPoolReset(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, att := range s.freeAtts[mapKind] {
+	for i, att := range s.freeAtts[job.MapKind] {
 		if att.run != nil || att.fetch != nil ||
 			att.computeEv != nil || att.failEv != nil || att.dead ||
 			att.fetchDone || att.computeDone || att.computeDur != 0 {
@@ -262,7 +263,7 @@ func TestOpenSystemPoolReset(t *testing.T) {
 			t.Fatalf("pooled map attempt %d lost its bound callbacks", i)
 		}
 	}
-	for i, att := range s.freeAtts[reduceKind] {
+	for i, att := range s.freeAtts[job.ReduceKind] {
 		if att.run != nil || att.computeEv != nil || att.dead ||
 			att.computing || att.shuffled != 0 || att.failFrac != 0 ||
 			len(att.pendingSrc) != 0 || len(att.flights) != 0 ||

@@ -68,7 +68,7 @@ func (s *Simulation) newAttempt(run *taskRun) *attempt {
 		return att
 	}
 	att := &attempt{run: run}
-	if k == mapKind {
+	if k == job.MapKind {
 		att.fetchFn = func() {
 			if att.dead {
 				return

@@ -163,15 +163,15 @@ func (s *Simulation) collect() *Result {
 		res.ReduceLocality.Merge(jr.ReduceLocality)
 		res.Jobs = append(res.Jobs, jr)
 	}
-	res.MapTimes = s.times[mapKind]
-	res.ReduceTimes = s.times[reduceKind]
+	res.MapTimes = s.times[job.MapKind]
+	res.ReduceTimes = s.times[job.ReduceKind]
 	res.MapRemoteBytes = s.mapRemoteBytes
 	res.ShuffleRemoteBytes = s.shuffleRemoteBytes
 	res.ShuffleLocalBytes = s.shuffleLocalBytes
-	res.Speculated = s.speculated[mapKind]
-	res.SpecWins = s.specWins[mapKind]
-	res.SpeculatedReduces = s.speculated[reduceKind]
-	res.SpecReduceWins = s.specWins[reduceKind]
+	res.Speculated = s.speculated[job.MapKind]
+	res.SpecWins = s.specWins[job.MapKind]
+	res.SpeculatedReduces = s.speculated[job.ReduceKind]
+	res.SpecReduceWins = s.specWins[job.ReduceKind]
 	res.RelaunchedMaps = s.relaunchedMaps
 	res.RelaunchedReduces = s.relaunchedReduces
 	res.AttemptFailures = s.attemptFailures

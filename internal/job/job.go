@@ -4,8 +4,9 @@
 // counters (d_read, A_jf) that the paper's estimator consumes.
 //
 // Task state moves only through the MapTask/ReduceTask Run, Complete and
-// Reset methods, over one private setState per task kind. That funnel
-// keeps per-job pending, running and done counts, which Assemble seeds
+// Reset methods, over one private setState per task type and the one
+// per-kind counter they share. That funnel keeps per-job pending,
+// running and done counts, indexed by TaskKind and seeded by Assemble
 // from the tasks' initial states, so the scheduler's hot questions —
 // does a job have a pending task, how many of its tasks run — are O(1)
 // instead of rescans of every task. The schedlint funnel analyzer holds
@@ -23,6 +24,29 @@ import (
 
 // ID identifies a job within a simulation run.
 type ID int
+
+// TaskKind tells map tasks from reduce tasks. Hadoop 1.x gives every node
+// a fixed pool of slots of each kind, and the paper states its placement
+// rule once per kind (Algorithm 1 / Formula 4 over N_m, Algorithm 2 /
+// Formula 5 over N_r), so per-kind state throughout the simulator — slot
+// counts, availability sets, task counts, engine bookkeeping — is a
+// two-element array indexed by it.
+type TaskKind int
+
+// Task kinds.
+const (
+	MapKind TaskKind = iota
+	ReduceKind
+)
+
+// String returns the kind as journal records and task references spell
+// it.
+func (k TaskKind) String() string {
+	if k == ReduceKind {
+		return "reduce"
+	}
+	return "map"
+}
 
 // TaskState is the lifecycle of a map or reduce task.
 type TaskState int
@@ -200,8 +224,8 @@ func (m *MapTask) DRead() float64 { return m.Progress * m.Size }
 //
 //lint:funnel
 func (m *MapTask) setState(st TaskState) {
-	m.Job.countMap(m.State, -1)
-	m.Job.countMap(st, 1)
+	m.Job.count(MapKind, m.State, -1)
+	m.Job.count(MapKind, st, 1)
 	m.State = st
 }
 
@@ -259,8 +283,8 @@ func (r *ReduceTask) RunTime() float64 { return float64(r.Finish - r.Launch) }
 //
 //lint:funnel
 func (r *ReduceTask) setState(st TaskState) {
-	r.Job.countReduce(r.State, -1)
-	r.Job.countReduce(st, 1)
+	r.Job.count(ReduceKind, r.State, -1)
+	r.Job.count(ReduceKind, st, 1)
 	r.State = st
 }
 
@@ -298,9 +322,8 @@ type Job struct {
 	DoneMaps int //lint:funnel
 	DoneReds int //lint:funnel
 
-	// Tasks in TaskPending and TaskRunning, per kind.
-	pendingMaps, runningMaps int
-	pendingReds, runningReds int
+	// Tasks in TaskPending and TaskRunning, indexed by TaskKind.
+	pending, running [2]int
 
 	// Failed marks a job the engine terminated unsuccessfully — a task
 	// exhausted its attempt budget, or every replica of an unread input
@@ -367,40 +390,30 @@ func Assemble(id ID, spec Spec, maps []*MapTask, reduces []*ReduceTask) *Job {
 	j := &Job{ID: id, Spec: spec, Maps: maps, Reduces: reduces, Submitted: spec.Submit}
 	for _, m := range maps {
 		m.Job = j
-		j.countMap(m.State, 1)
+		j.count(MapKind, m.State, 1)
 	}
 	for _, r := range reduces {
 		r.Job = j
-		j.countReduce(r.State, 1)
+		j.count(ReduceKind, r.State, 1)
 	}
 	return j
 }
 
-// countMap adds d to the job's count of maps in state st.
+// count adds d to the job's count of kind-k tasks in state st.
 //
 //lint:funnel
-func (j *Job) countMap(st TaskState, d int) {
+func (j *Job) count(k TaskKind, st TaskState, d int) {
 	switch st {
 	case TaskPending:
-		j.pendingMaps += d
+		j.pending[k] += d
 	case TaskRunning:
-		j.runningMaps += d
+		j.running[k] += d
 	case TaskDone:
-		j.DoneMaps += d
-	}
-}
-
-// countReduce adds d to the job's count of reduces in state st.
-//
-//lint:funnel
-func (j *Job) countReduce(st TaskState, d int) {
-	switch st {
-	case TaskPending:
-		j.pendingReds += d
-	case TaskRunning:
-		j.runningReds += d
-	case TaskDone:
-		j.DoneReds += d
+		if k == MapKind {
+			j.DoneMaps += d
+		} else {
+			j.DoneReds += d
+		}
 	}
 }
 
@@ -461,17 +474,17 @@ func (j *Job) MapProgress() float64 {
 	return p / float64(len(j.Maps))
 }
 
-// HasPendingMaps reports whether any map task is not yet launched.
-func (j *Job) HasPendingMaps() bool { return j.pendingMaps > 0 }
+// HasPending reports whether any task of kind k is not yet launched.
+func (j *Job) HasPending(k TaskKind) bool { return j.pending[k] > 0 }
 
-// HasPendingReduces reports whether any reduce task is not yet launched.
-func (j *Job) HasPendingReduces() bool { return j.pendingReds > 0 }
+// Running returns the number of currently running tasks of kind k.
+func (j *Job) Running(k TaskKind) int { return j.running[k] }
 
 // AppendPendingMaps appends the map tasks not yet launched to dst, in
 // task-index order, and returns the extended slice. The scan stops at
 // the last pending task, so callers reusing dst allocate nothing.
 func (j *Job) AppendPendingMaps(dst []*MapTask) []*MapTask {
-	left := j.pendingMaps
+	left := j.pending[MapKind]
 	for _, m := range j.Maps {
 		if left == 0 {
 			break
@@ -487,7 +500,7 @@ func (j *Job) AppendPendingMaps(dst []*MapTask) []*MapTask {
 // AppendPendingReduces appends the reduce tasks not yet launched to dst,
 // in task-index order, as AppendPendingMaps does for maps.
 func (j *Job) AppendPendingReduces(dst []*ReduceTask) []*ReduceTask {
-	left := j.pendingReds
+	left := j.pending[ReduceKind]
 	for _, r := range j.Reduces {
 		if left == 0 {
 			break
@@ -500,16 +513,13 @@ func (j *Job) AppendPendingReduces(dst []*ReduceTask) []*ReduceTask {
 	return dst
 }
 
-// RunningTasks returns the number of currently running map and reduce tasks.
-func (j *Job) RunningTasks() (maps, reduces int) { return j.runningMaps, j.runningReds }
-
 // HasReduceOn reports whether the job currently has a running reduce task
 // on the node — Algorithm 2 line 1 forbids co-locating two simultaneously
 // running reduces of one job (to limit I/O contention and downlink
 // congestion). Finished reduces release the node: with ~190 reduces per
 // job on 60 nodes the rule could not otherwise be satisfied.
 func (j *Job) HasReduceOn(n topology.NodeID) bool {
-	if j.runningReds == 0 {
+	if j.running[ReduceKind] == 0 {
 		return false
 	}
 	for _, r := range j.Reduces {

@@ -177,9 +177,8 @@ func TestPendingAndRunningViews(t *testing.T) {
 	if maps[0] != j.Maps[1] || maps[1] != j.Maps[2] || reds[0] != j.Reduces[0] || reds[1] != j.Reduces[2] {
 		t.Fatal("pending views not in task-index order")
 	}
-	m, r := j.RunningTasks()
-	if m != 1 || r != 1 {
-		t.Fatalf("RunningTasks = (%d,%d), want (1,1)", m, r)
+	if m, r := j.Running(MapKind), j.Running(ReduceKind); m != 1 || r != 1 {
+		t.Fatalf("Running = (%d,%d), want (1,1)", m, r)
 	}
 }
 
@@ -428,13 +427,13 @@ func checkCounts(t *testing.T, step int, j *Job) {
 		t.Fatalf("step %d: counts DoneMaps=%d DoneReds=%d, rescan %d/%d",
 			step, j.DoneMaps, j.DoneReds, mapsIn[TaskDone], redsIn[TaskDone])
 	}
-	if rm, rr := j.RunningTasks(); rm != mapsIn[TaskRunning] || rr != redsIn[TaskRunning] {
-		t.Fatalf("step %d: RunningTasks = (%d,%d), rescan (%d,%d)",
+	if rm, rr := j.Running(MapKind), j.Running(ReduceKind); rm != mapsIn[TaskRunning] || rr != redsIn[TaskRunning] {
+		t.Fatalf("step %d: Running = (%d,%d), rescan (%d,%d)",
 			step, rm, rr, mapsIn[TaskRunning], redsIn[TaskRunning])
 	}
-	if j.HasPendingMaps() != (mapsIn[TaskPending] > 0) || j.HasPendingReduces() != (redsIn[TaskPending] > 0) {
+	if j.HasPending(MapKind) != (mapsIn[TaskPending] > 0) || j.HasPending(ReduceKind) != (redsIn[TaskPending] > 0) {
 		t.Fatalf("step %d: HasPending = (%v,%v), rescan pending (%d,%d)",
-			step, j.HasPendingMaps(), j.HasPendingReduces(), mapsIn[TaskPending], redsIn[TaskPending])
+			step, j.HasPending(MapKind), j.HasPending(ReduceKind), mapsIn[TaskPending], redsIn[TaskPending])
 	}
 	// The views append after existing elements: seed dst with a sentinel.
 	gotMaps := j.AppendPendingMaps([]*MapTask{nil})

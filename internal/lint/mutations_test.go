@@ -13,7 +13,7 @@ import (
 // call them, because that path validates, journals and counts each
 // change in the delta epoch.
 var stateMutators = map[string]bool{
-	"AcquireMap": true, "AcquireReduce": true, "ReleaseMap": true, "ReleaseReduce": true,
+	"AcquireSlot": true, "ReleaseSlot": true,
 	"SetOffline": true, "SetBlacklisted": true, "SetHostLinkFactor": true,
 	"RemoveNodeReplicas": true, "AddReplica": true, "RemoveReplica": true, "SetReplicas": true,
 }

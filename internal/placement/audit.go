@@ -9,9 +9,11 @@ package placement
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"mapsched/internal/hdfs"
+	"mapsched/internal/job"
 	"mapsched/internal/topology"
 )
 
@@ -62,23 +64,19 @@ func (s *Service) Audit() AuditReport {
 	r.Checks++
 	for i := 0; i < size; i++ {
 		n := s.slots.Node(topology.NodeID(i))
-		if n.UsedMapSlots() < 0 || (!n.ResourceMode() && n.UsedMapSlots() > n.MapSlots) {
-			drift("node %d: used map slots %d outside [0,%d]", i, n.UsedMapSlots(), n.MapSlots)
-		}
-		if n.UsedReduceSlots() < 0 || (!n.ResourceMode() && n.UsedReduceSlots() > n.ReduceSlots) {
-			drift("node %d: used reduce slots %d outside [0,%d]", i, n.UsedReduceSlots(), n.ReduceSlots)
+		for k := job.MapKind; k <= job.ReduceKind; k++ {
+			if u := n.UsedSlots(k); u < 0 || (!n.ResourceMode() && u > n.Slots[k]) {
+				drift("node %d: used %s slots %d outside [0,%d]", i, k, u, n.Slots[k])
+			}
 		}
 	}
 
 	// 2+3. Availability membership and per-rack counts, rebuilt from
 	// per-node free-slot ground truth.
 	r.Checks += 2
-	s.auditAvailLocked(&r, "map", s.slots.AvailMapNodes(), func(n topology.NodeID) bool {
-		return s.slots.Node(n).FreeMapSlots() > 0
-	}, drift)
-	s.auditAvailLocked(&r, "reduce", s.slots.AvailReduceNodes(), func(n topology.NodeID) bool {
-		return s.slots.Node(n).FreeReduceSlots() > 0
-	}, drift)
+	for k := job.MapKind; k <= job.ReduceKind; k++ {
+		s.auditAvailLocked(k, drift)
+	}
 
 	// 4. Replica sets valid: every replica on a known node, no
 	// duplicates within a block.
@@ -128,35 +126,20 @@ func (s *Service) Audit() AuditReport {
 	return r
 }
 
-// auditAvailLocked checks one slot kind's published availability
-// snapshot and per-rack counts against ground truth. Caller holds the
-// write lock and guarantees the snapshots are materialized
-// (refreshLocked ran after the last delta).
-func (s *Service) auditAvailLocked(r *AuditReport, kind string, snapshot []topology.NodeID, free func(topology.NodeID) bool, drift func(string, ...any)) {
+// auditAvailLocked checks kind k's published availability snapshot and
+// per-rack counts against ground truth. Caller holds the write lock and
+// guarantees the snapshots are materialized (refreshLocked ran after the
+// last delta).
+func (s *Service) auditAvailLocked(k job.TaskKind, drift func(string, ...any)) {
+	snapshot, counts, _ := s.slots.Avail(k)
 	want := make([]topology.NodeID, 0, len(snapshot))
 	for i := 0; i < s.slots.Size(); i++ {
-		if n := topology.NodeID(i); free(n) {
+		if n := topology.NodeID(i); s.slots.Node(n).FreeSlots(k) > 0 {
 			want = append(want, n)
 		}
 	}
-	match := len(want) == len(snapshot)
-	if match {
-		for i := range want {
-			if want[i] != snapshot[i] {
-				match = false
-				break
-			}
-		}
-	}
-	if !match {
-		drift("%s avail snapshot %v, recomputed %v", kind, snapshot, want)
-	}
-
-	var counts []int
-	if kind == "map" {
-		_, counts, _ = s.slots.AvailMap()
-	} else {
-		_, counts, _ = s.slots.AvailReduce()
+	if !slices.Equal(want, snapshot) {
+		drift("%s avail snapshot %v, recomputed %v", k, snapshot, want)
 	}
 	if counts == nil {
 		return
@@ -166,12 +149,12 @@ func (s *Service) auditAvailLocked(r *AuditReport, kind string, snapshot []topol
 		wantCounts[s.net.Rack(n)]++
 	}
 	if len(counts) != len(wantCounts) {
-		drift("%s avail has %d racks, topology %d", kind, len(counts), len(wantCounts))
+		drift("%s avail has %d racks, topology %d", k, len(counts), len(wantCounts))
 		return
 	}
 	for r := range counts {
 		if counts[r] != wantCounts[r] {
-			drift("%s avail rack %d count %d, recomputed %d", kind, r, counts[r], wantCounts[r])
+			drift("%s avail rack %d count %d, recomputed %d", k, r, counts[r], wantCounts[r])
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mapsched/internal/job"
 	"mapsched/internal/metrics"
 	"mapsched/internal/obs"
 	"mapsched/internal/topology"
@@ -176,7 +177,7 @@ func TestStartAuditorReportsThroughSinks(t *testing.T) {
 	// Inject drift and wait for the auditor to see it. An acquire's client
 	// hook gives the mutation the write lock (so the injection itself is
 	// race-free) but still bypasses the store's usage bookkeeping.
-	if err := f.svc.ApplySlotAcquireNoted(MapSlot, 2, "", nil, func() { f.store.Replicas(b1)[0] = 5 }); err != nil {
+	if err := f.svc.ApplySlotAcquireNoted(job.MapKind, 2, "", nil, func() { f.store.Replicas(b1)[0] = 5 }); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.After(5 * time.Second)

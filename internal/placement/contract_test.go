@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"mapsched/internal/job"
 	"mapsched/internal/topology"
 )
 
@@ -22,17 +23,17 @@ func TestDeltaContract(t *testing.T) {
 			name: "double_acquire_exhausts_slots",
 			prep: func(t *testing.T, f *fixture) {
 				for i := 0; i < 2; i++ { // fixture has 2 reduce slots per node
-					if err := f.svc.ApplySlotAcquire(ReduceSlot, 3); err != nil {
+					if err := f.svc.ApplySlotAcquire(job.ReduceKind, 3); err != nil {
 						t.Fatal(err)
 					}
 				}
 			},
-			hit:  func(f *fixture) error { return f.svc.ApplySlotAcquire(ReduceSlot, 3) },
+			hit:  func(f *fixture) error { return f.svc.ApplySlotAcquire(job.ReduceKind, 3) },
 			want: ErrNoFreeSlot,
 		},
 		{
 			name: "release_before_acquire",
-			hit:  func(f *fixture) error { return f.svc.ApplySlotRelease(MapSlot, 2) },
+			hit:  func(f *fixture) error { return f.svc.ApplySlotRelease(job.MapKind, 2) },
 			want: ErrSlotNotHeld,
 		},
 		{
@@ -42,7 +43,7 @@ func TestDeltaContract(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			hit:  func(f *fixture) error { return f.svc.ApplySlotAcquire(MapSlot, 4) },
+			hit:  func(f *fixture) error { return f.svc.ApplySlotAcquire(job.MapKind, 4) },
 			want: ErrNodeUnavailable,
 		},
 		{
@@ -52,17 +53,17 @@ func TestDeltaContract(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			hit:  func(f *fixture) error { return f.svc.ApplySlotAcquire(ReduceSlot, 4) },
+			hit:  func(f *fixture) error { return f.svc.ApplySlotAcquire(job.ReduceKind, 4) },
 			want: ErrNodeUnavailable,
 		},
 		{
 			name: "acquire_unknown_node",
-			hit:  func(f *fixture) error { return f.svc.ApplySlotAcquire(MapSlot, 99) },
+			hit:  func(f *fixture) error { return f.svc.ApplySlotAcquire(job.MapKind, 99) },
 			want: ErrUnknownNode,
 		},
 		{
 			name: "release_negative_node",
-			hit:  func(f *fixture) error { return f.svc.ApplySlotRelease(MapSlot, -1) },
+			hit:  func(f *fixture) error { return f.svc.ApplySlotRelease(job.MapKind, -1) },
 			want: ErrUnknownNode,
 		},
 		{

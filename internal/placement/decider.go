@@ -66,15 +66,6 @@ func (p JobPolicy) String() string {
 	return "fair"
 }
 
-// TaskKind selects which running-task count fair ordering uses.
-type TaskKind int
-
-// Task kinds for job ordering.
-const (
-	MapTasks TaskKind = iota
-	ReduceTasks
-)
-
 // Request is the decision input for one slot offer: the live job set
 // with its progress state, the availability snapshots (the N_m / N_r of
 // Formulas 4–5, normally taken from Service.Snapshot), and the time the
@@ -104,25 +95,18 @@ type Request struct {
 	keyBuf []int
 }
 
-// OrderJobs returns req.Jobs sorted under the policy for the given kind,
-// considering only jobs that still have pending tasks of that kind. The
-// returned slice is Request scratch: valid until the next OrderJobs call
-// on the same Request, never retained by callers. The fair-policy sort
-// is a stable insertion sort on per-job keys computed once — identical
-// ordering to a stable sort with a recomputing comparator, without the
-// comparator closure or the O(n log n) task-list rescans.
-func OrderJobs(req *Request, policy JobPolicy, kind TaskKind) []*job.Job {
+// OrderJobs returns req.Jobs sorted under the policy for kind k,
+// considering only jobs that still have pending tasks of that kind (and,
+// for reduces, pass the slowstart gate). The returned slice is Request
+// scratch: valid until the next OrderJobs call on the same Request, never
+// retained by callers. The fair-policy sort is a stable insertion sort on
+// per-job running-task counts read once — identical ordering to a stable
+// sort with a recomputing comparator, without the comparator closure.
+func OrderJobs(req *Request, policy JobPolicy, k job.TaskKind) []*job.Job {
 	out := req.jobBuf[:0]
 	for _, j := range req.Jobs {
-		switch kind {
-		case MapTasks:
-			if j.HasPendingMaps() {
-				out = append(out, j)
-			}
-		case ReduceTasks:
-			if j.HasPendingReduces() && reduceEligible(req, j) {
-				out = append(out, j)
-			}
+		if j.HasPending(k) && (k == job.MapKind || reduceEligible(req, j)) {
+			out = append(out, j)
 		}
 	}
 	req.jobBuf = out
@@ -131,18 +115,13 @@ func OrderJobs(req *Request, policy JobPolicy, kind TaskKind) []*job.Job {
 	}
 	keys := req.keyBuf[:0]
 	for _, j := range out {
-		m, r := j.RunningTasks()
-		if kind == MapTasks {
-			keys = append(keys, m)
-		} else {
-			keys = append(keys, r)
-		}
+		keys = append(keys, j.Running(k))
 	}
 	req.keyBuf = keys
 	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && keys[k] < keys[k-1]; k-- {
-			keys[k], keys[k-1] = keys[k-1], keys[k]
-			out[k], out[k-1] = out[k-1], out[k]
+		for p := i; p > 0 && keys[p] < keys[p-1]; p-- {
+			keys[p], keys[p-1] = keys[p-1], keys[p]
+			out[p], out[p-1] = out[p-1], out[p]
 		}
 	}
 	return out
@@ -394,7 +373,7 @@ type mapScan struct {
 func (d *Decider) scanMaps(req *Request, node topology.NodeID) mapScan {
 	d.sweep(req)
 	var s mapScan
-	for _, j := range OrderJobs(req, d.cfg.JobPolicy, MapTasks) {
+	for _, j := range OrderJobs(req, d.cfg.JobPolicy, job.MapKind) {
 		d.mapBuf = j.AppendPendingMaps(d.mapBuf[:0])
 		sel, ok := core.SelectMapTaskWith(d.mapCost, d.cfg.Model, d.mapBuf, node, req.AvailMap)
 		if !ok {
@@ -603,7 +582,7 @@ func (d *Decider) PlaceReduce(req *Request, node topology.NodeID) (r *job.Reduce
 func (d *Decider) selectReduce(req *Request, node topology.NodeID, spread bool) (core.Choice, bool) {
 	var best core.Choice
 	found := false
-	for _, j := range OrderJobs(req, d.cfg.JobPolicy, ReduceTasks) {
+	for _, j := range OrderJobs(req, d.cfg.JobPolicy, job.ReduceKind) {
 		if spread && j.HasReduceOn(node) {
 			continue // Algorithm 2 line 1
 		}

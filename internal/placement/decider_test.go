@@ -216,17 +216,17 @@ func TestServiceDeltasMoveEpochAndAvail(t *testing.T) {
 		t.Fatalf("fresh service avail = %d/%d nodes, want 8/8", len(v0.AvailMap.Nodes), len(v0.AvailReduce.Nodes))
 	}
 
-	if err := f.svc.ApplySlotAcquire(ReduceSlot, 2); err != nil {
+	if err := f.svc.ApplySlotAcquire(job.ReduceKind, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.svc.ApplySlotAcquire(ReduceSlot, 2); err != nil {
+	if err := f.svc.ApplySlotAcquire(job.ReduceKind, 2); err != nil {
 		t.Fatal(err)
 	}
 	v := f.svc.Snapshot()
 	if len(v.AvailReduce.Nodes) != 7 {
 		t.Fatalf("after filling node 2's reduce slots: %d avail, want 7", len(v.AvailReduce.Nodes))
 	}
-	f.svc.ApplySlotRelease(ReduceSlot, 2)
+	f.svc.ApplySlotRelease(job.ReduceKind, 2)
 	if n := len(f.svc.Snapshot().AvailReduce.Nodes); n != 8 {
 		t.Fatalf("after release: %d avail, want 8", n)
 	}

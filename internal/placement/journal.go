@@ -30,6 +30,7 @@ import (
 	"io"
 
 	"mapsched/internal/hdfs"
+	"mapsched/internal/job"
 	"mapsched/internal/topology"
 )
 
@@ -74,12 +75,12 @@ type Record struct {
 	Note  string  `json:"note,omitempty"`  // opaque client annotation, surfaced by Recover
 }
 
-// slotKind maps the record's kind string back to the SlotKind.
-func (r *Record) slotKind() SlotKind {
-	if r.Kind == "reduce" {
-		return ReduceSlot
+// taskKind maps the record's kind string back to the task kind.
+func (r *Record) taskKind() job.TaskKind {
+	if r.Kind == job.ReduceKind.String() {
+		return job.ReduceKind
 	}
-	return MapSlot
+	return job.MapKind
 }
 
 // LinkState is one rescaled host link in a checkpoint (factor != 1).
@@ -328,8 +329,8 @@ func (s *Service) WriteCheckpoint(w io.Writer, note func() string) error {
 	cp.UsedReduce = make([]int, cp.Nodes)
 	for i := 0; i < cp.Nodes; i++ {
 		n := s.slots.Node(topology.NodeID(i))
-		cp.UsedMap[i] = n.UsedMapSlots()
-		cp.UsedReduce[i] = n.UsedReduceSlots()
+		cp.UsedMap[i] = n.UsedSlots(job.MapKind)
+		cp.UsedReduce[i] = n.UsedSlots(job.ReduceKind)
 		if n.Offline() {
 			cp.Offline = append(cp.Offline, i)
 		}

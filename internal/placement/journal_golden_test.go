@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mapsched/internal/job"
 )
 
 // updateGolden rewrites the journal format golden.
@@ -28,18 +30,18 @@ func TestJournalFormatGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps := []func() error{
-		func() error { return f.svc.ApplySlotAcquire(MapSlot, 0) },
-		func() error { return f.svc.ApplySlotAcquireNoted(ReduceSlot, 1, `"job-a" r0`, nil, nil) },
-		func() error { return f.svc.ApplySlotAcquire(MapSlot, 3) },
-		func() error { return f.svc.ApplySlotRelease(MapSlot, 0) },
-		func() error { return f.svc.ApplySlotReleaseNoted(ReduceSlot, 1, `"job-a" r0 done`, nil, nil) },
+		func() error { return f.svc.ApplySlotAcquire(job.MapKind, 0) },
+		func() error { return f.svc.ApplySlotAcquireNoted(job.ReduceKind, 1, `"job-a" r0`, nil, nil) },
+		func() error { return f.svc.ApplySlotAcquire(job.MapKind, 3) },
+		func() error { return f.svc.ApplySlotRelease(job.MapKind, 0) },
+		func() error { return f.svc.ApplySlotReleaseNoted(job.ReduceKind, 1, `"job-a" r0 done`, nil, nil) },
 		func() error { _, err := f.svc.ApplyReplicaAdd(b1, 4); return err },
 		func() error { _, err := f.svc.ApplyReplicaLoss(b1, 0); return err },
 		func() error { _, err := f.svc.ApplyNodeReplicaLoss(7); return err },
 		func() error { return f.svc.ApplyNodeOffline(5, true) },
 		func() error { return f.svc.ApplyNodeBlacklist(6, true) },
 		func() error { return f.svc.ApplyLinkFactor(2, 0.25) },
-		func() error { return f.svc.ApplySlotAcquire(ReduceSlot, 2) },
+		func() error { return f.svc.ApplySlotAcquire(job.ReduceKind, 2) },
 	}
 	for i, step := range steps {
 		if err := step(); err != nil {

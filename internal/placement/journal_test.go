@@ -11,6 +11,7 @@ import (
 	"mapsched/internal/cluster"
 	"mapsched/internal/core"
 	"mapsched/internal/hdfs"
+	"mapsched/internal/job"
 	"mapsched/internal/sim"
 	"mapsched/internal/topology"
 )
@@ -45,17 +46,17 @@ func journalFixture(t testing.TB) (*fixture, hdfs.BlockID, hdfs.BlockID) {
 func journalScript(t testing.TB, f *fixture, b1 hdfs.BlockID) int {
 	t.Helper()
 	steps := []func() error{
-		func() error { return f.svc.ApplySlotAcquire(MapSlot, 0) },
-		func() error { return f.svc.ApplySlotAcquireNoted(MapSlot, 0, `"job-a" 3`, nil, nil) },
-		func() error { return f.svc.ApplySlotAcquire(ReduceSlot, 1) },
-		func() error { return f.svc.ApplySlotRelease(MapSlot, 0) },
+		func() error { return f.svc.ApplySlotAcquire(job.MapKind, 0) },
+		func() error { return f.svc.ApplySlotAcquireNoted(job.MapKind, 0, `"job-a" 3`, nil, nil) },
+		func() error { return f.svc.ApplySlotAcquire(job.ReduceKind, 1) },
+		func() error { return f.svc.ApplySlotRelease(job.MapKind, 0) },
 		func() error { return f.svc.ApplyNodeOffline(5, true) },
 		func() error { return f.svc.ApplyNodeBlacklist(6, true) },
 		func() error { return f.svc.ApplyLinkFactor(3, 0.5) },
 		func() error { _, err := f.svc.ApplyReplicaAdd(b1, 4); return err },
 		func() error { _, err := f.svc.ApplyReplicaLoss(b1, 0); return err },
 		func() error { _, err := f.svc.ApplyNodeReplicaLoss(4); return err },
-		func() error { return f.svc.ApplySlotAcquireNoted(MapSlot, 2, "client-note", nil, nil) },
+		func() error { return f.svc.ApplySlotAcquireNoted(job.MapKind, 2, "client-note", nil, nil) },
 		func() error { return f.svc.ApplyNodeOffline(5, false) },
 	}
 	for i, step := range steps {
@@ -166,10 +167,10 @@ func TestRecoverFromCheckpointAndJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Three deltas, checkpoint, three more.
-	if err := f.svc.ApplySlotAcquire(MapSlot, 0); err != nil {
+	if err := f.svc.ApplySlotAcquire(job.MapKind, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.svc.ApplySlotAcquireNoted(MapSlot, 0, `"job-a" 3`, nil, nil); err != nil {
+	if err := f.svc.ApplySlotAcquireNoted(job.MapKind, 0, `"job-a" 3`, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.svc.ApplyNodeOffline(5, true); err != nil {
@@ -185,7 +186,7 @@ func TestRecoverFromCheckpointAndJournal(t *testing.T) {
 	if _, err := f.svc.ApplyReplicaAdd(b1, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.svc.ApplySlotAcquireNoted(MapSlot, 1, "post-cp", nil, nil); err != nil {
+	if err := f.svc.ApplySlotAcquireNoted(job.MapKind, 1, "post-cp", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -320,7 +321,7 @@ func TestJournalResumeAfterDamage(t *testing.T) {
 	if err := rec.Service.StartJournal(resumed); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Service.ApplySlotAcquire(MapSlot, 2); err != nil {
+	if err := rec.Service.ApplySlotAcquire(job.MapKind, 2); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := DecodeJournal(bytes.NewReader(resumed.Bytes()))
@@ -345,7 +346,7 @@ func TestJournalBrokenIsSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := f.svc.Epoch()
-	err := f.svc.ApplySlotAcquire(MapSlot, 0)
+	err := f.svc.ApplySlotAcquire(job.MapKind, 0)
 	if !errors.Is(err, ErrJournalBroken) {
 		t.Fatalf("delta after write failure: %v, want ErrJournalBroken", err)
 	}
@@ -355,11 +356,11 @@ func TestJournalBrokenIsSticky(t *testing.T) {
 	if got := f.svc.Snapshot(); len(got.AvailMap.Nodes) != 8 {
 		t.Fatal("rejected delta changed availability")
 	}
-	if err := f.svc.ApplySlotAcquire(ReduceSlot, 1); !errors.Is(err, ErrJournalBroken) {
+	if err := f.svc.ApplySlotAcquire(job.ReduceKind, 1); !errors.Is(err, ErrJournalBroken) {
 		t.Fatalf("journal breakage not sticky: %v", err)
 	}
 	f.svc.StopJournal()
-	if err := f.svc.ApplySlotAcquire(MapSlot, 0); err != nil {
+	if err := f.svc.ApplySlotAcquire(job.MapKind, 0); err != nil {
 		t.Fatalf("delta after StopJournal: %v", err)
 	}
 }
@@ -394,14 +395,14 @@ func TestRecoverRejectsBadCheckpoints(t *testing.T) {
 
 	// A journal that starts past the restore point has lost deltas.
 	f, _, _ := journalFixture(t)
-	if err := f.svc.ApplySlotAcquire(MapSlot, 0); err != nil { // not journaled
+	if err := f.svc.ApplySlotAcquire(job.MapKind, 0); err != nil { // not journaled
 		t.Fatal(err)
 	}
 	var journal bytes.Buffer
 	if err := f.svc.StartJournal(&journal); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.svc.ApplySlotAcquire(MapSlot, 1); err != nil { // seq 2
+	if err := f.svc.ApplySlotAcquire(job.MapKind, 1); err != nil { // seq 2
 		t.Fatal(err)
 	}
 	if _, err := Recover(recoveryDeps(t), nil, bytes.NewReader(journal.Bytes())); !errors.Is(err, ErrBadCheckpoint) {
@@ -595,10 +596,10 @@ func TestJournaledDeltaCost(t *testing.T) {
 	pair := func() {
 		n := topology.NodeID(i % nodes)
 		i++
-		if err := f.svc.ApplySlotAcquire(MapSlot, n); err != nil {
+		if err := f.svc.ApplySlotAcquire(job.MapKind, n); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.svc.ApplySlotRelease(MapSlot, n); err != nil {
+		if err := f.svc.ApplySlotRelease(job.MapKind, n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -629,10 +630,10 @@ func TestUnjournaledDeltaAllocs(t *testing.T) {
 	}
 	f := newFixture(t)
 	pair := func() {
-		if err := f.svc.ApplySlotAcquire(MapSlot, 0); err != nil {
+		if err := f.svc.ApplySlotAcquire(job.MapKind, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.svc.ApplySlotRelease(MapSlot, 0); err != nil {
+		if err := f.svc.ApplySlotRelease(job.MapKind, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"mapsched/internal/hdfs"
+	"mapsched/internal/job"
 	"mapsched/internal/sim"
 	"mapsched/internal/topology"
 )
@@ -25,7 +26,7 @@ import (
 // op e.
 type killOp struct {
 	op     Op
-	kind   SlotKind
+	kind   job.TaskKind
 	node   topology.NodeID
 	block  hdfs.BlockID
 	on     bool
@@ -78,9 +79,9 @@ func killOpLog(t *testing.T, n int) ([]killOp, [][]byte) {
 		o := killOp{node: topology.NodeID(rng.Intn(nodes)), block: []hdfs.BlockID{b1, b2}[rng.Intn(2)]}
 		switch r := rng.Intn(100); {
 		case r < 30:
-			o.op, o.kind = OpAcquire, []SlotKind{MapSlot, ReduceSlot}[rng.Intn(2)]
+			o.op, o.kind = OpAcquire, []job.TaskKind{job.MapKind, job.ReduceKind}[rng.Intn(2)]
 		case r < 55:
-			o.op, o.kind = OpRelease, []SlotKind{MapSlot, ReduceSlot}[rng.Intn(2)]
+			o.op, o.kind = OpRelease, []job.TaskKind{job.MapKind, job.ReduceKind}[rng.Intn(2)]
 		case r < 65:
 			o.op = OpReplicaAdd
 		case r < 72:

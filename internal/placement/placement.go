@@ -40,6 +40,7 @@ import (
 	"mapsched/internal/cluster"
 	"mapsched/internal/core"
 	"mapsched/internal/hdfs"
+	"mapsched/internal/job"
 	"mapsched/internal/topology"
 )
 
@@ -144,8 +145,9 @@ func NewService(d Deps) (*Service, error) {
 // the read lock. Callers hold the write lock (or own the Service
 // exclusively, as in NewService).
 func (s *Service) refreshLocked() {
-	s.slots.AvailMapNodes()
-	s.slots.AvailReduceNodes()
+	for k := job.MapKind; k <= job.ReduceKind; k++ {
+		s.slots.AvailNodes(k)
+	}
 }
 
 // appliedLocked finishes a delta under the write lock: rematerialize
@@ -182,8 +184,8 @@ type View struct {
 func (s *Service) Snapshot() View {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	am, amCounts, amVer := s.slots.AvailMap()
-	ar, arCounts, arVer := s.slots.AvailReduce()
+	am, amCounts, amVer := s.slots.Avail(job.MapKind)
+	ar, arCounts, arVer := s.slots.Avail(job.ReduceKind)
 	return View{
 		AvailMap:    core.Avail{Nodes: am, Counts: amCounts, Version: amVer},
 		AvailReduce: core.Avail{Nodes: ar, Counts: arCounts, Version: arVer},
@@ -191,22 +193,11 @@ func (s *Service) Snapshot() View {
 	}
 }
 
-// SlotKind selects which slot type a slot delta concerns.
-type SlotKind int
-
-// Slot kinds.
-const (
-	MapSlot SlotKind = iota
-	ReduceSlot
-)
-
-// String names the slot kind.
-func (k SlotKind) String() string {
-	if k == ReduceSlot {
-		return "reduce"
-	}
-	return "map"
-}
+// MapSlot and ReduceSlot name the task kinds as slot deltas take them.
+// They are kept only because the benchmark's decide workload
+// (cmd/mrbench) names placement.MapSlot; new code passes job.MapKind and
+// job.ReduceKind.
+const MapSlot, ReduceSlot = job.MapKind, job.ReduceKind
 
 // nodeLocked resolves a delta's node ID against the cluster, rejecting
 // IDs outside it. Caller holds the write lock.
@@ -230,7 +221,7 @@ func (s *Service) blockLocked(id hdfs.BlockID) error {
 // validated against current state first: an unknown node, an offline or
 // blacklisted node, or a node with no free slot of the kind rejects it
 // with a typed ErrDeltaConflict error and no state change.
-func (s *Service) ApplySlotAcquire(k SlotKind, n topology.NodeID) error {
+func (s *Service) ApplySlotAcquire(k job.TaskKind, n topology.NodeID) error {
 	return s.ApplySlotAcquireNoted(k, n, "", nil, nil)
 }
 
@@ -240,7 +231,7 @@ func (s *Service) ApplySlotAcquire(k SlotKind, n topology.NodeID) error {
 // reject the delta with client-level validation; note is recorded in
 // the journal and surfaced by Recover; fn (if non-nil) runs after the
 // slot is acquired to mutate client-owned state (task lifecycles).
-func (s *Service) ApplySlotAcquireNoted(k SlotKind, n topology.NodeID, note string, pre func() error, fn func()) error {
+func (s *Service) ApplySlotAcquireNoted(k job.TaskKind, n topology.NodeID, note string, pre func() error, fn func()) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	node, err := s.nodeLocked(n)
@@ -250,11 +241,7 @@ func (s *Service) ApplySlotAcquireNoted(k SlotKind, n topology.NodeID, note stri
 	if node.Offline() || node.Blacklisted() {
 		return fmt.Errorf("%w: acquire on node %d", ErrNodeUnavailable, n)
 	}
-	free := node.FreeMapSlots()
-	if k == ReduceSlot {
-		free = node.FreeReduceSlots()
-	}
-	if free <= 0 {
+	if node.FreeSlots(k) <= 0 {
 		return fmt.Errorf("%w: %s acquire on node %d", ErrNoFreeSlot, k, n)
 	}
 	if pre != nil {
@@ -267,12 +254,7 @@ func (s *Service) ApplySlotAcquireNoted(k SlotKind, n topology.NodeID, note stri
 	}
 	// Validation above guarantees the acquire succeeds, so the journal
 	// record written first cannot end up describing a rejected delta.
-	if k == ReduceSlot {
-		err = node.AcquireReduce()
-	} else {
-		err = node.AcquireMap()
-	}
-	if err != nil {
+	if err := node.AcquireSlot(k); err != nil {
 		return fmt.Errorf("%w: %v", ErrNoFreeSlot, err)
 	}
 	if fn != nil {
@@ -286,24 +268,20 @@ func (s *Service) ApplySlotAcquireNoted(k SlotKind, n topology.NodeID, note stri
 // on node n (it finished or was killed). A release without a matching
 // acquire is rejected with ErrSlotNotHeld (it used to panic deep in the
 // cluster state).
-func (s *Service) ApplySlotRelease(k SlotKind, n topology.NodeID) error {
+func (s *Service) ApplySlotRelease(k job.TaskKind, n topology.NodeID) error {
 	return s.ApplySlotReleaseNoted(k, n, "", nil, nil)
 }
 
 // ApplySlotReleaseNoted is ApplySlotRelease with a journal annotation
 // and client hooks; see ApplySlotAcquireNoted for the contract.
-func (s *Service) ApplySlotReleaseNoted(k SlotKind, n topology.NodeID, note string, pre func() error, fn func()) error {
+func (s *Service) ApplySlotReleaseNoted(k job.TaskKind, n topology.NodeID, note string, pre func() error, fn func()) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	node, err := s.nodeLocked(n)
 	if err != nil {
 		return err
 	}
-	held := node.UsedMapSlots()
-	if k == ReduceSlot {
-		held = node.UsedReduceSlots()
-	}
-	if held <= 0 {
+	if node.UsedSlots(k) <= 0 {
 		return fmt.Errorf("%w: %s release on node %d", ErrSlotNotHeld, k, n)
 	}
 	if pre != nil {
@@ -314,11 +292,7 @@ func (s *Service) ApplySlotReleaseNoted(k SlotKind, n topology.NodeID, note stri
 	if err := s.journalLocked(Record{Op: OpRelease, Kind: k.String(), Node: int(n), Note: note}); err != nil {
 		return err
 	}
-	if k == ReduceSlot {
-		node.ReleaseReduce()
-	} else {
-		node.ReleaseMap()
-	}
+	node.ReleaseSlot(k)
 	if fn != nil {
 		fn()
 	}

@@ -11,6 +11,7 @@ import (
 	"io"
 
 	"mapsched/internal/hdfs"
+	"mapsched/internal/job"
 	"mapsched/internal/topology"
 )
 
@@ -142,14 +143,11 @@ func (s *Service) restoreCheckpoint(cp *Checkpoint) error {
 		if cp.UsedMap[i] < 0 || cp.UsedReduce[i] < 0 {
 			return fmt.Errorf("%w: negative slot usage on node %d", ErrBadCheckpoint, i)
 		}
-		for j := 0; j < cp.UsedMap[i]; j++ {
-			if err := n.AcquireMap(); err != nil {
-				return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-			}
-		}
-		for j := 0; j < cp.UsedReduce[i]; j++ {
-			if err := n.AcquireReduce(); err != nil {
-				return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+		for k, used := range [2]int{cp.UsedMap[i], cp.UsedReduce[i]} {
+			for j := 0; j < used; j++ {
+				if err := n.AcquireSlot(job.TaskKind(k)); err != nil {
+					return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+				}
 			}
 		}
 	}
@@ -212,9 +210,9 @@ func (s *Service) applyRecord(r *Record) error {
 	n := topology.NodeID(r.Node)
 	switch r.Op {
 	case OpAcquire:
-		return s.ApplySlotAcquire(r.slotKind(), n)
+		return s.ApplySlotAcquire(r.taskKind(), n)
 	case OpRelease:
-		return s.ApplySlotRelease(r.slotKind(), n)
+		return s.ApplySlotRelease(r.taskKind(), n)
 	case OpReplicaAdd:
 		added, err := s.ApplyReplicaAdd(hdfs.BlockID(r.Block), n)
 		if err == nil && !added {

@@ -58,11 +58,11 @@ func TestConcurrentReadersUnderDeltas(t *testing.T) {
 		defer stop.Store(true)
 		for i := 0; i < iterations; i++ {
 			n := topology.NodeID(i % 8)
-			if err := f.svc.ApplySlotAcquire(MapSlot, n); err == nil {
-				f.svc.ApplySlotRelease(MapSlot, n)
+			if err := f.svc.ApplySlotAcquire(job.MapKind, n); err == nil {
+				f.svc.ApplySlotRelease(job.MapKind, n)
 			}
-			if err := f.svc.ApplySlotAcquire(ReduceSlot, n); err == nil {
-				f.svc.ApplySlotRelease(ReduceSlot, n)
+			if err := f.svc.ApplySlotAcquire(job.ReduceKind, n); err == nil {
+				f.svc.ApplySlotRelease(job.ReduceKind, n)
 			}
 			switch i % 4 {
 			case 0:
@@ -170,8 +170,8 @@ func TestAuditorUnderDeltaChurn(t *testing.T) {
 		defer stop.Store(true)
 		for i := 0; i < 1500; i++ {
 			n := topology.NodeID(i % 8)
-			if err := f.svc.ApplySlotAcquire(MapSlot, n); err == nil {
-				f.svc.ApplySlotRelease(MapSlot, n)
+			if err := f.svc.ApplySlotAcquire(job.MapKind, n); err == nil {
+				f.svc.ApplySlotRelease(job.MapKind, n)
 			}
 			switch i % 3 {
 			case 0:
@@ -267,8 +267,8 @@ func TestEvaluateUnderDeltas(t *testing.T) {
 		defer stop.Store(true)
 		for i := 0; i < 1000; i++ {
 			n := topology.NodeID(i % 8)
-			if err := f.svc.ApplySlotAcquire(MapSlot, n); err == nil {
-				f.svc.ApplySlotRelease(MapSlot, n)
+			if err := f.svc.ApplySlotAcquire(job.MapKind, n); err == nil {
+				f.svc.ApplySlotRelease(job.MapKind, n)
 			}
 		}
 	}()

@@ -54,7 +54,7 @@ func (c *Capacity) Name() string {
 // offered node: any job with a node-local task wins (in queue order),
 // then any with a rack-local task, then the head job's first pending map.
 func (c *Capacity) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
-	jobs := orderJobs(ctx, c.cfg.JobPolicy, mapKind)
+	jobs := placement.OrderJobs(ctx, c.cfg.JobPolicy, job.MapKind)
 	if len(jobs) == 0 {
 		return nil
 	}
@@ -80,7 +80,7 @@ func (c *Capacity) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
 // AssignReduce delays each reduce until the offered node holds some of
 // its input, up to the wait bound.
 func (c *Capacity) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceTask {
-	for _, j := range orderJobs(ctx, c.cfg.JobPolicy, reduceKind) {
+	for _, j := range placement.OrderJobs(ctx, c.cfg.JobPolicy, job.ReduceKind) {
 		pending := c.pendingReduces(j)
 		if len(pending) == 0 {
 			continue

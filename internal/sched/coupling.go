@@ -67,7 +67,7 @@ func (c *Coupling) Name() string {
 // AssignMap launches a randomly picked pending map with a probability set
 // by the offered node's locality degree for that task.
 func (c *Coupling) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
-	for _, j := range orderJobs(ctx, c.cfg.JobPolicy, mapKind) {
+	for _, j := range placement.OrderJobs(ctx, c.cfg.JobPolicy, job.MapKind) {
 		pending := c.pendingMaps(j)
 		if len(pending) == 0 {
 			continue
@@ -131,13 +131,12 @@ func (c *Coupling) emitReduce(ctx *Context, node topology.NodeID, r *job.ReduceT
 // intermediate sizes (the unscaled A_jf view the paper criticizes),
 // falling back to the offered node after MaxWaitRounds declined offers.
 func (c *Coupling) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceTask {
-	for _, j := range orderJobs(ctx, c.cfg.JobPolicy, reduceKind) {
+	for _, j := range placement.OrderJobs(ctx, c.cfg.JobPolicy, job.ReduceKind) {
 		if j.HasReduceOn(node) {
 			continue // the coupling scheduler also spreads reduces [5,15]
 		}
 		// Pacing: allow roughly MapProgress × NumReduces launched reduces.
-		_, running := j.RunningTasks()
-		launched := running + j.DoneReds
+		launched := j.Running(job.ReduceKind) + j.DoneReds
 		allowed := int(math.Ceil(j.MapProgress() * float64(j.NumReduces())))
 		if launched >= allowed {
 			continue

@@ -58,7 +58,7 @@ func (f *FairDelay) Name() string {
 // AssignMap implements delay scheduling: prefer a node-local task; if the
 // job has been skipped long enough, fall back to rack-local, then any.
 func (f *FairDelay) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
-	for _, j := range orderJobs(ctx, f.cfg.JobPolicy, mapKind) {
+	for _, j := range placement.OrderJobs(ctx, f.cfg.JobPolicy, job.MapKind) {
 		pending := f.pendingMaps(j)
 		var local, rack, any *job.MapTask
 		for _, m := range pending {
@@ -125,7 +125,7 @@ func (f *FairDelay) emitAssign(ctx *Context, node topology.NodeID, m *job.MapTas
 // AssignReduce launches the next pending reduce of the first eligible job
 // with no placement preference.
 func (f *FairDelay) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceTask {
-	for _, j := range orderJobs(ctx, f.cfg.JobPolicy, reduceKind) {
+	for _, j := range placement.OrderJobs(ctx, f.cfg.JobPolicy, job.ReduceKind) {
 		pending := f.pendingReduces(j)
 		if len(pending) == 0 {
 			continue

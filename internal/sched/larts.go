@@ -73,7 +73,7 @@ func (l *LARTS) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
 // sweet-spot share of the reduce's current input or is the current
 // maximum-data node, and otherwise waits a bounded number of offers.
 func (l *LARTS) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceTask {
-	for _, j := range orderJobs(ctx, l.cfg.Fair.JobPolicy, reduceKind) {
+	for _, j := range placement.OrderJobs(ctx, l.cfg.Fair.JobPolicy, job.ReduceKind) {
 		pending := l.pendingReduces(j)
 		if len(pending) == 0 {
 			continue

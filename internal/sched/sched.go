@@ -69,23 +69,6 @@ const (
 	FIFOJobs = placement.FIFOJobs
 )
 
-// taskKind selects which running-task count fair ordering uses.
-type taskKind = placement.TaskKind
-
-const (
-	mapKind    = placement.MapTasks
-	reduceKind = placement.ReduceTasks
-)
-
-// orderJobs returns ctx.Jobs sorted under the policy for the given kind,
-// considering only jobs that still have pending tasks of that kind; see
-// placement.OrderJobs. The returned slice is Context scratch: valid until
-// the next orderJobs call on the same Context, never retained by
-// schedulers.
-func orderJobs(ctx *Context, policy JobPolicy, kind taskKind) []*job.Job {
-	return placement.OrderJobs(ctx, policy, kind)
-}
-
 // pendingBuf is a baseline scheduler's scratch for one job's pending
 // tasks, reused across offers so listing candidates allocates nothing.
 // Each returned slice is valid until the next call of the same kind.

@@ -399,11 +399,11 @@ func TestOrderJobsFairVsFIFO(t *testing.T) {
 	// j1 has one running map, j2 none: fair order puts j2 first.
 	j1.Maps[0].Run(0, 0)
 	ctx := ctxFor(j1, j2)
-	fair := orderJobs(ctx, FairJobs, mapKind)
+	fair := placement.OrderJobs(ctx, FairJobs, job.MapKind)
 	if len(fair) != 2 || fair[0] != j2 {
 		t.Fatalf("fair order = %v, want j2 first", ids(fair))
 	}
-	fifo := orderJobs(ctx, FIFOJobs, mapKind)
+	fifo := placement.OrderJobs(ctx, FIFOJobs, job.MapKind)
 	if len(fifo) != 2 || fifo[0] != j1 {
 		t.Fatalf("fifo order = %v, want submission order", ids(fifo))
 	}
@@ -421,7 +421,7 @@ func TestOrderJobsSkipsDrainedJobs(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0}, 1)
 	finish(j.Maps[0], 0)
-	if got := orderJobs(ctxFor(j), FairJobs, mapKind); len(got) != 0 {
+	if got := placement.OrderJobs(ctxFor(j), FairJobs, job.MapKind); len(got) != 0 {
 		t.Fatalf("job with no pending maps still offered: %v", ids(got))
 	}
 }

@@ -234,7 +234,7 @@ func decisionOf(out placement.Outcome, node int, kind string) PlacementDecision 
 // MapTask and ReduceTask share and the slot kind it occupies.
 type taskRef struct {
 	lifecycle
-	slot placement.SlotKind
+	kind job.TaskKind
 }
 
 // state reads the task's current lifecycle state.
@@ -264,12 +264,12 @@ func (p *PlacementService) task(d PlacementDecision) (taskRef, error) {
 		if d.Task < 0 || d.Task >= len(j.Maps) {
 			return taskRef{}, fmt.Errorf("mapsched: job %q has no map %d", d.Job, d.Task)
 		}
-		return taskRef{j.Maps[d.Task], placement.MapSlot}, nil
+		return taskRef{j.Maps[d.Task], job.MapKind}, nil
 	}
 	if d.Task < 0 || d.Task >= len(j.Reduces) {
 		return taskRef{}, fmt.Errorf("mapsched: job %q has no reduce %d", d.Job, d.Task)
 	}
-	return taskRef{j.Reduces[d.Task], placement.ReduceSlot}, nil
+	return taskRef{j.Reduces[d.Task], job.ReduceKind}, nil
 }
 
 // taskNote encodes the client half of a committed or completed
@@ -302,7 +302,7 @@ func (p *PlacementService) Commit(d PlacementDecision) error {
 	}
 	n := topology.NodeID(d.Node)
 	// The service has no clock: task times stay zero.
-	return p.svc.ApplySlotAcquireNoted(t.slot, n, taskNote(d), expect(t, d, job.TaskPending),
+	return p.svc.ApplySlotAcquireNoted(t.kind, n, taskNote(d), expect(t, d, job.TaskPending),
 		func() { t.Run(n, 0) })
 }
 
@@ -314,7 +314,7 @@ func (p *PlacementService) Complete(d PlacementDecision) error {
 	if err != nil {
 		return err
 	}
-	return p.svc.ApplySlotReleaseNoted(t.slot, topology.NodeID(d.Node), taskNote(d), expect(t, d, job.TaskRunning),
+	return p.svc.ApplySlotReleaseNoted(t.kind, topology.NodeID(d.Node), taskNote(d), expect(t, d, job.TaskRunning),
 		func() { t.Complete(0) })
 }
 
