@@ -12,9 +12,6 @@ import (
 	"mapsched/internal/topology"
 )
 
-// Len returns the number of cached block rows.
-func (mc *MapCoster) Len() int { return len(mc.rows) }
-
 // rackShape is a cluster shape: racks × perRack nodes.
 type rackShape struct{ racks, perRack int }
 

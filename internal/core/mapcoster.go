@@ -111,6 +111,9 @@ func (mc *MapCoster) CostAvg(m *job.MapTask, a Avail) float64 {
 	return r.costSum / float64(len(a.Nodes))
 }
 
+// Len returns the number of cached block rows.
+func (mc *MapCoster) Len() int { return len(mc.rows) }
+
 // Forget drops the cached rows of a job's blocks. Blocks belong to
 // exactly one job's input file, so this cannot evict another job's state.
 func (mc *MapCoster) Forget(j *job.Job) {

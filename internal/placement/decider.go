@@ -188,12 +188,12 @@ type Decider struct {
 	// grow past the set of live jobs.
 	costerCache map[job.ID]costerEntry
 
-	// sweptLen / sweptTail identify the job set the last sweep ran
-	// against: the live list only ever appends strictly increasing job
-	// IDs, so an unchanged (length, last ID) pair means the set itself is
-	// unchanged and the sweep can be skipped.
-	sweptLen  int
-	sweptTail job.ID
+	// swept is the job set the last sweep ran against: the jobs whose
+	// cached state (reduce costers, map-cost rows) may outlive them. The
+	// live list only ever appends strictly increasing job IDs, so an
+	// unchanged (length, last ID) pair means the set itself is unchanged
+	// and the sweep can be skipped.
+	swept []*job.Job
 
 	// mapCost evaluates Formula 1 on the path the cost model picks (see
 	// core.CostModel.MapEvaluator).
@@ -298,36 +298,45 @@ func (d *Decider) coster(j *job.Job, now sim.Time) *core.ReduceCoster {
 	return rc
 }
 
-// sweep evicts cached state of jobs that left the live set (finished or
-// removed), fixing the per-completed-job leak of both the reduce-coster
-// cache and the map-cost rows. Evicted jobs are never offered slots
-// again, so eviction cannot change a scheduling decision. It runs on
-// every job-set change — detected by the (length, tail ID) signature of
-// the append-ordered live list, whose IDs strictly increase — rather than
-// only when the cache outgrows the live set: under balanced churn (one
-// job finishing as another arrives) the sizes stay equal while dead
-// entries pile up.
+// sweep evicts cached state of jobs that left the live set (finished,
+// failed or removed): the reduce-coster cache and the map-cost rows of
+// every departed job, whether or not it ever reached a reduce decision.
+// Evicted jobs are never offered slots again, and a re-filled row is
+// bit-identical to the evicted one, so eviction cannot change a
+// scheduling decision. It runs on every job-set change — detected by the
+// (length, tail ID) signature of the append-ordered live list, whose IDs
+// strictly increase — rather than only when the cache outgrows the live
+// set: under balanced churn (one job finishing as another arrives) the
+// sizes stay equal while dead entries pile up.
 func (d *Decider) sweep(req *Request) {
-	tail := job.ID(-1)
-	if n := len(req.Jobs); n > 0 {
-		tail = req.Jobs[n-1].ID
-	}
-	if len(req.Jobs) == d.sweptLen && tail == d.sweptTail && len(d.costerCache) <= len(req.Jobs) {
+	n := len(req.Jobs)
+	if n == len(d.swept) && (n == 0 || req.Jobs[n-1].ID == d.swept[n-1].ID) && len(d.costerCache) <= n {
 		return
 	}
-	d.sweptLen, d.sweptTail = len(req.Jobs), tail
-	live := make(map[job.ID]struct{}, len(req.Jobs))
+	live := make(map[job.ID]struct{}, n)
 	for _, j := range req.Jobs {
 		live[j.ID] = struct{}{}
 	}
-	for id, e := range d.costerCache {
-		if _, ok := live[id]; !ok {
-			if mc, ok := d.mapCost.(*core.MapCoster); ok {
-				mc.Forget(e.rc.Job())
-			}
-			delete(d.costerCache, id)
+	mc, _ := d.mapCost.(*core.MapCoster)
+	forget := func(j *job.Job) {
+		if mc != nil {
+			mc.Forget(j)
+		}
+		delete(d.costerCache, j.ID)
+	}
+	for _, j := range d.swept {
+		if _, ok := live[j.ID]; !ok {
+			forget(j)
 		}
 	}
+	// A coster built while the skip held against a reordered list has a
+	// job no swept set holds.
+	for id, e := range d.costerCache {
+		if _, ok := live[id]; !ok {
+			forget(e.rc.Job())
+		}
+	}
+	d.swept = append(d.swept[:0], req.Jobs...)
 }
 
 // consistency captures the markers the torn-snapshot check compares.

@@ -147,6 +147,29 @@ func TestSweepEvictsUnderBalancedChurn(t *testing.T) {
 	}
 }
 
+// TestSweepForgetsMapRowsOfEveryDepartedJob pins the map-row half of the
+// sweep: a job that leaves the live set before any reduce decision (a
+// failed job, say) must not keep its map-cost rows.
+func TestSweepForgetsMapRowsOfEveryDepartedJob(t *testing.T) {
+	f := newFixture(t)
+	d := f.decider(DefaultConfig())
+	mc, ok := d.mapCost.(*core.MapCoster)
+	if !ok {
+		t.Fatalf("hop-mode map evaluator is %T, want *core.MapCoster", d.mapCost)
+	}
+	j1 := f.addJob(t, 1, []topology.NodeID{0, 1, 2}, 1)
+	j2 := f.addJob(t, 2, []topology.NodeID{3, 4}, 1)
+	// Node 7 holds no replica, so the scan costs every pending map.
+	d.PlaceMap(reqFor(j1, j2), 7)
+	if got := mc.Len(); got != 5 {
+		t.Fatalf("%d map-cost rows after costing both jobs, want 5", got)
+	}
+	d.PlaceMap(reqFor(j2), 7)
+	if got := mc.Len(); got != 2 {
+		t.Fatalf("%d map-cost rows after job 1 left, want 2", got)
+	}
+}
+
 // TestPlaceMapOutcomeBreakdown checks the Outcome mirrors the decision:
 // a data-local candidate is assigned instantly with P = 1, and a remote
 // candidate under a prohibitive P_min is refused with the full breakdown.
