@@ -897,7 +897,6 @@ func (s *Simulation) kill(att *attempt, releaseSlot bool) {
 		}
 	}
 	if att.computeEv != nil {
-		att.computeEv.Cancel()
 		s.eng.Remove(att.computeEv)
 		att.computeEv = nil
 	}

@@ -465,7 +465,6 @@ func (s *Simulation) applySlowdown(n topology.NodeID, factor float64) {
 				if remaining <= 0 {
 					continue
 				}
-				a.computeEv.Cancel()
 				s.eng.Remove(a.computeEv)
 				remaining *= ratio
 				a.computeDur = elapsed + remaining

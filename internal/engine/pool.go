@@ -120,7 +120,6 @@ func (s *Simulation) releaseAttempt(att *attempt) {
 		s.eng.Remove(att.failEv)
 	}
 	if att.computeEv != nil {
-		att.computeEv.Cancel()
 		s.eng.Remove(att.computeEv)
 	}
 	if att.fetch != nil {
