@@ -80,8 +80,9 @@ func (o OpenSystem) Validate() error {
 	if o.MaxActive < 0 {
 		return fmt.Errorf("engine: negative MaxActive %d", o.MaxActive)
 	}
-	if o.Warmup < 0 {
-		return fmt.Errorf("engine: negative warmup %v", o.Warmup)
+	// The finite checks are written so NaN fails them too.
+	if !(o.Warmup >= 0 && o.Warmup <= math.MaxFloat64) {
+		return fmt.Errorf("engine: open-system warmup %v, want a finite number >= 0", o.Warmup)
 	}
 	if o.Preempt && o.MaxActive == 0 {
 		return fmt.Errorf("engine: preemption requires MaxActive > 0")
@@ -95,16 +96,16 @@ func (o OpenSystem) Validate() error {
 			return fmt.Errorf("engine: duplicate tenant %q", t.Name)
 		}
 		seen[t.Name] = true
-		if t.Weight < 0 {
-			return fmt.Errorf("engine: tenant %s: negative weight %v", t.Name, t.Weight)
+		if !(t.Weight >= 0 && t.Weight <= math.MaxFloat64) {
+			return fmt.Errorf("engine: tenant %s: weight %v, want a finite number >= 0", t.Name, t.Weight)
 		}
 		if t.QueueCap < 0 {
 			return fmt.Errorf("engine: tenant %s: negative queue cap %d", t.Name, t.QueueCap)
 		}
 	}
 	for i, a := range o.Arrivals {
-		if a.At < 0 {
-			return fmt.Errorf("engine: arrival %d at negative time %v", i, a.At)
+		if !(a.At >= 0 && a.At <= math.MaxFloat64) {
+			return fmt.Errorf("engine: arrival %d at %v, want a finite time >= 0", i, a.At)
 		}
 		if i > 0 && a.At < o.Arrivals[i-1].At {
 			return fmt.Errorf("engine: arrivals not sorted at %d", i)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -334,6 +335,15 @@ func TestOpenSystemValidation(t *testing.T) {
 	}{
 		{"preempt without cap", func(c *Config) { c.Open.Preempt = true }},
 		{"negative warmup", func(c *Config) { c.Open.Warmup = -1 }},
+		{"nan warmup", func(c *Config) { c.Open.Warmup = math.NaN() }},
+		{"infinite warmup", func(c *Config) { c.Open.Warmup = math.Inf(1) }},
+		{"nan weight", func(c *Config) {
+			c.Open.Tenants = []TenantPolicy{{Name: "a", Weight: math.NaN()}}
+		}},
+		{"infinite weight", func(c *Config) {
+			c.Open.Tenants = []TenantPolicy{{Name: "a", Weight: math.Inf(1)}}
+		}},
+		{"nan arrival time", func(c *Config) { c.Open.Arrivals[0].At = sim.Time(math.NaN()) }},
 		{"negative maxactive", func(c *Config) { c.Open.MaxActive = -2 }},
 		{"unsorted arrivals", func(c *Config) {
 			c.Open.Arrivals[0].At = c.Open.Arrivals[1].At + 5

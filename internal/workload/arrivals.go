@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,11 +55,12 @@ func (t Tenant) Validate() error {
 	if strings.ContainsAny(t.Name, ";:,= \t") {
 		return fmt.Errorf("workload: tenant name %q contains reserved characters", t.Name)
 	}
-	if t.Weight < 0 {
-		return fmt.Errorf("workload: tenant %s: negative weight %v", t.Name, t.Weight)
+	// The finite checks are written so NaN fails them too.
+	if !(t.Weight >= 0 && t.Weight <= math.MaxFloat64) {
+		return fmt.Errorf("workload: tenant %s: weight %v, want a finite number >= 0", t.Name, t.Weight)
 	}
-	if t.Rate < 0 {
-		return fmt.Errorf("workload: tenant %s: negative rate %v", t.Name, t.Rate)
+	if !(t.Rate >= 0 && t.Rate <= math.MaxFloat64) {
+		return fmt.Errorf("workload: tenant %s: rate %v, want a finite number >= 0", t.Name, t.Rate)
 	}
 	if t.MinGB < 0 || t.MaxGB < 0 || (t.MaxGB > 0 && t.MaxGB < t.MinGB) {
 		return fmt.Errorf("workload: tenant %s: bad input-size range [%d,%d] GB", t.Name, t.MinGB, t.MaxGB)
@@ -154,11 +156,12 @@ type ArrivalPlan struct {
 
 // Validate reports whether the plan is usable.
 func (p ArrivalPlan) Validate() error {
-	if p.Horizon < 0 {
-		return fmt.Errorf("workload: negative arrival horizon %v", p.Horizon)
+	// The finite checks are written so NaN fails them too.
+	if !(p.Horizon >= 0 && p.Horizon <= math.MaxFloat64) {
+		return fmt.Errorf("workload: arrival horizon %v, want a finite number >= 0", p.Horizon)
 	}
-	if p.Warmup < 0 {
-		return fmt.Errorf("workload: negative warmup %v", p.Warmup)
+	if !(p.Warmup >= 0 && p.Warmup <= math.MaxFloat64) {
+		return fmt.Errorf("workload: arrival warmup %v, want a finite number >= 0", p.Warmup)
 	}
 	if p.MaxActive < 0 {
 		return fmt.Errorf("workload: negative MaxActive %d", p.MaxActive)
@@ -167,12 +170,19 @@ func (p ArrivalPlan) Validate() error {
 		return fmt.Errorf("workload: preemption requires MaxActive > 0")
 	}
 	for i, tr := range p.Trace {
-		if tr.At < 0 {
-			return fmt.Errorf("workload: trace arrival %d at negative time %v", i, tr.At)
+		if !(tr.At >= 0 && tr.At <= math.MaxFloat64) {
+			return fmt.Errorf("workload: trace arrival %d at %v, want a finite time >= 0", i, tr.At)
 		}
 	}
 	return nil
 }
+
+// maxPoissonArrivals bounds the expected size of the generated stream,
+// Σ rate·horizon over the tenants. The open-system experiments expect
+// tens to hundreds of arrivals; a plan far beyond this bound is a typo
+// that would otherwise spend minutes and gigabytes generating jobs no
+// simulation could run.
+const maxPoissonArrivals = 100_000
 
 // Arrival is one job entering the open system: the instant, the tenant
 // it bills to, and the fully instantiated spec.
@@ -208,6 +218,14 @@ func BuildArrivals(plan ArrivalPlan, tenants []Tenant, seed int64, o Options) ([
 			return nil, fmt.Errorf("workload: duplicate tenant %q", t.Name)
 		}
 		byName[t.Name] = t
+	}
+	var expect float64
+	for _, t := range tenants {
+		expect += t.Rate * plan.Horizon
+	}
+	if expect > maxPoissonArrivals {
+		return nil, fmt.Errorf("workload: tenant rates over the %v s arrival horizon expect %.4g Poisson arrivals, above the limit of %d",
+			plan.Horizon, expect, maxPoissonArrivals)
 	}
 
 	var out []Arrival
