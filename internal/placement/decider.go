@@ -329,8 +329,8 @@ func (d *Decider) sweep(req *Request) {
 			forget(j)
 		}
 	}
-	// A coster built while the skip held against a reordered list has a
-	// job no swept set holds.
+	// A client list that breaks the append order can keep the skip
+	// while costers join for jobs no swept set holds.
 	for id, e := range d.costerCache {
 		if _, ok := live[id]; !ok {
 			forget(e.rc.Job())

@@ -30,6 +30,11 @@
 // same numbers. Whoever the client, the delta methods are the one
 // mutation path: each change is validated, journaled and counted in the
 // epoch.
+//
+// Map and reduce slots follow one rule stated twice in the paper
+// (Algorithm 1 / Formula 4 over N_m, Algorithm 2 / Formula 5 over N_r),
+// so slot deltas, job ordering and the audit take a job.TaskKind and run
+// one code path for both kinds.
 package placement
 
 import (

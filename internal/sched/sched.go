@@ -10,11 +10,12 @@
 //     at the data-"centrality" node with a bounded wait.
 //
 // All schedulers share the same job-level policy (fair ordering, as in the
-// paper's experiments; FIFO is available as an option) and are invoked by
-// the engine at heartbeat time with one offered node. Every scheduler
-// routes its state reads and decisions through a placement.Decider session
-// against the simulation's placement.Service — the schedulers are the
-// decision service's first client.
+// paper's experiments; FIFO is available as an option), which they call
+// as placement.OrderJobs with job.MapKind or job.ReduceKind, and are
+// invoked by the engine at heartbeat time with one offered node. Every
+// scheduler routes its state reads and decisions through a
+// placement.Decider session against the simulation's placement.Service —
+// the schedulers are the decision service's first client.
 package sched
 
 import (
