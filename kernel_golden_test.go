@@ -31,7 +31,8 @@ type goldenScenario struct {
 }
 
 // rackConfig is smallConfig reshaped to racks × perRack nodes, so the
-// hop-mode goldens pin multi-rack and singleton-rack decision streams.
+// goldens pin multi-rack and singleton-rack decision streams in both
+// distance modes.
 func rackConfig(racks, perRack int) ClusterConfig {
 	cfg := smallConfig()
 	cfg.Topology.Racks = racks
@@ -58,6 +59,10 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 			[]Option{WithSeed(5), WithScale(30)}},
 		{"wordcount_prob_12x1_s9", rackConfig(12, 1), Batch(Wordcount), SchedulerProbabilistic,
 			[]Option{WithSeed(9), WithScale(30)}},
+		{"terasort_netcond_4x3_s5", rackConfig(4, 3), Batch(Terasort), SchedulerProbabilistic,
+			[]Option{WithSeed(5), WithScale(30), WithCostMode(ModeNetworkCondition), WithCrossTraffic(6)}},
+		{"wordcount_netcond_12x1_s9", rackConfig(12, 1), Batch(Wordcount), SchedulerProbabilistic,
+			[]Option{WithSeed(9), WithScale(30), WithCostMode(ModeNetworkCondition), WithCrossTraffic(6)}},
 	}
 }
 
