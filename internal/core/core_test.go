@@ -469,14 +469,24 @@ func TestNetworkConditionMode(t *testing.T) {
 	if local <= 0 || local >= idle {
 		t.Fatalf("local distance %v, want in (0, %v)", local, idle)
 	}
-	// Mode validation.
+	// Mode validation: network-condition costs read a Cluster's link
+	// shares, so any other rate observer is rejected.
 	if _, err := NewCostModel(net, store, nil, ModeNetworkCondition); err == nil {
 		t.Fatal("network-condition mode without observer accepted")
+	}
+	if _, err := NewCostModel(net, store, fixedRate{}, ModeNetworkCondition); err == nil {
+		t.Fatal("network-condition mode over a non-Cluster observer accepted")
 	}
 	if ModeHops.String() != "hops" || ModeNetworkCondition.String() != "network-condition" {
 		t.Fatal("mode strings wrong")
 	}
 }
+
+// fixedRate is a rate observer that is not a Cluster.
+type fixedRate struct{}
+
+func (fixedRate) PathRate(a, b topology.NodeID) float64 { return 1 }
+func (fixedRate) Epoch() uint64                         { return 0 }
 
 func TestNewCostModelValidation(t *testing.T) {
 	if _, err := NewCostModel(nil, nil, nil, ModeHops); err == nil {

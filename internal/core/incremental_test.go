@@ -25,10 +25,16 @@ var rackShapes = []rackShape{{1, 12}, {3, 8}, {12, 1}}
 // job for the cache-equivalence tests.
 func churnSetup(t *testing.T, mode Mode, shape rackShape, seed int64) (*sim.Engine, *topology.Cluster, *CostModel, *job.Job) {
 	t.Helper()
-	eng := sim.NewEngine()
 	spec := topology.DefaultSpec()
 	spec.Racks = shape.racks
 	spec.NodesPerRack = shape.perRack
+	return churnSetupSpec(t, mode, spec, seed)
+}
+
+// churnSetupSpec is churnSetup on an arbitrary topology spec.
+func churnSetupSpec(t *testing.T, mode Mode, spec topology.Spec, seed int64) (*sim.Engine, *topology.Cluster, *CostModel, *job.Job) {
+	t.Helper()
+	eng := sim.NewEngine()
 	cl, err := topology.NewCluster(eng, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -335,4 +341,157 @@ func TestSelectMapTaskWithMatchesDirect(t *testing.T) {
 	if locals == 0 {
 		t.Fatal("no round had a remote best beside a local candidate")
 	}
+}
+
+// netShapes are the network-condition shapes the factored sums are
+// checked on: one rack, multi-node racks (the cross-rack InRate branch
+// beside same-rack paths) and singleton racks (every path cross-rack).
+var netShapes = []rackShape{{1, 12}, {4, 3}, {12, 1}}
+
+// TestNetworkCostsMatchPerPairSums is the oracle table for the
+// network-condition cost paths: MapCostAvg must equal the per-node sum of
+// MapCost, ReduceCoster.Cost the per-pair sum of Distance·S, and
+// ReduceCoster.CostAvg the per-pair sums of Distance weighted by S, all
+// compared with ==. The churn covers flow starts, completions and
+// persistent cross traffic, a severed host link (+Inf distances),
+// congestion alpha > 0, a block with no replica left, replica nodes in
+// the avail set, Refresh adding and removing map nodes, and offers that
+// alternate between nodes, so Cost's distance-row memo must invalidate on
+// node, epoch and node-set changes.
+func TestNetworkCostsMatchPerPairSums(t *testing.T) {
+	for _, shape := range netShapes {
+		t.Run(shape.String(), func(t *testing.T) {
+			spec := topology.DefaultSpec()
+			spec.Racks, spec.NodesPerRack = shape.racks, shape.perRack
+			spec.TorUplinkBps = 250e6 // lets ToR/core links bind
+			spec.CongestionAlpha = 0.2
+			eng, cl, cm, j := churnSetupSpec(t, ModeNetworkCondition, spec, 41)
+			testNetworkCostsMatchPerPairSums(t, eng, cl, cm, j)
+		})
+	}
+}
+
+func testNetworkCostsMatchPerPairSums(t *testing.T, eng *sim.Engine, cl *topology.Cluster, cm *CostModel, j *job.Job) {
+	rng := sim.NewRNG(43)
+	n := cl.Size()
+	rc := cm.NewReduceCoster(j, ProgressScaled{})
+	// A block with no replica left: every node's map cost is +Inf.
+	for _, l := range append([]topology.NodeID(nil), cm.store.Replicas(j.Maps[0].Block)...) {
+		cm.store.RemoveReplica(j.Maps[0].Block, l)
+	}
+
+	checkCost := func(round int, i topology.NodeID) {
+		t.Helper()
+		for f := 0; f < j.NumReduces(); f++ {
+			var want float64
+			for pi, p := range rc.nodes {
+				if s := rc.s[pi][f]; s > 0 {
+					want += cm.Distance(p, i) * s
+				}
+			}
+			if got := rc.Cost(i, f); got != want {
+				t.Fatalf("round %d: Cost(%d, %d) = %v, per-pair sum %v", round, i, f, got, want)
+			}
+		}
+	}
+	checkAvgs := func(round int, avail []topology.NodeID) {
+		t.Helper()
+		for _, m := range j.Maps {
+			var sum float64
+			for _, k := range avail {
+				sum += cm.MapCost(m, k)
+			}
+			if got, want := cm.MapCostAvg(m, avail), sum/float64(len(avail)); got != want {
+				t.Fatalf("round %d: MapCostAvg(m%d) = %v, per-node sum %v", round, m.Index, got, want)
+			}
+		}
+		for f := 0; f < j.NumReduces(); f++ {
+			var sum float64
+			for pi, p := range rc.nodes {
+				if s := rc.s[pi][f]; s > 0 {
+					var h float64
+					for _, k := range avail {
+						h += cm.Distance(p, k)
+					}
+					sum += s * h
+				}
+			}
+			want := sum / float64(len(avail))
+			if got := rc.CostAvg(f, NewAvail(avail)); got != want {
+				t.Fatalf("round %d: CostAvg(%d) = %v, per-pair sum %v", round, f, got, want)
+			}
+		}
+	}
+
+	var live []*topology.Flow
+	severed, infSeen := false, false
+	for round := 0; round < 40; round++ {
+		avail := randomAvail(rng, n)
+		// Put a replica node of a random block into the avail set.
+		if reps := cm.store.Replicas(j.Maps[1+rng.Intn(len(j.Maps)-1)].Block); len(reps) > 0 {
+			avail = insertNode(avail, reps[0])
+		}
+		a := topology.NodeID(rng.Intn(n))
+		b := topology.NodeID(rng.Intn(n))
+		checkCost(round, a)
+		checkAvgs(round, avail)
+
+		// Map-node churn alone: same epoch, new node set.
+		churnMaps(j, 10, rng, n)
+		rc.Refresh()
+		checkCost(round, a)
+		checkCost(round, b)
+		checkCost(round, a)
+
+		// Flow churn: new epochs, new rates.
+		for k := 0; k < 4; k++ {
+			src, dst := topology.NodeID(rng.Intn(n)), topology.NodeID(rng.Intn(n))
+			if src == dst {
+				continue
+			}
+			if rng.Intn(3) == 0 {
+				live = append(live, cl.InjectCrossTraffic(src, dst))
+			} else {
+				cl.Transfer(src, dst, rng.Uniform(1e6, 4e7), nil)
+			}
+		}
+		if round%5 == 4 && len(live) > 0 {
+			cl.Net().Cancel(live[0])
+			live = live[1:]
+		}
+		switch round {
+		case 10:
+			cl.SetHostLinkFactor(topology.NodeID(rng.Intn(n)), 0)
+			severed = true
+		case 25:
+			cl.Net().SetCongestionAlpha(0.5)
+		}
+		checkCost(round, a)
+		checkAvgs(round, avail)
+		for k := 0; k < 3; k++ {
+			eng.Step()
+		}
+		checkCost(round, b)
+		checkAvgs(round, avail)
+		for _, k := range avail {
+			for _, p := range rc.nodes {
+				infSeen = infSeen || math.IsInf(cm.Distance(p, k), 1)
+			}
+		}
+	}
+	if !severed || !infSeen {
+		t.Fatal("the churn never produced a +Inf distance")
+	}
+}
+
+// insertNode adds id to the ascending list avail if it is missing.
+func insertNode(avail []topology.NodeID, id topology.NodeID) []topology.NodeID {
+	if containsNode(avail, id) {
+		return avail
+	}
+	k := sort.Search(len(avail), func(i int) bool { return avail[i] >= id })
+	avail = append(avail, 0)
+	copy(avail[k+1:], avail[k:])
+	avail[k] = id
+	return avail
 }

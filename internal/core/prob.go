@@ -88,6 +88,10 @@ func (d directMapCost) CostAvg(m *job.MapTask, avail Avail) float64 {
 // until a block loses a replica. Otherwise it is the direct evaluator: in
 // network-condition mode every flow churn moves the distances, so a cache
 // would refill its rows on nearly every offer and only add overhead.
+// There the direct C_avg is already O(1) per avail node: MapCostAvg
+// factors each path rate at the source's uplink and takes the best
+// replica's inbound rate once per (block, rack), reading the flow
+// network's stored link shares.
 func (c *CostModel) MapEvaluator() MapCostEvaluator {
 	if c.racks != nil {
 		return c.newMapCoster()

@@ -1,6 +1,7 @@
 package placement_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -32,15 +33,34 @@ func (s *referenceScheduler) AssignReduce(ctx *sched.Context, node topology.Node
 	return r
 }
 
+// equivalenceCase is one distance mode on one cluster shape; racks == 0
+// keeps DefaultSetup's 60-node single rack.
+type equivalenceCase struct {
+	mode           core.Mode
+	racks, perRack int
+}
+
+func (c equivalenceCase) String() string {
+	if c.racks == 0 {
+		return c.mode.String()
+	}
+	return fmt.Sprintf("%s-%dx%d", c.mode, c.racks, c.perRack)
+}
+
 // runProbabilistic executes one batch under the probabilistic scheduler,
 // on the production Decider or the reference one, and returns the full
 // result plus the final per-task state.
-func runProbabilistic(t *testing.T, mode core.Mode, wk workload.Kind, reference bool) (*engine.Result, []*job.Job) {
+func runProbabilistic(t *testing.T, c equivalenceCase, wk workload.Kind, reference bool) (*engine.Result, []*job.Job) {
 	t.Helper()
+	mode := c.mode
 	s := experiments.DefaultSetup()
 	s.Workload.Scale = 12
 	s.Engine.Seed = 7
 	s.Engine.CostMode = mode
+	if c.racks > 0 {
+		s.Engine.Topology.Racks = c.racks
+		s.Engine.Topology.NodesPerRack = c.perRack
+	}
 	if mode == core.ModeHops {
 		s.Engine.CrossTraffic = 0
 	}
@@ -72,15 +92,20 @@ func runProbabilistic(t *testing.T, mode core.Mode, wk workload.Kind, reference 
 // scheduler and the uncached reference must make byte-identical
 // scheduling decisions — same per-task placements, launch and finish
 // instants, locality classes, event counts and aggregate metrics — for
-// every workload batch, in both distance modes.
+// every workload batch, in both distance modes, and in network-condition
+// mode also on 4 racks × 15 nodes, where paths cross the ToR/core links.
 func TestOptimizedSchedulerMatchesNaive(t *testing.T) {
-	for _, mode := range []core.Mode{core.ModeHops, core.ModeNetworkCondition} {
+	for _, c := range []equivalenceCase{
+		{mode: core.ModeHops},
+		{mode: core.ModeNetworkCondition},
+		{mode: core.ModeNetworkCondition, racks: 4, perRack: 15},
+	} {
 		for _, wk := range workload.Kinds() {
-			mode, wk := mode, wk
-			t.Run(mode.String()+"/"+wk.String(), func(t *testing.T) {
+			c, wk := c, wk
+			t.Run(c.String()+"/"+wk.String(), func(t *testing.T) {
 				t.Parallel()
-				optRes, optJobs := runProbabilistic(t, mode, wk, false)
-				refRes, refJobs := runProbabilistic(t, mode, wk, true)
+				optRes, optJobs := runProbabilistic(t, c, wk, false)
+				refRes, refJobs := runProbabilistic(t, c, wk, true)
 				refRes.Scheduler = optRes.Scheduler
 				if !reflect.DeepEqual(optRes, refRes) {
 					t.Fatalf("results diverge:\noptimized: %+v\nreference: %+v", optRes, refRes)

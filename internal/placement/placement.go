@@ -58,7 +58,9 @@ type Deps struct {
 	Net *topology.Cluster
 	// Store is the replicated block store map costs read from.
 	Store *hdfs.Store
-	// Rate observes path rates; required for ModeNetworkCondition.
+	// Rate observes path rates; ModeNetworkCondition requires it to be a
+	// *topology.Cluster (in practice Net itself), whose stored link
+	// shares the network-condition costs read.
 	Rate topology.RateObserver
 	// Slots is the cluster slot state whose availability sets form the
 	// N_m / N_r of Formulas 4–5.

@@ -75,11 +75,52 @@ func TestSpecValidation(t *testing.T) {
 		{Racks: 1, NodesPerRack: 1, HostLinkBps: 1, TorUplinkBps: 1, DiskBps: 0},
 		{Racks: 1, NodesPerRack: 1, HostLinkBps: 1, TorUplinkBps: 1, DiskBps: 1,
 			SameRackDist: 5, CrossRackDist: 2},
+		// Non-finite capacities and alpha: stored link shares must stay
+		// finite for PathRate's rack factoring to be exact.
+		{Racks: 1, NodesPerRack: 1, HostLinkBps: math.Inf(1), TorUplinkBps: 1, DiskBps: 1},
+		{Racks: 1, NodesPerRack: 1, HostLinkBps: 1, TorUplinkBps: math.NaN(), DiskBps: 1},
+		{Racks: 1, NodesPerRack: 1, HostLinkBps: 1, TorUplinkBps: 1, DiskBps: math.Inf(1)},
+		{Racks: 1, NodesPerRack: 1, HostLinkBps: 1, TorUplinkBps: 1, DiskBps: 1,
+			CongestionAlpha: math.NaN()},
 	}
 	for i, s := range bad {
 		if _, err := NewCluster(eng, s); err == nil {
 			t.Errorf("spec %d accepted, want error", i)
 		}
+	}
+}
+
+// TestLinkCapacityClampsToFiniteShares pins the capacity domain the
+// stored shares rely on: SetLinkCapacity clamps NaN, -0 and negatives to
+// +0 and +Inf to math.MaxFloat64, so every share stays finite and
+// non-negative.
+func TestLinkCapacityClampsToFiniteShares(t *testing.T) {
+	n := NewFlowNet(sim.NewEngine())
+	l := n.AddLink(100)
+	for _, tc := range []struct{ in, want float64 }{
+		{math.NaN(), 0}, {math.Copysign(0, -1), 0}, {-3, 0}, {math.Inf(1), math.MaxFloat64}, {7, 7},
+	} {
+		n.SetLinkCapacity(l, tc.in)
+		if got := n.links[l].capacity; got != tc.want || math.Signbit(got) {
+			t.Errorf("SetLinkCapacity(%v): capacity %v, want %v", tc.in, got, tc.want)
+		}
+		if s := n.links[l].share; !(s >= 0 && s <= math.MaxFloat64) || math.Signbit(s) {
+			t.Errorf("SetLinkCapacity(%v): share %v not finite and non-negative", tc.in, s)
+		}
+	}
+	n.SetCongestionAlpha(math.NaN())
+	if n.alpha != 0 {
+		t.Errorf("NaN alpha stored as %v, want 0", n.alpha)
+	}
+	for _, c := range []float64{0, math.Inf(1), math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddLink(%v) accepted, want panic", c)
+				}
+			}()
+			n.AddLink(c)
+		}()
 	}
 }
 
