@@ -40,9 +40,19 @@ func rackConfig(racks, perRack int) ClusterConfig {
 	return cfg
 }
 
+// goldenScenarios lists the pinned runs. Most are fixed batches; the last,
+// opensys_faulty_s5, combines an arrival stream, preemption and faults
+// (crash, slowdown, link degradation, attempt failures and blacklisting),
+// so the order in which the engine walks running tasks of re-admitted,
+// out-of-ID-order jobs is pinned too. New scenarios go at the end:
+// TestJSONLSinkMatchesMarshal picks one by index.
 func goldenScenarios(t *testing.T) []goldenScenario {
 	t.Helper()
 	plan, err := ParseFaultPlan("crash:3@12;slow:5@5+40*3;link:7@4+30*0.2;replica:9@8;taskfail:0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	openPlan, err := ParseFaultPlan("crash:2@180;slow:4@60+120*2.5;link:6@90+60*0.2;taskfail:0.1;blacklist:2;attempts:10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +73,17 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 			[]Option{WithSeed(5), WithScale(30), WithCostMode(ModeNetworkCondition), WithCrossTraffic(6)}},
 		{"wordcount_netcond_12x1_s9", rackConfig(12, 1), Batch(Wordcount), SchedulerProbabilistic,
 			[]Option{WithSeed(9), WithScale(30), WithCostMode(ModeNetworkCondition), WithCrossTraffic(6)}},
+		{"opensys_faulty_s5", smallConfig(), nil, SchedulerProbabilistic,
+			append(openGoldenOptions(), WithFaultPlan(openPlan))},
 	}
+}
+
+// goldenMustEmit names, per scenario, the event types its stream must
+// contain, so a retuned scenario cannot silently stop covering the paths
+// it was added to pin.
+var goldenMustEmit = map[string][]string{
+	"opensys_faulty_s5": {"job_preempt", "node_fail", "failure_detected", "task_relaunch",
+		"attempt_fail", "node_blacklist", "node_unblacklist"},
 }
 
 // decisionStream runs the scenario and returns the JSONL event log with all
@@ -109,6 +129,11 @@ func TestKernelGoldenDecisionStreams(t *testing.T) {
 			got := decisionStream(t, sc)
 			if got == "" {
 				t.Fatal("empty decision stream")
+			}
+			for _, typ := range goldenMustEmit[sc.name] {
+				if !strings.Contains(got, `"type":"`+typ+`"`) {
+					t.Fatalf("scenario never emitted %s; it needs retuning", typ)
+				}
 			}
 			path := filepath.Join("testdata", "kernel_golden", sc.name+".jsonl")
 			if *updateGolden {
