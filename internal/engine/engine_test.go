@@ -31,6 +31,20 @@ func (r *Result) JobByName(name string) (JobResult, bool) {
 	return JobResult{}, false
 }
 
+// leakedRecords returns the IDs of jobs whose engine record is still
+// held. After a run in which every job ended, each record — running
+// tasks, retry and blacklist tallies, speculation stats and tenancy —
+// must have been released.
+func leakedRecords(s *Simulation) []job.ID {
+	var ids []job.ID
+	for i, rec := range s.recs {
+		if rec != nil {
+			ids = append(ids, job.ID(i+1))
+		}
+	}
+	return ids
+}
+
 // tinyConfig is a small cluster that keeps tests fast.
 func tinyConfig() Config {
 	cfg := DefaultConfig()

@@ -258,7 +258,9 @@ func (o *progressOracle) AssignReduce(ctx *sched.Context, node topology.NodeID) 
 		pending = pending || j.HasPending(job.ReduceKind)
 	}
 	if !pending {
-		if len(o.sim.running[job.MapKind]) > 0 {
+		running := false
+		o.sim.eachRun(job.MapKind, func(*taskRun) { running = true })
+		if running {
 			o.skipped++
 		}
 		return o.Scheduler.AssignReduce(ctx, node)
@@ -266,8 +268,8 @@ func (o *progressOracle) AssignReduce(ctx *sched.Context, node topology.NodeID) 
 	if ctx.Now != o.sim.eng.Now() {
 		o.t.Fatalf("ctx.Now %v, engine clock %v", ctx.Now, o.sim.eng.Now())
 	}
-	for t, run := range o.sim.running[job.MapKind] {
-		m := t.mapTask()
+	o.sim.eachRun(job.MapKind, func(run *taskRun) {
+		m := run.task.mapTask()
 		want, dead := 0.0, 0
 		for _, a := range run.attempts {
 			if a.dead {
@@ -286,7 +288,7 @@ func (o *progressOracle) AssignReduce(ctx *sched.Context, node topology.NodeID) 
 		}
 		o.last[m] = progressMark{launch: m.Launch, dead: dead, p: m.Progress}
 		o.checked++
-	}
+	})
 	return o.Scheduler.AssignReduce(ctx, node)
 }
 

@@ -166,7 +166,6 @@ func (s *Simulation) initOpen() {
 		return
 	}
 	s.openOn = true
-	s.openJobs = make(map[*job.Job]*openJob)
 	s.tenantOf = make(map[string]*tenantState)
 	for _, p := range s.cfg.Open.Tenants {
 		t := &tenantState{policy: p}
@@ -266,7 +265,7 @@ func (s *Simulation) admitNew(q queuedJob, t *tenantState) {
 	if float64(q.arrive) >= s.cfg.Open.Warmup {
 		t.delays = append(t.delays, delay)
 	}
-	s.openJobs[j] = &openJob{tenant: t, arrive: q.arrive, admit: now, seq: s.admitSeq}
+	s.rec(j).open = &openJob{tenant: t, arrive: q.arrive, admit: now, seq: s.admitSeq}
 	if s.obs.Enabled() {
 		e := obs.Event{T: float64(now), Type: obs.JobAdmit, Node: -1, Job: j.Spec.Name, Reason: t.policy.Name}
 		e.Wait = delay
@@ -281,9 +280,7 @@ func (s *Simulation) admitNew(q queuedJob, t *tenantState) {
 func (s *Simulation) readmit(q queuedJob, t *tenantState) {
 	j := q.j
 	s.active = append(s.active, j)
-	s.stats[j.ID] = &jobStats{}
-	info := s.openJobs[j]
-	info.seq = s.admitSeq
+	s.rec(j).open.seq = s.admitSeq
 	if s.obs.Enabled() {
 		s.obs.Emit(obs.Event{T: float64(s.eng.Now()), Type: obs.JobAdmit, Node: -1, Job: j.Spec.Name, Reason: "requeued"})
 	}
@@ -356,7 +353,7 @@ func (s *Simulation) newestActiveJob(t *tenantState) *job.Job {
 	var best *job.Job
 	bestSeq := -1
 	for _, j := range s.active {
-		info := s.openJobs[j]
+		info := s.rec(j).open
 		if info == nil || info.tenant != t {
 			continue
 		}
@@ -371,7 +368,8 @@ func (s *Simulation) newestActiveJob(t *tenantState) *job.Job {
 // preempt kills and requeues an admitted job: every running attempt is
 // torn down exactly as failJob does, all task state (completed work
 // included) resets to pending, and the job parks at the front of its
-// tenant's queue for re-admission.
+// tenant's queue for re-admission. Its record stays, with the
+// speculation statistics zeroed; retry and blacklist tallies survive.
 func (s *Simulation) preempt(j *job.Job, t *tenantState) {
 	s.preemptions++
 	t.preempted++
@@ -381,12 +379,13 @@ func (s *Simulation) preempt(j *job.Job, t *tenantState) {
 	for i := range j.Reduces {
 		s.reset(taskRef{j, job.ReduceKind, i})
 	}
-	delete(s.stats, j.ID)
+	rec := s.rec(j)
+	rec.completed, rec.totalDur = [2]int{}, [2]float64{}
 	s.sampleUtil()
 	s.deactivate(j)
 	t.active--
 	s.openActiveN--
-	info := s.openJobs[j]
+	info := rec.open
 	t.queue = append(t.queue, queuedJob{})
 	copy(t.queue[1:], t.queue)
 	t.queue[0] = queuedJob{spec: j.Spec, arrive: info.arrive, j: j}
@@ -396,18 +395,17 @@ func (s *Simulation) preempt(j *job.Job, t *tenantState) {
 }
 
 // onJobEnd runs once when a job leaves the system for good (success or
-// permanent failure): per-job fault bookkeeping is released, tenant
-// accounting advances, and a freed admission slot pulls queued work in.
+// permanent failure) and is the one place its record is released: the
+// job's blacklist holds are dropped, tenant accounting advances, and a
+// freed admission slot pulls queued work in.
 func (s *Simulation) onJobEnd(j *job.Job) {
-	s.releaseJobFaultState(j)
-	if !s.openOn {
-		return
-	}
-	info := s.openJobs[j]
+	rec := s.rec(j)
+	s.recs[j.ID-1] = nil
+	s.releaseBlacklistHolds(j, rec.nodeFails)
+	info := rec.open
 	if info == nil {
-		return // a fixed-spec job of a mixed closed+open run
+		return // a fixed-spec job
 	}
-	delete(s.openJobs, j)
 	t := info.tenant
 	t.active--
 	s.openActiveN--

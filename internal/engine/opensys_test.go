@@ -173,8 +173,8 @@ func TestBlacklistReleasedAcrossArrivalStream(t *testing.T) {
 	if res.BlacklistedNodes == 0 {
 		t.Fatal("no node was ever blacklisted; the plan is too gentle to exercise the release path")
 	}
-	if n := len(s.nodeFails); n != 0 {
-		t.Errorf("%d per-(job,node) failure tallies leaked", n)
+	if ids := leakedRecords(s); len(ids) > 0 {
+		t.Errorf("%d records of ended jobs leaked (running tasks, retry and blacklist tallies, speculation stats or tenancy), first job %d", len(ids), ids[0])
 	}
 	for i := 0; i < s.state.Size(); i++ {
 		if s.state.Node(topology.NodeID(i)).Blacklisted() {
@@ -183,15 +183,6 @@ func TestBlacklistReleasedAcrossArrivalStream(t *testing.T) {
 	}
 	if n := len(s.blacklistHolds); n != 0 {
 		t.Errorf("%d blacklist hold counts leaked", n)
-	}
-	if n := len(s.fails); n != 0 {
-		t.Errorf("%d map and reduce retry tallies leaked", n)
-	}
-	if n := len(s.stats); n != 0 {
-		t.Errorf("%d speculation stats leaked", n)
-	}
-	if n := len(s.openJobs); n != 0 {
-		t.Errorf("%d open-job records leaked", n)
 	}
 }
 
