@@ -62,9 +62,7 @@ type Node struct {
 	req          [2]Resources // container mode: per-task request by kind
 
 	// st points back to the owning State so slot transitions keep the
-	// cluster-wide availability sets and slot totals incremental; nil for
-	// bare Node values built outside New (unit tests), which then behave
-	// as before.
+	// cluster-wide availability sets and slot totals incremental.
 	st *State
 }
 
@@ -90,9 +88,6 @@ func (n *Node) freeBefore() (free [2]bool) {
 // snapshot and tells the State about 0↔free transitions, keeping the
 // avail sets and their per-rack counts exact without per-offer rescans.
 func (n *Node) noteChange(was [2]bool) {
-	if n.st == nil {
-		return
-	}
 	for k := job.MapKind; k <= job.ReduceKind; k++ {
 		if f := n.FreeSlots(k) > 0; f != was[k] {
 			n.st.avail[k].flip(n.ID, f)
@@ -143,10 +138,8 @@ func (n *Node) EnableResources(capacity, mapReq, reduceReq Resources) error {
 	n.capacity = capacity
 	n.req = [2]Resources{mapReq, reduceReq}
 	n.noteChange(was)
-	if n.st != nil {
-		for k := job.MapKind; k <= job.ReduceKind; k++ {
-			n.st.total[k] += n.capacitySlots(k) - before[k]
-		}
+	for k := job.MapKind; k <= job.ReduceKind; k++ {
+		n.st.total[k] += n.capacitySlots(k) - before[k]
 	}
 	return nil
 }
@@ -184,9 +177,7 @@ func (n *Node) AcquireSlot(k job.TaskKind) error {
 		return fmt.Errorf("cluster: node %d has no free %s slot", n.ID, k)
 	}
 	n.used[k]++
-	if n.st != nil {
-		n.st.used[k]++
-	}
+	n.st.used[k]++
 	n.noteChange(was)
 	return nil
 }
@@ -199,9 +190,7 @@ func (n *Node) ReleaseSlot(k job.TaskKind) {
 	}
 	was := n.freeBefore()
 	n.used[k]--
-	if n.st != nil {
-		n.st.used[k]--
-	}
+	n.st.used[k]--
 	if n.resourceMode {
 		n.alloc.MemMB -= n.req[k].MemMB
 		n.alloc.VCores -= n.req[k].VCores
