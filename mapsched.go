@@ -434,7 +434,7 @@ func New(cfg ClusterConfig, defs []JobDef, kind SchedulerKind, opts ...Option) (
 	if o.arrivalsSet {
 		cfg.Open, err = experiments.OpenSystem(o.arrivalPlan, o.tenants, o.seed, o.workloadOptions())
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("mapsched: %w: %v", ErrInvalidOption, err)
 		}
 	}
 	builder, err := experiments.Builder(kind, o.placementConfig())

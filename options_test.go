@@ -66,4 +66,21 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 	if _, err := Replay(smallConfig(), Batch(Grep), nil, WithReplication(0)); !errors.Is(err, ErrInvalidOption) {
 		t.Fatalf("Replay error = %v, want ErrInvalidOption", err)
 	}
+	// Arrival streams that pass each option's own check but fail when
+	// the stream is built.
+	def := Batch(Grep)[0]
+	for _, tc := range []struct {
+		name string
+		plan ArrivalPlan
+		ts   []Tenant
+	}{
+		{"too_many_poisson_arrivals", ArrivalPlan{Horizon: 1e6}, []Tenant{{Name: "a", Rate: 1}}},
+		{"duplicate_tenant", ArrivalPlan{Horizon: 60}, []Tenant{{Name: "a", Rate: 0.01}, {Name: "a", Rate: 0.01}}},
+		{"trace_names_unknown_tenant", ArrivalPlan{Trace: []TraceArrival{{At: 1, Tenant: "b", Def: def}}}, []Tenant{{Name: "a"}}},
+	} {
+		_, err := New(smallConfig(), nil, SchedulerFair, WithArrivals(tc.plan), WithTenants(tc.ts...))
+		if !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("%s: New error = %v, want ErrInvalidOption", tc.name, err)
+		}
+	}
 }
