@@ -298,7 +298,6 @@ type Simulation struct {
 	topo  *topology.Cluster
 	store *hdfs.Store
 	state *cluster.State
-	cost  *core.CostModel
 	place *placement.Service
 	sch   sched.Scheduler
 	obs   *obs.Stream
@@ -411,18 +410,13 @@ func New(cfg Config, specs []job.Spec, builder sched.Builder) (*Simulation, erro
 			return nil, err
 		}
 	}
-	cost, err := core.NewCostModel(topo, store, topo, cfg.CostMode)
-	if err != nil {
-		return nil, err
-	}
 	// The placement decision service wraps the simulation's live state;
 	// the schedulers route every decision through Decider sessions
 	// against it, and the engine applies every slot, node-health, link
 	// and replica change to that state as a Service delta. In hop mode
 	// it also has the cluster state count free slots per rack
 	// incrementally, so the schedulers' rack-collapsed C_avg sums are
-	// O(racks) per offer. The engine keeps its own cost model for
-	// locality tagging at task launch.
+	// O(racks) per offer.
 	place, err := placement.NewService(placement.Deps{
 		Net:   topo,
 		Store: store,
@@ -439,7 +433,6 @@ func New(cfg Config, specs []job.Spec, builder sched.Builder) (*Simulation, erro
 		topo:      topo,
 		store:     store,
 		state:     state,
-		cost:      cost,
 		place:     place,
 		rngEngine: root.Fork("engine"),
 		rngJobs:   root.Fork("jobs"),
@@ -792,7 +785,7 @@ func (s *Simulation) launchMap(m *job.MapTask, n topology.NodeID) bool {
 	}
 	s.acquireSlot(job.MapKind, n)
 	m.Run(n, s.eng.Now())
-	m.Locality = s.cost.Locality(m, n)
+	m.Locality = core.Locality(s.topo, s.store, m, n)
 	s.startRun(mapRef(m), n, m.Locality)
 	return true
 }
@@ -848,7 +841,7 @@ func (s *Simulation) startAttempt(run *taskRun, n topology.NodeID) {
 	}
 	m := run.task.mapTask()
 	prof := m.Job.Spec.Profile
-	att.locality = s.cost.Locality(m, n)
+	att.locality = core.Locality(s.topo, s.store, m, n)
 	src, _ := s.aliveNearest(m.Block, n) // caller checked ok
 	if src != n {
 		s.mapRemoteBytes += m.Size

@@ -268,7 +268,7 @@ func (d *Decider) Bernoulli(p float64) bool { return d.rng.Bernoulli(p) }
 func (d *Decider) Locality(m *job.MapTask, node topology.NodeID) job.Locality {
 	d.svc.mu.RLock()
 	defer d.svc.mu.RUnlock()
-	return d.cost.Locality(m, node)
+	return core.Locality(d.svc.net, d.svc.store, m, node)
 }
 
 // NewReduceCoster builds a fresh, uncached reduce coster for j (the
@@ -469,7 +469,7 @@ func (d *Decider) PlaceMap(req *Request, node topology.NodeID) (m *job.MapTask, 
 		c := s.best
 		out.C, out.CAvg, out.P, out.PMin, out.Draw = 0, c.AvgCost, 1, d.cfg.Pmin, "local"
 		if d.obs.Enabled() {
-			d.emitChoice(req, node, obs.TaskAssign, c,
+			d.emitChoiceLocked(req, node, obs.TaskAssign, c,
 				&obs.Decision{C: 0, CAvg: c.AvgCost, P: 1, PMin: d.cfg.Pmin, Draw: "local"}, "")
 		}
 		return c.MapTask, out
@@ -477,13 +477,13 @@ func (d *Decider) PlaceMap(req *Request, node topology.NodeID) (m *job.MapTask, 
 	if !s.found {
 		return nil, out
 	}
-	if t, ok := d.gate(req, node, s.best, &out); ok {
+	if t, ok := d.gateLocked(req, node, s.best, &out); ok {
 		return t.MapTask, out
 	}
 	if s.haveLocal {
 		out.C, out.CAvg, out.P, out.PMin, out.Draw = 0, s.local.AvgCost, 1, d.cfg.Pmin, "local_fallback"
 		if d.obs.Enabled() {
-			d.emitChoice(req, node, obs.TaskAssign, s.local,
+			d.emitChoiceLocked(req, node, obs.TaskAssign, s.local,
 				&obs.Decision{C: 0, CAvg: s.local.AvgCost, P: 1, PMin: d.cfg.Pmin, Draw: "local_fallback"}, "")
 		}
 		return s.local.MapTask, out
@@ -491,24 +491,25 @@ func (d *Decider) PlaceMap(req *Request, node topology.NodeID) (m *job.MapTask, 
 	return nil, out
 }
 
-// gate runs the shared tail of Algorithms 1 and 2: the P_min threshold
-// (lines 10-12 / 11-13) and the Bernoulli draw, emitting the offer /
-// assign / skip events with the Formula 1-5 breakdown when a sink is
-// attached. The Bernoulli draw consumes exactly the same RNG stream
-// whether or not observers are attached. best.Prob already carries the
-// configured model's probability — selection computes it exactly once.
-func (d *Decider) gate(req *Request, node topology.NodeID, best core.Choice, out *Outcome) (core.Choice, bool) {
+// gateLocked runs the shared tail of Algorithms 1 and 2 under the read
+// lock: the P_min threshold (lines 10-12 / 11-13) and the Bernoulli draw,
+// emitting the offer / assign / skip events with the Formula 1-5
+// breakdown when a sink is attached. The Bernoulli draw consumes exactly
+// the same RNG stream whether or not observers are attached. best.Prob
+// already carries the configured model's probability — selection
+// computes it exactly once.
+func (d *Decider) gateLocked(req *Request, node topology.NodeID, best core.Choice, out *Outcome) (core.Choice, bool) {
 	prob := best.Prob
 	out.C, out.CAvg, out.P, out.PMin = best.Cost, best.AvgCost, prob, d.cfg.Pmin
 	emit := d.obs.Enabled()
 	if emit {
-		d.emitChoice(req, node, obs.TaskOffer, best,
+		d.emitChoiceLocked(req, node, obs.TaskOffer, best,
 			&obs.Decision{C: best.Cost, CAvg: best.AvgCost, P: prob, PMin: d.cfg.Pmin}, "")
 	}
 	if prob < d.cfg.Pmin {
 		out.Draw = "below_pmin"
 		if emit {
-			d.emitChoice(req, node, obs.TaskSkip, best,
+			d.emitChoiceLocked(req, node, obs.TaskSkip, best,
 				&obs.Decision{C: best.Cost, CAvg: best.AvgCost, P: prob, PMin: d.cfg.Pmin, Draw: "below_pmin"}, "below_pmin")
 		}
 		return best, false // skip this node
@@ -520,21 +521,22 @@ func (d *Decider) gate(req *Request, node topology.NodeID, best core.Choice, out
 		}
 		out.Draw = draw
 		if emit {
-			d.emitChoice(req, node, obs.TaskAssign, best,
+			d.emitChoiceLocked(req, node, obs.TaskAssign, best,
 				&obs.Decision{C: best.Cost, CAvg: best.AvgCost, P: prob, PMin: d.cfg.Pmin, Draw: draw}, "")
 		}
 		return best, true
 	}
 	out.Draw = "decline"
 	if emit {
-		d.emitChoice(req, node, obs.TaskSkip, best,
+		d.emitChoiceLocked(req, node, obs.TaskSkip, best,
 			&obs.Decision{C: best.Cost, CAvg: best.AvgCost, P: prob, PMin: d.cfg.Pmin, Draw: "decline"}, "declined")
 	}
 	return best, false // Bernoulli declined: slot stays idle this round
 }
 
-// emitChoice publishes one decision event for the chosen candidate.
-func (d *Decider) emitChoice(req *Request, node topology.NodeID, t obs.Type, c core.Choice, dec *obs.Decision, reason string) {
+// emitChoiceLocked publishes one decision event for the chosen candidate;
+// caller holds the read lock.
+func (d *Decider) emitChoiceLocked(req *Request, node topology.NodeID, t obs.Type, c core.Choice, dec *obs.Decision, reason string) {
 	kind, idx := "map", 0
 	var j *job.Job
 	if c.MapTask != nil {
@@ -552,7 +554,7 @@ func (d *Decider) emitChoice(req *Request, node topology.NodeID, t obs.Type, c c
 	e.Decision = dec
 	e.Reason = reason
 	if t == obs.TaskAssign && c.MapTask != nil {
-		e.Locality = d.cost.Locality(c.MapTask, node).String()
+		e.Locality = core.Locality(d.svc.net, d.svc.store, c.MapTask, node).String()
 	}
 	d.obs.Emit(e)
 }
@@ -582,7 +584,7 @@ func (d *Decider) PlaceReduce(req *Request, node topology.NodeID) (r *job.Reduce
 	if !found {
 		return nil, out
 	}
-	if t, ok := d.gate(req, node, best, &out); ok {
+	if t, ok := d.gateLocked(req, node, best, &out); ok {
 		return t.ReduceTask, out
 	}
 	return nil, out
