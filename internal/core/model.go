@@ -82,7 +82,7 @@ func (r Rational) Prob(avg, cost float64) float64 {
 	if math.IsInf(avg, 1) {
 		return 1 // any finite cost is infinitely below average
 	}
-	return avg / (avg + r.k()*cost)
+	return avg / (avg + float64(r.k()*cost))
 }
 
 // Step is the degenerate deterministic model: P = 1 when C ≤ C_avg, else
