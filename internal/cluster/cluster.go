@@ -291,7 +291,8 @@ func New(n, mapSlots, reduceSlots int) (*State, error) {
 	if mapSlots < 0 || reduceSlots < 0 {
 		return nil, fmt.Errorf("cluster: negative slot counts")
 	}
-	// Versions start at 1: consumers use 0 as "no identity known".
+	// Versions start at 1, so the cost caches keyed on them use 0 for
+	// "never filled".
 	s := &State{
 		avail: [2]availState{{version: 1}, {version: 1}},
 		total: [2]int{n * mapSlots, n * reduceSlots},

@@ -7,10 +7,11 @@ import (
 )
 
 // Avail is a snapshot of one slot kind's availability set (the N_m / N_r
-// of Formulas 4–5) together with the optional aggregates that let the
-// rack-collapsed cost sums run in O(racks) instead of O(nodes). Avail values are shared with concurrent readers by shallow
-// copy — the slices alias the producer's published snapshot — so once
-// built they are never written again (the snapshotfree analyzer
+// of Formulas 4–5) as placement.Service.Snapshot publishes it, with the
+// per-rack counts that let the rack-collapsed cost sums run in O(racks)
+// instead of O(nodes). Avail values are shared with concurrent readers by
+// shallow copy — the slices alias the producer's published snapshot — so
+// once built they are never written again (the snapshotfree analyzer
 // enforces this in every client package).
 //
 //lint:immutable-after-publish
@@ -19,21 +20,15 @@ type Avail struct {
 	// binary-search it and must not mutate it.
 	Nodes []topology.NodeID
 	// Counts holds per-rack member counts (indexed by Cluster.Rack)
-	// maintained incrementally by the cluster state; nil when the state
-	// does not count racks — evaluators then derive counts by scanning
-	// Nodes.
+	// maintained incrementally by the cluster state. They are nil only
+	// in network-condition mode, where no sum reads them.
 	Counts []int
-	// Version identifies the (Nodes, Counts) content: producers bump it on
-	// every membership change, so equal non-zero versions mean equal
-	// content and evaluators skip the O(nodes) comparison. 0 means "no
-	// identity known" (ad-hoc snapshots in tests) and forces the full
-	// comparison.
+	// Version identifies the (Nodes, Counts) content and is the key the
+	// cost caches hold it by: the cluster state starts it at 1 and bumps
+	// it on every membership change, so equal versions mean equal
+	// content.
 	Version uint64
 }
-
-// NewAvail wraps a plain ascending node list with no counts and no
-// identity — the form used by tests and ad-hoc callers.
-func NewAvail(nodes []topology.NodeID) Avail { return Avail{Nodes: nodes} }
 
 // containsNode reports whether the ascending list avail contains id.
 func containsNode(avail []topology.NodeID, id topology.NodeID) bool {

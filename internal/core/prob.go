@@ -80,7 +80,7 @@ func (d directMapCost) Cost(m *job.MapTask, i topology.NodeID) float64 {
 }
 
 func (d directMapCost) CostAvg(m *job.MapTask, avail Avail) float64 {
-	return d.cm.MapCostAvg(m, avail.Nodes)
+	return d.cm.MapCostAvg(m, avail)
 }
 
 // MapEvaluator returns the Formula 1 evaluator for a scheduling session.

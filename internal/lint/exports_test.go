@@ -16,7 +16,6 @@ import (
 var testOnlyAllowed = map[string]string{
 	"ValidateModel": "core: the analysis tests check probability models against the model contract",
 	"ExpectedInput": "job: the engine tests compare a reduce's shuffled bytes against its expected input",
-	"NewAvail":      "core: the sched and placement tests build availability snapshots by hand",
 	"Int63":         "sim: the engine tests draw raw seeds from the simulation RNG",
 	"ActiveFlows":   "topology: the engine's whole-run tests check that only cross-traffic flows outlive a run",
 	"CheckFeasible": "topology: the engine's whole-run fuzzer checks that no link ends oversubscribed",

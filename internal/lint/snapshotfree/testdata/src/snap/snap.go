@@ -9,9 +9,9 @@ type Avail struct {
 	Version int
 }
 
-// NewAvail is a constructor: declared in Avail's package and returns
+// NewSnapshot is a constructor: declared in Avail's package and returns
 // *Avail, so its writes are initialization, not mutation.
-func NewAvail(n int) *Avail {
+func NewSnapshot(n int) *Avail {
 	a := &Avail{Nodes: make([]int, n)}
 	for i := range a.Nodes {
 		a.Nodes[i] = i

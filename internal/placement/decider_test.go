@@ -94,11 +94,13 @@ func allNodes(n int) []topology.NodeID {
 	return out
 }
 
-func reqFor(jobs ...*job.Job) *Request {
+// reqFor offers the fixture's current snapshot, where every node is free.
+func (f *fixture) reqFor(jobs ...*job.Job) *Request {
+	v := f.svc.Snapshot()
 	return &Request{
 		Jobs:        jobs,
-		AvailMap:    core.NewAvail(allNodes(8)),
-		AvailReduce: core.NewAvail(allNodes(8)),
+		AvailMap:    v.AvailMap,
+		AvailReduce: v.AvailReduce,
 		Slowstart:   0.05,
 	}
 }
@@ -122,14 +124,14 @@ func TestSweepEvictsUnderBalancedChurn(t *testing.T) {
 
 	j1 := finishMaps(f.addJob(t, 1, []topology.NodeID{0}, 2))
 	j2 := finishMaps(f.addJob(t, 2, []topology.NodeID{1}, 2))
-	d.PlaceReduce(reqFor(j1, j2), 0)
+	d.PlaceReduce(f.reqFor(j1, j2), 0)
 	if len(d.costerCache) != 2 {
 		t.Fatalf("cache holds %d jobs after first offer, want 2", len(d.costerCache))
 	}
 
 	// Balanced churn: j1 leaves, j3 arrives, live size stays 2.
 	j3 := finishMaps(f.addJob(t, 3, []topology.NodeID{2}, 2))
-	d.PlaceReduce(reqFor(j2, j3), 1)
+	d.PlaceReduce(f.reqFor(j2, j3), 1)
 	if _, dead := d.costerCache[j1.ID]; dead {
 		t.Fatal("departed job survived a balanced-churn sweep")
 	}
@@ -141,7 +143,7 @@ func TestSweepEvictsUnderBalancedChurn(t *testing.T) {
 
 	// And again: every job-set change sweeps, not just size excursions.
 	j4 := finishMaps(f.addJob(t, 4, []topology.NodeID{3}, 2))
-	d.PlaceReduce(reqFor(j3, j4), 2)
+	d.PlaceReduce(f.reqFor(j3, j4), 2)
 	if _, dead := d.costerCache[j2.ID]; dead {
 		t.Fatal("departed job survived the second balanced-churn sweep")
 	}
@@ -160,11 +162,11 @@ func TestSweepForgetsMapRowsOfEveryDepartedJob(t *testing.T) {
 	j1 := f.addJob(t, 1, []topology.NodeID{0, 1, 2}, 1)
 	j2 := f.addJob(t, 2, []topology.NodeID{3, 4}, 1)
 	// Node 7 holds no replica, so the scan costs every pending map.
-	d.PlaceMap(reqFor(j1, j2), 7)
+	d.PlaceMap(f.reqFor(j1, j2), 7)
 	if got := mc.Len(); got != 5 {
 		t.Fatalf("%d map-cost rows after costing both jobs, want 5", got)
 	}
-	d.PlaceMap(reqFor(j2), 7)
+	d.PlaceMap(f.reqFor(j2), 7)
 	if got := mc.Len(); got != 2 {
 		t.Fatalf("%d map-cost rows after job 1 left, want 2", got)
 	}
@@ -178,7 +180,7 @@ func TestPlaceMapOutcomeBreakdown(t *testing.T) {
 	d := f.decider(DefaultConfig())
 	j := f.addJob(t, 1, []topology.NodeID{3}, 1)
 
-	m, out := d.PlaceMap(reqFor(j), 3)
+	m, out := d.PlaceMap(f.reqFor(j), 3)
 	if m == nil || m.Index != 0 {
 		t.Fatalf("PlaceMap(3) = %v, want the block-on-3 task", m)
 	}
@@ -193,7 +195,7 @@ func TestPlaceMapOutcomeBreakdown(t *testing.T) {
 	strict.Pmin = 1.1 // no probability passes: every remote offer skips
 	ds := f.decider(strict)
 	j2 := f.addJob(t, 2, []topology.NodeID{3}, 1)
-	m, out = ds.PlaceMap(reqFor(j2), 0)
+	m, out = ds.PlaceMap(f.reqFor(j2), 0)
 	if m != nil {
 		t.Fatalf("PlaceMap under Pmin=1.1 assigned %v, want nil", m)
 	}
@@ -215,11 +217,11 @@ func TestEvaluateMapMatchesPlaceMap(t *testing.T) {
 	d := f.decider(cfg)
 	j := f.addJob(t, 1, []topology.NodeID{5}, 1) // remote for node 0
 
-	ev := d.EvaluateMap(reqFor(j), 0)
+	ev := d.EvaluateMap(f.reqFor(j), 0)
 	if !ev.HasBest || ev.InstantLocal {
 		t.Fatalf("evaluation = %+v, want a non-local best", ev)
 	}
-	m, out := d.PlaceMap(reqFor(j), 0)
+	m, out := d.PlaceMap(f.reqFor(j), 0)
 	if m != ev.Best.MapTask {
 		t.Fatalf("PlaceMap chose %v, evaluation predicted %v", m, ev.Best.MapTask)
 	}

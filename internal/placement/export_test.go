@@ -37,7 +37,7 @@ func (c directMapCost) Cost(m *job.MapTask, i topology.NodeID) float64 { return 
 
 func (c directMapCost) CostAvg(m *job.MapTask, a core.Avail) float64 {
 	if !c.perNode {
-		return c.cm.MapCostAvg(m, a.Nodes)
+		return c.cm.MapCostAvg(m, a)
 	}
 	if len(a.Nodes) == 0 {
 		return 0

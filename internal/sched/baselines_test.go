@@ -10,7 +10,7 @@ func TestLARTSMapDelegatesToDelayScheduling(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{3}, 1)
 	l := NewLARTS(DefaultLARTSConfig())(f.env).(*LARTS)
-	if got := l.AssignMap(ctxFor(j), 3); got == nil {
+	if got := l.AssignMap(f.ctxFor(j), 3); got == nil {
 		t.Fatal("LARTS declined a local map")
 	}
 }
@@ -21,7 +21,7 @@ func TestLARTSReducePrefersDataNode(t *testing.T) {
 	// All of the reduce's input sits on node 2.
 	finish(j.Maps[0], 2)
 	l := NewLARTS(DefaultLARTSConfig())(f.env).(*LARTS)
-	ctx := ctxFor(j)
+	ctx := f.ctxFor(j)
 	// The data node is accepted immediately.
 	if got := l.AssignReduce(ctx, 2); got == nil {
 		t.Fatal("LARTS declined the max-data node")
@@ -50,7 +50,7 @@ func TestLARTSReduceNoDataYet(t *testing.T) {
 	j := f.addJob(t, 1, []topology.NodeID{0}, 1)
 	j.Maps[0].Run(0, 0) // launched but nothing read: no shuffle data known
 	l := NewLARTS(DefaultLARTSConfig())(f.env).(*LARTS)
-	ctx := ctxFor(j)
+	ctx := f.ctxFor(j)
 	ctx.Slowstart = 0
 	if got := l.AssignReduce(ctx, 5); got == nil {
 		t.Fatal("LARTS declined with no shuffle data known (nothing to wait for)")
@@ -64,12 +64,12 @@ func TestCapacityMapLocalityPriority(t *testing.T) {
 	j1 := f.addJob(t, 1, []topology.NodeID{5}, 1)
 	j2 := f.addJob(t, 2, []topology.NodeID{0}, 1)
 	c := NewCapacity(DefaultCapacityConfig())(f.env).(*Capacity)
-	got := c.AssignMap(ctxFor(j1, j2), 0)
+	got := c.AssignMap(f.ctxFor(j1, j2), 0)
 	if got == nil || got.Job != j2 {
 		t.Fatalf("capacity ignored the higher-locality job: %v", got)
 	}
 	// With no local candidate anywhere, the head job's task runs.
-	got = c.AssignMap(ctxFor(j1, j2), 6) // rack 1; j1's block on node 5 is rack 1
+	got = c.AssignMap(f.ctxFor(j1, j2), 6) // rack 1; j1's block on node 5 is rack 1
 	if got == nil {
 		t.Fatal("capacity declined with rack-local candidates available")
 	}
@@ -83,7 +83,7 @@ func TestCapacityMapNeverIdlesSlots(t *testing.T) {
 	j := f.addJob(t, 1, []topology.NodeID{5}, 1)
 	c := NewCapacity(DefaultCapacityConfig())(f.env).(*Capacity)
 	// Remote-only offer still assigns (no delay on the map side).
-	if got := c.AssignMap(ctxFor(j), 0); got == nil {
+	if got := c.AssignMap(f.ctxFor(j), 0); got == nil {
 		t.Fatal("capacity left a map slot idle")
 	}
 }
@@ -94,7 +94,7 @@ func TestCapacityReduceWaitsForData(t *testing.T) {
 	finish(j.Maps[0], 2)
 	cfg := DefaultCapacityConfig()
 	c := NewCapacity(cfg)(f.env).(*Capacity)
-	ctx := ctxFor(j)
+	ctx := f.ctxFor(j)
 	// Node with data: immediate.
 	if got := c.AssignReduce(ctx, 2); got == nil {
 		t.Fatal("capacity declined the data node")

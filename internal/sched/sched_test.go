@@ -91,19 +91,14 @@ func finish(m *job.MapTask, n topology.NodeID) {
 	m.Complete(0)
 }
 
-func allNodes(n int) []topology.NodeID {
-	out := make([]topology.NodeID, n)
-	for i := range out {
-		out[i] = topology.NodeID(i)
-	}
-	return out
-}
-
-func ctxFor(jobs ...*job.Job) *Context {
+// ctxFor offers the fixture's current snapshot: every node is free unless
+// the test acquired its slots.
+func (f *fixture) ctxFor(jobs ...*job.Job) *Context {
+	v := f.place.Snapshot()
 	return &Context{
 		Jobs:        jobs,
-		AvailMap:    core.NewAvail(allNodes(8)),
-		AvailReduce: core.NewAvail(allNodes(8)),
+		AvailMap:    v.AvailMap,
+		AvailReduce: v.AvailReduce,
 		Slowstart:   0.05,
 	}
 }
@@ -112,7 +107,7 @@ func TestProbabilisticPrefersLocalMap(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{3, 5}, 2)
 	p := NewProbabilistic(DefaultProbabilisticConfig())(f.env).(*Probabilistic)
-	ctx := ctxFor(j)
+	ctx := f.ctxFor(j)
 	got := p.AssignMap(ctx, 3)
 	if got == nil || got.Index != 0 {
 		t.Fatalf("AssignMap(3) = %v, want the block-on-3 task", got)
@@ -130,7 +125,7 @@ func TestProbabilisticLocalFromLaterJobBeatsRemoteFromHead(t *testing.T) {
 	// Make j1 "fairer" (fewer running): both have zero running; submission
 	// order keeps j1 first.
 	p := NewProbabilistic(DefaultProbabilisticConfig())(f.env).(*Probabilistic)
-	got := p.AssignMap(ctxFor(j1, j2), 0)
+	got := p.AssignMap(f.ctxFor(j1, j2), 0)
 	if got == nil || got.Job != j2 {
 		t.Fatalf("node 0 should run the later job's local task, got %v", got)
 	}
@@ -143,7 +138,7 @@ func TestProbabilisticDeterministicAlwaysAssigns(t *testing.T) {
 	cfg.Deterministic = true
 	p := NewProbabilistic(cfg)(f.env).(*Probabilistic)
 	for i := 0; i < 10; i++ {
-		if got := p.AssignMap(ctxFor(j), 0); got == nil {
+		if got := p.AssignMap(f.ctxFor(j), 0); got == nil {
 			t.Fatal("deterministic variant declined a feasible assignment")
 		}
 		j.Maps[0].Reset()
@@ -156,7 +151,7 @@ func TestProbabilisticBernoulliSometimesDeclines(t *testing.T) {
 	p := NewProbabilistic(DefaultProbabilisticConfig())(f.env).(*Probabilistic)
 	assigned, declined := 0, 0
 	for i := 0; i < 200; i++ {
-		if got := p.AssignMap(ctxFor(j), 0); got != nil {
+		if got := p.AssignMap(f.ctxFor(j), 0); got != nil {
 			assigned++
 		} else {
 			declined++
@@ -176,8 +171,14 @@ func TestProbabilisticPminSkipsExpensiveNode(t *testing.T) {
 	cfg := DefaultProbabilisticConfig()
 	cfg.Pmin = 0.62 // above the cross-rack assignment probability
 	p := NewProbabilistic(cfg)(f.env).(*Probabilistic)
-	ctx := ctxFor(j)
-	ctx.AvailMap = core.NewAvail([]topology.NodeID{0, 1, 2, 3, 4})
+	for n := topology.NodeID(5); n < 8; n++ { // only nodes 0-4 offer map slots
+		for k := 0; k < 4; k++ {
+			if err := f.place.ApplySlotAcquire(job.MapKind, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ctx := f.ctxFor(j)
 	if got := p.AssignMap(ctx, 4); got != nil {
 		t.Fatalf("expensive node accepted a task with P < Pmin: %v", got)
 	}
@@ -202,7 +203,7 @@ func TestProbabilisticReduceSpread(t *testing.T) {
 	cfg := DefaultProbabilisticConfig()
 	cfg.Deterministic = true // remove randomness from this test
 	p := NewProbabilistic(cfg)(f.env).(*Probabilistic)
-	got := p.AssignReduce(ctxFor(j1, j2), 6)
+	got := p.AssignReduce(f.ctxFor(j1, j2), 6)
 	if got == nil {
 		t.Fatal("node 6 got no reduce at all")
 	}
@@ -212,7 +213,7 @@ func TestProbabilisticReduceSpread(t *testing.T) {
 	// With the rule disabled, job 1 (fair-first) may win the slot.
 	cfg.SpreadReduces = false
 	p2 := NewProbabilistic(cfg)(f.env).(*Probabilistic)
-	if got := p2.AssignReduce(ctxFor(j1, j2), 6); got == nil {
+	if got := p2.AssignReduce(f.ctxFor(j1, j2), 6); got == nil {
 		t.Fatal("spread-off variant declined")
 	}
 }
@@ -227,7 +228,7 @@ func TestProbabilisticReduceSecondPassWhenOnlyJobBlocked(t *testing.T) {
 	p := NewProbabilistic(cfg)(f.env).(*Probabilistic)
 	// Node 6 already runs a reduce of the only job: the work-conserving
 	// second pass must still hand out a task.
-	if got := p.AssignReduce(ctxFor(j), 6); got == nil {
+	if got := p.AssignReduce(f.ctxFor(j), 6); got == nil {
 		t.Fatal("second pass did not fire for the only eligible job")
 	}
 }
@@ -235,7 +236,7 @@ func TestProbabilisticReduceSecondPassWhenOnlyJobBlocked(t *testing.T) {
 func TestSlowstartGatesReduces(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0, 1, 2, 3}, 2)
-	ctx := ctxFor(j)
+	ctx := f.ctxFor(j)
 	ctx.Slowstart = 0.5
 	p := NewProbabilistic(DefaultProbabilisticConfig())(f.env).(*Probabilistic)
 	if got := p.AssignReduce(ctx, 0); got != nil {
@@ -262,7 +263,7 @@ func TestFairDelayPrefersLocalThenWaits(t *testing.T) {
 	j := f.addJob(t, 1, []topology.NodeID{3}, 1)
 	cfg := FairDelayConfig{NodeLocalSkips: 2, RackLocalSkips: 2, JobPolicy: FairJobs}
 	fd := NewFairDelay(cfg)(f.env).(*FairDelay)
-	ctx := ctxFor(j)
+	ctx := f.ctxFor(j)
 	// Local node: immediate.
 	if got := fd.AssignMap(ctx, 3); got == nil {
 		t.Fatal("local offer declined")
@@ -286,7 +287,7 @@ func TestFairDelayFallsBackToAnyNode(t *testing.T) {
 	j := f.addJob(t, 1, []topology.NodeID{0}, 1)
 	cfg := FairDelayConfig{NodeLocalSkips: 1, RackLocalSkips: 1, JobPolicy: FairJobs}
 	fd := NewFairDelay(cfg)(f.env).(*FairDelay)
-	ctx := ctxFor(j)
+	ctx := f.ctxFor(j)
 	// Offers from the other rack (node 7): declines until D1+D2 skips.
 	if got := fd.AssignMap(ctx, 7); got != nil {
 		t.Fatal("accepted before any skip")
@@ -304,7 +305,7 @@ func TestFairDelayReduceIsUnconstrained(t *testing.T) {
 	j := f.addJob(t, 1, []topology.NodeID{0}, 3)
 	finish(j.Maps[0], 0)
 	fd := NewFairDelay(DefaultFairDelayConfig())(f.env).(*FairDelay)
-	if got := fd.AssignReduce(ctxFor(j), 5); got == nil {
+	if got := fd.AssignReduce(f.ctxFor(j), 5); got == nil {
 		t.Fatal("fair reduce assignment declined a free slot")
 	}
 }
@@ -313,7 +314,7 @@ func TestCouplingLocalAlwaysLaunches(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{2}, 1)
 	c := NewCoupling(DefaultCouplingConfig())(f.env).(*Coupling)
-	if got := c.AssignMap(ctxFor(j), 2); got == nil {
+	if got := c.AssignMap(f.ctxFor(j), 2); got == nil {
 		t.Fatal("coupling declined a local map")
 	}
 }
@@ -324,7 +325,7 @@ func TestCouplingRemoteIsProbabilistic(t *testing.T) {
 	c := NewCoupling(DefaultCouplingConfig())(f.env).(*Coupling)
 	assigned, declined := 0, 0
 	for i := 0; i < 300; i++ {
-		if got := c.AssignMap(ctxFor(j), 7); got != nil {
+		if got := c.AssignMap(f.ctxFor(j), 7); got != nil {
 			assigned++
 			j.Maps[0].Reset()
 		} else {
@@ -343,7 +344,7 @@ func TestCouplingPacesReduces(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0, 1, 2, 3}, 4)
 	c := NewCoupling(DefaultCouplingConfig())(f.env).(*Coupling)
-	ctx := ctxFor(j)
+	ctx := f.ctxFor(j)
 	ctx.Slowstart = 0
 	// No map progress: pacing allows ceil(0×4) = 0 reduces.
 	if got := c.AssignReduce(ctx, 0); got != nil {
@@ -375,7 +376,7 @@ func TestCouplingCentralityWaitBound(t *testing.T) {
 	cfg := DefaultCouplingConfig()
 	cfg.MaxWaitRounds = 3
 	c := NewCoupling(cfg)(f.env).(*Coupling)
-	ctx := ctxFor(j)
+	ctx := f.ctxFor(j)
 	// Node 7 is not the centrality node (node 0 is, it has all the data).
 	declines := 0
 	for i := 0; i < 10; i++ {
@@ -398,7 +399,7 @@ func TestOrderJobsFairVsFIFO(t *testing.T) {
 	j2 := f.addJob(t, 2, []topology.NodeID{2, 3}, 1)
 	// j1 has one running map, j2 none: fair order puts j2 first.
 	j1.Maps[0].Run(0, 0)
-	ctx := ctxFor(j1, j2)
+	ctx := f.ctxFor(j1, j2)
 	fair := placement.OrderJobs(ctx, FairJobs, job.MapKind)
 	if len(fair) != 2 || fair[0] != j2 {
 		t.Fatalf("fair order = %v, want j2 first", ids(fair))
@@ -421,7 +422,7 @@ func TestOrderJobsSkipsDrainedJobs(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0}, 1)
 	finish(j.Maps[0], 0)
-	if got := placement.OrderJobs(ctxFor(j), FairJobs, job.MapKind); len(got) != 0 {
+	if got := placement.OrderJobs(f.ctxFor(j), FairJobs, job.MapKind); len(got) != 0 {
 		t.Fatalf("job with no pending maps still offered: %v", ids(got))
 	}
 }
@@ -467,7 +468,7 @@ func TestProbabilisticLocalFallbackWhenGateDeclines(t *testing.T) {
 	j := f.addJob(t, 1, []topology.NodeID{1, 0}, 1)
 	j.Maps[1].Size = 1e6
 
-	got := s.AssignMap(ctxFor(j), 0)
+	got := s.AssignMap(f.ctxFor(j), 0)
 	if got != j.Maps[1] {
 		t.Fatalf("assigned %+v, want the data-local fallback map 1", got)
 	}
@@ -475,7 +476,7 @@ func TestProbabilisticLocalFallbackWhenGateDeclines(t *testing.T) {
 	// Same offer on node 3 (no local candidate there): the gate rejection
 	// must leave the slot idle.
 	j2 := f.addJob(t, 2, []topology.NodeID{1, 0}, 1)
-	if got := s.AssignMap(ctxFor(j2), 3); got != nil {
+	if got := s.AssignMap(f.ctxFor(j2), 3); got != nil {
 		t.Fatalf("assigned %+v on a node with no local candidate, want nil", got)
 	}
 }
@@ -505,7 +506,7 @@ func TestProbabilisticUsesConfiguredModel(t *testing.T) {
 	base.Deterministic = true // accept whenever P >= Pmin: no draw noise
 	exp := NewProbabilistic(base)(f.env)
 	j1 := f.addJob(t, 1, []topology.NodeID{0, 1}, 1)
-	if got := exp.AssignMap(ctxFor(j1), offer); got == nil {
+	if got := exp.AssignMap(f.ctxFor(j1), offer); got == nil {
 		t.Fatal("exponential model rejected a cheap remote placement")
 	}
 
@@ -513,12 +514,12 @@ func TestProbabilisticUsesConfiguredModel(t *testing.T) {
 	strict.Model = localOnly{}
 	lo := NewProbabilistic(strict)(f.env)
 	j2 := f.addJob(t, 2, []topology.NodeID{0, 1}, 1)
-	if got := lo.AssignMap(ctxFor(j2), offer); got != nil {
+	if got := lo.AssignMap(f.ctxFor(j2), offer); got != nil {
 		t.Fatalf("local-only model assigned remote map %+v, want nil", got)
 	}
 	// The model must still pass data-local placements through (P = 1).
 	j3 := f.addJob(t, 3, []topology.NodeID{offer}, 1)
-	if got := lo.AssignMap(ctxFor(j3), offer); got != j3.Maps[0] {
+	if got := lo.AssignMap(f.ctxFor(j3), offer); got != j3.Maps[0] {
 		t.Fatalf("local-only model missed the local map, got %+v", got)
 	}
 }
