@@ -84,3 +84,49 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 		}
 	}
 }
+
+// FuzzOptionDomains feeds arbitrary floats to every float-valued input
+// of the façade: WithPmin, WithHeartbeatExpiry, the arrival plan's
+// horizon, warm-up and trace instant, and a tenant's weight and rate.
+// Each input must either be rejected with an error wrapping
+// ErrInvalidOption or finish a short run on a 4-node cluster; a panic, a
+// hang or any other error is a finding. The run crashes a node so the
+// heartbeat expiry times a real detection, and it caps admission and the
+// tenant queue so an accepted arrival rate cannot admit unbounded work.
+func FuzzOptionDomains(f *testing.F) {
+	valid := [7]float64{0.4, 20, 60, 0, 5, 1, 0.05}
+	f.Add(valid[0], valid[1], valid[2], valid[3], valid[4], valid[5], valid[6])
+	for i := range valid {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, math.Copysign(0, -1), 1e300, math.MaxFloat64} {
+			in := valid
+			in[i] = v
+			f.Add(in[0], in[1], in[2], in[3], in[4], in[5], in[6])
+		}
+	}
+	crash, err := ParseFaultPlan("crash:1@10")
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg := DefaultClusterConfig()
+	cfg.Topology.Racks, cfg.Topology.NodesPerRack = 1, 4
+	cfg.MaxSimTime = 300
+	def := Batch(Grep)[0]
+	f.Fuzz(func(t *testing.T, pmin, expiry, horizon, warmup, at, weight, rate float64) {
+		plan := ArrivalPlan{
+			Horizon: horizon, Warmup: warmup, MaxActive: 2,
+			Trace: []TraceArrival{{At: at, Tenant: "a", Def: def}},
+		}
+		s, err := New(cfg, nil, SchedulerProbabilistic, WithScale(60), WithFaultPlan(crash),
+			WithPmin(pmin), WithHeartbeatExpiry(expiry), WithArrivals(plan),
+			WithTenants(Tenant{Name: "a", Weight: weight, Rate: rate, QueueCap: 4}))
+		if err != nil {
+			if !errors.Is(err, ErrInvalidOption) {
+				t.Fatalf("New: %v, want nil or an ErrInvalidOption error", err)
+			}
+			return
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	})
+}
