@@ -16,7 +16,7 @@ import (
 // round every product before it is added: their sums feed placement
 // decisions, which must be bit-identical on every GOARCH. Widening the
 // check to the whole module means growing this list.
-var fmaCheckedPackages = []string{"internal/core", "internal/engine"}
+var fmaCheckedPackages = []string{"internal/core", "internal/engine", "internal/sim", "internal/topology"}
 
 // fmaArches are the architectures whose gc backend fuses x*y + z into one
 // multiply-add with a single rounding; amd64 never does.
@@ -28,7 +28,7 @@ var (
 )
 
 // TestNoFusedMultiplyAdd cross-compiles ./internal/engine, which links
-// both checked packages, for every fusing architecture with an assembly
+// every checked package, for every fusing architecture with an assembly
 // listing of the checked packages, and fails on any fused multiply-add
 // whose source position lies in one of them. Code of other packages
 // inlined into them keeps its own position, so it is not flagged here.

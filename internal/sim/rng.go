@@ -47,9 +47,11 @@ func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
-// Uniform returns a uniform value in [lo, hi).
+// Uniform returns a uniform value in [lo, hi). Here and in Jitter the
+// explicit float64 conversion rounds the product before the sum, so no
+// GOARCH fuses it into a multiply-add.
 func (g *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.r.Float64()
+	return lo + float64((hi-lo)*g.r.Float64())
 }
 
 // Jitter returns base scaled by a uniform factor in [1-f, 1+f]. It is used
@@ -61,7 +63,7 @@ func (g *RNG) Jitter(base, f float64) float64 {
 	if f >= 1 {
 		f = 0.999999
 	}
-	return base * (1 - f + 2*f*g.r.Float64())
+	return base * (1 - f + float64(2*f*g.r.Float64()))
 }
 
 // Bernoulli reports true with probability p (clamped to [0,1]).
