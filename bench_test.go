@@ -249,15 +249,17 @@ func TestSimulationAllocBudget(t *testing.T) {
 }
 
 // runObservedBatch runs the Wordcount batch of runProbabilisticBatch
-// with o attached, and flushes o if it is a JSONL sink.
+// with o attached, unless o is nil, and flushes o if it is a JSONL sink.
 func runObservedBatch(tb testing.TB, s experiments.Setup, specs []job.Spec, o obs.Observer) {
 	tb.Helper()
 	sim, err := engine.New(s.Engine, specs, s.BuilderFor(experiments.Probabilistic))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := sim.Attach(o); err != nil {
-		tb.Fatal(err)
+	if o != nil {
+		if err := sim.Attach(o); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	res, err := sim.Run()
 	if err != nil {
@@ -297,6 +299,42 @@ func BenchmarkSimulation_ProbabilisticObserved(b *testing.B) {
 	}
 }
 
+// observedBatchAllocs returns the allocations of one Wordcount batch
+// under a fresh observer from newObserver (nil for none).
+func observedBatchAllocs(t *testing.T, newObserver func() obs.Observer) float64 {
+	t.Helper()
+	s := benchSetup()
+	specs, err := workload.Specs(workload.Batch(workload.Wordcount), s.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(1, func() { runObservedBatch(t, s, specs, newObserver()) })
+}
+
+func noopObserver() obs.Observer { return obs.Func(func(obs.Event) {}) }
+
+// observedAllocRatio bounds the allocations of one Wordcount batch under
+// a no-op observer, as a multiple of the same batch unobserved: 7.3×
+// while the flow network emitted an event per share change and allocated
+// every flow-event payload on its own, 1.2× once it emitted none and
+// carved payloads from blocks.
+const observedAllocRatio = 1.5
+
+// TestObservedAllocBudget holds observation to observedAllocRatio. It
+// counts allocations, which machine load does not move: a trip means an
+// emission site allocates per event again, or a new event is emitted
+// per solver step.
+func TestObservedAllocBudget(t *testing.T) {
+	unobserved := observedBatchAllocs(t, func() obs.Observer { return nil })
+	observed := observedBatchAllocs(t, noopObserver)
+	t.Logf("%.0f allocs per unobserved batch, %.0f under a no-op observer (%.2f×)",
+		unobserved, observed, observed/unobserved)
+	if observed > observedAllocRatio*unobserved {
+		t.Fatalf("a no-op observer raises allocations per batch from %.0f to %.0f, budget %.1f×",
+			unobserved, observed, observedAllocRatio)
+	}
+}
+
 // jsonlAllocGap bounds what a JSONL sink may allocate beyond a no-op
 // observer over one Wordcount batch: 249,881 objects while the sink
 // called json.Marshal per event, 2 with the hand-written encoder.
@@ -306,16 +344,8 @@ const jsonlAllocGap = 64
 // TestSimulationAllocBudget it counts allocations, which machine load
 // does not move: a trip means the encoder allocates per event again.
 func TestJSONLSinkAllocGap(t *testing.T) {
-	s := benchSetup()
-	specs, err := workload.Specs(workload.Batch(workload.Wordcount), s.Workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := func(newObserver func() obs.Observer) float64 {
-		return testing.AllocsPerRun(1, func() { runObservedBatch(t, s, specs, newObserver()) })
-	}
-	noop := batch(func() obs.Observer { return obs.Func(func(obs.Event) {}) })
-	sink := batch(func() obs.Observer { return obs.NewJSONL(io.Discard) })
+	noop := observedBatchAllocs(t, noopObserver)
+	sink := observedBatchAllocs(t, func() obs.Observer { return obs.NewJSONL(io.Discard) })
 	t.Logf("%.0f allocs per observed batch, %.0f with a JSONL sink", noop, sink)
 	if gap := sink - noop; gap > jsonlAllocGap {
 		t.Fatalf("JSONL sink allocates %.0f objects per batch beyond a no-op observer, budget %d", gap, jsonlAllocGap)

@@ -140,7 +140,7 @@ func FuzzJSONLMatchesMarshal(f *testing.F) {
 	f.Add(3.5, 0.0, 2.0, 0.0, 0.8, 1.2, 0.77, 0.4, 1e8, 125e6, 4, 2, 1, 4, int64(7),
 		"task_assign", "wc", "map", "local rack", "", "accept", []byte{2, 6}, uint8(0xff))
 	f.Add(math.NaN(), 1e-7, 1e21, -0.0, 5e-324, math.Inf(1), 0.0, 0.0, 0.0, 0.0, -1, 0, -1, 0, int64(-1),
-		"flow_rate", "a<b>&", "\u2028", "\xff", "\"\\", "\x00", []byte{}, uint8(0x15))
+		"flow_finish", "a<b>&", "\u2028", "\xff", "\"\\", "\x00", []byte{}, uint8(0x15))
 	f.Fuzz(func(t *testing.T, tm, wait, dur, factor, c, cavg, p, pmin, bytes, rate float64,
 		node, index, src, dst int, id int64, typ, job, kind, locality, reason, draw string,
 		links []byte, parts uint8) {
@@ -170,12 +170,12 @@ func FuzzJSONLMatchesMarshal(f *testing.F) {
 // including the writes to the underlying writer.
 func TestJSONLObserveAllocs(t *testing.T) {
 	sink := NewJSONL(io.Discard)
-	rate := Event{T: 12.25, Type: FlowRate, Node: 3,
+	finish := Event{T: 12.25, Type: FlowFinish, Node: 3,
 		Flow: &FlowInfo{ID: 9, Src: 1, Dst: 3, Bytes: 1e8, Rate: 31250000, Links: []int{2, 7}}}
 	assign := Event{T: 12.25, Type: TaskAssign, Node: 3, Job: "wordcount-4",
 		Task: &TaskRef{Kind: "map", Index: 17}, Locality: "local rack",
 		Decision: &Decision{C: 0.8, CAvg: 1.2, P: 0.7768698398515702, PMin: 0.4, Draw: "accept"}}
-	for _, e := range []Event{rate, assign} {
+	for _, e := range []Event{finish, assign} {
 		if a := testing.AllocsPerRun(1000, func() { sink.Observe(e) }); a != 0 {
 			t.Errorf("%s: %.1f allocs per Observe", e.Type, a)
 		}
@@ -244,7 +244,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 // latched, whether it surfaces at Flush or at a write from Observe, and
 // that later events never reach the writer.
 func TestJSONLWriteErrorLatch(t *testing.T) {
-	e := Event{T: 2, Type: FlowRate, Node: 3,
+	e := Event{T: 2, Type: FlowFinish, Node: 3,
 		Flow: &FlowInfo{ID: 9, Src: 1, Dst: 3, Bytes: 1e8, Rate: 31250000, Links: []int{2, 7}}}
 	for _, tc := range []struct {
 		name  string

@@ -38,8 +38,12 @@ const (
 	NodeFail     Type = "node_fail"     // a node permanently failed (crash instant)
 	TaskRelaunch Type = "task_relaunch" // a task re-queued by failure recovery
 	FlowStart    Type = "flow_start"
-	FlowRate     Type = "flow_rate" // a flow's max-min share changed
 	FlowFinish   Type = "flow_finish"
+
+	// No longer emitted: a flow's max-min share follows from the
+	// flow_start, flow_finish and link events before it. The constant
+	// stays while cmd/mrbench counts it (topology.rate_updates).
+	FlowRate Type = "flow_rate"
 
 	// Fault-injection and recovery events (internal/faults + engine).
 	FailureDetected Type = "failure_detected" // heartbeat-expiry declared the node dead

@@ -171,8 +171,6 @@ func (s *Summary) Observe(e Event) {
 		for _, l := range e.Flow.Links {
 			r.Counter(fmt.Sprintf("link_%03d_bytes", l)).Add(e.Flow.Bytes)
 		}
-	case FlowRate:
-		r.Counter("flow_rate_changes").Inc()
 	case FlowFinish:
 		r.Counter("flows_finished").Inc()
 	}

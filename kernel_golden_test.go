@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,8 +16,8 @@ import (
 // bit-identical. The files under testdata/kernel_golden were recorded before
 // the pass and pin every non-flow event (submissions, offers, assignments,
 // skips, starts, finishes, speculation, faults) byte for byte. Flow events
-// are excluded by design: coalescing legitimately thins same-instant
-// flow_rate updates, but it must never move a decision.
+// are excluded by design: kernel work may legitimately change which flow
+// events a run emits, but it must never move a decision.
 //
 // Regenerate with: go test -run TestKernelGoldenDecisionStreams -update-golden
 var updateGolden = flag.Bool("update-golden", false,
@@ -160,12 +161,10 @@ func TestKernelGoldenDecisionStreams(t *testing.T) {
 // TestJSONLSinkMatchesMarshal pins the whole event log, flow events
 // included, to encoding/json: a JSONL sink and a json.Marshal observer
 // attached to the same run must write the same bytes. The kernel goldens
-// above drop flow_* lines, which are most of a log.
+// above drop flow_* lines.
 func TestJSONLSinkMatchesMarshal(t *testing.T) {
-	faulty := goldenScenarios(t)[3]
 	for _, sc := range []goldenScenario{
-		{faulty.name + "_crosstraffic", faulty.cfg, faulty.defs, faulty.kind,
-			append([]Option{WithCrossTraffic(25)}, faulty.opts...)},
+		crossTrafficScenario(t),
 		{"opensys_multitenant_s5", smallConfig(), nil, SchedulerProbabilistic, openGoldenOptions()},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
@@ -190,13 +189,101 @@ func TestJSONLSinkMatchesMarshal(t *testing.T) {
 			if err := sink.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(want.String(), `"type":"flow_rate"`) {
-				t.Fatal("the run emitted no flow_rate events")
-			}
+			checkFlowEvents(t, want.String())
 			if got.String() != want.String() {
 				t.Fatalf("JSONL sink diverged from json.Marshal:\n%s", firstDiff(want.String(), got.String()))
 			}
 		})
+	}
+}
+
+// crossTrafficScenario is the faulty Terasort golden scenario with
+// persistent cross-traffic flows beside its transfers.
+func crossTrafficScenario(t *testing.T) goldenScenario {
+	t.Helper()
+	faulty := goldenScenarios(t)[3]
+	return goldenScenario{faulty.name + "_crosstraffic", faulty.cfg, faulty.defs, faulty.kind,
+		append([]Option{WithCrossTraffic(25)}, faulty.opts...)}
+}
+
+// TestRetainedEventsStayValid holds an observer to no lifetime rule: it
+// may keep every event it is handed. The flow network carves flow-event
+// payloads from blocks of its own, so after the run each retained event
+// must still marshal to the line the JSONL sink wrote when it was
+// emitted, and appending to a retained Links slice must not write into
+// the links of the flow_start after it.
+func TestRetainedEventsStayValid(t *testing.T) {
+	sc := crossTrafficScenario(t)
+	var log bytes.Buffer
+	sink := NewJSONLSink(&log)
+	var kept []Event
+	keep := ObserverFunc(func(e Event) { kept = append(kept, e) })
+	opts := append([]Option{WithObserver(sink), WithObserver(keep)}, sc.opts...)
+	sim, err := New(sc.cfg, sc.defs, sc.kind, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	checkFlowEvents(t, log.String())
+
+	prev := -1 // index of the last flow_start with links
+	appended := 0
+	for i, e := range kept {
+		if e.Type != "flow_start" || e.Flow == nil || len(e.Flow.Links) == 0 {
+			continue
+		}
+		if prev >= 0 {
+			before := kept[prev].Flow.Links
+			next := append([]int(nil), e.Flow.Links...)
+			_ = append(before, -1, -2, -3, -4)
+			if !slices.Equal(e.Flow.Links, next) {
+				t.Fatalf("appending to event %d's links rewrote event %d's: %v, want %v",
+					prev, i, e.Flow.Links, next)
+			}
+			appended++
+		}
+		prev = i
+	}
+	if appended == 0 {
+		t.Fatal("the run emitted fewer than two flow_start events with links")
+	}
+
+	lines := strings.SplitAfter(log.String(), "\n")
+	if lines[len(lines)-1] == "" {
+		lines = lines[:len(lines)-1]
+	}
+	if len(lines) != len(kept) {
+		t.Fatalf("the sink wrote %d lines for %d retained events", len(lines), len(kept))
+	}
+	for i, e := range kept {
+		b, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(b) + "\n"; got != lines[i] {
+			t.Fatalf("retained event %d changed after emission:\n  emitted:  %s  retained: %s", i, lines[i], got)
+		}
+	}
+}
+
+// checkFlowEvents fails a log that lacks flow_start or flow_finish
+// events, so a whole-log comparison cannot pass by comparing no flow
+// events, or that holds a flow_rate line, a type the network no longer
+// emits.
+func checkFlowEvents(t *testing.T, log string) {
+	t.Helper()
+	for _, typ := range []string{"flow_start", "flow_finish"} {
+		if !strings.Contains(log, `"type":"`+typ+`"`) {
+			t.Fatalf("the run emitted no %s events", typ)
+		}
+	}
+	if strings.Contains(log, `"type":"flow_rate"`) {
+		t.Fatal("the run emitted flow_rate events")
 	}
 }
 
