@@ -61,7 +61,7 @@ func fig2Setup(t *testing.T) (*CostModel, *job.Job) {
 		{Index: 0, Node: -1},
 		{Index: 1, Node: -1},
 	})
-	cm, err := NewCostModel(net, store, nil, ModeHops)
+	cm, err := NewCostModel(net, store, ModeHops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestSelectMapTaskPrefersLocal(t *testing.T) {
 	cm, j := fig2Setup(t)
 	avail := (&snapshots{cm: cm}).of([]topology.NodeID{0, 1, 2, 3})
 	// On D1 (node 0): M1's block is local (P = 1), M2's is 10 hops away.
-	sel, ok := SelectMapTaskWith(directMapCost{cm}, nil, j.Maps, 0, avail)
+	sel, ok := SelectMapTaskWith(cm, nil, j.Maps, 0, avail)
 	if !ok {
 		t.Fatal("no candidate selected")
 	}
@@ -320,7 +320,7 @@ func TestSelectMapTaskPrefersLocal(t *testing.T) {
 	}
 	// On D4 (node 3): neither block local; M2 (10 hops from D1... D2→D4 is
 	// 4) is nearer than M1 (D1→D4 is 6): M2 wins.
-	sel, ok = SelectMapTaskWith(directMapCost{cm}, nil, j.Maps, 3, avail)
+	sel, ok = SelectMapTaskWith(cm, nil, j.Maps, 3, avail)
 	if !ok {
 		t.Fatal("no candidate selected on D4")
 	}
@@ -337,7 +337,7 @@ func TestSelectMapTaskPrefersLocal(t *testing.T) {
 
 func TestSelectMapTaskEmpty(t *testing.T) {
 	cm, _ := fig2Setup(t)
-	if _, ok := SelectMapTaskWith(directMapCost{cm}, nil, nil, 0, (&snapshots{cm: cm}).of([]topology.NodeID{0})); ok {
+	if _, ok := SelectMapTaskWith(cm, nil, nil, 0, (&snapshots{cm: cm}).of([]topology.NodeID{0})); ok {
 		t.Fatal("selection from empty candidate list succeeded")
 	}
 }
@@ -442,7 +442,7 @@ func TestNetworkConditionMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := hdfs.NewStore(net, sim.NewRNG(1))
-	cm, err := NewCostModel(net, store, net, ModeNetworkCondition)
+	cm, err := NewCostModel(net, store, ModeNetworkCondition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,26 +462,20 @@ func TestNetworkConditionMode(t *testing.T) {
 		t.Fatalf("local distance %v, want in (0, %v)", local, idle)
 	}
 	// Mode validation: network-condition costs read a Cluster's link
-	// shares, so any other rate observer is rejected.
-	if _, err := NewCostModel(net, store, nil, ModeNetworkCondition); err == nil {
-		t.Fatal("network-condition mode without observer accepted")
+	// shares, so any other network is rejected.
+	if _, err := NewCostModel(distMatrix(fig2H), store, ModeNetworkCondition); err == nil {
+		t.Fatal("network-condition mode over a non-Cluster network accepted")
 	}
-	if _, err := NewCostModel(net, store, fixedRate{}, ModeNetworkCondition); err == nil {
-		t.Fatal("network-condition mode over a non-Cluster observer accepted")
+	if _, err := NewCostModel((*topology.Cluster)(nil), store, ModeNetworkCondition); err == nil {
+		t.Fatal("network-condition mode over a nil Cluster accepted")
 	}
 	if ModeHops.String() != "hops" || ModeNetworkCondition.String() != "network-condition" {
 		t.Fatal("mode strings wrong")
 	}
 }
 
-// fixedRate is a rate observer that is not a Cluster.
-type fixedRate struct{}
-
-func (fixedRate) PathRate(a, b topology.NodeID) float64 { return 1 }
-func (fixedRate) Epoch() uint64                         { return 0 }
-
 func TestNewCostModelValidation(t *testing.T) {
-	if _, err := NewCostModel(nil, nil, nil, ModeHops); err == nil {
+	if _, err := NewCostModel(nil, nil, ModeHops); err == nil {
 		t.Fatal("nil deps accepted")
 	}
 }
@@ -541,7 +535,7 @@ func TestSelectReduceSkipsUnreachablePlacements(t *testing.T) {
 		{Index: 0, Node: -1},
 		{Index: 1, Node: -1},
 	})
-	cm, err := NewCostModel(net, store, net, ModeNetworkCondition)
+	cm, err := NewCostModel(net, store, ModeNetworkCondition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +579,7 @@ func (fixedProb) Prob(avg, cost float64) float64 {
 func TestSelectionProbComesFromModel(t *testing.T) {
 	cm, j := fig2Setup(t)
 	avail := (&snapshots{cm: cm}).of([]topology.NodeID{0, 1, 2, 3})
-	sel, ok := SelectMapTaskWith(directMapCost{cm}, fixedProb{}, j.Maps, 3, avail) // remote-only node
+	sel, ok := SelectMapTaskWith(cm, fixedProb{}, j.Maps, 3, avail) // remote-only node
 	if !ok {
 		t.Fatal("no candidate")
 	}

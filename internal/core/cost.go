@@ -53,6 +53,11 @@ type CostModel struct {
 	// avail set collapse to per-rack terms.
 	racks *topology.Cluster
 
+	// rows caches Formula 1 per input block in hop mode on a Cluster (nil
+	// otherwise); see row. One model serves all jobs, and ForgetMaps
+	// releases a departed job's rows.
+	rows map[hdfs.BlockID]*mapRow
+
 	// rates is the Cluster whose link shares give the distances in
 	// network-condition mode (nil in hop mode). Those distances move with
 	// every flow churn and do not collapse per rack, but every path starts
@@ -61,9 +66,9 @@ type CostModel struct {
 	// InRate(Rack(a), b)). The per-node sums factor on that split.
 	rates *topology.Cluster
 
-	// Scratch buffers for the rack-collapsed sums, sized to racks.Racks().
-	scratchReps []int     // per-rack replicas-in-avail counts
-	scratchMinD []float64 // per-rack nearest-replica distance (uncached path)
+	// scratchReps holds rackMapSum's per-rack replicas-in-avail counts,
+	// sized to racks.Racks().
+	scratchReps []int
 
 	// Network-condition mode only. rackOf[k] = rates.Rack(k), read per
 	// avail node by netMapSum in place of an integer division.
@@ -77,18 +82,19 @@ type CostModel struct {
 	scratchInv []float64
 }
 
-// NewCostModel builds a cost model. rate may be nil when mode is ModeHops;
-// ModeNetworkCondition requires it to be the *topology.Cluster whose link
-// shares the distances read.
-func NewCostModel(net topology.Network, store *hdfs.Store, rate topology.RateObserver, mode Mode) (*CostModel, error) {
+// NewCostModel builds a cost model over net. ModeNetworkCondition
+// requires net to be a *topology.Cluster: the distances read its link
+// shares.
+func NewCostModel(net topology.Network, store *hdfs.Store, mode Mode) (*CostModel, error) {
 	if net == nil || store == nil {
 		return nil, fmt.Errorf("core: nil network or store")
 	}
 	c := &CostModel{net: net, store: store}
-	if mode == ModeNetworkCondition {
-		cl, ok := rate.(*topology.Cluster)
-		if !ok || cl == nil {
-			return nil, fmt.Errorf("core: network-condition mode requires a *topology.Cluster rate observer, got %T", rate)
+	cl, _ := net.(*topology.Cluster)
+	switch {
+	case mode == ModeNetworkCondition:
+		if cl == nil {
+			return nil, fmt.Errorf("core: network-condition mode requires a *topology.Cluster network, got %T", net)
 		}
 		c.rates = cl
 		c.rackOf = make([]int32, cl.Size())
@@ -96,11 +102,10 @@ func NewCostModel(net topology.Network, store *hdfs.Store, rate topology.RateObs
 			c.rackOf[k] = int32(cl.Rack(topology.NodeID(k)))
 		}
 		c.invUp = make([]float64, cl.Size())
-	}
-	if cl, ok := net.(*topology.Cluster); ok && mode == ModeHops {
+	case mode == ModeHops && cl != nil:
 		c.racks = cl
+		c.rows = make(map[hdfs.BlockID]*mapRow)
 		c.scratchReps = make([]int, cl.Racks())
-		c.scratchMinD = make([]float64, cl.Racks())
 	}
 	return c, nil
 }
@@ -147,7 +152,21 @@ func (c *CostModel) DistanceEpoch() uint64 {
 
 // MapCost returns C_m(i,j) = B_j · min_{l: L_lj=1} h_il (Formula 1): the
 // cost of running map task m on node i, reading from the nearest replica.
+// In hop mode on a Cluster the nearest-replica distance depends only on
+// i's rack — except on a replica node itself, where it is 0 — so it is
+// read from the block's row.
 func (c *CostModel) MapCost(m *job.MapTask, i topology.NodeID) float64 {
+	if c.racks != nil {
+		r := c.row(m)
+		if c.store.HasReplica(m.Block, i) {
+			return 0 // m.Size · h_ii = 0
+		}
+		d := r.rackMinD[c.racks.Rack(i)]
+		if math.IsInf(d, 1) {
+			return math.Inf(1) // no replicas: unschedulable
+		}
+		return m.Size * d
+	}
 	best := math.Inf(1)
 	for _, l := range c.store.Replicas(m.Block) {
 		if d := c.Distance(i, l); d < best {
@@ -168,18 +187,21 @@ func (c *CostModel) MapCost(m *job.MapTask, i topology.NodeID) float64 {
 // mode the per-node sum collapses to Σ_r n'_r · minD_r where n'_r counts
 // the rack's free non-replica nodes (replica members cost 0; a.Counts
 // gives the free nodes) and minD_r is the rack's nearest-replica
-// distance; the MapCoster computes the identical expression, so the two
-// stay bit-exact. In network-condition mode netMapSum costs each node in
-// O(1).
+// distance, read from the block's row; the row keeps the sum until the
+// avail snapshot's Version moves. In network-condition mode netMapSum
+// costs each node in O(1).
 func (c *CostModel) MapCostAvg(m *job.MapTask, a Avail) float64 {
 	avail := a.Nodes
 	if len(avail) == 0 {
 		return 0
 	}
 	if c.racks != nil {
-		replicas := c.store.Replicas(m.Block)
-		c.rackMinD(replicas, c.scratchMinD)
-		return m.Size * c.rackMapSum(replicas, avail, a.Counts, c.scratchMinD) / float64(len(avail))
+		r := c.row(m)
+		if r.sumVersion != a.Version {
+			r.costSum = m.Size * c.rackMapSum(c.store.Replicas(m.Block), avail, a.Counts, r.rackMinD)
+			r.sumVersion = a.Version
+		}
+		return r.costSum / float64(len(avail))
 	}
 	if c.rates != nil {
 		return c.netMapSum(m, avail) / float64(len(avail))
@@ -189,6 +211,45 @@ func (c *CostModel) MapCostAvg(m *job.MapTask, a Avail) float64 {
 		sum += c.MapCost(m, k)
 	}
 	return sum / float64(len(avail))
+}
+
+// mapRow is one input block's Formula 1 cache in hop mode on a Cluster:
+// the per-rack nearest-replica distances and the cost sum feeding C_avg.
+type mapRow struct {
+	rackMinD   []float64 // per rack: min over replicas of RackDistance
+	epoch      uint64    // distance epoch the row was filled at
+	sumVersion uint64    // Avail.Version costSum was computed at (0 = stale)
+	costSum    float64   // Σ_{k in avail} C_m(k, j), before the /N_m division
+}
+
+// row returns the (refreshed) distance row for the task's block. Rack
+// distances are hop counts and never change, so a row only goes stale
+// when its block loses a replica — which DistanceEpoch (the store's
+// replica-mutation epoch in hop mode) signals exactly.
+func (c *CostModel) row(m *job.MapTask) *mapRow {
+	ep := c.DistanceEpoch()
+	r := c.rows[m.Block]
+	if r == nil {
+		r = &mapRow{rackMinD: make([]float64, c.racks.Racks())}
+		c.rows[m.Block] = r
+	} else if r.epoch == ep {
+		return r
+	}
+	c.rackMinD(c.store.Replicas(m.Block), r.rackMinD)
+	r.epoch = ep
+	r.sumVersion = 0 // distances changed: cached cost sum is stale
+	return r
+}
+
+// MapRows returns the number of cached block rows.
+func (c *CostModel) MapRows() int { return len(c.rows) }
+
+// ForgetMaps drops the cached rows of a job's blocks. Blocks belong to
+// exactly one job's input file, so this cannot evict another job's state.
+func (c *CostModel) ForgetMaps(j *job.Job) {
+	for _, m := range j.Maps {
+		delete(c.rows, m.Block)
+	}
 }
 
 // invUpRow returns the row 1/UpRate(k) over every node, refilled once per
@@ -266,9 +327,8 @@ func (c *CostModel) rackMinD(replicas []topology.NodeID, minD []float64) {
 
 // rackMapSum returns Σ_r n'_r · minD_r with n'_r = free nodes of rack r
 // minus the block's replicas among them (a replica node reads locally at
-// distance 0). Both MapCostAvg and the MapCoster funnel through this
-// function so their float operation order — and hence every selection
-// decision — is identical.
+// distance 0). MapCostAvg is its one caller; the tests rebuild the same
+// sum, in the same rack order, from the replica list.
 func (c *CostModel) rackMapSum(replicas, avail []topology.NodeID, counts []int, minD []float64) float64 {
 	reps := c.scratchReps
 	for _, l := range replicas {

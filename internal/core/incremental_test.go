@@ -53,7 +53,7 @@ func churnSetupSpec(t *testing.T, mode Mode, spec topology.Spec, seed int64) (*s
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := NewCostModel(cl, store, cl, mode)
+	cm, err := NewCostModel(cl, store, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +278,58 @@ func TestReduceCosterAvgTracksNetworkEpoch(t *testing.T) {
 	}
 }
 
-// TestMapCosterMatchesNaive checks the cached Formula 1 path against the
-// direct computation, bit for bit, across changing avail sets and replica
-// loss (the only thing that stales a row in hop mode), down to blocks with
-// no replica left, and its rack-collapsed CostAvg against the per-node
-// average of MapCost, on every rack shape. The avail snapshots come from a
-// churned cluster.State.
+// naiveMapCost is the test oracle for the model's Formula 1 path. It
+// never reads the block rows: MapCost finds the nearest replica on every
+// call, and in hop mode on a Cluster MapCostAvg rebuilds C_avg from the
+// replica list as Σ_r n'_r · minD_r in rack order, the rack-collapsed
+// reordering the model adds in, so the two agree bit for bit. Elsewhere
+// MapCostAvg sums MapCost per avail node.
+type naiveMapCost struct{ cm *CostModel }
+
+func (o naiveMapCost) MapCost(m *job.MapTask, i topology.NodeID) float64 {
+	best := math.Inf(1)
+	for _, l := range o.cm.store.Replicas(m.Block) {
+		best = min(best, o.cm.Distance(i, l))
+	}
+	if math.IsInf(best, 1) {
+		return math.Inf(1)
+	}
+	return m.Size * best
+}
+
+func (o naiveMapCost) MapCostAvg(m *job.MapTask, a Avail) float64 {
+	if len(a.Nodes) == 0 {
+		return 0
+	}
+	var sum float64
+	if cl := o.cm.racks; cl != nil {
+		replicas := o.cm.store.Replicas(m.Block)
+		for r, n := range a.Counts {
+			minD := math.Inf(1)
+			for _, l := range replicas {
+				minD = min(minD, cl.RackDistance(r, cl.Rack(l)))
+				if cl.Rack(l) == r && slices.Contains(a.Nodes, l) {
+					n-- // a replica node reads locally at distance 0
+				}
+			}
+			if n > 0 {
+				sum += float64(float64(n) * minD)
+			}
+		}
+		return m.Size * sum / float64(len(a.Nodes))
+	}
+	for _, k := range a.Nodes {
+		sum += o.MapCost(m, k)
+	}
+	return sum / float64(len(a.Nodes))
+}
+
+// TestMapCosterMatchesNaive checks the model's cached Formula 1 rows
+// against the naive oracle, bit for bit, across changing avail sets and
+// replica loss (the only thing that stales a row in hop mode), down to
+// blocks with no replica left, and its rack-collapsed C_avg against the
+// per-node average of MapCost, on every rack shape. The avail snapshots
+// come from a churned cluster.State.
 func TestMapCosterMatchesNaive(t *testing.T) {
 	for _, shape := range rackShapes {
 		t.Run(shape.String(), func(t *testing.T) { testMapCosterMatchesNaive(t, shape) })
@@ -292,10 +338,7 @@ func TestMapCosterMatchesNaive(t *testing.T) {
 
 func testMapCosterMatchesNaive(t *testing.T, shape rackShape) {
 	_, cl, cm, j := churnSetup(t, ModeHops, shape, 13)
-	mc, ok := cm.MapEvaluator().(*MapCoster)
-	if !ok {
-		t.Fatal("hop model on a Cluster did not pick the MapCoster")
-	}
+	naive := naiveMapCost{cm}
 	rng := sim.NewRNG(14)
 	ch := newSlotChurn(t, cl, rng)
 	for round := 0; round < 25; round++ {
@@ -308,18 +351,18 @@ func testMapCosterMatchesNaive(t *testing.T, shape rackShape) {
 		avail := ch.next(job.MapKind)
 		for _, m := range j.Maps {
 			n := topology.NodeID(rng.Intn(cl.Size()))
-			if got, want := mc.Cost(m, n), cm.MapCost(m, n); got != want {
-				t.Fatalf("round %d: Cost(m%d,%d) = %v, naive %v", round, m.Index, n, got, want)
+			if got, want := cm.MapCost(m, n), naive.MapCost(m, n); got != want {
+				t.Fatalf("round %d: MapCost(m%d,%d) = %v, naive %v", round, m.Index, n, got, want)
 			}
-			got := mc.CostAvg(m, avail)
-			if want := cm.MapCostAvg(m, avail); got != want {
-				t.Fatalf("round %d: CostAvg(m%d) = %v, naive %v", round, m.Index, got, want)
+			got := cm.MapCostAvg(m, avail)
+			if want := naive.MapCostAvg(m, avail); got != want {
+				t.Fatalf("round %d: MapCostAvg(m%d) = %v, naive %v", round, m.Index, got, want)
 			}
 			var sum float64
 			for _, k := range avail.Nodes {
-				sum += cm.MapCost(m, k)
+				sum += naive.MapCost(m, k)
 			}
-			requireNear(t, fmt.Sprintf("round %d: CostAvg(m%d)", round, m.Index), got, sum/float64(len(avail.Nodes)))
+			requireNear(t, fmt.Sprintf("round %d: MapCostAvg(m%d)", round, m.Index), got, sum/float64(len(avail.Nodes)))
 		}
 	}
 	lost := false
@@ -329,18 +372,18 @@ func testMapCosterMatchesNaive(t *testing.T, shape rackShape) {
 	if !lost {
 		t.Fatal("no block lost its last replica")
 	}
-	if mc.Len() != len(j.Maps) {
-		t.Fatalf("cached rows = %d, want %d", mc.Len(), len(j.Maps))
+	if cm.MapRows() != len(j.Maps) {
+		t.Fatalf("cached rows = %d, want %d", cm.MapRows(), len(j.Maps))
 	}
-	mc.Forget(j)
-	if mc.Len() != 0 {
-		t.Fatalf("Forget left %d rows", mc.Len())
+	cm.ForgetMaps(j)
+	if cm.MapRows() != 0 {
+		t.Fatalf("ForgetMaps left %d rows", cm.MapRows())
 	}
 }
 
 // TestSelectMapTaskWithMatchesDirect checks Algorithm 1 end to end: the
-// cached evaluator must pick the same task with the same probability and
-// costs as the uncached one. The candidates mix two jobs' block sizes
+// model's cached rows must pick the same task with the same probability
+// and costs as the naive oracle. The candidates mix two jobs' block sizes
 // (and a short tail block), so a large remote task can out-save a small
 // local one.
 func TestSelectMapTaskWithMatchesDirect(t *testing.T) {
@@ -361,15 +404,15 @@ func TestSelectMapTaskWithMatchesDirect(t *testing.T) {
 			tasks = append(tasks, small.Maps[k])
 		}
 	}
-	mc := cm.MapEvaluator()
+	naive := naiveMapCost{cm}
 	rng := sim.NewRNG(18)
 	snaps := &snapshots{cm: cm}
 	locals := 0
 	for round := 0; round < 40; round++ {
 		avail := snaps.of(randomAvail(rng, cl.Size()))
 		node := topology.NodeID(rng.Intn(cl.Size()))
-		a, okA := SelectMapTaskWith(directMapCost{cm}, nil, tasks, node, avail)
-		b, okB := SelectMapTaskWith(mc, nil, tasks, node, avail)
+		a, okA := SelectMapTaskWith(naive, nil, tasks, node, avail)
+		b, okB := SelectMapTaskWith(cm, nil, tasks, node, avail)
 		if okA != okB {
 			t.Fatalf("round %d: ok %v vs %v", round, okA, okB)
 		}
@@ -387,11 +430,11 @@ func TestSelectMapTaskWithMatchesDirect(t *testing.T) {
 		var best, local *job.MapTask
 		var bestS, localS float64
 		for _, m := range tasks {
-			c := cm.MapCost(m, node)
+			c := naive.MapCost(m, node)
 			if math.IsInf(c, 1) {
 				continue
 			}
-			s := cm.MapCostAvg(m, avail) - c
+			s := naive.MapCostAvg(m, avail) - c
 			if best == nil || s > bestS {
 				best, bestS = m, s
 			}

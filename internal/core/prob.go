@@ -62,41 +62,12 @@ type MapSelection struct {
 // HasLocal reports whether a zero-cost candidate was found.
 func (s MapSelection) HasLocal() bool { return s.Local.MapTask != nil }
 
-// MapCostEvaluator abstracts Formula 1 so Algorithm 1 can run against
-// either the direct CostModel computation or a MapCoster cache. The two
-// implementations produce bit-identical costs, so selection decisions do
-// not depend on which one is plugged in; CostModel.MapEvaluator picks the
-// one that pays for the model.
+// MapCostEvaluator is Formula 1 as Algorithm 1 reads it. *CostModel is
+// the one production implementation; the interface exists so tests can
+// run the selection against an uncached reference computation.
 type MapCostEvaluator interface {
-	Cost(m *job.MapTask, i topology.NodeID) float64
-	CostAvg(m *job.MapTask, avail Avail) float64
-}
-
-// directMapCost is the uncached evaluator.
-type directMapCost struct{ cm *CostModel }
-
-func (d directMapCost) Cost(m *job.MapTask, i topology.NodeID) float64 {
-	return d.cm.MapCost(m, i)
-}
-
-func (d directMapCost) CostAvg(m *job.MapTask, avail Avail) float64 {
-	return d.cm.MapCostAvg(m, avail)
-}
-
-// MapEvaluator returns the Formula 1 evaluator for a scheduling session.
-// In hop mode on a Cluster it is a fresh MapCoster, whose rows stay valid
-// until a block loses a replica. Otherwise it is the direct evaluator: in
-// network-condition mode every flow churn moves the distances, so a cache
-// would refill its rows on nearly every offer and only add overhead.
-// There the direct C_avg is already O(1) per avail node: MapCostAvg
-// factors each path rate at the source's uplink and takes the best
-// replica's inbound rate once per (block, rack), reading the flow
-// network's stored link shares.
-func (c *CostModel) MapEvaluator() MapCostEvaluator {
-	if c.racks != nil {
-		return c.newMapCoster()
-	}
-	return directMapCost{c}
+	MapCost(m *job.MapTask, i topology.NodeID) float64
+	MapCostAvg(m *job.MapTask, avail Avail) float64
 }
 
 // SelectMapTaskWith runs lines 2–9 of Algorithm 1: for every candidate map
@@ -113,11 +84,11 @@ func SelectMapTaskWith(ev MapCostEvaluator, model ProbabilityModel, tasks []*job
 		model = Exponential{}
 	}
 	for _, m := range tasks {
-		cost := ev.Cost(m, i)
+		cost := ev.MapCost(m, i)
 		if math.IsInf(cost, 1) {
 			continue
 		}
-		avg := ev.CostAvg(m, avail)
+		avg := ev.MapCostAvg(m, avail)
 		c := Choice{MapTask: m, Prob: model.Prob(avg, cost), Cost: cost, AvgCost: avg}
 		s := c.Saving()
 		if !ok || s > sel.Best.Saving() {

@@ -420,7 +420,6 @@ func New(cfg Config, specs []job.Spec, builder sched.Builder) (*Simulation, erro
 	place, err := placement.NewService(placement.Deps{
 		Net:   topo,
 		Store: store,
-		Rate:  topo,
 		Slots: state,
 		Mode:  cfg.CostMode,
 	})

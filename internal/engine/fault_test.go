@@ -356,7 +356,7 @@ func TestJournalRecoversEngineState(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec, err := placement.Recover(placement.Deps{
-			Net: net, Store: hdfs.NewStore(net, sim.NewRNG(1)), Rate: net, Slots: slots, Mode: cfg.CostMode,
+			Net: net, Store: hdfs.NewStore(net, sim.NewRNG(1)), Slots: slots, Mode: cfg.CostMode,
 		}, nil, &journal)
 		if err != nil {
 			t.Fatalf("cut %v: %v", cut, err)

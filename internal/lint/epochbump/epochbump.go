@@ -2,9 +2,10 @@
 // cost-cache invalidation contract: every function that mutates
 // epoch-guarded state must bump an epoch counter.
 //
-// The incremental cost caches (core.MapCoster / ReduceCoster) are only
-// sound because the quantities they derive are constant between equal
-// epochs: FlowNet bumps its epoch on every rate recomputation, and
+// The incremental cost caches (core.CostModel's block rows and
+// core.ReduceCoster) are only sound because the quantities they derive
+// are constant between equal epochs: FlowNet bumps its epoch on every
+// rate recomputation, and
 // hdfs.Store bumps its epoch on every replica-set mutation. A mutation
 // path that forgets the bump silently serves stale costs — the exact
 // bug class this analyzer removes.

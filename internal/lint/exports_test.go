@@ -19,7 +19,7 @@ var testOnlyAllowed = map[string]string{
 	"Int63":         "sim: the engine tests draw raw seeds from the simulation RNG",
 	"ActiveFlows":   "topology: the engine's whole-run tests check that only cross-traffic flows outlive a run",
 	"CheckFeasible": "topology: the engine's whole-run fuzzer checks that no link ends oversubscribed",
-	"Len":           "core: the placement tests count the map-cost rows a Decider's sweep leaves behind",
+	"MapRows":       "core: the placement tests count the map-cost rows a Decider's sweep leaves behind",
 }
 
 // TestNoTestOnlyExports keeps code only tests use out of the production

@@ -14,9 +14,10 @@ import (
 
 // fmaCheckedPackages are the module packages whose float arithmetic must
 // round every product before it is added: their sums feed placement
-// decisions, which must be bit-identical on every GOARCH. Widening the
-// check to the whole module means growing this list.
-var fmaCheckedPackages = []string{"internal/core", "internal/engine", "internal/sim", "internal/topology"}
+// decisions or the workloads those decisions serve, which must be
+// bit-identical on every GOARCH. Widening the check to the whole module
+// means growing this list.
+var fmaCheckedPackages = []string{"internal/core", "internal/engine", "internal/sim", "internal/topology", "internal/workload"}
 
 // fmaArches are the architectures whose gc backend fuses x*y + z into one
 // multiply-add with a single rounding; amd64 never does.
@@ -27,8 +28,8 @@ var (
 	asmPosition = regexp.MustCompile(`\((\S+\.go):\d+\)`)
 )
 
-// TestNoFusedMultiplyAdd cross-compiles ./internal/engine, which links
-// every checked package, for every fusing architecture with an assembly
+// TestNoFusedMultiplyAdd cross-compiles ./internal/experiments, which
+// links every checked package, for every fusing architecture with an assembly
 // listing of the checked packages, and fails on any fused multiply-add
 // whose source position lies in one of them. Code of other packages
 // inlined into them keeps its own position, so it is not flagged here.
@@ -36,7 +37,7 @@ var (
 // which forces the product's rounding.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-compiles the engine for four architectures")
+		t.Skip("cross-compiles the experiments package for four architectures")
 	}
 	root, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
 	if err != nil {
@@ -47,7 +48,7 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 	for _, pkg := range fmaCheckedPackages {
 		args = append(args, "-gcflags=mapsched/"+pkg+"=-S")
 	}
-	args = append(args, "./internal/engine")
+	args = append(args, "./internal/experiments")
 
 	for _, arch := range fmaArches {
 		cmd := exec.Command("go", args...)

@@ -195,8 +195,8 @@ type Decider struct {
 	// and the sweep can be skipped.
 	swept []*job.Job
 
-	// mapCost evaluates Formula 1 on the path the cost model picks (see
-	// core.CostModel.MapEvaluator).
+	// mapCost evaluates Formula 1: the cost model itself, which a test
+	// reference swaps for an uncached evaluator.
 	mapCost core.MapCostEvaluator
 
 	// mapBuf and redBuf hold one job's pending tasks during a candidate
@@ -237,17 +237,17 @@ func NewDecider(svc *Service, cfg Config, rng *sim.RNG, stream *obs.Stream) *Dec
 	svc.mu.RLock()
 	defer svc.mu.RUnlock()
 	// The Service constructor validated the same inputs, so this cannot
-	// fail today; each Decider gets its own model because the
-	// rack-collapse scratch buffers inside are single-threaded. Should
-	// it ever fail, the Decider is invalid: decisions surface
+	// fail today; each Decider gets its own model because its block
+	// rows and scratch buffers are single-threaded. Should it ever
+	// fail, the Decider is invalid: decisions surface
 	// ErrDeciderInvalid through Outcome.Err instead of panicking.
-	cost, err := core.NewCostModel(svc.net, svc.store, svc.rate, svc.mode)
+	cost, err := core.NewCostModel(svc.net, svc.store, svc.mode)
 	if err != nil {
 		d.err = fmt.Errorf("%w: %v", ErrDeciderInvalid, err)
 		return d
 	}
 	d.cost = cost
-	d.mapCost = cost.MapEvaluator()
+	d.mapCost = cost
 	return d
 }
 
@@ -317,23 +317,18 @@ func (d *Decider) sweep(req *Request) {
 	for _, j := range req.Jobs {
 		live[j.ID] = struct{}{}
 	}
-	mc, _ := d.mapCost.(*core.MapCoster)
-	forget := func(j *job.Job) {
-		if mc != nil {
-			mc.Forget(j)
-		}
-		delete(d.costerCache, j.ID)
-	}
 	for _, j := range d.swept {
 		if _, ok := live[j.ID]; !ok {
-			forget(j)
+			d.cost.ForgetMaps(j)
+			delete(d.costerCache, j.ID)
 		}
 	}
 	// A client list that breaks the append order can keep the skip
 	// while costers join for jobs no swept set holds.
 	for id, e := range d.costerCache {
 		if _, ok := live[id]; !ok {
-			forget(e.rc.Job())
+			d.cost.ForgetMaps(e.rc.Job())
+			delete(d.costerCache, id)
 		}
 	}
 	d.swept = append(d.swept[:0], req.Jobs...)
@@ -360,17 +355,6 @@ func (d *Decider) finishLocked(start consistency, out *Outcome) {
 	out.Torn = end != start
 }
 
-// mapScan is the result of Algorithm 1's candidate scan over the
-// fair-ordered job queue, before the P_min / Bernoulli gate.
-type mapScan struct {
-	best, local      core.Choice
-	found, haveLocal bool
-	// instant marks a data-local best candidate from the fairest job
-	// that has one: Algorithm 1 assigns it immediately (P = 1 when
-	// C = 0) without consulting the gate.
-	instant bool
-}
-
 // scanMaps runs the candidate scan on the offered node. Candidate tasks
 // come from the fair-ordered job queue: a data-local best candidate
 // (P = 1) from the fairest job stops the scan; otherwise the
@@ -379,9 +363,9 @@ type mapScan struct {
 // out-saved by a large remote one). Scanning past the head job mirrors
 // how Hadoop's job-level scheduler iterates jobs when the head job has
 // nothing attractive for a node.
-func (d *Decider) scanMaps(req *Request, node topology.NodeID) mapScan {
+func (d *Decider) scanMaps(req *Request, node topology.NodeID) Evaluation {
 	d.sweep(req)
-	var s mapScan
+	var s Evaluation
 	for _, j := range OrderJobs(req, d.cfg.JobPolicy, job.MapKind) {
 		d.mapBuf = j.AppendPendingMaps(d.mapBuf[:0])
 		sel, ok := core.SelectMapTaskWith(d.mapCost, d.cfg.Model, d.mapBuf, node, req.AvailMap)
@@ -392,17 +376,17 @@ func (d *Decider) scanMaps(req *Request, node topology.NodeID) mapScan {
 		if c.Cost == 0 {
 			// Data-local placement for the fairest job that has one:
 			// assign instantly (Algorithm 1: P_mj = 1 when C = 0).
-			s.best, s.found, s.instant = c, true, true
+			s.Best, s.HasBest, s.InstantLocal = c, true, true
 			return s
 		}
-		if sel.HasLocal() && !s.haveLocal {
+		if sel.HasLocal() && !s.HasLocal {
 			// Fallback from the fairest job that has a local candidate.
-			s.local = sel.Local
-			s.haveLocal = true
+			s.Local = sel.Local
+			s.HasLocal = true
 		}
-		if !s.found || c.Saving() > s.best.Saving() {
-			s.best = c
-			s.found = true
+		if !s.HasBest || c.Saving() > s.Best.Saving() {
+			s.Best = c
+			s.HasBest = true
 		}
 	}
 	return s
@@ -436,14 +420,7 @@ func (d *Decider) EvaluateMap(req *Request, node topology.NodeID) Evaluation {
 	}
 	d.svc.mu.RLock()
 	defer d.svc.mu.RUnlock()
-	s := d.scanMaps(req, node)
-	return Evaluation{
-		Best:         s.best,
-		Local:        s.local,
-		HasBest:      s.found,
-		HasLocal:     s.haveLocal,
-		InstantLocal: s.instant,
-	}
+	return d.scanMaps(req, node)
 }
 
 // PlaceMap implements Algorithm 1 on the offered node: the candidate
@@ -465,8 +442,8 @@ func (d *Decider) PlaceMap(req *Request, node topology.NodeID) (m *job.MapTask, 
 	// Outcome the caller receives, not a by-value copy.
 	defer d.finishLocked(start, &out)
 	s := d.scanMaps(req, node)
-	if s.instant {
-		c := s.best
+	if s.InstantLocal {
+		c := s.Best
 		out.C, out.CAvg, out.P, out.PMin, out.Draw = 0, c.AvgCost, 1, d.cfg.Pmin, "local"
 		if d.obs.Enabled() {
 			d.emitChoiceLocked(req, node, obs.TaskAssign, c,
@@ -474,19 +451,19 @@ func (d *Decider) PlaceMap(req *Request, node topology.NodeID) (m *job.MapTask, 
 		}
 		return c.MapTask, out
 	}
-	if !s.found {
+	if !s.HasBest {
 		return nil, out
 	}
-	if t, ok := d.gateLocked(req, node, s.best, &out); ok {
+	if t, ok := d.gateLocked(req, node, s.Best, &out); ok {
 		return t.MapTask, out
 	}
-	if s.haveLocal {
-		out.C, out.CAvg, out.P, out.PMin, out.Draw = 0, s.local.AvgCost, 1, d.cfg.Pmin, "local_fallback"
+	if s.HasLocal {
+		out.C, out.CAvg, out.P, out.PMin, out.Draw = 0, s.Local.AvgCost, 1, d.cfg.Pmin, "local_fallback"
 		if d.obs.Enabled() {
-			d.emitChoiceLocked(req, node, obs.TaskAssign, s.local,
-				&obs.Decision{C: 0, CAvg: s.local.AvgCost, P: 1, PMin: d.cfg.Pmin, Draw: "local_fallback"}, "")
+			d.emitChoiceLocked(req, node, obs.TaskAssign, s.Local,
+				&obs.Decision{C: 0, CAvg: s.Local.AvgCost, P: 1, PMin: d.cfg.Pmin, Draw: "local_fallback"}, "")
 		}
-		return s.local.MapTask, out
+		return s.Local.MapTask, out
 	}
 	return nil, out
 }
@@ -496,8 +473,10 @@ func (d *Decider) PlaceMap(req *Request, node topology.NodeID) (m *job.MapTask, 
 // emitting the offer / assign / skip events with the Formula 1-5
 // breakdown when a sink is attached. The Bernoulli draw consumes exactly
 // the same RNG stream whether or not observers are attached. best.Prob
-// already carries the configured model's probability — selection
-// computes it exactly once.
+// already carries the configured model's probability: SelectMapTaskWith
+// and SelectReduceTask compute model.Prob for every candidate they scan,
+// and only the winner's value is read here (ROADMAP item 12 drops the
+// losers' evaluations).
 func (d *Decider) gateLocked(req *Request, node topology.NodeID, best core.Choice, out *Outcome) (core.Choice, bool) {
 	prob := best.Prob
 	out.C, out.CAvg, out.P, out.PMin = best.Cost, best.AvgCost, prob, d.cfg.Pmin

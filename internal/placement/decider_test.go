@@ -38,11 +38,68 @@ func newFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewService(Deps{Net: net, Store: store, Rate: net, Slots: slots, Mode: core.ModeHops})
+	svc, err := NewService(Deps{Net: net, Store: store, Slots: slots, Mode: core.ModeHops})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{net: net, store: store, slots: slots, svc: svc, rng: rng}
+}
+
+// TestNewServiceRejectsBadDeps covers every error return of NewService:
+// each row breaks one dependency of an otherwise valid set, and the
+// constructor must report it rather than panic or build a Service.
+func TestNewServiceRejectsBadDeps(t *testing.T) {
+	spec := topology.DefaultSpec()
+	spec.Racks = 2
+	spec.NodesPerRack = 4
+	newNet := func() *topology.Cluster {
+		net, err := topology.NewCluster(sim.NewEngine(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	newSlots := func(n int) *cluster.State {
+		slots, err := cluster.New(n, 4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slots
+	}
+	valid := func() Deps {
+		net := newNet()
+		return Deps{Net: net, Store: hdfs.NewStore(net, sim.NewRNG(1)), Slots: newSlots(net.Size()), Mode: core.ModeHops}
+	}
+	if _, err := NewService(valid()); err != nil {
+		t.Fatalf("valid deps rejected: %v", err)
+	}
+	sameRate := valid()
+	sameRate.Rate = sameRate.Net
+	if _, err := NewService(sameRate); err != nil {
+		t.Fatalf("Rate equal to Net rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Deps)
+	}{
+		{"nil_net", func(d *Deps) { d.Net = nil }},
+		{"nil_slots", func(d *Deps) { d.Slots = nil }},
+		{"nil_store", func(d *Deps) { d.Store = nil }},
+		{"node_count_mismatch", func(d *Deps) { d.Slots = newSlots(d.Net.Size() + 1) }},
+		{"rate_not_net", func(d *Deps) { d.Rate = newNet() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := valid()
+			tc.mutate(&d)
+			svc, err := NewService(d)
+			if err == nil {
+				t.Fatal("NewService accepted the deps")
+			}
+			if svc != nil {
+				t.Fatalf("NewService returned a Service beside error %v", err)
+			}
+		})
+	}
 }
 
 func (f *fixture) decider(cfg Config) *Decider {
@@ -155,19 +212,15 @@ func TestSweepEvictsUnderBalancedChurn(t *testing.T) {
 func TestSweepForgetsMapRowsOfEveryDepartedJob(t *testing.T) {
 	f := newFixture(t)
 	d := f.decider(DefaultConfig())
-	mc, ok := d.mapCost.(*core.MapCoster)
-	if !ok {
-		t.Fatalf("hop-mode map evaluator is %T, want *core.MapCoster", d.mapCost)
-	}
 	j1 := f.addJob(t, 1, []topology.NodeID{0, 1, 2}, 1)
 	j2 := f.addJob(t, 2, []topology.NodeID{3, 4}, 1)
 	// Node 7 holds no replica, so the scan costs every pending map.
 	d.PlaceMap(f.reqFor(j1, j2), 7)
-	if got := mc.Len(); got != 5 {
+	if got := d.cost.MapRows(); got != 5 {
 		t.Fatalf("%d map-cost rows after costing both jobs, want 5", got)
 	}
 	d.PlaceMap(f.reqFor(j2), 7)
-	if got := mc.Len(); got != 2 {
+	if got := d.cost.MapRows(); got != 2 {
 		t.Fatalf("%d map-cost rows after job 1 left, want 2", got)
 	}
 }

@@ -1,7 +1,11 @@
 package placement
 
 import (
+	"math"
+	"slices"
+
 	"mapsched/internal/core"
+	"mapsched/internal/hdfs"
 	"mapsched/internal/job"
 	"mapsched/internal/obs"
 	"mapsched/internal/sim"
@@ -9,42 +13,67 @@ import (
 )
 
 // ReferenceDecider is the uncached reference the production Decider must
-// match decision for decision: map costs come straight from the cost
-// model, and a stale reduce coster is rebuilt from scratch instead of
-// refreshed.
+// match decision for decision: map costs are recomputed from the replica
+// lists on every call, never read from the cost model's block rows, and
+// a stale reduce coster is rebuilt from scratch instead of refreshed.
 type ReferenceDecider struct{ *Decider }
 
 // NewReferenceDecider opens a reference session against svc.
 func NewReferenceDecider(svc *Service, cfg Config, rng *sim.RNG, stream *obs.Stream) ReferenceDecider {
 	d := NewDecider(svc, cfg, rng, stream)
-	d.mapCost = directMapCost{d.cost, d.Mode() == core.ModeNetworkCondition}
+	d.mapCost = directMapCost{d.cost, svc.net, svc.store, d.Mode() == core.ModeHops}
 	return ReferenceDecider{d}
 }
 
-// directMapCost evaluates Formula 1 straight from the cost model. In
-// network-condition mode C_avg is Formula 1 as written, MapCost summed
-// per avail node in node order, independent of the rack-factored form
-// CostModel.MapCostAvg computes. In hop mode the production sum is the
-// rack-collapsed reordering (checked against the per-node sum in
-// internal/core), so C_avg comes from CostModel.MapCostAvg, which
-// collapses without the MapCoster's caches.
+// directMapCost evaluates Formula 1 without the cost model's rows.
+// MapCost finds the nearest replica on every call. In network-condition
+// mode C_avg is Formula 1 as written, MapCost summed per avail node in
+// node order, independent of the rack-factored form
+// core.CostModel.MapCostAvg computes. In hop mode it is rebuilt from the
+// replica list as Σ_r n'_r · minD_r in rack order, the rack-collapsed
+// reordering production uses (checked against the per-node sum in
+// internal/core), so the two agree bit for bit.
 type directMapCost struct {
-	cm      *core.CostModel
-	perNode bool
+	cm    *core.CostModel
+	net   *topology.Cluster
+	store *hdfs.Store
+	hops  bool
 }
 
-func (c directMapCost) Cost(m *job.MapTask, i topology.NodeID) float64 { return c.cm.MapCost(m, i) }
-
-func (c directMapCost) CostAvg(m *job.MapTask, a core.Avail) float64 {
-	if !c.perNode {
-		return c.cm.MapCostAvg(m, a)
+func (c directMapCost) MapCost(m *job.MapTask, i topology.NodeID) float64 {
+	best := math.Inf(1)
+	for _, l := range c.store.Replicas(m.Block) {
+		best = min(best, c.cm.Distance(i, l))
 	}
+	if math.IsInf(best, 1) {
+		return math.Inf(1)
+	}
+	return m.Size * best
+}
+
+func (c directMapCost) MapCostAvg(m *job.MapTask, a core.Avail) float64 {
 	if len(a.Nodes) == 0 {
 		return 0
 	}
 	var sum float64
+	if c.hops {
+		replicas := c.store.Replicas(m.Block)
+		for r, n := range a.Counts {
+			minD := math.Inf(1)
+			for _, l := range replicas {
+				minD = min(minD, c.net.RackDistance(r, c.net.Rack(l)))
+				if c.net.Rack(l) == r && slices.Contains(a.Nodes, l) {
+					n-- // a replica node reads locally at distance 0
+				}
+			}
+			if n > 0 {
+				sum += float64(float64(n) * minD)
+			}
+		}
+		return m.Size * sum / float64(len(a.Nodes))
+	}
 	for _, k := range a.Nodes {
-		sum += c.cm.MapCost(m, k)
+		sum += c.MapCost(m, k)
 	}
 	return sum / float64(len(a.Nodes))
 }

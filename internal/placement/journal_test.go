@@ -71,7 +71,7 @@ func journalScript(t testing.TB, f *fixture, b1 hdfs.BlockID) int {
 func recoveryDeps(t testing.TB) Deps {
 	t.Helper()
 	f, _, _ := journalFixture(t)
-	return Deps{Net: f.net, Store: f.store, Rate: f.net, Slots: f.slots, Mode: core.ModeHops}
+	return Deps{Net: f.net, Store: f.store, Slots: f.slots, Mode: core.ModeHops}
 }
 
 // fingerprint reduces a service's full recoverable state to bytes: two
@@ -490,7 +490,7 @@ func newFixtureSized(t testing.TB, racks int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewService(Deps{Net: net, Store: store, Rate: net, Slots: slots, Mode: core.ModeHops})
+	svc, err := NewService(Deps{Net: net, Store: store, Slots: slots, Mode: core.ModeHops})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func newFixtureSized(t testing.TB, racks int) *fixture {
 // randomness.
 func TestDeciderInvalidSurfacesThroughOutcome(t *testing.T) {
 	f := newFixture(t)
-	bad := &Service{net: f.net, store: nil, rate: f.net, slots: f.slots, mode: core.ModeHops}
+	bad := &Service{net: f.net, store: nil, slots: f.slots, mode: core.ModeHops}
 	d := NewDecider(bad, DefaultConfig(), nil, nil)
 	if !errors.Is(d.Err(), ErrDeciderInvalid) {
 		t.Fatalf("Err() = %v, want ErrDeciderInvalid", d.Err())

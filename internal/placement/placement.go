@@ -13,9 +13,9 @@
 //     epoch and eagerly rematerializing the availability snapshots),
 //     while decisions run under the read lock.
 //   - Decider is one client's decision session: it carries the
-//     per-client cost caches (MapCoster rows, reduce costers), the
-//     client's RNG for the Bernoulli gate, and the observer stream
-//     the decision breakdown is emitted to. A Decider is not safe for
+//     per-client cost caches (the cost model's block rows, reduce
+//     costers), the client's RNG for the Bernoulli gate, and the
+//     observer stream the decision breakdown is emitted to. A Decider is not safe for
 //     concurrent use — concurrent readers each hold their own — but
 //     any number of Deciders may decide concurrently against one
 //     Service, safe under the race detector.
@@ -58,9 +58,9 @@ type Deps struct {
 	Net *topology.Cluster
 	// Store is the replicated block store map costs read from.
 	Store *hdfs.Store
-	// Rate observes path rates; ModeNetworkCondition requires it to be a
-	// *topology.Cluster (in practice Net itself), whose stored link
-	// shares the network-condition costs read.
+	// Rate is unused: the network-condition costs read Net's link
+	// shares. It stays only because cmd/mrbench sets it to Net, and goes
+	// with ROADMAP item 8; NewService rejects any other non-nil value.
 	Rate topology.RateObserver
 	// Slots is the cluster slot state whose availability sets form the
 	// N_m / N_r of Formulas 4–5.
@@ -80,10 +80,9 @@ type Deps struct {
 type Service struct {
 	mu sync.RWMutex
 
-	// net, rate and mode are set once in NewService and never written
-	// again, so they are safe to read without the lock.
+	// net and mode are set once in NewService and never written again,
+	// so they are safe to read without the lock.
 	net  *topology.Cluster
-	rate topology.RateObserver
 	mode core.Mode
 
 	// store and slots are the mutable scheduler-visible state the
@@ -125,9 +124,12 @@ func NewService(d Deps) (*Service, error) {
 	if d.Net == nil || d.Slots == nil {
 		return nil, fmt.Errorf("placement: nil network or slot state")
 	}
-	// Validates the net/store/rate/mode combination; Deciders build
-	// their own models from the same inputs.
-	if _, err := core.NewCostModel(d.Net, d.Store, d.Rate, d.Mode); err != nil {
+	if d.Rate != nil && d.Rate != d.Net {
+		return nil, fmt.Errorf("placement: rate observer %T is not the network", d.Rate)
+	}
+	// Validates the net/store/mode combination; Deciders build their own
+	// models from the same inputs.
+	if _, err := core.NewCostModel(d.Net, d.Store, d.Mode); err != nil {
 		return nil, err
 	}
 	if d.Net.Size() != d.Slots.Size() {
@@ -136,7 +138,6 @@ func NewService(d Deps) (*Service, error) {
 	s := &Service{
 		net:   d.Net,
 		store: d.Store,
-		rate:  d.Rate,
 		slots: d.Slots,
 		mode:  d.Mode,
 	}

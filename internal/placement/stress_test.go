@@ -219,7 +219,7 @@ func TestAuditorUnderDeltaChurn(t *testing.T) {
 	if _, err := f2.store.AddBlock(64e6, 1, placeAt{nodes: []topology.NodeID{0}}); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Recover(Deps{Net: f2.net, Store: f2.store, Rate: f2.net, Slots: f2.slots, Mode: core.ModeHops},
+	rec, err := Recover(Deps{Net: f2.net, Store: f2.store, Slots: f2.slots, Mode: core.ModeHops},
 		nil, bytes.NewReader(journal.bytes()))
 	if err != nil {
 		t.Fatal(err)

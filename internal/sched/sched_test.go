@@ -38,7 +38,7 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	place, err := placement.NewService(placement.Deps{
-		Net: net, Store: store, Rate: net, Slots: state, Mode: core.ModeHops,
+		Net: net, Store: store, Slots: state, Mode: core.ModeHops,
 	})
 	if err != nil {
 		t.Fatal(err)

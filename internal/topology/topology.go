@@ -37,9 +37,10 @@ type Network interface {
 // RateObserver reports the transmission rate (bytes/second) a new transfer
 // from a to b would currently obtain. Section II-B-3 of the paper replaces
 // h_ab with the inverse of this rate to make the cost bandwidth-aware.
-// Cluster is the one production implementation, and the
-// network-condition cost model requires it: its per-rack sums read
-// UpRate and InRate.
+// Cluster is the one production implementation. The network-condition
+// cost model reads its Cluster network directly (its per-rack sums need
+// UpRate and InRate), so only placement.Deps.Rate still names this
+// interface.
 type RateObserver interface {
 	PathRate(a, b NodeID) float64
 	// Epoch advances whenever a PathRate observation may have changed:

@@ -112,8 +112,8 @@ func (t Tenant) MeanServiceDemand(o Options, taskOverhead, linkBps float64) (map
 		p := ProfileFor(k)
 		maps := scaleCount(int(meanGB*1e9/115e6)+10, o.Scale)
 		reduces := scaleCount(160, o.Scale)
-		m := input/p.MapRate + taskOverhead*float64(maps)
-		r := input*p.MapSelectivity/p.ReduceRate + taskOverhead*float64(reduces)
+		m := input/p.MapRate + float64(taskOverhead*float64(maps))
+		r := input*p.MapSelectivity/p.ReduceRate + float64(taskOverhead*float64(reduces))
 		if linkBps > 0 {
 			// About half the maps fetch their input remotely; every
 			// reduce pulls its full shuffle partition over the network.
@@ -221,7 +221,7 @@ func BuildArrivals(plan ArrivalPlan, tenants []Tenant, seed int64, o Options) ([
 	}
 	var expect float64
 	for _, t := range tenants {
-		expect += t.Rate * plan.Horizon
+		expect += float64(t.Rate * plan.Horizon)
 	}
 	if expect > maxPoissonArrivals {
 		return nil, fmt.Errorf("workload: tenant rates over the %v s arrival horizon expect %.4g Poisson arrivals, above the limit of %d",

@@ -108,7 +108,7 @@ func buildPlacementParts(cfg ClusterConfig, defs []JobDef, o options) (*placemen
 	}
 	return &placementParts{
 		deps: placement.Deps{
-			Net: topo, Store: store, Rate: topo, Slots: slots, Mode: cfg.CostMode,
+			Net: topo, Store: store, Slots: slots, Mode: cfg.CostMode,
 		},
 		pc:     o.placementConfig(),
 		sched:  root.Fork("sched"),
