@@ -85,7 +85,7 @@ func (a Acceptance) ExpectedOffers() float64 {
 func (a Acceptance) ExpectedCost() float64 {
 	var num, den float64
 	for i, p := range a.Probs {
-		num += p * a.Costs[i]
+		num += float64(p * a.Costs[i])
 		den += p
 	}
 	if den == 0 {

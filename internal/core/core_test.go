@@ -599,3 +599,47 @@ func TestSelectionProbComesFromModel(t *testing.T) {
 		t.Fatalf("reduce Choice.Prob = %v, want the model's 0.123", best.Prob)
 	}
 }
+
+// countingModel is Formula 4 with a count of its Prob calls.
+type countingModel struct{ calls *int }
+
+func (countingModel) Name() string { return "counting" }
+func (m countingModel) Prob(avg, cost float64) float64 {
+	*m.calls++
+	return AssignProb(avg, cost)
+}
+
+// TestSelectionComputesOneProbabilityPerWinner pins the one-probability
+// contract: selection ranks by saving, so SelectMapTaskWith evaluates the
+// model at most twice per call (Best and Local) and SelectReduceTask at
+// most once, however many candidates they scan.
+func TestSelectionComputesOneProbabilityPerWinner(t *testing.T) {
+	_, cl, cm, j := churnSetup(t, ModeHops, rackShape{3, 8}, 23)
+	rng := sim.NewRNG(24)
+	snaps := &snapshots{cm: cm}
+	var calls int
+	model := countingModel{&calls}
+	maxMap, maxReduce := 0, 0
+	for round := 0; round < 30; round++ {
+		churnMaps(j, len(j.Maps), rng, cl.Size())
+		avail := snaps.of(randomAvail(rng, cl.Size()))
+		node := topology.NodeID(rng.Intn(cl.Size()))
+		calls = 0
+		if _, ok := SelectMapTaskWith(cm, model, j.Maps, node, avail); !ok {
+			t.Fatalf("round %d: no map candidate", round)
+		}
+		maxMap = max(maxMap, calls)
+		calls = 0
+		rc := cm.NewReduceCoster(j, ProgressScaled{})
+		if _, ok := SelectReduceTask(rc, model, j.Reduces, node, avail); !ok {
+			t.Fatalf("round %d: no reduce candidate", round)
+		}
+		maxReduce = max(maxReduce, calls)
+	}
+	if maxMap == 0 || maxMap > 2 {
+		t.Fatalf("SelectMapTaskWith called Prob up to %d times per call over %d candidates, want 1 or 2", maxMap, len(j.Maps))
+	}
+	if maxReduce != 1 {
+		t.Fatalf("SelectReduceTask called Prob up to %d times per call over %d candidates, want 1", maxReduce, len(j.Reduces))
+	}
+}

@@ -53,10 +53,12 @@ type CostModel struct {
 	// avail set collapse to per-rack terms.
 	racks *topology.Cluster
 
-	// rows caches Formula 1 per input block in hop mode on a Cluster (nil
-	// otherwise); see row. One model serves all jobs, and ForgetMaps
-	// releases a departed job's rows.
-	rows map[hdfs.BlockID]*mapRow
+	// rows caches Formula 1 per input block in hop mode on a Cluster,
+	// indexed by BlockID; see row. The store assigns block IDs densely and
+	// never frees one, so the slice grows on first use to at most the
+	// store's size. One model serves all jobs, and ForgetMaps resets a
+	// departed job's rows to empty.
+	rows []mapRow
 
 	// rates is the Cluster whose link shares give the distances in
 	// network-condition mode (nil in hop mode). Those distances move with
@@ -104,7 +106,6 @@ func NewCostModel(net topology.Network, store *hdfs.Store, mode Mode) (*CostMode
 		c.invUp = make([]float64, cl.Size())
 	case mode == ModeHops && cl != nil:
 		c.racks = cl
-		c.rows = make(map[hdfs.BlockID]*mapRow)
 		c.scratchReps = make([]int, cl.Racks())
 	}
 	return c, nil
@@ -157,15 +158,7 @@ func (c *CostModel) DistanceEpoch() uint64 {
 // read from the block's row.
 func (c *CostModel) MapCost(m *job.MapTask, i topology.NodeID) float64 {
 	if c.racks != nil {
-		r := c.row(m)
-		if c.store.HasReplica(m.Block, i) {
-			return 0 // m.Size · h_ii = 0
-		}
-		d := r.rackMinD[c.racks.Rack(i)]
-		if math.IsInf(d, 1) {
-			return math.Inf(1) // no replicas: unschedulable
-		}
-		return m.Size * d
+		return c.rowCost(m, c.row(m), i)
 	}
 	best := math.Inf(1)
 	for _, l := range c.store.Replicas(m.Block) {
@@ -196,12 +189,7 @@ func (c *CostModel) MapCostAvg(m *job.MapTask, a Avail) float64 {
 		return 0
 	}
 	if c.racks != nil {
-		r := c.row(m)
-		if r.sumVersion != a.Version {
-			r.costSum = m.Size * c.rackMapSum(c.store.Replicas(m.Block), avail, a.Counts, r.rackMinD)
-			r.sumVersion = a.Version
-		}
-		return r.costSum / float64(len(avail))
+		return c.rowAvg(m, c.row(m), a)
 	}
 	if c.rates != nil {
 		return c.netMapSum(m, avail) / float64(len(avail))
@@ -213,8 +201,49 @@ func (c *CostModel) MapCostAvg(m *job.MapTask, a Avail) float64 {
 	return sum / float64(len(avail))
 }
 
+// MapCosts returns Formula 1's pair for Algorithm 1: C = MapCost(m, i)
+// and C_avg = MapCostAvg(m, avail), fetching the block's row once in hop
+// mode on a Cluster. When C is +Inf the task is unschedulable on i, and
+// avg is left 0 without being computed.
+func (c *CostModel) MapCosts(m *job.MapTask, i topology.NodeID, avail Avail) (cost, avg float64) {
+	if c.racks == nil {
+		if cost = c.MapCost(m, i); math.IsInf(cost, 1) {
+			return cost, 0
+		}
+		return cost, c.MapCostAvg(m, avail)
+	}
+	r := c.row(m)
+	if cost = c.rowCost(m, r, i); math.IsInf(cost, 1) || len(avail.Nodes) == 0 {
+		return cost, 0
+	}
+	return cost, c.rowAvg(m, r, avail)
+}
+
+// rowCost is MapCost read from the block's row r.
+func (c *CostModel) rowCost(m *job.MapTask, r *mapRow, i topology.NodeID) float64 {
+	if c.store.HasReplica(m.Block, i) {
+		return 0 // m.Size · h_ii = 0
+	}
+	d := r.rackMinD[c.racks.Rack(i)]
+	if math.IsInf(d, 1) {
+		return math.Inf(1) // no replicas: unschedulable
+	}
+	return m.Size * d
+}
+
+// rowAvg is MapCostAvg over a non-empty avail set, read from the block's
+// row r and refilling its cost sum when a.Version has moved.
+func (c *CostModel) rowAvg(m *job.MapTask, r *mapRow, a Avail) float64 {
+	if r.sumVersion != a.Version {
+		r.costSum = m.Size * c.rackMapSum(c.store.Replicas(m.Block), a.Nodes, a.Counts, r.rackMinD)
+		r.sumVersion = a.Version
+	}
+	return r.costSum / float64(len(a.Nodes))
+}
+
 // mapRow is one input block's Formula 1 cache in hop mode on a Cluster:
 // the per-rack nearest-replica distances and the cost sum feeding C_avg.
+// The zero value is an empty row (rackMinD nil).
 type mapRow struct {
 	rackMinD   []float64 // per rack: min over replicas of RackDistance
 	epoch      uint64    // distance epoch the row was filled at
@@ -225,13 +254,17 @@ type mapRow struct {
 // row returns the (refreshed) distance row for the task's block. Rack
 // distances are hop counts and never change, so a row only goes stale
 // when its block loses a replica — which DistanceEpoch (the store's
-// replica-mutation epoch in hop mode) signals exactly.
+// replica-mutation epoch in hop mode) signals exactly. The pointer is
+// valid until the next call grows the rows.
 func (c *CostModel) row(m *job.MapTask) *mapRow {
 	ep := c.DistanceEpoch()
-	r := c.rows[m.Block]
-	if r == nil {
-		r = &mapRow{rackMinD: make([]float64, c.racks.Racks())}
-		c.rows[m.Block] = r
+	if int(m.Block) >= len(c.rows) {
+		n := c.store.NumBlocks()
+		c.rows = slices.Grow(c.rows, n-len(c.rows))[:n]
+	}
+	r := &c.rows[m.Block]
+	if r.rackMinD == nil {
+		r.rackMinD = make([]float64, c.racks.Racks())
 	} else if r.epoch == ep {
 		return r
 	}
@@ -241,14 +274,24 @@ func (c *CostModel) row(m *job.MapTask) *mapRow {
 	return r
 }
 
-// MapRows returns the number of cached block rows.
-func (c *CostModel) MapRows() int { return len(c.rows) }
+// MapRows returns the number of filled block rows.
+func (c *CostModel) MapRows() int {
+	n := 0
+	for i := range c.rows {
+		if c.rows[i].rackMinD != nil {
+			n++
+		}
+	}
+	return n
+}
 
-// ForgetMaps drops the cached rows of a job's blocks. Blocks belong to
+// ForgetMaps empties the cached rows of a job's blocks. Blocks belong to
 // exactly one job's input file, so this cannot evict another job's state.
 func (c *CostModel) ForgetMaps(j *job.Job) {
 	for _, m := range j.Maps {
-		delete(c.rows, m.Block)
+		if int(m.Block) < len(c.rows) {
+			c.rows[m.Block] = mapRow{}
+		}
 	}
 }
 
@@ -327,7 +370,7 @@ func (c *CostModel) rackMinD(replicas []topology.NodeID, minD []float64) {
 
 // rackMapSum returns Σ_r n'_r · minD_r with n'_r = free nodes of rack r
 // minus the block's replicas among them (a replica node reads locally at
-// distance 0). MapCostAvg is its one caller; the tests rebuild the same
+// distance 0). rowAvg is its one caller; the tests rebuild the same
 // sum, in the same rack order, from the replica list.
 func (c *CostModel) rackMapSum(replicas, avail []topology.NodeID, counts []int, minD []float64) float64 {
 	reps := c.scratchReps

@@ -3,6 +3,9 @@ package core
 import (
 	"math"
 	"testing"
+
+	"mapsched/internal/job"
+	"mapsched/internal/topology"
 )
 
 // FuzzAssignProb checks that every (avg, cost) pair, however degenerate,
@@ -49,5 +52,64 @@ func FuzzCostCeiling(f *testing.F) {
 		if math.Abs(got-pmin) > 1e-6 {
 			t.Fatalf("AssignProb at ceiling(%v) = %v", pmin, got)
 		}
+	})
+}
+
+// FuzzSelectMapTaskMatchesNaive runs Algorithm 1's selection through the
+// cost model's cached block rows and through the naive oracle on the same
+// inputs and requires the same MapSelection, field for field, Prob
+// included. Each input selects under one avail set (filling rows), edits
+// the replica sets, and selects again under a second avail set and then
+// the first. An edit, three bytes (op, block, node), adds a replica,
+// removes one, removes every replica of the block (the last removal
+// leaves it unschedulable) or forgets a job's rows; every replica change
+// moves the store epoch. An avail mask's bit k puts node k in the set.
+func FuzzSelectMapTaskMatchesNaive(f *testing.F) {
+	f.Add([]byte{0, 3, 2, 1, 7, 9, 2, 5, 0}, uint32(0xffffff), uint32(0xf0f0f0), uint8(4), uint8(0))
+	f.Add([]byte{2, 0, 0, 2, 1, 0, 3, 0, 0}, uint32(0x00ff00), uint32(0x0000ff), uint8(9), uint8(1))
+	f.Add([]byte{1, 40, 3, 0, 41, 3}, uint32(0), uint32(0x800001), uint8(23), uint8(2))
+	f.Add([]byte{3, 1, 0, 0, 12, 17}, uint32(0x123456), uint32(0x123456), uint8(17), uint8(3))
+	f.Fuzz(func(t *testing.T, edits []byte, avail1, avail2 uint32, node, model uint8) {
+		_, cl, cm, j := churnSetup(t, ModeHops, rackShape{3, 8}, 31)
+		small, tasks := mixedTasks(t, cm, j, 37)
+		n := cl.Size()
+		mdl := Models()[int(model)%len(Models())]
+		offered := topology.NodeID(int(node) % n)
+		snaps := &snapshots{cm: cm}
+		check := func(mask uint32) {
+			t.Helper()
+			var nodes []topology.NodeID
+			for k := 0; k < n; k++ {
+				if mask&(1<<k) != 0 {
+					nodes = append(nodes, topology.NodeID(k))
+				}
+			}
+			a := snaps.of(nodes)
+			got, okG := SelectMapTaskWith(cm, mdl, tasks, offered, a)
+			want, okW := SelectMapTaskWith(naiveMapCost{cm}, mdl, tasks, offered, a)
+			if okG != okW || got != want {
+				t.Fatalf("%s on node %d, avail %v: rows give %+v (%v), naive %+v (%v)",
+					mdl.Name(), offered, nodes, got, okG, want, okW)
+			}
+		}
+		check(avail1)
+		for ; len(edits) >= 3; edits = edits[3:] {
+			b := tasks[int(edits[1])%len(tasks)].Block
+			k := topology.NodeID(int(edits[2]) % n)
+			switch edits[0] % 4 {
+			case 0:
+				cm.store.AddReplica(b, k)
+			case 1:
+				cm.store.RemoveReplica(b, k)
+			case 2:
+				for _, l := range append([]topology.NodeID(nil), cm.store.Replicas(b)...) {
+					cm.store.RemoveReplica(b, l)
+				}
+			case 3:
+				cm.ForgetMaps([]*job.Job{j, small}[edits[1]%2])
+			}
+		}
+		check(avail2)
+		check(avail1)
 	})
 }

@@ -279,12 +279,19 @@ func TestReduceCosterAvgTracksNetworkEpoch(t *testing.T) {
 }
 
 // naiveMapCost is the test oracle for the model's Formula 1 path. It
-// never reads the block rows: MapCost finds the nearest replica on every
-// call, and in hop mode on a Cluster MapCostAvg rebuilds C_avg from the
+// never reads the block rows: MapCosts composes MapCost and MapCostAvg,
+// MapCost finds the nearest replica on every call, and in hop mode on a Cluster MapCostAvg rebuilds C_avg from the
 // replica list as Σ_r n'_r · minD_r in rack order, the rack-collapsed
 // reordering the model adds in, so the two agree bit for bit. Elsewhere
 // MapCostAvg sums MapCost per avail node.
 type naiveMapCost struct{ cm *CostModel }
+
+func (o naiveMapCost) MapCosts(m *job.MapTask, i topology.NodeID, a Avail) (cost, avg float64) {
+	if cost = o.MapCost(m, i); math.IsInf(cost, 1) {
+		return cost, 0
+	}
+	return cost, o.MapCostAvg(m, a)
+}
 
 func (o naiveMapCost) MapCost(m *job.MapTask, i topology.NodeID) float64 {
 	best := math.Inf(1)
@@ -381,17 +388,86 @@ func testMapCosterMatchesNaive(t *testing.T, shape rackShape) {
 	}
 }
 
-// TestSelectMapTaskWithMatchesDirect checks Algorithm 1 end to end: the
-// model's cached rows must pick the same task with the same probability
-// and costs as the naive oracle. The candidates mix two jobs' block sizes
-// (and a short tail block), so a large remote task can out-save a small
-// local one.
+// TestSelectMapTaskWithMatchesDirect checks Algorithm 1 end to end under
+// every built-in model: the model's cached rows must pick the same task
+// with the same probability and costs as the naive oracle, and each
+// returned candidate's probability must be the model's at its own costs.
+// The candidates mix two jobs' block sizes (and a short tail block), so a
+// large remote task can out-save a small local one.
 func TestSelectMapTaskWithMatchesDirect(t *testing.T) {
 	_, cl, cm, j := churnSetup(t, ModeHops, rackShape{3, 8}, 17)
+	_, tasks := mixedTasks(t, cm, j, 19)
+	naive := naiveMapCost{cm}
+	rng := sim.NewRNG(18)
+	snaps := &snapshots{cm: cm}
+	locals := 0
+	for round := 0; round < 40; round++ {
+		avail := snaps.of(randomAvail(rng, cl.Size()))
+		node := topology.NodeID(rng.Intn(cl.Size()))
+		for _, model := range Models() {
+			a, okA := SelectMapTaskWith(naive, model, tasks, node, avail)
+			b, okB := SelectMapTaskWith(cm, model, tasks, node, avail)
+			if okA != okB {
+				t.Fatalf("round %d, %s: ok %v vs %v", round, model.Name(), okA, okB)
+			}
+			if !okA {
+				continue
+			}
+			if a.Best != b.Best {
+				t.Fatalf("round %d, %s: best differs: %+v vs %+v", round, model.Name(), a.Best, b.Best)
+			}
+			if a.Local != b.Local {
+				t.Fatalf("round %d, %s: local differs: %+v vs %+v", round, model.Name(), a.Local, b.Local)
+			}
+			// Brute force: Best has the largest saving, Local the largest
+			// among zero-cost candidates, the earlier task winning ties;
+			// each carries the model's probability at its own costs.
+			var best, local *job.MapTask
+			var bestS, localS float64
+			for _, m := range tasks {
+				c := naive.MapCost(m, node)
+				if math.IsInf(c, 1) {
+					continue
+				}
+				s := naive.MapCostAvg(m, avail) - c
+				if best == nil || s > bestS {
+					best, bestS = m, s
+				}
+				if c == 0 && (local == nil || s > localS) {
+					local, localS = m, s
+				}
+			}
+			if a.Best.MapTask != best || a.Local.MapTask != local {
+				t.Fatalf("round %d, %s: selected best %v local %v, brute force says %v and %v",
+					round, model.Name(), a.Best.MapTask, a.Local.MapTask, best, local)
+			}
+			if p := model.Prob(a.Best.AvgCost, a.Best.Cost); a.Best.Prob != p {
+				t.Fatalf("round %d, %s: Best.Prob = %v, model says %v", round, model.Name(), a.Best.Prob, p)
+			}
+			if a.HasLocal() {
+				if p := model.Prob(a.Local.AvgCost, a.Local.Cost); a.Local.Prob != p {
+					t.Fatalf("round %d, %s: Local.Prob = %v, model says %v", round, model.Name(), a.Local.Prob, p)
+				}
+				if a.Local != a.Best {
+					locals++
+				}
+			}
+		}
+	}
+	if locals == 0 {
+		t.Fatal("no round had a remote best beside a local candidate")
+	}
+}
+
+// mixedTasks adds a second job of small blocks (and a short tail block)
+// to j's store and returns it with both jobs' maps interleaved, so a
+// large remote task can out-save a small local one.
+func mixedTasks(t *testing.T, cm *CostModel, j *job.Job, seed int64) (*job.Job, []*job.MapTask) {
+	t.Helper()
 	small, err := job.New(2, job.Spec{
 		Name: "small", Profile: j.Spec.Profile, InputBytes: 20*16e6 + 5e6, BlockSize: 16e6,
 		NumReduces: 3, Replication: 2,
-	}, cm.store, sim.NewRNG(19))
+	}, cm.store, sim.NewRNG(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,55 +480,7 @@ func TestSelectMapTaskWithMatchesDirect(t *testing.T) {
 			tasks = append(tasks, small.Maps[k])
 		}
 	}
-	naive := naiveMapCost{cm}
-	rng := sim.NewRNG(18)
-	snaps := &snapshots{cm: cm}
-	locals := 0
-	for round := 0; round < 40; round++ {
-		avail := snaps.of(randomAvail(rng, cl.Size()))
-		node := topology.NodeID(rng.Intn(cl.Size()))
-		a, okA := SelectMapTaskWith(naive, nil, tasks, node, avail)
-		b, okB := SelectMapTaskWith(cm, nil, tasks, node, avail)
-		if okA != okB {
-			t.Fatalf("round %d: ok %v vs %v", round, okA, okB)
-		}
-		if !okA {
-			continue
-		}
-		if a.Best != b.Best {
-			t.Fatalf("round %d: best differs: %+v vs %+v", round, a.Best, b.Best)
-		}
-		if a.Local != b.Local {
-			t.Fatalf("round %d: local differs: %+v vs %+v", round, a.Local, b.Local)
-		}
-		// Brute force: Best has the largest saving, Local the largest among
-		// zero-cost candidates, the earlier task winning ties.
-		var best, local *job.MapTask
-		var bestS, localS float64
-		for _, m := range tasks {
-			c := naive.MapCost(m, node)
-			if math.IsInf(c, 1) {
-				continue
-			}
-			s := naive.MapCostAvg(m, avail) - c
-			if best == nil || s > bestS {
-				best, bestS = m, s
-			}
-			if c == 0 && (local == nil || s > localS) {
-				local, localS = m, s
-			}
-		}
-		if a.Best.MapTask != best || a.Local.MapTask != local {
-			t.Fatalf("round %d: selected best %v local %v, brute force says %v and %v",
-				round, a.Best.MapTask, a.Local.MapTask, best, local)
-		}
-		if a.HasLocal() && a.Local != a.Best {
-			locals++
-		}
-	}
-	if locals == 0 {
-		t.Fatal("no round had a remote best beside a local candidate")
-	}
+	return small, tasks
 }
 
 // netShapes are the network-condition shapes the factored sums are

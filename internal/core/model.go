@@ -13,7 +13,11 @@ import (
 //
 // Every model must satisfy the paper's qualitative contract:
 // P ∈ [0, 1], P = 1 when C = 0 (data-local), non-decreasing in C_avg and
-// non-increasing in C.
+// non-increasing in C. Prob must also be pure, a function of (avg, cost)
+// alone: selection ranks candidates by saving and calls Prob once per
+// selected candidate, not once per candidate scanned, so a model with
+// state or side effects would see a different call sequence than the
+// candidates suggest.
 type ProbabilityModel interface {
 	// Prob returns the assignment probability for a placement of cost
 	// cost when the expected cost over available nodes is avg.

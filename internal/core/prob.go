@@ -66,30 +66,32 @@ func (s MapSelection) HasLocal() bool { return s.Local.MapTask != nil }
 // the one production implementation; the interface exists so tests can
 // run the selection against an uncached reference computation.
 type MapCostEvaluator interface {
-	MapCost(m *job.MapTask, i topology.NodeID) float64
-	MapCostAvg(m *job.MapTask, avail Avail) float64
+	// MapCosts returns C_m(i,j), the cost of running m on node i, and,
+	// when that is finite, C_avg over the nodes with free map slots. avg
+	// is not computed, and may be anything, when cost is +Inf.
+	MapCosts(m *job.MapTask, i topology.NodeID, avail Avail) (cost, avg float64)
 }
 
 // SelectMapTaskWith runs lines 2–9 of Algorithm 1: for every candidate map
-// task it computes the placement cost on node i (Formula 1), the average
-// cost over nodes with free map slots, and the probability under the
-// configured model (Formula 4 when model is nil), returning the candidate
+// task it computes the placement cost on node i (Formula 1) and the
+// average cost over nodes with free map slots, and returns the candidate
 // with the largest transmission-cost saving plus the best data-local
 // candidate (which Best need not subsume: a large remote task can
 // out-save a small local one). Ties on saving go to the earlier task, for
-// determinism. ok is false when tasks is empty or no candidate is
-// schedulable.
+// determinism. Selection reads only the saving, so the probability under
+// the configured model (Formula 4 when model is nil) is computed once per
+// returned candidate, after the scan. ok is false when tasks is empty or
+// no candidate is schedulable.
 func SelectMapTaskWith(ev MapCostEvaluator, model ProbabilityModel, tasks []*job.MapTask, i topology.NodeID, avail Avail) (sel MapSelection, ok bool) {
 	if model == nil {
 		model = Exponential{}
 	}
 	for _, m := range tasks {
-		cost := ev.MapCost(m, i)
+		cost, avg := ev.MapCosts(m, i, avail)
 		if math.IsInf(cost, 1) {
 			continue
 		}
-		avg := ev.MapCostAvg(m, avail)
-		c := Choice{MapTask: m, Prob: model.Prob(avg, cost), Cost: cost, AvgCost: avg}
+		c := Choice{MapTask: m, Cost: cost, AvgCost: avg}
 		s := c.Saving()
 		if !ok || s > sel.Best.Saving() {
 			sel.Best, ok = c, true
@@ -98,18 +100,25 @@ func SelectMapTaskWith(ev MapCostEvaluator, model ProbabilityModel, tasks []*job
 			sel.Local = c
 		}
 	}
+	if ok {
+		sel.Best.Prob = model.Prob(sel.Best.AvgCost, sel.Best.Cost)
+	}
+	if sel.HasLocal() {
+		sel.Local.Prob = model.Prob(sel.Local.AvgCost, sel.Local.Cost)
+	}
 	return sel, ok
 }
 
 // SelectReduceTask runs lines 2–10 of Algorithm 2: for every candidate
 // reduce task it computes the shuffle cost on node i (Formula 3 with the
-// estimator's Î_jf), the average over nodes with free reduce slots, and
-// the probability under the configured model (Formula 5 when model is
-// nil), returning the candidate with the largest transmission-cost
-// saving. Unreachable placements (infinite cost, e.g. after a link sever)
-// are skipped, exactly as in map selection — a −Inf saving must not
-// become a job's "best" and mask schedulable candidates. ok is false when
-// tasks is empty or every placement is unreachable.
+// estimator's Î_jf) and the average over nodes with free reduce slots,
+// and returns the candidate with the largest transmission-cost saving,
+// with its probability under the configured model (Formula 5 when model
+// is nil) computed once, after the scan. Unreachable placements (infinite
+// cost, e.g. after a link sever) are skipped, exactly as in map selection
+// — a −Inf saving must not become a job's "best" and mask schedulable
+// candidates. ok is false when tasks is empty or every placement is
+// unreachable.
 func SelectReduceTask(rc *ReduceCoster, model ProbabilityModel, tasks []*job.ReduceTask, i topology.NodeID, avail Avail) (best Choice, ok bool) {
 	if model == nil {
 		model = Exponential{}
@@ -120,11 +129,14 @@ func SelectReduceTask(rc *ReduceCoster, model ProbabilityModel, tasks []*job.Red
 			continue
 		}
 		avg := rc.CostAvg(r.Index, avail)
-		c := Choice{ReduceTask: r, Prob: model.Prob(avg, cost), Cost: cost, AvgCost: avg}
+		c := Choice{ReduceTask: r, Cost: cost, AvgCost: avg}
 		if !ok || c.Saving() > best.Saving() {
 			best = c
 			ok = true
 		}
+	}
+	if ok {
+		best.Prob = model.Prob(best.AvgCost, best.Cost)
 	}
 	return best, ok
 }

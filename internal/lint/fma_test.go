@@ -17,7 +17,7 @@ import (
 // decisions or the workloads those decisions serve, which must be
 // bit-identical on every GOARCH. Widening the check to the whole module
 // means growing this list.
-var fmaCheckedPackages = []string{"internal/core", "internal/engine", "internal/sim", "internal/topology", "internal/workload"}
+var fmaCheckedPackages = []string{"internal/analysis", "internal/core", "internal/engine", "internal/metrics", "internal/sim", "internal/topology", "internal/workload"}
 
 // fmaArches are the architectures whose gc backend fuses x*y + z into one
 // multiply-add with a single rounding; amd64 never does.

@@ -111,7 +111,7 @@ func (a *TimeAvg) Update(t, v float64) {
 	if t < a.lastT {
 		panic(fmt.Sprintf("metrics: TimeAvg.Update at %v before %v", t, a.lastT))
 	}
-	a.integral += a.lastV * (t - a.lastT)
+	a.integral += float64(a.lastV * (t - a.lastT))
 	a.lastT = t
 	a.lastV = v
 }
@@ -122,7 +122,7 @@ func (a *TimeAvg) Average(t float64) float64 {
 	if !a.started || t <= a.startT {
 		return 0
 	}
-	integral := a.integral + a.lastV*(t-a.lastT)
+	integral := a.integral + float64(a.lastV*(t-a.lastT))
 	return integral / (t - a.startT)
 }
 
@@ -169,7 +169,7 @@ func JainIndex(x []float64) float64 {
 	var sum, sumSq float64
 	for _, v := range x {
 		sum += v
-		sumSq += v * v
+		sumSq += float64(v * v)
 	}
 	if sumSq == 0 {
 		return 0

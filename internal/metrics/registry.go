@@ -112,7 +112,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q >= 1 {
 		return h.max
 	}
-	rank := q * float64(h.n)
+	rank := float64(q * float64(h.n))
 	var cum float64
 	for i, c := range h.counts {
 		next := cum + float64(c)
@@ -129,7 +129,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 				hi = lo
 			}
 			frac := (rank - cum) / float64(c)
-			v := lo + frac*(hi-lo)
+			v := lo + float64(frac*(hi-lo))
 			// Infinite samples land in the unbounded overflow bucket and
 			// poison the interpolation (Inf-Inf, 0*Inf); clamp so a
 			// non-empty histogram always reports a value in [Min, Max].

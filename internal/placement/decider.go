@@ -474,9 +474,8 @@ func (d *Decider) PlaceMap(req *Request, node topology.NodeID) (m *job.MapTask, 
 // breakdown when a sink is attached. The Bernoulli draw consumes exactly
 // the same RNG stream whether or not observers are attached. best.Prob
 // already carries the configured model's probability: SelectMapTaskWith
-// and SelectReduceTask compute model.Prob for every candidate they scan,
-// and only the winner's value is read here (ROADMAP item 12 drops the
-// losers' evaluations).
+// and SelectReduceTask compute it only for the candidates they return,
+// and the losers of their scans never get one.
 func (d *Decider) gateLocked(req *Request, node topology.NodeID, best core.Choice, out *Outcome) (core.Choice, bool) {
 	prob := best.Prob
 	out.C, out.CAvg, out.P, out.PMin = best.Cost, best.AvgCost, prob, d.cfg.Pmin

@@ -26,9 +26,10 @@ func NewReferenceDecider(svc *Service, cfg Config, rng *sim.RNG, stream *obs.Str
 }
 
 // directMapCost evaluates Formula 1 without the cost model's rows.
-// MapCost finds the nearest replica on every call. In network-condition
-// mode C_avg is Formula 1 as written, MapCost summed per avail node in
-// node order, independent of the rack-factored form
+// MapCosts composes MapCost and MapCostAvg, the per-call computations
+// below. MapCost finds the nearest replica on every call. In
+// network-condition mode C_avg is Formula 1 as written, MapCost summed
+// per avail node in node order, independent of the rack-factored form
 // core.CostModel.MapCostAvg computes. In hop mode it is rebuilt from the
 // replica list as Σ_r n'_r · minD_r in rack order, the rack-collapsed
 // reordering production uses (checked against the per-node sum in
@@ -38,6 +39,13 @@ type directMapCost struct {
 	net   *topology.Cluster
 	store *hdfs.Store
 	hops  bool
+}
+
+func (c directMapCost) MapCosts(m *job.MapTask, i topology.NodeID, a core.Avail) (cost, avg float64) {
+	if cost = c.MapCost(m, i); math.IsInf(cost, 1) {
+		return cost, 0
+	}
+	return cost, c.MapCostAvg(m, a)
 }
 
 func (c directMapCost) MapCost(m *job.MapTask, i topology.NodeID) float64 {
