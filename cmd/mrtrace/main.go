@@ -195,7 +195,7 @@ func printGantt(tr *trace.Trace) {
 	step := (end - start) / rows
 	fmt.Printf("cluster activity (each row %.1fs; #=10 maps, +=10 reduces):\n", step)
 	for i := 0; i < rows; i++ {
-		t0 := start + float64(i)*step
+		t0 := start + float64(float64(i)*step)
 		t1 := t0 + step
 		maps, reds := 0, 0
 		for _, task := range tr.Tasks {

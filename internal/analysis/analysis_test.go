@@ -218,7 +218,7 @@ func TestModelOrderingAtAverage(t *testing.T) {
 	step := core.Step{}.Prob(avg, cost)
 	lin := core.Linear{}.Prob(avg, cost)
 	exp := core.Exponential{}.Prob(avg, cost)
-	rat := core.Rational{K: 1}.Prob(avg, cost)
+	rat := core.Rational{}.Prob(avg, cost)
 	if !(step >= lin && lin >= exp && exp >= rat) {
 		t.Fatalf("ordering broken: step=%v linear=%v exp=%v rational=%v", step, lin, exp, rat)
 	}
@@ -227,15 +227,5 @@ func TestModelOrderingAtAverage(t *testing.T) {
 	}
 	if math.Abs(rat-0.5) > 1e-12 {
 		t.Fatalf("rational at average = %v", rat)
-	}
-}
-
-func TestRationalDefaultK(t *testing.T) {
-	r := core.Rational{}
-	if r.Prob(100, 100) != 0.5 {
-		t.Fatal("zero K did not default to 1")
-	}
-	if (core.Rational{K: 2}).Name() == (core.Rational{K: 1}).Name() {
-		t.Fatal("K not reflected in name")
 	}
 }

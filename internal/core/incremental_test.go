@@ -493,8 +493,8 @@ var netShapes = []rackShape{{1, 12}, {4, 3}, {12, 1}}
 // MapCost, ReduceCoster.Cost the per-pair sum of Distance·S, and
 // ReduceCoster.CostAvg the per-pair sums of Distance weighted by S, all
 // compared with ==. The churn covers flow starts, completions and
-// persistent cross traffic, a severed host link (+Inf distances),
-// congestion alpha > 0, a block with no replica left, replica nodes in
+// persistent cross traffic, a severed host link (+Inf distances), a
+// halved host link, a block with no replica left, replica nodes in
 // the avail set, Refresh adding and removing map nodes, and offers that
 // alternate between nodes, so Cost's distance-row memo must invalidate on
 // node, epoch and node-set changes.
@@ -504,7 +504,6 @@ func TestNetworkCostsMatchPerPairSums(t *testing.T) {
 			spec := topology.DefaultSpec()
 			spec.Racks, spec.NodesPerRack = shape.racks, shape.perRack
 			spec.TorUplinkBps = 250e6 // lets ToR/core links bind
-			spec.CongestionAlpha = 0.2
 			eng, cl, cm, j := churnSetupSpec(t, ModeNetworkCondition, spec, 41)
 			testNetworkCostsMatchPerPairSums(t, eng, cl, cm, j)
 		})
@@ -607,7 +606,8 @@ func testNetworkCostsMatchPerPairSums(t *testing.T, eng *sim.Engine, cl *topolog
 			cl.SetHostLinkFactor(topology.NodeID(rng.Intn(n)), 0)
 			severed = true
 		case 25:
-			cl.Net().SetCongestionAlpha(0.5)
+			// A capacity change that moves rates without flow churn.
+			cl.SetHostLinkFactor(topology.NodeID(rng.Intn(n)), 0.5)
 		}
 		checkCost(round, a)
 		checkAvgs(round, snap)

@@ -58,25 +58,16 @@ func (Linear) Prob(avg, cost float64) float64 {
 	return p
 }
 
-// Rational assigns P = C_avg/(C_avg + k·C) for a shape parameter k > 0:
-// a smooth hyperbolic decay with P = 1/(1+k) at C = C_avg. k = 1 gives
-// the classic half-at-average rule.
-type Rational struct {
-	K float64
-}
+// Rational assigns P = C_avg/(C_avg + C): a smooth hyperbolic decay with
+// the classic half-at-average rule, P = 1/2 at C = C_avg (the k = 1 member
+// of the C_avg/(C_avg + k·C) family its name records).
+type Rational struct{}
 
 // Name implements ProbabilityModel.
-func (r Rational) Name() string { return fmt.Sprintf("rational(k=%g)", r.k()) }
-
-func (r Rational) k() float64 {
-	if r.K <= 0 {
-		return 1
-	}
-	return r.K
-}
+func (Rational) Name() string { return "rational(k=1)" }
 
 // Prob implements ProbabilityModel.
-func (r Rational) Prob(avg, cost float64) float64 {
+func (Rational) Prob(avg, cost float64) float64 {
 	if cost <= 0 {
 		return 1
 	}
@@ -86,7 +77,7 @@ func (r Rational) Prob(avg, cost float64) float64 {
 	if math.IsInf(avg, 1) {
 		return 1 // any finite cost is infinitely below average
 	}
-	return avg / (avg + float64(r.k()*cost))
+	return avg / (avg + cost)
 }
 
 // Step is the degenerate deterministic model: P = 1 when C ≤ C_avg, else
@@ -113,7 +104,7 @@ func (Step) Prob(avg, cost float64) float64 {
 
 // Models lists the built-in probability models in presentation order.
 func Models() []ProbabilityModel {
-	return []ProbabilityModel{Exponential{}, Linear{}, Rational{K: 1}, Step{}}
+	return []ProbabilityModel{Exponential{}, Linear{}, Rational{}, Step{}}
 }
 
 // ValidateModel checks the qualitative contract on a sample grid; used by

@@ -72,8 +72,8 @@ func tinySpecs(t *testing.T) []job.Spec {
 func builders() map[string]sched.Builder {
 	return map[string]sched.Builder{
 		"probabilistic": sched.NewProbabilistic(sched.DefaultProbabilisticConfig()),
-		"coupling":      sched.NewCoupling(sched.DefaultCouplingConfig()),
-		"fair":          sched.NewFairDelay(sched.DefaultFairDelayConfig()),
+		"coupling":      sched.NewCoupling(),
+		"fair":          sched.NewFairDelay(),
 	}
 }
 
@@ -197,7 +197,7 @@ func TestDeterminism(t *testing.T) {
 func TestHorizonAbort(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.MaxSimTime = 3 // far too short
-	s, err := New(cfg, tinySpecs(t), sched.NewFairDelay(sched.DefaultFairDelayConfig()))
+	s, err := New(cfg, tinySpecs(t), sched.NewFairDelay())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	b := sched.NewFairDelay(sched.DefaultFairDelayConfig())
+	b := sched.NewFairDelay()
 	if _, err := New(DefaultConfig(), nil, b); err == nil {
 		t.Error("no specs accepted")
 	}
@@ -290,7 +290,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestRunTwiceFails(t *testing.T) {
-	s, err := New(tinyConfig(), tinySpecs(t), sched.NewFairDelay(sched.DefaultFairDelayConfig()))
+	s, err := New(tinyConfig(), tinySpecs(t), sched.NewFairDelay())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestResourceModeValidationInEngine(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.ResourceMode = true
 	cfg.NodeResources = cluster.Resources{} // invalid
-	if _, err := New(cfg, tinySpecs(t), sched.NewFairDelay(sched.DefaultFairDelayConfig())); err == nil {
+	if _, err := New(cfg, tinySpecs(t), sched.NewFairDelay()); err == nil {
 		t.Fatal("invalid resource config accepted")
 	}
 }

@@ -78,7 +78,7 @@ func TestNodeFailureRecovery(t *testing.T) {
 func TestNodeFailureBeforeAnyWork(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Faults.Crashes = []faults.NodeCrash{{Node: 0, At: 0}}
-	s, err := New(cfg, faultSpecs(t, 0.1), sched.NewFairDelay(sched.DefaultFairDelayConfig()))
+	s, err := New(cfg, faultSpecs(t, 0.1), sched.NewFairDelay())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFailureRelaunchAccounting(t *testing.T) {
 		cfg := tinyConfig()
 		cfg.Seed = seed
 		cfg.Faults.Crashes = []faults.NodeCrash{{Node: 2, At: 8}}
-		s, err := New(cfg, faultSpecs(t, 0.2), sched.NewFairDelay(sched.DefaultFairDelayConfig()))
+		s, err := New(cfg, faultSpecs(t, 0.2), sched.NewFairDelay())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestSpeculationLaunchesAndWins(t *testing.T) {
 	cfg.SpecSlowdown = 1.25
 	cfg.SpecMinCompleted = 2
 	cfg.CrossTraffic = 12 // congested paths create genuine stragglers
-	s, err := New(cfg, faultSpecs(t, 0.45), sched.NewFairDelay(sched.DefaultFairDelayConfig()))
+	s, err := New(cfg, faultSpecs(t, 0.45), sched.NewFairDelay())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestHeterogeneousNodesSlowTheRun(t *testing.T) {
 		cfg := tinyConfig()
 		cfg.SlowNodeFraction = frac
 		cfg.SlowFactor = 4
-		s, err := New(cfg, faultSpecs(t, 0.1), sched.NewFairDelay(sched.DefaultFairDelayConfig()))
+		s, err := New(cfg, faultSpecs(t, 0.1), sched.NewFairDelay())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestSpeculationHelpsOnHeterogeneousCluster(t *testing.T) {
 		cfg.Speculation = spec
 		cfg.SpecSlowdown = 1.4
 		cfg.SpecMinCompleted = 2
-		s, err := New(cfg, faultSpecs(t, 0.15), sched.NewFairDelay(sched.DefaultFairDelayConfig()))
+		s, err := New(cfg, faultSpecs(t, 0.15), sched.NewFairDelay())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,8 +29,8 @@ func TestRandomizedInvariants(t *testing.T) {
 	rng := sim.NewRNG(2024)
 	builders := []sched.Builder{
 		sched.NewProbabilistic(sched.DefaultProbabilisticConfig()),
-		sched.NewCoupling(sched.DefaultCouplingConfig()),
-		sched.NewFairDelay(sched.DefaultFairDelayConfig()),
+		sched.NewCoupling(),
+		sched.NewFairDelay(),
 	}
 	for trial := 0; trial < 6; trial++ {
 		cfg := DefaultConfig()
@@ -131,7 +131,7 @@ func totalMaps(s *Simulation) int {
 // total intermediate volume.
 func TestNetworkByteAccounting(t *testing.T) {
 	cfg := tinyConfig()
-	s, err := New(cfg, tinySpecs(t), sched.NewFairDelay(sched.DefaultFairDelayConfig()))
+	s, err := New(cfg, tinySpecs(t), sched.NewFairDelay())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestHeartbeatIntervalAffectsGranularity(t *testing.T) {
 	run := func(hb float64) float64 {
 		cfg := tinyConfig()
 		cfg.HeartbeatInterval = hb
-		s, err := New(cfg, tinySpecs(t), sched.NewFairDelay(sched.DefaultFairDelayConfig()))
+		s, err := New(cfg, tinySpecs(t), sched.NewFairDelay())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestForcedRemoteAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(cfg, specs, sched.NewFairDelay(sched.DefaultFairDelayConfig()))
+	s, err := New(cfg, specs, sched.NewFairDelay())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestProgressVisibleToScheduler(t *testing.T) {
 		b    sched.Builder
 	}{
 		{"probabilistic", sched.NewProbabilistic(sched.DefaultProbabilisticConfig())},
-		{"coupling", sched.NewCoupling(sched.DefaultCouplingConfig())},
+		{"coupling", sched.NewCoupling()},
 	} {
 		for _, c := range []struct {
 			name  string

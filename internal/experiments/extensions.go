@@ -48,8 +48,8 @@ func ExtendedComparison(s Setup) ([]AblationPoint, error) {
 		{"Probabilistic", s.BuilderFor(Probabilistic)},
 		{"Coupling", s.BuilderFor(Coupling)},
 		{"Fair", s.BuilderFor(Fair)},
-		{"LARTS", sched.NewLARTS(sched.DefaultLARTSConfig())},
-		{"Capacity", sched.NewCapacity(sched.DefaultCapacityConfig())},
+		{"LARTS", sched.NewLARTS()},
+		{"Capacity", sched.NewCapacity()},
 	}
 	return runParallel(len(entries), func(i int) (AblationPoint, error) {
 		res, err := s.runVariant(entries[i].b)

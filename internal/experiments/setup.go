@@ -90,9 +90,9 @@ func Builder(k SchedulerKind, pc sched.ProbabilisticConfig) (sched.Builder, erro
 	case Probabilistic:
 		return sched.NewProbabilistic(pc), nil
 	case Coupling:
-		return sched.NewCoupling(sched.DefaultCouplingConfig()), nil
+		return sched.NewCoupling(), nil
 	case Fair:
-		return sched.NewFairDelay(sched.DefaultFairDelayConfig()), nil
+		return sched.NewFairDelay(), nil
 	}
 	return nil, fmt.Errorf("experiments: unknown scheduler kind %d", int(k))
 }

@@ -301,22 +301,6 @@ func (RackAware) Place(net topology.Network, rng *sim.RNG, repl int) []topology.
 	return chosen
 }
 
-// Uniform places every replica on a distinct uniformly random node.
-type Uniform struct{}
-
-// Name implements PlacementPolicy.
-func (Uniform) Name() string { return "uniform" }
-
-// Place implements PlacementPolicy.
-func (Uniform) Place(net topology.Network, rng *sim.RNG, repl int) []topology.NodeID {
-	perm := rng.Perm(net.Size())
-	out := make([]topology.NodeID, repl)
-	for i := 0; i < repl; i++ {
-		out[i] = topology.NodeID(perm[i])
-	}
-	return out
-}
-
 // Subset confines all replicas to the first K nodes, modelling storage
 // concentrated on a subset of the cluster (the NAS/SAN scenario the paper
 // motivates in the introduction). K is clamped to [repl, cluster size].

@@ -11,8 +11,8 @@
 // bug class this analyzer removes.
 //
 // Fields covered by the contract carry a `//lint:epoch-guarded` marker
-// comment on their declaration (link.capacity and FlowNet.alpha in
-// internal/topology, Block.Replicas in internal/hdfs). The analyzer
+// comment on their declaration (link.capacity in internal/topology,
+// Block.Replicas in internal/hdfs). The analyzer
 // then checks, per function and transitively through calls to other
 // functions of the same package, that any write to a guarded field
 // reaches an increment or assignment of a field named "epoch".

@@ -17,6 +17,7 @@ var testOnlyAllowed = map[string]string{
 	"ValidateModel": "core: the analysis tests check probability models against the model contract",
 	"ExpectedInput": "job: the engine tests compare a reduce's shuffled bytes against its expected input",
 	"Int63":         "sim: the engine tests draw raw seeds from the simulation RNG",
+	"Uniform":       "sim: the topology and core tests draw capacities and sizes from the simulation RNG",
 	"ActiveFlows":   "topology: the engine's whole-run tests check that only cross-traffic flows outlive a run",
 	"CheckFeasible": "topology: the engine's whole-run fuzzer checks that no link ends oversubscribed",
 	"MapRows":       "core: the placement tests count the map-cost rows a Decider's sweep leaves behind",

@@ -12,13 +12,6 @@ import (
 	"testing"
 )
 
-// fmaCheckedPackages are the module packages whose float arithmetic must
-// round every product before it is added: their sums feed placement
-// decisions or the workloads those decisions serve, which must be
-// bit-identical on every GOARCH. Widening the check to the whole module
-// means growing this list.
-var fmaCheckedPackages = []string{"internal/analysis", "internal/core", "internal/engine", "internal/metrics", "internal/sim", "internal/topology", "internal/workload"}
-
 // fmaArches are the architectures whose gc backend fuses x*y + z into one
 // multiply-add with a single rounding; amd64 never does.
 var fmaArches = []string{"arm64", "ppc64le", "s390x", "riscv64"}
@@ -28,27 +21,40 @@ var (
 	asmPosition = regexp.MustCompile(`\((\S+\.go):\d+\)`)
 )
 
-// TestNoFusedMultiplyAdd cross-compiles ./internal/experiments, which
-// links every checked package, for every fusing architecture with an assembly
-// listing of the checked packages, and fails on any fused multiply-add
-// whose source position lies in one of them. Code of other packages
-// inlined into them keeps its own position, so it is not flagged here.
-// The fix for a finding is an explicit conversion, float64(x*y) + z,
-// which forces the product's rounding.
+// TestNoFusedMultiplyAdd keeps every package of the module rounding each
+// float product before it is added, so that every sum (the ones feeding
+// placement decisions, the workloads they serve and the figures reported
+// on them) is bit-identical on every GOARCH. It cross-compiles ./... for
+// every fusing architecture with an assembly listing of the module's
+// packages and fails on any fused multiply-add whose source position lies
+// in the module. Standard-library code inlined into them keeps its own
+// position, so it is not flagged here. The fix for a finding is an
+// explicit conversion, float64(x*y) + z, which forces the product's
+// rounding.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-compiles the experiments package for four architectures")
+		t.Skip("cross-compiles the module for four architectures")
 	}
 	root, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
 	if err != nil {
 		t.Fatalf("go list -m: %v", err)
 	}
 	moduleDir := strings.TrimSpace(string(root))
-	args := []string{"build", "-o", os.DevNull}
-	for _, pkg := range fmaCheckedPackages {
-		args = append(args, "-gcflags=mapsched/"+pkg+"=-S")
+	list := exec.Command("go", "list", "-f", "{{.Dir}}", "./...")
+	list.Dir = moduleDir
+	dirs, err := list.Output()
+	if err != nil {
+		t.Fatalf("go list ./...: %v", err)
 	}
-	args = append(args, "./internal/experiments")
+	var packages []string
+	for _, dir := range strings.Fields(string(dirs)) {
+		rel, err := filepath.Rel(moduleDir, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packages = append(packages, filepath.ToSlash(rel))
+	}
+	args := []string{"build", "-gcflags=mapsched/...=-S", "./..."}
 
 	for _, arch := range fmaArches {
 		cmd := exec.Command("go", args...)
@@ -71,14 +77,14 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 			file = strings.TrimPrefix(file, "mapsched/") // a -trimpath build
 			pkg := filepath.ToSlash(filepath.Dir(file))
 			listed[pkg] = true
-			if fusedOpcode.MatchString(line) && slices.Contains(fmaCheckedPackages, pkg) {
+			if fusedOpcode.MatchString(line) && slices.Contains(packages, pkg) {
 				t.Errorf("GOARCH=%s: fused multiply-add in %s: %s", arch, pkg, strings.TrimSpace(line))
 			}
 		}
 		if err := sc.Err(); err != nil {
 			t.Fatalf("GOARCH=%s: reading the listing: %v", arch, err)
 		}
-		for _, pkg := range fmaCheckedPackages {
+		for _, pkg := range packages {
 			if !listed[pkg] {
 				t.Errorf("GOARCH=%s: the listing has no instruction from %s; is the -gcflags pattern stale?", arch, pkg)
 			}

@@ -9,52 +9,42 @@ import (
 	"mapsched/internal/topology"
 )
 
-// CapacityConfig tunes the Capacity Scheduler baseline, reconstructed
-// from the paper's description of it (Section IV): "it gives a higher
-// priority to a job that can achieve higher data locality when assigning
-// available slot resources in the map task allocation and delays reduce
-// tasks to achieve data locality in the reduce task allocation".
-type CapacityConfig struct {
-	// JobPolicy orders jobs within the (single) queue; the real scheduler
-	// runs FIFO inside each capacity queue.
-	JobPolicy JobPolicy
-	// ReduceWait bounds how many offers a reduce declines waiting for a
-	// node that holds part of its input.
-	ReduceWait int
-}
+// capacityReduceWait bounds how many offers a Capacity reduce declines
+// waiting for a node that holds part of its input.
+const capacityReduceWait = 4
 
-// DefaultCapacityConfig returns the baseline settings.
-func DefaultCapacityConfig() CapacityConfig {
-	return CapacityConfig{JobPolicy: FIFOJobs, ReduceWait: 4}
-}
-
-// Capacity is the Capacity Scheduler baseline (single queue).
+// Capacity is the Capacity Scheduler baseline (single queue),
+// reconstructed from the paper's description of it (Section IV): "it
+// gives a higher priority to a job that can achieve higher data locality
+// when assigning available slot resources in the map task allocation and
+// delays reduce tasks to achieve data locality in the reduce task
+// allocation". Jobs are ordered FIFO within the queue, as the real
+// scheduler runs inside each capacity queue.
 type Capacity struct {
 	env   Env
-	cfg   CapacityConfig
 	dec   *placement.Decider
 	waits map[*job.ReduceTask]int
 	pendingBuf
 }
 
 // NewCapacity returns a Builder for the baseline.
-func NewCapacity(cfg CapacityConfig) Builder {
+func NewCapacity() Builder {
 	return func(env Env) Scheduler {
 		dec := placement.NewDecider(env.Place, placement.Config{}, env.RNG, env.Obs)
-		return &Capacity{env: env, cfg: cfg, dec: dec, waits: make(map[*job.ReduceTask]int)}
+		return &Capacity{env: env, dec: dec, waits: make(map[*job.ReduceTask]int)}
 	}
 }
 
 // Name implements Scheduler.
 func (c *Capacity) Name() string {
-	return fmt.Sprintf("capacity(%s,wait=%d)", c.cfg.JobPolicy, c.cfg.ReduceWait)
+	return fmt.Sprintf("capacity(%s,wait=%d)", FIFOJobs, capacityReduceWait)
 }
 
 // AssignMap prioritizes the job that achieves the best locality on the
 // offered node: any job with a node-local task wins (in queue order),
 // then any with a rack-local task, then the head job's first pending map.
 func (c *Capacity) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
-	jobs := placement.OrderJobs(ctx, c.cfg.JobPolicy, job.MapKind)
+	jobs := placement.OrderJobs(ctx, FIFOJobs, job.MapKind)
 	if len(jobs) == 0 {
 		return nil
 	}
@@ -80,7 +70,7 @@ func (c *Capacity) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
 // AssignReduce delays each reduce until the offered node holds some of
 // its input, up to the wait bound.
 func (c *Capacity) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceTask {
-	for _, j := range placement.OrderJobs(ctx, c.cfg.JobPolicy, job.ReduceKind) {
+	for _, j := range placement.OrderJobs(ctx, FIFOJobs, job.ReduceKind) {
 		pending := c.pendingReduces(j)
 		if len(pending) == 0 {
 			continue
@@ -98,7 +88,7 @@ func (c *Capacity) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceT
 			delete(c.waits, best)
 			return best
 		}
-		if c.waits[best] >= c.cfg.ReduceWait {
+		if c.waits[best] >= capacityReduceWait {
 			delete(c.waits, best)
 			return best
 		}

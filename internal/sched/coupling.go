@@ -11,63 +11,50 @@ import (
 	"mapsched/internal/topology"
 )
 
-// CouplingConfig tunes the Coupling Scheduler baseline (Tan et al.,
-// INFOCOM'13), reconstructed from the paper's own description of it:
-// probabilistic map launches on a coarse locality granularity, reduce
-// launches paced by map progress and aimed at the data-"centrality" node,
-// waiting at most MaxWaitRounds heartbeats before settling for the
-// offered slot.
-type CouplingConfig struct {
-	// PLocal, PRack, PRemote are the launch probabilities for a map task
-	// offered a slot at each locality degree — the "coarse granularity of
-	// locations that differentiates data locations by local machines, the
-	// same rack and different racks".
-	PLocal, PRack, PRemote float64
-	// MaxWaitRounds bounds how many offers a reduce task declines while
-	// waiting for its centrality node ("can wait at most three rounds of
-	// heartbeats before being assigned").
-	MaxWaitRounds int
-	// JobPolicy orders jobs.
-	JobPolicy JobPolicy
-}
+// The Coupling Scheduler baseline's settings. couplingPLocal, couplingPRack
+// and couplingPRemote are the launch probabilities for a map task offered
+// a slot at each locality degree — the "coarse granularity of locations
+// that differentiates data locations by local machines, the same rack and
+// different racks". couplingMaxWaitRounds bounds how many offers a reduce
+// task declines while waiting for its centrality node ("can wait at most
+// three rounds of heartbeats before being assigned").
+const (
+	couplingPLocal        = 1.0
+	couplingPRack         = 0.35
+	couplingPRemote       = 0.1
+	couplingMaxWaitRounds = 3
+)
 
-// DefaultCouplingConfig returns the baseline settings.
-func DefaultCouplingConfig() CouplingConfig {
-	return CouplingConfig{
-		PLocal:        1.0,
-		PRack:         0.35,
-		PRemote:       0.1,
-		MaxWaitRounds: 3,
-		JobPolicy:     FairJobs,
-	}
-}
-
-// Coupling is the Coupling Scheduler baseline.
+// Coupling is the Coupling Scheduler baseline (Tan et al., INFOCOM'13),
+// reconstructed from the paper's own description of it: probabilistic map
+// launches on a coarse locality granularity, reduce launches paced by map
+// progress and aimed at the data-"centrality" node, waiting at most
+// couplingMaxWaitRounds heartbeats before settling for the offered slot.
+// Jobs are offered slots in fair order.
 type Coupling struct {
 	env   Env
-	cfg   CouplingConfig
 	dec   *placement.Decider
 	waits map[*job.ReduceTask]int
 	pendingBuf
 }
 
 // NewCoupling returns a Builder for the baseline.
-func NewCoupling(cfg CouplingConfig) Builder {
+func NewCoupling() Builder {
 	return func(env Env) Scheduler {
 		dec := placement.NewDecider(env.Place, placement.Config{}, env.RNG, env.Obs)
-		return &Coupling{env: env, cfg: cfg, dec: dec, waits: make(map[*job.ReduceTask]int)}
+		return &Coupling{env: env, dec: dec, waits: make(map[*job.ReduceTask]int)}
 	}
 }
 
 // Name implements Scheduler.
 func (c *Coupling) Name() string {
-	return fmt.Sprintf("coupling(wait=%d)", c.cfg.MaxWaitRounds)
+	return fmt.Sprintf("coupling(wait=%d)", couplingMaxWaitRounds)
 }
 
 // AssignMap launches a randomly picked pending map with a probability set
 // by the offered node's locality degree for that task.
 func (c *Coupling) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
-	for _, j := range placement.OrderJobs(ctx, c.cfg.JobPolicy, job.MapKind) {
+	for _, j := range placement.OrderJobs(ctx, FairJobs, job.MapKind) {
 		pending := c.pendingMaps(j)
 		if len(pending) == 0 {
 			continue
@@ -88,11 +75,11 @@ func (c *Coupling) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
 		var p float64
 		switch loc {
 		case job.LocalNode:
-			p = c.cfg.PLocal
+			p = couplingPLocal
 		case job.LocalRack:
-			p = c.cfg.PRack
+			p = couplingPRack
 		default:
-			p = c.cfg.PRemote
+			p = couplingPRemote
 		}
 		if c.dec.Bernoulli(p) {
 			if c.env.Obs.Enabled() {
@@ -129,9 +116,10 @@ func (c *Coupling) emitReduce(ctx *Context, node topology.NodeID, r *job.ReduceT
 // AssignReduce paces reduce launches with map progress and places each
 // launched reduce at the data-centrality node computed from the *current*
 // intermediate sizes (the unscaled A_jf view the paper criticizes),
-// falling back to the offered node after MaxWaitRounds declined offers.
+// falling back to the offered node after couplingMaxWaitRounds declined
+// offers.
 func (c *Coupling) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceTask {
-	for _, j := range placement.OrderJobs(ctx, c.cfg.JobPolicy, job.ReduceKind) {
+	for _, j := range placement.OrderJobs(ctx, FairJobs, job.ReduceKind) {
 		if j.HasReduceOn(node) {
 			continue // the coupling scheduler also spreads reduces [5,15]
 		}
@@ -165,7 +153,7 @@ func (c *Coupling) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceT
 			return c.emitReduce(ctx, node, best, "centrality")
 		}
 		// Not the centrality node: wait, up to the bound.
-		if c.waits[best] >= c.cfg.MaxWaitRounds {
+		if c.waits[best] >= couplingMaxWaitRounds {
 			delete(c.waits, best)
 			return c.emitReduce(ctx, node, best, "wait_expired")
 		}

@@ -9,56 +9,50 @@ import (
 	"mapsched/internal/topology"
 )
 
-// FairDelayConfig tunes the Fair Scheduler baseline.
-type FairDelayConfig struct {
-	// NodeLocalSkips is how many scheduling opportunities a job forgoes
-	// waiting for a node-local slot before accepting rack-local placement
-	// (delay scheduling's D1, expressed in skipped offers).
-	NodeLocalSkips int
-	// RackLocalSkips is the additional wait before accepting any node (D2).
-	RackLocalSkips int
-	// JobPolicy orders jobs (the Fair Scheduler nests FIFO-in-pool too).
-	JobPolicy JobPolicy
-}
-
-// DefaultFairDelayConfig is calibrated so the baseline reproduces its
-// measured operating point in the paper (Table III: 85.59% node-local
+// The Fair Scheduler baseline's delay budget, in skipped offers:
+// fairNodeLocalSkips is how many scheduling opportunities a job forgoes
+// waiting for a node-local slot before accepting rack-local placement
+// (delay scheduling's D1), fairRackLocalSkips the additional wait before
+// accepting any node (D2). They are calibrated so the baseline reproduces
+// its measured operating point in the paper (Table III: 85.59% node-local
 // tasks on the testbed): a short per-job offer-skip budget, consistent
 // with Hadoop 1.2.1's time-based locality delay at heartbeat cadence.
-func DefaultFairDelayConfig() FairDelayConfig {
-	return FairDelayConfig{NodeLocalSkips: 1, RackLocalSkips: 2, JobPolicy: FairJobs}
-}
+const (
+	fairNodeLocalSkips = 1
+	fairRackLocalSkips = 2
+)
 
 // FairDelay is Hadoop's Fair Scheduler with Delay Scheduling: map tasks
 // wait a bounded number of offers for data-local slots; reduce tasks are
 // placed on the first available slot with no locality consideration
 // ("randomly selects a reduce task to be assigned to an available reduce
-// slot").
+// slot"). Jobs are offered slots in fair order.
 type FairDelay struct {
-	env   Env
-	cfg   FairDelayConfig
-	dec   *placement.Decider
-	skips map[job.ID]int // consecutive offers the job declined for locality
+	env Env
+	dec *placement.Decider
+	// skips counts the consecutive offers a job declined for locality; a
+	// job's entry is deleted when it takes a map, so a missing key is 0.
+	skips map[job.ID]int
 	pendingBuf
 }
 
 // NewFairDelay returns a Builder for the baseline.
-func NewFairDelay(cfg FairDelayConfig) Builder {
+func NewFairDelay() Builder {
 	return func(env Env) Scheduler {
 		dec := placement.NewDecider(env.Place, placement.Config{}, env.RNG, env.Obs)
-		return &FairDelay{env: env, cfg: cfg, dec: dec, skips: make(map[job.ID]int)}
+		return &FairDelay{env: env, dec: dec, skips: make(map[job.ID]int)}
 	}
 }
 
 // Name implements Scheduler.
 func (f *FairDelay) Name() string {
-	return fmt.Sprintf("fair-delay(d1=%d,d2=%d)", f.cfg.NodeLocalSkips, f.cfg.RackLocalSkips)
+	return fmt.Sprintf("fair-delay(d1=%d,d2=%d)", fairNodeLocalSkips, fairRackLocalSkips)
 }
 
 // AssignMap implements delay scheduling: prefer a node-local task; if the
 // job has been skipped long enough, fall back to rack-local, then any.
 func (f *FairDelay) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
-	for _, j := range placement.OrderJobs(ctx, f.cfg.JobPolicy, job.MapKind) {
+	for _, j := range placement.OrderJobs(ctx, FairJobs, job.MapKind) {
 		pending := f.pendingMaps(j)
 		var local, rack, any *job.MapTask
 		for _, m := range pending {
@@ -81,16 +75,16 @@ func (f *FairDelay) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
 			}
 		}
 		if local != nil {
-			f.skips[j.ID] = 0
+			delete(f.skips, j.ID)
 			return f.emitAssign(ctx, node, local, "")
 		}
 		skips := f.skips[j.ID]
-		if skips >= f.cfg.NodeLocalSkips && rack != nil {
-			f.skips[j.ID] = 0
+		if skips >= fairNodeLocalSkips && rack != nil {
+			delete(f.skips, j.ID)
 			return f.emitAssign(ctx, node, rack, "delay_expired")
 		}
-		if skips >= f.cfg.NodeLocalSkips+f.cfg.RackLocalSkips {
-			f.skips[j.ID] = 0
+		if skips >= fairNodeLocalSkips+fairRackLocalSkips {
+			delete(f.skips, j.ID)
 			if rack != nil {
 				return f.emitAssign(ctx, node, rack, "delay_expired")
 			}
@@ -125,7 +119,7 @@ func (f *FairDelay) emitAssign(ctx *Context, node topology.NodeID, m *job.MapTas
 // AssignReduce launches the next pending reduce of the first eligible job
 // with no placement preference.
 func (f *FairDelay) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceTask {
-	for _, j := range placement.OrderJobs(ctx, f.cfg.JobPolicy, job.ReduceKind) {
+	for _, j := range placement.OrderJobs(ctx, FairJobs, job.ReduceKind) {
 		pending := f.pendingReduces(j)
 		if len(pending) == 0 {
 			continue

@@ -9,36 +9,24 @@ import (
 	"mapsched/internal/topology"
 )
 
-// LARTSConfig tunes the LARTS baseline (Hammoud & Sakr, CloudCom'11),
-// reconstructed from the paper's description: "a location-aware reduce
-// task scheduler, which schedules the reduce tasks as close to their
-// maximum amount of input data as possible and thus decreases the
-// bandwidth cost during shuffling". Map scheduling follows delay
-// scheduling, as in the original system (built on the Fair Scheduler).
-type LARTSConfig struct {
-	// Fair configures the map-side delay scheduling.
-	Fair FairDelayConfig
-	// MaxWait bounds how many offers a reduce declines while waiting for
-	// the node holding the plurality of its input.
-	MaxWait int
-	// SweetSpotFraction accepts a node early when it already holds at
-	// least this fraction of the reduce's current input.
-	SweetSpotFraction float64
-}
+// The LARTS baseline's reduce settings: lartsMaxWait bounds how many
+// offers a reduce declines while waiting for the node holding the
+// plurality of its input, and a node holding at least lartsSweetSpot of
+// the reduce's current input is accepted early.
+const (
+	lartsMaxWait   = 5
+	lartsSweetSpot = 0.25
+)
 
-// DefaultLARTSConfig returns the baseline settings.
-func DefaultLARTSConfig() LARTSConfig {
-	return LARTSConfig{
-		Fair:              DefaultFairDelayConfig(),
-		MaxWait:           5,
-		SweetSpotFraction: 0.25,
-	}
-}
-
-// LARTS is the locality-aware reduce task scheduler baseline.
+// LARTS is the locality-aware reduce task scheduler baseline (Hammoud &
+// Sakr, CloudCom'11), reconstructed from the paper's description: "a
+// location-aware reduce task scheduler, which schedules the reduce tasks
+// as close to their maximum amount of input data as possible and thus
+// decreases the bandwidth cost during shuffling". Map scheduling follows
+// the FairDelay baseline, as in the original system (built on the Fair
+// Scheduler), and jobs are offered slots in fair order.
 type LARTS struct {
 	env   Env
-	cfg   LARTSConfig
 	dec   *placement.Decider
 	maps  *FairDelay
 	waits map[*job.ReduceTask]int
@@ -46,13 +34,12 @@ type LARTS struct {
 }
 
 // NewLARTS returns a Builder for the baseline.
-func NewLARTS(cfg LARTSConfig) Builder {
+func NewLARTS() Builder {
 	return func(env Env) Scheduler {
 		return &LARTS{
 			env:   env,
-			cfg:   cfg,
 			dec:   placement.NewDecider(env.Place, placement.Config{}, env.RNG, env.Obs),
-			maps:  NewFairDelay(cfg.Fair)(env).(*FairDelay),
+			maps:  NewFairDelay()(env).(*FairDelay),
 			waits: make(map[*job.ReduceTask]int),
 		}
 	}
@@ -60,7 +47,7 @@ func NewLARTS(cfg LARTSConfig) Builder {
 
 // Name implements Scheduler.
 func (l *LARTS) Name() string {
-	return fmt.Sprintf("larts(wait=%d,sweet=%.2f)", l.cfg.MaxWait, l.cfg.SweetSpotFraction)
+	return fmt.Sprintf("larts(wait=%d,sweet=%.2f)", lartsMaxWait, lartsSweetSpot)
 }
 
 // AssignMap delegates to delay scheduling (LARTS only changes reduces).
@@ -73,7 +60,7 @@ func (l *LARTS) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
 // sweet-spot share of the reduce's current input or is the current
 // maximum-data node, and otherwise waits a bounded number of offers.
 func (l *LARTS) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceTask {
-	for _, j := range placement.OrderJobs(ctx, l.cfg.Fair.JobPolicy, job.ReduceKind) {
+	for _, j := range placement.OrderJobs(ctx, FairJobs, job.ReduceKind) {
 		pending := l.pendingReduces(j)
 		if len(pending) == 0 {
 			continue
@@ -100,13 +87,13 @@ func (l *LARTS) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceTask
 			delete(l.waits, best)
 			return best
 		}
-		if rc.OnNode(node, best.Index) >= l.cfg.SweetSpotFraction*bestVol {
+		if rc.OnNode(node, best.Index) >= lartsSweetSpot*bestVol {
 			// The offered node already holds a significant share of the
 			// reduce's input.
 			delete(l.waits, best)
 			return best
 		}
-		if l.waits[best] >= l.cfg.MaxWait {
+		if l.waits[best] >= lartsMaxWait {
 			delete(l.waits, best)
 			return best
 		}

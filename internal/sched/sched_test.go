@@ -261,20 +261,18 @@ func TestSlowstartGatesReduces(t *testing.T) {
 func TestFairDelayPrefersLocalThenWaits(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{3}, 1)
-	cfg := FairDelayConfig{NodeLocalSkips: 2, RackLocalSkips: 2, JobPolicy: FairJobs}
-	fd := NewFairDelay(cfg)(f.env).(*FairDelay)
+	fd := NewFairDelay()(f.env).(*FairDelay)
 	ctx := f.ctxFor(j)
 	// Local node: immediate.
 	if got := fd.AssignMap(ctx, 3); got == nil {
 		t.Fatal("local offer declined")
 	}
 	j.Maps[0].Reset()
-	// Non-local offers: first NodeLocalSkips offers are declined.
-	if got := fd.AssignMap(ctx, 0); got != nil {
-		t.Fatalf("offer 1 accepted before delay expired: %v", got)
-	}
-	if got := fd.AssignMap(ctx, 1); got != nil {
-		t.Fatal("offer 2 accepted before delay expired")
+	// Non-local offers: the first fairNodeLocalSkips offers are declined.
+	for i := 0; i < fairNodeLocalSkips; i++ {
+		if got := fd.AssignMap(ctx, topology.NodeID(i%2)); got != nil {
+			t.Fatalf("offer %d accepted before delay expired: %v", i+1, got)
+		}
 	}
 	// Delay expired: rack-local accepted (node 0 is in rack 0 with node 3).
 	if got := fd.AssignMap(ctx, 0); got == nil {
@@ -282,18 +280,42 @@ func TestFairDelayPrefersLocalThenWaits(t *testing.T) {
 	}
 }
 
+func TestFairDelayForgetsSkipsOnAssign(t *testing.T) {
+	f := newFixture(t)
+	j := f.addJob(t, 1, []topology.NodeID{3}, 1)
+	fd := NewFairDelay()(f.env).(*FairDelay)
+	ctx := f.ctxFor(j)
+	// A local assignment leaves no skip count behind.
+	if got := fd.AssignMap(ctx, 3); got == nil {
+		t.Fatal("local offer declined")
+	}
+	if len(fd.skips) != 0 {
+		t.Fatalf("skip counts after a local assignment: %v", fd.skips)
+	}
+	j.Maps[0].Reset()
+	// Neither does a delay-expired one (node 0 shares node 3's rack).
+	var got *job.MapTask
+	for i := 0; i <= fairNodeLocalSkips && got == nil; i++ {
+		got = fd.AssignMap(ctx, 0)
+	}
+	if got == nil {
+		t.Fatal("rack-local offer never accepted")
+	}
+	if len(fd.skips) != 0 {
+		t.Fatalf("skip counts after a delay-expired assignment: %v", fd.skips)
+	}
+}
+
 func TestFairDelayFallsBackToAnyNode(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0}, 1)
-	cfg := FairDelayConfig{NodeLocalSkips: 1, RackLocalSkips: 1, JobPolicy: FairJobs}
-	fd := NewFairDelay(cfg)(f.env).(*FairDelay)
+	fd := NewFairDelay()(f.env).(*FairDelay)
 	ctx := f.ctxFor(j)
 	// Offers from the other rack (node 7): declines until D1+D2 skips.
-	if got := fd.AssignMap(ctx, 7); got != nil {
-		t.Fatal("accepted before any skip")
-	}
-	if got := fd.AssignMap(ctx, 7); got != nil {
-		t.Fatal("accepted before D1+D2 skips")
+	for i := 0; i < fairNodeLocalSkips+fairRackLocalSkips; i++ {
+		if got := fd.AssignMap(ctx, 7); got != nil {
+			t.Fatalf("accepted after %d skips, before D1+D2", i)
+		}
 	}
 	if got := fd.AssignMap(ctx, 7); got == nil {
 		t.Fatal("never accepted a remote offer")
@@ -304,7 +326,7 @@ func TestFairDelayReduceIsUnconstrained(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0}, 3)
 	finish(j.Maps[0], 0)
-	fd := NewFairDelay(DefaultFairDelayConfig())(f.env).(*FairDelay)
+	fd := NewFairDelay()(f.env).(*FairDelay)
 	if got := fd.AssignReduce(f.ctxFor(j), 5); got == nil {
 		t.Fatal("fair reduce assignment declined a free slot")
 	}
@@ -313,7 +335,7 @@ func TestFairDelayReduceIsUnconstrained(t *testing.T) {
 func TestCouplingLocalAlwaysLaunches(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{2}, 1)
-	c := NewCoupling(DefaultCouplingConfig())(f.env).(*Coupling)
+	c := NewCoupling()(f.env).(*Coupling)
 	if got := c.AssignMap(f.ctxFor(j), 2); got == nil {
 		t.Fatal("coupling declined a local map")
 	}
@@ -322,7 +344,7 @@ func TestCouplingLocalAlwaysLaunches(t *testing.T) {
 func TestCouplingRemoteIsProbabilistic(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{2}, 1)
-	c := NewCoupling(DefaultCouplingConfig())(f.env).(*Coupling)
+	c := NewCoupling()(f.env).(*Coupling)
 	assigned, declined := 0, 0
 	for i := 0; i < 300; i++ {
 		if got := c.AssignMap(f.ctxFor(j), 7); got != nil {
@@ -343,7 +365,7 @@ func TestCouplingRemoteIsProbabilistic(t *testing.T) {
 func TestCouplingPacesReduces(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0, 1, 2, 3}, 4)
-	c := NewCoupling(DefaultCouplingConfig())(f.env).(*Coupling)
+	c := NewCoupling()(f.env).(*Coupling)
 	ctx := f.ctxFor(j)
 	ctx.Slowstart = 0
 	// No map progress: pacing allows ceil(0×4) = 0 reduces.
@@ -373,9 +395,7 @@ func TestCouplingCentralityWaitBound(t *testing.T) {
 	f := newFixture(t)
 	j := f.addJob(t, 1, []topology.NodeID{0}, 1)
 	finish(j.Maps[0], 0)
-	cfg := DefaultCouplingConfig()
-	cfg.MaxWaitRounds = 3
-	c := NewCoupling(cfg)(f.env).(*Coupling)
+	c := NewCoupling()(f.env).(*Coupling)
 	ctx := f.ctxFor(j)
 	// Node 7 is not the centrality node (node 0 is, it has all the data).
 	declines := 0
@@ -388,8 +408,8 @@ func TestCouplingCentralityWaitBound(t *testing.T) {
 	if declines == 0 {
 		t.Fatal("coupling accepted a non-centrality node immediately")
 	}
-	if declines > cfg.MaxWaitRounds {
-		t.Fatalf("coupling waited %d rounds, bound is %d", declines, cfg.MaxWaitRounds)
+	if declines > couplingMaxWaitRounds {
+		t.Fatalf("coupling waited %d rounds, bound is %d", declines, couplingMaxWaitRounds)
 	}
 }
 
@@ -431,8 +451,8 @@ func TestSchedulerNames(t *testing.T) {
 	f := newFixture(t)
 	for _, b := range []Builder{
 		NewProbabilistic(DefaultProbabilisticConfig()),
-		NewCoupling(DefaultCouplingConfig()),
-		NewFairDelay(DefaultFairDelayConfig()),
+		NewCoupling(),
+		NewFairDelay(),
 	} {
 		if b(f.env).Name() == "" {
 			t.Fatal("empty scheduler name")

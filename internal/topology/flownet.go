@@ -63,10 +63,10 @@ func (f *Flow) Finished() bool { return f.finished }
 type link struct {
 	capacity float64 //lint:epoch-guarded rate shares derive from it; see FlowNet.epoch
 	flows    []*Flow
-	// share is the rate a new flow would get here, effCapacity(l, f+1)/(f+1)
-	// for its f flows: the link's term in a path transmission rate
-	// (Section II-B-3). refreshShare rewrites it wherever the flow count,
-	// the capacity or alpha changes, always beside an epoch bump, so it is
+	// share is the rate a new flow would get here, capacity/(f+1) for its
+	// f flows: the link's term in a path transmission rate (Section
+	// II-B-3). refreshShare rewrites it wherever the flow count or the
+	// capacity changes, always beside an epoch bump, so it is
 	// exact mid-event and constant between epochs. Capacities are finite
 	// and non-negative, so every share is too.
 	share float64
@@ -75,7 +75,7 @@ type link struct {
 // FlowNet is a flow-level network simulator: each active flow receives a
 // max-min fair share of the capacity of every directed link on its path.
 //
-// Churn (flow start, finish, cancel, capacity or alpha change) updates
+// Churn (flow start, finish, cancel or capacity change) updates
 // link occupancy, the stored per-link prospective shares and the epoch
 // at once, so occupancy-only reads (Cluster.PathRate, UpRate, InRate)
 // are exact mid-event. The
@@ -96,7 +96,6 @@ type FlowNet struct {
 	// compacted lazily. liveCount is the exact number of live entries.
 	liveList  []*Flow
 	liveCount int
-	alpha     float64 //lint:epoch-guarded congestion inefficiency scales every effective capacity; see Spec.CongestionAlpha
 
 	// epoch counts churn: any quantity derived from link occupancy and
 	// capacity (the stored link shares, hence PathRate) is constant
@@ -155,26 +154,6 @@ func NewFlowNet(eng *sim.Engine) *FlowNet {
 	return n
 }
 
-// SetCongestionAlpha sets the goodput-degradation coefficient: a link
-// with n concurrent flows delivers capacity/(1 + alpha·(n−1)). Changing
-// it re-shares every live flow and bumps the epoch — alpha scales every
-// effective capacity, so costs cached against the previous epoch would
-// otherwise survive stale. Negative and NaN values clamp to zero; setting
-// the current value is a no-op.
-func (n *FlowNet) SetCongestionAlpha(alpha float64) {
-	if !(alpha >= 0) {
-		alpha = 0
-	}
-	if n.alpha == alpha {
-		return
-	}
-	n.alpha = alpha
-	for l := range n.links {
-		n.refreshShare(LinkID(l))
-	}
-	n.mark()
-}
-
 // SetStream attaches the observability stream flow events are emitted
 // on. A nil stream (the default) disables emission entirely.
 func (n *FlowNet) SetStream(st *obs.Stream) { n.obs = st }
@@ -231,18 +210,6 @@ func (n *FlowNet) FullRecomputes() int64 { return n.passes }
 // live flows. It remains for callers that report solver counters.
 func (n *FlowNet) IncrementalRecomputes() int64 { return 0 }
 
-// effCapacity returns a link's aggregate goodput when carrying n flows.
-// The explicit float64 conversion rounds the alpha product before the
-// sum, so no GOARCH fuses it into a multiply-add: the stored shares, the
-// solver and the feasibility check all inline this expression.
-func (n *FlowNet) effCapacity(l int, flows int) float64 {
-	c := n.links[l].capacity
-	if n.alpha == 0 || flows <= 1 {
-		return c
-	}
-	return c / (1 + float64(n.alpha*float64(flows-1)))
-}
-
 // AddLink creates a directed link with the given finite, positive
 // capacity (bytes/second).
 func (n *FlowNet) AddLink(capacity float64) LinkID {
@@ -279,10 +246,9 @@ func (n *FlowNet) SetLinkCapacity(l LinkID, capacity float64) {
 }
 
 // refreshShare recomputes link l's stored prospective share from its
-// current flow count, capacity and alpha.
+// current flow count and capacity.
 func (n *FlowNet) refreshShare(l LinkID) {
-	flows := len(n.links[l].flows) + 1
-	n.links[l].share = n.effCapacity(int(l), flows) / float64(flows)
+	n.links[l].share = n.links[l].capacity / float64(len(n.links[l].flows)+1)
 }
 
 // ActiveFlows returns the number of in-flight flows.
@@ -611,7 +577,7 @@ func (n *FlowNet) fill() {
 	for l := range n.links {
 		if c := len(n.links[l].flows); c > 0 {
 			n.cnt[l] = c
-			n.remCap[l] = n.effCapacity(l, c)
+			n.remCap[l] = n.links[l].capacity
 			links = append(links, l)
 		}
 	}
@@ -741,9 +707,8 @@ func (n *FlowNet) CheckFeasible() error {
 		for _, f := range n.links[i].flows {
 			sum += f.rate
 		}
-		cap := n.effCapacity(i, len(n.links[i].flows))
-		if sum > cap*(1+tol) {
-			return fmt.Errorf("link %d oversubscribed: %v > %v", i, sum, cap)
+		if c := n.links[i].capacity; sum > c*(1+tol) {
+			return fmt.Errorf("link %d oversubscribed: %v > %v", i, sum, c)
 		}
 	}
 	return nil

@@ -39,7 +39,7 @@ func randomPath(rng *sim.RNG, nl int) []LinkID {
 
 // checkMaxMin is the solver oracle, valid at a commit point. It asserts
 // that the committed shares are feasible (no link carries more than its
-// effective capacity) and max-min optimal (every live flow crosses a
+// capacity) and max-min optimal (every live flow crosses a
 // saturated link on which no other flow gets more), and that the
 // completion-event bookkeeping follows them: a live transfer's event is
 // queued exactly when its share is positive.
@@ -54,13 +54,12 @@ func checkMaxMin(n *FlowNet) error {
 		}
 		bottleneck := false
 		for _, l := range f.links {
-			eff := n.effCapacity(int(l), len(n.links[l].flows))
 			var sum, max float64
 			for _, g := range n.links[l].flows {
 				sum += g.rate
 				max = math.Max(max, g.rate)
 			}
-			if sum >= eff*(1-tol) && f.rate >= max*(1-tol) {
+			if sum >= n.links[l].capacity*(1-tol) && f.rate >= max*(1-tol) {
 				bottleneck = true
 				break
 			}
@@ -76,8 +75,8 @@ func checkMaxMin(n *FlowNet) error {
 }
 
 // TestMaxMinOracle drives random churn — transfers, persistent flows,
-// cancels, links cut to zero capacity and restored, congestion alpha
-// changes, several churns per event — over small random topologies and
+// cancels, links cut to zero capacity and restored, several churns per
+// event — over small random topologies and
 // checks the oracle after every commit. Every transfer that is not
 // cancelled must finish once the links are restored.
 func TestMaxMinOracle(t *testing.T) {
@@ -85,7 +84,6 @@ func TestMaxMinOracle(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		eng := sim.NewEngine()
 		n := NewFlowNet(eng)
-		n.SetCongestionAlpha([]float64{0, 0, 0.1, 0.5}[rng.Intn(4)])
 		nl := 2 + rng.Intn(5)
 		caps := make([]float64, nl)
 		for i := range caps {
@@ -118,14 +116,12 @@ func TestMaxMinOracle(t *testing.T) {
 						n.Cancel(f)
 					}
 				}
-			case r < 9:
+			default:
 				c := 0.0
 				if rng.Intn(3) != 0 {
 					c = rng.Uniform(1, 10)
 				}
 				n.SetLinkCapacity(LinkID(rng.Intn(nl)), c)
-			default:
-				n.SetCongestionAlpha(rng.Uniform(0, 0.5))
 			}
 		}
 		for ev := 0; ev < 60; ev++ {
@@ -171,7 +167,6 @@ func TestSharesIndependentOfChurnOrder(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 30; seed++ {
 		plan := sim.NewRNG(seed)
-		alpha := []float64{0, 0.2}[plan.Intn(2)]
 		nl := 3 + plan.Intn(4)
 		caps := make([]float64, nl)
 		for i := range caps {
@@ -193,7 +188,6 @@ func TestSharesIndependentOfChurnOrder(t *testing.T) {
 		run := func(order int64, withTransients bool) map[string][2]float64 {
 			eng := sim.NewEngine()
 			n := NewFlowNet(eng)
-			n.SetCongestionAlpha(alpha)
 			for _, c := range caps {
 				n.SetLinkCapacity(n.AddLink(1), c)
 			}

@@ -51,36 +51,33 @@ type RateObserver interface {
 
 // Spec configures a hierarchical Cluster topology.
 type Spec struct {
-	Racks         int     // number of racks (>= 1)
-	NodesPerRack  int     // hosts per rack (>= 1)
-	HostLinkBps   float64 // host <-> ToR capacity, bytes/second each direction
-	TorUplinkBps  float64 // ToR <-> core capacity, bytes/second each direction
-	DiskBps       float64 // local read bandwidth, bytes/second
-	SameRackDist  float64 // H entry for two distinct hosts in one rack (default 2)
-	CrossRackDist float64 // H entry for hosts in different racks (default 4)
-
-	// CongestionAlpha models goodput degradation under flow concurrency
-	// (TCP incast, interrupt and disk-seek overheads): a link carrying n
-	// flows delivers capacity/(1 + alpha·(n−1)) in aggregate. Zero (the
-	// default) gives ideal lossless sharing.
-	CongestionAlpha float64
+	Racks        int     // number of racks (>= 1)
+	NodesPerRack int     // hosts per rack (>= 1)
+	HostLinkBps  float64 // host <-> ToR capacity, bytes/second each direction
+	TorUplinkBps float64 // ToR <-> core capacity, bytes/second each direction
+	DiskBps      float64 // local read bandwidth, bytes/second
 }
+
+// The paper's hop counts: the H entry for two distinct hosts in one rack
+// (host, ToR, host) and in different racks (host, ToR, core, ToR, host).
+const (
+	sameRackDist  = 2
+	crossRackDist = 4
+)
 
 // DefaultSpec mirrors the paper's testbed shape: 60 nodes in a single rack
 // with gigabit-class host links and a 10 GbE uplink.
 func DefaultSpec() Spec {
 	return Spec{
-		Racks:         1,
-		NodesPerRack:  60,
-		HostLinkBps:   125e6,  // 1 Gb/s
-		TorUplinkBps:  1250e6, // 10 Gb/s
-		DiskBps:       400e6,  // local disk read
-		SameRackDist:  2,
-		CrossRackDist: 4,
+		Racks:        1,
+		NodesPerRack: 60,
+		HostLinkBps:  125e6,  // 1 Gb/s
+		TorUplinkBps: 1250e6, // 10 Gb/s
+		DiskBps:      400e6,  // local disk read
 	}
 }
 
-func (s *Spec) normalize() error {
+func (s Spec) validate() error {
 	if s.Racks < 1 {
 		return fmt.Errorf("topology: Racks = %d, need >= 1", s.Racks)
 	}
@@ -95,22 +92,6 @@ func (s *Spec) normalize() error {
 	}
 	if !finitePositive(s.DiskBps) {
 		return fmt.Errorf("topology: DiskBps = %v, need finite > 0", s.DiskBps)
-	}
-	if s.SameRackDist == 0 {
-		s.SameRackDist = 2
-	}
-	if s.CrossRackDist == 0 {
-		s.CrossRackDist = 4
-	}
-	if s.SameRackDist < 0 || s.CrossRackDist < 0 {
-		return fmt.Errorf("topology: negative distances")
-	}
-	if s.CrossRackDist < s.SameRackDist {
-		return fmt.Errorf("topology: CrossRackDist %v < SameRackDist %v",
-			s.CrossRackDist, s.SameRackDist)
-	}
-	if !(s.CongestionAlpha >= 0) {
-		return fmt.Errorf("topology: CongestionAlpha = %v, need >= 0", s.CongestionAlpha)
 	}
 	return nil
 }
@@ -140,7 +121,7 @@ var _ RateObserver = (*Cluster)(nil)
 
 // NewCluster builds the topology and its flow network on eng.
 func NewCluster(eng *sim.Engine, spec Spec) (*Cluster, error) {
-	if err := spec.normalize(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	c := &Cluster{
@@ -148,7 +129,6 @@ func NewCluster(eng *sim.Engine, spec Spec) (*Cluster, error) {
 		n:    spec.Racks * spec.NodesPerRack,
 		net:  NewFlowNet(eng),
 	}
-	c.net.SetCongestionAlpha(spec.CongestionAlpha)
 	c.hostUp = make([]LinkID, c.n)
 	c.hostDown = make([]LinkID, c.n)
 	for i := 0; i < c.n; i++ {
@@ -174,12 +154,12 @@ func (c *Cluster) Rack(a NodeID) int { return int(a) / c.spec.NodesPerRack }
 func (c *Cluster) Racks() int { return c.spec.Racks }
 
 // RackDistance returns the hop distance between two distinct hosts in
-// racks r and s: SameRackDist when r == s, CrossRackDist otherwise.
+// racks r and s: sameRackDist when r == s, crossRackDist otherwise.
 func (c *Cluster) RackDistance(r, s int) float64 {
 	if r == s {
-		return c.spec.SameRackDist
+		return sameRackDist
 	}
-	return c.spec.CrossRackDist
+	return crossRackDist
 }
 
 // Distance returns the H-matrix entry between two hosts: 0 for the same
