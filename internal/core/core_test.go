@@ -643,3 +643,10 @@ func TestSelectionComputesOneProbabilityPerWinner(t *testing.T) {
 		t.Fatalf("SelectReduceTask called Prob up to %d times per call over %d candidates, want 1", maxReduce, len(j.Reduces))
 	}
 }
+
+// TestRationalName pins the label the model comparison prints.
+func TestRationalName(t *testing.T) {
+	if got := (Rational{}).Name(); got != "rational(k=1)" {
+		t.Fatalf("Name() = %q, want rational(k=1)", got)
+	}
+}
