@@ -13,39 +13,9 @@ import (
 	"mapsched/internal/topology"
 )
 
-// Resources is a YARN-style capacity vector.
-type Resources struct {
-	MemMB  int
-	VCores int
-}
-
-// fits reports whether adding req to used stays within cap.
-func fits(used, req, cap Resources) bool {
-	return used.MemMB+req.MemMB <= cap.MemMB && used.VCores+req.VCores <= cap.VCores
-}
-
-// headroom returns how many req-sized containers fit into cap−used.
-func headroom(used, req, cap Resources) int {
-	if req.MemMB <= 0 || req.VCores <= 0 {
-		return 0
-	}
-	m := (cap.MemMB - used.MemMB) / req.MemMB
-	v := (cap.VCores - used.VCores) / req.VCores
-	if v < m {
-		m = v
-	}
-	if m < 0 {
-		m = 0
-	}
-	return m
-}
-
-// Node is the slot state of one TaskTracker. It operates in one of two
-// modes: Hadoop 1.x fixed slots (the paper's testbed), or a YARN-style
-// container model where map and reduce tasks request resource vectors
-// from a shared node capacity (the paper's Section V future work).
-// Per-kind state is indexed by job.TaskKind, so every slot operation has
-// one code path for both kinds.
+// Node is the slot state of one TaskTracker: Hadoop 1.x fixed map and
+// reduce slots, the paper's testbed. Per-kind state is indexed by
+// job.TaskKind, so every slot operation has one code path for both kinds.
 type Node struct {
 	ID topology.NodeID
 	// Slots are the node's fixed slot counts per task kind, set at New;
@@ -56,23 +26,9 @@ type Node struct {
 	offline     bool
 	blacklisted bool
 
-	resourceMode bool
-	capacity     Resources
-	alloc        Resources    // container mode: resources held by running tasks
-	req          [2]Resources // container mode: per-task request by kind
-
 	// st points back to the owning State so slot transitions keep the
 	// cluster-wide availability sets and slot totals incremental.
 	st *State
-}
-
-// capacitySlots returns how many kind-k tasks the idle node holds: its
-// fixed slot count, or in container mode how many k containers fit.
-func (n *Node) capacitySlots(k job.TaskKind) int {
-	if n.resourceMode {
-		return headroom(Resources{}, n.req[k], n.capacity)
-	}
-	return n.Slots[k]
 }
 
 // freeBefore snapshots the node's availability in both slot kinds; paired
@@ -120,42 +76,11 @@ func (n *Node) SetBlacklisted(b bool) {
 // Blacklisted reports whether the node is blacklisted.
 func (n *Node) Blacklisted() bool { return n.blacklisted }
 
-// EnableResources switches the node to the container model with the given
-// capacity and per-task requests.
-func (n *Node) EnableResources(capacity, mapReq, reduceReq Resources) error {
-	if capacity.MemMB <= 0 || capacity.VCores <= 0 {
-		return fmt.Errorf("cluster: node %d: capacity must be positive", n.ID)
-	}
-	if mapReq.MemMB <= 0 || mapReq.VCores <= 0 || reduceReq.MemMB <= 0 || reduceReq.VCores <= 0 {
-		return fmt.Errorf("cluster: node %d: container requests must be positive", n.ID)
-	}
-	if n.used != [2]int{} {
-		return fmt.Errorf("cluster: node %d: cannot switch modes with tasks running", n.ID)
-	}
-	was := n.freeBefore()
-	before := [2]int{n.capacitySlots(job.MapKind), n.capacitySlots(job.ReduceKind)}
-	n.resourceMode = true
-	n.capacity = capacity
-	n.req = [2]Resources{mapReq, reduceReq}
-	n.noteChange(was)
-	for k := job.MapKind; k <= job.ReduceKind; k++ {
-		n.st.total[k] += n.capacitySlots(k) - before[k]
-	}
-	return nil
-}
-
-// ResourceMode reports whether the node uses the container model.
-func (n *Node) ResourceMode() bool { return n.resourceMode }
-
 // FreeSlots returns how many more kind-k tasks the node can start right
-// now (0 when offline or blacklisted). In container mode this is the
-// resource headroom measured in k containers.
+// now (0 when offline or blacklisted).
 func (n *Node) FreeSlots(k job.TaskKind) int {
 	if n.offline || n.blacklisted {
 		return 0
-	}
-	if n.resourceMode {
-		return headroom(n.alloc, n.req[k], n.capacity)
 	}
 	return n.Slots[k] - n.used[k]
 }
@@ -163,17 +88,10 @@ func (n *Node) FreeSlots(k job.TaskKind) int {
 // UsedSlots returns the number of occupied kind-k slots.
 func (n *Node) UsedSlots(k job.TaskKind) int { return n.used[k] }
 
-// AcquireSlot occupies a kind-k slot (or container); it fails when none
-// fits.
+// AcquireSlot occupies a kind-k slot; it fails when none is free.
 func (n *Node) AcquireSlot(k job.TaskKind) error {
 	was := n.freeBefore()
-	if n.resourceMode {
-		if !fits(n.alloc, n.req[k], n.capacity) {
-			return fmt.Errorf("cluster: node %d has no room for a %s container", n.ID, k)
-		}
-		n.alloc.MemMB += n.req[k].MemMB
-		n.alloc.VCores += n.req[k].VCores
-	} else if n.used[k] >= n.Slots[k] {
+	if n.used[k] >= n.Slots[k] {
 		return fmt.Errorf("cluster: node %d has no free %s slot", n.ID, k)
 	}
 	n.used[k]++
@@ -182,7 +100,7 @@ func (n *Node) AcquireSlot(k job.TaskKind) error {
 	return nil
 }
 
-// ReleaseSlot frees a kind-k slot (or container); releasing an unheld
+// ReleaseSlot frees a kind-k slot; releasing an unheld
 // slot panics (it is always an engine bug).
 func (n *Node) ReleaseSlot(k job.TaskKind) {
 	if n.used[k] <= 0 {
@@ -191,10 +109,6 @@ func (n *Node) ReleaseSlot(k job.TaskKind) {
 	was := n.freeBefore()
 	n.used[k]--
 	n.st.used[k]--
-	if n.resourceMode {
-		n.alloc.MemMB -= n.req[k].MemMB
-		n.alloc.VCores -= n.req[k].VCores
-	}
 	n.noteChange(was)
 }
 
@@ -277,9 +191,9 @@ type State struct {
 	nodes []*Node
 	avail [2]availState // indexed by job.TaskKind
 
-	// Cluster-wide occupied and capacity slot totals per kind, kept by the
-	// nodes' AcquireSlot/ReleaseSlot and EnableResources so the
-	// utilization sample taken on every slot transition is O(1).
+	// Cluster-wide occupied and capacity slot totals per kind: used is
+	// kept by the nodes' AcquireSlot/ReleaseSlot, total is fixed at New,
+	// so the utilization sample taken on every slot transition is O(1).
 	used, total [2]int
 }
 
@@ -347,19 +261,7 @@ func (s *State) Versions() (mapVersion, reduceVersion uint64) {
 // UsedSlots returns the cluster-wide occupied map and reduce slot counts.
 func (s *State) UsedSlots() (maps, reduces int) { return s.used[job.MapKind], s.used[job.ReduceKind] }
 
-// TotalSlots returns the cluster-wide slot capacities. In container mode
-// the capacity is expressed as how many containers of each kind would fit
-// an idle cluster.
+// TotalSlots returns the cluster-wide slot capacities.
 func (s *State) TotalSlots() (maps, reduces int) {
 	return s.total[job.MapKind], s.total[job.ReduceKind]
-}
-
-// EnableResources switches every node to the container model.
-func (s *State) EnableResources(capacity, mapReq, reduceReq Resources) error {
-	for _, n := range s.nodes {
-		if err := n.EnableResources(capacity, mapReq, reduceReq); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -108,104 +108,6 @@ func TestAvailNodeSets(t *testing.T) {
 	}
 }
 
-func TestResourceModeAccounting(t *testing.T) {
-	s, err := New(1, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := s.Node(0)
-	cap := Resources{MemMB: 8192, VCores: 8}
-	mapReq := Resources{MemMB: 2048, VCores: 2}
-	redReq := Resources{MemMB: 4096, VCores: 4}
-	if err := n.EnableResources(cap, mapReq, redReq); err != nil {
-		t.Fatal(err)
-	}
-	if !n.ResourceMode() {
-		t.Fatal("resource mode not enabled")
-	}
-	if n.FreeSlots(job.MapKind) != 4 || n.FreeSlots(job.ReduceKind) != 2 {
-		t.Fatalf("idle headroom = %d/%d, want 4/2", n.FreeSlots(job.MapKind), n.FreeSlots(job.ReduceKind))
-	}
-	// One reduce container consumes half the node: only 2 maps fit beside it.
-	if err := n.AcquireSlot(job.ReduceKind); err != nil {
-		t.Fatal(err)
-	}
-	if n.FreeSlots(job.MapKind) != 2 {
-		t.Fatalf("map headroom beside a reduce = %d, want 2", n.FreeSlots(job.MapKind))
-	}
-	if err := n.AcquireSlot(job.MapKind); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AcquireSlot(job.MapKind); err != nil {
-		t.Fatal(err)
-	}
-	if n.FreeSlots(job.MapKind) != 0 || n.FreeSlots(job.ReduceKind) != 0 {
-		t.Fatal("node should be full")
-	}
-	if err := n.AcquireSlot(job.MapKind); err == nil {
-		t.Fatal("over-committed a full node")
-	}
-	// Releases restore the full capacity.
-	n.ReleaseSlot(job.MapKind)
-	n.ReleaseSlot(job.MapKind)
-	n.ReleaseSlot(job.ReduceKind)
-	if n.alloc != (Resources{}) {
-		t.Fatalf("resources leaked: %+v", n.alloc)
-	}
-	if n.FreeSlots(job.MapKind) != 4 {
-		t.Fatal("capacity not restored")
-	}
-}
-
-func TestResourceModeFungibility(t *testing.T) {
-	// The YARN benefit: the whole node can go to maps when no reduces run,
-	// unlike the fixed 4+2 split.
-	s, _ := New(1, 4, 2)
-	n := s.Node(0)
-	if err := n.EnableResources(Resources{MemMB: 16384, VCores: 16},
-		Resources{MemMB: 2048, VCores: 2}, Resources{MemMB: 4096, VCores: 4}); err != nil {
-		t.Fatal(err)
-	}
-	launched := 0
-	for n.FreeSlots(job.MapKind) > 0 {
-		if err := n.AcquireSlot(job.MapKind); err != nil {
-			t.Fatal(err)
-		}
-		launched++
-	}
-	if launched != 8 {
-		t.Fatalf("container mode ran %d maps on an idle node, want 8", launched)
-	}
-}
-
-func TestResourceModeValidation(t *testing.T) {
-	s, _ := New(1, 1, 1)
-	n := s.Node(0)
-	if err := n.EnableResources(Resources{}, Resources{MemMB: 1, VCores: 1}, Resources{MemMB: 1, VCores: 1}); err == nil {
-		t.Error("zero capacity accepted")
-	}
-	if err := n.EnableResources(Resources{MemMB: 1, VCores: 1}, Resources{}, Resources{MemMB: 1, VCores: 1}); err == nil {
-		t.Error("zero map request accepted")
-	}
-	if err := n.AcquireSlot(job.MapKind); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.EnableResources(Resources{MemMB: 8, VCores: 8}, Resources{MemMB: 1, VCores: 1}, Resources{MemMB: 1, VCores: 1}); err == nil {
-		t.Error("mode switch with running tasks accepted")
-	}
-	n.ReleaseSlot(job.MapKind)
-	// Cluster-wide enable.
-	s2, _ := New(3, 1, 1)
-	if err := s2.EnableResources(Resources{MemMB: 4096, VCores: 4},
-		Resources{MemMB: 1024, VCores: 1}, Resources{MemMB: 2048, VCores: 2}); err != nil {
-		t.Fatal(err)
-	}
-	m, r := s2.TotalSlots()
-	if m != 12 || r != 6 {
-		t.Fatalf("cluster container capacity = %d/%d, want 12/6", m, r)
-	}
-}
-
 // TestAvailCountsTrackChurn drives every availability-affecting mutation
 // and cross-checks the incrementally maintained per-rack counts against
 // a from-scratch rescan after each step, plus the version contract: the
@@ -260,17 +162,11 @@ func TestAvailCountsTrackChurn(t *testing.T) {
 		t.Fatal("version unchanged though node 3 left the map set")
 	}
 
-	// Offline, blacklist, resource-mode, and release churn across both
-	// racks.
+	// Offline, blacklist and release churn across both racks.
 	s.Node(5).SetOffline(true)
 	check("offline 5")
 	s.Node(0).SetBlacklisted(true)
 	check("blacklist 0")
-	if err := s.Node(6).EnableResources(Resources{VCores: 4, MemMB: 8192},
-		Resources{VCores: 1, MemMB: 2048}, Resources{VCores: 1, MemMB: 4096}); err != nil {
-		t.Fatal(err)
-	}
-	check("resource mode 6")
 	n3.ReleaseSlot(job.MapKind)
 	check("release")
 	s.Node(5).SetOffline(false)
@@ -314,21 +210,18 @@ func TestAvailCountsTrackChurn(t *testing.T) {
 	}
 }
 
-// TestSlotTotalsMatchNodeSums drives random acquires, releases, offline
-// and blacklist flips and container-mode switches (some failing) across
-// a cluster: after every step UsedSlots and TotalSlots, which the nodes
-// keep incrementally, must equal a per-node sum.
+// TestSlotTotalsMatchNodeSums drives random acquires (some failing),
+// releases, and offline and blacklist flips across a cluster: after every
+// step UsedSlots and TotalSlots must equal a per-node sum.
 func TestSlotTotalsMatchNodeSums(t *testing.T) {
 	s, err := New(6, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := sim.NewRNG(11)
-	capacity := Resources{MemMB: 8192, VCores: 4}
-	mapReq, redReq := Resources{MemMB: 2048, VCores: 1}, Resources{MemMB: 3072, VCores: 1}
 	for step := 1; step <= 3000; step++ {
 		n := s.Node(topology.NodeID(rng.Intn(s.Size())))
-		switch rng.Intn(8) {
+		switch rng.Intn(6) {
 		case 0:
 			_ = n.AcquireSlot(job.MapKind) // may be full, offline or blacklisted
 		case 1:
@@ -345,25 +238,14 @@ func TestSlotTotalsMatchNodeSums(t *testing.T) {
 			n.SetOffline(!n.Offline())
 		case 5:
 			n.SetBlacklisted(!n.Blacklisted())
-		case 6:
-			_ = n.EnableResources(capacity, mapReq, redReq) // fails while tasks run
-		case 7:
-			if rng.Intn(50) == 0 {
-				_ = s.EnableResources(capacity, mapReq, redReq) // may stop part-way
-			}
 		}
 		var um, ur, tm, tr int
 		for id := 0; id < s.Size(); id++ {
 			nd := s.Node(topology.NodeID(id))
 			um += nd.UsedSlots(job.MapKind)
 			ur += nd.UsedSlots(job.ReduceKind)
-			if nd.ResourceMode() {
-				tm += headroom(Resources{}, nd.req[job.MapKind], nd.capacity)
-				tr += headroom(Resources{}, nd.req[job.ReduceKind], nd.capacity)
-			} else {
-				tm += nd.Slots[job.MapKind]
-				tr += nd.Slots[job.ReduceKind]
-			}
+			tm += nd.Slots[job.MapKind]
+			tr += nd.Slots[job.ReduceKind]
 		}
 		if gm, gr := s.UsedSlots(); gm != um || gr != ur {
 			t.Fatalf("step %d: UsedSlots = (%d,%d), node sum (%d,%d)", step, gm, gr, um, ur)
@@ -371,14 +253,5 @@ func TestSlotTotalsMatchNodeSums(t *testing.T) {
 		if gm, gr := s.TotalSlots(); gm != tm || gr != tr {
 			t.Fatalf("step %d: TotalSlots = (%d,%d), node sum (%d,%d)", step, gm, gr, tm, tr)
 		}
-	}
-	modes := 0
-	for id := 0; id < s.Size(); id++ {
-		if s.Node(topology.NodeID(id)).ResourceMode() {
-			modes++
-		}
-	}
-	if modes == 0 {
-		t.Fatal("no node reached container mode: the switch was never exercised")
 	}
 }

@@ -14,6 +14,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mapsched/internal/cluster"
@@ -41,14 +42,6 @@ type Config struct {
 	// HeartbeatInterval is the TaskTracker heartbeat period in seconds
 	// (Hadoop 1.x default: 3 s).
 	HeartbeatInterval float64
-	// Slowstart is the map-progress fraction gating reduce launches.
-	Slowstart float64
-	// ShuffleParallelism bounds concurrent fetch flows per reduce task
-	// (Hadoop's parallel copiers).
-	ShuffleParallelism int
-	// TaskOverhead is fixed per-task startup cost in seconds (JVM spawn,
-	// task setup).
-	TaskOverhead float64
 	// Seed makes the whole run reproducible.
 	Seed int64
 	// CostMode selects hop-count or network-condition distances for the
@@ -97,16 +90,19 @@ type Config struct {
 	// value keeps the classic closed-system (fixed-batch) behavior and
 	// the run is bit-identical to one before the layer existed.
 	Open OpenSystem
-
-	// ResourceMode replaces the Hadoop 1.x fixed slots with a YARN-style
-	// container model (the paper's Section V future work): every node has
-	// a resource capacity and each map/reduce task requests a container,
-	// so the map/reduce split of a node's capacity is no longer static.
-	ResourceMode    bool
-	NodeResources   cluster.Resources // default 16384 MB / 16 vcores
-	MapContainer    cluster.Resources // default 2048 MB / 2 vcores
-	ReduceContainer cluster.Resources // default 4096 MB / 4 vcores
 }
+
+// Task-execution parameters that every run shares.
+const (
+	// Slowstart is the map-progress fraction gating reduce launches.
+	Slowstart = 0.05
+	// shuffleParallelism bounds concurrent fetch flows per reduce task
+	// (Hadoop's parallel copiers).
+	shuffleParallelism = 3
+	// TaskOverhead is the fixed per-task startup cost in seconds (JVM
+	// spawn, task setup).
+	TaskOverhead = 1.0
+)
 
 // DefaultConfig returns the paper's experimental setup.
 func DefaultConfig() Config {
@@ -115,59 +111,45 @@ func DefaultConfig() Config {
 		MapSlotsPerNode:    4,
 		ReduceSlotsPerNode: 2,
 		HeartbeatInterval:  3,
-		Slowstart:          0.05,
-		ShuffleParallelism: 3,
-		TaskOverhead:       1,
 		Seed:               1,
 		CostMode:           core.ModeHops,
 		MaxSimTime:         86400,
 		SpecSlowdown:       1.8,
 		SpecMinCompleted:   3,
-		NodeResources:      cluster.Resources{MemMB: 16384, VCores: 16},
-		MapContainer:       cluster.Resources{MemMB: 2048, VCores: 2},
-		ReduceContainer:    cluster.Resources{MemMB: 4096, VCores: 4},
 	}
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable. The float checks
+// are written so that NaN fails them, and every float must be finite.
 func (c Config) Validate() error {
 	if c.MapSlotsPerNode < 1 || c.ReduceSlotsPerNode < 1 {
 		return fmt.Errorf("engine: slots per node must be >= 1")
 	}
-	if c.HeartbeatInterval <= 0 {
-		return fmt.Errorf("engine: heartbeat interval must be positive")
-	}
-	if c.Slowstart < 0 || c.Slowstart > 1 {
-		return fmt.Errorf("engine: slowstart %v outside [0,1]", c.Slowstart)
-	}
-	if c.ShuffleParallelism < 1 {
-		return fmt.Errorf("engine: shuffle parallelism must be >= 1")
-	}
-	if c.TaskOverhead < 0 {
-		return fmt.Errorf("engine: negative task overhead")
+	if !(c.HeartbeatInterval > 0 && c.HeartbeatInterval <= math.MaxFloat64) {
+		return fmt.Errorf("engine: heartbeat interval %v must be finite and positive", c.HeartbeatInterval)
 	}
 	if c.CrossTraffic < 0 {
 		return fmt.Errorf("engine: negative cross traffic")
 	}
-	if c.MaxSimTime < 0 {
-		return fmt.Errorf("engine: negative horizon")
+	if !(c.MaxSimTime >= 0 && c.MaxSimTime <= math.MaxFloat64) {
+		return fmt.Errorf("engine: horizon %v must be finite and >= 0", c.MaxSimTime)
 	}
-	if c.SlowNodeFraction < 0 || c.SlowNodeFraction > 1 {
+	if !(c.SlowNodeFraction >= 0 && c.SlowNodeFraction <= 1) {
 		return fmt.Errorf("engine: SlowNodeFraction %v outside [0,1]", c.SlowNodeFraction)
 	}
-	if c.SlowNodeFraction > 0 && c.SlowFactor != 0 && c.SlowFactor <= 1 {
-		return fmt.Errorf("engine: SlowFactor %v must exceed 1", c.SlowFactor)
+	if c.SlowNodeFraction > 0 && c.SlowFactor != 0 && !(c.SlowFactor > 1 && c.SlowFactor <= math.MaxFloat64) {
+		return fmt.Errorf("engine: SlowFactor %v must be finite and exceed 1", c.SlowFactor)
 	}
 	if c.Speculation {
-		if c.SpecSlowdown <= 1 {
-			return fmt.Errorf("engine: SpecSlowdown %v must exceed 1", c.SpecSlowdown)
+		if !(c.SpecSlowdown > 1 && c.SpecSlowdown <= math.MaxFloat64) {
+			return fmt.Errorf("engine: SpecSlowdown %v must be finite and exceed 1", c.SpecSlowdown)
 		}
 		if c.SpecMinCompleted < 1 {
 			return fmt.Errorf("engine: SpecMinCompleted %d must be >= 1", c.SpecMinCompleted)
 		}
 	}
-	if c.HeartbeatExpiry < 0 {
-		return fmt.Errorf("engine: negative heartbeat expiry")
+	if !(c.HeartbeatExpiry >= 0 && c.HeartbeatExpiry <= math.MaxFloat64) {
+		return fmt.Errorf("engine: heartbeat expiry %v must be finite and >= 0", c.HeartbeatExpiry)
 	}
 	if err := c.Faults.Validate(c.Topology.Racks * c.Topology.NodesPerRack); err != nil {
 		return err
@@ -404,11 +386,6 @@ func New(cfg Config, specs []job.Spec, builder sched.Builder) (*Simulation, erro
 	state, err := cluster.New(topo.Size(), cfg.MapSlotsPerNode, cfg.ReduceSlotsPerNode)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.ResourceMode {
-		if err := state.EnableResources(cfg.NodeResources, cfg.MapContainer, cfg.ReduceContainer); err != nil {
-			return nil, err
-		}
 	}
 	// The placement decision service wraps the simulation's live state;
 	// the schedulers route every decision through Decider sessions
@@ -682,7 +659,7 @@ func (s *Simulation) buildCtx() *sched.Context {
 	s.ctx.Jobs = s.active
 	s.ctx.AvailMap = v.AvailMap
 	s.ctx.AvailReduce = v.AvailReduce
-	s.ctx.Slowstart = s.cfg.Slowstart
+	s.ctx.Slowstart = Slowstart
 	return &s.ctx
 }
 
@@ -848,7 +825,7 @@ func (s *Simulation) startAttempt(run *taskRun, n topology.NodeID) {
 	att.fetchSrc = src
 	att.fetch = s.topo.Transfer(src, n, m.Size, att.fetchFn)
 	att.computeStart = s.eng.Now()
-	att.computeDur = s.cfg.TaskOverhead +
+	att.computeDur = TaskOverhead +
 		s.rngEngine.Jitter(m.Size/(prof.MapRate*s.speedOf[n]), prof.ComputeJitter)
 	att.computeEv = s.eng.After(att.computeDur, att.computeFn)
 	// Transient attempt failure: a Bernoulli draw per attempt, failing at
@@ -1142,7 +1119,7 @@ func (s *Simulation) enqueueFetch(att *attempt, src topology.NodeID, bytes float
 // pumpShuffle starts fetch flows up to the parallelism bound for one
 // reduce attempt.
 func (s *Simulation) pumpShuffle(att *attempt) {
-	for len(att.flights) < s.cfg.ShuffleParallelism && len(att.queue) > 0 {
+	for len(att.flights) < shuffleParallelism && len(att.queue) > 0 {
 		// Sources whose TaskTracker crashed cannot serve a fetch, but the
 		// JobTracker has not noticed yet: leave their entries queued
 		// (blocking the compute phase) until failure detection drops them
@@ -1193,7 +1170,7 @@ func (s *Simulation) maybeStartReduceCompute(att *attempt) {
 	}
 	att.computing = true
 	prof := j.Spec.Profile
-	dur := s.cfg.TaskOverhead +
+	dur := TaskOverhead +
 		s.rngEngine.Jitter(att.shuffled/(prof.ReduceRate*s.speedOf[att.node]), prof.ComputeJitter)
 	att.computeStart = s.eng.Now()
 	att.computeDur = dur

@@ -4,11 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"mapsched/internal/cluster"
 	"mapsched/internal/job"
 	"mapsched/internal/metrics"
 	"mapsched/internal/sched"
-	"mapsched/internal/sim"
 	"mapsched/internal/topology"
 	"mapsched/internal/workload"
 )
@@ -255,10 +253,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.MapSlotsPerNode = 0 },
 		func(c *Config) { c.ReduceSlotsPerNode = 0 },
 		func(c *Config) { c.HeartbeatInterval = 0 },
-		func(c *Config) { c.Slowstart = -0.1 },
-		func(c *Config) { c.Slowstart = 1.5 },
-		func(c *Config) { c.ShuffleParallelism = 0 },
-		func(c *Config) { c.TaskOverhead = -1 },
 		func(c *Config) { c.CrossTraffic = -1 },
 		func(c *Config) { c.MaxSimTime = -5 },
 	}
@@ -271,6 +265,42 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConfigRejectsNonFinite sets each float field of Config to NaN and
+// ±Inf, with the feature that reads it switched on: Validate must reject
+// every one (NaN passes a plain x <= 0 test, and a NaN heartbeat interval
+// made Run spin forever) while accepting the same feature at a finite
+// value.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		name string
+		ok   float64
+		set  func(*Config, float64)
+	}{
+		{"HeartbeatInterval", 3, func(c *Config, x float64) { c.HeartbeatInterval = x }},
+		{"MaxSimTime", 100, func(c *Config, x float64) { c.MaxSimTime = x }},
+		{"HeartbeatExpiry", 30, func(c *Config, x float64) { c.HeartbeatExpiry = x }},
+		{"SlowNodeFraction", 0.2, func(c *Config, x float64) { c.SlowNodeFraction = x }},
+		{"SlowFactor", 2.5, func(c *Config, x float64) { c.SlowNodeFraction, c.SlowFactor = 0.2, x }},
+		{"SpecSlowdown", 1.8, func(c *Config, x float64) { c.Speculation, c.SpecSlowdown = true, x }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.set(&cfg, tc.ok)
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%s = %v rejected: %v", tc.name, tc.ok, err)
+			}
+			for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				cfg := DefaultConfig()
+				tc.set(&cfg, x)
+				if err := cfg.Validate(); err == nil {
+					t.Errorf("%s = %v accepted", tc.name, x)
+				}
+			}
+		})
 	}
 }
 
@@ -413,41 +443,5 @@ func TestUtilizationWindowEndsAtMakespan(t *testing.T) {
 	}
 	if res.MapUtilization < 0.05 {
 		t.Fatalf("map utilization %v suspiciously low — diluted window?", res.MapUtilization)
-	}
-}
-
-var _ = sim.NewRNG // keep import for future test helpers
-
-func TestResourceModeEndToEnd(t *testing.T) {
-	// The YARN-style container mode (Section V future work) must complete
-	// the same workload; with fungible capacity the map phase can use the
-	// whole node when no reduces run.
-	cfg := tinyConfig()
-	cfg.ResourceMode = true
-	s, err := New(cfg, tinySpecs(t), sched.NewProbabilistic(sched.DefaultProbabilisticConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Unfinished != 0 {
-		t.Fatalf("resource-mode run unfinished: %s", res)
-	}
-	// Idle-cluster container capacity exceeds the fixed slot split.
-	m, r := s.state.TotalSlots()
-	if m <= cfg.MapSlotsPerNode*s.state.Size() {
-		t.Fatalf("container map capacity %d not above slot capacity", m)
-	}
-	_ = r
-}
-
-func TestResourceModeValidationInEngine(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.ResourceMode = true
-	cfg.NodeResources = cluster.Resources{} // invalid
-	if _, err := New(cfg, tinySpecs(t), sched.NewFairDelay()); err == nil {
-		t.Fatal("invalid resource config accepted")
 	}
 }

@@ -81,7 +81,7 @@ func CalibrateRates(tenants []workload.Tenant, rho float64, s Setup) []workload.
 		if w <= 0 {
 			w = 1
 		}
-		mapSec, redSec := t.MeanServiceDemand(s.Workload, s.Engine.TaskOverhead, linkBps)
+		mapSec, redSec := t.MeanServiceDemand(s.Workload, engine.TaskOverhead, linkBps)
 		bottleneck := mapSec / mapCap
 		if r := redSec / redCap; r > bottleneck {
 			bottleneck = r

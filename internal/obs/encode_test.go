@@ -126,7 +126,7 @@ func TestJSONLMatchesMarshal(t *testing.T) {
 		}
 	}
 
-	for _, links := range [][]int{nil, {}, {0}, {-1, 5, 1 << 40}} {
+	for _, links := range [][]int{nil, {}, {0}, {-1, 5, math.MaxInt}} {
 		for _, persistent := range []bool{false, true} {
 			e := base()
 			e.Flow.Links, e.Flow.Persistent = links, persistent

@@ -59,13 +59,12 @@ func (s *Service) Audit() AuditReport {
 	}
 	size := s.slots.Size()
 
-	// 1. Slot usage within capacity on every node (fixed-slot mode; the
-	// container model bounds usage through its own headroom check).
+	// 1. Slot usage within capacity on every node.
 	r.Checks++
 	for i := 0; i < size; i++ {
 		n := s.slots.Node(topology.NodeID(i))
 		for k := job.MapKind; k <= job.ReduceKind; k++ {
-			if u := n.UsedSlots(k); u < 0 || (!n.ResourceMode() && u > n.Slots[k]) {
+			if u := n.UsedSlots(k); u < 0 || u > n.Slots[k] {
 				drift("node %d: used %s slots %d outside [0,%d]", i, k, u, n.Slots[k])
 			}
 		}

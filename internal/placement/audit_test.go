@@ -142,6 +142,27 @@ func TestAuditDetectsDrift(t *testing.T) {
 	}
 }
 
+// TestAuditDetectsOverfullNode: a node using more slots of a kind than
+// it has is flagged by name.
+func TestAuditDetectsOverfullNode(t *testing.T) {
+	f, _, _ := journalFixture(t)
+	if err := f.svc.ApplySlotAcquire(job.MapKind, 3); err != nil {
+		t.Fatal(err)
+	}
+	if a := f.svc.Audit(); !a.Clean() {
+		t.Fatalf("drift before the mutation: %v", a.Drift)
+	}
+	f.slots.Node(3).Slots[job.MapKind] = 0 // capacity shrunk under a running task
+	want := "node 3: used map slots 1 outside [0,0]"
+	a := f.svc.Audit()
+	for _, d := range a.Drift {
+		if d == want {
+			return
+		}
+	}
+	t.Fatalf("drift report %v does not contain %q", a.Drift, want)
+}
+
 // TestStartAuditorReportsThroughSinks runs the background auditor
 // against clean and drifted states and checks all three sinks: the
 // OnReport hook, the metrics counters and the obs stream.

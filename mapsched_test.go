@@ -1,6 +1,7 @@
 package mapsched
 
 import (
+	"math"
 	"testing"
 
 	"mapsched/internal/core"
@@ -88,6 +89,16 @@ func TestRunValidation(t *testing.T) {
 	bad.MapSlotsPerNode = 0
 	if _, err := runSim(bad, Batch(Grep), SchedulerFair, WithScale(40)); err == nil {
 		t.Fatal("bad config accepted")
+	}
+}
+
+// TestNewRejectsNaNHeartbeat: a NaN heartbeat interval must fail in New
+// rather than build a simulation whose Run never returns.
+func TestNewRejectsNaNHeartbeat(t *testing.T) {
+	cfg := smallConfig()
+	cfg.HeartbeatInterval = math.NaN()
+	if _, err := New(cfg, Batch(Grep), SchedulerFair, WithScale(40)); err == nil {
+		t.Fatal("NaN heartbeat interval accepted")
 	}
 }
 

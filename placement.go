@@ -9,6 +9,7 @@ import (
 
 	"mapsched/internal/cluster"
 	"mapsched/internal/core"
+	"mapsched/internal/engine"
 	"mapsched/internal/hdfs"
 	"mapsched/internal/job"
 	"mapsched/internal/obs"
@@ -56,12 +57,11 @@ type PlacementDecision struct {
 // over one shared state are an internal-API feature (see
 // internal/placement and DESIGN.md §15).
 type PlacementService struct {
-	svc       *placement.Service
-	dec       *placement.Decider
-	jobs      []*job.Job
-	byName    map[string]*job.Job
-	slowstart float64
-	req       placement.Request
+	svc    *placement.Service
+	dec    *placement.Decider
+	jobs   []*job.Job
+	byName map[string]*job.Job
+	req    placement.Request
 }
 
 // placementParts is the deterministic base state both
@@ -137,13 +137,12 @@ func (parts *placementParts) buildJobs() ([]*job.Job, map[string]*job.Job, error
 
 // wire finishes a PlacementService around a constructed (or recovered)
 // service and an already-built job set.
-func (parts *placementParts) wire(svc *placement.Service, slowstart float64, jobs []*job.Job, byName map[string]*job.Job) *PlacementService {
+func (parts *placementParts) wire(svc *placement.Service, jobs []*job.Job, byName map[string]*job.Job) *PlacementService {
 	return &PlacementService{
-		svc:       svc,
-		dec:       placement.NewDecider(svc, parts.pc, parts.sched, parts.stream),
-		jobs:      jobs,
-		byName:    byName,
-		slowstart: slowstart,
+		svc:    svc,
+		dec:    placement.NewDecider(svc, parts.pc, parts.sched, parts.stream),
+		jobs:   jobs,
+		byName: byName,
 	}
 }
 
@@ -172,7 +171,7 @@ func NewPlacementService(cfg ClusterConfig, defs []JobDef, opts ...Option) (*Pla
 	if err != nil {
 		return nil, err
 	}
-	p := parts.wire(svc, cfg.Slowstart, jobs, byName)
+	p := parts.wire(svc, jobs, byName)
 	// Jobs are created before the journal attaches: initial block
 	// placement is part of the deterministic base a recovery rebuilds,
 	// not a journaled delta.
@@ -193,7 +192,7 @@ func (p *PlacementService) requestAt(now float64) *placement.Request {
 	p.req.Now = sim.Time(now)
 	p.req.Jobs = p.jobs
 	p.req.AvailMap, p.req.AvailReduce = v.AvailMap, v.AvailReduce
-	p.req.Slowstart = p.slowstart
+	p.req.Slowstart = engine.Slowstart
 	return &p.req
 }
 
@@ -449,7 +448,7 @@ func RecoverPlacementService(cfg ClusterConfig, defs []JobDef, checkpoint, journ
 	if err != nil {
 		return nil, nil, err
 	}
-	p := parts.wire(rec.Service, cfg.Slowstart, jobs, byName)
+	p := parts.wire(rec.Service, jobs, byName)
 	// Rebuild the client half: the checkpoint's task list, then the
 	// notes written by Commit (acquire) and Complete (release) past it,
 	// in order. The slot half was already restored by Recover.

@@ -53,6 +53,54 @@ func TestPlacementServiceLifecycle(t *testing.T) {
 	}
 }
 
+// TestPlacementServiceGatesReduces: before any map has run no job has
+// reached the slowstart fraction of map progress, so no reduce offer is
+// taken; once the maps have run, one is.
+func TestPlacementServiceGatesReduces(t *testing.T) {
+	cfg := mapsched.DefaultClusterConfig()
+	cfg.Topology.Racks = 2
+	cfg.Topology.NodesPerRack = 4
+	svc, err := mapsched.NewPlacementService(cfg, mapsched.Batch(mapsched.Wordcount)[:2],
+		mapsched.WithSeed(1), mapsched.WithScale(40), mapsched.WithDeterministic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := cfg.Topology.Racks * cfg.Topology.NodesPerRack
+	reduceTaken := func(now float64) bool {
+		for n := 0; n < nodes; n++ {
+			if svc.DecideReduce(now, n).Assigned {
+				return true
+			}
+		}
+		return false
+	}
+	if reduceTaken(0) {
+		t.Fatal("a reduce was placed before any map ran")
+	}
+	for now := 1.0; ; now++ {
+		var ran []mapsched.PlacementDecision
+		for n := 0; n < nodes; n++ {
+			if d := svc.DecideMap(now, n); d.Assigned {
+				if err := svc.Commit(d); err != nil {
+					t.Fatal(err)
+				}
+				ran = append(ran, d)
+			}
+		}
+		if len(ran) == 0 {
+			break
+		}
+		for _, d := range ran {
+			if err := svc.Complete(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !reduceTaken(1e6) {
+		t.Fatal("no reduce placed after the maps ran")
+	}
+}
+
 // TestReplayPublicRoundTrip records a simulation through the public API
 // and replays its decision stream engine-free through the public API:
 // the faithful replay, its journal, and every way a recording falls
