@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mapsched/internal/obs"
 	"mapsched/internal/sim"
@@ -83,10 +84,13 @@ type link struct {
 // engine's commit hook, which runs before the clock can move — as a pure
 // function of the live-flow set: one progressive fill over every live
 // flow in creation order and every loaded link in ascending order. The
-// same pass reschedules the completion of every flow whose share moved;
-// the event's flow_start emissions follow it. A share change emits
-// nothing: the flow_start, flow_finish and link events already determine
-// every share.
+// fill is warm-started: it replays the rounds of the previous fill that
+// no link churned since could have changed, and scans for bottlenecks
+// only from the first round that could differ, so its result is the cold
+// fill's bit for bit. The same pass reschedules the completion of every
+// flow whose share moved; the event's flow_start emissions follow it. A
+// share change emits nothing: the flow_start, flow_finish and link events
+// already determine every share.
 type FlowNet struct {
 	eng   *sim.Engine
 	links []link
@@ -121,6 +125,21 @@ type FlowNet struct {
 	remCap   []float64
 	cnt      []int
 	linksBuf []int
+
+	// loaded has bit l set while link l carries a flow; fill seeds its
+	// bottleneck scan from the set bits, in ascending order.
+	loaded []uint64
+
+	// The warm start (see fill). roundLink and roundShare log the
+	// bottleneck link and share of each round of the last fill; churned
+	// (a bitmap) and churnList hold the links whose flow set or capacity
+	// changed since that fill. replayed and scanned count the fill rounds
+	// taken from the log and found by a scan.
+	roundLink         []int
+	roundShare        []float64
+	churned           []uint64
+	churnList         []int
+	replayed, scanned int64
 
 	// stats
 	started   int64
@@ -206,8 +225,9 @@ func (n *FlowNet) Epoch() uint64 { return n.epoch }
 // committed event that churned.
 func (n *FlowNet) FullRecomputes() int64 { return n.passes }
 
-// IncrementalRecomputes is always 0: every solve is a full pass over the
-// live flows. It remains for callers that report solver counters.
+// IncrementalRecomputes is always 0: every solve yields every live flow's
+// share, counted by FullRecomputes, even when it replays rounds of the
+// previous solve. It remains for callers that report solver counters.
 func (n *FlowNet) IncrementalRecomputes() int64 { return 0 }
 
 // AddLink creates a directed link with the given finite, positive
@@ -220,6 +240,12 @@ func (n *FlowNet) AddLink(capacity float64) LinkID {
 	n.remCap = append(n.remCap, 0)
 	n.cnt = append(n.cnt, 0)
 	l := LinkID(len(n.links) - 1)
+	if int(l)>>6 == len(n.loaded) {
+		n.loaded = append(n.loaded, 0)
+		n.churned = append(n.churned, 0)
+	}
+	// A new link carries no flow, so no logged round depends on it: it is
+	// not churned.
 	n.refreshShare(l)
 	return l
 }
@@ -241,7 +267,7 @@ func (n *FlowNet) SetLinkCapacity(l LinkID, capacity float64) {
 		return
 	}
 	n.links[l].capacity = capacity
-	n.refreshShare(l)
+	n.touch(l)
 	n.mark()
 }
 
@@ -250,6 +276,28 @@ func (n *FlowNet) SetLinkCapacity(l LinkID, capacity float64) {
 func (n *FlowNet) refreshShare(l LinkID) {
 	n.links[l].share = n.links[l].capacity / float64(len(n.links[l].flows)+1)
 }
+
+// touch records that link l's flow set or capacity changed: it refreshes
+// the stored share and adds l to the churn set the next fill checks its
+// replayed rounds against.
+func (n *FlowNet) touch(l LinkID) {
+	n.refreshShare(l)
+	if !hasBit(n.churned, int(l)) {
+		n.churned[l>>6] |= 1 << (l & 63)
+		n.churnList = append(n.churnList, int(l))
+	}
+}
+
+// clearChurn empties the churn set.
+func (n *FlowNet) clearChurn() {
+	for _, l := range n.churnList {
+		n.churned[l>>6] = 0
+	}
+	n.churnList = n.churnList[:0]
+}
+
+// hasBit reports whether bit i of the bitmap b is set.
+func hasBit(b []uint64, i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
 
 // ActiveFlows returns the number of in-flight flows.
 func (n *FlowNet) ActiveFlows() int { return n.liveCount }
@@ -424,7 +472,8 @@ func (n *FlowNet) attach(f *Flow) {
 	for i, l := range f.links {
 		f.slots[i] = len(n.links[l].flows)
 		n.links[l].flows = append(n.links[l].flows, f)
-		n.refreshShare(l)
+		n.loaded[l>>6] |= 1 << (l & 63)
+		n.touch(l)
 	}
 	n.liveList = append(n.liveList, f)
 	f.inLive = true
@@ -453,7 +502,10 @@ func (n *FlowNet) detach(f *Flow) {
 		}
 		fl[last] = nil
 		n.links[l].flows = fl[:last]
-		n.refreshShare(l)
+		if last == 0 {
+			n.loaded[l>>6] &^= 1 << (l & 63)
+		}
+		n.touch(l)
 	}
 	n.liveCount--
 	n.eng.Remove(&f.doneEv)
@@ -538,10 +590,14 @@ func (n *FlowNet) Flush() {
 // completion event. A flow whose share is unchanged is left alone — its
 // pending event already fires at the right absolute time.
 // Flows are handled in creation order, so the completion events of one
-// commit take fresh FIFO seqs in a deterministic sequence.
+// commit take fresh FIFO seqs in a deterministic sequence. When the live
+// set is empty there is nothing to solve, and the round log and churn set
+// are cleared, so the next fill starts cold.
 func (n *FlowNet) solve() {
 	n.compactLive()
 	if n.liveCount == 0 {
+		n.roundLink, n.roundShare = n.roundLink[:0], n.roundShare[:0]
+		n.clearChurn()
 		return
 	}
 	n.passes++
@@ -567,17 +623,36 @@ func (n *FlowNet) solve() {
 }
 
 // fill runs progressive filling (max-min fairness) over the live list,
-// writing each flow's share to its scratch next field. The result depends
-// only on the set of live paths: flows are visited in creation-id order,
-// links in ascending order, and within a round every crossing of a link
-// subtracts the same share, so the order of flows inside a link's slice
-// is immaterial. The fill loop allocates nothing.
+// writing each flow's share to its scratch next field. Each round takes
+// the loaded link with unfrozen flows that minimizes (remCap/cnt, link)
+// lexicographically — ascending link order breaks ties — and freezes
+// its unfrozen flows at that share. The result depends only on the set
+// of live paths: flows are visited in creation-id order, links in
+// ascending order, and within a round every crossing of a link subtracts
+// the same share, so the order of flows inside a link's slice is
+// immaterial. The fill loop allocates nothing.
+//
+// The fill is warm-started from the previous one's round log. Logged
+// round k is replayed, without a scan, while its bottleneck is unchurned
+// and no loaded churned link c with unfrozen flows has (remCap[c]/cnt[c],
+// c) below (share_k, link_k). Proof sketch, by induction over k: a flow
+// born or ended since the last fill crosses churned links only, so an
+// unchurned link has the same capacity and the same flows as then. If
+// rounds 0..k-1 froze the same flows at the same shares, each unchurned
+// link has subtracted the same shares in the same rounds, so it holds
+// bit-identical remCap and cnt, and the unchurned links still minimize
+// at link_k with share_k. The test rules out every churned link, so the
+// scan would pick link_k too, and round k freezes the same flows at the
+// same share. At the first round that fails the test, the log is
+// truncated there and the scan takes over, appending each round it finds.
 func (n *FlowNet) fill() {
+	remCap, cnt := n.remCap, n.cnt
 	links := n.linksBuf[:0]
-	for l := range n.links {
-		if c := len(n.links[l].flows); c > 0 {
-			n.cnt[l] = c
-			n.remCap[l] = n.links[l].capacity
+	for w, word := range n.loaded {
+		for ; word != 0; word &= word - 1 {
+			l := w<<6 | bits.TrailingZeros64(word)
+			cnt[l] = len(n.links[l].flows)
+			remCap[l] = n.links[l].capacity
 			links = append(links, l)
 		}
 	}
@@ -587,6 +662,13 @@ func (n *FlowNet) fill() {
 		f.frozen = false
 	}
 	unfrozen := len(flows)
+	round := 0
+	for ; unfrozen > 0 && round < len(n.roundLink) && n.replayable(round); round++ {
+		unfrozen -= n.freeze(n.roundLink[round], n.roundShare[round])
+	}
+	n.replayed += int64(round)
+	n.roundLink, n.roundShare = n.roundLink[:round], n.roundShare[:round]
+	n.clearChurn()
 	for unfrozen > 0 {
 		// Find the most constrained link among links carrying unfrozen
 		// flows, compacting drained links out of the scan (preserving
@@ -595,12 +677,13 @@ func (n *FlowNet) fill() {
 		bestShare := math.Inf(1)
 		w := 0
 		for _, l := range links {
-			if n.cnt[l] == 0 {
+			c := cnt[l]
+			if c == 0 {
 				continue
 			}
 			links[w] = l
 			w++
-			share := n.remCap[l] / float64(n.cnt[l])
+			share := remCap[l] / float64(c)
 			if share < bestShare {
 				bestShare = share
 				best = l
@@ -618,26 +701,60 @@ func (n *FlowNet) fill() {
 			}
 			break
 		}
-		// Freeze every unfrozen flow on the bottleneck at the fair share.
-		// The order of iteration is immaterial: every frozen flow gets
-		// the same share, and the remCap/cnt updates commute exactly
-		// (each round subtracts the same bestShare per crossing).
-		for _, f := range n.links[best].flows {
-			if f.frozen {
-				continue
-			}
-			f.next = bestShare
-			f.frozen = true
-			unfrozen--
-			for _, l := range f.links {
-				n.remCap[l] -= bestShare
-				if n.remCap[l] < 0 {
-					n.remCap[l] = 0 // guard float error
-				}
-				n.cnt[l]--
-			}
+		n.roundLink = append(n.roundLink, best)
+		n.roundShare = append(n.roundShare, bestShare)
+		n.scanned++
+		unfrozen -= n.freeze(best, bestShare)
+	}
+}
+
+// replayable reports whether logged round k is also the next round of
+// the current fill: its bottleneck is unchurned, and no loaded churned
+// link with unfrozen flows precedes it in (share, link) order. A churned
+// link without flows is skipped by the loaded bitmap: its cnt entry was
+// not seeded by this fill.
+func (n *FlowNet) replayable(k int) bool {
+	b, s := n.roundLink[k], n.roundShare[k]
+	if hasBit(n.churned, b) {
+		return false
+	}
+	remCap, cnt := n.remCap, n.cnt
+	for _, l := range n.churnList {
+		if !hasBit(n.loaded, l) || cnt[l] == 0 {
+			continue
+		}
+		if share := remCap[l] / float64(cnt[l]); share < s || share == s && l < b {
+			return false
 		}
 	}
+	return true
+}
+
+// freeze fixes every unfrozen flow on link b at share s and takes its
+// crossings off the links it traverses, returning how many it froze. The
+// order of iteration is immaterial: every frozen flow gets the same
+// share, and the remCap/cnt updates commute exactly (each round
+// subtracts the same s per crossing).
+func (n *FlowNet) freeze(b int, s float64) int {
+	remCap, cnt := n.remCap, n.cnt
+	frozen := 0
+	for _, f := range n.links[b].flows {
+		if f.frozen {
+			continue
+		}
+		f.next = s
+		f.frozen = true
+		frozen++
+		for _, l := range f.links {
+			r := remCap[l] - s
+			if r < 0 {
+				r = 0 // guard float error
+			}
+			remCap[l] = r
+			cnt[l]--
+		}
+	}
+	return frozen
 }
 
 // fire dispatches a flow's completion event according to its kind.
