@@ -11,8 +11,9 @@
 //	      -workload wordcount -scale 12 -seed 1
 //	mrreplay -workload wordcount -scale 12 -seed 1 run.events.jsonl
 //
-// Only hop-cost, fault-free, speculation-free probabilistic recordings
-// are replayable; anything else is rejected rather than replayed wrong.
+// Only hop-cost, fault-free, closed-batch probabilistic recordings are
+// replayable; anything else (fault, open-system or network-condition
+// streams) is rejected rather than replayed wrong.
 //
 // Exit codes: 0 when every decision matches, 1 on input or
 // configuration errors, 2 on usage errors, 3 when the stream replays

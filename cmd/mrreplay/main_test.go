@@ -110,3 +110,28 @@ func TestRunVerdictExitCodes(t *testing.T) {
 		t.Fatalf("missing argument exited %d, want 2", code)
 	}
 }
+
+// TestOpenSystemStreamNotReplayable records an open-system run, whose
+// arrivals, admissions and preemptions move jobs outside the fixed
+// batch's submission order, and expects the not-replayable verdict, not
+// an input error.
+func TestOpenSystemStreamNotReplayable(t *testing.T) {
+	plan, err := mapsched.ParseArrivalPlan("horizon=300,maxactive=2,preempt=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenants, err := mapsched.ParseTenants("a:weight=1,rate=0.02;b:weight=2,rate=0.02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := recordEvents(t, nil, mapsched.WithArrivals(plan), mapsched.WithTenants(tenants...))
+	var out, errb bytes.Buffer
+	args := []string{"-nodes", "4", "-racks", "2", "-scale", "40", "-seed", "5", open}
+	if code := run(args, &out, &errb); code != exitNotReplayable {
+		t.Fatalf("open-system stream exited %d, want %d\nstdout: %s\nstderr: %s", code, exitNotReplayable, out.String(), errb.String())
+	}
+	line := strings.TrimSpace(errb.String())
+	if !strings.HasPrefix(line, `mrreplay: status=not_replayable reason="`) || !strings.Contains(line, "job_arrival") {
+		t.Fatalf("stderr is not the one-line job_arrival rejection: %q", line)
+	}
+}

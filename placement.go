@@ -495,7 +495,7 @@ func RecoverPlacementService(cfg ClusterConfig, defs []JobDef, checkpoint, journ
 }
 
 // ErrNotReplayable marks recordings outside the replayable envelope
-// (fault, speculation or network-condition streams): match with
+// (fault, open-system or network-condition streams): match with
 // errors.Is to distinguish "this stream cannot be verified" from a
 // malformed input.
 //
@@ -538,13 +538,17 @@ const maxMismatches = 20
 // would write for the same transitions.
 //
 // Replay is exact for map decisions of hop-cost, fault-free,
-// speculation-free probabilistic runs: map costs are a pure function of
+// closed-batch probabilistic runs: map costs are a pure function of
 // block placement and slot availability, both of which the stream
 // reconstructs. Reduce decisions depend on continuously-evolving task
 // progress (the A_jf estimates) that heartbeat streams do not record,
-// and fault or speculation events move slots outside the recorded task
-// lifecycle, so those streams are rejected (ErrNotReplayable) rather
-// than replayed wrong.
+// so they are skipped. Replay applies job_submit, job_finish,
+// task_start and task_finish, checks task_offer, task_assign and
+// task_skip, and ignores flow_start, flow_finish and flow_rate. Every
+// other event type — faults, open-system arrivals, admissions and
+// preemptions, or a type it does not know — moves slots or jobs outside
+// the recorded task lifecycle, so such a stream is rejected
+// (ErrNotReplayable) rather than replayed wrong.
 func Replay(cfg ClusterConfig, defs []JobDef, events []Event, opts ...Option) (*ReplayReport, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
@@ -652,13 +656,14 @@ func Replay(cfg ClusterConfig, defs []JobDef, events []Event, opts ...Option) (*
 					gotC, gotAvg, gotP, ev.Decision.C, ev.Decision.CAvg, ev.Decision.P)
 			}
 
-		case obs.SpecStart, obs.SpecWin, obs.NodeFail, obs.FailureDetected,
-			obs.TaskRelaunch, obs.AttemptFail, obs.NodeBlacklist,
-			obs.ReplicaLoss, obs.LinkDegrade, obs.NodeSlow, obs.JobFail:
-			return nil, fmt.Errorf("%w: event %d: %s streams move slots outside the recorded task lifecycle", ErrNotReplayable, i, ev.Type)
+		case obs.FlowStart, obs.FlowFinish, obs.FlowRate:
+			// Flow-level events carry no placement state (flow_rate only
+			// appears in logs of older builds).
 
 		default:
-			// Flow-level events carry no placement state.
+			// Fault, open-system and any other events move slots or jobs
+			// outside the recorded batch's task lifecycle.
+			return nil, fmt.Errorf("%w: event %d: %s streams move slots or jobs outside the recorded task lifecycle", ErrNotReplayable, i, ev.Type)
 		}
 	}
 	return rep, nil
