@@ -26,18 +26,17 @@ const Infinity Time = Time(math.MaxFloat64)
 // Event is a scheduled callback. The zero value is inert and unqueued.
 //
 // Lifetime: an *Event returned by Schedule or After belongs to the engine.
-// It may be read (At, Cancelled) and cancelled only until its callback runs
-// or it is dropped from the queue (Remove, or a cancelled event reaped by
-// Step); after that the engine recycles the object for a future Schedule
-// and any retained pointer is stale. Callers that need a durable handle
-// embed an Event value of their own and drive it with Reschedule/Remove —
-// such caller-owned events are never recycled by the engine.
+// It may be read (At, Queued) and removed only until its callback runs or
+// it is removed; after that the engine recycles the object for a future
+// Schedule and any retained pointer is stale. Callers that need a durable
+// handle embed an Event value of their own and drive it with
+// Reschedule/Remove — such caller-owned events are never recycled by the
+// engine.
 type Event struct {
 	at     Time
 	seq    uint64 // FIFO tie-break for equal timestamps
 	fn     func()
-	index  int // heap position + 1; 0 when not queued, so Event{} is unqueued
-	cancel bool
+	index  int  // heap position + 1; 0 when not queued, so Event{} is unqueued
 	pooled bool // engine-owned: recycled after firing or removal
 }
 
@@ -47,13 +46,8 @@ func (e *Event) At() Time { return e.at }
 // Queued reports whether the event is currently in an engine's queue.
 func (e *Event) Queued() bool { return e.index > 0 }
 
-// Cancel prevents the event's callback from running. Cancelling an event
-// that already fired or was already cancelled is a no-op.
-func (e *Event) Cancel() { e.cancel = true }
-
 // eventHeap is the pending-event set: a container/heap min-heap in the
-// total order (at, seq). Cancelled events stay queued (and counted) until
-// popped or removed.
+// total order (at, seq).
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -145,7 +139,7 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 		ev = &Event{}
 	}
 	ev.at, ev.seq, ev.fn = at, e.seq, fn
-	ev.cancel, ev.pooled = false, true
+	ev.pooled = true
 	e.seq++
 	heap.Push(&e.queue, ev)
 	return ev
@@ -157,12 +151,11 @@ func (e *Engine) After(d Duration, fn func()) *Event {
 }
 
 // Reschedule (re)queues the caller-owned event ev to fire fn at absolute
-// time at, moving it within the queue if currently pending and clearing
-// any cancellation. It allocates nothing: hot paths embed an
-// Event value and move it instead of scheduling fresh events. The event
-// gets a new FIFO sequence number, exactly as if it had been cancelled and
-// scheduled anew. Engine-owned events (returned by Schedule/After) must
-// not be passed here.
+// time at, moving it within the queue if currently pending. It allocates
+// nothing: hot paths embed an Event value and move it instead of
+// scheduling fresh events. The event gets a new FIFO sequence number,
+// exactly as if it had been removed and scheduled anew. Engine-owned
+// events (returned by Schedule/After) must not be passed here.
 func (e *Engine) Reschedule(ev *Event, at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, e.now))
@@ -175,7 +168,6 @@ func (e *Engine) Reschedule(ev *Event, at Time, fn func()) {
 	}
 	i := e.slot(ev)
 	ev.at, ev.seq, ev.fn = at, e.seq, fn
-	ev.cancel = false
 	e.seq++
 	if i >= 0 {
 		heap.Fix(&e.queue, i) // still queued: one sift moves it to its new key
@@ -184,10 +176,9 @@ func (e *Engine) Reschedule(ev *Event, at Time, fn func()) {
 	}
 }
 
-// Remove drops ev from the queue immediately (stronger than Cancel, which
-// leaves the event queued but inert). Removing an unqueued event is a
-// no-op. An engine-owned event is recycled by Remove; the caller must drop
-// its pointer.
+// Remove drops ev from the queue, so its callback never runs. Removing an
+// unqueued event is a no-op. An engine-owned event is recycled by Remove;
+// the caller must drop its pointer.
 func (e *Engine) Remove(ev *Event) {
 	if ev == nil {
 		return
@@ -213,29 +204,12 @@ func (e *Engine) slot(ev *Event) int {
 }
 
 // recycle resets a detached engine-owned event and returns it to the free
-// list. The whole object is cleared: stale callbacks or cancel flags must
-// never leak into the event's next life.
+// list. The whole object is cleared: a stale callback must never leak
+// into the event's next life.
 func (e *Engine) recycle(ev *Event) {
 	//lint:pooled Event
 	*ev = Event{}
 	e.free = append(e.free, ev)
-}
-
-// popLive pops the earliest pending event that has not been cancelled,
-// reaping (and recycling) cancelled events along the way.
-func (e *Engine) popLive() *Event {
-	for {
-		if len(e.queue) == 0 {
-			return nil
-		}
-		ev := heap.Pop(&e.queue).(*Event)
-		if !ev.cancel {
-			return ev
-		}
-		if ev.pooled {
-			e.recycle(ev)
-		}
-	}
 }
 
 // dispatch advances the clock to ev, runs its callback, and then the
@@ -255,20 +229,18 @@ func (e *Engine) dispatch(ev *Event) {
 	}
 }
 
-// Step executes the single earliest pending event, skipping cancelled
-// events. It reports whether an event ran. Commit hooks run before the
-// pop: work deferred by calls made outside any event dispatch (e.g. flows
-// started before the run) must materialize before the next event is
-// chosen.
+// Step executes the single earliest pending event. It reports whether an
+// event ran. Commit hooks run before the pop: work deferred by calls made
+// outside any event dispatch (e.g. flows started before the run) must
+// materialize before the next event is chosen.
 func (e *Engine) Step() bool {
 	for _, c := range e.commits {
 		c()
 	}
-	ev := e.popLive()
-	if ev == nil {
+	if len(e.queue) == 0 {
 		return false
 	}
-	e.dispatch(ev)
+	e.dispatch(heap.Pop(&e.queue).(*Event))
 	return true
 }
 
@@ -287,18 +259,8 @@ func (e *Engine) Run(until Time) (Time, error) {
 	for _, c := range e.commits {
 		c()
 	}
-	for {
-		next := e.popLive()
-		if next == nil {
-			break
-		}
-		if next.at > until {
-			// Too early to fire: put it back untouched (same seq, so the
-			// FIFO order is preserved) and stop.
-			heap.Push(&e.queue, next)
-			break
-		}
-		e.dispatch(next)
+	for len(e.queue) > 0 && e.queue[0].at <= until {
+		e.dispatch(heap.Pop(&e.queue).(*Event))
 		if e.limit > 0 && e.fired > e.limit {
 			return e.now, fmt.Errorf("sim: event limit %d exceeded at t=%v", e.limit, e.now)
 		}

@@ -11,9 +11,8 @@ import (
 // Shuffle randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
-// Pending returns the number of events currently queued (including
-// cancelled events that have not yet been discarded). Commit hooks run
-// first, so churn made outside any dispatch — e.g. flows started before
+// Pending returns the number of events currently queued. Commit hooks
+// run first, so churn made outside any dispatch — e.g. flows started before
 // the run, whose completion events the flow network's share solve has
 // yet to queue — is counted.
 func (e *Engine) Pending() int {
@@ -115,25 +114,6 @@ func TestNilCallbackPanics(t *testing.T) {
 	e.Schedule(1, nil)
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	ev := e.Schedule(1, func() { ran = true })
-	ev.Cancel()
-	if !ev.cancel {
-		t.Fatal("cancel = false after Cancel")
-	}
-	// After Run the engine has reaped (and may recycle) the cancelled
-	// event, so ev must not be inspected past this point — that is the
-	// documented Event lifetime.
-	if _, err := e.Run(Infinity); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-}
-
 func TestRemove(t *testing.T) {
 	e := NewEngine()
 	ran := false
@@ -200,23 +180,6 @@ func TestEventLimit(t *testing.T) {
 	e.SetEventLimit(50)
 	if _, err := e.Run(Infinity); err == nil {
 		t.Fatal("runaway loop did not trip the event limit")
-	}
-}
-
-func TestStepSkipsCancelled(t *testing.T) {
-	e := NewEngine()
-	a := e.Schedule(1, func() {})
-	ran := false
-	e.Schedule(2, func() { ran = true })
-	a.Cancel()
-	if !e.Step() {
-		t.Fatal("Step() = false with a live event pending")
-	}
-	if !ran {
-		t.Fatal("Step executed the cancelled event instead of the live one")
-	}
-	if e.Step() {
-		t.Fatal("Step() = true on an empty queue")
 	}
 }
 
@@ -448,7 +411,7 @@ func TestRNGForkIgnoresParentDrawCount(t *testing.T) {
 }
 
 // TestRescheduleSemantics covers the caller-owned event contract: moving a
-// pending event, reviving a cancelled one, and the new-seq FIFO placement.
+// pending event, requeueing a fired one, and the new-seq FIFO placement.
 func TestRescheduleSemantics(t *testing.T) {
 	e := NewEngine()
 	var order []string
@@ -470,12 +433,8 @@ func TestRescheduleSemantics(t *testing.T) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
 
-	// A cancelled owned event is revived by Reschedule.
-	ev.Cancel()
+	// A fired owned event is requeued by Reschedule.
 	e.Reschedule(&ev, e.Now()+1, func() { order = append(order, "revived") })
-	if ev.cancel {
-		t.Fatal("Reschedule left the event cancelled")
-	}
 	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
 	}
@@ -494,24 +453,18 @@ func TestRescheduleSemantics(t *testing.T) {
 	}
 }
 
-// TestEventPoolReuseAfterCancel is the stale-callback guard: an event that
-// was cancelled and reaped may be recycled into a new Schedule, and the
-// old life's cancellation or callback must not leak into the new one.
-func TestEventPoolReuseAfterCancel(t *testing.T) {
+// TestEventPoolReuseAfterRemove is the stale-callback guard: an event that
+// was removed may be recycled into a new Schedule, and the old life's
+// callback must not leak into the new one.
+func TestEventPoolReuseAfterRemove(t *testing.T) {
 	e := NewEngine()
 	stale := false
 	ev := e.Schedule(1, func() { stale = true })
-	ev.Cancel()
-	if _, err := e.Run(Infinity); err != nil { // reaps + recycles ev
-		t.Fatal(err)
-	}
+	e.Remove(ev) // recycles ev
 	ran := 0
 	ev2 := e.Schedule(e.Now()+1, func() { ran++ })
 	if ev2 != ev {
 		t.Log("allocator did not reuse the event; pool path not exercised")
-	}
-	if ev2.cancel {
-		t.Fatal("recycled event started life cancelled")
 	}
 	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
@@ -672,9 +625,8 @@ func TestQueueCrossImplEquivalence(t *testing.T) {
 // implementation: a plain list of the live events that fires the
 // (at, seq) minimum, seq being the order of the Schedule or Reschedule
 // call. A seeded random workload schedules from inside callbacks
-// (equal-timestamp clusters, far-future outliers), cancels and removes
-// engine-owned events, and reschedules, cancels and removes caller-owned
-// ones. Every dispatch must be the reference's next event, and both must
+// (equal-timestamp clusters, far-future outliers), removes engine-owned
+// events, and reschedules and removes caller-owned ones. Every dispatch must be the reference's next event, and both must
 // drain together.
 func TestEngineCrossImplEquivalence(t *testing.T) {
 	type key struct {
@@ -762,7 +714,7 @@ func TestEngineCrossImplEquivalence(t *testing.T) {
 					return
 				}
 				for n := 0; n < 3; n++ {
-					op := rng.Intn(8)
+					op := rng.Intn(7)
 					if n == 0 {
 						op = 0 // one child per dispatch keeps the workload alive
 					}
@@ -775,16 +727,10 @@ func TestEngineCrossImplEquivalence(t *testing.T) {
 					case 4:
 						if len(handles) > 0 {
 							i := rng.Intn(len(handles))
-							handles[i].Cancel() // stale once reaped: forget it now
-							dropHandle(i)
-						}
-					case 5:
-						if len(handles) > 0 {
-							i := rng.Intn(len(handles))
 							e.Remove(handles[i])
 							dropHandle(i)
 						}
-					case 6:
+					case 5:
 						k := rng.Intn(len(owned))
 						if oid[k] >= 0 {
 							drop(oid[k])
@@ -793,13 +739,9 @@ func TestEngineCrossImplEquivalence(t *testing.T) {
 						id, fn := add(at)
 						oid[k] = id
 						e.Reschedule(&owned[k], at, fn)
-					case 7:
+					case 6:
 						k := rng.Intn(len(owned))
-						if rng.Bernoulli(0.5) {
-							owned[k].Cancel()
-						} else {
-							e.Remove(&owned[k])
-						}
+						e.Remove(&owned[k])
 						if oid[k] >= 0 {
 							drop(oid[k])
 							oid[k] = -1
