@@ -550,8 +550,7 @@ func (rc *ReduceCoster) computeRow(pi int) {
 
 // Refresh brings the snapshot up to date with the job's current task
 // state. Only the rows whose contributing maps changed (progress
-// advanced, launched, finished, moved by speculation or failure) are
-// re-aggregated. The refreshed coster is bit-identical to a fresh
+// advanced, launched, finished, moved or reverted) are re-aggregated. The refreshed coster is bit-identical to a fresh
 // NewReduceCoster of the same job state.
 func (rc *ReduceCoster) Refresh() {
 	if len(rc.lastNode) != len(rc.j.Maps) {

@@ -2,14 +2,15 @@
 // store, slot model and a task-level scheduler into a JobTracker that
 // reacts to TaskTracker heartbeats, executes map/shuffle/reduce phases
 // over the flow-level network, and collects the metrics the paper's
-// evaluation reports. It also models the Hadoop mechanisms the paper's
-// testbed had enabled: speculative execution of straggling map and reduce
-// tasks, and recovery from TaskTracker (node) failures with realistic
-// detection semantics — a crashed node dies physically at the fault time
-// (its tasks stop, its heartbeats cease) but the JobTracker reacts only
-// after a heartbeat-expiry lag, then re-executes lost work, retries
-// failed attempts up to a cap and blacklists repeat-offender nodes. The
-// fault script itself lives in internal/faults.
+// evaluation reports. Every node computes at the same nominal speed, as on
+// the paper's homogeneous testbed, and a running task has exactly one
+// attempt. The engine also models Hadoop's recovery from TaskTracker
+// (node) failures with realistic detection semantics — a crashed node
+// dies physically at the fault time (its tasks stop, its heartbeats
+// cease) but the JobTracker reacts only after a heartbeat-expiry lag,
+// then re-executes lost work, retries failed attempts up to a cap and
+// blacklists repeat-offender nodes. The fault script itself lives in
+// internal/faults.
 package engine
 
 import (
@@ -55,15 +56,6 @@ type Config struct {
 	// default of 24 simulated hours.
 	MaxSimTime float64
 
-	// Speculation enables backup execution of straggling map tasks: when
-	// a map's attempt has been running longer than SpecSlowdown times the
-	// job's mean completed-map duration (with at least SpecMinCompleted
-	// completed maps for the estimate) and a slot has no other work, a
-	// second attempt launches there; the first to finish wins.
-	Speculation      bool
-	SpecSlowdown     float64 // default 1.8
-	SpecMinCompleted int     // default 3
-
 	// Faults is the deterministic fault-injection plan: scripted crashes,
 	// slowdowns, link degradations and replica losses plus the transient
 	// attempt-failure process and retry/blacklist policy. The zero plan
@@ -76,13 +68,6 @@ type Config struct {
 	// task re-execution, replica pruning). Zero means the Hadoop-style
 	// default of 10 × HeartbeatInterval.
 	HeartbeatExpiry float64
-
-	// SlowNodeFraction marks this share of nodes (chosen deterministically
-	// from the seed) as stragglers whose compute rates are divided by
-	// SlowFactor — the hardware heterogeneity that motivates speculative
-	// execution. Zero disables heterogeneity.
-	SlowNodeFraction float64
-	SlowFactor       float64 // default 2.5 when heterogeneity is on
 
 	// Open configures the open-system mode: a continuous arrival stream
 	// feeding per-tenant queues with weighted admission control and
@@ -114,8 +99,6 @@ func DefaultConfig() Config {
 		Seed:               1,
 		CostMode:           core.ModeHops,
 		MaxSimTime:         86400,
-		SpecSlowdown:       1.8,
-		SpecMinCompleted:   3,
 	}
 }
 
@@ -133,20 +116,6 @@ func (c Config) Validate() error {
 	}
 	if !(c.MaxSimTime >= 0 && c.MaxSimTime <= math.MaxFloat64) {
 		return fmt.Errorf("engine: horizon %v must be finite and >= 0", c.MaxSimTime)
-	}
-	if !(c.SlowNodeFraction >= 0 && c.SlowNodeFraction <= 1) {
-		return fmt.Errorf("engine: SlowNodeFraction %v outside [0,1]", c.SlowNodeFraction)
-	}
-	if c.SlowNodeFraction > 0 && c.SlowFactor != 0 && !(c.SlowFactor > 1 && c.SlowFactor <= math.MaxFloat64) {
-		return fmt.Errorf("engine: SlowFactor %v must be finite and exceed 1", c.SlowFactor)
-	}
-	if c.Speculation {
-		if !(c.SpecSlowdown > 1 && c.SpecSlowdown <= math.MaxFloat64) {
-			return fmt.Errorf("engine: SpecSlowdown %v must be finite and exceed 1", c.SpecSlowdown)
-		}
-		if c.SpecMinCompleted < 1 {
-			return fmt.Errorf("engine: SpecMinCompleted %d must be >= 1", c.SpecMinCompleted)
-		}
 	}
 	if !(c.HeartbeatExpiry >= 0 && c.HeartbeatExpiry <= math.MaxFloat64) {
 		return fmt.Errorf("engine: heartbeat expiry %v must be finite and >= 0", c.HeartbeatExpiry)
@@ -174,20 +143,20 @@ func reduceRef(r *job.ReduceTask) taskRef { return taskRef{r.Job, job.ReduceKind
 func (t taskRef) mapTask() *job.MapTask       { return t.j.Maps[t.index] }
 func (t taskRef) reduceTask() *job.ReduceTask { return t.j.Reduces[t.index] }
 
-// attempt is one execution attempt of a map or reduce task; a task has
-// two when speculation fires. A map attempt streams its input from a
-// replica while it computes. A reduce attempt first shuffles every map's
-// output for its partition, then computes. Attempts are pooled per kind
-// (see pool.go): the bound callbacks and a reduce attempt's shuffle maps
-// persist across lives, everything else is per-life state.
+// attempt is the execution of a running task on its node; a task runs
+// one attempt at a time. A map attempt streams its input from a replica
+// while it computes. A reduce attempt first shuffles every map's output
+// for its partition, then computes. A killed attempt is dead: one that
+// died with a crashed node stays in its job's record until detection
+// reverts the task. Attempts are pooled per kind (see pool.go): the bound
+// callbacks and a reduce attempt's shuffle maps persist across lives,
+// everything else is per-life state.
 type attempt struct {
-	run          *taskRun
+	task         taskRef
 	node         topology.NodeID
-	locality     job.Locality
-	launch       sim.Time
 	computeStart sim.Time
 	computeDur   float64
-	computeEv    *sim.Event // compute completion, or a reduce's scripted failure
+	computeEv    sim.Event // compute completion, or a reduce's scripted failure
 	dead         bool
 
 	// Map attempts: the input stream and the transient-failure timer.
@@ -195,14 +164,13 @@ type attempt struct {
 	fetchSrc    topology.NodeID // replica the input streams from
 	fetchDone   bool
 	computeDone bool
-	failEv      *sim.Event // scripted transient failure, if drawn
+	failEv      sim.Event // scripted transient failure, if drawn
 
 	// Reduce attempts: the shuffle, then the compute phase.
 	pendingSrc map[topology.NodeID]*srcBucket
 	queue      []topology.NodeID // FIFO of sources with pending bytes
 	flights    map[*topology.Flow]*flight
 	got        map[*job.MapTask]bool // output enqueued, fetched or in flight
-	shuffled   float64               // intermediate bytes received so far
 	computing  bool
 	failFrac   float64 // > 0: scripted transient failure at this compute fraction
 
@@ -224,23 +192,6 @@ func (a *attempt) progress(now sim.Time) float64 {
 		p = 0.999999
 	}
 	return p
-}
-
-// taskRun is the engine-side execution state of a running task.
-type taskRun struct {
-	task     taskRef
-	attempts []*attempt
-}
-
-// liveAttempts counts attempts that have not been killed.
-func (r *taskRun) liveAttempts() int {
-	n := 0
-	for _, a := range r.attempts {
-		if !a.dead {
-			n++
-		}
-	}
-	return n
 }
 
 // srcBucket aggregates queued shuffle bytes by source node, remembering
@@ -265,11 +216,9 @@ type flight struct {
 // onJobEnd, including while a preempted job waits in its tenant queue.
 // Here and in Simulation, per-kind arrays are indexed by job.TaskKind.
 type jobRec struct {
-	runs      [2][]*taskRun           // running tasks by index; nil when not running
+	runs      [2][]*attempt           // running tasks' attempts by index; nil when not running
 	fails     [2][]int                // transient failures per task (attempt cap); nil until the first
 	nodeFails map[topology.NodeID]int // attempt failures per node (blacklist); nil until the first
-	completed [2]int                  // completed tasks, for the speculation estimate
-	totalDur  [2]float64              // their summed durations
 	open      *openJob                // tenancy; nil for fixed-spec jobs
 }
 
@@ -295,12 +244,10 @@ type Simulation struct {
 	// onJobEnd; walks visit running tasks in (job, index) order through it.
 	recs []*jobRec
 
-	speedOf   []float64 // per-node compute-speed multiplier (1 = nominal)
-	baseSpeed []float64 // speedOf before transient slowdowns (heterogeneity only)
+	speedOf []float64 // per-node compute-speed multiplier (1 = nominal)
 
 	// Free lists for the pooled hot-path records (pool.go) and the
 	// per-node heartbeat closures, allocated once instead of per beat.
-	freeRuns    []*taskRun
 	freeAtts    [2][]*attempt
 	freeBuckets []*srcBucket
 	freeFlights []*flight
@@ -354,11 +301,9 @@ type Simulation struct {
 	shuffleRemoteBytes float64 // intermediate data moved across the network
 	shuffleLocalBytes  float64 // intermediate data served from local disk
 
-	speculated        [2]int // backup attempts launched
-	specWins          [2]int // backups that finished first
-	relaunchedMaps    int    // done maps re-executed after node failure
-	relaunchedReduces int    // running reduces restarted after node failure
-	attemptFailures   int    // transient attempt failures injected
+	relaunchedMaps    int // done maps re-executed after node failure
+	relaunchedReduces int // running reduces restarted after node failure
+	attemptFailures   int // transient attempt failures injected
 }
 
 // New builds a simulation over the given job specs and scheduler builder.
@@ -430,28 +375,10 @@ func New(cfg Config, specs []job.Spec, builder sched.Builder) (*Simulation, erro
 	if s.sch == nil {
 		return nil, fmt.Errorf("engine: builder returned nil scheduler")
 	}
-	// Heterogeneous node speeds: a deterministic subset of nodes computes
-	// slower by SlowFactor.
 	s.speedOf = make([]float64, topo.Size())
 	for i := range s.speedOf {
 		s.speedOf[i] = 1
 	}
-	if cfg.SlowNodeFraction > 0 {
-		factor := cfg.SlowFactor
-		if factor == 0 {
-			factor = 2.5
-		}
-		hetRNG := root.Fork("heterogeneity")
-		// The outer conversion stops a fused multiply-add (one rounding).
-		slow := int(float64(cfg.SlowNodeFraction*float64(topo.Size())) + 0.5)
-		for _, idx := range hetRNG.Perm(topo.Size())[:slow] {
-			s.speedOf[idx] = 1 / factor
-		}
-	}
-	s.baseSpeed = append([]float64(nil), s.speedOf...)
-	// Forked last so the earlier streams (hdfs, engine, jobs, sched,
-	// heterogeneity) see the exact seeds they saw before the fault layer
-	// existed — the empty-plan bit-identity guarantee depends on it.
 	s.rngFaults = root.Fork("faults")
 	// One heartbeat closure per node for the lifetime of the run; the
 	// heartbeat chain reschedules these instead of allocating a closure
@@ -562,7 +489,7 @@ func (s *Simulation) submit(id job.ID, spec job.Spec) {
 	if n := int(id) - len(s.recs); n > 0 {
 		s.recs = append(s.recs, make([]*jobRec, n)...)
 	}
-	s.recs[id-1] = &jobRec{runs: [2][]*taskRun{make([]*taskRun, len(j.Maps)), make([]*taskRun, len(j.Reduces))}}
+	s.recs[id-1] = &jobRec{runs: [2][]*attempt{make([]*attempt, len(j.Maps)), make([]*attempt, len(j.Reduces))}}
 	if s.obs.Enabled() {
 		s.obs.Emit(obs.Event{T: float64(j.Submitted), Type: obs.JobSubmit, Node: -1, Job: j.Spec.Name})
 	}
@@ -571,16 +498,16 @@ func (s *Simulation) submit(id job.ID, spec job.Spec) {
 // rec returns j's record; nil once the job has left the system.
 func (s *Simulation) rec(j *job.Job) *jobRec { return s.recs[j.ID-1] }
 
-// eachRun calls fn on every running task of kind k in (job, index)
-// order. fn may stop its own task's run but no other.
-func (s *Simulation) eachRun(k job.TaskKind, fn func(*taskRun)) {
+// eachRun calls fn on the attempt of every running task of kind k in
+// (job, index) order. fn may stop its own task but no other.
+func (s *Simulation) eachRun(k job.TaskKind, fn func(*attempt)) {
 	for _, rec := range s.recs {
 		if rec == nil {
 			continue
 		}
-		for _, run := range rec.runs[k] {
-			if run != nil {
-				fn(run)
+		for _, att := range rec.runs[k] {
+			if att != nil {
+				fn(att)
 			}
 		}
 	}
@@ -624,14 +551,6 @@ func (s *Simulation) heartbeat(n topology.NodeID) {
 			break // unschedulable right now (e.g. all replicas dead)
 		}
 	}
-	// Speculative execution fills slots that have no pending work left.
-	if s.cfg.Speculation {
-		for node.FreeSlots(job.MapKind) > 0 {
-			if !s.trySpeculate(job.MapKind, n) {
-				break
-			}
-		}
-	}
 	for node.FreeSlots(job.ReduceKind) > 0 {
 		ctx := s.buildCtx()
 		r := s.sch.AssignReduce(ctx, n)
@@ -639,13 +558,6 @@ func (s *Simulation) heartbeat(n topology.NodeID) {
 			break
 		}
 		s.launchReduce(r, n)
-	}
-	if s.cfg.Speculation {
-		for node.FreeSlots(job.ReduceKind) > 0 {
-			if !s.trySpeculate(job.ReduceKind, n) {
-				break
-			}
-		}
 	}
 	s.eng.After(s.cfg.HeartbeatInterval, s.hbFns[n])
 }
@@ -666,7 +578,6 @@ func (s *Simulation) buildCtx() *sched.Context {
 // refreshProgress updates the Progress field of every running map task to
 // the current instant, so the scheduler's estimator sees fresh d_read and
 // A_jf values, exactly as heartbeat-reported counters would provide.
-// With speculation a task's progress is that of its fastest attempt.
 //
 // Progress is read only by reduce-side decisions (the slowstart gate,
 // Coupling's pacing and the reduce estimators), and those run only for
@@ -682,17 +593,10 @@ func (s *Simulation) refreshProgress() {
 		if j.Running(job.MapKind) == 0 {
 			continue
 		}
-		for i, run := range s.rec(j).runs[job.MapKind] {
-			if run == nil {
-				continue
+		for i, att := range s.rec(j).runs[job.MapKind] {
+			if att != nil {
+				j.Maps[i].Progress = att.progress(now)
 			}
-			best := 0.0
-			for _, a := range run.attempts {
-				if p := a.progress(now); p > best {
-					best = p
-				}
-			}
-			j.Maps[i].Progress = best
 		}
 	}
 }
@@ -778,31 +682,21 @@ func (s *Simulation) launchReduce(r *job.ReduceTask, n topology.NodeID) {
 }
 
 // startRun reports the launch of task t on node n at locality loc and
-// starts its first attempt there.
+// starts its attempt there. A map attempt streams its input from the
+// nearest live replica while it computes; a reduce attempt starts by
+// fetching the output of every finished map.
 func (s *Simulation) startRun(t taskRef, n topology.NodeID, loc job.Locality) {
+	now := s.eng.Now()
 	if s.obs.Enabled() {
 		e := s.taskEvent(obs.TaskStart, n, t)
 		e.Locality = loc.String()
-		e.Wait = float64(s.eng.Now() - t.j.Submitted)
+		e.Wait = float64(now - t.j.Submitted)
 		s.obs.Emit(e)
 	}
-	run := s.newRun(t)
-	s.rec(t.j).runs[t.kind][t.index] = run
-	s.startAttempt(run, n)
-}
-
-// startAttempt begins one execution attempt of run's task on node n. A
-// map attempt streams its input from the nearest live replica while it
-// computes; a reduce attempt starts by fetching the output of every
-// finished map.
-func (s *Simulation) startAttempt(run *taskRun, n topology.NodeID) {
-	att := s.newAttempt(run)
+	att := s.newAttempt(t)
 	att.node = n
-	att.launch = s.eng.Now()
-	run.attempts = append(run.attempts, att)
-	if run.task.kind == job.ReduceKind {
-		r := run.task.reduceTask()
-		att.locality = s.reduceLocality(r.Job, n)
+	s.rec(t.j).runs[t.kind][t.index] = att
+	if t.kind == job.ReduceKind {
 		if p := s.cfg.Faults.TaskFailProb; p > 0 && s.rngFaults.Bernoulli(p) {
 			// Reduce compute duration is unknown until the shuffle drains,
 			// so remember the failure point as a fraction of the eventual
@@ -810,38 +704,37 @@ func (s *Simulation) startAttempt(run *taskRun, n topology.NodeID) {
 			// mid-phase. The conversion stops a fused multiply-add.
 			att.failFrac = 0.05 + float64(0.9*s.rngFaults.Float64())
 		}
-		s.enqueueDoneMaps(r, att)
+		s.enqueueDoneMaps(t.reduceTask(), att)
 		s.pumpShuffle(att)
 		s.maybeStartReduceCompute(att)
 		return
 	}
-	m := run.task.mapTask()
+	m := t.mapTask()
 	prof := m.Job.Spec.Profile
-	att.locality = core.Locality(s.topo, s.store, m, n)
 	src, _ := s.aliveNearest(m.Block, n) // caller checked ok
 	if src != n {
 		s.mapRemoteBytes += m.Size
 	}
 	att.fetchSrc = src
 	att.fetch = s.topo.Transfer(src, n, m.Size, att.fetchFn)
-	att.computeStart = s.eng.Now()
+	att.computeStart = now
 	att.computeDur = TaskOverhead +
 		s.rngEngine.Jitter(m.Size/(prof.MapRate*s.speedOf[n]), prof.ComputeJitter)
-	att.computeEv = s.eng.After(att.computeDur, att.computeFn)
+	s.eng.Reschedule(&att.computeEv, now+sim.Time(att.computeDur), att.computeFn)
 	// Transient attempt failure: a Bernoulli draw per attempt, failing at
 	// a uniform point of the compute phase (always before the completion
 	// event, so a selected attempt cannot win the task).
 	if p := s.cfg.Faults.TaskFailProb; p > 0 && s.rngFaults.Bernoulli(p) {
 		failAt := s.rngFaults.Float64() * att.computeDur
-		att.failEv = s.eng.After(failAt, att.failFn)
+		s.eng.Reschedule(&att.failEv, now+sim.Time(failAt), att.failFn)
 	}
 }
 
-// checkAttempt completes the map when an attempt has both streamed its
+// checkAttempt completes the map when its attempt has both streamed its
 // input and finished computing.
 func (s *Simulation) checkAttempt(att *attempt) {
-	if att.fetchDone && att.computeDone && att.run.task.mapTask().State == job.TaskRunning {
-		s.winMap(att.run, att)
+	if att.fetchDone && att.computeDone {
+		s.finishMap(att)
 	}
 }
 
@@ -881,169 +774,78 @@ func (s *Simulation) kill(att *attempt, releaseSlot bool) {
 			s.releaseFlight(fl)
 		}
 	}
-	if att.computeEv != nil {
-		s.eng.Remove(att.computeEv)
-		att.computeEv = nil
-	}
-	if att.failEv != nil {
-		s.eng.Remove(att.failEv)
-		att.failEv = nil
-	}
+	s.eng.Remove(&att.computeEv)
+	s.eng.Remove(&att.failEv)
 	if releaseSlot {
-		s.releaseSlot(att.run.task.kind, att.node)
+		s.releaseSlot(att.task.kind, att.node)
 	}
 }
 
-// complete finishes run's task through its winning attempt: any backup
-// is killed, the task is marked done where the winner ran, its slot is
-// freed, and its running time feeds the metrics and the speculation
-// estimate. The caller recycles the run.
-func (s *Simulation) complete(run *taskRun, winner *attempt) {
-	t := run.task
-	for _, a := range run.attempts {
-		if a != winner && !a.dead {
-			s.kill(a, !s.crashed[a.node])
-			s.sampleUtil()
-		}
-	}
-	if winner != run.attempts[0] {
-		s.specWins[t.kind]++
-		if s.obs.Enabled() {
-			s.obs.Emit(s.taskEvent(obs.SpecWin, winner.node, t))
-		}
-	}
-	winner.dead = true // no further callbacks
+// complete finishes att's task: the task is marked done, its slot is
+// freed, and its running time feeds the metrics. The caller recycles the
+// attempt.
+func (s *Simulation) complete(att *attempt) {
+	t := att.task
+	att.dead = true // no further callbacks
 	now := s.eng.Now()
-	// A map's time runs from its winning attempt's launch, a reduce's from
-	// the task's first launch.
 	var dur float64
+	var loc job.Locality
 	if t.kind == job.MapKind {
 		m := t.mapTask()
 		m.Complete(now)
-		m.Node, m.Locality = winner.node, winner.locality
-		dur = float64(now - winner.launch)
+		dur, loc = float64(now-m.Launch), m.Locality
 	} else {
 		r := t.reduceTask()
 		r.Complete(now)
-		r.Node, r.Locality, r.ShuffledBytes = winner.node, winner.locality, winner.shuffled
-		dur = r.RunTime()
+		dur, loc = r.RunTime(), r.Locality
 	}
 	rec := s.rec(t.j)
 	rec.runs[t.kind][t.index] = nil
-	s.releaseSlot(t.kind, winner.node)
+	s.releaseSlot(t.kind, att.node)
 	s.sampleUtil()
 	s.times[t.kind] = append(s.times[t.kind], dur)
 	if s.obs.Enabled() {
-		e := s.taskEvent(obs.TaskFinish, winner.node, t)
-		e.Locality = winner.locality.String()
+		e := s.taskEvent(obs.TaskFinish, att.node, t)
+		e.Locality = loc.String()
 		e.Dur = dur
 		s.obs.Emit(e)
 	}
-	rec.completed[t.kind]++
-	rec.totalDur[t.kind] += dur
 }
 
-// winMap completes a map task via the winning attempt and feeds its
-// output to the job's running reduces.
-func (s *Simulation) winMap(run *taskRun, winner *attempt) {
-	s.complete(run, winner)
-	m := run.task.mapTask()
-	// Feed this map's partitions to every live attempt of the job's
-	// running reduces.
-	for _, rrun := range s.rec(m.Job).runs[job.ReduceKind] {
-		if rrun == nil {
+// finishMap completes a map task and feeds its output to the job's
+// running reduces. A map never ends its job: every job has a reduce,
+// which computes only once every map is done.
+func (s *Simulation) finishMap(att *attempt) {
+	s.complete(att)
+	m := att.task.mapTask()
+	for _, ratt := range s.rec(m.Job).runs[job.ReduceKind] {
+		if ratt == nil || ratt.dead || ratt.computing {
 			continue
 		}
-		r := rrun.task.reduceTask()
-		for _, att := range rrun.attempts {
-			if att.dead || att.computing {
-				continue
-			}
-			if bytes := m.Out[r.Index]; bytes > 0 && !att.got[m] {
-				s.enqueueFetch(att, m.Node, bytes, m)
-			}
-			s.pumpShuffle(att)
-			s.maybeStartReduceCompute(att)
+		if bytes := m.Out[ratt.task.index]; bytes > 0 && !ratt.got[m] {
+			s.enqueueFetch(ratt, m.Node, bytes, m)
 		}
+		s.pumpShuffle(ratt)
+		s.maybeStartReduceCompute(ratt)
 	}
-	s.endIfDone(m.Job)
-	// Every attempt is dead (winner included) and detached; recycle the
-	// run and its attempts.
-	s.releaseRun(run)
+	s.releaseAttempt(att)
 }
 
-// finishReduce completes a reduce task via the winning attempt and
-// possibly finishes its job.
-func (s *Simulation) finishReduce(run *taskRun, winner *attempt) {
-	s.complete(run, winner)
-	s.endIfDone(run.task.j)
-	// Every attempt is dead (winner included) and detached; recycle the
-	// run and its attempts.
-	s.releaseRun(run)
-}
-
-// endIfDone finishes j once its last task completed: normally a reduce,
-// but a map re-executed for a reduce attempt that then lost to one
-// holding the old output can complete last.
-func (s *Simulation) endIfDone(j *job.Job) {
-	if !j.Done() {
-		return
+// finishReduce completes a reduce task and finishes its job once that
+// was the job's last task.
+func (s *Simulation) finishReduce(att *attempt) {
+	s.complete(att)
+	if j := att.task.j; j.Done() {
+		j.Finished = s.eng.Now()
+		s.deactivate(j)
+		if s.obs.Enabled() {
+			e := obs.Event{T: float64(j.Finished), Type: obs.JobFinish, Node: -1, Job: j.Spec.Name}
+			e.Dur = float64(j.Finished - j.Submitted)
+			s.obs.Emit(e)
+		}
+		s.onJobEnd(j)
 	}
-	j.Finished = s.eng.Now()
-	s.deactivate(j)
-	if s.obs.Enabled() {
-		e := obs.Event{T: float64(j.Finished), Type: obs.JobFinish, Node: -1, Job: j.Spec.Name}
-		e.Dur = float64(j.Finished - j.Submitted)
-		s.obs.Emit(e)
-	}
-	s.onJobEnd(j)
-}
-
-// trySpeculate launches a backup attempt of the worst straggling task of
-// kind k on node n; it reports whether one launched. A straggler's only
-// attempt has run more than SpecSlowdown times its job's mean duration
-// of completed tasks of that kind (with at least SpecMinCompleted of
-// them); a backup of a map needs a live replica of its input.
-func (s *Simulation) trySpeculate(k job.TaskKind, n topology.NodeID) bool {
-	now := s.eng.Now()
-	var worst *taskRun
-	worstScore := s.cfg.SpecSlowdown
-	s.eachRun(k, func(run *taskRun) {
-		if len(run.attempts) != 1 || run.attempts[0].dead {
-			return // already backed up, or awaiting failure detection
-		}
-		if run.attempts[0].node == n {
-			return // a backup on the same node cannot help
-		}
-		rec := s.rec(run.task.j)
-		if rec.completed[k] < s.cfg.SpecMinCompleted {
-			return
-		}
-		avg := rec.totalDur[k] / float64(rec.completed[k])
-		if avg <= 0 {
-			return
-		}
-		// Strict: among equal scores the first in (job, index) order wins.
-		if score := float64(now-run.attempts[0].launch) / avg; score > worstScore {
-			worstScore = score
-			worst = run
-		}
-	})
-	if worst == nil {
-		return false
-	}
-	if k == job.MapKind {
-		if _, ok := s.aliveNearest(worst.task.mapTask().Block, n); !ok {
-			return false
-		}
-	}
-	s.acquireSlot(k, n)
-	s.speculated[k]++
-	if s.obs.Enabled() {
-		s.obs.Emit(s.taskEvent(obs.SpecStart, n, worst.task))
-	}
-	s.startAttempt(worst, n)
-	return true
+	s.releaseAttempt(att)
 }
 
 // reduceLocality classifies a reduce placement: local node if the node
@@ -1163,7 +965,8 @@ func (s *Simulation) pumpShuffle(att *attempt) {
 // maybeStartReduceCompute begins a reduce attempt's sort/reduce phase
 // once every map of the job finished and its fetches drained.
 func (s *Simulation) maybeStartReduceCompute(att *attempt) {
-	j := att.run.task.j
+	r := att.task.reduceTask()
+	j := r.Job
 	if att.dead || att.computing || !j.MapsDone() ||
 		len(att.flights) > 0 || len(att.queue) > 0 || len(att.pendingSrc) > 0 {
 		return
@@ -1171,16 +974,17 @@ func (s *Simulation) maybeStartReduceCompute(att *attempt) {
 	att.computing = true
 	prof := j.Spec.Profile
 	dur := TaskOverhead +
-		s.rngEngine.Jitter(att.shuffled/(prof.ReduceRate*s.speedOf[att.node]), prof.ComputeJitter)
-	att.computeStart = s.eng.Now()
+		s.rngEngine.Jitter(r.ShuffledBytes/(prof.ReduceRate*s.speedOf[att.node]), prof.ComputeJitter)
+	now := s.eng.Now()
+	att.computeStart = now
 	att.computeDur = dur
 	if att.failFrac > 0 {
 		// A transiently failing attempt never reaches completion; its
 		// scripted failure fires partway through the compute phase.
-		att.computeEv = s.eng.After(att.failFrac*dur, att.failFn)
+		s.eng.Reschedule(&att.computeEv, now+sim.Time(att.failFrac*dur), att.failFn)
 		return
 	}
-	att.computeEv = s.eng.After(dur, att.computeFn)
+	s.eng.Reschedule(&att.computeEv, now+sim.Time(dur), att.computeFn)
 }
 
 // deactivate drops j from the active job list.
@@ -1194,8 +998,8 @@ func (s *Simulation) deactivate(j *job.Job) {
 }
 
 // outputStillNeeded reports whether any unfinished reduce of j still needs
-// map m's output (i.e. produces bytes for it and some attempt has not
-// already fetched them).
+// map m's output (i.e. produces bytes for it and its live attempt, if
+// any, has not already fetched them).
 func (s *Simulation) outputStillNeeded(j *job.Job, m *job.MapTask) bool {
 	for _, r := range j.Reduces {
 		if m.Out[r.Index] <= 0 {
@@ -1207,14 +1011,8 @@ func (s *Simulation) outputStillNeeded(j *job.Job, m *job.MapTask) bool {
 		case job.TaskPending:
 			return true
 		case job.TaskRunning:
-			run := s.rec(j).runs[job.ReduceKind][r.Index]
-			if run == nil || run.liveAttempts() == 0 {
+			if att := s.rec(j).runs[job.ReduceKind][r.Index]; att == nil || att.dead || !att.got[m] {
 				return true
-			}
-			for _, att := range run.attempts {
-				if !att.dead && !att.got[m] {
-					return true
-				}
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func (r *Result) JobByName(name string) (JobResult, bool) {
 
 // leakedRecords returns the IDs of jobs whose engine record is still
 // held. After a run in which every job ended, each record — running
-// tasks, retry and blacklist tallies, speculation stats and tenancy —
+// tasks, retry and blacklist tallies and tenancy —
 // must have been released.
 func leakedRecords(s *Simulation) []job.ID {
 	var ids []job.ID
@@ -269,10 +269,9 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestConfigRejectsNonFinite sets each float field of Config to NaN and
-// ±Inf, with the feature that reads it switched on: Validate must reject
-// every one (NaN passes a plain x <= 0 test, and a NaN heartbeat interval
-// made Run spin forever) while accepting the same feature at a finite
-// value.
+// ±Inf: Validate must reject every one (NaN passes a plain x <= 0 test,
+// and a NaN heartbeat interval made Run spin forever) while accepting the
+// same field at a finite value.
 func TestConfigRejectsNonFinite(t *testing.T) {
 	cases := []struct {
 		name string
@@ -282,9 +281,6 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 		{"HeartbeatInterval", 3, func(c *Config, x float64) { c.HeartbeatInterval = x }},
 		{"MaxSimTime", 100, func(c *Config, x float64) { c.MaxSimTime = x }},
 		{"HeartbeatExpiry", 30, func(c *Config, x float64) { c.HeartbeatExpiry = x }},
-		{"SlowNodeFraction", 0.2, func(c *Config, x float64) { c.SlowNodeFraction = x }},
-		{"SlowFactor", 2.5, func(c *Config, x float64) { c.SlowNodeFraction, c.SlowFactor = 0.2, x }},
-		{"SpecSlowdown", 1.8, func(c *Config, x float64) { c.Speculation, c.SpecSlowdown = true, x }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -17,9 +17,9 @@ import (
 	"mapsched/internal/workload"
 )
 
-// faultSpecs builds a workload with enough tasks for failures and
-// speculation to have something to hit, at replication 3 so two node
-// failures can never orphan a block.
+// faultSpecs builds a workload with enough tasks for failures to have
+// something to hit, at replication 3 so two node failures can never
+// orphan a block.
 func faultSpecs(t *testing.T, jitter float64) []job.Spec {
 	t.Helper()
 	o := workload.Options{Scale: 20, Replication: 3, SubmitStagger: 1}
@@ -133,179 +133,6 @@ func TestFailureRelaunchAccounting(t *testing.T) {
 	}
 	if relaunches == 0 {
 		t.Fatal("mid-run failures never forced a relaunch across 3 seeds")
-	}
-}
-
-func TestSpeculationLaunchesAndWins(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Speculation = true
-	cfg.SpecSlowdown = 1.25
-	cfg.SpecMinCompleted = 2
-	cfg.CrossTraffic = 12 // congested paths create genuine stragglers
-	s, err := New(cfg, faultSpecs(t, 0.45), sched.NewFairDelay())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Unfinished != 0 {
-		t.Fatalf("unfinished with speculation: %s", res)
-	}
-	if res.Speculated == 0 {
-		t.Fatal("speculation never fired despite heavy jitter and congestion")
-	}
-	if res.SpecWins > res.Speculated {
-		t.Fatalf("wins %d exceed launches %d", res.SpecWins, res.Speculated)
-	}
-	// Conservation still holds: backups must not double-deliver output.
-	for _, j := range s.Jobs() {
-		for _, r := range j.Reduces {
-			if math.Abs(r.ShuffledBytes-r.ExpectedInput()) > 1 {
-				t.Fatalf("speculation broke shuffle conservation for %s/%d",
-					j.Spec.Name, r.Index)
-			}
-		}
-	}
-	// Slot accounting balanced.
-	um, ur := s.state.UsedSlots()
-	if um != 0 || ur != 0 {
-		t.Fatalf("speculation leaked slots: %d/%d", um, ur)
-	}
-}
-
-func TestSpeculationDeterminism(t *testing.T) {
-	run := func() (float64, int) {
-		cfg := tinyConfig()
-		cfg.Speculation = true
-		cfg.SpecSlowdown = 1.3
-		cfg.SpecMinCompleted = 2
-		cfg.Seed = 11
-		s, err := New(cfg, faultSpecs(t, 0.4), sched.NewProbabilistic(sched.DefaultProbabilisticConfig()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Makespan, res.Speculated
-	}
-	m1, s1 := run()
-	m2, s2 := run()
-	if m1 != m2 || s1 != s2 {
-		t.Fatalf("speculation broke determinism: (%v,%d) vs (%v,%d)", m1, s1, m2, s2)
-	}
-}
-
-func TestSpeculationValidation(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Speculation = true
-	cfg.SpecSlowdown = 1.0
-	if err := cfg.Validate(); err == nil {
-		t.Error("SpecSlowdown <= 1 accepted")
-	}
-	cfg = tinyConfig()
-	cfg.Speculation = true
-	cfg.SpecSlowdown = 2
-	cfg.SpecMinCompleted = 0
-	if err := cfg.Validate(); err == nil {
-		t.Error("SpecMinCompleted < 1 accepted")
-	}
-}
-
-func TestSpeculationAndFailureTogether(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Speculation = true
-	cfg.SpecSlowdown = 1.3
-	cfg.SpecMinCompleted = 2
-	cfg.Faults.Crashes = []faults.NodeCrash{{Node: 3, At: 12}}
-	s, err := New(cfg, faultSpecs(t, 0.4), sched.NewProbabilistic(sched.DefaultProbabilisticConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Unfinished != 0 {
-		t.Fatalf("combined speculation+failure run unfinished: %s", res)
-	}
-	for _, j := range s.Jobs() {
-		for _, r := range j.Reduces {
-			if math.Abs(r.ShuffledBytes-r.ExpectedInput()) > 1 {
-				t.Fatalf("conservation violated for %s/%d", j.Spec.Name, r.Index)
-			}
-		}
-	}
-}
-
-func TestHeterogeneousNodesSlowTheRun(t *testing.T) {
-	run := func(frac float64) float64 {
-		cfg := tinyConfig()
-		cfg.SlowNodeFraction = frac
-		cfg.SlowFactor = 4
-		s, err := New(cfg, faultSpecs(t, 0.1), sched.NewFairDelay())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Unfinished != 0 {
-			t.Fatal("unfinished")
-		}
-		return res.Makespan
-	}
-	uniform, het := run(0), run(0.4)
-	if het <= uniform {
-		t.Fatalf("slow nodes did not stretch the makespan: %v vs %v", het, uniform)
-	}
-}
-
-func TestSpeculationHelpsOnHeterogeneousCluster(t *testing.T) {
-	run := func(spec bool) float64 {
-		cfg := tinyConfig()
-		cfg.SlowNodeFraction = 0.25
-		cfg.SlowFactor = 5
-		cfg.Speculation = spec
-		cfg.SpecSlowdown = 1.4
-		cfg.SpecMinCompleted = 2
-		s, err := New(cfg, faultSpecs(t, 0.15), sched.NewFairDelay())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Unfinished != 0 {
-			t.Fatal("unfinished")
-		}
-		if spec && res.Speculated == 0 {
-			t.Fatal("speculation never fired on a heterogeneous cluster")
-		}
-		return res.Makespan
-	}
-	without, with := run(false), run(true)
-	if with > without*1.05 {
-		t.Fatalf("speculation made things worse: %v vs %v", with, without)
-	}
-}
-
-func TestHeterogeneityValidation(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.SlowNodeFraction = -0.1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative fraction accepted")
-	}
-	cfg = tinyConfig()
-	cfg.SlowNodeFraction = 0.5
-	cfg.SlowFactor = 0.5
-	if err := cfg.Validate(); err == nil {
-		t.Error("speedup factor accepted as slowdown")
 	}
 }
 

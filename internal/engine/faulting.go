@@ -51,10 +51,11 @@ func (s *Simulation) scheduleFaults() {
 
 // crashNode kills node d physically. Attempts on d die without releasing
 // their slots (the JobTracker still believes they run; the counts are
-// parked in held until detection). Attempts elsewhere that were
-// streaming data from d lose those transfers: map-input fetches restart
-// from another replica, shuffle fetches re-queue until detection clears
-// them. Finally the heartbeat-expiry timer is armed.
+// parked in held until detection) and stay in their jobs' records until
+// detection reverts their tasks. Attempts elsewhere that were streaming
+// data from d lose those transfers: map-input fetches restart from
+// another replica, shuffle fetches re-queue until detection clears them.
+// Finally the heartbeat-expiry timer is armed.
 func (s *Simulation) crashNode(d topology.NodeID) {
 	if s.crashed[d] {
 		return
@@ -65,26 +66,20 @@ func (s *Simulation) crashNode(d topology.NodeID) {
 	}
 
 	for k := job.MapKind; k <= job.ReduceKind; k++ {
-		s.eachRun(k, func(run *taskRun) {
-			srcLost := false
-			for _, a := range run.attempts {
-				switch {
-				case a.dead:
-				case a.node == d:
-					s.kill(a, false)
-					s.held[k][d]++
-				case k == job.MapKind && a.fetchSrc == d && !a.fetchDone:
-					if !s.restartMapFetch(a) {
-						srcLost = true
-					}
-				default:
-					s.reclaimCrashedFetches(a, d)
+		s.eachRun(k, func(a *attempt) {
+			switch {
+			case a.dead:
+			case a.node == d:
+				s.kill(a, false)
+				s.held[k][d]++
+			case k == job.MapKind && a.fetchSrc == d && !a.fetchDone:
+				// A live tracker reports the loss at once; a task whose
+				// attempt sat on d is reverted at detection instead.
+				if !s.restartMapFetch(a) {
+					s.revert(a.task, d, "source_lost")
 				}
-			}
-			// Only revert when a live tracker reported the loss; a task whose
-			// every attempt sat on d is reverted at detection instead.
-			if srcLost && run.liveAttempts() == 0 {
-				s.revert(run.task, d, "source_lost")
+			default:
+				s.reclaimCrashedFetches(a, d)
 			}
 		})
 	}
@@ -97,7 +92,7 @@ func (s *Simulation) crashNode(d topology.NodeID) {
 // is killed (reported by false); compute keeps its original schedule
 // otherwise — the re-read overlaps it just like the first read did.
 func (s *Simulation) restartMapFetch(att *attempt) bool {
-	m := att.run.task.mapTask()
+	m := att.task.mapTask()
 	if att.fetch != nil && !att.fetch.Finished() {
 		s.topo.Net().Cancel(att.fetch)
 		s.topo.Net().Release(att.fetch)
@@ -172,40 +167,32 @@ func (s *Simulation) detectNode(d topology.NodeID) {
 		delete(s.held[k], d)
 	}
 
-	// Revert running map tasks whose every attempt died on d.
-	s.eachRun(job.MapKind, func(run *taskRun) {
-		if run.liveAttempts() == 0 {
-			s.revert(run.task, d, "attempt_lost")
+	// Revert running map tasks whose attempt died with a crashed node.
+	s.eachRun(job.MapKind, func(att *attempt) {
+		if att.dead {
+			s.revert(att.task, d, "attempt_lost")
 		}
 	})
 
-	// Reduces: drop shuffle state sourced from d (the contributing maps
-	// are re-executed below), revert tasks with no surviving attempt, and
-	// re-point tasks whose canonical attempt died while a backup lives.
-	s.eachRun(job.ReduceKind, func(run *taskRun) {
-		for _, att := range run.attempts {
-			if att.dead {
-				continue
-			}
-			if b, ok := att.pendingSrc[d]; ok {
-				delete(att.pendingSrc, d)
-				for _, m := range b.maps {
-					delete(att.got, m)
-				}
-				for i, src := range att.queue {
-					if src == d {
-						att.queue = append(att.queue[:i], att.queue[i+1:]...)
-						break
-					}
-				}
-			}
-		}
-		if run.liveAttempts() == 0 {
-			s.revert(run.task, d, "host_failed")
+	// Reduces: revert tasks whose attempt died with a crashed node, and
+	// drop the shuffle state the others queued from d (the contributing
+	// maps are re-executed below).
+	s.eachRun(job.ReduceKind, func(att *attempt) {
+		if att.dead {
+			s.revert(att.task, d, "host_failed")
 			return
 		}
-		if r := run.task.reduceTask(); r.Node == d {
-			s.repointReduce(r, run)
+		if b, ok := att.pendingSrc[d]; ok {
+			delete(att.pendingSrc, d)
+			for _, m := range b.maps {
+				delete(att.got, m)
+			}
+			for i, src := range att.queue {
+				if src == d {
+					att.queue = append(att.queue[:i], att.queue[i+1:]...)
+					break
+				}
+			}
 		}
 	})
 
@@ -226,19 +213,15 @@ func (s *Simulation) detectNode(d topology.NodeID) {
 	s.loseReplicas(d, "node_dead")
 }
 
-// reset returns task t to pending: its live attempts are killed
-// (releasing the slots of those on uncrashed nodes), its run is recycled,
-// and a done task is uncounted from its job.
+// reset returns task t to pending: a live attempt is killed (releasing
+// its slot when its node is uncrashed) and recycled, and a done task is
+// uncounted from its job.
 func (s *Simulation) reset(t taskRef) {
 	runs := s.rec(t.j).runs[t.kind]
-	if run := runs[t.index]; run != nil {
-		for _, a := range run.attempts {
-			if !a.dead {
-				s.kill(a, !s.crashed[a.node])
-			}
-		}
+	if att := runs[t.index]; att != nil {
+		s.kill(att, !s.crashed[att.node])
 		runs[t.index] = nil
-		s.releaseRun(run)
+		s.releaseAttempt(att)
 	}
 	if t.kind == job.MapKind {
 		t.mapTask().Reset()
@@ -254,7 +237,7 @@ func (s *Simulation) relaunchLostOutput(m *job.MapTask) {
 	s.revert(mapRef(m), m.Node, "output_lost")
 }
 
-// revert returns task t to the pending pool after its attempts died (or
+// revert returns task t to the pending pool after its attempt died (or
 // a map's output was lost) and reports the relaunch at node at. Every
 // reduce revert counts as a relaunch; a map counts only when its output
 // was lost (relaunchLostOutput). A map left with no input replica can
@@ -273,44 +256,23 @@ func (s *Simulation) revert(t taskRef, at topology.NodeID, reason string) {
 	}
 }
 
-// repointReduce re-targets a reduce task's reported placement at its first
-// surviving attempt (after the canonical one died).
-func (s *Simulation) repointReduce(r *job.ReduceTask, run *taskRun) {
-	for _, att := range run.attempts {
-		if !att.dead {
-			r.Node = att.node
-			r.Locality = att.locality
-			r.ShuffledBytes = att.shuffled
-			return
-		}
-	}
-}
-
-// failAttempt is a scripted transient failure of one attempt: the
-// attempt dies, the task reverts when no attempt survives (a reduce
-// re-points at a surviving backup instead), and the retry and blacklist
-// tallies advance.
+// failAttempt is a scripted transient failure of an attempt: the attempt
+// dies, its task reverts, and the retry and blacklist tallies advance.
 func (s *Simulation) failAttempt(att *attempt) {
-	run := att.run
-	t := run.task
-	rec := s.rec(t.j)
-	if att.dead || rec.runs[t.kind][t.index] != run {
+	if att.dead {
 		return
 	}
-	// Reverting the task recycles the run and its attempts, so att must
-	// not be read past that point.
-	node := att.node
+	// Reverting the task recycles the attempt, so att must not be read
+	// past that point.
+	t, node := att.task, att.node
+	rec := s.rec(t.j)
 	s.kill(att, !s.crashed[node])
 	s.sampleUtil()
 	s.attemptFailures++
 	if s.obs.Enabled() {
 		s.obs.Emit(s.taskEvent(obs.AttemptFail, node, t))
 	}
-	if run.liveAttempts() == 0 {
-		s.revert(t, node, "attempt_fail")
-	} else if t.kind == job.ReduceKind && t.reduceTask().Node == node {
-		s.repointReduce(t.reduceTask(), run)
-	}
+	s.revert(t, node, "attempt_fail")
 	s.noteNodeFailure(t.j, rec, node)
 	if rec.fails[t.kind] == nil {
 		rec.fails[t.kind] = make([]int, len(rec.runs[t.kind]))
@@ -404,9 +366,9 @@ func (s *Simulation) failJob(j *job.Job, reason string) {
 	j.Failed = true
 	j.Finished = s.eng.Now()
 	for _, runs := range s.rec(j).runs {
-		for _, run := range runs {
-			if run != nil {
-				s.reset(run.task)
+		for _, att := range runs {
+			if att != nil {
+				s.reset(att.task)
 			}
 		}
 	}
@@ -421,16 +383,16 @@ func (s *Simulation) failJob(j *job.Job, reason string) {
 	s.onJobEnd(j)
 }
 
-// applySlowdown sets node n's compute rate to base/factor (factor 1
-// restores the base) and stretches or shrinks the remaining compute time
-// of every attempt running there mid-flight. Factors are absolute against
-// the node's base speed, so overlapping slowdowns do not compound.
+// applySlowdown sets node n's compute rate to 1/factor of nominal
+// (factor 1 restores it) and stretches or shrinks the remaining compute
+// time of every attempt running there mid-flight. Factors are absolute
+// against the nominal speed, so overlapping slowdowns do not compound.
 func (s *Simulation) applySlowdown(n topology.NodeID, factor float64) {
 	if s.crashed[n] {
 		return // a dead node cannot slow down further
 	}
 	old := s.speedOf[n]
-	next := s.baseSpeed[n] / factor
+	next := 1 / factor
 	if next == old {
 		return
 	}
@@ -442,33 +404,26 @@ func (s *Simulation) applySlowdown(n topology.NodeID, factor float64) {
 	ratio := old / next // > 1: remaining work takes longer
 
 	for k := job.MapKind; k <= job.ReduceKind; k++ {
-		s.eachRun(k, func(run *taskRun) {
-			for _, a := range run.attempts {
-				if a.dead || a.node != n || a.computeDone || a.computeEv == nil {
-					continue
-				}
-				elapsed := float64(now - a.computeStart)
-				remaining := a.computeDur - elapsed
-				if remaining <= 0 {
-					continue
-				}
-				s.eng.Remove(a.computeEv)
-				// The conversions stop fused multiply-adds (one rounding).
-				remaining = float64(remaining * ratio)
-				a.computeDur = elapsed + remaining
-				if a.failFrac > 0 {
-					// The pending event was a reduce's scripted mid-compute
-					// failure at failFrac × dur; keep it at the same progress
-					// point.
-					fireIn := float64(a.failFrac*a.computeDur) - elapsed
-					if fireIn < 0 {
-						fireIn = 0
-					}
-					a.computeEv = s.eng.After(fireIn, a.failFn)
-				} else {
-					a.computeEv = s.eng.After(remaining, a.computeFn)
-				}
+		s.eachRun(k, func(a *attempt) {
+			if a.dead || a.node != n || a.computeDone || !a.computeEv.Queued() {
+				return
 			}
+			elapsed := float64(now - a.computeStart)
+			remaining := a.computeDur - elapsed
+			if remaining <= 0 {
+				return
+			}
+			// The conversions stop fused multiply-adds (one rounding).
+			remaining = float64(remaining * ratio)
+			a.computeDur = elapsed + remaining
+			fireIn, fn := remaining, a.computeFn
+			if a.failFrac > 0 {
+				// The pending event is a reduce's scripted mid-compute
+				// failure at failFrac × dur; keep it at the same progress
+				// point.
+				fireIn, fn = max(float64(a.failFrac*a.computeDur)-elapsed, 0), a.failFn
+			}
+			s.eng.Reschedule(&a.computeEv, now+sim.Time(fireIn), fn)
 		})
 	}
 }

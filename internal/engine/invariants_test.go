@@ -234,9 +234,10 @@ func TestForcedRemoteAccounting(t *testing.T) {
 
 // progressOracle wraps a scheduler and checks, at every AssignReduce
 // call on which a reduce decision can read map progress (some job has a
-// pending reduce), that every running map's Progress equals its fastest
-// live attempt's progress at ctx.Now, and that it never moves backwards
-// while the map keeps its launch and loses no attempt.
+// pending reduce), that every running map's Progress equals its
+// attempt's progress at ctx.Now (0 once the attempt died), and that it
+// never moves backwards while the map keeps its launch and its attempt
+// stays alive.
 type progressOracle struct {
 	sched.Scheduler
 	t    *testing.T
@@ -248,7 +249,7 @@ type progressOracle struct {
 
 type progressMark struct {
 	launch sim.Time
-	dead   int
+	dead   bool
 	p      float64
 }
 
@@ -259,7 +260,7 @@ func (o *progressOracle) AssignReduce(ctx *sched.Context, node topology.NodeID) 
 	}
 	if !pending {
 		running := false
-		o.sim.eachRun(job.MapKind, func(*taskRun) { running = true })
+		o.sim.eachRun(job.MapKind, func(*attempt) { running = true })
 		if running {
 			o.skipped++
 		}
@@ -268,25 +269,17 @@ func (o *progressOracle) AssignReduce(ctx *sched.Context, node topology.NodeID) 
 	if ctx.Now != o.sim.eng.Now() {
 		o.t.Fatalf("ctx.Now %v, engine clock %v", ctx.Now, o.sim.eng.Now())
 	}
-	o.sim.eachRun(job.MapKind, func(run *taskRun) {
-		m := run.task.mapTask()
-		want, dead := 0.0, 0
-		for _, a := range run.attempts {
-			if a.dead {
-				dead++
-			} else if p := a.progress(ctx.Now); p > want {
-				want = p
-			}
-		}
-		if m.Progress != want {
-			o.t.Fatalf("t=%v: map %s/%d progress %v, fastest live attempt %v",
+	o.sim.eachRun(job.MapKind, func(a *attempt) {
+		m := a.task.mapTask()
+		if want := a.progress(ctx.Now); m.Progress != want {
+			o.t.Fatalf("t=%v: map %s/%d progress %v, its attempt's %v",
 				ctx.Now, m.Job.Spec.Name, m.Index, m.Progress, want)
 		}
-		if prev, ok := o.last[m]; ok && prev.launch == m.Launch && prev.dead == dead && m.Progress < prev.p {
+		if prev, ok := o.last[m]; ok && prev.launch == m.Launch && prev.dead == a.dead && m.Progress < prev.p {
 			o.t.Fatalf("t=%v: map %s/%d progress fell from %v to %v",
 				ctx.Now, m.Job.Spec.Name, m.Index, prev.p, m.Progress)
 		}
-		o.last[m] = progressMark{launch: m.Launch, dead: dead, p: m.Progress}
+		o.last[m] = progressMark{launch: m.Launch, dead: a.dead, p: m.Progress}
 		o.checked++
 	})
 	return o.Scheduler.AssignReduce(ctx, node)
@@ -311,9 +304,9 @@ func progressSpecs(t *testing.T) []job.Spec {
 
 // TestProgressVisibleToScheduler verifies that map progress is fresh at
 // every reduce decision that can read it, under the schedulers whose
-// reduce decisions read it, with speculative backups and with a fault
-// plan, and that the run also offers reduce slots while no job has a
-// pending reduce (the heartbeats that skip the refresh).
+// reduce decisions read it, with a fault plan, and that the run also
+// offers reduce slots while no job has a pending reduce (the heartbeats
+// that skip the refresh).
 func TestProgressVisibleToScheduler(t *testing.T) {
 	// Enough reduce slots that every reduce launches while maps still
 	// run, so later offers find nothing that reads progress.
@@ -321,11 +314,6 @@ func TestProgressVisibleToScheduler(t *testing.T) {
 	base.ReduceSlotsPerNode = 4
 	base.Topology.NodesPerRack = 8
 	base.MapSlotsPerNode = 1
-	specCfg := base
-	specCfg.Speculation = true
-	specCfg.SpecSlowdown = 1.25
-	specCfg.SpecMinCompleted = 2
-	specCfg.CrossTraffic = 12
 	faultCfg := base
 	faultCfg.Faults.Crashes = []faults.NodeCrash{{Node: 1, At: 8}}
 	faultCfg.Faults.TaskFailProb = 0.15
@@ -342,7 +330,6 @@ func TestProgressVisibleToScheduler(t *testing.T) {
 			cfg   Config
 			fired func(*Result) int
 		}{
-			{"speculation", specCfg, func(r *Result) int { return r.Speculated }},
 			{"faults", faultCfg, func(r *Result) int { return r.AttemptFailures }},
 		} {
 			t.Run(sc.name+"/"+c.name, func(t *testing.T) {

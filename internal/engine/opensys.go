@@ -368,8 +368,8 @@ func (s *Simulation) newestActiveJob(t *tenantState) *job.Job {
 // preempt kills and requeues an admitted job: every running attempt is
 // torn down exactly as failJob does, all task state (completed work
 // included) resets to pending, and the job parks at the front of its
-// tenant's queue for re-admission. Its record stays, with the
-// speculation statistics zeroed; retry and blacklist tallies survive.
+// tenant's queue for re-admission. Its record stays: retry and
+// blacklist tallies survive.
 func (s *Simulation) preempt(j *job.Job, t *tenantState) {
 	s.preemptions++
 	t.preempted++
@@ -379,13 +379,11 @@ func (s *Simulation) preempt(j *job.Job, t *tenantState) {
 	for i := range j.Reduces {
 		s.reset(taskRef{j, job.ReduceKind, i})
 	}
-	rec := s.rec(j)
-	rec.completed, rec.totalDur = [2]int{}, [2]float64{}
 	s.sampleUtil()
 	s.deactivate(j)
 	t.active--
 	s.openActiveN--
-	info := rec.open
+	info := s.rec(j).open
 	t.queue = append(t.queue, queuedJob{})
 	copy(t.queue[1:], t.queue)
 	t.queue[0] = queuedJob{spec: j.Spec, arrive: info.arrive, j: j}

@@ -174,7 +174,7 @@ func TestBlacklistReleasedAcrossArrivalStream(t *testing.T) {
 		t.Fatal("no node was ever blacklisted; the plan is too gentle to exercise the release path")
 	}
 	if ids := leakedRecords(s); len(ids) > 0 {
-		t.Errorf("%d records of ended jobs leaked (running tasks, retry and blacklist tallies, speculation stats or tenancy), first job %d", len(ids), ids[0])
+		t.Errorf("%d records of ended jobs leaked (running tasks, retry and blacklist tallies or tenancy), first job %d", len(ids), ids[0])
 	}
 	for i := 0; i < s.state.Size(); i++ {
 		if s.state.Node(topology.NodeID(i)).Blacklisted() {
@@ -246,8 +246,8 @@ func TestOpenSystemPoolReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, att := range s.freeAtts[job.MapKind] {
-		if att.run != nil || att.fetch != nil ||
-			att.computeEv != nil || att.failEv != nil || att.dead ||
+		if att.task != (taskRef{}) || att.fetch != nil ||
+			att.computeEv.Queued() || att.failEv.Queued() || att.dead ||
 			att.fetchDone || att.computeDone || att.computeDur != 0 {
 			t.Fatalf("pooled map attempt %d not reset: %+v", i, att)
 		}
@@ -256,19 +256,14 @@ func TestOpenSystemPoolReset(t *testing.T) {
 		}
 	}
 	for i, att := range s.freeAtts[job.ReduceKind] {
-		if att.run != nil || att.computeEv != nil || att.dead ||
-			att.computing || att.shuffled != 0 || att.failFrac != 0 ||
+		if att.task != (taskRef{}) || att.computeEv.Queued() || att.dead ||
+			att.computing || att.failFrac != 0 ||
 			len(att.pendingSrc) != 0 || len(att.flights) != 0 ||
 			len(att.got) != 0 || len(att.queue) != 0 {
 			t.Fatalf("pooled reduce attempt %d not reset: %+v", i, att)
 		}
 		if att.computeFn == nil || att.failFn == nil {
 			t.Fatalf("pooled reduce attempt %d lost its bound callbacks", i)
-		}
-	}
-	for i, run := range s.freeRuns {
-		if run.task != (taskRef{}) || len(run.attempts) != 0 {
-			t.Fatalf("pooled run %d kept task %+v and %d attempts", i, run.task, len(run.attempts))
 		}
 	}
 	for i, b := range s.freeBuckets {

@@ -31,10 +31,8 @@ type paramProbe struct {
 }
 
 func (p *paramProbe) Observe(e obs.Event) {
-	p.sim.eachRun(job.ReduceKind, func(run *taskRun) {
-		for _, att := range run.attempts {
-			p.maxFlights = max(p.maxFlights, len(att.flights))
-		}
+	p.sim.eachRun(job.ReduceKind, func(att *attempt) {
+		p.maxFlights = max(p.maxFlights, len(att.flights))
 	})
 	switch {
 	case e.Type == obs.TaskStart && e.Task.Kind == job.ReduceKind.String():

@@ -1,7 +1,7 @@
-// Free-list allocation of the engine's hot-path records: task runs,
-// attempts, shuffle source buckets and fetch flights. A simulation
-// churns through hundreds of thousands of these — one attempt per task
-// attempt, one flight per shuffle fetch — and none outlive their task,
+// Free-list allocation of the engine's hot-path records: attempts,
+// shuffle source buckets and fetch flights. A simulation churns through
+// hundreds of thousands of these — one attempt per task launch, one
+// flight per shuffle fetch — and none outlive their task,
 // so pooling turns the steady-state allocation rate to ~zero. Attempts
 // have one free list per kind, since map and reduce records bind
 // different callbacks and only reduce records carry shuffle maps.
@@ -14,11 +14,10 @@
 // life of the object.
 //
 // Release safety: a record may be released only when nothing can call
-// back into it. For attempts that means their sim events are off the
-// queue (fired-and-nilled or removed here) and their flows are finished
-// or cancelled; both are re-checked defensively below because a
-// same-instant tie can leave a transient-failure timer queued after the
-// attempt already won.
+// back into it. For attempts that means their embedded sim events are
+// off the queue and their flows are finished or cancelled; releaseAttempt
+// removes and cancels them itself, because a same-instant tie can leave a
+// transient-failure timer queued after the attempt already won.
 package engine
 
 import (
@@ -26,48 +25,23 @@ import (
 	"mapsched/internal/topology"
 )
 
-// newRun allocates the run of task t.
-func (s *Simulation) newRun(t taskRef) *taskRun {
-	var run *taskRun
-	if k := len(s.freeRuns); k > 0 {
-		run = s.freeRuns[k-1]
-		s.freeRuns[k-1] = nil
-		s.freeRuns = s.freeRuns[:k-1]
-	} else {
-		run = &taskRun{}
-	}
-	run.task = t
-	return run
-}
-
-// releaseRun recycles a finished or reverted run and all its attempts.
-// Caller guarantees every attempt is dead or won and every in-flight
-// fetch was cancelled (kill clears flights; a winning reduce attempt
-// cannot have any).
-func (s *Simulation) releaseRun(run *taskRun) {
-	for _, att := range run.attempts {
-		s.releaseAttempt(att)
-	}
-	//lint:pooled taskRun
-	run.task = taskRef{}
-	run.attempts = run.attempts[:0]
-	s.freeRuns = append(s.freeRuns, run)
-}
-
-// newAttempt allocates an attempt of run's task from its kind's free
-// list. A fresh record binds its callbacks once, for its kind: they
-// capture att alone and read att.run when they fire. A fresh reduce
-// record also makes the shuffle maps that every later life reuses.
-func (s *Simulation) newAttempt(run *taskRun) *attempt {
-	k := run.task.kind
+// newAttempt allocates the attempt of task t from its kind's free list.
+// A fresh record binds its callbacks once, for its kind: they capture att
+// alone and read att.task when they fire. A fresh reduce record also
+// makes the shuffle maps that every later life reuses.
+func (s *Simulation) newAttempt(t taskRef) *attempt {
+	k := t.kind
 	if n := len(s.freeAtts[k]); n > 0 {
 		att := s.freeAtts[k][n-1]
 		s.freeAtts[k][n-1] = nil
 		s.freeAtts[k] = s.freeAtts[k][:n-1]
-		att.run = run
+		att.task = t
 		return att
 	}
-	att := &attempt{run: run}
+	att := &attempt{task: t}
+	// A map's scripted failure has its own timer; a reduce's takes the
+	// place of its compute completion event.
+	att.failFn = func() { s.failAttempt(att) }
 	if k == job.MapKind {
 		att.fetchFn = func() {
 			if att.dead {
@@ -79,34 +53,18 @@ func (s *Simulation) newAttempt(run *taskRun) *attempt {
 			s.checkAttempt(att)
 		}
 		att.computeFn = func() {
-			// The event just fired; drop the handle before anything can
-			// Cancel a recycled event through it.
-			att.computeEv = nil
 			if att.dead {
 				return
 			}
 			att.computeDone = true
 			s.checkAttempt(att)
 		}
-		att.failFn = func() {
-			att.failEv = nil
-			s.failAttempt(att)
-		}
 		return att
 	}
 	att.pendingSrc = make(map[topology.NodeID]*srcBucket)
 	att.flights = make(map[*topology.Flow]*flight)
 	att.got = make(map[*job.MapTask]bool)
-	att.computeFn = func() {
-		att.computeEv = nil
-		s.finishReduce(att.run, att)
-	}
-	// A reduce's scripted failure takes the place of its compute
-	// completion event.
-	att.failFn = func() {
-		att.computeEv = nil
-		s.failAttempt(att)
-	}
+	att.computeFn = func() { s.finishReduce(att) }
 	return att
 }
 
@@ -115,13 +73,9 @@ func (s *Simulation) newAttempt(run *taskRun) *attempt {
 // queue slice; the shuffle maps are cleared in place so their storage
 // carries over to the next life.
 func (s *Simulation) releaseAttempt(att *attempt) {
-	k := att.run.task.kind
-	if att.failEv != nil {
-		s.eng.Remove(att.failEv)
-	}
-	if att.computeEv != nil {
-		s.eng.Remove(att.computeEv)
-	}
+	k := att.task.kind
+	s.eng.Remove(&att.failEv)
+	s.eng.Remove(&att.computeEv)
 	if att.fetch != nil {
 		if !att.fetch.Finished() {
 			s.topo.Net().Cancel(att.fetch)
@@ -193,10 +147,7 @@ func (s *Simulation) newFlight(att *attempt) *flight {
 				return
 			}
 			delete(att.flights, fl.flow)
-			att.shuffled += fl.bytes
-			if r := att.run.task.reduceTask(); r.Node == att.node {
-				r.ShuffledBytes = att.shuffled
-			}
+			att.task.reduceTask().ShuffledBytes += fl.bytes
 			s.topo.Net().Release(fl.flow)
 			s.releaseFlight(fl)
 			s.pumpShuffle(att)

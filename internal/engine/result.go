@@ -52,11 +52,7 @@ type Result struct {
 	ShuffleRemoteBytes float64 // intermediate data moved across the network
 	ShuffleLocalBytes  float64 // intermediate data served locally
 
-	// Fault-tolerance and speculation accounting.
-	Speculated        int // backup map attempts launched
-	SpecWins          int // backups that finished before the original
-	SpeculatedReduces int // backup reduce attempts launched
-	SpecReduceWins    int // reduce backups that finished first
+	// Fault-tolerance accounting.
 	RelaunchedMaps    int // completed maps re-executed after node failures
 	RelaunchedReduces int // running reduces restarted after node failures
 	AttemptFailures   int // transient attempt failures injected
@@ -168,10 +164,6 @@ func (s *Simulation) collect() *Result {
 	res.MapRemoteBytes = s.mapRemoteBytes
 	res.ShuffleRemoteBytes = s.shuffleRemoteBytes
 	res.ShuffleLocalBytes = s.shuffleLocalBytes
-	res.Speculated = s.speculated[job.MapKind]
-	res.SpecWins = s.specWins[job.MapKind]
-	res.SpeculatedReduces = s.speculated[job.ReduceKind]
-	res.SpecReduceWins = s.specWins[job.ReduceKind]
 	res.RelaunchedMaps = s.relaunchedMaps
 	res.RelaunchedReduces = s.relaunchedReduces
 	res.AttemptFailures = s.attemptFailures

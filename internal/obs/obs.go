@@ -23,8 +23,8 @@ type Type string
 
 // Event kinds. Scheduler decisions (task_offer / task_assign /
 // task_skip) carry the Formula 1–5 breakdown in Decision; engine
-// lifecycle events (job_*, task_start/finish, spec_*, node_fail,
-// task_relaunch) describe execution; flow_* events trace the network.
+// lifecycle events (job_*, task_start/finish, node_fail, task_relaunch)
+// describe execution; flow_* events trace the network.
 const (
 	JobSubmit    Type = "job_submit"
 	JobFinish    Type = "job_finish"
@@ -33,8 +33,6 @@ const (
 	TaskSkip     Type = "task_skip"     // the scheduler declined the slot
 	TaskStart    Type = "task_start"    // the engine launched the task
 	TaskFinish   Type = "task_finish"   // the task completed
-	SpecStart    Type = "spec_start"    // speculative backup attempt launched
-	SpecWin      Type = "spec_win"      // the backup finished first
 	NodeFail     Type = "node_fail"     // a node permanently failed (crash instant)
 	TaskRelaunch Type = "task_relaunch" // a task re-queued by failure recovery
 	FlowStart    Type = "flow_start"

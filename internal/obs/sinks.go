@@ -149,10 +149,6 @@ func (s *Summary) Observe(e Event) {
 		r.Histogram("queue_wait_"+kind+"_s", metrics.DefaultTimeBounds...).Observe(e.Wait)
 	case TaskFinish:
 		r.Histogram("task_dur_"+kind+"_s", metrics.DefaultTimeBounds...).Observe(e.Dur)
-	case SpecStart:
-		r.Counter("speculations").Inc()
-	case SpecWin:
-		r.Counter("speculation_wins").Inc()
 	case NodeFail:
 		r.Counter("node_failures").Inc()
 	case TaskRelaunch:
