@@ -422,12 +422,16 @@ func BenchmarkMultiRack(b *testing.B) {
 	benchAblation(b, experiments.MultiRack)
 }
 
-func BenchmarkSim_ScheduleStep(b *testing.B) {
+// BenchmarkSim_RescheduleStep times one recurring-timer tick: re-arm an
+// embedded event, then dispatch it.
+func BenchmarkSim_RescheduleStep(b *testing.B) {
 	eng := sim.NewEngine()
+	var ev sim.Event
+	fn := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Schedule(eng.Now()+1, func() {})
+		eng.Reschedule(&ev, eng.Now()+1, fn)
 		eng.Step()
 	}
 }

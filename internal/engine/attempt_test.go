@@ -64,7 +64,7 @@ func checkAttemptRecords(t *testing.T, s *Simulation) (dead int) {
 						s.eng.Now(), id+1, k, i, st, n, att.node)
 				}
 				if att.dead {
-					if !s.crashed[att.node] || s.state.Node(att.node).Offline() {
+					if !s.trackers[att.node].crashed || s.state.Node(att.node).Offline() {
 						t.Fatalf("t=%v: dead attempt of job %d %v task %d kept on node %d, which awaits no detection",
 							s.eng.Now(), id+1, k, i, att.node)
 					}
@@ -78,9 +78,10 @@ func checkAttemptRecords(t *testing.T, s *Simulation) (dead int) {
 	for i := 0; i < s.topo.Size(); i++ {
 		n := topology.NodeID(i)
 		for k := job.MapKind; k <= job.ReduceKind; k++ {
-			if got, want := s.state.Node(n).UsedSlots(k), live[k][n]+s.held[k][n]; got != want {
+			held := s.trackers[n].held[k]
+			if got, want := s.state.Node(n).UsedSlots(k), live[k][n]+held; got != want {
 				t.Fatalf("t=%v: node %d uses %d %v slots, has %d live attempts and %d held",
-					s.eng.Now(), n, got, k, live[k][n], s.held[k][n])
+					s.eng.Now(), n, got, k, live[k][n], held)
 			}
 		}
 	}
@@ -119,6 +120,66 @@ func TestRunningTaskHoldsOneAttempt(t *testing.T) {
 	}
 	if ids := leakedRecords(s); len(ids) != 0 {
 		t.Fatalf("records of jobs %v still held after the run", ids)
+	}
+}
+
+// TestOneHeartbeatPerLiveTracker walks the fault lifecycle scenario in
+// half-second steps. While work remains, every uncrashed tracker has its
+// beat queued within one heartbeat interval; the crashed tracker's chain
+// ends at its first beat after the crash; and no beat outlives the run.
+func TestOneHeartbeatPerLiveTracker(t *testing.T) {
+	cfg := faultLifecycleConfig()
+	s, err := New(cfg, faultSpecs(t, 0.45),
+		sched.NewProbabilistic(sched.DefaultProbabilisticConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	interval := sim.Time(cfg.HeartbeatInterval)
+	chainEnd := sim.Time(cfg.Faults.Crashes[0].At) + interval
+	busy, crashedBeats := 0, 0
+	var at []float64
+	for x := 0.25; x < 45; x += 0.5 {
+		at = append(at, x)
+	}
+	probeAt(s, func() {
+		now := s.eng.Now()
+		if !s.allDone() {
+			busy++
+		}
+		for n := range s.trackers {
+			tr := &s.trackers[n]
+			if !tr.beat.Queued() {
+				if !tr.crashed && !s.allDone() {
+					t.Fatalf("t=%v: live node %d has no heartbeat queued", now, n)
+				}
+				continue
+			}
+			if b := tr.beat.At(); b < now || b > now+interval {
+				t.Fatalf("t=%v: node %d's beat queued at %v, outside one interval", now, n, b)
+			}
+			if tr.crashed {
+				crashedBeats++
+				if b := tr.beat.At(); b > chainEnd {
+					t.Fatalf("t=%v: crashed node %d's beat queued at %v, after its chain ends at %v", now, n, b, chainEnd)
+				}
+			}
+		}
+	}, at...)
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unfinished != 0 {
+		t.Fatalf("unfinished: %s", res)
+	}
+	for n := range s.trackers {
+		if s.trackers[n].beat.Queued() {
+			t.Fatalf("node %d's beat still queued after the run", n)
+		}
+	}
+	if busy == 0 || crashedBeats == 0 {
+		t.Fatalf("%d probes saw work remaining, %d saw a crashed node's last beat: the scenario no longer covers both",
+			busy, crashedBeats)
 	}
 }
 
@@ -175,8 +236,8 @@ func TestCrashKeepsDeadAttemptUntilDetection(t *testing.T) {
 					t.Fatalf("%v task %d is %v before detection, want running", refs[i].kind, refs[i].index, st)
 				}
 			}
-			for k := range s.held {
-				held += s.held[k][node]
+			for _, h := range s.trackers[node].held {
+				held += h
 			}
 			if held != len(before) {
 				t.Fatalf("%d slots held for %d crash-killed attempts", held, len(before))
@@ -190,9 +251,9 @@ func TestCrashKeepsDeadAttemptUntilDetection(t *testing.T) {
 					t.Fatalf("node %d after detection: offline %v, %d/%d slots used",
 						node, n.Offline(), n.UsedSlots(job.MapKind), n.UsedSlots(job.ReduceKind))
 				}
-				for k := range s.held {
-					if s.held[k][node] != 0 {
-						t.Fatalf("%d %v slots still held after detection", s.held[k][node], job.TaskKind(k))
+				for k, h := range s.trackers[node].held {
+					if h != 0 {
+						t.Fatalf("%d %v slots still held after detection", h, job.TaskKind(k))
 					}
 				}
 				for _, r := range refs {
@@ -248,10 +309,10 @@ func TestSlowdownFactorIsAbsolute(t *testing.T) {
 	seen := 0
 	probeAt(s, func() {
 		seen++
-		if got := s.speedOf[1]; got != want[float64(s.eng.Now())] {
+		if got := s.trackers[1].speed; got != want[float64(s.eng.Now())] {
 			t.Fatalf("t=%v: node 1 speed %v, want %v", s.eng.Now(), got, want[float64(s.eng.Now())])
 		}
-		if got := s.speedOf[0]; got != 1 {
+		if got := s.trackers[0].speed; got != 1 {
 			t.Fatalf("t=%v: unslowed node 0 at speed %v", s.eng.Now(), got)
 		}
 	}, 4, 7, 12, 16, 26)
@@ -347,8 +408,8 @@ func TestSlowdownIgnoredOnCrashedNode(t *testing.T) {
 	if evs := tap.ofType(obs.NodeSlow); len(evs) != 0 {
 		t.Fatalf("node_slow events on a crashed node: %+v", evs)
 	}
-	if s.speedOf[2] != 1 {
-		t.Fatalf("crashed node's speed moved to %v", s.speedOf[2])
+	if got := s.trackers[2].speed; got != 1 {
+		t.Fatalf("crashed node's speed moved to %v", got)
 	}
 }
 

@@ -14,9 +14,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mapsched/internal/cluster"
 	"mapsched/internal/core"
@@ -149,7 +150,7 @@ func (t taskRef) reduceTask() *job.ReduceTask { return t.j.Reduces[t.index] }
 // for its partition, then computes. A killed attempt is dead: one that
 // died with a crashed node stays in its job's record until detection
 // reverts the task. Attempts are pooled per kind (see pool.go): the bound
-// callbacks and a reduce attempt's shuffle maps persist across lives,
+// callbacks and a reduce attempt's shuffle storage persist across lives,
 // everything else is per-life state.
 type attempt struct {
 	task         taskRef
@@ -168,8 +169,8 @@ type attempt struct {
 
 	// Reduce attempts: the shuffle, then the compute phase.
 	pendingSrc map[topology.NodeID]*srcBucket
-	queue      []topology.NodeID // FIFO of sources with pending bytes
-	flights    map[*topology.Flow]*flight
+	queue      []topology.NodeID     // FIFO of sources with pending bytes
+	flights    []*flight             // in-flight fetches, at most shuffleParallelism
 	got        map[*job.MapTask]bool // output enqueued, fetched or in flight
 	computing  bool
 	failFrac   float64 // > 0: scripted transient failure at this compute fraction
@@ -222,6 +223,17 @@ type jobRec struct {
 	open      *openJob                // tenancy; nil for fixed-spec jobs
 }
 
+// tracker is the engine's record of one TaskTracker, indexed by node ID.
+// Its heartbeat chain re-arms the embedded beat event with beatFn, bound
+// once per node.
+type tracker struct {
+	beat    sim.Event
+	beatFn  func()
+	crashed bool    // physically dead since the crash instant: attempts stopped, heartbeats ceased
+	held    [2]int  // slots of crash-killed attempts awaiting detection, by kind
+	speed   float64 // compute-speed multiplier (1 = nominal)
+}
+
 // Simulation is one configured run.
 type Simulation struct {
 	cfg   Config
@@ -243,29 +255,24 @@ type Simulation struct {
 	// recs holds each job's record at index ID-1, nil outside submit to
 	// onJobEnd; walks visit running tasks in (job, index) order through it.
 	recs []*jobRec
+	// trackers holds each node's record, allocated by Run.
+	trackers []tracker
 
-	speedOf []float64 // per-node compute-speed multiplier (1 = nominal)
-
-	// Free lists for the pooled hot-path records (pool.go) and the
-	// per-node heartbeat closures, allocated once instead of per beat.
+	// Free lists for the pooled hot-path records (pool.go).
 	freeAtts    [2][]*attempt
 	freeBuckets []*srcBucket
 	freeFlights []*flight
-	hbFns       []func()
 
 	// ctx is the scheduler context reused across every offer; buildCtx
 	// refreshes its fields in place so the per-offer snapshot allocates
 	// nothing and the context's internal scratch buffers persist.
 	ctx sched.Context
 
-	// Failure state. crashed marks nodes physically dead at the fault
-	// instant: their attempts stop and heartbeats cease, but the
-	// JobTracker's bookkeeping is untouched. A node whose heartbeat-expiry
-	// lapsed (slots reclaimed, work re-queued) is Offline in the placement
-	// service, which also holds the Blacklisted flags.
-	crashed  map[topology.NodeID]bool
+	// Failure state. A crashed tracker is physically dead, but the
+	// JobTracker's bookkeeping is untouched until its heartbeat expiry
+	// lapses; the node is then Offline in the placement service (slots
+	// reclaimed, work re-queued), which also holds the Blacklisted flags.
 	hbExpiry float64
-	held     [2]map[topology.NodeID]int // slots of crash-killed attempts awaiting detection
 	// blacklistHolds counts, per blacklisted node, the active jobs whose
 	// failure tally crossed the threshold; the last holder's teardown
 	// releases the node back into the candidate sets (DESIGN.md §18).
@@ -358,11 +365,7 @@ func New(cfg Config, specs []job.Spec, builder sched.Builder) (*Simulation, erro
 		rngEngine: root.Fork("engine"),
 		rngJobs:   root.Fork("jobs"),
 		specs:     specs,
-		crashed:   make(map[topology.NodeID]bool),
 		obs:       obs.NewStream(),
-	}
-	for k := range s.held {
-		s.held[k] = make(map[topology.NodeID]int)
 	}
 	s.blacklistHolds = make(map[topology.NodeID]int)
 	s.initOpen()
@@ -375,19 +378,7 @@ func New(cfg Config, specs []job.Spec, builder sched.Builder) (*Simulation, erro
 	if s.sch == nil {
 		return nil, fmt.Errorf("engine: builder returned nil scheduler")
 	}
-	s.speedOf = make([]float64, topo.Size())
-	for i := range s.speedOf {
-		s.speedOf[i] = 1
-	}
 	s.rngFaults = root.Fork("faults")
-	// One heartbeat closure per node for the lifetime of the run; the
-	// heartbeat chain reschedules these instead of allocating a closure
-	// per beat.
-	s.hbFns = make([]func(), topo.Size())
-	for i := range s.hbFns {
-		n := topology.NodeID(i)
-		s.hbFns[i] = func() { s.heartbeat(n) }
-	}
 	return s, nil
 }
 
@@ -461,9 +452,13 @@ func (s *Simulation) Run() (*Result, error) {
 
 	// Heartbeat chains, phase-offset per node so offers do not synchronize.
 	interval := s.cfg.HeartbeatInterval
-	for i := 0; i < s.topo.Size(); i++ {
-		offset := interval * float64(i) / float64(s.topo.Size())
-		s.eng.Schedule(sim.Time(offset), s.hbFns[i])
+	s.trackers = make([]tracker, s.topo.Size())
+	for i := range s.trackers {
+		t, n := &s.trackers[i], topology.NodeID(i)
+		t.speed = 1
+		t.beatFn = func() { s.heartbeat(n) }
+		offset := interval * float64(i) / float64(len(s.trackers))
+		s.eng.Reschedule(&t.beat, sim.Time(offset), t.beatFn)
 	}
 
 	s.utilMap.Update(0, 0)
@@ -534,9 +529,10 @@ func (s *Simulation) allDone() bool {
 }
 
 // heartbeat is one TaskTracker report: refresh progress, offer free slots
-// to the scheduler, and reschedule.
+// to the scheduler, and re-arm the tracker's beat.
 func (s *Simulation) heartbeat(n topology.NodeID) {
-	if s.allDone() || s.crashed[n] {
+	t := &s.trackers[n]
+	if s.allDone() || t.crashed {
 		return // stop the chain
 	}
 	s.refreshProgress()
@@ -559,7 +555,7 @@ func (s *Simulation) heartbeat(n topology.NodeID) {
 		}
 		s.launchReduce(r, n)
 	}
-	s.eng.After(s.cfg.HeartbeatInterval, s.hbFns[n])
+	s.eng.Reschedule(&t.beat, s.eng.Now()+sim.Time(s.cfg.HeartbeatInterval), t.beatFn)
 }
 
 // buildCtx snapshots the scheduler-visible cluster state into the
@@ -620,7 +616,7 @@ func (s *Simulation) aliveNearest(b hdfs.BlockID, from topology.NodeID) (topolog
 	bestD := 0.0
 	found := false
 	for _, r := range s.store.Replicas(b) {
-		if s.crashed[r] {
+		if s.trackers[r].crashed {
 			continue
 		}
 		d := s.topo.Distance(from, r)
@@ -719,7 +715,7 @@ func (s *Simulation) startRun(t taskRef, n topology.NodeID, loc job.Locality) {
 	att.fetch = s.topo.Transfer(src, n, m.Size, att.fetchFn)
 	att.computeStart = now
 	att.computeDur = TaskOverhead +
-		s.rngEngine.Jitter(m.Size/(prof.MapRate*s.speedOf[n]), prof.ComputeJitter)
+		s.rngEngine.Jitter(m.Size/(prof.MapRate*s.trackers[n].speed), prof.ComputeJitter)
 	s.eng.Reschedule(&att.computeEv, now+sim.Time(att.computeDur), att.computeFn)
 	// Transient attempt failure: a Bernoulli draw per attempt, failing at
 	// a uniform point of the compute phase (always before the completion
@@ -754,26 +750,16 @@ func (s *Simulation) kill(att *attempt, releaseSlot bool) {
 		s.topo.Net().Release(att.fetch)
 		att.fetch = nil
 	}
-	if len(att.flights) > 0 {
-		flows := make([]*topology.Flow, 0, len(att.flights))
-		for flow := range att.flights {
-			flows = append(flows, flow)
-		}
-		sort.Slice(flows, func(a, b int) bool {
-			fa, fb := att.flights[flows[a]], att.flights[flows[b]]
-			if fa.bytes != fb.bytes {
-				return fa.bytes < fb.bytes
-			}
-			return fa.src < fb.src
-		})
-		for _, flow := range flows {
-			fl := att.flights[flow]
-			s.topo.Net().Cancel(flow)
-			s.topo.Net().Release(flow)
-			delete(att.flights, flow)
-			s.releaseFlight(fl)
-		}
+	slices.SortFunc(att.flights, func(a, b *flight) int {
+		return cmp.Or(cmp.Compare(a.bytes, b.bytes), cmp.Compare(a.src, b.src))
+	})
+	for _, fl := range att.flights {
+		s.topo.Net().Cancel(fl.flow)
+		s.topo.Net().Release(fl.flow)
+		s.releaseFlight(fl)
 	}
+	clear(att.flights)
+	att.flights = att.flights[:0]
 	s.eng.Remove(&att.computeEv)
 	s.eng.Remove(&att.failEv)
 	if releaseSlot {
@@ -929,7 +915,7 @@ func (s *Simulation) pumpShuffle(att *attempt) {
 		// source instead.
 		pick := -1
 		for i, src := range att.queue {
-			if !s.crashed[src] {
+			if !s.trackers[src].crashed {
 				pick = i
 				break
 			}
@@ -958,7 +944,7 @@ func (s *Simulation) pumpShuffle(att *attempt) {
 			s.shuffleRemoteBytes += fl.bytes
 		}
 		fl.flow = s.topo.Transfer(src, att.node, fl.bytes, fl.doneFn)
-		att.flights[fl.flow] = fl
+		att.flights = append(att.flights, fl)
 	}
 }
 
@@ -974,7 +960,7 @@ func (s *Simulation) maybeStartReduceCompute(att *attempt) {
 	att.computing = true
 	prof := j.Spec.Profile
 	dur := TaskOverhead +
-		s.rngEngine.Jitter(r.ShuffledBytes/(prof.ReduceRate*s.speedOf[att.node]), prof.ComputeJitter)
+		s.rngEngine.Jitter(r.ShuffledBytes/(prof.ReduceRate*s.trackers[att.node].speed), prof.ComputeJitter)
 	now := s.eng.Now()
 	att.computeStart = now
 	att.computeDur = dur

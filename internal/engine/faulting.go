@@ -13,7 +13,8 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mapsched/internal/job"
 	"mapsched/internal/obs"
@@ -51,16 +52,17 @@ func (s *Simulation) scheduleFaults() {
 
 // crashNode kills node d physically. Attempts on d die without releasing
 // their slots (the JobTracker still believes they run; the counts are
-// parked in held until detection) and stay in their jobs' records until
-// detection reverts their tasks. Attempts elsewhere that were streaming
-// data from d lose those transfers: map-input fetches restart from
-// another replica, shuffle fetches re-queue until detection clears them.
-// Finally the heartbeat-expiry timer is armed.
+// parked in d's tracker until detection) and stay in their jobs' records
+// until detection reverts their tasks. Attempts elsewhere that were
+// streaming data from d lose those transfers: map-input fetches restart
+// from another replica, shuffle fetches re-queue until detection clears
+// them. Finally the heartbeat-expiry timer is armed.
 func (s *Simulation) crashNode(d topology.NodeID) {
-	if s.crashed[d] {
+	t := &s.trackers[d]
+	if t.crashed {
 		return
 	}
-	s.crashed[d] = true
+	t.crashed = true
 	if s.obs.Enabled() {
 		s.obs.Emit(obs.Event{T: float64(s.eng.Now()), Type: obs.NodeFail, Node: int(d)})
 	}
@@ -71,7 +73,7 @@ func (s *Simulation) crashNode(d topology.NodeID) {
 			case a.dead:
 			case a.node == d:
 				s.kill(a, false)
-				s.held[k][d]++
+				t.held[k]++
 			case k == job.MapKind && a.fetchSrc == d && !a.fetchDone:
 				// A live tracker reports the loss at once; a task whose
 				// attempt sat on d is reverted at detection instead.
@@ -100,7 +102,7 @@ func (s *Simulation) restartMapFetch(att *attempt) bool {
 	}
 	src, ok := s.aliveNearest(m.Block, att.node)
 	if !ok {
-		s.kill(att, !s.crashed[att.node])
+		s.kill(att, !s.trackers[att.node].crashed)
 		s.sampleUtil()
 		return false
 	}
@@ -118,23 +120,18 @@ func (s *Simulation) restartMapFetch(att *attempt) bool {
 // phase) until detection drops the bucket and re-executes the maps. A map
 // attempt has no fetches to reclaim.
 func (s *Simulation) reclaimCrashedFetches(att *attempt, d topology.NodeID) {
-	var doomed []*topology.Flow
-	for flow, fl := range att.flights {
+	var doomed []*flight
+	att.flights = slices.DeleteFunc(att.flights, func(fl *flight) bool {
 		if fl.src == d {
-			doomed = append(doomed, flow)
+			doomed = append(doomed, fl)
+			return true
 		}
-	}
-	if len(doomed) == 0 {
-		return
-	}
-	sort.Slice(doomed, func(a, b int) bool {
-		return att.flights[doomed[a]].bytes < att.flights[doomed[b]].bytes
+		return false
 	})
-	for _, flow := range doomed {
-		fl := att.flights[flow]
-		s.topo.Net().Cancel(flow)
-		s.topo.Net().Release(flow)
-		delete(att.flights, flow)
+	slices.SortStableFunc(doomed, func(a, b *flight) int { return cmp.Compare(a.bytes, b.bytes) })
+	for _, fl := range doomed {
+		s.topo.Net().Cancel(fl.flow)
+		s.topo.Net().Release(fl.flow)
 		b, ok := att.pendingSrc[d]
 		if !ok {
 			b = s.newBucket()
@@ -160,11 +157,11 @@ func (s *Simulation) detectNode(d topology.NodeID) {
 	}
 
 	// Reclaim the slots of attempts that died with the node.
+	t := &s.trackers[d]
 	for k := job.MapKind; k <= job.ReduceKind; k++ {
-		for i := 0; i < s.held[k][d]; i++ {
+		for ; t.held[k] > 0; t.held[k]-- {
 			s.releaseSlot(k, d)
 		}
-		delete(s.held[k], d)
 	}
 
 	// Revert running map tasks whose attempt died with a crashed node.
@@ -219,7 +216,7 @@ func (s *Simulation) detectNode(d topology.NodeID) {
 func (s *Simulation) reset(t taskRef) {
 	runs := s.rec(t.j).runs[t.kind]
 	if att := runs[t.index]; att != nil {
-		s.kill(att, !s.crashed[att.node])
+		s.kill(att, !s.trackers[att.node].crashed)
 		runs[t.index] = nil
 		s.releaseAttempt(att)
 	}
@@ -266,7 +263,7 @@ func (s *Simulation) failAttempt(att *attempt) {
 	// past that point.
 	t, node := att.task, att.node
 	rec := s.rec(t.j)
-	s.kill(att, !s.crashed[node])
+	s.kill(att, !s.trackers[node].crashed)
 	s.sampleUtil()
 	s.attemptFailures++
 	if s.obs.Enabled() {
@@ -388,15 +385,16 @@ func (s *Simulation) failJob(j *job.Job, reason string) {
 // time of every attempt running there mid-flight. Factors are absolute
 // against the nominal speed, so overlapping slowdowns do not compound.
 func (s *Simulation) applySlowdown(n topology.NodeID, factor float64) {
-	if s.crashed[n] {
+	t := &s.trackers[n]
+	if t.crashed {
 		return // a dead node cannot slow down further
 	}
-	old := s.speedOf[n]
+	old := t.speed
 	next := 1 / factor
 	if next == old {
 		return
 	}
-	s.speedOf[n] = next
+	t.speed = next
 	if s.obs.Enabled() {
 		s.obs.Emit(obs.Event{T: float64(s.eng.Now()), Type: obs.NodeSlow, Node: int(n), Factor: factor})
 	}

@@ -21,6 +21,8 @@
 package engine
 
 import (
+	"slices"
+
 	"mapsched/internal/job"
 	"mapsched/internal/topology"
 )
@@ -28,7 +30,7 @@ import (
 // newAttempt allocates the attempt of task t from its kind's free list.
 // A fresh record binds its callbacks once, for its kind: they capture att
 // alone and read att.task when they fire. A fresh reduce record also
-// makes the shuffle maps that every later life reuses.
+// makes the shuffle storage that every later life reuses.
 func (s *Simulation) newAttempt(t taskRef) *attempt {
 	k := t.kind
 	if n := len(s.freeAtts[k]); n > 0 {
@@ -62,7 +64,7 @@ func (s *Simulation) newAttempt(t taskRef) *attempt {
 		return att
 	}
 	att.pendingSrc = make(map[topology.NodeID]*srcBucket)
-	att.flights = make(map[*topology.Flow]*flight)
+	att.flights = make([]*flight, 0, shuffleParallelism)
 	att.got = make(map[*job.MapTask]bool)
 	att.computeFn = func() { s.finishReduce(att) }
 	return att
@@ -70,8 +72,8 @@ func (s *Simulation) newAttempt(t taskRef) *attempt {
 
 // releaseAttempt detaches anything still pointing at the attempt and
 // recycles it. Buckets still queued are released via the deterministic
-// queue slice; the shuffle maps are cleared in place so their storage
-// carries over to the next life.
+// queue slice; the shuffle maps and slices are cleared in place so their
+// storage carries over to the next life.
 func (s *Simulation) releaseAttempt(att *attempt) {
 	k := att.task.kind
 	s.eng.Remove(&att.failEv)
@@ -91,9 +93,7 @@ func (s *Simulation) releaseAttempt(att *attempt) {
 	for src := range att.pendingSrc {
 		delete(att.pendingSrc, src)
 	}
-	for flow := range att.flights {
-		delete(att.flights, flow)
-	}
+	clear(att.flights)
 	for m := range att.got {
 		delete(att.got, m)
 	}
@@ -101,7 +101,7 @@ func (s *Simulation) releaseAttempt(att *attempt) {
 	*att = attempt{
 		pendingSrc: att.pendingSrc,
 		queue:      att.queue[:0],
-		flights:    att.flights,
+		flights:    att.flights[:0],
 		got:        att.got,
 		fetchFn:    att.fetchFn,
 		computeFn:  att.computeFn,
@@ -146,7 +146,8 @@ func (s *Simulation) newFlight(att *attempt) *flight {
 			if att.dead {
 				return
 			}
-			delete(att.flights, fl.flow)
+			i := slices.Index(att.flights, fl)
+			att.flights = slices.Delete(att.flights, i, i+1)
 			att.task.reduceTask().ShuffledBytes += fl.bytes
 			s.topo.Net().Release(fl.flow)
 			s.releaseFlight(fl)

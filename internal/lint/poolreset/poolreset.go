@@ -2,10 +2,10 @@
 // free-list hygiene contract: every pooled object is fully reset before
 // it is put back on a free list.
 //
-// The simulator pools its hot-path records (sim.Event, topology.Flow,
-// the engine's attempt/run/bucket/flight records) to keep steady-state
-// allocation near zero. Pooling is only sound when a release clears
-// every field of the record: a recycled object carrying a stale event
+// The simulator pools its hot-path records (topology.Flow, the engine's
+// attempt/bucket/flight records) to keep steady-state allocation near
+// zero. Pooling is only sound when a release clears every field of the
+// record: a recycled object carrying a stale event
 // handle, callback, or half-cleared map silently corrupts a later,
 // unrelated life — the nastiest bug class this codebase has, because
 // the symptom appears far from the cause and only under reuse.

@@ -23,21 +23,14 @@ type Duration = float64
 // Infinity is a time later than any event the simulator will ever fire.
 const Infinity Time = Time(math.MaxFloat64)
 
-// Event is a scheduled callback. The zero value is inert and unqueued.
-//
-// Lifetime: an *Event returned by Schedule or After belongs to the engine.
-// It may be read (At, Queued) and removed only until its callback runs or
-// it is removed; after that the engine recycles the object for a future
-// Schedule and any retained pointer is stale. Callers that need a durable
-// handle embed an Event value of their own and drive it with
-// Reschedule/Remove — such caller-owned events are never recycled by the
-// engine.
+// Event is a scheduled callback that its owner holds: callers embed an
+// Event value and drive it with Reschedule and Remove. The zero value is
+// inert and unqueued.
 type Event struct {
-	at     Time
-	seq    uint64 // FIFO tie-break for equal timestamps
-	fn     func()
-	index  int  // heap position + 1; 0 when not queued, so Event{} is unqueued
-	pooled bool // engine-owned: recycled after firing or removal
+	at    Time
+	seq   uint64 // FIFO tie-break for equal timestamps
+	fn    func()
+	index int // heap position + 1; 0 when not queued, so Event{} is unqueued
 }
 
 // At returns the simulated time the event fires at.
@@ -89,7 +82,6 @@ type Engine struct {
 	fired   uint64 // events executed (for diagnostics and loop guards)
 	limit   uint64 // safety cap on executed events; 0 means unlimited
 	running bool
-	free    []*Event // recycled engine-owned events
 	commits []func() // run after each dispatched callback returns
 }
 
@@ -120,51 +112,30 @@ func (e *Engine) AddCommitHook(fn func()) {
 	e.commits = append(e.commits, fn)
 }
 
-// Schedule queues fn to run at absolute time at. Scheduling in the past
-// (before Now) panics: it is always a logic error in a causal simulation.
-// The returned event is engine-owned (see Event lifetime).
-func (e *Engine) Schedule(at Time, fn func()) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	if fn == nil {
-		panic("sim: schedule with nil callback")
-	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &Event{}
-	}
-	ev.at, ev.seq, ev.fn = at, e.seq, fn
-	ev.pooled = true
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
+// Schedule queues fn to run once at absolute time at, on a fresh event
+// that no caller holds: a timer that may move or be dropped is an
+// embedded Event driven by Reschedule. Scheduling in the past (before
+// Now) panics: it is always a logic error in a causal simulation.
+func (e *Engine) Schedule(at Time, fn func()) {
+	e.Reschedule(&Event{}, at, fn)
 }
 
-// After queues fn to run d seconds from now. Negative d panics.
-func (e *Engine) After(d Duration, fn func()) *Event {
-	return e.Schedule(e.now+Time(d), fn)
+// After queues fn to run once d seconds from now. Negative d panics.
+func (e *Engine) After(d Duration, fn func()) {
+	e.Schedule(e.now+Time(d), fn)
 }
 
 // Reschedule (re)queues the caller-owned event ev to fire fn at absolute
 // time at, moving it within the queue if currently pending. It allocates
 // nothing: hot paths embed an Event value and move it instead of
 // scheduling fresh events. The event gets a new FIFO sequence number,
-// exactly as if it had been removed and scheduled anew. Engine-owned
-// events (returned by Schedule/After) must not be passed here.
+// exactly as if it had been removed and scheduled anew.
 func (e *Engine) Reschedule(ev *Event, at Time, fn func()) {
 	if at < e.now {
-		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, e.now))
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	if fn == nil {
-		panic("sim: reschedule with nil callback")
-	}
-	if ev.pooled {
-		panic("sim: reschedule of an engine-owned event")
+		panic("sim: schedule with nil callback")
 	}
 	i := e.slot(ev)
 	ev.at, ev.seq, ev.fn = at, e.seq, fn
@@ -177,19 +148,13 @@ func (e *Engine) Reschedule(ev *Event, at Time, fn func()) {
 }
 
 // Remove drops ev from the queue, so its callback never runs. Removing an
-// unqueued event is a no-op. An engine-owned event is recycled by Remove;
-// the caller must drop its pointer.
+// unqueued or nil event is a no-op.
 func (e *Engine) Remove(ev *Event) {
 	if ev == nil {
 		return
 	}
-	i := e.slot(ev)
-	if i < 0 {
-		return
-	}
-	heap.Remove(&e.queue, i)
-	if ev.pooled {
-		e.recycle(ev)
+	if i := e.slot(ev); i >= 0 {
+		heap.Remove(&e.queue, i)
 	}
 }
 
@@ -203,27 +168,12 @@ func (e *Engine) slot(ev *Event) int {
 	return i
 }
 
-// recycle resets a detached engine-owned event and returns it to the free
-// list. The whole object is cleared: a stale callback must never leak
-// into the event's next life.
-func (e *Engine) recycle(ev *Event) {
-	//lint:pooled Event
-	*ev = Event{}
-	e.free = append(e.free, ev)
-}
-
 // dispatch advances the clock to ev, runs its callback, and then the
-// commit hooks. Engine-owned events are recycled once the callback
-// returns; by then every holder of the pointer has dropped it (the
-// callback contract).
+// commit hooks.
 func (e *Engine) dispatch(ev *Event) {
 	e.now = ev.at
 	e.fired++
-	fn := ev.fn
-	if ev.pooled {
-		e.recycle(ev)
-	}
-	fn()
+	ev.fn()
 	for _, c := range e.commits {
 		c()
 	}

@@ -117,8 +117,9 @@ func TestNilCallbackPanics(t *testing.T) {
 func TestRemove(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	ev := e.Schedule(1, func() { ran = true })
-	e.Remove(ev)
+	var ev Event
+	e.Reschedule(&ev, 1, func() { ran = true })
+	e.Remove(&ev)
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() = %d after Remove, want 0", e.Pending())
 	}
@@ -129,7 +130,7 @@ func TestRemove(t *testing.T) {
 		t.Fatal("removed event ran")
 	}
 	// Removing again, and removing nil, must be harmless.
-	e.Remove(ev)
+	e.Remove(&ev)
 	e.Remove(nil)
 }
 
@@ -442,7 +443,7 @@ func TestRescheduleSemantics(t *testing.T) {
 		t.Fatalf("revived event did not fire: %v", order)
 	}
 
-	// Remove detaches an owned event without recycling it.
+	// Remove detaches an owned event.
 	e.Reschedule(&ev, e.Now()+1, func() { t.Error("removed event fired") })
 	e.Remove(&ev)
 	if e.Pending() != 0 {
@@ -450,30 +451,6 @@ func TestRescheduleSemantics(t *testing.T) {
 	}
 	if _, err := e.Run(Infinity); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestEventPoolReuseAfterRemove is the stale-callback guard: an event that
-// was removed may be recycled into a new Schedule, and the old life's
-// callback must not leak into the new one.
-func TestEventPoolReuseAfterRemove(t *testing.T) {
-	e := NewEngine()
-	stale := false
-	ev := e.Schedule(1, func() { stale = true })
-	e.Remove(ev) // recycles ev
-	ran := 0
-	ev2 := e.Schedule(e.Now()+1, func() { ran++ })
-	if ev2 != ev {
-		t.Log("allocator did not reuse the event; pool path not exercised")
-	}
-	if _, err := e.Run(Infinity); err != nil {
-		t.Fatal(err)
-	}
-	if stale {
-		t.Fatal("stale callback from the event's previous life fired")
-	}
-	if ran != 1 {
-		t.Fatalf("recycled event fired %d times, want 1", ran)
 	}
 }
 
@@ -624,10 +601,10 @@ func TestQueueCrossImplEquivalence(t *testing.T) {
 // TestEngineCrossImplEquivalence checks the engine against a reference
 // implementation: a plain list of the live events that fires the
 // (at, seq) minimum, seq being the order of the Schedule or Reschedule
-// call. A seeded random workload schedules from inside callbacks
-// (equal-timestamp clusters, far-future outliers), removes engine-owned
-// events, and reschedules and removes caller-owned ones. Every dispatch must be the reference's next event, and both must
-// drain together.
+// call. A seeded random workload schedules fire-and-forget events from
+// inside callbacks (equal-timestamp clusters, far-future outliers) and
+// reschedules and removes caller-owned ones. Every dispatch must be the
+// reference's next event, and both must drain together.
 func TestEngineCrossImplEquivalence(t *testing.T) {
 	type key struct {
 		id  int
@@ -639,13 +616,11 @@ func TestEngineCrossImplEquivalence(t *testing.T) {
 			rng := NewRNG(int64(1000 + trial))
 			e := NewEngine()
 			var (
-				live    []key // the reference queue
-				seq     uint64
-				nextID  int
-				handles []*Event // engine-owned events still live
-				hids    []int
-				owned   [8]Event
-				oid     [8]int // live id of each owned event, -1 if none
+				live   []key // the reference queue
+				seq    uint64
+				nextID int
+				owned  [8]Event
+				oid    [8]int // live id of each owned event, -1 if none
 			)
 			for k := range oid {
 				oid[k] = -1
@@ -658,11 +633,6 @@ func TestEngineCrossImplEquivalence(t *testing.T) {
 					}
 				}
 				t.Fatalf("trial %d: id %d missing from the reference", trial, id)
-			}
-			dropHandle := func(i int) {
-				drop(hids[i])
-				handles = append(handles[:i], handles[i+1:]...)
-				hids = append(hids[:i], hids[i+1:]...)
 			}
 			mkAt := func() Time {
 				switch rng.Intn(8) {
@@ -698,13 +668,6 @@ func TestEngineCrossImplEquivalence(t *testing.T) {
 					t.Fatalf("trial %d: dispatched id %d at %v, reference next is %+v", trial, id, e.Now(), live[want])
 				}
 				drop(id)
-				for i, h := range hids {
-					if h == id {
-						handles = append(handles[:i], handles[i+1:]...)
-						hids = append(hids[:i], hids[i+1:]...)
-						break
-					}
-				}
 				for k := range oid {
 					if oid[k] == id {
 						oid[k] = -1
@@ -714,23 +677,16 @@ func TestEngineCrossImplEquivalence(t *testing.T) {
 					return
 				}
 				for n := 0; n < 3; n++ {
-					op := rng.Intn(7)
+					op := rng.Intn(6)
 					if n == 0 {
 						op = 0 // one child per dispatch keeps the workload alive
 					}
 					switch op {
 					case 0, 1, 2, 3:
 						at := mkAt()
-						id, fn := add(at)
-						handles = append(handles, e.Schedule(at, fn))
-						hids = append(hids, id)
+						_, fn := add(at)
+						e.Schedule(at, fn)
 					case 4:
-						if len(handles) > 0 {
-							i := rng.Intn(len(handles))
-							e.Remove(handles[i])
-							dropHandle(i)
-						}
-					case 5:
 						k := rng.Intn(len(owned))
 						if oid[k] >= 0 {
 							drop(oid[k])
@@ -739,7 +695,7 @@ func TestEngineCrossImplEquivalence(t *testing.T) {
 						id, fn := add(at)
 						oid[k] = id
 						e.Reschedule(&owned[k], at, fn)
-					case 6:
+					case 5:
 						k := rng.Intn(len(owned))
 						e.Remove(&owned[k])
 						if oid[k] >= 0 {
@@ -751,9 +707,8 @@ func TestEngineCrossImplEquivalence(t *testing.T) {
 			}
 			for i := 0; i < 20; i++ {
 				at := Time(i) * 0.1
-				id, fn := add(at)
-				handles = append(handles, e.Schedule(at, fn))
-				hids = append(hids, id)
+				_, fn := add(at)
+				e.Schedule(at, fn)
 			}
 			if _, err := e.Run(Infinity); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
