@@ -166,6 +166,7 @@ func ParseBatch(name string) ([]JobDef, error) {
 // subset") are expressible and distinguishable from "not specified".
 type options struct {
 	seed             int64
+	seedSet          bool
 	pmin             float64
 	scale            int
 	replication      int
@@ -201,7 +202,7 @@ var ErrInvalidOption = errors.New("invalid option")
 // buildOptions applies opts over the defaults and validates every value
 // against its domain; violations wrap ErrInvalidOption.
 func buildOptions(opts []Option) (options, error) {
-	o := options{seed: 1, pmin: 0.4, scale: 6, replication: 2}
+	o := options{pmin: 0.4, scale: 6, replication: 2}
 	for _, apply := range opts {
 		apply(&o)
 	}
@@ -263,9 +264,11 @@ func (o *options) workloadOptions() workload.Options {
 	return wo
 }
 
-// WithSeed fixes the run's random seed (default 1); identical seeds give
-// bit-identical results.
-func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
+// WithSeed fixes the run's random seed (default: the cluster config's
+// Seed); identical seeds give bit-identical results.
+func WithSeed(seed int64) Option {
+	return func(o *options) { o.seed = seed; o.seedSet = true }
+}
 
 // WithPmin sets the probabilistic scheduler's threshold (default 0.4).
 func WithPmin(p float64) Option { return func(o *options) { o.pmin = p } }
@@ -414,7 +417,9 @@ func New(cfg ClusterConfig, defs []JobDef, kind SchedulerKind, opts ...Option) (
 	if o.journalSet {
 		return nil, fmt.Errorf("mapsched: %w: a simulation does not journal; WithJournal is for placement services", ErrInvalidOption)
 	}
-	cfg.Seed = o.seed
+	if o.seedSet {
+		cfg.Seed = o.seed
+	}
 	if o.costModeSet {
 		cfg.CostMode = o.costMode
 	}
@@ -432,7 +437,7 @@ func New(cfg ClusterConfig, defs []JobDef, kind SchedulerKind, opts ...Option) (
 		return nil, err
 	}
 	if o.arrivalsSet {
-		cfg.Open, err = experiments.OpenSystem(o.arrivalPlan, o.tenants, o.seed, o.workloadOptions())
+		cfg.Open, err = experiments.OpenSystem(o.arrivalPlan, o.tenants, cfg.Seed, o.workloadOptions())
 		if err != nil {
 			return nil, fmt.Errorf("mapsched: %w: %v", ErrInvalidOption, err)
 		}

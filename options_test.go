@@ -3,6 +3,7 @@ package mapsched
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -82,6 +83,57 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 		if !errors.Is(err, ErrInvalidOption) {
 			t.Errorf("%s: New error = %v, want ErrInvalidOption", tc.name, err)
 		}
+	}
+}
+
+// TestClusterSeedSeedsRuns: the cluster config's Seed seeds New and
+// NewPlacementService exactly as WithSeed does, and WithSeed overrides it.
+func TestClusterSeedSeedsRuns(t *testing.T) {
+	seeded := DefaultClusterConfig()
+	seeded.Seed = 7
+	run := func(cfg ClusterConfig, opts ...Option) *Result {
+		t.Helper()
+		res, err := runSim(cfg, Batch(Grep), SchedulerProbabilistic, append(opts, WithScale(30))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	decide := func(cfg ClusterConfig, opts ...Option) []PlacementDecision {
+		t.Helper()
+		svc, err := NewPlacementService(cfg, Batch(Grep), append(opts, WithScale(30))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ds []PlacementDecision
+		for n := 0; n < cfg.Topology.Racks*cfg.Topology.NodesPerRack; n++ {
+			ds = append(ds, svc.DecideMap(0, n))
+		}
+		return ds
+	}
+
+	seed1 := run(DefaultClusterConfig())
+	viaCfg, viaOpt := run(seeded), run(DefaultClusterConfig(), WithSeed(7))
+	if reflect.DeepEqual(viaCfg, seed1) {
+		t.Fatalf("cfg.Seed = 7 ran the seed-1 simulation (makespan %v)", viaCfg.Makespan)
+	}
+	if !reflect.DeepEqual(viaCfg, viaOpt) {
+		t.Fatalf("cfg.Seed = 7 makespan %v, WithSeed(7) makespan %v", viaCfg.Makespan, viaOpt.Makespan)
+	}
+	if got := run(seeded, WithSeed(1)); !reflect.DeepEqual(got, seed1) {
+		t.Fatalf("WithSeed(1) over cfg.Seed = 7: makespan %v, want the seed-1 %v", got.Makespan, seed1.Makespan)
+	}
+
+	dec1 := decide(DefaultClusterConfig())
+	decCfg, decOpt := decide(seeded), decide(DefaultClusterConfig(), WithSeed(7))
+	if reflect.DeepEqual(decCfg, dec1) {
+		t.Fatal("cfg.Seed = 7 gave the seed-1 placement decisions")
+	}
+	if !reflect.DeepEqual(decCfg, decOpt) {
+		t.Fatalf("decisions under cfg.Seed = 7 differ from WithSeed(7):\n%+v\n%+v", decCfg, decOpt)
+	}
+	if got := decide(seeded, WithSeed(1)); !reflect.DeepEqual(got, dec1) {
+		t.Fatal("WithSeed(1) over cfg.Seed = 7 did not give the seed-1 decisions")
 	}
 }
 

@@ -85,6 +85,9 @@ func buildPlacementParts(cfg ClusterConfig, defs []JobDef, o options) (*placemen
 	if len(defs) == 0 {
 		return nil, fmt.Errorf("mapsched: no jobs to place")
 	}
+	if o.seedSet {
+		cfg.Seed = o.seed
+	}
 	if o.costModeSet {
 		cfg.CostMode = o.costMode
 	}
@@ -96,7 +99,7 @@ func buildPlacementParts(cfg ClusterConfig, defs []JobDef, o options) (*placemen
 	if err != nil {
 		return nil, err
 	}
-	root := sim.NewRNG(o.seed)
+	root := sim.NewRNG(cfg.Seed)
 	store := hdfs.NewStore(topo, root.Fork("hdfs"))
 	slots, err := cluster.New(topo.Size(), cfg.MapSlotsPerNode, cfg.ReduceSlotsPerNode)
 	if err != nil {
