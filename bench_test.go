@@ -436,6 +436,27 @@ func BenchmarkSim_RescheduleStep(b *testing.B) {
 	}
 }
 
+// BenchmarkSim_RecurringTimers times the event queue under the
+// heartbeat pattern at 5,000 nodes: 5,000 embedded events, phase-offset
+// across the first second, each re-arming one second on from its own
+// callback through Append. One op is one dispatch.
+func BenchmarkSim_RecurringTimers(b *testing.B) {
+	const timers = 5000
+	eng := sim.NewEngine()
+	evs := make([]sim.Event, timers)
+	for i := range evs {
+		ev := &evs[i]
+		var fn func()
+		fn = func() { eng.Append(ev, eng.Now()+1, fn) }
+		eng.Append(ev, sim.Time(i)/timers, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+}
+
 func BenchmarkMetrics_CDFQuantile(b *testing.B) {
 	vals := make([]float64, 10000)
 	rng := sim.NewRNG(9)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mapsched/internal/core"
 	"mapsched/internal/faults"
 	"mapsched/internal/job"
 	"mapsched/internal/obs"
@@ -180,6 +181,42 @@ func TestOneHeartbeatPerLiveTracker(t *testing.T) {
 	if busy == 0 || crashedBeats == 0 {
 		t.Fatalf("%d probes saw work remaining, %d saw a crashed node's last beat: the scenario no longer covers both",
 			busy, crashedBeats)
+	}
+}
+
+// TestHeartbeatsRideTheLane runs a fault-free 20×10 cluster in hop mode
+// and, in half-second steps while work remains, requires every tracker's
+// beat to be queued on the engine's FIFO lane rather than in its heap.
+func TestHeartbeatsRideTheLane(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Topology.Racks, cfg.Topology.NodesPerRack = 20, 10
+	cfg.CostMode = core.ModeHops
+	s, err := New(cfg, tinySpecs(t), sched.NewProbabilistic(sched.DefaultProbabilisticConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at []float64
+	for x := 0.25; x < 60; x += 0.5 {
+		at = append(at, x)
+	}
+	busy := 0
+	probeAt(s, func() {
+		if s.allDone() {
+			return
+		}
+		busy++
+		for n := range s.trackers {
+			if b := &s.trackers[n].beat; !b.Queued() || !b.Laned() {
+				t.Fatalf("t=%v: node %d's beat is queued %v, on the lane %v", s.eng.Now(), n, b.Queued(), b.Laned())
+			}
+		}
+	}, at...)
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unfinished != 0 || busy < 10 {
+		t.Fatalf("%d probes saw work remaining; unfinished: %s", busy, res)
 	}
 }
 

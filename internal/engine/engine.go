@@ -451,6 +451,9 @@ func (s *Simulation) Run() (*Result, error) {
 	s.scheduleFaults()
 
 	// Heartbeat chains, phase-offset per node so offers do not synchronize.
+	// Offsets rise with node ID and every re-arm is one interval on, so
+	// beat times never decrease and every beat rides the engine's FIFO
+	// lane.
 	interval := s.cfg.HeartbeatInterval
 	s.trackers = make([]tracker, s.topo.Size())
 	for i := range s.trackers {
@@ -458,7 +461,7 @@ func (s *Simulation) Run() (*Result, error) {
 		t.speed = 1
 		t.beatFn = func() { s.heartbeat(n) }
 		offset := interval * float64(i) / float64(len(s.trackers))
-		s.eng.Reschedule(&t.beat, sim.Time(offset), t.beatFn)
+		s.eng.Append(&t.beat, sim.Time(offset), t.beatFn)
 	}
 
 	s.utilMap.Update(0, 0)
@@ -555,7 +558,7 @@ func (s *Simulation) heartbeat(n topology.NodeID) {
 		}
 		s.launchReduce(r, n)
 	}
-	s.eng.Reschedule(&t.beat, s.eng.Now()+sim.Time(s.cfg.HeartbeatInterval), t.beatFn)
+	s.eng.Append(&t.beat, s.eng.Now()+sim.Time(s.cfg.HeartbeatInterval), t.beatFn)
 }
 
 // buildCtx snapshots the scheduler-visible cluster state into the

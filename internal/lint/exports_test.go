@@ -21,6 +21,7 @@ var testOnlyAllowed = map[string]string{
 	"ActiveFlows":   "topology: the engine's whole-run tests check that only cross-traffic flows outlive a run",
 	"CheckFeasible": "topology: the engine's whole-run fuzzer checks that no link ends oversubscribed",
 	"MapRows":       "core: the placement tests count the map-cost rows a Decider's sweep leaves behind",
+	"Laned":         "sim: the engine tests check that every heartbeat rides the FIFO lane",
 }
 
 // TestNoTestOnlyExports keeps code only tests use out of the production

@@ -11,15 +11,15 @@ import (
 // Shuffle randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
-// Pending returns the number of events currently queued. Commit hooks
-// run first, so churn made outside any dispatch — e.g. flows started before
-// the run, whose completion events the flow network's share solve has
-// yet to queue — is counted.
+// Pending returns the number of events currently queued, in the heap and
+// on the lane. Commit hooks run first, so churn made outside any dispatch
+// — e.g. flows started before the run, whose completion events the flow
+// network's share solve has yet to queue — is counted.
 func (e *Engine) Pending() int {
 	for _, c := range e.commits {
 		c()
 	}
-	return len(e.queue)
+	return len(e.queue) + e.laneLive
 }
 
 // NormFloat64 returns a standard normal variate.
@@ -181,6 +181,9 @@ func TestEventLimit(t *testing.T) {
 	e.SetEventLimit(50)
 	if _, err := e.Run(Infinity); err == nil {
 		t.Fatal("runaway loop did not trip the event limit")
+	}
+	if e.Fired() != 50 {
+		t.Fatalf("Fired() = %d when the limit tripped, want exactly the limit 50", e.Fired())
 	}
 }
 
@@ -598,127 +601,313 @@ func TestQueueCrossImplEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineCrossImplEquivalence checks the engine against a reference
-// implementation: a plain list of the live events that fires the
-// (at, seq) minimum, seq being the order of the Schedule or Reschedule
-// call. A seeded random workload schedules fire-and-forget events from
-// inside callbacks (equal-timestamp clusters, far-future outliers) and
-// reschedules and removes caller-owned ones. Every dispatch must be the
-// reference's next event, and both must drain together.
-func TestEngineCrossImplEquivalence(t *testing.T) {
-	type key struct {
-		id  int
-		at  Time
-		seq uint64
+// TestAppendLane covers the lane's contract: an unqueued event appended
+// no earlier than every time appended before rides the lane, anything
+// else falls back to the heap, and Pending, Remove and Reschedule treat
+// lane events as queued events like any other.
+func TestAppendLane(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	ev := make([]Event, 4)
+	log := func(s string) func() { return func() { order = append(order, s) } }
+	e.Append(&ev[0], 1, log("a"))
+	e.Append(&ev[1], 2, log("b"))
+	if !ev[0].Laned() || !ev[1].Laned() || !ev[0].Queued() || e.Pending() != 2 {
+		t.Fatalf("in-order appends: Laned() = %v, %v; Pending() = %d", ev[0].Laned(), ev[1].Laned(), e.Pending())
 	}
-	for trial := 0; trial < 20; trial++ {
-		func() {
-			rng := NewRNG(int64(1000 + trial))
-			e := NewEngine()
-			var (
-				live   []key // the reference queue
-				seq    uint64
-				nextID int
-				owned  [8]Event
-				oid    [8]int // live id of each owned event, -1 if none
-			)
-			for k := range oid {
+	e.Append(&ev[2], 1.5, log("c")) // earlier than b: the heap takes it
+	if ev[2].Laned() || !ev[2].Queued() {
+		t.Fatalf("out-of-order append: Laned() = %v, Queued() = %v", ev[2].Laned(), ev[2].Queued())
+	}
+	e.Append(&ev[0], 3, log("a")) // already queued: Reschedule moves it to the heap
+	if ev[0].Laned() || e.Pending() != 3 {
+		t.Fatalf("append of a queued event: Laned() = %v, Pending() = %d", ev[0].Laned(), e.Pending())
+	}
+	e.Schedule(2, log("d")) // ties b at t=2 with a later seq
+	e.Append(&ev[3], 4, log("x"))
+	e.Remove(&ev[3])
+	if ev[3].Queued() || e.Pending() != 4 {
+		t.Fatalf("removed lane event: Queued() = %v, Pending() = %d", ev[3].Queued(), e.Pending())
+	}
+	if _, err := e.Run(Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(order), "[c b d a]"; got != want {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	for i := range ev {
+		if ev[i].Queued() {
+			t.Fatalf("event %d still queued after the run", i)
+		}
+	}
+}
+
+// TestLaneAdmitsByLastAppend pins the admission bound: removing the
+// lane's tail does not lower it. With A@5 and B@7 on the lane and C@8
+// appended then removed, D@6 must go to the heap and fire before B; a
+// lane that compared against its last live slot would queue D after B.
+func TestLaneAdmitsByLastAppend(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	var a, b, c, d Event
+	e.Append(&a, 5, func() { order = append(order, "A") })
+	e.Append(&b, 7, func() { order = append(order, "B") })
+	e.Append(&c, 8, func() { order = append(order, "C") })
+	e.Remove(&c)
+	e.Append(&d, 6, func() { order = append(order, "D") })
+	if d.Laned() {
+		t.Fatal("D@6 joined the lane behind B@7")
+	}
+	if _, err := e.Run(Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(order), "[A D B]"; got != want {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+}
+
+// chooser is the engine oracle's source of workload choices.
+type chooser interface{ Intn(n int) int }
+
+// byteChooser draws choices from fuzz input, one byte each, and 0 once
+// the input runs out.
+type byteChooser []byte
+
+func (b *byteChooser) Intn(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := int((*b)[0]) % n
+	*b = (*b)[1:]
+	return v
+}
+
+// laneCover counts the lane cases one oracle run exercised.
+type laneCover struct {
+	laned      int // appends the lane took
+	fellBack   int // appends that went to the heap
+	moved      int // lane events moved by Reschedule or Append
+	removed    int // lane events removed
+	tailEarly  int // appends earlier than the last append after its event left a live lane
+	crossTies  int // dispatches tied in time with a queued event of the other queue
+	dispatched int
+}
+
+// checkEngineQueue drives an engine and a reference implementation with
+// one workload drawn from src: a plain list of the live events that fires
+// the (at, seq) minimum, seq being the order of the Schedule, Reschedule
+// or Append call. Callbacks schedule fire-and-forget events (equal-
+// timestamp clusters, far-future outliers, grid ties), and reschedule,
+// remove and append caller-owned ones, appending both in and out of
+// time order. Every dispatch must be the reference's next event, every
+// append must take the lane exactly when the event was unqueued and its
+// time no earlier than every earlier lane append, Pending must count the
+// reference, and both must drain together. No more than maxIDs events
+// are scheduled.
+func checkEngineQueue(t testing.TB, src chooser, maxIDs int) laneCover {
+	t.Helper()
+	type key struct {
+		id   int
+		at   Time
+		seq  uint64
+		lane bool
+	}
+	e := NewEngine()
+	var (
+		cov      laneCover
+		live     []key // the reference queue
+		seq      uint64
+		nextID   int
+		owned    [24]Event
+		oid      [24]int // live id of each owned event, -1 if none
+		lastLane Time    // the latest time the lane took
+		tailID   = -1    // id of the event the lane took last
+		tailGone bool    // that event left the lane before firing
+	)
+	for k := range oid {
+		oid[k] = -1
+	}
+	// drop takes a queued event out of the reference and reports whether
+	// it was on the lane.
+	drop := func(id int) bool {
+		for i, k := range live {
+			if k.id == id {
+				if k.lane && id == tailID {
+					tailGone = true
+				}
+				live = append(live[:i], live[i+1:]...)
+				return k.lane
+			}
+		}
+		t.Fatalf("id %d missing from the reference", id)
+		return false
+	}
+	frac := func() Time { return Time(src.Intn(256)) / 256 }
+	mkAt := func() Time {
+		switch src.Intn(8) {
+		case 0:
+			return e.Now() // same-instant cluster
+		case 1:
+			return e.Now() + 1e12*(1+frac()) // far-future outlier
+		case 2, 3: // ties on an absolute quarter grid
+			return Time(math.Ceil(float64(e.Now()))) + Time(src.Intn(8))*0.25
+		default:
+			return e.Now() + 3*frac()
+		}
+	}
+	var fire func(id int)
+	add := func(at Time, lane bool) (int, func()) {
+		id := nextID
+		nextID++
+		live = append(live, key{id, at, seq, lane})
+		seq++
+		return id, func() { fire(id) }
+	}
+	fire = func(id int) {
+		if len(live) == 0 {
+			t.Fatalf("dispatched id %d at %v, reference is empty", id, e.Now())
+		}
+		want := 0
+		for i, k := range live {
+			if k.at < live[want].at || (k.at == live[want].at && k.seq < live[want].seq) {
+				want = i
+			}
+		}
+		next := live[want]
+		if next.id != id || next.at != e.Now() {
+			t.Fatalf("dispatched id %d at %v, reference next is %+v", id, e.Now(), next)
+		}
+		for _, k := range live {
+			if k.at == next.at && k.lane != next.lane {
+				cov.crossTies++
+				break
+			}
+		}
+		cov.dispatched++
+		live = append(live[:want], live[want+1:]...)
+		if e.Pending() != len(live) {
+			t.Fatalf("Pending() = %d, reference holds %d", e.Pending(), len(live))
+		}
+		for k := range oid {
+			if oid[k] == id {
 				oid[k] = -1
 			}
-			drop := func(id int) {
-				for i, k := range live {
-					if k.id == id {
-						live = append(live[:i], live[i+1:]...)
-						return
-					}
-				}
-				t.Fatalf("trial %d: id %d missing from the reference", trial, id)
+		}
+		if nextID > maxIDs {
+			return
+		}
+		for n := 0; n < 3; n++ {
+			op := src.Intn(9)
+			if n == 0 {
+				op = 0 // one child per dispatch keeps the workload alive
 			}
-			mkAt := func() Time {
-				switch rng.Intn(8) {
-				case 0:
-					return e.Now() // same-instant cluster
-				case 1:
-					return e.Now() + 1e12*(1+Time(rng.Float64())) // far-future outlier
-				case 2, 3:
-					return e.Now() + Time(rng.Intn(8))*0.25 // grid ties
-				default:
-					return e.Now() + Time(3*rng.Float64())
-				}
-			}
-			var fire func(id int)
-			add := func(at Time) (int, func()) {
-				id := nextID
-				nextID++
-				live = append(live, key{id, at, seq})
-				seq++
-				return id, func() { fire(id) }
-			}
-			fire = func(id int) {
-				if len(live) == 0 {
-					t.Fatalf("trial %d: dispatched id %d at %v, reference is empty", trial, id, e.Now())
-				}
-				want := 0
-				for i, k := range live {
-					if k.at < live[want].at || (k.at == live[want].at && k.seq < live[want].seq) {
-						want = i
-					}
-				}
-				if live[want].id != id || live[want].at != e.Now() {
-					t.Fatalf("trial %d: dispatched id %d at %v, reference next is %+v", trial, id, e.Now(), live[want])
-				}
-				drop(id)
-				for k := range oid {
-					if oid[k] == id {
-						oid[k] = -1
-					}
-				}
-				if nextID > 3000 {
-					return
-				}
-				for n := 0; n < 3; n++ {
-					op := rng.Intn(6)
-					if n == 0 {
-						op = 0 // one child per dispatch keeps the workload alive
-					}
-					switch op {
-					case 0, 1, 2, 3:
-						at := mkAt()
-						_, fn := add(at)
-						e.Schedule(at, fn)
-					case 4:
-						k := rng.Intn(len(owned))
-						if oid[k] >= 0 {
-							drop(oid[k])
-						}
-						at := mkAt()
-						id, fn := add(at)
-						oid[k] = id
-						e.Reschedule(&owned[k], at, fn)
-					case 5:
-						k := rng.Intn(len(owned))
-						e.Remove(&owned[k])
-						if oid[k] >= 0 {
-							drop(oid[k])
-							oid[k] = -1
-						}
-					}
-				}
-			}
-			for i := 0; i < 20; i++ {
-				at := Time(i) * 0.1
-				_, fn := add(at)
+			k := src.Intn(len(owned))
+			switch op {
+			case 0, 1, 2, 3:
+				at := mkAt()
+				_, fn := add(at, false)
 				e.Schedule(at, fn)
+			case 4:
+				if oid[k] >= 0 && drop(oid[k]) {
+					cov.moved++
+				}
+				at := mkAt()
+				id, fn := add(at, false)
+				oid[k] = id
+				e.Reschedule(&owned[k], at, fn)
+			case 5:
+				e.Remove(&owned[k])
+				if oid[k] >= 0 && drop(oid[k]) {
+					cov.removed++
+				}
+				oid[k] = -1
+			default: // Append: in order, tied with the lane's tail, or anywhere
+				var at Time
+				switch src.Intn(4) {
+				case 0:
+					at = max(lastLane, e.Now())
+				case 1:
+					at = max(lastLane, e.Now()) + Time(src.Intn(4))*0.25
+				default:
+					at = mkAt()
+				}
+				lane := oid[k] < 0 && at >= lastLane
+				if at < lastLane && tailGone {
+					for _, l := range live {
+						if l.lane { // the bug this case guards needs a live lane
+							cov.tailEarly++
+							break
+						}
+					}
+				}
+				if oid[k] >= 0 && drop(oid[k]) {
+					cov.moved++
+				}
+				id, fn := add(at, lane)
+				oid[k] = id
+				e.Append(&owned[k], at, fn)
+				if owned[k].Laned() != lane {
+					t.Fatalf("Append at %v (lane bound %v, was queued %v): Laned() = %v, want %v",
+						at, lastLane, !lane && at >= lastLane, owned[k].Laned(), lane)
+				}
+				if lane {
+					cov.laned++
+					lastLane, tailID, tailGone = at, id, false
+				} else {
+					cov.fellBack++
+				}
 			}
-			if _, err := e.Run(Infinity); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			if len(live) != 0 || e.Pending() != 0 {
-				t.Fatalf("trial %d: drained engine, but the reference holds %d events and Pending() = %d", trial, len(live), e.Pending())
-			}
-			if nextID < 1000 {
-				t.Fatalf("trial %d: workload scheduled only %d events", trial, nextID)
-			}
-		}()
+		}
 	}
+	for i := 0; i < 20; i++ {
+		at := Time(i) * 0.1
+		_, fn := add(at, false)
+		e.Schedule(at, fn)
+	}
+	if _, err := e.Run(Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if len(live) != 0 || e.Pending() != 0 {
+		t.Fatalf("drained engine, but the reference holds %d events and Pending() = %d", len(live), e.Pending())
+	}
+	return cov
+}
+
+// TestEngineCrossImplEquivalence runs the engine oracle on seeded random
+// workloads and requires, over all trials, every lane case: in-order and
+// fallen-back appends, lane events moved and removed, an append earlier
+// than the last after the lane's tail was removed, and equal-time ties
+// between the lane and the heap.
+func TestEngineCrossImplEquivalence(t *testing.T) {
+	var sum laneCover
+	for trial := 0; trial < 20; trial++ {
+		cov := checkEngineQueue(t, NewRNG(int64(1000+trial)), 3000)
+		if cov.dispatched < 1000 {
+			t.Fatalf("trial %d: workload dispatched only %d events", trial, cov.dispatched)
+		}
+		sum.laned += cov.laned
+		sum.fellBack += cov.fellBack
+		sum.moved += cov.moved
+		sum.removed += cov.removed
+		sum.tailEarly += cov.tailEarly
+		sum.crossTies += cov.crossTies
+		sum.dispatched += cov.dispatched
+	}
+	t.Logf("lane cases over all trials: %+v", sum)
+	if sum.laned == 0 || sum.fellBack == 0 || sum.moved == 0 || sum.removed == 0 || sum.tailEarly == 0 || sum.crossTies == 0 {
+		t.Fatalf("the workloads miss a lane case: %+v", sum)
+	}
+}
+
+// FuzzEngineQueue runs the engine oracle on a workload the fuzz input
+// chooses, one byte per choice.
+func FuzzEngineQueue(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 6, 3, 1, 1, 7, 5, 0, 2, 7, 5, 3, 8, 0, 7, 1})
+	// Appends, removes the lane's tail, then appends earlier than it.
+	f.Add([]byte("\xb5\x86\xb1C#\xa6\xbc\x8f\x9e}\xf1\xd9)3?\xf9\x93\x93;\xeao[:\xf6\xde\x03t6lG\x19\xe4:\x1b\x06}\x89\xbc\x7f\x01\xf1\xf5s"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := byteChooser(data)
+		checkEngineQueue(t, &src, 400)
+	})
 }
