@@ -76,6 +76,12 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 			[]Option{WithSeed(9), WithScale(30), WithCostMode(ModeNetworkCondition), WithCrossTraffic(6)}},
 		{"opensys_faulty_s5", smallConfig(), nil, SchedulerProbabilistic,
 			append(openGoldenOptions(), WithFaultPlan(openPlan))},
+		// 90 nodes: rack 2 (nodes 60–89) straddles the 64-node word
+		// boundary of the availability sets.
+		{"grep_coupling_3x30_s4", rackConfig(3, 30), Batch(Grep), SchedulerCoupling,
+			[]Option{WithSeed(4), WithScale(30)}},
+		{"terasort_netcond_3x30_s6", rackConfig(3, 30), Batch(Terasort), SchedulerProbabilistic,
+			[]Option{WithSeed(6), WithScale(30), WithCostMode(ModeNetworkCondition), WithCrossTraffic(6)}},
 	}
 }
 
