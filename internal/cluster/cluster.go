@@ -31,22 +31,14 @@ type Node struct {
 	st *State
 }
 
-// freeBefore snapshots the node's availability in both slot kinds; paired
-// with noteChange around every mutation.
-func (n *Node) freeBefore() (free [2]bool) {
+// noteChange applies the node's 0↔free transitions to the State's avail
+// sets, which hold its membership from before the mutation, keeping them
+// exact without per-offer rescans.
+func (n *Node) noteChange() {
 	for k := job.MapKind; k <= job.ReduceKind; k++ {
-		free[k] = n.FreeSlots(k) > 0
-	}
-	return free
-}
-
-// noteChange compares the node's availability against the pre-mutation
-// snapshot and tells the State about 0↔free transitions, keeping the
-// avail sets and their per-rack counts exact without per-offer rescans.
-func (n *Node) noteChange(was [2]bool) {
-	for k := job.MapKind; k <= job.ReduceKind; k++ {
-		if f := n.FreeSlots(k) > 0; f != was[k] {
-			n.st.avail[k].flip(n.ID, f)
+		if f := n.FreeSlots(k) > 0; f != n.st.avail[k].Has(n.ID) {
+			n.st.avail[k] = n.st.avail[k].With(n.ID, f)
+			n.st.version[k]++
 		}
 	}
 }
@@ -55,9 +47,8 @@ func (n *Node) noteChange(was [2]bool) {
 // slots. Slot bookkeeping of already-killed tasks must be released before
 // going offline.
 func (n *Node) SetOffline(off bool) {
-	was := n.freeBefore()
 	n.offline = off
-	n.noteChange(was)
+	n.noteChange()
 }
 
 // Offline reports whether the node is dead.
@@ -68,9 +59,8 @@ func (n *Node) Offline() bool { return n.offline }
 // an offline node, keeps running its already-launched tasks — Hadoop's
 // per-job TaskTracker blacklist behaviour.
 func (n *Node) SetBlacklisted(b bool) {
-	was := n.freeBefore()
 	n.blacklisted = b
-	n.noteChange(was)
+	n.noteChange()
 }
 
 // Blacklisted reports whether the node is blacklisted.
@@ -88,15 +78,15 @@ func (n *Node) FreeSlots(k job.TaskKind) int {
 // UsedSlots returns the number of occupied kind-k slots.
 func (n *Node) UsedSlots(k job.TaskKind) int { return n.used[k] }
 
-// AcquireSlot occupies a kind-k slot; it fails when none is free.
+// AcquireSlot occupies a kind-k slot; it fails when none is free, as on
+// an offline or blacklisted node.
 func (n *Node) AcquireSlot(k job.TaskKind) error {
-	was := n.freeBefore()
-	if n.used[k] >= n.Slots[k] {
+	if n.FreeSlots(k) <= 0 {
 		return fmt.Errorf("cluster: node %d has no free %s slot", n.ID, k)
 	}
 	n.used[k]++
 	n.st.used[k]++
-	n.noteChange(was)
+	n.noteChange()
 	return nil
 }
 
@@ -106,90 +96,20 @@ func (n *Node) ReleaseSlot(k job.TaskKind) {
 	if n.used[k] <= 0 {
 		panic(fmt.Sprintf("cluster: node %d released an unheld %s slot", n.ID, k))
 	}
-	was := n.freeBefore()
 	n.used[k]--
 	n.st.used[k]--
-	n.noteChange(was)
-}
-
-// availState tracks one slot kind's availability set incrementally: a
-// monotonically increasing version (bumped on every membership change, so
-// downstream caches get an O(1) identity check), optional per-rack member
-// counts, and a lazily rebuilt ID-ordered snapshot slice with a copy of
-// the counts beside it. The cache and published slices are handed out to
-// readers and stay immutable once published: only the //lint:publish
-// rebuild/recount sites below may write here.
-//
-//lint:immutable-after-publish
-type availState struct {
-	version   uint64
-	dirty     bool
-	cache     []topology.NodeID
-	published []int // counts as of the last rebuild; never written after
-
-	racks  *topology.Cluster
-	counts []int // per-rack free-node counts; nil until CountRacks
-}
-
-// flip records that node id entered (free=true) or left the availability
-// set. O(1): the snapshot slice is only rebuilt when next requested.
-//
-//lint:publish availState
-func (a *availState) flip(id topology.NodeID, free bool) {
-	a.version++
-	a.dirty = true
-	if a.counts != nil {
-		if free {
-			a.counts[a.racks.Rack(id)]++
-		} else {
-			a.counts[a.racks.Rack(id)]--
-		}
-	}
-}
-
-// snapshot returns the ID-ordered availability slice, rebuilding it and
-// republishing the counts only after membership changed or racks were
-// counted.
-// Fresh slices are allocated per rebuild so snapshots held by earlier
-// scheduler contexts stay immutable.
-//
-//lint:publish availState
-func (a *availState) snapshot(nodes []*Node, k job.TaskKind) []topology.NodeID {
-	if a.cache == nil || a.dirty {
-		out := make([]topology.NodeID, 0, len(nodes))
-		for _, n := range nodes {
-			if n.FreeSlots(k) > 0 {
-				out = append(out, n.ID)
-			}
-		}
-		a.cache = out
-		a.published = append([]int(nil), a.counts...)
-		a.dirty = false
-	}
-	return a.cache
-}
-
-// countRacks installs the rack structure and counts free nodes per rack
-// from scratch; membership itself is unchanged but the version bumps and
-// the state turns dirty so the next snapshot publishes the counts.
-//
-//lint:publish availState
-func (a *availState) countRacks(c *topology.Cluster, nodes []*Node, k job.TaskKind) {
-	a.racks = c
-	a.counts = make([]int, c.Racks())
-	a.version++
-	a.dirty = true
-	for _, n := range nodes {
-		if n.FreeSlots(k) > 0 {
-			a.counts[c.Rack(n.ID)]++
-		}
-	}
+	n.noteChange()
 }
 
 // State is the slot state of the whole cluster.
 type State struct {
 	nodes []*Node
-	avail [2]availState // indexed by job.TaskKind
+
+	// avail[k] is the set of nodes with a free kind-k slot, replaced by
+	// a copy on every membership change, which also bumps version[k]
+	// (from 1, so caches keyed on it use 0 for "never filled").
+	avail   [2]topology.NodeSet
+	version [2]uint64
 
 	// Cluster-wide occupied and capacity slot totals per kind: used is
 	// kept by the nodes' AcquireSlot/ReleaseSlot, total is fixed at New,
@@ -205,15 +125,18 @@ func New(n, mapSlots, reduceSlots int) (*State, error) {
 	if mapSlots < 0 || reduceSlots < 0 {
 		return nil, fmt.Errorf("cluster: negative slot counts")
 	}
-	// Versions start at 1, so the cost caches keyed on them use 0 for
-	// "never filled".
 	s := &State{
-		avail: [2]availState{{version: 1}, {version: 1}},
-		total: [2]int{n * mapSlots, n * reduceSlots},
+		version: [2]uint64{1, 1},
+		total:   [2]int{n * mapSlots, n * reduceSlots},
 	}
 	s.nodes = make([]*Node, n)
 	for i := range s.nodes {
 		s.nodes[i] = &Node{ID: topology.NodeID(i), Slots: [2]int{mapSlots, reduceSlots}, st: s}
+	}
+	for k, slots := range [2]int{mapSlots, reduceSlots} {
+		if slots > 0 {
+			s.avail[k] = topology.AllNodes(n)
+		}
 	}
 	return s, nil
 }
@@ -224,38 +147,11 @@ func (s *State) Size() int { return len(s.nodes) }
 // Node returns the node with the given ID.
 func (s *State) Node(id topology.NodeID) *Node { return s.nodes[id] }
 
-// CountRacks makes the availability sets also maintain per-rack
-// free-node counts of topology c (the O(1) inputs of the rack-collapsed
-// Formula 4/5 sums).
-func (s *State) CountRacks(c *topology.Cluster) {
-	for k := job.MapKind; k <= job.ReduceKind; k++ {
-		s.avail[k].countRacks(c, s.nodes, k)
-	}
-}
-
-// AvailNodes returns the IDs of nodes with at least one free kind-k slot
-// (the N_m set of Formula 4 for maps, N_r of Formula 5 for reduces), in
-// ID order for determinism. The slice is cached between membership
-// changes; callers must not mutate it.
-func (s *State) AvailNodes(k job.TaskKind) []topology.NodeID {
-	return s.avail[k].snapshot(s.nodes, k)
-}
-
-// Avail returns the kind-k availability set plus its per-rack counts
-// (nil before CountRacks) and identity version. The counts are the copy
-// published with the node slice, once per version: flip mutates the live
-// array in place, and snapshots must stay immutable. Callers must not
-// mutate either slice.
-func (s *State) Avail(k job.TaskKind) (nodes []topology.NodeID, counts []int, version uint64) {
-	nodes = s.avail[k].snapshot(s.nodes, k)
-	return nodes, s.avail[k].published, s.avail[k].version
-}
-
-// Versions returns both availability sets' identity versions without
-// materializing the snapshots — the O(1) consistency probe the placement
-// service's torn-read assertion uses.
-func (s *State) Versions() (mapVersion, reduceVersion uint64) {
-	return s.avail[job.MapKind].version, s.avail[job.ReduceKind].version
+// Avail returns the set of nodes with at least one free kind-k slot
+// (the N_m set of Formula 4 for maps, N_r of Formula 5 for reduces) and
+// its identity version.
+func (s *State) Avail(k job.TaskKind) (topology.NodeSet, uint64) {
+	return s.avail[k], s.version[k]
 }
 
 // UsedSlots returns the cluster-wide occupied map and reduce slot counts.

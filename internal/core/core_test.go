@@ -303,7 +303,7 @@ func TestCostCeiling(t *testing.T) {
 
 func TestSelectMapTaskPrefersLocal(t *testing.T) {
 	cm, j := fig2Setup(t)
-	avail := (&snapshots{cm: cm}).of([]topology.NodeID{0, 1, 2, 3})
+	avail := (&snapshots{}).of([]topology.NodeID{0, 1, 2, 3})
 	// On D1 (node 0): M1's block is local (P = 1), M2's is 10 hops away.
 	sel, ok := SelectMapTaskWith(cm, nil, j.Maps, 0, avail)
 	if !ok {
@@ -337,7 +337,7 @@ func TestSelectMapTaskPrefersLocal(t *testing.T) {
 
 func TestSelectMapTaskEmpty(t *testing.T) {
 	cm, _ := fig2Setup(t)
-	if _, ok := SelectMapTaskWith(cm, nil, nil, 0, (&snapshots{cm: cm}).of([]topology.NodeID{0})); ok {
+	if _, ok := SelectMapTaskWith(cm, nil, nil, 0, (&snapshots{}).of([]topology.NodeID{0})); ok {
 		t.Fatal("selection from empty candidate list succeeded")
 	}
 }
@@ -349,7 +349,7 @@ func TestSelectReduceTask(t *testing.T) {
 	j.Maps[1].State = job.TaskDone
 	j.Maps[1].Node = 1
 	rc := cm.NewReduceCoster(j, Oracle{})
-	avail := (&snapshots{cm: cm}).of([]topology.NodeID{0, 1, 2, 3})
+	avail := (&snapshots{}).of([]topology.NodeID{0, 1, 2, 3})
 	// On D2 (node 1, where the heavy mapper M2 ran) both reduces are
 	// cheap; the selection must return the one with the higher P.
 	best, ok := SelectReduceTask(rc, nil, j.Reduces, 1, avail)
@@ -366,7 +366,7 @@ func TestSelectReduceTask(t *testing.T) {
 func TestSelectReduceBeforeAnyMapLaunched(t *testing.T) {
 	cm, j := fig2Setup(t)
 	rc := cm.NewReduceCoster(j, ProgressScaled{})
-	best, ok := SelectReduceTask(rc, nil, j.Reduces, 0, (&snapshots{cm: cm}).of([]topology.NodeID{0, 1}))
+	best, ok := SelectReduceTask(rc, nil, j.Reduces, 0, (&snapshots{}).of([]topology.NodeID{0, 1}))
 	if !ok {
 		t.Fatal("no reduce selected with zero information")
 	}
@@ -384,11 +384,15 @@ func TestCentrality(t *testing.T) {
 	j.Maps[1].Node = 1 // I_2* = [20, 10] at D2
 	rc := cm.NewReduceCoster(j, Oracle{})
 	// For R1 the candidates' costs: D1: 220, D2: 100, D3: 200, D4: 140.
-	got, ok := rc.Centrality(0, []topology.NodeID{0, 1, 2, 3})
+	got, ok := rc.Centrality(0, topology.AllNodes(4))
 	if !ok || got != 1 {
 		t.Fatalf("Centrality = (%v,%v), want node 1 (D2)", got, ok)
 	}
-	if _, ok := rc.Centrality(0, nil); ok {
+	// Without D2 among the candidates, D4 (140) is the cheapest.
+	if got, ok := rc.Centrality(0, topology.AllNodes(4).With(1, false)); !ok || got != 3 {
+		t.Fatalf("Centrality without D2 = (%v,%v), want node 3 (D4)", got, ok)
+	}
+	if _, ok := rc.Centrality(0, topology.NodeSet{}); ok {
 		t.Fatal("Centrality with no candidates returned ok")
 	}
 }
@@ -482,7 +486,7 @@ func TestNewCostModelValidation(t *testing.T) {
 
 func TestMapCostAvgEmptyAvail(t *testing.T) {
 	cm, j := fig2Setup(t)
-	if got := cm.MapCostAvg(j.Maps[0], (&snapshots{cm: cm}).of(nil)); got != 0 {
+	if got := cm.MapCostAvg(j.Maps[0], (&snapshots{}).of(nil)); got != 0 {
 		t.Fatalf("avg over no nodes = %v, want 0", got)
 	}
 }
@@ -542,7 +546,7 @@ func TestSelectReduceSkipsUnreachablePlacements(t *testing.T) {
 	net.SetHostLinkFactor(2, 0) // sever R2's only source
 	rc := cm.NewReduceCoster(j, Oracle{})
 
-	avail := (&snapshots{cm: cm}).of([]topology.NodeID{0, 1, 3})
+	avail := (&snapshots{}).of([]topology.NodeID{0, 1, 3})
 	if c := rc.Cost(0, 1); !math.IsInf(c, 1) {
 		t.Fatalf("R2 on node 0 costs %v across a severed link, want +Inf", c)
 	}
@@ -578,7 +582,7 @@ func (fixedProb) Prob(avg, cost float64) float64 {
 // non-default model's probability — not Formula 4's — reaches the gate.
 func TestSelectionProbComesFromModel(t *testing.T) {
 	cm, j := fig2Setup(t)
-	avail := (&snapshots{cm: cm}).of([]topology.NodeID{0, 1, 2, 3})
+	avail := (&snapshots{}).of([]topology.NodeID{0, 1, 2, 3})
 	sel, ok := SelectMapTaskWith(cm, fixedProb{}, j.Maps, 3, avail) // remote-only node
 	if !ok {
 		t.Fatal("no candidate")
@@ -616,7 +620,7 @@ func (m countingModel) Prob(avg, cost float64) float64 {
 func TestSelectionComputesOneProbabilityPerWinner(t *testing.T) {
 	_, cl, cm, j := churnSetup(t, ModeHops, rackShape{3, 8}, 23)
 	rng := sim.NewRNG(24)
-	snaps := &snapshots{cm: cm}
+	snaps := &snapshots{}
 	var calls int
 	model := countingModel{&calls}
 	maxMap, maxReduce := 0, 0

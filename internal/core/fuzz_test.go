@@ -75,7 +75,7 @@ func FuzzSelectMapTaskMatchesNaive(f *testing.F) {
 		n := cl.Size()
 		mdl := Models()[int(model)%len(Models())]
 		offered := topology.NodeID(int(node) % n)
-		snaps := &snapshots{cm: cm}
+		snaps := &snapshots{}
 		check := func(mask uint32) {
 			t.Helper()
 			var nodes []topology.NodeID

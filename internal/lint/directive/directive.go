@@ -47,8 +47,8 @@
 //
 //	//lint:publish <Type>
 //
-// (the republish sites — refreshLocked-style rebuilds that run before
-// the value is visible to readers). The journal symmetry contract uses
+// (the republish sites — writer-side rebuilds that run before the value
+// is visible to readers). The journal symmetry contract uses
 //
 //	//lint:journal-ops          on the journal op enum type
 //	//lint:journaled            on the service type whose Apply*/Update*

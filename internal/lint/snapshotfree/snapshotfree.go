@@ -1,18 +1,17 @@
 // Package snapshotfree implements the schedlint analyzer enforcing
 // the published-snapshot immutability contract (DESIGN.md §15): types
-// annotated `//lint:immutable-after-publish` (core.Avail, the
-// placement View, the published AvailMap/AvailReduce) are handed to
-// concurrent readers by pointer or by shallow copy, so once published
-// they must never be written again — a reader-side field or element
-// write races every other reader.
+// annotated `//lint:immutable-after-publish` (topology.NodeSet,
+// core.Avail, the placement View) are handed to concurrent readers by
+// pointer or by shallow copy, so once published they must never be
+// written again — a reader-side field or element write races every
+// other reader.
 //
 // Writes into a value of a marked type are admitted only in:
 //
 //   - the type's constructors — functions declared in the type's own
 //     package with the type (or a pointer to it) among their results;
-//   - republish sites annotated `//lint:publish <Type>` — the
-//     refreshLocked-style rebuilds that run before the new value is
-//     visible to readers;
+//   - republish sites annotated `//lint:publish <Type>` — writer-side
+//     rebuilds that run before the new value is visible to readers;
 //   - functions carrying a scoped `//lint:allow snapshotfree`.
 //
 // A scalar field write through a plain local value copy is also

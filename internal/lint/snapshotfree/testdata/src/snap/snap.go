@@ -56,3 +56,19 @@ func badCopyElem(a Avail, v int) {
 func scrub(a *Avail) {
 	a.Version = 0
 }
+
+// Set is a copy-on-write bitmap.
+//
+//lint:immutable-after-publish
+type Set struct{ words []uint64 }
+
+// With clones, flips and constructs: a constructor, writing only its clone.
+func (s Set) With(i int) Set {
+	words := append([]uint64(nil), s.words...)
+	words[i/64] ^= 1 << (i % 64)
+	return Set{words: words}
+}
+
+func (s Set) flipInPlace(i int) {
+	s.words[i/64] ^= 1 << (i % 64) // want `element write through field "words" of immutable-after-publish type "Set"`
+}

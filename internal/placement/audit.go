@@ -1,5 +1,5 @@
 // Invariant audit: rebuild the service's derived state — availability
-// membership, per-rack free-slot counts, store usage — from scratch and
+// membership, store usage — from scratch and
 // diff it against the incrementally maintained state. The runtime
 // analogue of the schedlint epoch contracts: the static analyzers prove
 // mutation sites bump the right epochs, the audit proves the incremental
@@ -9,7 +9,6 @@ package placement
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"mapsched/internal/hdfs"
@@ -46,8 +45,8 @@ const usageEps = 1e-6
 
 // Audit rebuilds the derived state from scratch under the write lock
 // and diffs it against the incremental state: slot-usage ranges,
-// availability-set membership, per-rack free-slot counts, replica-set
-// validity, store usage statistics and link factors. It is synchronous
+// availability-set membership and size, replica-set validity, store
+// usage statistics and link factors. It is synchronous
 // and safe to call concurrently with deciders and delta writers (it
 // serializes as one writer turn; the epoch does not move).
 func (s *Service) Audit() AuditReport {
@@ -70,7 +69,7 @@ func (s *Service) Audit() AuditReport {
 		}
 	}
 
-	// 2+3. Availability membership and per-rack counts, rebuilt from
+	// 2+3. Availability membership and member count, rebuilt from
 	// per-node free-slot ground truth.
 	r.Checks += 2
 	for k := job.MapKind; k <= job.ReduceKind; k++ {
@@ -125,35 +124,23 @@ func (s *Service) Audit() AuditReport {
 	return r
 }
 
-// auditAvailLocked checks kind k's published availability snapshot and
-// per-rack counts against ground truth. Caller holds the write lock and
-// guarantees the snapshots are materialized (refreshLocked ran after the
-// last delta).
+// auditAvailLocked checks kind k's availability set — every node's bit
+// and the member count — against a FreeSlots rescan. Caller holds the
+// write lock.
 func (s *Service) auditAvailLocked(k job.TaskKind, drift func(string, ...any)) {
-	snapshot, counts, _ := s.slots.Avail(k)
-	want := make([]topology.NodeID, 0, len(snapshot))
+	set, _ := s.slots.Avail(k)
+	free := 0
 	for i := 0; i < s.slots.Size(); i++ {
-		if n := topology.NodeID(i); s.slots.Node(n).FreeSlots(k) > 0 {
-			want = append(want, n)
+		n := topology.NodeID(i)
+		want := s.slots.Node(n).FreeSlots(k) > 0
+		if set.Has(n) != want {
+			drift("%s avail has node %d = %v, recomputed %v", k, i, !want, want)
+		}
+		if want {
+			free++
 		}
 	}
-	if !slices.Equal(want, snapshot) {
-		drift("%s avail snapshot %v, recomputed %v", k, snapshot, want)
-	}
-	if counts == nil {
-		return
-	}
-	wantCounts := make([]int, s.net.Racks())
-	for _, n := range want {
-		wantCounts[s.net.Rack(n)]++
-	}
-	if len(counts) != len(wantCounts) {
-		drift("%s avail has %d racks, topology %d", k, len(counts), len(wantCounts))
-		return
-	}
-	for r := range counts {
-		if counts[r] != wantCounts[r] {
-			drift("%s avail rack %d count %d, recomputed %d", k, r, counts[r], wantCounts[r])
-		}
+	if set.Len() != free {
+		drift("%s avail has %d members, recomputed %d", k, set.Len(), free)
 	}
 }

@@ -290,8 +290,8 @@ func TestServiceDeltasMoveEpochAndAvail(t *testing.T) {
 	f := newFixture(t)
 	base := f.svc.Epoch()
 	v0 := f.svc.Snapshot()
-	if len(v0.AvailMap.Nodes) != 8 || len(v0.AvailReduce.Nodes) != 8 {
-		t.Fatalf("fresh service avail = %d/%d nodes, want 8/8", len(v0.AvailMap.Nodes), len(v0.AvailReduce.Nodes))
+	if v0.AvailMap.Nodes.Len() != 8 || v0.AvailReduce.Nodes.Len() != 8 {
+		t.Fatalf("fresh service avail = %d/%d nodes, want 8/8", v0.AvailMap.Nodes.Len(), v0.AvailReduce.Nodes.Len())
 	}
 
 	if err := f.svc.ApplySlotAcquire(job.ReduceKind, 2); err != nil {
@@ -301,19 +301,19 @@ func TestServiceDeltasMoveEpochAndAvail(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := f.svc.Snapshot()
-	if len(v.AvailReduce.Nodes) != 7 {
-		t.Fatalf("after filling node 2's reduce slots: %d avail, want 7", len(v.AvailReduce.Nodes))
+	if v.AvailReduce.Nodes.Len() != 7 {
+		t.Fatalf("after filling node 2's reduce slots: %d avail, want 7", v.AvailReduce.Nodes.Len())
 	}
 	f.svc.ApplySlotRelease(job.ReduceKind, 2)
-	if n := len(f.svc.Snapshot().AvailReduce.Nodes); n != 8 {
+	if n := f.svc.Snapshot().AvailReduce.Nodes.Len(); n != 8 {
 		t.Fatalf("after release: %d avail, want 8", n)
 	}
 
 	f.svc.ApplyNodeOffline(5, true)
 	f.svc.ApplyNodeBlacklist(6, true)
 	v = f.svc.Snapshot()
-	if len(v.AvailMap.Nodes) != 6 {
-		t.Fatalf("after offline+blacklist: %d map-avail, want 6", len(v.AvailMap.Nodes))
+	if v.AvailMap.Nodes.Len() != 6 {
+		t.Fatalf("after offline+blacklist: %d map-avail, want 6", v.AvailMap.Nodes.Len())
 	}
 	f.svc.ApplyNodeOffline(5, false)
 	f.svc.ApplyNodeBlacklist(6, false)

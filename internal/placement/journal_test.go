@@ -353,7 +353,7 @@ func TestJournalBrokenIsSticky(t *testing.T) {
 	if f.svc.Epoch() != before {
 		t.Fatal("rejected delta moved the epoch")
 	}
-	if got := f.svc.Snapshot(); len(got.AvailMap.Nodes) != 8 {
+	if got := f.svc.Snapshot(); got.AvailMap.Nodes.Len() != 8 {
 		t.Fatal("rejected delta changed availability")
 	}
 	if err := f.svc.ApplySlotAcquire(job.ReduceKind, 1); !errors.Is(err, ErrJournalBroken) {

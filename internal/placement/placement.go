@@ -6,12 +6,11 @@
 // The package splits the decision problem into two halves:
 //
 //   - Service owns the shared scheduler-visible state — the network,
-//     the replicated block store, the slot state with its Avail
-//     snapshots and per-rack counts — behind a
+//     the replicated block store, the slot state with its
+//     copy-on-write availability sets — behind a
 //     writer-applies-deltas / concurrent-readers-decide contract: the
 //     Apply* methods mutate under the write lock (bumping a delta
-//     epoch and eagerly rematerializing the availability snapshots),
-//     while decisions run under the read lock.
+//     epoch), while decisions run under the read lock.
 //   - Decider is one client's decision session: it carries the
 //     per-client cost caches (the cost model's block rows, reduce
 //     costers), the client's RNG for the Bernoulli gate, and the
@@ -115,9 +114,7 @@ type Service struct {
 	linkFactors []float64
 }
 
-// NewService builds a decision service over the given state. In hop mode
-// the slot state counts free nodes per rack, so its availability
-// snapshots carry the per-rack counts the collapsed cost sums consume.
+// NewService builds a decision service over the given state.
 //
 //lint:allow lockheld constructor: s is unpublished, no reader can exist before return
 func NewService(d Deps) (*Service, error) {
@@ -135,34 +132,12 @@ func NewService(d Deps) (*Service, error) {
 	if d.Net.Size() != d.Slots.Size() {
 		return nil, fmt.Errorf("placement: network has %d nodes, slot state %d", d.Net.Size(), d.Slots.Size())
 	}
-	s := &Service{
+	return &Service{
 		net:   d.Net,
 		store: d.Store,
 		slots: d.Slots,
 		mode:  d.Mode,
-	}
-	if d.Mode == core.ModeHops {
-		s.slots.CountRacks(d.Net)
-	}
-	s.refreshLocked()
-	return s, nil
-}
-
-// refreshLocked rematerializes the availability snapshot slices so
-// readers never trigger the slot state's lazy rebuild (a write) under
-// the read lock. Callers hold the write lock (or own the Service
-// exclusively, as in NewService).
-func (s *Service) refreshLocked() {
-	for k := job.MapKind; k <= job.ReduceKind; k++ {
-		s.slots.AvailNodes(k)
-	}
-}
-
-// appliedLocked finishes a delta under the write lock: rematerialize
-// snapshots, bump the epoch.
-func (s *Service) appliedLocked() {
-	s.refreshLocked()
-	s.epoch++
+	}, nil
 }
 
 // Epoch returns the number of deltas applied through the Service.
@@ -173,9 +148,8 @@ func (s *Service) Epoch() uint64 {
 }
 
 // View is a consistent read of the service's availability state. Views
-// are handed to concurrent readers by value, and the Avail node/count
-// slices alias the published snapshots — once built, a View is never
-// written again.
+// are handed to concurrent readers by value, and the Avail sets alias
+// the slot state's — once built, a View is never written again.
 //
 //lint:immutable-after-publish
 type View struct {
@@ -184,19 +158,19 @@ type View struct {
 	Epoch       uint64
 }
 
-// Snapshot returns the current availability sets with their per-rack
-// counts and identity versions, plus the delta epoch, read atomically
-// under the read lock. The node slices are copy-on-write (the slot
-// state allocates a fresh slice per membership change), so a returned
-// View stays internally consistent even as later deltas apply.
+// Snapshot returns the current availability sets with their identity
+// versions, plus the delta epoch, read atomically under the read lock.
+// The sets are copy-on-write (a membership change replaces the slot
+// state's set with a copy), so a returned View stays internally
+// consistent even as later deltas apply.
 func (s *Service) Snapshot() View {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	am, amCounts, amVer := s.slots.Avail(job.MapKind)
-	ar, arCounts, arVer := s.slots.Avail(job.ReduceKind)
+	am, amVer := s.slots.Avail(job.MapKind)
+	ar, arVer := s.slots.Avail(job.ReduceKind)
 	return View{
-		AvailMap:    core.Avail{Nodes: am, Counts: amCounts, Version: amVer},
-		AvailReduce: core.Avail{Nodes: ar, Counts: arCounts, Version: arVer},
+		AvailMap:    core.Avail{Nodes: am, Version: amVer},
+		AvailReduce: core.Avail{Nodes: ar, Version: arVer},
 		Epoch:       s.epoch,
 	}
 }
@@ -268,7 +242,7 @@ func (s *Service) ApplySlotAcquireNoted(k job.TaskKind, n topology.NodeID, note 
 	if fn != nil {
 		fn()
 	}
-	s.appliedLocked()
+	s.epoch++
 	return nil
 }
 
@@ -304,7 +278,7 @@ func (s *Service) ApplySlotReleaseNoted(k job.TaskKind, n topology.NodeID, note 
 	if fn != nil {
 		fn()
 	}
-	s.appliedLocked()
+	s.epoch++
 	return nil
 }
 
@@ -328,7 +302,7 @@ func (s *Service) ApplyReplicaAdd(id hdfs.BlockID, n topology.NodeID) (bool, err
 		return false, err
 	}
 	s.store.AddReplica(id, n)
-	s.appliedLocked()
+	s.epoch++
 	return true, nil
 }
 
@@ -352,7 +326,7 @@ func (s *Service) ApplyReplicaLoss(id hdfs.BlockID, n topology.NodeID) (bool, er
 		return false, err
 	}
 	s.store.RemoveReplica(id, n)
-	s.appliedLocked()
+	s.epoch++
 	return true, nil
 }
 
@@ -369,7 +343,7 @@ func (s *Service) ApplyNodeReplicaLoss(n topology.NodeID) (int, error) {
 		return 0, err
 	}
 	removed := s.store.RemoveNodeReplicas(n)
-	s.appliedLocked()
+	s.epoch++
 	return removed, nil
 }
 
@@ -388,7 +362,7 @@ func (s *Service) ApplyNodeOffline(n topology.NodeID, off bool) error {
 		return err
 	}
 	node.SetOffline(off)
-	s.appliedLocked()
+	s.epoch++
 	return nil
 }
 
@@ -405,7 +379,7 @@ func (s *Service) ApplyNodeBlacklist(n topology.NodeID, b bool) error {
 		return err
 	}
 	node.SetBlacklisted(b)
-	s.appliedLocked()
+	s.epoch++
 	return nil
 }
 
@@ -433,7 +407,7 @@ func (s *Service) ApplyLinkFactor(n topology.NodeID, factor float64) error {
 		}
 	}
 	s.linkFactors[n] = factor
-	s.appliedLocked()
+	s.epoch++
 	return nil
 }
 

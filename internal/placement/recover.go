@@ -195,7 +195,6 @@ func (s *Service) restoreCheckpoint(cp *Checkpoint) error {
 		}
 	}
 	s.epoch = cp.Epoch
-	s.refreshLocked()
 	return nil
 }
 

@@ -153,6 +153,13 @@ func (c *Cluster) Rack(a NodeID) int { return int(a) / c.spec.NodesPerRack }
 // Racks returns the number of racks.
 func (c *Cluster) Racks() int { return c.spec.Racks }
 
+// RackCounts sets counts[r] to the number of s's members in rack r, for
+// every r < len(counts). IDs are rack-major, so a rack's nodes are one
+// contiguous block of the set.
+func (c *Cluster) RackCounts(s NodeSet, counts []int) {
+	s.CountBlocks(c.spec.NodesPerRack, counts)
+}
+
 // RackDistance returns the hop distance between two distinct hosts in
 // racks r and s: sameRackDist when r == s, crossRackDist otherwise.
 func (c *Cluster) RackDistance(r, s int) float64 {
