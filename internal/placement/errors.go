@@ -9,9 +9,8 @@ import (
 // Apply* rejection — a delta that contradicts the service's current
 // state — wraps it, so callers can match the whole family with a single
 // errors.Is(err, ErrDeltaConflict) while still distinguishing the
-// specific conflict. A rejected delta mutates nothing: the epoch, the
-// availability snapshots and the per-rack counts are exactly as they
-// were before the call. Compare with errors.Is, never ==: every
+// specific conflict. A rejected delta mutates nothing: the epoch and
+// the availability snapshots are exactly as they were before the call. Compare with errors.Is, never ==: every
 // member wraps this base, so identity comparison silently misses the
 // wrapped forms.
 //
