@@ -231,6 +231,40 @@ func BenchmarkSimulation_Probabilistic(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulation_Scale5k is one repetition of cmd/mrbench's batch5k
+// workload, engine.New plus Run: the first 30 simulated seconds of the
+// Wordcount batch on 250 racks of 20 nodes, with hop costs, no cross
+// traffic and seed 1. It is the profiling target for the per-offer host
+// work at 5,000 nodes (DESIGN.md §9 gives the pprof recipe).
+func BenchmarkSimulation_Scale5k(b *testing.B) {
+	s := benchSetup()
+	s.Engine.Seed = 1
+	s.Engine.CostMode = core.ModeHops
+	s.Engine.CrossTraffic = 0
+	s.Engine.Topology.Racks = 250
+	s.Engine.Topology.NodesPerRack = 20
+	s.Engine.MaxSimTime = 30
+	specs, err := workload.Specs(workload.Batch(workload.Wordcount), s.Workload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	builder := s.BuilderFor(experiments.Probabilistic)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sim, err := engine.New(s.Engine, specs, builder)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := sim.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(res.Events), "sim_events")
+		}
+	}
+}
+
 // kernelAllocBudget bounds the allocations of one
 // BenchmarkSimulation_Probabilistic batch: 26,895 recorded at commit
 // 687caf3, plus 20 %.
