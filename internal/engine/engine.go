@@ -252,6 +252,9 @@ type Simulation struct {
 	specs  []job.Spec
 	jobs   []*job.Job
 	active []*job.Job
+	// pending is the per-kind pending-task total over active: every job
+	// joins it as it enters active and leaves it in deactivate.
+	pending job.Tally
 	// recs holds each job's record at index ID-1, nil outside submit to
 	// onJobEnd; walks visit running tasks in (job, index) order through it.
 	recs []*jobRec
@@ -484,6 +487,7 @@ func (s *Simulation) submit(id job.ID, spec job.Spec) {
 	j.Submitted = s.eng.Now()
 	s.jobs = append(s.jobs, j)
 	s.active = append(s.active, j)
+	j.Join(&s.pending)
 	if n := int(id) - len(s.recs); n > 0 {
 		s.recs = append(s.recs, make([]*jobRec, n)...)
 	}
@@ -532,7 +536,11 @@ func (s *Simulation) allDone() bool {
 }
 
 // heartbeat is one TaskTracker report: refresh progress, offer free slots
-// to the scheduler, and re-arm the tracker's beat.
+// to the scheduler, and re-arm the tracker's beat. A slot is offered only
+// while some active job has a pending task of its kind: every scheduler
+// considers only the jobs placement.OrderJobs returns, which all have
+// one, so any other offer would return nil having drawn nothing, emitted
+// nothing and changed no state.
 func (s *Simulation) heartbeat(n topology.NodeID) {
 	t := &s.trackers[n]
 	if s.allDone() || t.crashed {
@@ -540,7 +548,7 @@ func (s *Simulation) heartbeat(n topology.NodeID) {
 	}
 	s.refreshProgress()
 	node := s.state.Node(n)
-	for node.FreeSlots(job.MapKind) > 0 {
+	for s.pending.Any(job.MapKind) && node.FreeSlots(job.MapKind) > 0 {
 		ctx := s.buildCtx()
 		m := s.sch.AssignMap(ctx, n)
 		if m == nil {
@@ -550,7 +558,7 @@ func (s *Simulation) heartbeat(n topology.NodeID) {
 			break // unschedulable right now (e.g. all replicas dead)
 		}
 	}
-	for node.FreeSlots(job.ReduceKind) > 0 {
+	for s.pending.Any(job.ReduceKind) && node.FreeSlots(job.ReduceKind) > 0 {
 		ctx := s.buildCtx()
 		r := s.sch.AssignReduce(ctx, n)
 		if r == nil {
@@ -584,7 +592,7 @@ func (s *Simulation) buildCtx() *sched.Context {
 // has one. An attempt's progress is a function of the current instant,
 // so a skipped refresh leaves nothing for a later one to catch up on.
 func (s *Simulation) refreshProgress() {
-	if !s.anyPendingReduce() {
+	if !s.pending.Any(job.ReduceKind) {
 		return
 	}
 	now := s.eng.Now()
@@ -598,17 +606,6 @@ func (s *Simulation) refreshProgress() {
 			}
 		}
 	}
-}
-
-// anyPendingReduce reports whether some active job has a reduce task not
-// yet launched.
-func (s *Simulation) anyPendingReduce() bool {
-	for _, j := range s.active {
-		if j.HasPending(job.ReduceKind) {
-			return true
-		}
-	}
-	return false
 }
 
 // aliveNearest returns the closest live replica of the block, or ok=false
@@ -976,8 +973,9 @@ func (s *Simulation) maybeStartReduceCompute(att *attempt) {
 	s.eng.Reschedule(&att.computeEv, now+sim.Time(dur), att.computeFn)
 }
 
-// deactivate drops j from the active job list.
+// deactivate drops j from the active job list and its pending total.
 func (s *Simulation) deactivate(j *job.Job) {
+	j.Leave()
 	for i, a := range s.active {
 		if a == j {
 			s.active = append(s.active[:i], s.active[i+1:]...)

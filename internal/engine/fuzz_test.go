@@ -77,7 +77,8 @@ func fuzzRun(t *testing.T, data []byte) (Config, []job.Spec) {
 // plans, and checks that every
 // run drains: all jobs end, reduces of successful jobs received exactly
 // their input, slots and shuffle flows are empty, every job's engine
-// record is released, the cross traffic left on the network is a feasible allocation, and the
+// record is released, the pending tally matches a rescan of the active
+// jobs, the cross traffic left on the network is a feasible allocation, and the
 // placement service every slot, node-health, link and replica change
 // went through audits clean.
 func FuzzSimulation(f *testing.F) {
@@ -116,6 +117,9 @@ func FuzzSimulation(f *testing.F) {
 		}
 		if ids := leakedRecords(s); len(ids) > 0 {
 			t.Fatalf("%d records of ended jobs not released, first job %d", len(ids), ids[0])
+		}
+		if d := tallyDrift(s); d != "" {
+			t.Fatal(d)
 		}
 		if live := s.topo.Net().ActiveFlows(); live != cfg.CrossTraffic {
 			t.Fatalf("%d flows live after the run, want the %d cross-traffic flows", live, cfg.CrossTraffic)

@@ -237,14 +237,15 @@ func TestForcedRemoteAccounting(t *testing.T) {
 // pending reduce), that every running map's Progress equals its
 // attempt's progress at ctx.Now (0 once the attempt died), and that it
 // never moves backwards while the map keeps its launch and its attempt
-// stays alive.
+// stays alive. It also counts the AssignMap calls made while maps run
+// but no job has a pending reduce: their heartbeats skipped the refresh.
 type progressOracle struct {
 	sched.Scheduler
 	t    *testing.T
 	sim  *Simulation
 	last map[*job.MapTask]progressMark
 
-	checked, skipped int // reads checked; calls with running maps but nothing to read
+	checked, skipped int // reads checked; map offers on heartbeats that skipped the refresh
 }
 
 type progressMark struct {
@@ -253,17 +254,29 @@ type progressMark struct {
 	p      float64
 }
 
-func (o *progressOracle) AssignReduce(ctx *sched.Context, node topology.NodeID) *job.ReduceTask {
-	pending := false
+// anyPendingReduce reports whether some job of ctx has a pending reduce.
+func anyPendingReduce(ctx *sched.Context) bool {
 	for _, j := range ctx.Jobs {
-		pending = pending || j.HasPending(job.ReduceKind)
+		if j.HasPending(job.ReduceKind) {
+			return true
+		}
 	}
-	if !pending {
+	return false
+}
+
+func (o *progressOracle) AssignMap(ctx *sched.Context, node topology.NodeID) *job.MapTask {
+	if !anyPendingReduce(ctx) {
 		running := false
 		o.sim.eachRun(job.MapKind, func(*attempt) { running = true })
 		if running {
 			o.skipped++
 		}
+	}
+	return o.Scheduler.AssignMap(ctx, node)
+}
+
+func (o *progressOracle) AssignReduce(ctx *sched.Context, node topology.NodeID) *job.ReduceTask {
+	if !anyPendingReduce(ctx) {
 		return o.Scheduler.AssignReduce(ctx, node)
 	}
 	if ctx.Now != o.sim.eng.Now() {
@@ -305,8 +318,8 @@ func progressSpecs(t *testing.T) []job.Spec {
 // TestProgressVisibleToScheduler verifies that map progress is fresh at
 // every reduce decision that can read it, under the schedulers whose
 // reduce decisions read it, with a fault plan, and that the run also
-// offers reduce slots while no job has a pending reduce (the heartbeats
-// that skip the refresh).
+// offers map slots while maps run and no job has a pending reduce (the
+// heartbeats that skip the refresh).
 func TestProgressVisibleToScheduler(t *testing.T) {
 	// Enough reduce slots that every reduce launches while maps still
 	// run, so later offers find nothing that reads progress.
@@ -315,7 +328,10 @@ func TestProgressVisibleToScheduler(t *testing.T) {
 	base.Topology.NodesPerRack = 8
 	base.MapSlotsPerNode = 1
 	faultCfg := base
-	faultCfg.Faults.Crashes = []faults.NodeCrash{{Node: 1, At: 8}}
+	// Coupling's pacing keeps a reduce pending until the last maps run,
+	// so its map offers with none pending come from the second crash:
+	// detected after every reduce launched, it re-executes lost output.
+	faultCfg.Faults.Crashes = []faults.NodeCrash{{Node: 1, At: 8}, {Node: 5, At: 20}}
 	faultCfg.Faults.TaskFailProb = 0.15
 	faultCfg.Faults.MaxTaskAttempts = 50
 	for _, sc := range []struct {
@@ -353,7 +369,7 @@ func TestProgressVisibleToScheduler(t *testing.T) {
 					t.Fatalf("no %s fired: %s", c.name, res)
 				}
 				if o.checked == 0 || o.skipped == 0 {
-					t.Fatalf("%d progress reads checked, %d offers with nothing to read: want both > 0",
+					t.Fatalf("%d progress reads checked, %d map offers that skipped the refresh: want both > 0",
 						o.checked, o.skipped)
 				}
 				// After the run every task is done, with Progress pinned to 1.

@@ -280,6 +280,7 @@ func (s *Simulation) admitNew(q queuedJob, t *tenantState) {
 func (s *Simulation) readmit(q queuedJob, t *tenantState) {
 	j := q.j
 	s.active = append(s.active, j)
+	j.Join(&s.pending)
 	s.rec(j).open.seq = s.admitSeq
 	if s.obs.Enabled() {
 		s.obs.Emit(obs.Event{T: float64(s.eng.Now()), Type: obs.JobAdmit, Node: -1, Job: j.Spec.Name, Reason: "requeued"})

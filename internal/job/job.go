@@ -9,8 +9,10 @@
 // running and done counts, indexed by TaskKind and seeded by Assemble
 // from the tasks' initial states, so the scheduler's hot questions —
 // does a job have a pending task, how many of its tasks run — are O(1)
-// instead of rescans of every task. The schedlint funnel analyzer holds
-// the fields marked //lint:funnel to their funnel methods.
+// instead of rescans of every task. The same funnel keeps a Tally, the
+// pending total over a set of jobs, current for the jobs that joined it.
+// The schedlint funnel analyzer holds the fields marked //lint:funnel to
+// their funnel methods.
 package job
 
 import (
@@ -325,6 +327,10 @@ type Job struct {
 	// Tasks in TaskPending and TaskRunning, indexed by TaskKind.
 	pending, running [2]int
 
+	// set is the Tally the job's pending counts are part of, between
+	// Join and Leave; nil otherwise.
+	set *Tally //lint:funnel
+
 	// Failed marks a job the engine terminated unsuccessfully — a task
 	// exhausted its attempt budget, or every replica of an unread input
 	// block was lost. A failed job is no longer scheduled; Done() stays
@@ -399,13 +405,17 @@ func Assemble(id ID, spec Spec, maps []*MapTask, reduces []*ReduceTask) *Job {
 	return j
 }
 
-// count adds d to the job's count of kind-k tasks in state st.
+// count adds d to the job's count of kind-k tasks in state st, and to
+// its set's pending total.
 //
 //lint:funnel
 func (j *Job) count(k TaskKind, st TaskState, d int) {
 	switch st {
 	case TaskPending:
 		j.pending[k] += d
+		if j.set != nil {
+			j.set.pending[k] += d
+		}
 	case TaskRunning:
 		j.running[k] += d
 	case TaskDone:
@@ -415,6 +425,44 @@ func (j *Job) count(k TaskKind, st TaskState, d int) {
 			j.DoneReds += d
 		}
 	}
+}
+
+// Tally is the per-kind pending-task total over a set of jobs — the
+// engine's active jobs — so "does any job have a pending task of this
+// kind?" is O(1). Only this package writes it: Join and Leave move a
+// job's pending counts in and out, and the task funnel keeps them
+// current in between.
+type Tally struct {
+	pending [2]int //lint:funnel
+}
+
+// Any reports whether some job of the set has a pending task of kind k.
+func (t *Tally) Any(k TaskKind) bool { return t.pending[k] > 0 }
+
+// Join adds the job to t: its pending counts join the total, and every
+// later transition of its tasks updates it. A job is in at most one set;
+// joining another leaves the current one first.
+//
+//lint:funnel
+func (j *Job) Join(t *Tally) {
+	j.Leave()
+	j.set = t
+	t.pending[MapKind] += j.pending[MapKind]
+	t.pending[ReduceKind] += j.pending[ReduceKind]
+}
+
+// Leave takes the job out of its set, subtracting its pending counts;
+// it does nothing for a job in no set.
+//
+//lint:funnel
+func (j *Job) Leave() {
+	t := j.set
+	if t == nil {
+		return
+	}
+	t.pending[MapKind] -= j.pending[MapKind]
+	t.pending[ReduceKind] -= j.pending[ReduceKind]
+	j.set = nil
 }
 
 // partitionWeights draws normalized reduce-partition weights: uniform for

@@ -340,7 +340,8 @@ func TestLocalityString(t *testing.T) {
 // After every step the pending, running and done counts — and the
 // pending views built from them — must equal a rescan of the task
 // states, and the transition must have set exactly the fields its doc
-// names.
+// names. The job joins and leaves a Tally every 500 steps, which must
+// hold its pending counts while it is in and nothing while it is out.
 func TestTaskTransitionsKeepDoneCounts(t *testing.T) {
 	j := mustJob(t, Spec{
 		Name:       "wc",
@@ -350,7 +351,16 @@ func TestTaskTransitionsKeepDoneCounts(t *testing.T) {
 		NumReduces: 5,
 	})
 	rng := sim.NewRNG(7)
+	var tally Tally
 	for step := 1; step <= 5000; step++ {
+		if step%500 == 0 {
+			if j.set == nil {
+				j.Join(&tally)
+				j.Join(&tally) // a second Join must not count the job twice
+			} else {
+				j.Leave()
+			}
+		}
 		at := sim.Time(step)
 		n := topology.NodeID(rng.Intn(10))
 		op := rng.Intn(3)
@@ -401,6 +411,22 @@ func TestTaskTransitionsKeepDoneCounts(t *testing.T) {
 			}
 		}
 		checkCounts(t, step, j)
+		want := Tally{}
+		if j.set != nil {
+			for _, m := range j.Maps {
+				if m.State == TaskPending {
+					want.pending[MapKind]++
+				}
+			}
+			for _, r := range j.Reduces {
+				if r.State == TaskPending {
+					want.pending[ReduceKind]++
+				}
+			}
+		}
+		if tally != want {
+			t.Fatalf("step %d: tally %v, want %v", step, tally.pending, want.pending)
+		}
 	}
 }
 

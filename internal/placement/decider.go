@@ -183,12 +183,18 @@ type Decider struct {
 	// heartbeat-reported progress moves slowly relative to the offer rate,
 	// so rebuilding the O(maps x reduces) aggregation on every slot offer
 	// only burns time (a real JobTracker caches these statistics too).
-	// Entries of finished jobs are swept by sweep() so the cache cannot
-	// grow past the set of live jobs.
+	// Entries of departed jobs are swept by sweep() at the start of
+	// every decision. The bound is per decision, not per departure:
+	// between two decisions — and the engine makes none while no job has
+	// a pending task of the offered kind — the cache and
+	// CostModel.MapRows() hold at most the jobs live at the last
+	// decision, and the next decision evicts every one that has left
+	// since.
 	costerCache map[job.ID]costerEntry
 
-	// swept is the job set the last sweep ran against: the jobs whose
-	// cached state (reduce costers, map-cost rows) may outlive them. The
+	// swept is the job set the last sweep ran against — the jobs live
+	// at the last decision, and so the most whose cached state (reduce
+	// costers, map-cost rows) may outlive them until the next one. The
 	// live list only ever appends strictly increasing job IDs, so an
 	// unchanged (length, last ID) pair means the set itself is unchanged
 	// and the sweep can be skipped.

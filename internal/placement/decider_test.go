@@ -174,7 +174,8 @@ func finishMaps(j *job.Job) *job.Job {
 // cache must drop a departed job as soon as the live set changes, even
 // when one job leaves exactly as another arrives so the cache size never
 // exceeds the live-set size (the leak the old "cache > live" trigger
-// missed).
+// missed), and the first decision after several departures must drop
+// them all.
 func TestSweepEvictsUnderBalancedChurn(t *testing.T) {
 	f := newFixture(t)
 	d := f.decider(DefaultConfig())
@@ -203,6 +204,34 @@ func TestSweepEvictsUnderBalancedChurn(t *testing.T) {
 	d.PlaceReduce(f.reqFor(j3, j4), 2)
 	if _, dead := d.costerCache[j2.ID]; dead {
 		t.Fatal("departed job survived the second balanced-churn sweep")
+	}
+
+	// Departures can pile up between decisions: the engine offers no
+	// slot while no job has a pending task of its kind. Two jobs with
+	// cached costers and map-cost rows leave with no call in between,
+	// and the next call evicts both.
+	half := func(id job.ID, a, b topology.NodeID) *job.Job {
+		j := f.addJob(t, id, []topology.NodeID{a, b}, 2)
+		j.Maps[0].Run(a, 0)
+		j.Maps[0].Complete(0)
+		return j
+	}
+	j5, j6 := half(5, 4, 5), half(6, 6, 7)
+	d.PlaceMap(f.reqFor(j3, j4, j5, j6), 0)
+	d.PlaceReduce(f.reqFor(j3, j4, j5, j6), 3)
+	if len(d.costerCache) != 4 || d.cost.MapRows() != 2 {
+		t.Fatalf("%d cached costers and %d map-cost rows for four jobs, two with a pending map: want 4 and 2",
+			len(d.costerCache), d.cost.MapRows())
+	}
+	j7 := finishMaps(f.addJob(t, 7, []topology.NodeID{0}, 2))
+	d.PlaceReduce(f.reqFor(j3, j4, j7), 3)
+	for _, j := range []*job.Job{j5, j6} {
+		if _, dead := d.costerCache[j.ID]; dead {
+			t.Fatalf("job %d survived the first decision after it left", j.ID)
+		}
+	}
+	if got := d.cost.MapRows(); got != 0 {
+		t.Fatalf("%d map-cost rows left after both jobs with rows left", got)
 	}
 }
 
