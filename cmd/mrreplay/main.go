@@ -90,12 +90,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := mapsched.DefaultClusterConfig()
 	cfg.Topology.NodesPerRack = *nodes
 	cfg.Topology.Racks = *racks
+	cfg.Seed = *seed
 	rep, err := mapsched.Replay(cfg, batch, events,
-		mapsched.WithSeed(*seed),
 		mapsched.WithScale(*scale),
 		mapsched.WithPmin(*pmin),
 		mapsched.WithReplication(*repl),
-		mapsched.WithCostMode(mapsched.ModeHops),
 	)
 	if errors.Is(err, mapsched.ErrNotReplayable) {
 		fmt.Fprintf(stderr, "mrreplay: status=not_replayable reason=%q\n", err)

@@ -11,22 +11,23 @@ import (
 )
 
 // recordEvents runs a small hop-cost probabilistic simulation of batch
-// and writes its JSONL event log to a temp file, returning the path.
-func recordEvents(t *testing.T, batch []mapsched.JobDef, opts ...mapsched.Option) string {
+// under the fault plan and writes its JSONL event log to a temp file,
+// returning the path.
+func recordEvents(t *testing.T, batch []mapsched.JobDef, faults mapsched.FaultPlan, opts ...mapsched.Option) string {
 	t.Helper()
 	cfg := mapsched.DefaultClusterConfig()
 	cfg.Topology.Racks = 2
 	cfg.Topology.NodesPerRack = 4
+	cfg.Seed = 5
+	cfg.CostMode = mapsched.ModeHops
+	cfg.Faults = faults
 	path := filepath.Join(t.TempDir(), "run.events.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := mapsched.NewJSONLSink(f)
-	all := append([]mapsched.Option{
-		mapsched.WithSeed(5), mapsched.WithScale(40), mapsched.WithCostMode(mapsched.ModeHops),
-	}, opts...)
-	sim, err := mapsched.New(cfg, batch, mapsched.SchedulerProbabilistic, all...)
+	sim, err := mapsched.New(cfg, batch, mapsched.SchedulerProbabilistic, append(opts, mapsched.WithScale(40))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func recordEvents(t *testing.T, batch []mapsched.JobDef, opts ...mapsched.Option
 // the replayable envelope.
 func TestRunVerdictExitCodes(t *testing.T) {
 	flags := []string{"-workload", "grep", "-nodes", "4", "-racks", "2", "-scale", "40", "-seed", "5"}
-	clean := recordEvents(t, mapsched.Batch(mapsched.Grep))
+	clean := recordEvents(t, mapsched.Batch(mapsched.Grep), mapsched.FaultPlan{})
 
 	var out, errb bytes.Buffer
 	if code := run(append(append([]string{}, flags...), clean), &out, &errb); code != 0 {
@@ -76,7 +77,7 @@ func TestRunVerdictExitCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := recordEvents(t, mapsched.Batch(mapsched.Grep), mapsched.WithFaultPlan(plan), mapsched.WithReplication(2))
+	faulty := recordEvents(t, mapsched.Batch(mapsched.Grep), plan, mapsched.WithReplication(2))
 	out.Reset()
 	errb.Reset()
 	if code := run(append(append([]string{}, flags...), faulty), &out, &errb); code != exitNotReplayable {
@@ -99,7 +100,7 @@ func TestRunVerdictExitCodes(t *testing.T) {
 		out.Reset()
 		errb.Reset()
 		args := []string{"-workload", tc.name, "-nodes", "4", "-racks", "2", "-scale", "40", "-seed", "5",
-			recordEvents(t, tc.batch)}
+			recordEvents(t, tc.batch, mapsched.FaultPlan{})}
 		if code := run(args, &out, &errb); code != 0 || !strings.Contains(out.String(), "faithful") {
 			t.Fatalf("-workload %s exited %d\nstdout: %s\nstderr: %s", tc.name, code, out.String(), errb.String())
 		}
@@ -124,7 +125,7 @@ func TestOpenSystemStreamNotReplayable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := recordEvents(t, nil, mapsched.WithArrivals(plan), mapsched.WithTenants(tenants...))
+	open := recordEvents(t, nil, mapsched.FaultPlan{}, mapsched.WithArrivals(plan), mapsched.WithTenants(tenants...))
 	var out, errb bytes.Buffer
 	args := []string{"-nodes", "4", "-racks", "2", "-scale", "40", "-seed", "5", open}
 	if code := run(args, &out, &errb); code != exitNotReplayable {

@@ -97,23 +97,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := mapsched.DefaultClusterConfig()
 	cfg.Topology.NodesPerRack = *nodes
 	cfg.Topology.Racks = *racks
-
-	opts := []mapsched.Option{
-		mapsched.WithSeed(*seed),
-		mapsched.WithScale(*scale),
-		mapsched.WithPmin(*pmin),
-		mapsched.WithCostMode(costMode),
-		mapsched.WithCrossTraffic(*cross),
-	}
+	cfg.Seed = *seed
+	cfg.CostMode = costMode
+	cfg.CrossTraffic = *cross
 	if *faultSpec != "" {
-		plan, err := mapsched.ParseFaultPlan(*faultSpec)
-		if err != nil {
+		if cfg.Faults, err = mapsched.ParseFaultPlan(*faultSpec); err != nil {
 			return fail(err)
 		}
-		opts = append(opts, mapsched.WithFaultPlan(plan))
 	}
 	if *hbExpiry > 0 {
-		opts = append(opts, mapsched.WithHeartbeatExpiry(*hbExpiry))
+		cfg.HeartbeatExpiry = *hbExpiry
+	}
+
+	opts := []mapsched.Option{
+		mapsched.WithScale(*scale),
+		mapsched.WithPmin(*pmin),
 	}
 	if *arrSpec != "" {
 		plan, err := mapsched.ParseArrivalPlan(*arrSpec)

@@ -12,7 +12,7 @@
 //	obsvocab       obs event emissions must use registered event-type
 //	               constants, keeping the golden-JSONL schema closed
 //	optflag        functional options guarded by set flags must write
-//	               their flag (the WithCrossTraffic(0) bug class)
+//	               their flag (journal / journalSet and friends)
 //	lockheld       //lint:guarded fields only under their mutex,
 //	               *Locked//lint:locked call-site discipline, and
 //	               lock-scope escapes (goroutines, returned interior

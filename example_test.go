@@ -11,10 +11,10 @@ import (
 func ExampleNew() {
 	cfg := mapsched.DefaultClusterConfig()
 	cfg.Topology.NodesPerRack = 12
+	cfg.Seed = 1
 
 	sim, err := mapsched.New(cfg, mapsched.Batch(mapsched.Grep),
-		mapsched.SchedulerProbabilistic,
-		mapsched.WithSeed(1), mapsched.WithScale(40))
+		mapsched.SchedulerProbabilistic, mapsched.WithScale(40))
 	if err != nil {
 		panic(err)
 	}
@@ -33,14 +33,14 @@ func ExampleNew() {
 func ExampleNew_comparison() {
 	cfg := mapsched.DefaultClusterConfig()
 	cfg.Topology.NodesPerRack = 12
+	cfg.Seed = 1
 
 	for _, k := range []mapsched.SchedulerKind{
 		mapsched.SchedulerProbabilistic,
 		mapsched.SchedulerCoupling,
 		mapsched.SchedulerFair,
 	} {
-		sim, err := mapsched.New(cfg, mapsched.Batch(mapsched.Terasort), k,
-			mapsched.WithSeed(1), mapsched.WithScale(40))
+		sim, err := mapsched.New(cfg, mapsched.Batch(mapsched.Terasort), k, mapsched.WithScale(40))
 		if err != nil {
 			panic(err)
 		}
@@ -64,11 +64,11 @@ func ExamplePlacementService() {
 	cfg := mapsched.DefaultClusterConfig()
 	cfg.Topology.Racks = 2
 	cfg.Topology.NodesPerRack = 4
+	cfg.Seed = 1
 
 	svc, err := mapsched.NewPlacementService(cfg,
 		mapsched.Batch(mapsched.Wordcount)[:1],
-		mapsched.WithSeed(1), mapsched.WithScale(40),
-		mapsched.WithDeterministic())
+		mapsched.WithScale(40), mapsched.WithDeterministic())
 	if err != nil {
 		panic(err)
 	}

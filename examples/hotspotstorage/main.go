@@ -17,6 +17,7 @@ func main() {
 	cfg := mapsched.DefaultClusterConfig()
 	cfg.Topology.Racks = 4
 	cfg.Topology.NodesPerRack = 15
+	cfg.Seed = 3
 
 	fmt.Println("Terasort batch on 4 racks x 15 nodes; all blocks on the first 30 nodes")
 	fmt.Printf("%-16s %10s %10s %14s %14s\n",
@@ -27,7 +28,6 @@ func main() {
 		mapsched.SchedulerFair,
 	} {
 		sim, err := mapsched.New(cfg, mapsched.Batch(mapsched.Terasort), k,
-			mapsched.WithSeed(3),
 			mapsched.WithScale(6),
 			mapsched.WithStorageSubset(30),
 		)

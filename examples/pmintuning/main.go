@@ -18,6 +18,7 @@ import (
 func main() {
 	cfg := mapsched.DefaultClusterConfig()
 	cfg.MaxSimTime = 400 // deadline: a batch must finish within this horizon
+	cfg.Seed = 5
 
 	fmt.Println("Pmin sweep over the 10-job Wordcount batch (deadline 400s simulated)")
 	fmt.Printf("%6s %12s %12s\n", "Pmin", "mean JCT", "unfinished")
@@ -25,7 +26,6 @@ func main() {
 	for _, pmin := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
 		sim, err := mapsched.New(cfg, mapsched.Batch(mapsched.Wordcount),
 			mapsched.SchedulerProbabilistic,
-			mapsched.WithSeed(5),
 			mapsched.WithScale(12),
 			mapsched.WithPmin(pmin),
 		)

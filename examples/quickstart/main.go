@@ -12,10 +12,10 @@ import (
 
 func main() {
 	cfg := mapsched.DefaultClusterConfig()
+	cfg.Seed = 1 // identical seeds give bit-identical runs
 
 	sim, err := mapsched.New(cfg, mapsched.Batch(mapsched.Wordcount),
 		mapsched.SchedulerProbabilistic,
-		mapsched.WithSeed(1),
 		mapsched.WithScale(6), // scale the 10-100 GB inputs down 6x
 	)
 	if err != nil {

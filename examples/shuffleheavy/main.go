@@ -15,8 +15,12 @@ import (
 
 func main() {
 	cfg := mapsched.DefaultClusterConfig()
+	cfg.Seed = 7
 	// A busy shared platform: other tenants' flows occupy parts of the
-	// fabric, so effective per-node bandwidth is heterogeneous.
+	// fabric, so effective per-node bandwidth is heterogeneous, and the
+	// probabilistic scheduler costs paths by their observed rates.
+	cfg.CrossTraffic = 30
+	cfg.CostMode = mapsched.ModeNetworkCondition
 	kinds := []mapsched.SchedulerKind{
 		mapsched.SchedulerProbabilistic,
 		mapsched.SchedulerCoupling,
@@ -28,10 +32,7 @@ func main() {
 		"scheduler", "mean JCT", "p90 JCT", "max JCT", "local maps", "shuffle GB")
 	for _, k := range kinds {
 		sim, err := mapsched.New(cfg, mapsched.Batch(mapsched.Wordcount), k,
-			mapsched.WithSeed(7),
 			mapsched.WithScale(6),
-			mapsched.WithCrossTraffic(30),
-			mapsched.WithCostMode(mapsched.ModeNetworkCondition),
 		)
 		if err != nil {
 			log.Fatal(err)

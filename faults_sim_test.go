@@ -18,9 +18,10 @@ func TestFaultyEventLogDeterministic(t *testing.T) {
 	record := func() string {
 		var buf bytes.Buffer
 		log := NewJSONLSink(&buf)
-		sim, err := New(smallConfig(), Batch(Terasort), SchedulerProbabilistic,
-			WithSeed(7), WithScale(30), WithReplication(3),
-			WithFaultPlan(plan), WithObserver(log))
+		cfg := seededConfig(7)
+		cfg.Faults = plan
+		sim, err := New(cfg, Batch(Terasort), SchedulerProbabilistic,
+			WithScale(30), WithReplication(3), WithObserver(log))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,9 +84,10 @@ func TestJobsTerminateUnderEveryFaultType(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := runSim(smallConfig(), Batch(Wordcount), SchedulerProbabilistic,
-				WithSeed(3), WithScale(30), WithReplication(tc.replication),
-				WithFaultPlan(plan))
+			cfg := seededConfig(3)
+			cfg.Faults = plan
+			res, err := runSim(cfg, Batch(Wordcount), SchedulerProbabilistic,
+				WithScale(30), WithReplication(tc.replication))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,14 +112,16 @@ func TestJobsTerminateUnderEveryFaultType(t *testing.T) {
 	}
 }
 
-// TestEmptyFaultPlanIsIdentity: installing a zero plan must not perturb
-// the simulation relative to not installing one at all.
+// TestEmptyFaultPlanIsIdentity: installing a plan that scripts nothing,
+// with empty rather than nil fault lists, must not perturb the
+// simulation relative to the config's zero plan.
 func TestEmptyFaultPlanIsIdentity(t *testing.T) {
-	record := func(opts ...Option) string {
+	record := func(plan FaultPlan) string {
 		var buf bytes.Buffer
 		log := NewJSONLSink(&buf)
-		opts = append(opts, WithSeed(5), WithScale(30), WithObserver(log))
-		sim, err := New(smallConfig(), Batch(Grep), SchedulerProbabilistic, opts...)
+		cfg := seededConfig(5)
+		cfg.Faults = plan
+		sim, err := New(cfg, Batch(Grep), SchedulerProbabilistic, WithScale(30), WithObserver(log))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +133,9 @@ func TestEmptyFaultPlanIsIdentity(t *testing.T) {
 		}
 		return buf.String()
 	}
-	if record() != record(WithFaultPlan(FaultPlan{})) {
+	empty := FaultPlan{Crashes: []NodeCrash{}, Slowdowns: []NodeSlowdown{},
+		Links: []LinkDegradeFault{}, ReplicaLosses: []ReplicaLossFault{}}
+	if record(FaultPlan{}) != record(empty) {
 		t.Fatal("empty fault plan changed the event log")
 	}
 }

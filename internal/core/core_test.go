@@ -305,7 +305,7 @@ func TestSelectMapTaskPrefersLocal(t *testing.T) {
 	cm, j := fig2Setup(t)
 	avail := (&snapshots{}).of([]topology.NodeID{0, 1, 2, 3})
 	// On D1 (node 0): M1's block is local (P = 1), M2's is 10 hops away.
-	sel, ok := SelectMapTaskWith(cm, nil, j.Maps, 0, avail)
+	sel, ok := SelectMapTaskWith(cm, Exponential{}, j.Maps, 0, avail)
 	if !ok {
 		t.Fatal("no candidate selected")
 	}
@@ -320,7 +320,7 @@ func TestSelectMapTaskPrefersLocal(t *testing.T) {
 	}
 	// On D4 (node 3): neither block local; M2 (10 hops from D1... D2→D4 is
 	// 4) is nearer than M1 (D1→D4 is 6): M2 wins.
-	sel, ok = SelectMapTaskWith(cm, nil, j.Maps, 3, avail)
+	sel, ok = SelectMapTaskWith(cm, Exponential{}, j.Maps, 3, avail)
 	if !ok {
 		t.Fatal("no candidate selected on D4")
 	}
@@ -337,7 +337,7 @@ func TestSelectMapTaskPrefersLocal(t *testing.T) {
 
 func TestSelectMapTaskEmpty(t *testing.T) {
 	cm, _ := fig2Setup(t)
-	if _, ok := SelectMapTaskWith(cm, nil, nil, 0, (&snapshots{}).of([]topology.NodeID{0})); ok {
+	if _, ok := SelectMapTaskWith(cm, Exponential{}, nil, 0, (&snapshots{}).of([]topology.NodeID{0})); ok {
 		t.Fatal("selection from empty candidate list succeeded")
 	}
 }
@@ -352,7 +352,7 @@ func TestSelectReduceTask(t *testing.T) {
 	avail := (&snapshots{}).of([]topology.NodeID{0, 1, 2, 3})
 	// On D2 (node 1, where the heavy mapper M2 ran) both reduces are
 	// cheap; the selection must return the one with the higher P.
-	best, ok := SelectReduceTask(rc, nil, j.Reduces, 1, avail)
+	best, ok := SelectReduceTask(rc, Exponential{}, j.Reduces, 1, avail)
 	if !ok {
 		t.Fatal("no reduce selected")
 	}
@@ -366,7 +366,7 @@ func TestSelectReduceTask(t *testing.T) {
 func TestSelectReduceBeforeAnyMapLaunched(t *testing.T) {
 	cm, j := fig2Setup(t)
 	rc := cm.NewReduceCoster(j, ProgressScaled{})
-	best, ok := SelectReduceTask(rc, nil, j.Reduces, 0, (&snapshots{}).of([]topology.NodeID{0, 1}))
+	best, ok := SelectReduceTask(rc, Exponential{}, j.Reduces, 0, (&snapshots{}).of([]topology.NodeID{0, 1}))
 	if !ok {
 		t.Fatal("no reduce selected with zero information")
 	}
@@ -473,6 +473,11 @@ func TestNetworkConditionMode(t *testing.T) {
 	if _, err := NewCostModel((*topology.Cluster)(nil), store, ModeNetworkCondition); err == nil {
 		t.Fatal("network-condition mode over a nil Cluster accepted")
 	}
+	// An unknown mode over the Fig. 2 network would otherwise cost by
+	// its per-node hop path.
+	if _, err := NewCostModel(distMatrix(fig2H), store, Mode(7)); err == nil {
+		t.Fatal("unknown cost mode accepted")
+	}
 	if ModeHops.String() != "hops" || ModeNetworkCondition.String() != "network-condition" {
 		t.Fatal("mode strings wrong")
 	}
@@ -550,7 +555,7 @@ func TestSelectReduceSkipsUnreachablePlacements(t *testing.T) {
 	if c := rc.Cost(0, 1); !math.IsInf(c, 1) {
 		t.Fatalf("R2 on node 0 costs %v across a severed link, want +Inf", c)
 	}
-	best, ok := SelectReduceTask(rc, nil, j.Reduces, 0, avail)
+	best, ok := SelectReduceTask(rc, Exponential{}, j.Reduces, 0, avail)
 	if !ok {
 		t.Fatal("reachable candidate R1 not selected")
 	}
@@ -560,7 +565,7 @@ func TestSelectReduceSkipsUnreachablePlacements(t *testing.T) {
 	if math.IsInf(best.Cost, 1) {
 		t.Fatal("selected placement has infinite cost")
 	}
-	if _, ok := SelectReduceTask(rc, nil, j.Reduces[1:], 0, avail); ok {
+	if _, ok := SelectReduceTask(rc, Exponential{}, j.Reduces[1:], 0, avail); ok {
 		t.Fatal("task with no reachable placement selected anyway")
 	}
 }

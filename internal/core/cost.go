@@ -89,17 +89,17 @@ type CostModel struct {
 	scratchInv []float64
 }
 
-// NewCostModel builds a cost model over net. ModeNetworkCondition
-// requires net to be a *topology.Cluster: the distances read its link
-// shares.
+// NewCostModel builds a cost model over net in one of the two modes.
+// ModeNetworkCondition requires net to be a *topology.Cluster: the
+// distances read its link shares.
 func NewCostModel(net topology.Network, store *hdfs.Store, mode Mode) (*CostModel, error) {
 	if net == nil || store == nil {
 		return nil, fmt.Errorf("core: nil network or store")
 	}
 	c := &CostModel{net: net, store: store}
 	cl, _ := net.(*topology.Cluster)
-	switch {
-	case mode == ModeNetworkCondition:
+	switch mode {
+	case ModeNetworkCondition:
 		if cl == nil {
 			return nil, fmt.Errorf("core: network-condition mode requires a *topology.Cluster network, got %T", net)
 		}
@@ -110,11 +110,15 @@ func NewCostModel(net topology.Network, store *hdfs.Store, mode Mode) (*CostMode
 		}
 		c.invUp = make([]float64, cl.Size())
 		c.scratchInv = make([]float64, cl.Size())
-	case mode == ModeHops && cl != nil:
-		c.racks = cl
-		c.scratchReps = make([]int, cl.Racks())
-		c.mapCounts = make([]int, cl.Racks())
-		c.reduceCounts = make([]int, cl.Racks())
+	case ModeHops:
+		if cl != nil {
+			c.racks = cl
+			c.scratchReps = make([]int, cl.Racks())
+			c.mapCounts = make([]int, cl.Racks())
+			c.reduceCounts = make([]int, cl.Racks())
+		}
+	default:
+		return nil, fmt.Errorf("core: unknown cost mode %v", mode)
 	}
 	return c, nil
 }
@@ -148,7 +152,7 @@ func invRate(r float64) float64 {
 // from Distance and the block store may change. The counter is the sum of
 // two monotone components: the store's replica-mutation epoch (replica
 // loss moves a block's nearest replica even when distances are static)
-// and, in network-condition mode, the rate observer's recompute epoch.
+// and, in network-condition mode, the cluster's rate-recompute epoch.
 // Since both only grow, equal sums imply both are unchanged. In hop mode
 // with an immutable store the value is constantly 0, preserving pre-fault
 // cache behaviour.

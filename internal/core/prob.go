@@ -79,13 +79,10 @@ type MapCostEvaluator interface {
 // candidate (which Best need not subsume: a large remote task can
 // out-save a small local one). Ties on saving go to the earlier task, for
 // determinism. Selection reads only the saving, so the probability under
-// the configured model (Formula 4 when model is nil) is computed once per
-// returned candidate, after the scan. ok is false when tasks is empty or
-// no candidate is schedulable.
+// model (Exponential is Formula 4) is computed once per returned
+// candidate, after the scan. ok is false when tasks is empty or no
+// candidate is schedulable.
 func SelectMapTaskWith(ev MapCostEvaluator, model ProbabilityModel, tasks []*job.MapTask, i topology.NodeID, avail Avail) (sel MapSelection, ok bool) {
-	if model == nil {
-		model = Exponential{}
-	}
 	for _, m := range tasks {
 		cost, avg := ev.MapCosts(m, i, avail)
 		if math.IsInf(cost, 1) {
@@ -113,16 +110,13 @@ func SelectMapTaskWith(ev MapCostEvaluator, model ProbabilityModel, tasks []*job
 // reduce task it computes the shuffle cost on node i (Formula 3 with the
 // estimator's Î_jf) and the average over nodes with free reduce slots,
 // and returns the candidate with the largest transmission-cost saving,
-// with its probability under the configured model (Formula 5 when model
-// is nil) computed once, after the scan. Unreachable placements (infinite
-// cost, e.g. after a link sever) are skipped, exactly as in map selection
-// — a −Inf saving must not become a job's "best" and mask schedulable
+// with its probability under model (Exponential is Formula 5) computed
+// once, after the scan. Unreachable placements (infinite cost, e.g.
+// after a link sever) are skipped, exactly as in map selection — a −Inf
+// saving must not become a job's "best" and mask schedulable
 // candidates. ok is false when tasks is empty or every placement is
 // unreachable.
 func SelectReduceTask(rc *ReduceCoster, model ProbabilityModel, tasks []*job.ReduceTask, i topology.NodeID, avail Avail) (best Choice, ok bool) {
-	if model == nil {
-		model = Exponential{}
-	}
 	for _, r := range tasks {
 		cost := rc.Cost(i, r.Index)
 		if math.IsInf(cost, 1) {

@@ -112,6 +112,9 @@ func (c Config) Validate() error {
 	if !(c.HeartbeatInterval > 0 && c.HeartbeatInterval <= math.MaxFloat64) {
 		return fmt.Errorf("engine: heartbeat interval %v must be finite and positive", c.HeartbeatInterval)
 	}
+	if c.CostMode != core.ModeHops && c.CostMode != core.ModeNetworkCondition {
+		return fmt.Errorf("engine: unknown cost mode %v", c.CostMode)
+	}
 	if c.CrossTraffic < 0 {
 		return fmt.Errorf("engine: negative cross traffic")
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mapsched/internal/core"
 	"mapsched/internal/job"
 	"mapsched/internal/metrics"
 	"mapsched/internal/sched"
@@ -255,6 +256,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.HeartbeatInterval = 0 },
 		func(c *Config) { c.CrossTraffic = -1 },
 		func(c *Config) { c.MaxSimTime = -5 },
+		func(c *Config) { c.CostMode = core.Mode(7) },
 	}
 	for i, m := range mut {
 		cfg := DefaultConfig()

@@ -3,10 +3,10 @@
 //
 // The public API distinguishes "explicit zero value" from "not
 // specified" by pairing option fields with boolean set flags
-// (crossTraffic / crossTrafficSet and friends in the root package's
-// options struct). PR 2 fixed a bug class where WithCrossTraffic(0)
-// silently behaved like "unset" because the option closure wrote the
-// value but not the flag; this analyzer makes that regression
+// (journal / journalSet and friends in the root package's options
+// struct). PR 2 fixed a bug class where an option given an explicit
+// zero silently behaved like "unset" because the option closure wrote
+// the value but not the flag; this analyzer makes that regression
 // impossible: inside any option-shaped function (a func with exactly
 // one parameter of a struct type that declares <field>/<field>Set
 // pairs, and no results), a write to <field> must be accompanied by a

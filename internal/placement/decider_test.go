@@ -87,6 +87,7 @@ func TestNewServiceRejectsBadDeps(t *testing.T) {
 		{"nil_store", func(d *Deps) { d.Store = nil }},
 		{"node_count_mismatch", func(d *Deps) { d.Slots = newSlots(d.Net.Size() + 1) }},
 		{"rate_not_net", func(d *Deps) { d.Rate = newNet() }},
+		{"unknown_cost_mode", func(d *Deps) { d.Mode = core.Mode(7) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := valid()

@@ -60,7 +60,7 @@ type Deps struct {
 	// Rate is unused: the network-condition costs read Net's link
 	// shares. It stays only because cmd/mrbench sets it to Net, and goes
 	// with ROADMAP item 8; NewService rejects any other non-nil value.
-	Rate topology.RateObserver
+	Rate *topology.Cluster
 	// Slots is the cluster slot state whose availability sets form the
 	// N_m / N_r of Formulas 4–5.
 	Slots *cluster.State
@@ -122,7 +122,7 @@ func NewService(d Deps) (*Service, error) {
 		return nil, fmt.Errorf("placement: nil network or slot state")
 	}
 	if d.Rate != nil && d.Rate != d.Net {
-		return nil, fmt.Errorf("placement: rate observer %T is not the network", d.Rate)
+		return nil, fmt.Errorf("placement: rate cluster is not the network")
 	}
 	// Validates the net/store/mode combination; Deciders build their own
 	// models from the same inputs.
@@ -385,8 +385,8 @@ func (s *Service) ApplyNodeBlacklist(n topology.NodeID, b bool) error {
 
 // ApplyLinkFactor rescales node n's host access link capacity by
 // factor (1 restores nominal, 0 severs); network-condition costs see
-// the change through the rate observer. Unknown nodes and non-finite or
-// negative factors are rejected.
+// the change through the cluster's link shares. Unknown nodes and
+// non-finite or negative factors are rejected.
 func (s *Service) ApplyLinkFactor(n topology.NodeID, factor float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

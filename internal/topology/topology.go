@@ -34,21 +34,6 @@ type Network interface {
 	Rack(a NodeID) int
 }
 
-// RateObserver reports the transmission rate (bytes/second) a new transfer
-// from a to b would currently obtain. Section II-B-3 of the paper replaces
-// h_ab with the inverse of this rate to make the cost bandwidth-aware.
-// Cluster is the one production implementation. The network-condition
-// cost model reads its Cluster network directly (its per-rack sums need
-// UpRate and InRate), so only placement.Deps.Rate still names this
-// interface.
-type RateObserver interface {
-	PathRate(a, b NodeID) float64
-	// Epoch advances whenever a PathRate observation may have changed:
-	// equal epochs guarantee equal rates, so derived cost caches can
-	// invalidate exactly.
-	Epoch() uint64
-}
-
 // Spec configures a hierarchical Cluster topology.
 type Spec struct {
 	Racks        int     // number of racks (>= 1)
@@ -116,8 +101,6 @@ type Cluster struct {
 	// replaces a per-transfer allocation.
 	pathBuf [4]LinkID
 }
-
-var _ RateObserver = (*Cluster)(nil)
 
 // NewCluster builds the topology and its flow network on eng.
 func NewCluster(eng *sim.Engine, spec Spec) (*Cluster, error) {
@@ -197,8 +180,9 @@ func (c *Cluster) path(a, b NodeID) []LinkID {
 
 // PathRate returns the max-min share a new flow from a to b would obtain
 // right now, in bytes/second: the minimum over the path's links of their
-// stored prospective shares, min(UpRate(a), InRate(Rack(a), b)). For
-// a == b it returns the disk bandwidth. Every link share is finite and
+// stored prospective shares, min(UpRate(a), InRate(Rack(a), b)). Section
+// II-B-3 of the paper replaces h_ab with its inverse to make the cost
+// bandwidth-aware. For a == b it returns the disk bandwidth. Every link share is finite and
 // non-negative, so the minimum is exact whatever order it is taken in.
 func (c *Cluster) PathRate(a, b NodeID) float64 {
 	if a == b {

@@ -28,14 +28,29 @@ type goldenScenario struct {
 	cfg  ClusterConfig
 	defs []JobDef
 	kind SchedulerKind
+	set  func(*ClusterConfig) // run settings applied over cfg, or nil
 	opts []Option
 }
 
-// rackConfig is smallConfig reshaped to racks × perRack nodes, so the
+// new builds the scenario's simulation, with extra ahead of its options.
+func (sc goldenScenario) new(t *testing.T, extra ...Option) *Simulation {
+	t.Helper()
+	cfg := sc.cfg
+	if sc.set != nil {
+		sc.set(&cfg)
+	}
+	sim, err := New(cfg, sc.defs, sc.kind, append(extra, sc.opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
+// rackConfig is seededConfig reshaped to racks × perRack nodes, so the
 // goldens pin multi-rack and singleton-rack decision streams in both
 // distance modes.
-func rackConfig(racks, perRack int) ClusterConfig {
-	cfg := smallConfig()
+func rackConfig(racks, perRack int, seed int64) ClusterConfig {
+	cfg := seededConfig(seed)
 	cfg.Topology.Racks = racks
 	cfg.Topology.NodesPerRack = perRack
 	return cfg
@@ -57,31 +72,25 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 	if err != nil {
 		t.Fatal(err)
 	}
+	scale := []Option{WithScale(30)}
+	netcond := func(c *ClusterConfig) { c.CostMode = ModeNetworkCondition; c.CrossTraffic = 6 }
 	return []goldenScenario{
-		{"terasort_prob_s11", smallConfig(), Batch(Terasort), SchedulerProbabilistic,
-			[]Option{WithSeed(11), WithScale(30)}},
-		{"wordcount_fair_s7", smallConfig(), Batch(Wordcount), SchedulerFair,
-			[]Option{WithSeed(7), WithScale(30)}},
-		{"grep_coupling_s3", smallConfig(), Batch(Grep), SchedulerCoupling,
-			[]Option{WithSeed(3), WithScale(30), WithCrossTraffic(25)}},
-		{"terasort_faulty_s11", smallConfig(), Batch(Terasort), SchedulerProbabilistic,
-			[]Option{WithSeed(11), WithScale(30), WithFaultPlan(plan)}},
-		{"terasort_prob_4x3_s5", rackConfig(4, 3), Batch(Terasort), SchedulerProbabilistic,
-			[]Option{WithSeed(5), WithScale(30)}},
-		{"wordcount_prob_12x1_s9", rackConfig(12, 1), Batch(Wordcount), SchedulerProbabilistic,
-			[]Option{WithSeed(9), WithScale(30)}},
-		{"terasort_netcond_4x3_s5", rackConfig(4, 3), Batch(Terasort), SchedulerProbabilistic,
-			[]Option{WithSeed(5), WithScale(30), WithCostMode(ModeNetworkCondition), WithCrossTraffic(6)}},
-		{"wordcount_netcond_12x1_s9", rackConfig(12, 1), Batch(Wordcount), SchedulerProbabilistic,
-			[]Option{WithSeed(9), WithScale(30), WithCostMode(ModeNetworkCondition), WithCrossTraffic(6)}},
-		{"opensys_faulty_s5", smallConfig(), nil, SchedulerProbabilistic,
-			append(openGoldenOptions(), WithFaultPlan(openPlan))},
+		{"terasort_prob_s11", seededConfig(11), Batch(Terasort), SchedulerProbabilistic, nil, scale},
+		{"wordcount_fair_s7", seededConfig(7), Batch(Wordcount), SchedulerFair, nil, scale},
+		{"grep_coupling_s3", seededConfig(3), Batch(Grep), SchedulerCoupling,
+			func(c *ClusterConfig) { c.CrossTraffic = 25 }, scale},
+		{"terasort_faulty_s11", seededConfig(11), Batch(Terasort), SchedulerProbabilistic,
+			func(c *ClusterConfig) { c.Faults = plan }, scale},
+		{"terasort_prob_4x3_s5", rackConfig(4, 3, 5), Batch(Terasort), SchedulerProbabilistic, nil, scale},
+		{"wordcount_prob_12x1_s9", rackConfig(12, 1, 9), Batch(Wordcount), SchedulerProbabilistic, nil, scale},
+		{"terasort_netcond_4x3_s5", rackConfig(4, 3, 5), Batch(Terasort), SchedulerProbabilistic, netcond, scale},
+		{"wordcount_netcond_12x1_s9", rackConfig(12, 1, 9), Batch(Wordcount), SchedulerProbabilistic, netcond, scale},
+		{"opensys_faulty_s5", openGoldenConfig(), nil, SchedulerProbabilistic,
+			func(c *ClusterConfig) { c.Faults = openPlan }, openGoldenOptions()},
 		// 90 nodes: rack 2 (nodes 60–89) straddles the 64-node word
 		// boundary of the availability sets.
-		{"grep_coupling_3x30_s4", rackConfig(3, 30), Batch(Grep), SchedulerCoupling,
-			[]Option{WithSeed(4), WithScale(30)}},
-		{"terasort_netcond_3x30_s6", rackConfig(3, 30), Batch(Terasort), SchedulerProbabilistic,
-			[]Option{WithSeed(6), WithScale(30), WithCostMode(ModeNetworkCondition), WithCrossTraffic(6)}},
+		{"grep_coupling_3x30_s4", rackConfig(3, 30, 4), Batch(Grep), SchedulerCoupling, nil, scale},
+		{"terasort_netcond_3x30_s6", rackConfig(3, 30, 6), Batch(Terasort), SchedulerProbabilistic, netcond, scale},
 	}
 }
 
@@ -99,12 +108,7 @@ func decisionStream(t *testing.T, sc goldenScenario) string {
 	t.Helper()
 	var buf bytes.Buffer
 	log := NewJSONLSink(&buf)
-	opts := append([]Option{WithObserver(log)}, sc.opts...)
-	sim, err := New(sc.cfg, sc.defs, sc.kind, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(); err != nil {
+	if _, err := sc.new(t, WithObserver(log)).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Flush(); err != nil {
@@ -171,7 +175,7 @@ func TestKernelGoldenDecisionStreams(t *testing.T) {
 func TestJSONLSinkMatchesMarshal(t *testing.T) {
 	for _, sc := range []goldenScenario{
 		crossTrafficScenario(t),
-		{"opensys_multitenant_s5", smallConfig(), nil, SchedulerProbabilistic, openGoldenOptions()},
+		{"opensys_multitenant_s5", openGoldenConfig(), nil, SchedulerProbabilistic, nil, openGoldenOptions()},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			var got, want bytes.Buffer
@@ -184,12 +188,7 @@ func TestJSONLSinkMatchesMarshal(t *testing.T) {
 				want.Write(b)
 				want.WriteByte('\n')
 			})
-			opts := append([]Option{WithObserver(sink), WithObserver(marshal)}, sc.opts...)
-			sim, err := New(sc.cfg, sc.defs, sc.kind, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sim.Run(); err != nil {
+			if _, err := sc.new(t, WithObserver(sink), WithObserver(marshal)).Run(); err != nil {
 				t.Fatal(err)
 			}
 			if err := sink.Flush(); err != nil {
@@ -207,9 +206,11 @@ func TestJSONLSinkMatchesMarshal(t *testing.T) {
 // persistent cross-traffic flows beside its transfers.
 func crossTrafficScenario(t *testing.T) goldenScenario {
 	t.Helper()
-	faulty := goldenScenarios(t)[3]
-	return goldenScenario{faulty.name + "_crosstraffic", faulty.cfg, faulty.defs, faulty.kind,
-		append([]Option{WithCrossTraffic(25)}, faulty.opts...)}
+	sc := goldenScenarios(t)[3]
+	sc.name += "_crosstraffic"
+	faults := sc.set
+	sc.set = func(c *ClusterConfig) { faults(c); c.CrossTraffic = 25 }
+	return sc
 }
 
 // TestRetainedEventsStayValid holds an observer to no lifetime rule: it
@@ -224,12 +225,7 @@ func TestRetainedEventsStayValid(t *testing.T) {
 	sink := NewJSONLSink(&log)
 	var kept []Event
 	keep := ObserverFunc(func(e Event) { kept = append(kept, e) })
-	opts := append([]Option{WithObserver(sink), WithObserver(keep)}, sc.opts...)
-	sim, err := New(sc.cfg, sc.defs, sc.kind, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(); err != nil {
+	if _, err := sc.new(t, WithObserver(sink), WithObserver(keep)).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Flush(); err != nil {

@@ -11,9 +11,10 @@
 //
 // Quick start:
 //
-//	sim, err := mapsched.New(mapsched.DefaultClusterConfig(),
-//	        mapsched.Batch(mapsched.Wordcount),
-//	        mapsched.SchedulerProbabilistic, mapsched.WithSeed(1))
+//	cfg := mapsched.DefaultClusterConfig()
+//	cfg.Seed = 1
+//	sim, err := mapsched.New(cfg, mapsched.Batch(mapsched.Wordcount),
+//	        mapsched.SchedulerProbabilistic)
 //	if err != nil { ... }
 //	res, err := sim.Run()
 //	if err != nil { ... }
@@ -37,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"mapsched/internal/core"
@@ -81,9 +81,9 @@ type (
 
 // Fault-injection re-exports: a FaultPlan scripts node crashes, transient
 // slowdowns, link degradations and replica losses, plus the stochastic
-// per-attempt failure process and the retry/blacklist policy; see
-// WithFaultPlan. The zero FaultPlan injects nothing and runs are
-// bit-identical to ones without it.
+// per-attempt failure process and the retry/blacklist policy; install one
+// as ClusterConfig.Faults. The zero FaultPlan injects nothing and runs
+// are bit-identical to ones without it.
 type (
 	FaultPlan        = faults.Plan
 	NodeCrash        = faults.NodeCrash
@@ -161,41 +161,33 @@ func ParseBatch(name string) ([]JobDef, error) {
 	return nil, fmt.Errorf("unknown workload %q", name)
 }
 
-// options collects New's functional options. Every optional int carries a
-// set flag so explicit zero values ("no cross traffic", "no storage
-// subset") are expressible and distinguishable from "not specified".
+// options collects New's functional options. The run settings the
+// cluster config carries (seed, cost mode, cross traffic, fault plan,
+// heartbeat expiry) are set there and only there. The journal, arrival
+// and tenant options carry set flags: an explicit zero value of each is
+// an input distinct from "not specified".
 type options struct {
-	seed             int64
-	seedSet          bool
-	pmin             float64
-	scale            int
-	replication      int
-	estimator        core.Estimator
-	costMode         core.Mode
-	costModeSet      bool
-	crossTraffic     int
-	crossTrafficSet  bool
-	deterministic    bool
-	storageSubset    int
-	storageSubsetSet bool
-	faultPlan        faults.Plan
-	faultPlanSet     bool
-	hbExpiry         float64
-	hbExpirySet      bool
-	observers        []obs.Observer
-	journal          io.Writer
-	journalSet       bool
-	arrivalPlan      workload.ArrivalPlan
-	arrivalsSet      bool
-	tenants          []workload.Tenant
-	tenantsSet       bool
+	pmin          float64
+	scale         int
+	replication   int
+	estimator     core.Estimator
+	deterministic bool
+	storageSubset int
+	observers     []obs.Observer
+	journal       io.Writer
+	journalSet    bool
+	arrivalPlan   workload.ArrivalPlan
+	arrivalsSet   bool
+	tenants       []workload.Tenant
+	tenantsSet    bool
 }
 
 // Option customizes New, NewPlacementService and Replay.
 type Option func(*options)
 
-// ErrInvalidOption is wrapped by every option-domain error New,
-// NewPlacementService and Replay return, so callers can match the whole class with
+// ErrInvalidOption is wrapped by every option domain error New,
+// NewPlacementService and Replay return and by every configuration
+// domain error New returns, so callers can match the whole class with
 // errors.Is.
 var ErrInvalidOption = errors.New("invalid option")
 
@@ -214,12 +206,8 @@ func buildOptions(opts []Option) (options, error) {
 		return o, fmt.Errorf("mapsched: %w: scale %d must be >= 1", ErrInvalidOption, o.scale)
 	case o.replication < 1:
 		return o, fmt.Errorf("mapsched: %w: replication %d must be >= 1", ErrInvalidOption, o.replication)
-	case o.crossTrafficSet && o.crossTraffic < 0:
-		return o, fmt.Errorf("mapsched: %w: negative cross traffic %d", ErrInvalidOption, o.crossTraffic)
-	case o.storageSubsetSet && o.storageSubset < 0:
+	case o.storageSubset < 0:
 		return o, fmt.Errorf("mapsched: %w: negative storage subset %d", ErrInvalidOption, o.storageSubset)
-	case o.hbExpirySet && !(o.hbExpiry >= 0 && o.hbExpiry <= math.MaxFloat64):
-		return o, fmt.Errorf("mapsched: %w: heartbeat expiry %v must be finite and >= 0", ErrInvalidOption, o.hbExpiry)
 	case o.journalSet && o.journal == nil:
 		return o, fmt.Errorf("mapsched: %w: nil journal writer", ErrInvalidOption)
 	case o.tenantsSet && !o.arrivalsSet:
@@ -258,16 +246,10 @@ func (o *options) workloadOptions() workload.Options {
 		Replication:   o.replication,
 		SubmitStagger: 1,
 	}
-	if o.storageSubsetSet && o.storageSubset > 0 {
+	if o.storageSubset > 0 {
 		wo.Placement = hdfs.Subset{K: o.storageSubset}
 	}
 	return wo
-}
-
-// WithSeed fixes the run's random seed (default: the cluster config's
-// Seed); identical seeds give bit-identical results.
-func WithSeed(seed int64) Option {
-	return func(o *options) { o.seed = seed; o.seedSet = true }
 }
 
 // WithPmin sets the probabilistic scheduler's threshold (default 0.4).
@@ -284,46 +266,15 @@ func WithReplication(r int) Option { return func(o *options) { o.replication = r
 // probabilistic scheduler (default: the paper's progress-scaled one).
 func WithEstimator(e core.Estimator) Option { return func(o *options) { o.estimator = e } }
 
-// WithCostMode selects hop-count or network-condition distances.
-func WithCostMode(m CostMode) Option {
-	return func(o *options) { o.costMode = m; o.costModeSet = true }
-}
-
-// WithCrossTraffic injects persistent background flows between random
-// node pairs. An explicit 0 disables cross traffic even when the cluster
-// config requests some.
-func WithCrossTraffic(n int) Option {
-	return func(o *options) { o.crossTraffic = n; o.crossTrafficSet = true }
-}
-
 // WithDeterministic replaces the Bernoulli assignment with greedy
 // minimum-cost assignment (the Section II-C ablation).
 func WithDeterministic() Option { return func(o *options) { o.deterministic = true } }
 
 // WithStorageSubset confines all input-block replicas to the first k
 // nodes, modelling NAS/SAN-style storage on a subset of the cluster (the
-// scenario the paper's introduction motivates). An explicit 0 restores
-// the default whole-cluster placement.
-func WithStorageSubset(k int) Option {
-	return func(o *options) { o.storageSubset = k; o.storageSubsetSet = true }
-}
-
-// WithFaultPlan installs a deterministic fault-injection script: node
-// crashes with heartbeat-expiry detection, transient slowdowns, link
-// degradations, replica losses and a per-attempt failure probability,
-// recovered by task retry and node blacklisting. The plan is validated
-// against the cluster inside New. An explicit zero plan clears any plan
-// carried by the cluster config.
-func WithFaultPlan(p FaultPlan) Option {
-	return func(o *options) { o.faultPlan = p; o.faultPlanSet = true }
-}
-
-// WithHeartbeatExpiry sets how long after a node stops heartbeating the
-// JobTracker declares it dead and starts recovery (default: 10 × the
-// heartbeat interval).
-func WithHeartbeatExpiry(seconds float64) Option {
-	return func(o *options) { o.hbExpiry = seconds; o.hbExpirySet = true }
-}
+// scenario the paper's introduction motivates). 0, the default, places
+// replicas on the whole cluster.
+func WithStorageSubset(k int) Option { return func(o *options) { o.storageSubset = k } }
 
 // WithJournal attaches a crash-safe delta journal to a placement
 // service: every state delta (Commit, Complete, node health, links,
@@ -405,32 +356,21 @@ type Simulation struct {
 
 // New builds a simulation of the given jobs on a cluster under the chosen
 // scheduler. The configuration is validated here, so errors surface
-// before any observer or runtime state exists.
+// before any observer or runtime state exists; an invalid cfg wraps
+// ErrInvalidOption.
 func New(cfg ClusterConfig, defs []JobDef, kind SchedulerKind, opts ...Option) (*Simulation, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("mapsched: %w: %v", ErrInvalidOption, err)
 	}
 	if len(defs) == 0 && !o.arrivalsSet {
 		return nil, fmt.Errorf("mapsched: no jobs to run")
 	}
 	if o.journalSet {
 		return nil, fmt.Errorf("mapsched: %w: a simulation does not journal; WithJournal is for placement services", ErrInvalidOption)
-	}
-	if o.seedSet {
-		cfg.Seed = o.seed
-	}
-	if o.costModeSet {
-		cfg.CostMode = o.costMode
-	}
-	if o.crossTrafficSet {
-		cfg.CrossTraffic = o.crossTraffic
-	}
-	if o.faultPlanSet {
-		cfg.Faults = o.faultPlan
-	}
-	if o.hbExpirySet {
-		cfg.HeartbeatExpiry = o.hbExpiry
 	}
 	specs, err := workload.Specs(defs, o.workloadOptions())
 	if err != nil {

@@ -13,6 +13,13 @@ func smallConfig() ClusterConfig {
 	return cfg
 }
 
+// seededConfig is smallConfig run under the given seed.
+func seededConfig(seed int64) ClusterConfig {
+	cfg := smallConfig()
+	cfg.Seed = seed
+	return cfg
+}
+
 // runSim is the tests' shorthand for New followed by Simulation.Run.
 func runSim(cfg ClusterConfig, defs []JobDef, kind SchedulerKind, opts ...Option) (*Result, error) {
 	s, err := New(cfg, defs, kind, opts...)
@@ -23,8 +30,7 @@ func runSim(cfg ClusterConfig, defs []JobDef, kind SchedulerKind, opts ...Option
 }
 
 func TestRunQuickstart(t *testing.T) {
-	res, err := runSim(smallConfig(), Batch(Wordcount), SchedulerProbabilistic,
-		WithSeed(1), WithScale(30))
+	res, err := runSim(seededConfig(1), Batch(Wordcount), SchedulerProbabilistic, WithScale(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +59,7 @@ func TestRunAllSchedulers(t *testing.T) {
 
 func TestRunDeterministicSeeds(t *testing.T) {
 	run := func() float64 {
-		res, err := runSim(smallConfig(), Batch(Terasort), SchedulerProbabilistic,
-			WithSeed(42), WithScale(30))
+		res, err := runSim(seededConfig(42), Batch(Terasort), SchedulerProbabilistic, WithScale(30))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,10 +71,12 @@ func TestRunDeterministicSeeds(t *testing.T) {
 }
 
 func TestRunOptions(t *testing.T) {
-	res, err := runSim(smallConfig(), Batch(Wordcount), SchedulerProbabilistic,
+	cfg := smallConfig()
+	cfg.CostMode = ModeNetworkCondition
+	cfg.CrossTraffic = 5
+	res, err := runSim(cfg, Batch(Wordcount), SchedulerProbabilistic,
 		WithScale(40), WithPmin(0.2), WithReplication(3),
-		WithEstimator(core.Oracle{}), WithCostMode(ModeNetworkCondition),
-		WithCrossTraffic(5), WithDeterministic())
+		WithEstimator(core.Oracle{}), WithDeterministic())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +122,8 @@ func TestTableIIPassthrough(t *testing.T) {
 }
 
 func TestRunWithStorageSubset(t *testing.T) {
-	cfg := smallConfig()
-	res, err := runSim(cfg, Batch(Terasort), SchedulerProbabilistic,
-		WithSeed(2), WithScale(40), WithStorageSubset(3))
+	res, err := runSim(seededConfig(2), Batch(Terasort), SchedulerProbabilistic,
+		WithScale(40), WithStorageSubset(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +141,7 @@ func TestRunWithStorageSubset(t *testing.T) {
 }
 
 func TestRunWithTraceExport(t *testing.T) {
-	s, err := New(smallConfig(), Batch(Grep), SchedulerFair,
-		WithSeed(3), WithScale(40))
+	s, err := New(seededConfig(3), Batch(Grep), SchedulerFair, WithScale(40))
 	if err != nil {
 		t.Fatal(err)
 	}

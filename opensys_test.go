@@ -27,11 +27,11 @@ var openEventTypes = map[string]bool{
 // event log with flow_* events removed; when stripOpen is set the
 // open-system event kinds are filtered too, leaving exactly the stream a
 // closed-system run would produce.
-func openDecisionStream(t *testing.T, stripOpen bool, opts ...Option) string {
+func openDecisionStream(t *testing.T, cfg ClusterConfig, stripOpen bool, opts ...Option) string {
 	t.Helper()
 	var buf bytes.Buffer
 	log := NewJSONLSink(&buf)
-	sim, err := New(smallConfig(), nil, SchedulerProbabilistic,
+	sim, err := New(cfg, nil, SchedulerProbabilistic,
 		append([]Option{WithObserver(log)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestOpenSystemNestsClosedSystem(t *testing.T) {
 		// The fixed path submits job i at i × SubmitStagger (1 s).
 		plan.Trace = append(plan.Trace, TraceArrival{At: float64(i), Def: d})
 	}
-	got := openDecisionStream(t, true, WithSeed(11), WithScale(30), WithArrivals(plan))
+	got := openDecisionStream(t, seededConfig(11), true, WithScale(30), WithArrivals(plan))
 	want, err := os.ReadFile(filepath.Join("testdata", "kernel_golden", "terasort_prob_s11.jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -88,13 +88,16 @@ func TestOpenSystemNestsClosedSystem(t *testing.T) {
 	}
 }
 
-// openGoldenOptions is the multi-tenant golden scenario: two Poisson
-// tenants under a tight admission cap with preemption on and a short
-// queue for the best-effort tenant, so the stream exercises every
-// open-system event kind (arrival, admit, reject, preempt).
+// openGoldenConfig and openGoldenOptions are the multi-tenant golden
+// scenario: two Poisson tenants under a tight admission cap with
+// preemption on and a short queue for the best-effort tenant, so the
+// stream exercises every open-system event kind (arrival, admit, reject,
+// preempt).
+func openGoldenConfig() ClusterConfig { return seededConfig(5) }
+
 func openGoldenOptions() []Option {
 	return []Option{
-		WithSeed(5), WithScale(30),
+		WithScale(30),
 		WithArrivals(ArrivalPlan{
 			Horizon:   420,
 			Warmup:    60,
@@ -112,7 +115,7 @@ func openGoldenOptions() []Option {
 // stream byte for byte, covering the new event vocabulary end to end.
 // Regenerate with -update-golden after intentional changes.
 func TestOpenSystemGoldenEventStream(t *testing.T) {
-	got := openDecisionStream(t, false, openGoldenOptions()...)
+	got := openDecisionStream(t, openGoldenConfig(), false, openGoldenOptions()...)
 	for kind := range openEventTypes {
 		if kind == "node_unblacklist" {
 			continue // needs a fault plan; covered by the engine tests
@@ -145,7 +148,7 @@ func TestOpenSystemGoldenEventStream(t *testing.T) {
 // the golden scenario: per-tenant quantiles populated, sane fairness
 // index, conservation between arrivals and their outcomes.
 func TestOpenSystemTenantMetrics(t *testing.T) {
-	res, err := runSim(smallConfig(), nil, SchedulerProbabilistic, openGoldenOptions()...)
+	res, err := runSim(openGoldenConfig(), nil, SchedulerProbabilistic, openGoldenOptions()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +206,8 @@ func TestOpenSystemTenantIsolation(t *testing.T) {
 				names = append(names, e.Job)
 			}
 		})
-		_, err := runSim(smallConfig(), nil, SchedulerProbabilistic,
-			append([]Option{WithSeed(9), WithScale(30), WithObserver(sink)}, opts...)...)
+		_, err := runSim(seededConfig(9), nil, SchedulerProbabilistic,
+			append([]Option{WithScale(30), WithObserver(sink)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}

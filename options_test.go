@@ -7,10 +7,26 @@ import (
 	"testing"
 )
 
-// TestOptionDomains walks every With* option's rejection domain: out-of-
-// domain values make New fail with an error wrapping ErrInvalidOption,
-// and the domain boundaries stay accepted.
+// TestOptionDomains walks the rejection domain of every With* option
+// and of the cluster config's cross traffic and heartbeat expiry:
+// out-of-domain values make New fail with an error wrapping
+// ErrInvalidOption, and the domain boundaries stay accepted.
 func TestOptionDomains(t *testing.T) {
+	check := func(t *testing.T, err error, ok bool) {
+		t.Helper()
+		if ok {
+			if err != nil {
+				t.Fatalf("boundary value rejected: %v", err)
+			}
+			return
+		}
+		if err == nil {
+			t.Fatal("out-of-domain value accepted")
+		}
+		if !errors.Is(err, ErrInvalidOption) {
+			t.Fatalf("error %v does not wrap ErrInvalidOption", err)
+		}
+	}
 	cases := []struct {
 		name string
 		opt  Option
@@ -27,31 +43,48 @@ func TestOptionDomains(t *testing.T) {
 		{"replication_zero", WithReplication(0), false},
 		{"replication_negative", WithReplication(-1), false},
 		{"replication_one", WithReplication(1), true},
-		{"cross_traffic_negative", WithCrossTraffic(-1), false},
-		{"cross_traffic_zero", WithCrossTraffic(0), true},
 		{"storage_subset_negative", WithStorageSubset(-1), false},
 		{"storage_subset_zero", WithStorageSubset(0), true},
-		{"heartbeat_expiry_negative", WithHeartbeatExpiry(-1), false},
-		{"heartbeat_expiry_zero", WithHeartbeatExpiry(0), true},
-		{"heartbeat_expiry_nan", WithHeartbeatExpiry(math.NaN()), false},
-		{"heartbeat_expiry_inf", WithHeartbeatExpiry(math.Inf(1)), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := buildOptions([]Option{tc.opt})
-			if tc.ok {
-				if err != nil {
-					t.Fatalf("boundary value rejected: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatal("out-of-domain value accepted")
-			}
-			if !errors.Is(err, ErrInvalidOption) {
-				t.Fatalf("error %v does not wrap ErrInvalidOption", err)
-			}
+			check(t, err, tc.ok)
 		})
+	}
+	cfgCases := []struct {
+		name string
+		set  func(*ClusterConfig)
+		ok   bool
+	}{
+		{"cross_traffic_negative", func(c *ClusterConfig) { c.CrossTraffic = -1 }, false},
+		{"cross_traffic_zero", func(c *ClusterConfig) { c.CrossTraffic = 0 }, true},
+		{"heartbeat_expiry_negative", func(c *ClusterConfig) { c.HeartbeatExpiry = -1 }, false},
+		{"heartbeat_expiry_zero", func(c *ClusterConfig) { c.HeartbeatExpiry = 0 }, true},
+		{"heartbeat_expiry_nan", func(c *ClusterConfig) { c.HeartbeatExpiry = math.NaN() }, false},
+		{"heartbeat_expiry_inf", func(c *ClusterConfig) { c.HeartbeatExpiry = math.Inf(1) }, false},
+	}
+	for _, tc := range cfgCases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			tc.set(&cfg)
+			_, err := New(cfg, Batch(Grep), SchedulerFair, WithScale(40))
+			check(t, err, tc.ok)
+		})
+	}
+}
+
+// TestRejectsUnknownCostMode: a cost mode other than hops or network
+// condition fails New and NewPlacementService instead of silently
+// costing by the per-node path meant for a non-Cluster network.
+func TestRejectsUnknownCostMode(t *testing.T) {
+	cfg := smallConfig()
+	cfg.CostMode = CostMode(7)
+	if _, err := New(cfg, Batch(Grep), SchedulerProbabilistic, WithScale(40)); !errors.Is(err, ErrInvalidOption) {
+		t.Fatalf("New error = %v, want ErrInvalidOption", err)
+	}
+	if _, err := NewPlacementService(cfg, Batch(Grep), WithScale(40)); err == nil {
+		t.Fatal("NewPlacementService accepted cost mode 7")
 	}
 }
 
@@ -87,21 +120,21 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 }
 
 // TestClusterSeedSeedsRuns: the cluster config's Seed seeds New and
-// NewPlacementService exactly as WithSeed does, and WithSeed overrides it.
+// NewPlacementService.
 func TestClusterSeedSeedsRuns(t *testing.T) {
 	seeded := DefaultClusterConfig()
 	seeded.Seed = 7
-	run := func(cfg ClusterConfig, opts ...Option) *Result {
+	run := func(cfg ClusterConfig) *Result {
 		t.Helper()
-		res, err := runSim(cfg, Batch(Grep), SchedulerProbabilistic, append(opts, WithScale(30))...)
+		res, err := runSim(cfg, Batch(Grep), SchedulerProbabilistic, WithScale(30))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	decide := func(cfg ClusterConfig, opts ...Option) []PlacementDecision {
+	decide := func(cfg ClusterConfig) []PlacementDecision {
 		t.Helper()
-		svc, err := NewPlacementService(cfg, Batch(Grep), append(opts, WithScale(30))...)
+		svc, err := NewPlacementService(cfg, Batch(Grep), WithScale(30))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,34 +145,18 @@ func TestClusterSeedSeedsRuns(t *testing.T) {
 		return ds
 	}
 
-	seed1 := run(DefaultClusterConfig())
-	viaCfg, viaOpt := run(seeded), run(DefaultClusterConfig(), WithSeed(7))
-	if reflect.DeepEqual(viaCfg, seed1) {
-		t.Fatalf("cfg.Seed = 7 ran the seed-1 simulation (makespan %v)", viaCfg.Makespan)
+	if got := run(seeded); reflect.DeepEqual(got, run(DefaultClusterConfig())) {
+		t.Fatalf("cfg.Seed = 7 ran the seed-1 simulation (makespan %v)", got.Makespan)
 	}
-	if !reflect.DeepEqual(viaCfg, viaOpt) {
-		t.Fatalf("cfg.Seed = 7 makespan %v, WithSeed(7) makespan %v", viaCfg.Makespan, viaOpt.Makespan)
-	}
-	if got := run(seeded, WithSeed(1)); !reflect.DeepEqual(got, seed1) {
-		t.Fatalf("WithSeed(1) over cfg.Seed = 7: makespan %v, want the seed-1 %v", got.Makespan, seed1.Makespan)
-	}
-
-	dec1 := decide(DefaultClusterConfig())
-	decCfg, decOpt := decide(seeded), decide(DefaultClusterConfig(), WithSeed(7))
-	if reflect.DeepEqual(decCfg, dec1) {
+	if reflect.DeepEqual(decide(seeded), decide(DefaultClusterConfig())) {
 		t.Fatal("cfg.Seed = 7 gave the seed-1 placement decisions")
-	}
-	if !reflect.DeepEqual(decCfg, decOpt) {
-		t.Fatalf("decisions under cfg.Seed = 7 differ from WithSeed(7):\n%+v\n%+v", decCfg, decOpt)
-	}
-	if got := decide(seeded, WithSeed(1)); !reflect.DeepEqual(got, dec1) {
-		t.Fatal("WithSeed(1) over cfg.Seed = 7 did not give the seed-1 decisions")
 	}
 }
 
 // FuzzOptionDomains feeds arbitrary floats to every float-valued input
-// of the façade: WithPmin, WithHeartbeatExpiry, the arrival plan's
-// horizon, warm-up and trace instant, and a tenant's weight and rate.
+// of the façade: WithPmin, the cluster config's heartbeat expiry, the
+// arrival plan's horizon, warm-up and trace instant, and a tenant's
+// weight and rate.
 // Each input must either be rejected with an error wrapping
 // ErrInvalidOption or finish a short run on a 4-node cluster; a panic, a
 // hang or any other error is a finding. The run crashes a node so the
@@ -159,17 +176,20 @@ func FuzzOptionDomains(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cfg := DefaultClusterConfig()
-	cfg.Topology.Racks, cfg.Topology.NodesPerRack = 1, 4
-	cfg.MaxSimTime = 300
+	base := DefaultClusterConfig()
+	base.Topology.Racks, base.Topology.NodesPerRack = 1, 4
+	base.MaxSimTime = 300
+	base.Faults = crash
 	def := Batch(Grep)[0]
 	f.Fuzz(func(t *testing.T, pmin, expiry, horizon, warmup, at, weight, rate float64) {
 		plan := ArrivalPlan{
 			Horizon: horizon, Warmup: warmup, MaxActive: 2,
 			Trace: []TraceArrival{{At: at, Tenant: "a", Def: def}},
 		}
-		s, err := New(cfg, nil, SchedulerProbabilistic, WithScale(60), WithFaultPlan(crash),
-			WithPmin(pmin), WithHeartbeatExpiry(expiry), WithArrivals(plan),
+		cfg := base
+		cfg.HeartbeatExpiry = expiry
+		s, err := New(cfg, nil, SchedulerProbabilistic, WithScale(60),
+			WithPmin(pmin), WithArrivals(plan),
 			WithTenants(Tenant{Name: "a", Weight: weight, Rate: rate, QueueCap: 4}))
 		if err != nil {
 			if !errors.Is(err, ErrInvalidOption) {

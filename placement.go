@@ -85,12 +85,6 @@ func buildPlacementParts(cfg ClusterConfig, defs []JobDef, o options) (*placemen
 	if len(defs) == 0 {
 		return nil, fmt.Errorf("mapsched: no jobs to place")
 	}
-	if o.seedSet {
-		cfg.Seed = o.seed
-	}
-	if o.costModeSet {
-		cfg.CostMode = o.costMode
-	}
 	specs, err := workload.Specs(defs, o.workloadOptions())
 	if err != nil {
 		return nil, err
@@ -150,13 +144,14 @@ func (parts *placementParts) wire(svc *placement.Service, jobs []*job.Job, byNam
 }
 
 // NewPlacementService builds a standalone decision service for the
-// given jobs on a synthetic cluster. The workload options (WithSeed,
-// WithScale, WithReplication, WithStorageSubset) shape the cluster and
-// its block placements exactly as New does; the scheduler options
-// (WithPmin, WithEstimator, WithDeterministic, WithCostMode) configure
-// the decision rule. Observers attached with WithObserver receive the
-// decision events with their C / C_avg / P breakdown. WithJournal
-// attaches a crash-safe delta journal; see RecoverPlacementService.
+// given jobs on a synthetic cluster. The cluster config's Seed and the
+// workload options (WithScale, WithReplication, WithStorageSubset)
+// shape the cluster and its block placements exactly as New does; its
+// CostMode and the scheduler options (WithPmin, WithEstimator,
+// WithDeterministic) configure the decision rule. Observers attached
+// with WithObserver receive the decision events with their C / C_avg / P
+// breakdown. WithJournal attaches a crash-safe delta journal; see
+// RecoverPlacementService.
 func NewPlacementService(cfg ClusterConfig, defs []JobDef, opts ...Option) (*PlacementService, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
@@ -553,13 +548,6 @@ const maxMismatches = 20
 // the recorded task lifecycle, so such a stream is rejected
 // (ErrNotReplayable) rather than replayed wrong.
 func Replay(cfg ClusterConfig, defs []JobDef, events []Event, opts ...Option) (*ReplayReport, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	if o.costModeSet {
-		cfg.CostMode = o.costMode
-	}
 	if cfg.CostMode != ModeHops {
 		return nil, fmt.Errorf("%w: only hop-cost recordings are replayable", ErrNotReplayable)
 	}

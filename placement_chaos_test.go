@@ -67,9 +67,10 @@ func chaosSetup() (ClusterConfig, []JobDef, []Option) {
 	cfg := DefaultClusterConfig()
 	cfg.Topology.Racks = 2
 	cfg.Topology.NodesPerRack = 4
+	cfg.Seed = 9
 	// Three replicas over two racks: the two loss nodes (one per rack)
 	// can never take a block's last replica.
-	return cfg, Batch(Wordcount)[:3], []Option{WithSeed(9), WithScale(8), WithReplication(3), WithDeterministic()}
+	return cfg, Batch(Wordcount)[:3], []Option{WithScale(8), WithReplication(3), WithDeterministic()}
 }
 
 // chaosOpLog runs the reference: n ops drawn from a seeded mix of all six

@@ -15,7 +15,7 @@ func TestPlacementServiceLifecycle(t *testing.T) {
 	cfg.Topology.Racks = 2
 	cfg.Topology.NodesPerRack = 4
 	svc, err := mapsched.NewPlacementService(cfg, mapsched.Batch(mapsched.Wordcount)[:2],
-		mapsched.WithSeed(1), mapsched.WithScale(40))
+		mapsched.WithScale(40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestPlacementServiceGatesReduces(t *testing.T) {
 	cfg.Topology.Racks = 2
 	cfg.Topology.NodesPerRack = 4
 	svc, err := mapsched.NewPlacementService(cfg, mapsched.Batch(mapsched.Wordcount)[:2],
-		mapsched.WithSeed(1), mapsched.WithScale(40), mapsched.WithDeterministic())
+		mapsched.WithScale(40), mapsched.WithDeterministic())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,12 @@ func TestReplayPublicRoundTrip(t *testing.T) {
 	cfg := mapsched.DefaultClusterConfig()
 	cfg.Topology.Racks = 2
 	cfg.Topology.NodesPerRack = 4
+	cfg.Seed = 5
 	defs := mapsched.Batch(mapsched.Grep)
 
 	var events []mapsched.Event
 	collect := mapsched.ObserverFunc(func(e mapsched.Event) { events = append(events, e) })
-	opts := []mapsched.Option{mapsched.WithSeed(5), mapsched.WithScale(40)}
+	opts := []mapsched.Option{mapsched.WithScale(40)}
 	sim, err := mapsched.New(cfg, defs, mapsched.SchedulerProbabilistic,
 		append(opts, mapsched.WithObserver(collect))...)
 	if err != nil {
@@ -147,7 +148,9 @@ func TestReplayPublicRoundTrip(t *testing.T) {
 
 	// A replay against the wrong seed rebuilds different block
 	// placements: the report must say so rather than silently pass.
-	wrong, err := mapsched.Replay(cfg, defs, events, mapsched.WithSeed(6), mapsched.WithScale(40))
+	wrongSeed := cfg
+	wrongSeed.Seed = 6
+	wrong, err := mapsched.Replay(wrongSeed, defs, events, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +284,9 @@ func crashTestService(t *testing.T, journal *bytes.Buffer) (*mapsched.PlacementS
 	cfg := mapsched.DefaultClusterConfig()
 	cfg.Topology.Racks = 2
 	cfg.Topology.NodesPerRack = 4
+	cfg.Seed = 3
 	defs := mapsched.Batch(mapsched.Wordcount)[:2]
-	opts := []mapsched.Option{mapsched.WithSeed(3), mapsched.WithScale(40), mapsched.WithDeterministic()}
+	opts := []mapsched.Option{mapsched.WithScale(40), mapsched.WithDeterministic()}
 	svc, err := mapsched.NewPlacementService(cfg, defs, append(opts, mapsched.WithJournal(journal))...)
 	if err != nil {
 		t.Fatal(err)

@@ -22,10 +22,11 @@ func recordGrepBatch(t *testing.T) (mapsched.ClusterConfig, []mapsched.JobDef, [
 	cfg := mapsched.DefaultClusterConfig()
 	cfg.Topology.Racks = 2
 	cfg.Topology.NodesPerRack = 4
+	cfg.Seed = 5
 	defs := mapsched.Batch(mapsched.Grep)
 	var events []mapsched.Event
 	collect := mapsched.ObserverFunc(func(e mapsched.Event) { events = append(events, e) })
-	opts := []mapsched.Option{mapsched.WithSeed(5), mapsched.WithScale(40)}
+	opts := []mapsched.Option{mapsched.WithScale(40)}
 	sim, err := mapsched.New(cfg, defs, mapsched.SchedulerProbabilistic,
 		append(opts, mapsched.WithObserver(collect))...)
 	if err != nil {

@@ -9,8 +9,7 @@ import (
 // TestSimulationHandle exercises the New → Attach → Run → Result/Trace
 // lifecycle and its error paths.
 func TestSimulationHandle(t *testing.T) {
-	sim, err := New(smallConfig(), Batch(Grep), SchedulerProbabilistic,
-		WithSeed(1), WithScale(30))
+	sim, err := New(seededConfig(1), Batch(Grep), SchedulerProbabilistic, WithScale(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +45,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(smallConfig(), Batch(Grep), SchedulerKind(99), WithScale(40)); err == nil {
 		t.Fatal("unknown scheduler accepted")
 	}
-	if _, err := New(smallConfig(), Batch(Grep), SchedulerProbabilistic, WithCrossTraffic(-1)); err == nil {
+	negative := smallConfig()
+	negative.CrossTraffic = -1
+	if _, err := New(negative, Batch(Grep), SchedulerProbabilistic); err == nil {
 		t.Fatal("negative cross traffic accepted")
 	}
 	if _, err := New(smallConfig(), Batch(Grep), SchedulerProbabilistic, WithStorageSubset(-1)); err == nil {
@@ -61,16 +62,16 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestOptionZeroValues verifies that explicit zero option values override
-// the cluster config instead of being silently dropped.
+// TestOptionZeroValues verifies that explicit zero values take effect
+// instead of being silently dropped: the cluster config's cross-traffic
+// count, zero included, is the number of persistent flows, and
+// WithStorageSubset(0) means the whole cluster.
 func TestOptionZeroValues(t *testing.T) {
-	cfg := smallConfig()
-	cfg.CrossTraffic = 50
-
-	count := func(opts ...Option) float64 {
+	count := func(flows int) float64 {
 		sum := NewSummarySink()
-		opts = append(opts, WithSeed(1), WithScale(40), WithObserver(sum))
-		sim, err := New(cfg, Batch(Grep), SchedulerProbabilistic, opts...)
+		cfg := seededConfig(1)
+		cfg.CrossTraffic = flows
+		sim, err := New(cfg, Batch(Grep), SchedulerProbabilistic, WithScale(40), WithObserver(sum))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,26 +83,21 @@ func TestOptionZeroValues(t *testing.T) {
 		return sum.Registry().Counter("flows_started").Value() -
 			sum.Registry().Counter("flows_finished").Value()
 	}
-	if open := count(); open != 50 {
-		t.Fatalf("config cross traffic: %v persistent flows, want 50", open)
-	}
-	if open := count(WithCrossTraffic(0)); open != 0 {
-		t.Fatalf("WithCrossTraffic(0) left %v persistent flows, want 0", open)
-	}
-	if open := count(WithCrossTraffic(7)); open != 7 {
-		t.Fatalf("WithCrossTraffic(7): %v persistent flows", open)
+	for _, flows := range []int{50, 0, 7} {
+		if open := count(flows); open != float64(flows) {
+			t.Fatalf("cfg.CrossTraffic = %d: %v persistent flows", flows, open)
+		}
 	}
 
 	// WithStorageSubset(0) must mean "whole cluster", i.e. behave exactly
 	// like not passing the option, not like a 0-node subset (which would
 	// error out in placement).
-	res0, err := runSim(smallConfig(), Batch(Terasort), SchedulerProbabilistic,
-		WithSeed(2), WithScale(40), WithStorageSubset(0))
+	res0, err := runSim(seededConfig(2), Batch(Terasort), SchedulerProbabilistic,
+		WithScale(40), WithStorageSubset(0))
 	if err != nil {
 		t.Fatalf("WithStorageSubset(0): %v", err)
 	}
-	resDefault, err := runSim(smallConfig(), Batch(Terasort), SchedulerProbabilistic,
-		WithSeed(2), WithScale(40))
+	resDefault, err := runSim(seededConfig(2), Batch(Terasort), SchedulerProbabilistic, WithScale(40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +111,12 @@ func TestOptionZeroValues(t *testing.T) {
 // with observers attached is bit-identical to the same run without them.
 func TestObserverDoesNotChangeResult(t *testing.T) {
 	for _, kind := range []SchedulerKind{SchedulerProbabilistic, SchedulerCoupling, SchedulerFair} {
-		plain, err := runSim(smallConfig(), Batch(Wordcount), kind, WithSeed(7), WithScale(30))
+		plain, err := runSim(seededConfig(7), Batch(Wordcount), kind, WithScale(30))
 		if err != nil {
 			t.Fatal(err)
 		}
 		events := 0
-		observed, err := runSim(smallConfig(), Batch(Wordcount), kind, WithSeed(7), WithScale(30),
+		observed, err := runSim(seededConfig(7), Batch(Wordcount), kind, WithScale(30),
 			WithObserver(ObserverFunc(func(Event) { events++ })))
 		if err != nil {
 			t.Fatal(err)
@@ -145,8 +141,8 @@ func TestEventLogDeterministic(t *testing.T) {
 	record := func() string {
 		var buf bytes.Buffer
 		log := NewJSONLSink(&buf)
-		sim, err := New(smallConfig(), Batch(Terasort), SchedulerProbabilistic,
-			WithSeed(11), WithScale(30), WithObserver(log))
+		sim, err := New(seededConfig(11), Batch(Terasort), SchedulerProbabilistic,
+			WithScale(30), WithObserver(log))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,8 +205,8 @@ func TestEventLogDeterministic(t *testing.T) {
 // TestSummarySinkRates sanity-checks the streaming metrics on a real run.
 func TestSummarySinkRates(t *testing.T) {
 	sum := NewSummarySink()
-	if _, err := runSim(smallConfig(), Batch(Wordcount), SchedulerProbabilistic,
-		WithSeed(5), WithScale(30), WithObserver(sum)); err != nil {
+	if _, err := runSim(seededConfig(5), Batch(Wordcount), SchedulerProbabilistic,
+		WithScale(30), WithObserver(sum)); err != nil {
 		t.Fatal(err)
 	}
 	reg := sum.Registry()
