@@ -1,9 +1,10 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
+	"slices"
 
 	"mapsched/internal/obs"
 	"mapsched/internal/sim"
@@ -41,13 +42,14 @@ type Flow struct {
 	finished   bool
 
 	// Pool/emission state.
-	inLive       bool // referenced by liveList (tombstoned until compacted)
 	released     bool // owner dropped its reference; recycle when safe
 	pendingStart bool // flow_start emission deferred to the next flush
 
-	slots  []int   // position of this flow in each path link's flow list
-	next   float64 // scratch rate assigned by the current filling pass
-	frozen bool    // scratch flag for progressive filling
+	slots []int // position of this flow in each path link's flow list
+
+	// round is the fill round that froze the flow at its committed share,
+	// or, inside a fill, nil while the flow waits to be re-solved.
+	round *round
 
 	// Node endpoints for observability; -1 when the caller did not tag
 	// the flow.
@@ -73,6 +75,29 @@ type link struct {
 	share float64
 }
 
+// round is one round of a progressive fill: its bottleneck link and the
+// share it froze that link's unfrozen flows at. The flows point at their
+// round (Flow.round), so a round that a later fill replays keeps its
+// record, and its flows keep their share without being visited. Records
+// are pooled (see FlowNet.releaseRound).
+type round struct {
+	link  int
+	share float64
+	// gen is the fill that last took the round, by replay or by scan, and
+	// pos its index in that fill's log. A flow whose round has an older
+	// gen is still waiting for that round in the current fill.
+	gen uint64
+	pos int
+	// subs heads the round's chain in FlowNet.subs: one entry per crossing
+	// of a dirty link by one of the round's flows, which a replay of the
+	// round debits. 0 is the sentinel, so the zero value has no chain.
+	subs int32
+}
+
+// sub is one link of a round's subscription chain: the link a replay of
+// the round debits, and the index of the chain's next entry.
+type sub struct{ link, next int32 }
+
 // FlowNet is a flow-level network simulator: each active flow receives a
 // max-min fair share of the capacity of every directed link on its path.
 //
@@ -82,23 +107,19 @@ type link struct {
 // are exact mid-event. The
 // shares themselves are solved once per churning event, in Flush — the
 // engine's commit hook, which runs before the clock can move — as a pure
-// function of the live-flow set: one progressive fill over every live
-// flow in creation order and every loaded link in ascending order. The
-// fill is warm-started: it replays the rounds of the previous fill that
-// no link churned since could have changed, and scans for bottlenecks
-// only from the first round that could differ, so its result is the cold
-// fill's bit for bit. The same pass reschedules the completion of every
-// flow whose share moved; the event's flow_start emissions follow it. A
-// share change emits nothing: the flow_start, flow_finish and link events
-// already determine every share.
+// function of the live-flow set: the progressive fill a cold pass over
+// every live flow and every loaded link would run. The fill is
+// warm-started: it replays every round of the previous fill whose
+// bottleneck no churn has reached, and re-solves only the flows the other
+// rounds froze, so its result is the cold fill's bit for bit. The solve
+// reschedules the completion of every re-solved flow whose share moved;
+// the event's flow_start emissions follow it. A share change emits
+// nothing: the flow_start, flow_finish and link events already determine
+// every share.
 type FlowNet struct {
 	eng   *sim.Engine
 	links []link
-	// liveList holds in-flight flows in creation-id order (ids are issued
-	// monotonically and flows are appended at start), so progressive
-	// filling never has to sort it; finished flows are tombstoned and
-	// compacted lazily. liveCount is the exact number of live entries.
-	liveList  []*Flow
+	// liveCount is the number of in-flight network flows.
 	liveCount int
 
 	// epoch counts churn: any quantity derived from link occupancy and
@@ -115,31 +136,32 @@ type FlowNet struct {
 	pendingStarts []*Flow
 
 	// freeFlows recycles Flow objects. A flow is recycled only once it is
-	// finished, its owner has Released it, no liveList tombstone remains,
-	// its completion event is off the queue, and no deferred flow_start
-	// emission mentions it — so a stale pointer can never observe or
-	// cancel another transfer's state.
+	// finished, its owner has Released it, its completion event is off
+	// the queue, and no deferred flow_start emission mentions it — so a
+	// stale pointer can never observe or cancel another transfer's state.
 	freeFlows []*Flow
 
-	// Reusable scratch state, sized to len(links).
-	remCap   []float64
-	cnt      []int
-	linksBuf []int
-
-	// loaded has bit l set while link l carries a flow; fill seeds its
-	// bottleneck scan from the set bits, in ascending order.
-	loaded []uint64
-
-	// The warm start (see fill). roundLink and roundShare log the
-	// bottleneck link and share of each round of the last fill; churned
-	// (a bitmap) and churnList hold the links whose flow set or capacity
-	// changed since that fill. replayed and scanned count the fill rounds
-	// taken from the log and found by a scan.
-	roundLink         []int
-	roundShare        []float64
-	churned           []uint64
-	churnList         []int
-	replayed, scanned int64
+	// The warm-started fill (see fill).
+	log, next []*round // the last fill's rounds in order; the log being built
+	gen       uint64   // numbers the fills
+	// dirtyLinks (a bitmap) and dirtyList hold the dirty links: between
+	// fills the ones whose flow set or capacity changed, inside a fill
+	// also the ones it has materialized since.
+	dirtyLinks []uint64
+	dirtyList  []int
+	// remCap and cnt, indexed by link, hold the fill's state of dirty
+	// links only. scanList holds the dirty links that may still carry
+	// unfrozen flows.
+	remCap     []float64
+	cnt        []int
+	scanList   []int
+	subs       []sub    // backs the rounds' subscription chains
+	resolved   []*Flow  // the flows scanned rounds froze
+	past       []int    // scratch: log positions a link's debits come from
+	freeRounds []*round // recycled round records
+	// replayed and scanned count rounds taken from the log and found by a
+	// scan; resolvedFlows counts the flows scans froze.
+	replayed, scanned, resolvedFlows int64
 
 	// stats
 	started   int64
@@ -240,12 +262,11 @@ func (n *FlowNet) AddLink(capacity float64) LinkID {
 	n.remCap = append(n.remCap, 0)
 	n.cnt = append(n.cnt, 0)
 	l := LinkID(len(n.links) - 1)
-	if int(l)>>6 == len(n.loaded) {
-		n.loaded = append(n.loaded, 0)
-		n.churned = append(n.churned, 0)
+	if int(l)>>6 == len(n.dirtyLinks) {
+		n.dirtyLinks = append(n.dirtyLinks, 0)
 	}
 	// A new link carries no flow, so no logged round depends on it: it is
-	// not churned.
+	// not dirty.
 	n.refreshShare(l)
 	return l
 }
@@ -278,22 +299,29 @@ func (n *FlowNet) refreshShare(l LinkID) {
 }
 
 // touch records that link l's flow set or capacity changed: it refreshes
-// the stored share and adds l to the churn set the next fill checks its
-// replayed rounds against.
+// the stored share and marks l dirty, so the next fill re-solves every
+// logged round l could change.
 func (n *FlowNet) touch(l LinkID) {
 	n.refreshShare(l)
-	if !hasBit(n.churned, int(l)) {
-		n.churned[l>>6] |= 1 << (l & 63)
-		n.churnList = append(n.churnList, int(l))
-	}
+	n.setDirty(int(l))
 }
 
-// clearChurn empties the churn set.
-func (n *FlowNet) clearChurn() {
-	for _, l := range n.churnList {
-		n.churned[l>>6] = 0
+// setDirty adds l to the dirty set and reports whether it was clean.
+func (n *FlowNet) setDirty(l int) bool {
+	if hasBit(n.dirtyLinks, l) {
+		return false
 	}
-	n.churnList = n.churnList[:0]
+	n.dirtyLinks[l>>6] |= 1 << (l & 63)
+	n.dirtyList = append(n.dirtyList, l)
+	return true
+}
+
+// clearDirty empties the dirty set.
+func (n *FlowNet) clearDirty() {
+	for _, l := range n.dirtyList {
+		n.dirtyLinks[l>>6] = 0
+	}
+	n.dirtyList = n.dirtyList[:0]
 }
 
 // hasBit reports whether bit i of the bitmap b is set.
@@ -329,10 +357,9 @@ func (n *FlowNet) allocFlow(src, dst NodeID, path []LinkID) *Flow {
 
 // Release tells the network the caller holds no more references to f and
 // will never touch it again: once every other condition clears (flow
-// finished, liveList tombstone compacted, completion event off the
-// queue) the object is recycled into a future transfer. Calling Release
-// on an unfinished flow is a contract violation and is ignored; not
-// calling it merely forgoes reuse.
+// finished, completion event off the queue) the object is recycled into
+// a future transfer. Calling Release on an unfinished flow is a contract
+// violation and is ignored; not calling it merely forgoes reuse.
 func (n *FlowNet) Release(f *Flow) {
 	if f == nil || !f.finished || f.released {
 		return
@@ -342,12 +369,12 @@ func (n *FlowNet) Release(f *Flow) {
 }
 
 // maybeRecycle returns f to the pool when no reference to it can remain:
-// the owner released it, it is off the liveList, its completion event is
-// not queued, and no deferred flow_start emission mentions it. The
+// the owner released it, it is finished, its completion event is not
+// queued, and no deferred flow_start emission mentions it. The
 // reset clears every field — a recycled flow must carry nothing of its
 // previous life.
 func (n *FlowNet) maybeRecycle(f *Flow) {
-	if !f.released || !f.finished || f.inLive || f.pendingStart || f.doneEv.Queued() {
+	if !f.released || !f.finished || f.pendingStart || f.doneEv.Queued() {
 		return
 	}
 	links, slots, finishFn, net := f.links[:0], f.slots[:0], f.finishFn, f.net
@@ -460,9 +487,8 @@ func (n *FlowNet) emitPendingStart(f *Flow) {
 	}
 }
 
-// attach registers f on every link of its path and in the live list,
-// marks the churn, and defers its flow_start to the next flush, when its
-// first share is known.
+// attach registers f on every link of its path, marks the churn, and
+// defers its flow_start to the next flush, when its first share is known.
 func (n *FlowNet) attach(f *Flow) {
 	if cap(f.slots) < len(f.links) {
 		f.slots = make([]int, len(f.links))
@@ -472,11 +498,8 @@ func (n *FlowNet) attach(f *Flow) {
 	for i, l := range f.links {
 		f.slots[i] = len(n.links[l].flows)
 		n.links[l].flows = append(n.links[l].flows, f)
-		n.loaded[l>>6] |= 1 << (l & 63)
 		n.touch(l)
 	}
-	n.liveList = append(n.liveList, f)
-	f.inLive = true
 	n.liveCount++
 	n.mark()
 	f.pendingStart = true
@@ -484,8 +507,8 @@ func (n *FlowNet) attach(f *Flow) {
 }
 
 // detach removes f from its links (swap-remove, fixing the moved flow's
-// slot), drops its pending completion event and marks the churn. The
-// live-list entry is tombstoned and reclaimed by the next compaction.
+// slot) and from its round, drops its pending completion event and marks
+// the churn.
 func (n *FlowNet) detach(f *Flow) {
 	for i, l := range f.links {
 		fl := n.links[l].flows
@@ -502,34 +525,12 @@ func (n *FlowNet) detach(f *Flow) {
 		}
 		fl[last] = nil
 		n.links[l].flows = fl[:last]
-		if last == 0 {
-			n.loaded[l>>6] &^= 1 << (l & 63)
-		}
 		n.touch(l)
 	}
+	f.round = nil
 	n.liveCount--
 	n.eng.Remove(&f.doneEv)
 	n.mark()
-}
-
-// compactLive drops tombstoned (finished) flows from the live list,
-// preserving creation order, and recycles the ones whose owners already
-// released them.
-func (n *FlowNet) compactLive() {
-	w := 0
-	for _, f := range n.liveList {
-		if !f.finished {
-			n.liveList[w] = f
-			w++
-			continue
-		}
-		f.inLive = false
-		n.maybeRecycle(f)
-	}
-	for i := w; i < len(n.liveList); i++ {
-		n.liveList[i] = nil
-	}
-	n.liveList = n.liveList[:w]
 }
 
 // settle charges progress made at the current rate since the last update.
@@ -585,31 +586,33 @@ func (n *FlowNet) Flush() {
 	}
 }
 
-// solve recomputes every live flow's max-min share and applies the ones
-// that changed: settle progress at the old rate and move (or park) the
-// completion event. A flow whose share is unchanged is left alone — its
-// pending event already fires at the right absolute time.
-// Flows are handled in creation order, so the completion events of one
-// commit take fresh FIFO seqs in a deterministic sequence. When the live
-// set is empty there is nothing to solve, and the round log and churn set
-// are cleared, so the next fill starts cold.
+// solve re-solves the max-min shares and applies the ones that changed:
+// it settles progress at the old rate and moves (or parks) the
+// completion event. Only a flow that a scanned round of the fill froze
+// can change share: a replayed round's flows keep their committed share,
+// and their pending events already fire at the right absolute time. The
+// re-solved flows are handled in creation order, so the completion events
+// of one commit take fresh FIFO seqs in a deterministic sequence. Only
+// a solve over a non-empty live set counts as a pass; over an empty one
+// the fill skips every logged round, so the next fill starts cold.
 func (n *FlowNet) solve() {
-	n.compactLive()
-	if n.liveCount == 0 {
-		n.roundLink, n.roundShare = n.roundLink[:0], n.roundShare[:0]
-		n.clearChurn()
-		return
+	if n.liveCount > 0 {
+		n.passes++
 	}
-	n.passes++
 	n.fill()
 
+	resolved := n.resolved
+	n.resolvedFlows += int64(len(resolved))
+	slices.SortFunc(resolved, func(a, b *Flow) int { return cmp.Compare(a.id, b.id) })
 	now := n.eng.Now()
-	for _, f := range n.liveList {
-		if f.next == f.rate {
+	for i, f := range resolved {
+		resolved[i] = nil
+		share := f.round.share
+		if share == f.rate {
 			continue
 		}
 		n.settle(f)
-		f.rate = f.next
+		f.rate = share
 		if f.persistent {
 			continue
 		}
@@ -620,141 +623,212 @@ func (n *FlowNet) solve() {
 		}
 		n.eng.Reschedule(&f.doneEv, now+sim.Time(f.remaining/f.rate), f.finishFn)
 	}
+	n.resolved = resolved[:0]
 }
 
-// fill runs progressive filling (max-min fairness) over the live list,
-// writing each flow's share to its scratch next field. Each round takes
-// the loaded link with unfrozen flows that minimizes (remCap/cnt, link)
-// lexicographically — ascending link order breaks ties — and freezes
-// its unfrozen flows at that share. The result depends only on the set
-// of live paths: flows are visited in creation-id order, links in
-// ascending order, and within a round every crossing of a link subtracts
-// the same share, so the order of flows inside a link's slice is
-// immaterial. The fill loop allocates nothing.
+// fill runs progressive filling (max-min fairness) over the live flows,
+// pointing each at the round that freezes it. Each round takes the link
+// with unfrozen flows that minimizes (remCap/cnt, link)
+// lexicographically and freezes its unfrozen flows at that share. The
+// result depends only on the set of live paths: ties go to the lower
+// link, and within a round every crossing of a link subtracts the same
+// share, so the order of flows inside a link's slice is immaterial. The
+// fill allocates nothing once its buffers have grown.
 //
-// The fill is warm-started from the previous one's round log. Logged
-// round k is replayed, without a scan, while its bottleneck is unchurned
-// and no loaded churned link c with unfrozen flows has (remCap[c]/cnt[c],
-// c) below (share_k, link_k). Proof sketch, by induction over k: a flow
-// born or ended since the last fill crosses churned links only, so an
-// unchurned link has the same capacity and the same flows as then. If
-// rounds 0..k-1 froze the same flows at the same shares, each unchurned
-// link has subtracted the same shares in the same rounds, so it holds
-// bit-identical remCap and cnt, and the unchurned links still minimize
-// at link_k with share_k. The test rules out every churned link, so the
-// scan would pick link_k too, and round k freezes the same flows at the
-// same share. At the first round that fails the test, the log is
-// truncated there and the scan takes over, appending each round it finds.
+// The fill is warm-started from the previous one's round log, and keeps
+// a fill state (remCap, cnt) only for dirty links: the churned ones, the
+// ones crossed by a flow that a scanned round froze, and the ones crossed
+// by a flow of a skipped round. A logged round whose bottleneck is dirty
+// is skipped: its flows wait to be re-solved. Any other logged round k is
+// replayed, without visiting its flows, when its (share_k, link_k) is
+// below the argmin over the dirty links; otherwise a scanned round freezes
+// the dirty argmin. Proof sketch, by induction over the rounds: only
+// replayed rounds debit a clean link, and they are the old fill's rounds
+// in the old order, so a clean link carries the same flows, frozen by
+// the same rounds, and holds bit-identical remCap and cnt as the old fill
+// did before round k. The old fill's round k took the argmin over every
+// link then, so every clean link sits at or above (share_k, link_k), and
+// link_k itself is clean. The argmin over all links is therefore the
+// lesser of (share_k, link_k) and the dirty argmin, and a replayed round
+// freezes the same flows at the same share as a cold scan would. Once the
+// log is spent, every clean link is fully frozen, so the dirty links are
+// the only ones left to scan.
 func (n *FlowNet) fill() {
-	remCap, cnt := n.remCap, n.cnt
-	links := n.linksBuf[:0]
-	for w, word := range n.loaded {
-		for ; word != 0; word &= word - 1 {
-			l := w<<6 | bits.TrailingZeros64(word)
-			cnt[l] = len(n.links[l].flows)
-			remCap[l] = n.links[l].capacity
-			links = append(links, l)
+	n.gen++
+	n.subs = append(n.subs[:0], sub{})
+	n.scanList = n.scanList[:0]
+	for _, l := range n.dirtyList {
+		n.materialize(l)
+	}
+	old := n.log
+	k := 0
+	for {
+		for ; k < len(old) && hasBit(n.dirtyLinks, old[k].link); k++ {
+			n.skip(old[k])
+			old[k] = nil
 		}
-	}
-	n.linksBuf = links
-	flows := n.liveList
-	for _, f := range flows {
-		f.frozen = false
-	}
-	unfrozen := len(flows)
-	round := 0
-	for ; unfrozen > 0 && round < len(n.roundLink) && n.replayable(round); round++ {
-		unfrozen -= n.freeze(n.roundLink[round], n.roundShare[round])
-	}
-	n.replayed += int64(round)
-	n.roundLink, n.roundShare = n.roundLink[:round], n.roundShare[:round]
-	n.clearChurn()
-	for unfrozen > 0 {
-		// Find the most constrained link among links carrying unfrozen
-		// flows, compacting drained links out of the scan (preserving
-		// ascending order so tie-breaks stay deterministic).
-		best := -1
-		bestShare := math.Inf(1)
-		w := 0
-		for _, l := range links {
-			c := cnt[l]
-			if c == 0 {
+		best, bestShare := n.argmin()
+		if k < len(old) {
+			if r := old[k]; best < 0 || r.share < bestShare || r.share == bestShare && r.link < best {
+				n.replay(r)
+				old[k] = nil
+				k++
 				continue
 			}
-			links[w] = l
-			w++
-			share := remCap[l] / float64(c)
-			if share < bestShare {
-				bestShare = share
-				best = l
-			}
 		}
-		links = links[:w]
 		if best < 0 {
-			// No unfrozen flow crosses any link (cannot happen: every live
-			// flow has a non-empty path), but guard against livelock.
-			for _, f := range flows {
-				if !f.frozen {
-					f.next = 0
-					f.frozen = true
-				}
-			}
 			break
 		}
-		n.roundLink = append(n.roundLink, best)
-		n.roundShare = append(n.roundShare, bestShare)
-		n.scanned++
-		unfrozen -= n.freeze(best, bestShare)
+		n.scan(best, bestShare)
+	}
+	n.log, n.next = n.next, old[:0]
+	n.clearDirty()
+}
+
+// argmin returns the minimum (remCap/cnt, link) over the dirty links with
+// unfrozen flows (link -1 if none), and drops fully frozen links from
+// scanList: a link's cnt only falls within a fill.
+func (n *FlowNet) argmin() (int, float64) {
+	best, bestShare := -1, math.Inf(1)
+	w := 0
+	for _, l := range n.scanList {
+		c := n.cnt[l]
+		if c == 0 {
+			continue
+		}
+		n.scanList[w] = l
+		w++
+		if share := n.remCap[l] / float64(c); share < bestShare || share == bestShare && l < best {
+			best, bestShare = l, share
+		}
+	}
+	n.scanList = n.scanList[:w]
+	return best, bestShare
+}
+
+// markDirty makes a clean link dirty and materializes its fill state.
+func (n *FlowNet) markDirty(l int) {
+	if n.setDirty(l) {
+		n.materialize(l)
 	}
 }
 
-// replayable reports whether logged round k is also the next round of
-// the current fill: its bottleneck is unchurned, and no loaded churned
-// link with unfrozen flows precedes it in (share, link) order. A churned
-// link without flows is skipped by the loaded bitmap: its cnt entry was
-// not seeded by this fill.
-func (n *FlowNet) replayable(k int) bool {
-	b, s := n.roundLink[k], n.roundShare[k]
-	if hasBit(n.churned, b) {
-		return false
-	}
-	remCap, cnt := n.remCap, n.cnt
-	for _, l := range n.churnList {
-		if !hasBit(n.loaded, l) || cnt[l] == 0 {
-			continue
+// materialize computes dirty link l's fill state at the current round.
+// remCap is the capacity less one share per flow that a replayed round
+// froze, debited in round order as the old fill debited them, and cnt
+// counts the flows not frozen yet. Each of those whose logged round is
+// still to come subscribes l to that round, so replaying it debits l.
+// No flow on l can be frozen by a scanned round yet: freezing it would
+// have made l dirty already.
+func (n *FlowNet) materialize(l int) {
+	past := n.past[:0]
+	c := 0
+	for _, f := range n.links[l].flows {
+		switch r := f.round; {
+		case r == nil:
+			c++
+		case r.gen == n.gen:
+			past = append(past, r.pos)
+		default:
+			c++
+			n.subs = append(n.subs, sub{int32(l), r.subs})
+			r.subs = int32(len(n.subs) - 1)
 		}
-		if share := remCap[l] / float64(cnt[l]); share < s || share == s && l < b {
-			return false
-		}
 	}
-	return true
+	slices.Sort(past)
+	rem := n.links[l].capacity
+	for _, p := range past {
+		rem = debit(rem, n.next[p].share)
+	}
+	n.past = past
+	n.remCap[l], n.cnt[l] = rem, c
+	if c > 0 {
+		n.scanList = append(n.scanList, l)
+	}
 }
 
-// freeze fixes every unfrozen flow on link b at share s and takes its
-// crossings off the links it traverses, returning how many it froze. The
-// order of iteration is immaterial: every frozen flow gets the same
-// share, and the remCap/cnt updates commute exactly (each round
-// subtracts the same s per crossing).
-func (n *FlowNet) freeze(b int, s float64) int {
-	remCap, cnt := n.remCap, n.cnt
-	frozen := 0
-	for _, f := range n.links[b].flows {
-		if f.frozen {
+// skip drops logged round r, whose bottleneck is dirty. Its flows are the
+// ones on r's link that still point at it; each waits to be re-solved,
+// and every link it crosses turns dirty.
+func (n *FlowNet) skip(r *round) {
+	for _, f := range n.links[r.link].flows {
+		if f.round != r {
 			continue
 		}
-		f.next = s
-		f.frozen = true
-		frozen++
+		f.round = nil
 		for _, l := range f.links {
-			r := remCap[l] - s
-			if r < 0 {
-				r = 0 // guard float error
-			}
-			remCap[l] = r
-			cnt[l]--
+			n.markDirty(int(l))
 		}
 	}
-	return frozen
+	n.releaseRound(r)
+}
+
+// replay appends logged round r to the new log and debits the dirty links
+// subscribed to it. Its flows keep pointing at r, so they stay frozen at
+// r's share without being visited.
+func (n *FlowNet) replay(r *round) {
+	r.gen, r.pos = n.gen, len(n.next)
+	n.next = append(n.next, r)
+	for i := r.subs; i != 0; i = n.subs[i].next {
+		l := n.subs[i].link
+		n.remCap[l] = debit(n.remCap[l], r.share)
+		n.cnt[l]--
+	}
+	r.subs = 0
+	n.replayed++
+}
+
+// scan appends a new round freezing the unfrozen flows on dirty link b at
+// share s. Each frozen flow makes the links it crosses dirty before it
+// takes its crossings off them, and joins the re-solved flows.
+func (n *FlowNet) scan(b int, s float64) {
+	r := n.newRound()
+	r.link, r.share, r.gen, r.pos = b, s, n.gen, len(n.next)
+	n.next = append(n.next, r)
+	for _, f := range n.links[b].flows {
+		if f.round != nil && f.round.gen == n.gen {
+			continue
+		}
+		f.round = nil
+		for _, l := range f.links {
+			n.markDirty(int(l))
+		}
+		f.round = r
+		for _, l := range f.links {
+			n.remCap[l] = debit(n.remCap[l], s)
+			n.cnt[l]--
+		}
+		n.resolved = append(n.resolved, f)
+	}
+	n.scanned++
+}
+
+// debit takes share s off remaining capacity rem, clamping float error at
+// zero.
+func debit(rem, s float64) float64 {
+	r := rem - s
+	if r < 0 {
+		r = 0
+	}
+	return r
+}
+
+// newRound returns a zeroed round record, from the pool when possible.
+func (n *FlowNet) newRound() *round {
+	if k := len(n.freeRounds); k > 0 {
+		r := n.freeRounds[k-1]
+		n.freeRounds[k-1] = nil
+		n.freeRounds = n.freeRounds[:k-1]
+		return r
+	}
+	return &round{}
+}
+
+// releaseRound recycles a round record no flow points at.
+func (n *FlowNet) releaseRound(r *round) {
+	//lint:pooled round
+	*r = round{}
+	n.freeRounds = append(n.freeRounds, r)
 }
 
 // fire dispatches a flow's completion event according to its kind.

@@ -37,20 +37,40 @@ func randomPath(rng *sim.RNG, nl int) []LinkID {
 	return path
 }
 
+// liveFlows returns the flows on the network's links, each taken at the
+// first link of its path.
+func liveFlows(n *FlowNet) []*Flow {
+	var out []*Flow
+	for l := range n.links {
+		for _, f := range n.links[l].flows {
+			if f.links[0] == LinkID(l) {
+				out = append(out, f)
+			}
+		}
+	}
+	return out
+}
+
 // checkMaxMin is the solver oracle, valid at a commit point. It asserts
 // that the committed shares are feasible (no link carries more than its
 // capacity) and max-min optimal (every live flow crosses a
 // saturated link on which no other flow gets more), and that the
 // completion-event bookkeeping follows them: a live transfer's event is
-// queued exactly when its share is positive.
+// queued exactly when its share is positive, and then fires at exactly
+// lastUpdate + remaining/rate, so no flow whose share moved kept the
+// event of its old share.
 func checkMaxMin(n *FlowNet) error {
 	if err := n.CheckFeasible(); err != nil {
 		return err
 	}
+	live := liveFlows(n)
+	if len(live) != n.ActiveFlows() {
+		return fmt.Errorf("%d flows on the links, %d counted active", len(live), n.ActiveFlows())
+	}
 	const tol = 1e-9
-	for _, f := range n.liveList {
+	for _, f := range live {
 		if f.finished {
-			return fmt.Errorf("finished flow %d still listed live after the commit", f.id)
+			return fmt.Errorf("finished flow %d still on a link after the commit", f.id)
 		}
 		bottleneck := false
 		for _, l := range f.links {
@@ -67,8 +87,17 @@ func checkMaxMin(n *FlowNet) error {
 		if !bottleneck {
 			return fmt.Errorf("flow %d (rate %v) has no saturated link on which it is maximal", f.id, f.rate)
 		}
-		if queued := f.doneEv.Queued(); !f.persistent && queued != (f.rate > 0) {
+		if f.persistent {
+			continue
+		}
+		if queued := f.doneEv.Queued(); queued != (f.rate > 0) {
 			return fmt.Errorf("flow %d: rate %v but completion queued=%v", f.id, f.rate, queued)
+		}
+		if f.rate > 0 {
+			if at, want := f.doneEv.At(), f.lastUpdate+sim.Time(f.remaining/f.rate); at != want {
+				return fmt.Errorf("flow %d: completion at %v, want lastUpdate %v + remaining %v / rate %v = %v",
+					f.id, at, f.lastUpdate, f.remaining, f.rate, want)
+			}
 		}
 	}
 	return nil

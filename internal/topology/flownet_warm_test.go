@@ -3,41 +3,77 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mapsched/internal/sim"
 )
 
-// checkWarmFill is the warm-start oracle, valid at a commit point. It
-// requires the loaded bitmap to mark exactly the links that carry flows,
-// then clears the round log and churn set, runs a cold fill and requires
-// every live flow's cold share to equal its committed (warm) rate bit for
-// bit, and the cold round log to equal the warm one round for round. The
-// cold fill leaves the log and churn set as the warm fill did, so the
-// check does not perturb later solves.
-func checkWarmFill(n *FlowNet) error {
+// coldFill runs a fill with no round log and every loaded link dirty: the
+// cold fill the warm start must reproduce. It leaves every live flow
+// pointing at the round that froze it, clears the re-solved list and
+// restores the round and flow counters.
+func coldFill(n *FlowNet) {
+	replayed, scanned, resolved := n.replayed, n.scanned, n.resolvedFlows
+	defer func() { n.replayed, n.scanned, n.resolvedFlows = replayed, scanned, resolved }()
+	for _, r := range n.log {
+		n.releaseRound(r)
+	}
+	n.log = n.log[:0]
+	for _, f := range liveFlows(n) {
+		f.round = nil
+	}
 	for l := range n.links {
-		if got, want := hasBit(n.loaded, l), len(n.links[l].flows) > 0; got != want {
-			return fmt.Errorf("link %d: loaded bit %v, carries %d flows", l, got, len(n.links[l].flows))
+		if len(n.links[l].flows) > 0 {
+			n.setDirty(l)
 		}
 	}
-	warmLinks := append([]int(nil), n.roundLink...)
-	warmShares := append([]float64(nil), n.roundShare...)
-	n.roundLink, n.roundShare = n.roundLink[:0], n.roundShare[:0]
-	n.clearChurn()
 	n.fill()
-	for _, f := range n.liveList {
-		if math.Float64bits(f.next) != math.Float64bits(f.rate) {
-			return fmt.Errorf("flow %d: cold share %v, committed warm share %v", f.id, f.next, f.rate)
+	clear(n.resolved)
+	n.resolved = n.resolved[:0]
+}
+
+// checkWarmFill is the warm-start oracle, valid at a commit point. It
+// requires the dirty set to be empty and every live flow to point at a
+// round of the log, then runs a cold fill and requires every live flow's
+// cold share to equal its committed (warm) rate bit for bit, and the cold
+// round log to equal the warm one round for round. The cold fill leaves
+// the log as the warm fill did, so the check does not perturb later
+// solves.
+func checkWarmFill(n *FlowNet) error {
+	if len(n.dirtyList) != 0 || slices.ContainsFunc(n.dirtyLinks, func(w uint64) bool { return w != 0 }) {
+		return fmt.Errorf("dirty links %v left after the commit", n.dirtyList)
+	}
+	type logged struct {
+		link  int
+		share float64
+	}
+	var warm []logged
+	for k, r := range n.log {
+		if r.pos != k || r.gen != n.gen || r.subs != 0 {
+			return fmt.Errorf("round %d: pos %d, gen %d of %d, subs %d", k, r.pos, r.gen, n.gen, r.subs)
+		}
+		warm = append(warm, logged{r.link, r.share})
+	}
+	live := liveFlows(n)
+	for _, f := range live {
+		if r := f.round; r == nil || r.pos >= len(n.log) || n.log[r.pos] != r {
+			return fmt.Errorf("flow %d points at no round of the log", f.id)
 		}
 	}
-	if len(n.roundLink) != len(warmLinks) {
-		return fmt.Errorf("cold fill ran %d rounds %v, warm fill logged %d %v", len(n.roundLink), n.roundLink, len(warmLinks), warmLinks)
+	coldFill(n)
+	for _, f := range live {
+		if math.Float64bits(f.round.share) != math.Float64bits(f.rate) {
+			return fmt.Errorf("flow %d: cold share %v, committed warm share %v", f.id, f.round.share, f.rate)
+		}
 	}
-	for k := range warmLinks {
-		if n.roundLink[k] != warmLinks[k] || math.Float64bits(n.roundShare[k]) != math.Float64bits(warmShares[k]) {
+	if len(n.log) != len(warm) {
+		return fmt.Errorf("cold fill ran %d rounds, warm fill logged %d %v", len(n.log), len(warm), warm)
+	}
+	for k, w := range warm {
+		if r := n.log[k]; r.link != w.link || math.Float64bits(r.share) != math.Float64bits(w.share) {
 			return fmt.Errorf("round %d: cold (link %d, share %v), warm (link %d, share %v)",
-				k, n.roundLink[k], n.roundShare[k], warmLinks[k], warmShares[k])
+				k, r.link, r.share, w.link, w.share)
 		}
 	}
 	return nil
@@ -158,12 +194,12 @@ func FuzzWarmFill(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { runWarmFillScript(t, data) })
 }
 
-// TestWarmFillReplaysUnchurnedPrefix pins that the warm start engages.
-// Five single-link flows bottleneck one link per round, in capacity
-// order. Raising the capacity of the last bottleneck leaves the first
-// four rounds replayable; raising the first bottleneck's leaves none.
-// Both changes keep the bottleneck order, so the fill runs five rounds
-// either way.
+// TestWarmFillReplaysUnchurnedPrefix pins that the warm start engages and
+// re-solves only what a churn reaches. Five single-link flows bottleneck
+// one link per round, in capacity order. Raising the capacity of the last
+// bottleneck, of the first, or cutting a middle one below the first each
+// re-solves the one flow of the churned round by a scan and replays the
+// four other rounds, whether they come before or after it.
 func TestWarmFillReplaysUnchurnedPrefix(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewFlowNet(eng)
@@ -174,29 +210,134 @@ func TestWarmFillReplaysUnchurnedPrefix(t *testing.T) {
 		}
 	})
 	eng.Step()
-	if n.replayed != 0 || n.scanned != 5 {
-		t.Fatalf("first fill: %d rounds replayed, %d scanned, want 0 and 5", n.replayed, n.scanned)
+	if n.replayed != 0 || n.scanned != 5 || n.resolvedFlows != 5 {
+		t.Fatalf("first fill: %d rounds replayed, %d scanned, %d flows re-solved, want 0, 5 and 5",
+			n.replayed, n.scanned, n.resolvedFlows)
 	}
 	for _, tc := range []struct {
-		link              LinkID
-		capacity          float64
-		replayed, scanned int64
+		link     LinkID
+		capacity float64
+		order    []int // links of the rounds after the change
 	}{
-		{4, 6, 4, 1},
-		{0, 1.5, 0, 5},
+		{4, 6, []int{0, 1, 2, 3, 4}},
+		{0, 1.5, []int{0, 1, 2, 3, 4}},
+		{2, 0.5, []int{2, 0, 1, 3, 4}},
 	} {
-		replayed, scanned := n.replayed, n.scanned
+		replayed, scanned, resolved := n.replayed, n.scanned, n.resolvedFlows
 		eng.Schedule(eng.Now()+1, func() { n.SetLinkCapacity(tc.link, tc.capacity) })
 		eng.Step()
-		if r, s := n.replayed-replayed, n.scanned-scanned; r != tc.replayed || s != tc.scanned {
-			t.Fatalf("link %d to %v: %d rounds replayed, %d scanned, want %d and %d",
-				tc.link, tc.capacity, r, s, tc.replayed, tc.scanned)
+		if r, s, f := n.replayed-replayed, n.scanned-scanned, n.resolvedFlows-resolved; r != 4 || s != 1 || f != 1 {
+			t.Fatalf("link %d to %v: %d rounds replayed, %d scanned, %d flows re-solved, want 4, 1 and 1",
+				tc.link, tc.capacity, r, s, f)
+		}
+		for k, r := range n.log {
+			if r.link != tc.order[k] {
+				t.Fatalf("link %d to %v: round %d froze link %d, want %d", tc.link, tc.capacity, k, r.link, tc.order[k])
+			}
 		}
 		if got := flows[tc.link].Rate(); got != tc.capacity {
 			t.Fatalf("link %d to %v: flow rate %v", tc.link, tc.capacity, got)
 		}
 		if err := checkWarmFill(n); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestWarmFillOnCluster runs the warm-start and max-min oracles after
+// every commit of random churn on a 4×5-node Cluster: in-rack transfers
+// cross two links and cross-rack ones four, so each ToR link carries many
+// flows and a churn that reaches one materializes all of them. Events
+// start transfers and cross traffic, cancel flows, and cut host links to
+// zero or half capacity and restore them (SetHostLinkFactor). The rounds
+// of the run must be partly replayed and partly scanned.
+func TestWarmFillOnCluster(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := sim.NewRNG(seed)
+		eng := sim.NewEngine()
+		spec := DefaultSpec()
+		spec.Racks, spec.NodesPerRack, spec.TorUplinkBps = 4, 5, 250e6
+		c, err := NewCluster(eng, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := c.Net()
+		commits, torFlows := 0, 0
+		eng.AddCommitHook(func() {
+			commits++
+			if err := checkWarmFill(n); err != nil {
+				t.Fatalf("seed %d, commit %d: %v", seed, commits, err)
+			}
+			if err := checkMaxMin(n); err != nil {
+				t.Fatalf("seed %d, commit %d: %v", seed, commits, err)
+			}
+			for r := range c.torUp {
+				torFlows = max(torFlows, len(n.links[c.torUp[r]].flows), len(n.links[c.torDown[r]].flows))
+			}
+		})
+
+		node := func() NodeID { return NodeID(rng.Intn(c.Size())) }
+		pair := func() (NodeID, NodeID) {
+			a, b := node(), node()
+			for b == a {
+				b = node()
+			}
+			return a, b
+		}
+		var flows []*Flow
+		started, cancelled, fired := 0, 0, 0
+		churn := func() {
+			switch r := rng.Intn(12); {
+			case r < 6:
+				a, b := pair()
+				started++
+				flows = append(flows, c.Transfer(a, b, rng.Uniform(50e6, 500e6), func() { fired++ }))
+			case r < 7:
+				flows = append(flows, c.InjectCrossTraffic(pair()))
+			case r < 9:
+				if len(flows) > 0 {
+					if f := flows[rng.Intn(len(flows))]; !f.Finished() {
+						if !f.persistent {
+							cancelled++
+						}
+						n.Cancel(f)
+					}
+				}
+			case r < 10:
+				c.SetHostLinkFactor(node(), float64(rng.Intn(2))/2)
+			default:
+				c.SetHostLinkFactor(node(), 1)
+			}
+		}
+		for ev := 0; ev < 150; ev++ {
+			eng.Schedule(sim.Time(rng.Uniform(0, 30)), func() {
+				for k := 1 + rng.Intn(4); k > 0; k-- {
+					churn()
+				}
+			})
+		}
+		eng.Schedule(40, func() {
+			for a := 0; a < c.Size(); a++ {
+				c.SetHostLinkFactor(NodeID(a), 1)
+			}
+			for _, f := range flows {
+				if f.persistent {
+					n.Cancel(f)
+				}
+			}
+		})
+		if _, err := eng.Run(sim.Infinity); err != nil {
+			t.Fatal(err)
+		}
+		if fired+cancelled != started {
+			t.Fatalf("seed %d: %d transfers started, %d fired, %d cancelled", seed, started, fired, cancelled)
+		}
+		if n.ActiveFlows() != 0 {
+			t.Fatalf("seed %d: %d flows still active after drain", seed, n.ActiveFlows())
+		}
+		if n.replayed == 0 || n.scanned == 0 || torFlows < 10 {
+			t.Fatalf("seed %d: %d rounds replayed, %d scanned, at most %d flows on a ToR link",
+				seed, n.replayed, n.scanned, torFlows)
 		}
 	}
 }
