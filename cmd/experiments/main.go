@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"mapsched/internal/experiments"
-	"mapsched/internal/metrics"
 )
 
 func main() {
@@ -101,14 +100,14 @@ func runExperiments(s experiments.Setup, which string, sizes []experiments.Scale
 		if err != nil {
 			return err
 		}
-		fmt.Println(renderPoints("models", "Probability-model comparison (Section V future work)", pts))
+		fmt.Println(experiments.AblationReport("models", "Probability-model comparison (Section V future work)", pts))
 		return nil
 	case "extended":
 		pts, err := experiments.ExtendedComparison(s)
 		if err != nil {
 			return err
 		}
-		fmt.Println(renderPoints("extended", "Extended scheduler comparison (incl. LARTS, Capacity)", pts))
+		fmt.Println(experiments.AblationReport("extended", "Extended scheduler comparison (incl. LARTS, Capacity)", pts))
 		return nil
 	case "faults":
 		pts, err := experiments.FaultTolerance(s)
@@ -147,7 +146,7 @@ func runExperiments(s experiments.Setup, which string, sizes []experiments.Scale
 		if err != nil {
 			return err
 		}
-		fmt.Println(renderPoints("jobpolicy", "Job-level policy: fair vs FIFO (Section II-A)", pts))
+		fmt.Println(experiments.AblationReport("jobpolicy", "Job-level policy: fair vs FIFO (Section II-A)", pts))
 		return nil
 	case "seeds":
 		rep, err := experiments.SeedStudy(s, []int64{1, 2, 3, 4})
@@ -208,12 +207,12 @@ func runExperiments(s experiments.Setup, which string, sizes []experiments.Scale
 		if err != nil {
 			return err
 		}
-		fmt.Println(renderPoints("models", "Probability-model comparison (Section V future work)", pts))
+		fmt.Println(experiments.AblationReport("models", "Probability-model comparison (Section V future work)", pts))
 		ext, err := experiments.ExtendedComparison(s)
 		if err != nil {
 			return err
 		}
-		fmt.Println(renderPoints("extended", "Extended scheduler comparison (incl. LARTS, Capacity)", ext))
+		fmt.Println(experiments.AblationReport("extended", "Extended scheduler comparison (incl. LARTS, Capacity)", ext))
 		fp, err := experiments.FaultTolerance(s)
 		if err != nil {
 			return err
@@ -226,15 +225,6 @@ func runExperiments(s experiments.Setup, which string, sizes []experiments.Scale
 		fmt.Println(rep)
 	}
 	return nil
-}
-
-func renderPoints(id, title string, pts []experiments.AblationPoint) experiments.Report {
-	t := metrics.NewTable("Variant", "Mean JCT", "Max JCT", "Network GB", "Unfinished")
-	for _, p := range pts {
-		t.AddRow(p.Variant, fmt.Sprintf("%.1fs", p.MeanJCT), fmt.Sprintf("%.1fs", p.MaxJCT),
-			fmt.Sprintf("%.1f", p.RemoteGB), p.Unfinished)
-	}
-	return experiments.Report{ID: id, Title: title, Body: t.String()}
 }
 
 func runPmin(s experiments.Setup) error {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mapsched/internal/job"
@@ -60,10 +61,11 @@ func FuzzCostCeiling(f *testing.F) {
 // inputs and requires the same MapSelection, field for field, Prob
 // included. Each input selects under one avail set (filling rows), edits
 // the replica sets, and selects again under a second avail set and then
-// the first. An edit, three bytes (op, block, node), adds a replica,
-// removes one, removes every replica of the block (the last removal
-// leaves it unschedulable) or forgets a job's rows; every replica change
-// moves the store epoch. An avail mask's bit k puts node k in the set.
+// the first. An edit, three bytes (op, block, node), adds a replica on
+// the node, drops the node's replicas of every block (a lost disk),
+// clears the block's replicas (leaving it unschedulable) or forgets a
+// job's rows; every replica change moves the store epoch. An avail
+// mask's bit k puts node k in the set.
 func FuzzSelectMapTaskMatchesNaive(f *testing.F) {
 	f.Add([]byte{0, 3, 2, 1, 7, 9, 2, 5, 0}, uint32(0xffffff), uint32(0xf0f0f0), uint8(4), uint8(0))
 	f.Add([]byte{2, 0, 0, 2, 1, 0, 3, 0, 0}, uint32(0x00ff00), uint32(0x0000ff), uint8(9), uint8(1))
@@ -98,13 +100,12 @@ func FuzzSelectMapTaskMatchesNaive(f *testing.F) {
 			k := topology.NodeID(int(edits[2]) % n)
 			switch edits[0] % 4 {
 			case 0:
-				cm.store.AddReplica(b, k)
+				// A node already holding a replica is rejected unchanged.
+				cm.store.SetReplicas(b, append(slices.Clone(cm.store.Replicas(b)), k))
 			case 1:
-				cm.store.RemoveReplica(b, k)
+				cm.store.RemoveNodeReplicas(k)
 			case 2:
-				for _, l := range append([]topology.NodeID(nil), cm.store.Replicas(b)...) {
-					cm.store.RemoveReplica(b, l)
-				}
+				cm.store.SetReplicas(b, nil)
 			case 3:
 				cm.ForgetMaps([]*job.Job{j, small}[edits[1]%2])
 			}

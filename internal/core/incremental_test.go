@@ -358,7 +358,10 @@ func testMapCosterMatchesNaive(t *testing.T, shape rackShape) {
 		if round%2 == 1 {
 			m := j.Maps[rng.Intn(3)]
 			if reps := cm.store.Replicas(m.Block); len(reps) > 0 {
-				cm.store.RemoveReplica(m.Block, reps[rng.Intn(len(reps))])
+				i := rng.Intn(len(reps))
+				if err := cm.store.SetReplicas(m.Block, slices.Delete(slices.Clone(reps), i, i+1)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		avail := ch.next(job.MapKind)
@@ -521,8 +524,8 @@ func testNetworkCostsMatchPerPairSums(t *testing.T, eng *sim.Engine, cl *topolog
 	n := cl.Size()
 	rc := cm.NewReduceCoster(j, ProgressScaled{})
 	// A block with no replica left: every node's map cost is +Inf.
-	for _, l := range append([]topology.NodeID(nil), cm.store.Replicas(j.Maps[0].Block)...) {
-		cm.store.RemoveReplica(j.Maps[0].Block, l)
+	if err := cm.store.SetReplicas(j.Maps[0].Block, nil); err != nil {
+		t.Fatal(err)
 	}
 
 	checkCost := func(round int, i topology.NodeID) {

@@ -31,7 +31,9 @@ func pointFrom(variant string, res *engine.Result) AblationPoint {
 	}
 }
 
-func renderAblation(id, title string, points []AblationPoint) Report {
+// AblationReport renders ablation points as a table of mean and max
+// JCT, network bytes and unfinished jobs per variant.
+func AblationReport(id, title string, points []AblationPoint) Report {
 	t := metrics.NewTable("Variant", "Mean JCT", "Max JCT", "Network GB", "Unfinished")
 	for _, p := range points {
 		t.AddRow(p.Variant, fmt.Sprintf("%.1fs", p.MeanJCT), fmt.Sprintf("%.1fs", p.MaxJCT),
@@ -160,6 +162,6 @@ func AblationReports(s Setup) ([]Report, error) {
 		if err != nil {
 			return Report{}, fmt.Errorf("%s: %w", e.id, err)
 		}
-		return renderAblation(e.id, e.title, pts), nil
+		return AblationReport(e.id, e.title, pts), nil
 	})
 }

@@ -141,42 +141,6 @@ func (s *Store) HasReplica(id BlockID, n topology.NodeID) bool {
 // them.
 func (s *Store) Epoch() uint64 { return s.epoch }
 
-// AddReplica records a new replica of the block on node n — a
-// re-replication or rebalance finishing after initial placement — and
-// reports whether the replica set changed (false when n already holds
-// one). The epoch bumps only on an actual addition.
-func (s *Store) AddReplica(id BlockID, n topology.NodeID) bool {
-	if int(n) < 0 || int(n) >= s.net.Size() {
-		return false
-	}
-	b := &s.blocks[id]
-	for _, r := range b.Replicas {
-		if r == n {
-			return false
-		}
-	}
-	b.Replicas = append(b.Replicas, n)
-	s.usage[n] += b.Size
-	s.epoch++
-	return true
-}
-
-// RemoveReplica deletes node n's replica of the block, preserving the
-// order of the survivors, and reports whether one was removed. The epoch
-// bumps only on an actual removal.
-func (s *Store) RemoveReplica(id BlockID, n topology.NodeID) bool {
-	b := &s.blocks[id]
-	for i, r := range b.Replicas {
-		if r == n {
-			b.Replicas = append(b.Replicas[:i], b.Replicas[i+1:]...)
-			s.usage[n] -= b.Size
-			s.epoch++
-			return true
-		}
-	}
-	return false
-}
-
 // RemoveNodeReplicas deletes every replica stored on node n — the
 // namenode's view after a datanode is declared dead, or a scripted
 // replica-loss fault — and returns how many blocks lost a replica.

@@ -50,6 +50,18 @@ func (k TaskKind) String() string {
 	return "map"
 }
 
+// ParseTaskKind reads a kind as String spells it; ok is false for any
+// other spelling.
+func ParseTaskKind(s string) (k TaskKind, ok bool) {
+	switch s {
+	case "map":
+		return MapKind, true
+	case "reduce":
+		return ReduceKind, true
+	}
+	return 0, false
+}
+
 // TaskState is the lifecycle of a map or reduce task.
 type TaskState int
 

@@ -15,7 +15,7 @@ import (
 var stateMutators = map[string]bool{
 	"AcquireSlot": true, "ReleaseSlot": true,
 	"SetOffline": true, "SetBlacklisted": true, "SetHostLinkFactor": true,
-	"RemoveNodeReplicas": true, "AddReplica": true, "RemoveReplica": true, "SetReplicas": true,
+	"RemoveNodeReplicas": true, "SetReplicas": true,
 }
 
 // stateOwners are the packages allowed to call stateMutators: the

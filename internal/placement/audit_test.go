@@ -86,11 +86,11 @@ func (s *Service) StartAuditor(cfg AuditorConfig) (stop func()) {
 // after every step: the incremental state must never drift from the
 // from-scratch rebuild.
 func TestAuditCleanUnderDeltas(t *testing.T) {
-	f, b1, _ := journalFixture(t)
+	f, _, _ := journalFixture(t)
 	if a := f.svc.Audit(); !a.Clean() || a.Checks < 6 {
 		t.Fatalf("fresh service: %s (checks=%d)", a, a.Checks)
 	}
-	steps := journalScript(t, f, b1)
+	steps := journalScript(t, f)
 	a := f.svc.Audit()
 	if !a.Clean() {
 		t.Fatalf("after %d deltas: %s", steps, a)

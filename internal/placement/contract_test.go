@@ -79,30 +79,6 @@ func TestDeltaContract(t *testing.T) {
 			want: ErrUnknownNode,
 		},
 		{
-			name: "replica_add_unknown_block",
-			hit: func(f *fixture) error {
-				_, err := f.svc.ApplyReplicaAdd(12345, 0)
-				return err
-			},
-			want: ErrUnknownBlock,
-		},
-		{
-			name: "replica_add_unknown_node",
-			hit: func(f *fixture) error {
-				_, err := f.svc.ApplyReplicaAdd(0, 42)
-				return err
-			},
-			want: ErrUnknownNode,
-		},
-		{
-			name: "replica_loss_unknown_block",
-			hit: func(f *fixture) error {
-				_, err := f.svc.ApplyReplicaLoss(-1, 0)
-				return err
-			},
-			want: ErrUnknownBlock,
-		},
-		{
 			name: "node_replica_loss_unknown_node",
 			hit: func(f *fixture) error {
 				_, err := f.svc.ApplyNodeReplicaLoss(8)

@@ -262,13 +262,6 @@ func (d *Decider) Err() error { return d.err }
 // Mode returns the service's distance interpretation.
 func (d *Decider) Mode() core.Mode { return d.svc.mode }
 
-// Intn draws from the session RNG (baseline schedulers share the
-// session's stream so decision traces stay reproducible).
-func (d *Decider) Intn(n int) int { return d.rng.Intn(n) }
-
-// Bernoulli draws from the session RNG with success probability p.
-func (d *Decider) Bernoulli(p float64) bool { return d.rng.Bernoulli(p) }
-
 // Locality classifies where m would run relative to its input replicas.
 func (d *Decider) Locality(m *job.MapTask, node topology.NodeID) job.Locality {
 	d.svc.mu.RLock()

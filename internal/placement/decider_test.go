@@ -348,21 +348,15 @@ func TestServiceDeltasMoveEpochAndAvail(t *testing.T) {
 	f.svc.ApplyNodeOffline(5, false)
 	f.svc.ApplyNodeBlacklist(6, false)
 
-	id, err := f.store.AddBlock(64e6, 1, placeAt{nodes: []topology.NodeID{1}})
+	id, err := f.store.AddBlock(64e6, 2, placeAt{nodes: []topology.NodeID{1, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added, err := f.svc.ApplyReplicaAdd(id, 4); err != nil || !added {
-		t.Fatalf("ApplyReplicaAdd of a new replica: added=%v err=%v", added, err)
-	}
-	if added, err := f.svc.ApplyReplicaAdd(id, 4); err != nil || added {
-		t.Fatalf("duplicate ApplyReplicaAdd: added=%v err=%v", added, err)
-	}
-	if removed, err := f.svc.ApplyReplicaLoss(id, 1); err != nil || !removed {
-		t.Fatalf("ApplyReplicaLoss of an existing replica: removed=%v err=%v", removed, err)
+	if n, err := f.svc.ApplyNodeReplicaLoss(1); err != nil || n != 1 {
+		t.Fatalf("ApplyNodeReplicaLoss(1) removed %d replicas (err %v), want 1", n, err)
 	}
 	if got := f.store.Replicas(id); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("replicas after add+loss = %v, want [4]", got)
+		t.Fatalf("replicas after losing node 1 = %v, want [4]", got)
 	}
 	if n, err := f.svc.ApplyNodeReplicaLoss(4); err != nil || n != 1 {
 		t.Fatalf("ApplyNodeReplicaLoss(4) removed %d replicas (err %v), want 1", n, err)

@@ -25,9 +25,6 @@ var ErrDeltaConflict = errors.New("placement: delta conflicts with current state
 var (
 	// ErrUnknownNode rejects a delta naming a node outside the cluster.
 	ErrUnknownNode = fmt.Errorf("%w: unknown node", ErrDeltaConflict)
-	// ErrUnknownBlock rejects a replica delta naming a block the store
-	// does not hold.
-	ErrUnknownBlock = fmt.Errorf("%w: unknown block", ErrDeltaConflict)
 	// ErrNoFreeSlot rejects a duplicate acquire: the node has no free
 	// slot of the requested kind left.
 	ErrNoFreeSlot = fmt.Errorf("%w: no free slot", ErrDeltaConflict)
@@ -46,8 +43,8 @@ var (
 //lint:sentinel
 var (
 	// ErrCorruptRecord reports a damaged record with valid records after
-	// it (CRC mismatch, malformed JSON, unknown op/version, or a broken
-	// seq chain in the middle of the journal). Decoding stops at the last
+	// it (CRC mismatch, malformed JSON, unknown op, version or task
+	// kind, or a broken seq chain in the middle of the journal). Decoding stops at the last
 	// valid record before the damage.
 	ErrCorruptRecord = errors.New("placement: corrupt journal record")
 	// ErrTruncatedTail reports a damaged or incomplete final record — the

@@ -47,8 +47,6 @@ const (
 	OpBegin           Op = "begin"
 	OpAcquire         Op = "acquire"
 	OpRelease         Op = "release"
-	OpReplicaAdd      Op = "replica_add"
-	OpReplicaLoss     Op = "replica_loss"
 	OpNodeReplicaLoss Op = "node_replica_loss"
 	OpOffline         Op = "offline"
 	OpBlacklist       Op = "blacklist"
@@ -67,20 +65,11 @@ type Record struct {
 	Seq uint64 `json:"seq"`
 	Op  Op     `json:"op"`
 
-	Kind  string  `json:"kind,omitempty"`  // acquire/release: "map" | "reduce"
-	Node  int     `json:"node,omitempty"`  // node deltas: the node ID
-	Block int     `json:"block,omitempty"` // replica_add/replica_loss: the block ID
-	On    bool    `json:"on,omitempty"`    // offline/blacklist: the new flag value
-	F     float64 `json:"f,omitempty"`     // link_factor: the factor
-	Note  string  `json:"note,omitempty"`  // opaque client annotation, surfaced by Recover
-}
-
-// taskKind maps the record's kind string back to the task kind.
-func (r *Record) taskKind() job.TaskKind {
-	if r.Kind == job.ReduceKind.String() {
-		return job.ReduceKind
-	}
-	return job.MapKind
+	Kind string  `json:"kind,omitempty"` // acquire/release: "map" | "reduce"
+	Node int     `json:"node,omitempty"` // node deltas: the node ID
+	On   bool    `json:"on,omitempty"`   // offline/blacklist: the new flag value
+	F    float64 `json:"f,omitempty"`    // link_factor: the factor
+	Note string  `json:"note,omitempty"` // opaque client annotation, surfaced by Recover
 }
 
 // LinkState is one rescaled host link in a checkpoint (factor != 1).
@@ -255,8 +244,11 @@ func DecodeJournal(r io.Reader) (*DecodedJournal, error) {
 			}
 			dec.Epoch = rec.Seq
 			started = true
-		case OpAcquire, OpRelease, OpReplicaAdd, OpReplicaLoss, OpNodeReplicaLoss,
-			OpOffline, OpBlacklist, OpLinkFactor:
+		case OpAcquire, OpRelease, OpNodeReplicaLoss, OpOffline, OpBlacklist, OpLinkFactor:
+			if _, ok := job.ParseTaskKind(rec.Kind); !ok && (rec.Op == OpAcquire || rec.Op == OpRelease) {
+				dec.Err = tailError(sc, fmt.Errorf("line %d: unknown task kind %q", line, rec.Kind))
+				return dec, nil
+			}
 			if started && rec.Seq != dec.Epoch+1 {
 				dec.Err = tailError(sc, fmt.Errorf("line %d: seq %d breaks chain at %d", line, rec.Seq, dec.Epoch))
 				return dec, nil

@@ -18,13 +18,13 @@ var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/journal.golden")
 
 // TestJournalFormatGolden pins the durable bytes: a journal over a fixed
-// delta sequence touching all eight delta ops of both slot kinds, with
+// delta sequence touching all six delta ops of both slot kinds, with
 // notes on one acquire and one release, then a checkpoint with a client
 // note. Journals and checkpoints outlive the build that wrote them, so a
 // change that moves a single byte here breaks recovery of existing
 // files and must mean to.
 func TestJournalFormatGolden(t *testing.T) {
-	f, b1, b2 := journalFixture(t)
+	f, _, _ := journalFixture(t)
 	var got bytes.Buffer
 	if err := f.svc.StartJournal(&got); err != nil {
 		t.Fatal(err)
@@ -35,8 +35,6 @@ func TestJournalFormatGolden(t *testing.T) {
 		func() error { return f.svc.ApplySlotAcquire(job.MapKind, 3) },
 		func() error { return f.svc.ApplySlotRelease(job.MapKind, 0) },
 		func() error { return f.svc.ApplySlotReleaseNoted(job.ReduceKind, 1, `"job-a" r0 done`, nil, nil) },
-		func() error { _, err := f.svc.ApplyReplicaAdd(b1, 4); return err },
-		func() error { _, err := f.svc.ApplyReplicaLoss(b1, 0); return err },
 		func() error { _, err := f.svc.ApplyNodeReplicaLoss(7); return err },
 		func() error { return f.svc.ApplyNodeOffline(5, true) },
 		func() error { return f.svc.ApplyNodeBlacklist(6, true) },
@@ -47,9 +45,6 @@ func TestJournalFormatGolden(t *testing.T) {
 		if err := step(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-	}
-	if _, err := f.svc.ApplyReplicaAdd(b2, 1); err != nil {
-		t.Fatal(err)
 	}
 	if err := f.svc.WriteCheckpoint(&got, func() string { return "client-cut" }); err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func journalFixture(t testing.TB) (*fixture, hdfs.BlockID, hdfs.BlockID) {
 
 // journalScript applies a fixed delta sequence covering the full
 // vocabulary and returns the delta count.
-func journalScript(t testing.TB, f *fixture, b1 hdfs.BlockID) int {
+func journalScript(t testing.TB, f *fixture) int {
 	t.Helper()
 	steps := []func() error{
 		func() error { return f.svc.ApplySlotAcquire(job.MapKind, 0) },
@@ -53,9 +53,7 @@ func journalScript(t testing.TB, f *fixture, b1 hdfs.BlockID) int {
 		func() error { return f.svc.ApplyNodeOffline(5, true) },
 		func() error { return f.svc.ApplyNodeBlacklist(6, true) },
 		func() error { return f.svc.ApplyLinkFactor(3, 0.5) },
-		func() error { _, err := f.svc.ApplyReplicaAdd(b1, 4); return err },
-		func() error { _, err := f.svc.ApplyReplicaLoss(b1, 0); return err },
-		func() error { _, err := f.svc.ApplyNodeReplicaLoss(4); return err },
+		func() error { _, err := f.svc.ApplyNodeReplicaLoss(0); return err },
 		func() error { return f.svc.ApplySlotAcquireNoted(job.MapKind, 2, "client-note", nil, nil) },
 		func() error { return f.svc.ApplyNodeOffline(5, false) },
 	}
@@ -89,12 +87,12 @@ func fingerprint(t testing.TB, s *Service) []byte {
 // CRC-protected record, seqs chain gap-free from the begin marker, and
 // the decoder returns exactly what was written.
 func TestJournalRoundTrip(t *testing.T) {
-	f, b1, _ := journalFixture(t)
+	f, _, _ := journalFixture(t)
 	var buf bytes.Buffer
 	if err := f.svc.StartJournal(&buf); err != nil {
 		t.Fatal(err)
 	}
-	n := journalScript(t, f, b1)
+	n := journalScript(t, f)
 
 	dec, err := DecodeJournal(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -117,8 +115,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if dec.ValidBytes != int64(buf.Len()) {
 		t.Fatalf("ValidBytes %d, journal length %d", dec.ValidBytes, buf.Len())
 	}
-	if dec.Records[1].Note != `"job-a" 3` || dec.Records[10].Note != "client-note" {
-		t.Fatalf("notes did not round-trip: %q / %q", dec.Records[1].Note, dec.Records[10].Note)
+	if dec.Records[1].Note != `"job-a" 3` || dec.Records[8].Note != "client-note" {
+		t.Fatalf("notes did not round-trip: %q / %q", dec.Records[1].Note, dec.Records[8].Note)
 	}
 }
 
@@ -126,12 +124,12 @@ func TestJournalRoundTrip(t *testing.T) {
 // and checks the result is bit-identical: same epoch, same full state
 // fingerprint, zero drift.
 func TestRecoverFromJournalOnly(t *testing.T) {
-	f, b1, _ := journalFixture(t)
+	f, _, _ := journalFixture(t)
 	var buf bytes.Buffer
 	if err := f.svc.StartJournal(&buf); err != nil {
 		t.Fatal(err)
 	}
-	n := journalScript(t, f, b1)
+	n := journalScript(t, f)
 
 	rec, err := Recover(recoveryDeps(t), nil, bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -161,7 +159,7 @@ func TestRecoverFromJournalOnly(t *testing.T) {
 // at or below the checkpoint epoch are skipped, the rest re-apply, and
 // the result is bit-identical.
 func TestRecoverFromCheckpointAndJournal(t *testing.T) {
-	f, b1, _ := journalFixture(t)
+	f, _, _ := journalFixture(t)
 	var journal bytes.Buffer
 	if err := f.svc.StartJournal(&journal); err != nil {
 		t.Fatal(err)
@@ -183,7 +181,7 @@ func TestRecoverFromCheckpointAndJournal(t *testing.T) {
 	if err := f.svc.ApplyLinkFactor(3, 0.25); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.svc.ApplyReplicaAdd(b1, 4); err != nil {
+	if _, err := f.svc.ApplyNodeReplicaLoss(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.svc.ApplySlotAcquireNoted(job.MapKind, 1, "post-cp", nil, nil); err != nil {
@@ -218,18 +216,32 @@ func TestRecoverFromCheckpointAndJournal(t *testing.T) {
 // breaks from duplicated or reordered records) is corruption, and either
 // way the valid prefix decodes and recovery lands on it without a panic.
 func TestJournalDamage(t *testing.T) {
-	f, b1, _ := journalFixture(t)
+	f, _, _ := journalFixture(t)
 	var buf bytes.Buffer
 	if err := f.svc.StartJournal(&buf); err != nil {
 		t.Fatal(err)
 	}
-	n := journalScript(t, f, b1)
+	n := journalScript(t, f)
 	clean := buf.Bytes()
 	lines := bytes.Split(bytes.TrimSuffix(clean, []byte("\n")), []byte("\n"))
 	if len(lines) != n+1 { // begin marker + one line per delta
 		t.Fatalf("journal has %d lines, want %d", len(lines), n+1)
 	}
 
+	// unknownKind swaps record 3 for a CRC-valid slot record whose kind
+	// is neither map nor reduce: it ends the valid prefix like an
+	// unknown op instead of replaying as some slot kind.
+	unknownKind := func(op Op) func() []byte {
+		return func() []byte {
+			var bogus bytes.Buffer
+			if err := sealLine(&bogus, Record{V: recordVersion, Seq: 3, Op: op, Kind: "bogus", Node: 1}); err != nil {
+				t.Fatal(err)
+			}
+			out := append([][]byte{}, lines...)
+			out[3] = bytes.TrimSuffix(bogus.Bytes(), []byte("\n"))
+			return append(bytes.Join(out, []byte("\n")), '\n')
+		}
+	}
 	cases := []struct {
 		name    string
 		mangle  func() []byte
@@ -262,6 +274,8 @@ func TestJournalDamage(t *testing.T) {
 		{"garbage", func() []byte {
 			return []byte("not a journal\nstill not\n")
 		}, ErrCorruptRecord, 0},
+		{"unknown_kind_acquire", unknownKind(OpAcquire), ErrCorruptRecord, 2},
+		{"unknown_kind_release", unknownKind(OpRelease), ErrCorruptRecord, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -301,12 +315,12 @@ func TestJournalDamage(t *testing.T) {
 // same bytes (fresh begin marker), keep applying. The combined journal
 // must decode cleanly to the full post-crash history.
 func TestJournalResumeAfterDamage(t *testing.T) {
-	f, b1, _ := journalFixture(t)
+	f, _, _ := journalFixture(t)
 	var buf bytes.Buffer
 	if err := f.svc.StartJournal(&buf); err != nil {
 		t.Fatal(err)
 	}
-	n := journalScript(t, f, b1)
+	n := journalScript(t, f)
 	damaged := buf.Bytes()[:buf.Len()-5] // crash mid-append of the last record
 
 	rec, err := Recover(recoveryDeps(t), nil, bytes.NewReader(damaged))
@@ -444,8 +458,8 @@ func TestRecoverRejectsBadLinkFactor(t *testing.T) {
 // and either fail with ErrBadCheckpoint or return a service that
 // audits clean.
 func FuzzRecoverCheckpoint(fz *testing.F) {
-	f, b1, _ := journalFixture(fz)
-	journalScript(fz, f, b1)
+	f, _, _ := journalFixture(fz)
+	journalScript(fz, f)
 	var cp bytes.Buffer
 	if err := f.svc.WriteCheckpoint(&cp, func() string { return "client-state" }); err != nil {
 		fz.Fatal(err)
@@ -526,12 +540,12 @@ func TestDeciderInvalidSurfacesThroughOutcome(t *testing.T) {
 // more valid bytes than the input holds, and its valid prefix must
 // re-decode cleanly to the same records.
 func FuzzDecodeJournal(fz *testing.F) {
-	f, b1, _ := journalFixture(fz)
+	f, _, _ := journalFixture(fz)
 	var buf bytes.Buffer
 	if err := f.svc.StartJournal(&buf); err != nil {
 		fz.Fatal(err)
 	}
-	journalScript(fz, f, b1)
+	journalScript(fz, f)
 	clean := buf.Bytes()
 	fz.Add(append([]byte(nil), clean...))
 	fz.Add(append([]byte(nil), clean[:len(clean)-7]...))

@@ -1,8 +1,7 @@
 package placement
 
 // Kill/restart at the Service layer: a reference service runs a seeded
-// log over all eight journaled delta kinds, including the replica
-// add/loss deltas the façade never writes, then a second run of the same
+// log over all six journaled delta kinds, then a second run of the same
 // log is killed at randomized ops and rebuilt with Recover from the
 // latest checkpoint plus the surviving journal bytes. The façade's
 // decision-level chaos test lives in the root package.
@@ -15,7 +14,6 @@ import (
 	"sort"
 	"testing"
 
-	"mapsched/internal/hdfs"
 	"mapsched/internal/job"
 	"mapsched/internal/sim"
 	"mapsched/internal/topology"
@@ -28,25 +26,19 @@ type killOp struct {
 	op     Op
 	kind   job.TaskKind
 	node   topology.NodeID
-	block  hdfs.BlockID
 	on     bool
 	factor float64
 }
 
-// apply runs the delta against s. A rejected or no-op delta reports an
-// error and changes nothing.
+// apply runs the delta against s. A rejected delta reports an error
+// and changes nothing.
 func (o killOp) apply(s *Service) error {
-	var changed = true
 	var err error
 	switch o.op {
 	case OpAcquire:
 		err = s.ApplySlotAcquire(o.kind, o.node)
 	case OpRelease:
 		err = s.ApplySlotRelease(o.kind, o.node)
-	case OpReplicaAdd:
-		changed, err = s.ApplyReplicaAdd(o.block, o.node)
-	case OpReplicaLoss:
-		changed, err = s.ApplyReplicaLoss(o.block, o.node)
 	case OpNodeReplicaLoss:
 		_, err = s.ApplyNodeReplicaLoss(o.node)
 	case OpOffline:
@@ -56,18 +48,15 @@ func (o killOp) apply(s *Service) error {
 	case OpLinkFactor:
 		err = s.ApplyLinkFactor(o.node, o.factor)
 	}
-	if err == nil && !changed {
-		err = errors.New("no-op replica delta")
-	}
 	return err
 }
 
 // killOpLog runs the reference: n deltas drawn from a seeded mix of all
-// eight journaled kinds. It returns the log and the reference's state
+// six journaled kinds. It returns the log and the reference's state
 // fingerprint at every epoch 0..n.
 func killOpLog(t *testing.T, n int) ([]killOp, [][]byte) {
 	t.Helper()
-	f, b1, b2 := journalFixture(t)
+	f, _, _ := journalFixture(t)
 	nodes := f.slots.Size()
 	rng := sim.NewRNG(11).Fork("ops")
 	ops := make([]killOp, 0, n)
@@ -76,21 +65,17 @@ func killOpLog(t *testing.T, n int) ([]killOp, [][]byte) {
 		if tries > 50*n {
 			t.Fatalf("op generator stalled at %d of %d ops", len(ops), n)
 		}
-		o := killOp{node: topology.NodeID(rng.Intn(nodes)), block: []hdfs.BlockID{b1, b2}[rng.Intn(2)]}
+		o := killOp{node: topology.NodeID(rng.Intn(nodes))}
 		switch r := rng.Intn(100); {
 		case r < 30:
 			o.op, o.kind = OpAcquire, []job.TaskKind{job.MapKind, job.ReduceKind}[rng.Intn(2)]
 		case r < 55:
 			o.op, o.kind = OpRelease, []job.TaskKind{job.MapKind, job.ReduceKind}[rng.Intn(2)]
-		case r < 65:
-			o.op = OpReplicaAdd
-		case r < 72:
-			o.op = OpReplicaLoss
-		case r < 75:
+		case r < 62:
 			o.op = OpNodeReplicaLoss
-		case r < 84:
+		case r < 77:
 			o.op, o.on = OpOffline, rng.Intn(2) == 0
-		case r < 92:
+		case r < 90:
 			o.op, o.on = OpBlacklist, rng.Intn(2) == 0
 		default:
 			o.op, o.factor = OpLinkFactor, []float64{0.5, 1, 2}[rng.Intn(3)]
@@ -312,8 +297,8 @@ func runKillRestart(t *testing.T, shapes []crashShape) killReport {
 		t.Fatalf("%d appends, %d rotates, want >= 5 each", rep.appends, rep.rotates)
 	case rep.rederived == 0:
 		t.Fatal("no delta was ever applied twice: the kills lost nothing to re-derive")
-	case len(rep.ops) != 8:
-		t.Fatalf("op log covers %v, want all eight journal ops", rep.ops)
+	case len(rep.ops) != 6:
+		t.Fatalf("op log covers %v, want all six journal ops", rep.ops)
 	}
 	for _, sh := range shapes {
 		if rep.shapes[sh] < 3 {

@@ -190,14 +190,6 @@ func (s *Service) nodeLocked(n topology.NodeID) (*cluster.Node, error) {
 	return s.slots.Node(n), nil
 }
 
-// blockLocked validates a delta's block ID against the store.
-func (s *Service) blockLocked(id hdfs.BlockID) error {
-	if int(id) < 0 || int(id) >= s.store.NumBlocks() {
-		return fmt.Errorf("%w: block %d of %d", ErrUnknownBlock, id, s.store.NumBlocks())
-	}
-	return nil
-}
-
 // ApplySlotAcquire records that a task occupied a slot of the given
 // kind on node n (a placement decision was committed). The delta is
 // validated against current state first: an unknown node, an offline or
@@ -280,54 +272,6 @@ func (s *Service) ApplySlotReleaseNoted(k job.TaskKind, n topology.NodeID, note 
 	}
 	s.epoch++
 	return nil
-}
-
-// ApplyReplicaAdd records a new replica of block id on node n (e.g. a
-// re-replication finishing). Reports whether the replica set changed —
-// adding a replica the node already holds is a no-op, not a conflict.
-// Unknown nodes and blocks are rejected.
-func (s *Service) ApplyReplicaAdd(id hdfs.BlockID, n topology.NodeID) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.nodeLocked(n); err != nil {
-		return false, err
-	}
-	if err := s.blockLocked(id); err != nil {
-		return false, err
-	}
-	if s.store.HasReplica(id, n) {
-		return false, nil
-	}
-	if err := s.journalLocked(Record{Op: OpReplicaAdd, Block: int(id), Node: int(n)}); err != nil {
-		return false, err
-	}
-	s.store.AddReplica(id, n)
-	s.epoch++
-	return true, nil
-}
-
-// ApplyReplicaLoss records the loss of block id's replica on node n
-// (disk failure, decommission). Reports whether a replica was removed —
-// losing a replica the node does not hold is a no-op. Unknown nodes and
-// blocks are rejected.
-func (s *Service) ApplyReplicaLoss(id hdfs.BlockID, n topology.NodeID) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.nodeLocked(n); err != nil {
-		return false, err
-	}
-	if err := s.blockLocked(id); err != nil {
-		return false, err
-	}
-	if !s.store.HasReplica(id, n) {
-		return false, nil
-	}
-	if err := s.journalLocked(Record{Op: OpReplicaLoss, Block: int(id), Node: int(n)}); err != nil {
-		return false, err
-	}
-	s.store.RemoveReplica(id, n)
-	s.epoch++
-	return true, nil
 }
 
 // ApplyNodeReplicaLoss drops every replica hosted on node n (the node

@@ -6,7 +6,6 @@
 package placement
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -208,24 +207,12 @@ func (s *Service) restoreCheckpoint(cp *Checkpoint) error {
 func (s *Service) applyRecord(r *Record) error {
 	n := topology.NodeID(r.Node)
 	switch r.Op {
-	case OpAcquire:
-		return s.ApplySlotAcquire(r.taskKind(), n)
-	case OpRelease:
-		return s.ApplySlotRelease(r.taskKind(), n)
-	case OpReplicaAdd:
-		added, err := s.ApplyReplicaAdd(hdfs.BlockID(r.Block), n)
-		if err == nil && !added {
-			// The record was only written for an actual addition, so a
-			// no-op replay means the state diverged from the journal.
-			err = errors.New("replica already present")
+	case OpAcquire, OpRelease:
+		k, _ := job.ParseTaskKind(r.Kind) // DecodeJournal rejects other kinds
+		if r.Op == OpAcquire {
+			return s.ApplySlotAcquire(k, n)
 		}
-		return err
-	case OpReplicaLoss:
-		removed, err := s.ApplyReplicaLoss(hdfs.BlockID(r.Block), n)
-		if err == nil && !removed {
-			err = errors.New("replica already absent")
-		}
-		return err
+		return s.ApplySlotRelease(k, n)
 	case OpNodeReplicaLoss:
 		_, err := s.ApplyNodeReplicaLoss(n)
 		return err

@@ -28,15 +28,14 @@ func TestConcurrentReadersUnderDeltas(t *testing.T) {
 	for id := job.ID(1); id <= 4; id++ {
 		jobs = append(jobs, f.addJob(t, id, allNodes(8), 2))
 	}
-	// A dedicated block for the writer's replica add/loss churn.
-	churn, err := f.store.AddBlock(64e6, 1, placeAt{nodes: []topology.NodeID{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	addChurnBlocks(t, f)
 
 	const (
 		readers    = 4
 		iterations = 2000
+		// lossEvery splits the run into stretches, one per node 1–7; a
+		// multiple of 4, so each stretch starts on the loss case.
+		lossEvery = 288
 	)
 	var (
 		stop      atomic.Bool
@@ -66,13 +65,12 @@ func TestConcurrentReadersUnderDeltas(t *testing.T) {
 			}
 			switch i % 4 {
 			case 0:
-				f.svc.ApplyReplicaAdd(churn, topology.NodeID(1+i%7))
-			case 1:
-				// Drop the replica case 0 added, then a whole node's.
-				if removed, err := f.svc.ApplyReplicaLoss(churn, topology.NodeID(1+(i-1)%7)); err != nil || !removed {
-					t.Errorf("replica loss %d: removed=%v, err=%v", i, removed, err)
+				// The stretch's node loses its disks: the first loss
+				// rewrites replica sets, the repeats remove nothing.
+				removed, err := f.svc.ApplyNodeReplicaLoss(topology.NodeID(1 + i/lossEvery))
+				if err != nil || (removed > 0) != (i%lossEvery == 0) {
+					t.Errorf("replica loss %d: removed=%d, err=%v", i, removed, err)
 				}
-				f.svc.ApplyNodeReplicaLoss(topology.NodeID(1 + i%7))
 			case 2:
 				f.svc.ApplyNodeOffline(n, true)
 				f.svc.ApplyNodeOffline(n, false)
@@ -141,10 +139,7 @@ func TestConcurrentReadersUnderDeltas(t *testing.T) {
 func TestAuditorUnderDeltaChurn(t *testing.T) {
 	f := newFixture(t)
 	jobs := []*job.Job{f.addJob(t, 1, allNodes(8), 2)}
-	churn, err := f.store.AddBlock(64e6, 1, placeAt{nodes: []topology.NodeID{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	addChurnBlocks(t, f)
 	var journal syncBuffer
 	if err := f.svc.StartJournal(&journal); err != nil {
 		t.Fatal(err)
@@ -168,16 +163,15 @@ func TestAuditorUnderDeltaChurn(t *testing.T) {
 	go func() { // the journaling writer
 		defer wg.Done()
 		defer stop.Store(true)
+		const lossEvery = 216 // one stretch of the 1,500 iterations per node 1–7
 		for i := 0; i < 1500; i++ {
 			n := topology.NodeID(i % 8)
 			if err := f.svc.ApplySlotAcquire(job.MapKind, n); err == nil {
 				f.svc.ApplySlotRelease(job.MapKind, n)
 			}
 			switch i % 3 {
-			case 0:
-				f.svc.ApplyReplicaAdd(churn, topology.NodeID(1+i%7))
 			case 1:
-				f.svc.ApplyNodeReplicaLoss(topology.NodeID(1 + i%7))
+				f.svc.ApplyNodeReplicaLoss(topology.NodeID(1 + i/lossEvery))
 			case 2:
 				f.svc.ApplyLinkFactor(n, 0.5+float64(i%2))
 			}
@@ -214,11 +208,9 @@ func TestAuditorUnderDeltaChurn(t *testing.T) {
 	if a := f.svc.Audit(); !a.Clean() {
 		t.Fatalf("final audit: %s", a)
 	}
-	f2 := newFixture(t) // same seed state: same job blocks, same churn block
+	f2 := newFixture(t) // same seed state: same job blocks, same churn blocks
 	f2.addJob(t, 1, allNodes(8), 2)
-	if _, err := f2.store.AddBlock(64e6, 1, placeAt{nodes: []topology.NodeID{0}}); err != nil {
-		t.Fatal(err)
-	}
+	addChurnBlocks(t, f2)
 	rec, err := Recover(Deps{Net: f2.net, Store: f2.store, Slots: f2.slots, Mode: core.ModeHops},
 		nil, bytes.NewReader(journal.bytes()))
 	if err != nil {
@@ -229,6 +221,18 @@ func TestAuditorUnderDeltaChurn(t *testing.T) {
 	}
 	if a := rec.Service.Audit(); !a.Clean() {
 		t.Fatalf("post-recovery drift: %s", a)
+	}
+}
+
+// addChurnBlocks places the blocks a stress writer's node losses
+// rewrite: block k is replicated on nodes k and k+1 (1–7, wrapping), so
+// each loss leaves survivors for a later one to take.
+func addChurnBlocks(t testing.TB, f *fixture) {
+	t.Helper()
+	for k := topology.NodeID(1); k <= 7; k++ {
+		if _, err := f.store.AddBlock(64e6, 2, placeAt{nodes: []topology.NodeID{k, 1 + k%7}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ func (c *Coupling) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
 			}
 		}
 		if m == nil {
-			m = pending[c.dec.Intn(len(pending))]
+			m = pending[c.env.RNG.Intn(len(pending))]
 		}
 		loc := c.dec.Locality(m, node)
 		var p float64
@@ -81,7 +81,7 @@ func (c *Coupling) AssignMap(ctx *Context, node topology.NodeID) *job.MapTask {
 		default:
 			p = couplingPRemote
 		}
-		if c.dec.Bernoulli(p) {
+		if c.env.RNG.Bernoulli(p) {
 			if c.env.Obs.Enabled() {
 				e := decisionEvent(obs.TaskAssign, ctx.Now, node, j, "map", m.Index)
 				e.Locality = loc.String()

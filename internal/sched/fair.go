@@ -126,7 +126,7 @@ func (f *FairDelay) AssignReduce(ctx *Context, node topology.NodeID) *job.Reduce
 		}
 		// "Randomly selects a reduce task": partitions are interchangeable
 		// at this point, draw one uniformly.
-		r := pending[f.dec.Intn(len(pending))]
+		r := pending[f.env.RNG.Intn(len(pending))]
 		if f.env.Obs.Enabled() {
 			e := decisionEvent(obs.TaskAssign, ctx.Now, node, j, "reduce", r.Index)
 			e.Reason = "random"

@@ -257,16 +257,20 @@ func (p *PlacementService) task(d PlacementDecision) (taskRef, error) {
 	if j == nil {
 		return taskRef{}, fmt.Errorf("mapsched: unknown job %q", d.Job)
 	}
-	if d.Kind == "map" {
+	k, ok := job.ParseTaskKind(d.Kind)
+	if !ok {
+		return taskRef{}, fmt.Errorf("mapsched: unknown task kind %q", d.Kind)
+	}
+	if k == job.MapKind {
 		if d.Task < 0 || d.Task >= len(j.Maps) {
 			return taskRef{}, fmt.Errorf("mapsched: job %q has no map %d", d.Job, d.Task)
 		}
-		return taskRef{j.Maps[d.Task], job.MapKind}, nil
+		return taskRef{j.Maps[d.Task], k}, nil
 	}
 	if d.Task < 0 || d.Task >= len(j.Reduces) {
 		return taskRef{}, fmt.Errorf("mapsched: job %q has no reduce %d", d.Job, d.Task)
 	}
-	return taskRef{j.Reduces[d.Task], job.ReduceKind}, nil
+	return taskRef{j.Reduces[d.Task], k}, nil
 }
 
 // taskNote encodes the client half of a committed or completed

@@ -53,6 +53,38 @@ func TestPlacementServiceLifecycle(t *testing.T) {
 	}
 }
 
+// TestCommitRejectsUnknownTaskKind: a decision whose kind is neither
+// "map" nor "reduce" names no task, so Commit and Complete reject it
+// and change nothing.
+func TestCommitRejectsUnknownTaskKind(t *testing.T) {
+	cfg := mapsched.DefaultClusterConfig()
+	cfg.Topology.Racks = 2
+	cfg.Topology.NodesPerRack = 4
+	svc, err := mapsched.NewPlacementService(cfg, mapsched.Batch(mapsched.Wordcount)[:2],
+		mapsched.WithScale(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := svc.DecideMap(0, 0)
+	if !d.Assigned {
+		t.Fatalf("first offer on an idle cluster declined: %+v", d)
+	}
+	bogus := d
+	bogus.Kind, bogus.Task = "bogus", 0
+	if err := svc.Commit(bogus); err == nil {
+		t.Fatal("committing a decision of unknown kind succeeded")
+	}
+	if err := svc.Complete(bogus); err == nil {
+		t.Fatal("completing a decision of unknown kind succeeded")
+	}
+	if epoch := svc.Epoch(); epoch != 0 {
+		t.Fatalf("epoch = %d after rejected deltas, want 0", epoch)
+	}
+	if err := svc.Commit(d); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPlacementServiceGatesReduces: before any map has run no job has
 // reached the slowstart fraction of map progress, so no reduce offer is
 // taken; once the maps have run, one is.
