@@ -4,8 +4,10 @@
 // All higher layers (network flows, heartbeats, task execution) are driven
 // by events scheduled on a single *Engine. The engine is strictly
 // single-threaded: callbacks run in timestamp order, ties broken by
-// scheduling order, which makes every simulation bit-for-bit reproducible
-// for a given seed.
+// sequence number, which makes every simulation bit-for-bit reproducible
+// for a given seed. Each scheduling call takes the next sequence number,
+// so ties go by scheduling order, except that a caller may reserve a
+// block of numbers and hand them out in an order it picks.
 package sim
 
 import (
@@ -28,7 +30,7 @@ const Infinity Time = Time(math.MaxFloat64)
 // value is inert and unqueued.
 type Event struct {
 	at  Time
-	seq uint64 // FIFO tie-break for equal timestamps
+	seq uint64 // tie-break for equal timestamps: call order, or a reserved seq
 	fn  func()
 	// index is the heap position + 1 in the heap, -(ring slot + 1) on the
 	// lane, and 0 when not queued, so Event{} is unqueued.
@@ -150,9 +152,44 @@ func (e *Engine) After(d Duration, fn func()) {
 // Reschedule (re)queues the caller-owned event ev to fire fn at absolute
 // time at, moving it within the queue if currently pending. It allocates
 // nothing: hot paths embed an Event value and move it instead of
-// scheduling fresh events. The event gets a new FIFO sequence number,
-// exactly as if it had been removed and scheduled anew.
+// scheduling fresh events. The event gets the next sequence number,
+// exactly as if it had been removed and scheduled anew: among events due
+// at the same time it fires after every one queued before the call, and
+// before every one queued after it except those given seqs from a block
+// reserved before the call.
 func (e *Engine) Reschedule(ev *Event, at Time, fn func()) {
+	e.reschedule(ev, at, fn, e.seq)
+	e.seq++
+}
+
+// ReserveSeqs reserves a block of n consecutive sequence numbers and
+// returns the first. Each is later than every number taken before the
+// call and earlier than every number taken after it, so RescheduleSeq can
+// give a batch of events one tie order of the caller's choosing within
+// the batch. A number left unused is a harmless gap. It panics if the
+// counter would wrap.
+func (e *Engine) ReserveSeqs(n uint64) uint64 {
+	if n > math.MaxUint64-e.seq {
+		panic(fmt.Sprintf("sim: reserving %d seqs from %d wraps the counter", n, e.seq))
+	}
+	base := e.seq
+	e.seq += n
+	return base
+}
+
+// RescheduleSeq is Reschedule with the sequence number seq, taken from a
+// block that ReserveSeqs returned, in place of the next one. Among events
+// due at one time it fires in seq order. Each seq must go to one event
+// only; a seq that was never reserved panics.
+func (e *Engine) RescheduleSeq(ev *Event, at Time, fn func(), seq uint64) {
+	if seq >= e.seq {
+		panic(fmt.Sprintf("sim: seq %d was never reserved (next is %d)", seq, e.seq))
+	}
+	e.reschedule(ev, at, fn, seq)
+}
+
+// reschedule (re)queues ev to fire fn at time at with sequence number seq.
+func (e *Engine) reschedule(ev *Event, at Time, fn func(), seq uint64) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
@@ -163,8 +200,7 @@ func (e *Engine) Reschedule(ev *Event, at Time, fn func()) {
 		e.dropLane(p) // the lane admits only in time order: move via the heap
 	}
 	i := e.slot(ev)
-	ev.at, ev.seq, ev.fn = at, e.seq, fn
-	e.seq++
+	ev.at, ev.seq, ev.fn = at, seq, fn
 	if i >= 0 {
 		heap.Fix(&e.queue, i) // still queued: one sift moves it to its new key
 	} else {

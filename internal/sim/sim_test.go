@@ -457,6 +457,54 @@ func TestRescheduleSemantics(t *testing.T) {
 	}
 }
 
+// TestReservedSeqs covers ReserveSeqs and RescheduleSeq: events given
+// seqs from a reserved block tie in seq order, after every event
+// scheduled before the reservation and before every event scheduled
+// after it, and an unused seq is a harmless gap.
+func TestReservedSeqs(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	log := func(s string) func() { return func() { order = append(order, s) } }
+	e.Schedule(1, log("before"))
+	base := e.ReserveSeqs(4)
+	e.Schedule(1, log("after"))
+	var evs [3]Event
+	e.RescheduleSeq(&evs[0], 1, log("seq+3"), base+3)
+	e.RescheduleSeq(&evs[1], 1, log("seq+0"), base)
+	e.RescheduleSeq(&evs[2], 1, log("seq+1"), base+1)
+	if _, err := e.Run(Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(order), "[before seq+0 seq+1 seq+3 after]"; got != want {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+}
+
+func TestRescheduleSeqUnreservedPanics(t *testing.T) {
+	e := NewEngine()
+	base := e.ReserveSeqs(2)
+	var ev Event
+	e.RescheduleSeq(&ev, 1, func() {}, base+1)
+	defer func() {
+		if recover() == nil {
+			t.Error("RescheduleSeq at a seq never reserved did not panic")
+		}
+	}()
+	e.RescheduleSeq(&ev, 1, func() {}, base+2)
+}
+
+func TestReserveSeqsWrapPanics(t *testing.T) {
+	e := NewEngine()
+	e.ReserveSeqs(10)
+	e.ReserveSeqs(math.MaxUint64 - 10) // the counter reaches its last value
+	defer func() {
+		if recover() == nil {
+			t.Error("ReserveSeqs past the counter's range did not panic")
+		}
+	}()
+	e.ReserveSeqs(1)
+}
+
 // TestCommitHooksRunPerDispatch verifies hook ordering and timing: after
 // every dispatched callback, at the callback's timestamp.
 func TestCommitHooksRunPerDispatch(t *testing.T) {
@@ -690,19 +738,22 @@ type laneCover struct {
 	removed    int // lane events removed
 	tailEarly  int // appends earlier than the last append after its event left a live lane
 	crossTies  int // dispatches tied in time with a queued event of the other queue
+	seqTies    int // dispatches tied in time with an event queued by an earlier call
 	dispatched int
 }
 
 // checkEngineQueue drives an engine and a reference implementation with
 // one workload drawn from src: a plain list of the live events that fires
 // the (at, seq) minimum, seq being the order of the Schedule, Reschedule
-// or Append call. Callbacks schedule fire-and-forget events (equal-
-// timestamp clusters, far-future outliers, grid ties), and reschedule,
-// remove and append caller-owned ones, appending both in and out of
-// time order. Every dispatch must be the reference's next event, every
-// append must take the lane exactly when the event was unqueued and its
-// time no earlier than every earlier lane append, Pending must count the
-// reference, and both must drain together. No more than maxIDs events
+// or Append call, or a seq from a block ReserveSeqs returned. Callbacks
+// schedule fire-and-forget events (equal-timestamp clusters, far-future
+// outliers, grid ties), and reschedule, remove and append caller-owned
+// ones, appending both in and out of time order and rescheduling at
+// reserved seqs handed out of call order. Every dispatch must be the
+// reference's next event, every append must take the lane exactly when
+// the event was unqueued and its time no earlier than every earlier lane
+// append, Pending must count the reference, and both must drain
+// together. No more than maxIDs events
 // are scheduled.
 func checkEngineQueue(t testing.TB, src chooser, maxIDs int) laneCover {
 	t.Helper()
@@ -756,12 +807,17 @@ func checkEngineQueue(t testing.TB, src chooser, maxIDs int) laneCover {
 		}
 	}
 	var fire func(id int)
-	add := func(at Time, lane bool) (int, func()) {
+	// addSeq enters an event into the reference at seq s; add takes the
+	// next seq, as a Schedule, Reschedule or Append call does.
+	addSeq := func(at Time, s uint64, lane bool) (int, func()) {
 		id := nextID
 		nextID++
-		live = append(live, key{id, at, seq, lane})
-		seq++
+		live = append(live, key{id, at, s, lane})
 		return id, func() { fire(id) }
+	}
+	add := func(at Time, lane bool) (int, func()) {
+		seq++
+		return addSeq(at, seq-1, lane)
 	}
 	fire = func(id int) {
 		if len(live) == 0 {
@@ -783,6 +839,12 @@ func checkEngineQueue(t testing.TB, src chooser, maxIDs int) laneCover {
 				break
 			}
 		}
+		for _, k := range live {
+			if k.at == next.at && k.id < next.id { // ids follow call order
+				cov.seqTies++
+				break
+			}
+		}
 		cov.dispatched++
 		live = append(live[:want], live[want+1:]...)
 		if e.Pending() != len(live) {
@@ -797,7 +859,7 @@ func checkEngineQueue(t testing.TB, src chooser, maxIDs int) laneCover {
 			return
 		}
 		for n := 0; n < 3; n++ {
-			op := src.Intn(9)
+			op := src.Intn(10)
 			if n == 0 {
 				op = 0 // one child per dispatch keeps the workload alive
 			}
@@ -821,6 +883,29 @@ func checkEngineQueue(t testing.TB, src chooser, maxIDs int) laneCover {
 					cov.removed++
 				}
 				oid[k] = -1
+			case 9: // reserve a block, then hand its seqs out of call order
+				size := 1 + src.Intn(6)
+				base, refBase := e.ReserveSeqs(uint64(size)), seq
+				seq += uint64(size)
+				offs := make([]uint64, size)
+				for i := range offs {
+					j := src.Intn(i + 1)
+					offs[i], offs[j] = offs[j], uint64(i)
+				}
+				shared := mkAt()
+				for _, off := range offs[:1+src.Intn(min(4, size))] {
+					at := shared
+					if src.Intn(2) == 0 {
+						at = mkAt()
+					}
+					if oid[k] >= 0 && drop(oid[k]) {
+						cov.moved++
+					}
+					id, fn := addSeq(at, refBase+off, false)
+					oid[k] = id
+					e.RescheduleSeq(&owned[k], at, fn, base+off)
+					k = src.Intn(len(owned))
+				}
 			default: // Append: in order, tied with the lane's tail, or anywhere
 				var at Time
 				switch src.Intn(4) {
@@ -876,8 +961,9 @@ func checkEngineQueue(t testing.TB, src chooser, maxIDs int) laneCover {
 // TestEngineCrossImplEquivalence runs the engine oracle on seeded random
 // workloads and requires, over all trials, every lane case: in-order and
 // fallen-back appends, lane events moved and removed, an append earlier
-// than the last after the lane's tail was removed, and equal-time ties
-// between the lane and the heap.
+// than the last after the lane's tail was removed, equal-time ties
+// between the lane and the heap, and equal-time ties that a reserved seq
+// decided against call order.
 func TestEngineCrossImplEquivalence(t *testing.T) {
 	var sum laneCover
 	for trial := 0; trial < 20; trial++ {
@@ -891,10 +977,11 @@ func TestEngineCrossImplEquivalence(t *testing.T) {
 		sum.removed += cov.removed
 		sum.tailEarly += cov.tailEarly
 		sum.crossTies += cov.crossTies
+		sum.seqTies += cov.seqTies
 		sum.dispatched += cov.dispatched
 	}
 	t.Logf("lane cases over all trials: %+v", sum)
-	if sum.laned == 0 || sum.fellBack == 0 || sum.moved == 0 || sum.removed == 0 || sum.tailEarly == 0 || sum.crossTies == 0 {
+	if sum.laned == 0 || sum.fellBack == 0 || sum.moved == 0 || sum.removed == 0 || sum.tailEarly == 0 || sum.crossTies == 0 || sum.seqTies == 0 {
 		t.Fatalf("the workloads miss a lane case: %+v", sum)
 	}
 }
@@ -905,7 +992,10 @@ func FuzzEngineQueue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 6, 3, 1, 1, 7, 5, 0, 2, 7, 5, 3, 8, 0, 7, 1})
 	// Appends, removes the lane's tail, then appends earlier than it.
-	f.Add([]byte("\xb5\x86\xb1C#\xa6\xbc\x8f\x9e}\xf1\xd9)3?\xf9\x93\x93;\xeao[:\xf6\xde\x03t6lG\x19\xe4:\x1b\x06}\x89\xbc\x7f\x01\xf1\xf5s"))
+	f.Add([]byte("d\x93\xf7\xef\x06n\x1fr\xde\x1b\xf2\xbc,\xcd0\xa5\xaa\b_7\xab"))
+	// Reschedules at reserved seqs that break an equal-time tie against
+	// call order.
+	f.Add([]byte("\x86\x05T\b\x8b\xab\xf1\x82\xc0\xf8\xdb"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := byteChooser(data)
 		checkEngineQueue(t, &src, 400)

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -27,7 +26,7 @@ const (
 //
 // Flow objects are pooled — see FlowNet.Release and maybeRecycle.
 type Flow struct {
-	id         int64    // creation order; makes event scheduling deterministic
+	id         int64    // creation order; orders equal-time completions (see solve)
 	links      []LinkID // owned copy of the path; storage reused across lives
 	total      float64  // original size in bytes
 	remaining  float64  // bytes left; NaN-free, >= 0
@@ -62,7 +61,8 @@ func (f *Flow) Finished() bool { return f.finished }
 // link carries its active flows as a slice (swap-remove via Flow.slots):
 // enumeration is the recompute hot loop, and slice iteration is several
 // times cheaper than ranging a map. Order within the slice is arbitrary
-// but immaterial — every consumer either sorts or commutes exactly.
+// but immaterial — every consumer either orders by flow id or commutes
+// exactly.
 type link struct {
 	capacity float64 //lint:epoch-guarded rate shares derive from it; see FlowNet.epoch
 	flows    []*Flow
@@ -591,10 +591,12 @@ func (n *FlowNet) Flush() {
 // completion event. Only a flow that a scanned round of the fill froze
 // can change share: a replayed round's flows keep their committed share,
 // and their pending events already fire at the right absolute time. The
-// re-solved flows are handled in creation order, so the completion events
-// of one commit take fresh FIFO seqs in a deterministic sequence. Only
-// a solve over a non-empty live set counts as a pass; over an empty one
-// the fill skips every logged round, so the next fill starts cold.
+// completion events of one solve tie in creation order: solve reserves
+// one block of engine seqs spanning the re-solved flows' ids, and a
+// flow's event takes the seq its id offsets into the block, so no sort is
+// needed and unused seqs are gaps. Only a solve over a non-empty live set
+// counts as a pass; over an empty one the fill skips every logged round,
+// so the next fill starts cold.
 func (n *FlowNet) solve() {
 	if n.liveCount > 0 {
 		n.passes++
@@ -602,8 +604,15 @@ func (n *FlowNet) solve() {
 	n.fill()
 
 	resolved := n.resolved
+	if len(resolved) == 0 {
+		return
+	}
 	n.resolvedFlows += int64(len(resolved))
-	slices.SortFunc(resolved, func(a, b *Flow) int { return cmp.Compare(a.id, b.id) })
+	lo, hi := resolved[0].id, resolved[0].id
+	for _, f := range resolved[1:] {
+		lo, hi = min(lo, f.id), max(hi, f.id)
+	}
+	base := n.eng.ReserveSeqs(uint64(hi-lo) + 1)
 	now := n.eng.Now()
 	for i, f := range resolved {
 		resolved[i] = nil
@@ -621,7 +630,7 @@ func (n *FlowNet) solve() {
 			n.eng.Remove(&f.doneEv)
 			continue
 		}
-		n.eng.Reschedule(&f.doneEv, now+sim.Time(f.remaining/f.rate), f.finishFn)
+		n.eng.RescheduleSeq(&f.doneEv, now+sim.Time(f.remaining/f.rate), f.finishFn, base+uint64(f.id-lo))
 	}
 	n.resolved = resolved[:0]
 }

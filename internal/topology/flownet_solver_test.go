@@ -376,3 +376,33 @@ func TestEpochAdvancesOnChurnOnly(t *testing.T) {
 		t.Fatal("epoch did not advance on cancel")
 	}
 }
+
+// TestEqualTimeCompletionsFireInCreationOrder pins the tie order of
+// completion events: flows that finish at one instant call their done
+// callbacks in creation order, whatever order the fill froze them in.
+// Cancelling X swap-removes it from the link's slice, which puts B ahead
+// of A, so the fill re-solves B first; A and B then share the link
+// evenly and finish together.
+func TestEqualTimeCompletionsFireInCreationOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	n := NewFlowNet(eng)
+	path := []LinkID{n.AddLink(12)}
+	var x *Flow
+	var order []string
+	var at [2]sim.Time
+	eng.Schedule(0, func() {
+		x = n.StartPersistentFlow(path)
+		n.StartFlow(path, 600, func() { order, at[0] = append(order, "A"), eng.Now() })
+		n.StartFlow(path, 600, func() { order, at[1] = append(order, "B"), eng.Now() })
+	})
+	eng.Schedule(1, func() { n.Cancel(x) })
+	if _, err := eng.Run(sim.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	if at[0] != at[1] {
+		t.Fatalf("A finished at %v, B at %v: the test needs a tie", at[0], at[1])
+	}
+	if fmt.Sprint(order) != "[A B]" {
+		t.Fatalf("done callbacks ran in order %v, want [A B]", order)
+	}
+}
