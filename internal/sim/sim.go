@@ -8,6 +8,11 @@
 // for a given seed. Each scheduling call takes the next sequence number,
 // so ties go by scheduling order, except that a caller may reserve a
 // block of numbers and hand them out in an order it picks.
+//
+// The events due at one time form an instant. Commit hooks run once at
+// the end of each instant, when the clock is about to move, so work
+// deferred to them (the flow network's max-min solve) is done once for
+// all the events of the instant.
 package sim
 
 import (
@@ -105,7 +110,10 @@ type Engine struct {
 	fired    uint64 // events executed (for diagnostics and loop guards)
 	limit    uint64 // safety cap on executed events; 0 means unlimited
 	running  bool
-	commits  []func() // run after each dispatched callback returns
+	// open reports that an instant is open: an event has run at now and
+	// the commit hooks have not run since.
+	open    bool
+	commits []func() // run at the end of each instant
 }
 
 // NewEngine returns an engine with the clock at 0.
@@ -122,13 +130,17 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // the cap.
 func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
-// AddCommitHook registers fn to run after every dispatched event callback
-// returns, still at the callback's timestamp, and before Run or Step
-// picks the next event. Work that must complete before the clock can
-// advance hangs off this hook: the flow network's one max-min solve per
-// churning event, which queues its completion events, and batched
-// observability emission. Hooks run in registration order and must not
-// unregister.
+// AddCommitHook registers fn to run at the end of every instant: after
+// the callback of an event when no other event is queued at its
+// timestamp, still at that timestamp, and before the clock moves on.
+// Work that must complete before the clock can advance hangs off this
+// hook: the flow network's one max-min solve per instant that churned,
+// which queues its completion events, and batched observability
+// emission. A hook that queues an event at the current time reopens the
+// instant, and the hooks run again at its end. Run and Step also run the
+// hooks on entry, unless an instant is open, so work deferred by calls
+// made outside any event is committed before the next event. Hooks run
+// in registration order and must not unregister.
 func (e *Engine) AddCommitHook(fn func()) {
 	if fn == nil {
 		panic("sim: nil commit hook")
@@ -316,36 +328,59 @@ func (e *Engine) next() *Event {
 	return ev
 }
 
-// pop dequeues ev, the event next returned, and dispatches it.
-func (e *Engine) pop(ev *Event) {
+// pop dequeues ev, the event next returned, dispatches it, and returns
+// the next event.
+func (e *Engine) pop(ev *Event) *Event {
 	if ev.index > 0 {
 		heap.Pop(&e.queue)
 	} else {
 		e.dropLane(e.laneHead)
 	}
-	e.dispatch(ev)
+	return e.dispatch(ev)
 }
 
-// dispatch advances the clock to ev, runs its callback, and then the
-// commit hooks.
-func (e *Engine) dispatch(ev *Event) {
+// dispatch advances the clock to ev and runs its callback. When no other
+// event is queued at ev's time, the instant is over and the commit hooks
+// run. It returns the next event.
+func (e *Engine) dispatch(ev *Event) *Event {
 	e.now = ev.at
 	e.fired++
+	e.open = true
 	ev.fn()
+	next := e.next()
+	if next == nil || next.at > e.now {
+		next = e.commit()
+	}
+	return next
+}
+
+// commit runs the commit hooks, closing the instant, and returns the
+// next event, which the hooks may have queued.
+func (e *Engine) commit() *Event {
+	e.open = false
 	for _, c := range e.commits {
 		c()
 	}
+	return e.next()
+}
+
+// peek returns the next event for Run or Step to dispatch. Unless an
+// instant is open, it first runs the commit hooks: work deferred by calls
+// made outside any event dispatch (e.g. flows started before the run)
+// must materialize before the next event is chosen. Inside an open
+// instant the hooks wait for its end, so a Step-driven run commits at
+// the points a Run-driven one does.
+func (e *Engine) peek() *Event {
+	if e.open {
+		return e.next()
+	}
+	return e.commit()
 }
 
 // Step executes the single earliest pending event. It reports whether an
-// event ran. Commit hooks run before the pop: work deferred by calls made
-// outside any event dispatch (e.g. flows started before the run) must
-// materialize before the next event is chosen.
+// event ran.
 func (e *Engine) Step() bool {
-	for _, c := range e.commits {
-		c()
-	}
-	ev := e.next()
+	ev := e.peek()
 	if ev == nil {
 		return false
 	}
@@ -363,18 +398,12 @@ func (e *Engine) Run(until Time) (Time, error) {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	// Materialize work deferred by calls made before the run (commit hooks
-	// also run after every dispatch, so mid-run the queue is always
-	// current).
-	for _, c := range e.commits {
-		c()
-	}
-	ev := e.next()
-	for ; ev != nil && ev.at <= until; ev = e.next() {
+	ev := e.peek()
+	for ev != nil && ev.at <= until {
 		if e.limit > 0 && e.fired >= e.limit {
 			return e.now, fmt.Errorf("sim: event limit %d exceeded at t=%v", e.limit, e.now)
 		}
-		e.pop(ev)
+		ev = e.pop(ev)
 	}
 	if until < Infinity && e.now < until && ev == nil {
 		// Advance the clock to the horizon so periodic processes resumed

@@ -4,6 +4,8 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -12,13 +14,12 @@ import (
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Pending returns the number of events currently queued, in the heap and
-// on the lane. Commit hooks run first, so churn made outside any dispatch
-// — e.g. flows started before the run, whose completion events the flow
-// network's share solve has yet to queue — is counted.
+// on the lane. Unless an instant is open, commit hooks run first, so churn
+// made outside any dispatch — e.g. flows started before the run, whose
+// completion events the flow network's share solve has yet to queue — is
+// counted.
 func (e *Engine) Pending() int {
-	for _, c := range e.commits {
-		c()
-	}
+	e.peek()
 	return len(e.queue) + e.laneLive
 }
 
@@ -505,26 +506,103 @@ func TestReserveSeqsWrapPanics(t *testing.T) {
 	e.ReserveSeqs(1)
 }
 
-// TestCommitHooksRunPerDispatch verifies hook ordering and timing: after
-// every dispatched callback, at the callback's timestamp.
-func TestCommitHooksRunPerDispatch(t *testing.T) {
-	e := NewEngine()
-	var log []string
-	e.AddCommitHook(func() { log = append(log, fmt.Sprintf("commit@%v", e.Now())) })
-	e.Schedule(1, func() { log = append(log, "a") })
-	e.Schedule(1, func() { log = append(log, "b") })
-	e.Schedule(3, func() { log = append(log, "c") })
-	if _, err := e.Run(Infinity); err != nil {
-		t.Fatal(err)
+// TestCommitHooksRunPerInstant verifies hook ordering and timing: once at
+// the end of every instant, at its timestamp, and again at the end of an
+// instant that a hook reopened by queueing an event at the current time.
+func TestCommitHooksRunPerInstant(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		reopen bool // the first hook at t=3 queues event d at t=3
+		want   []string
+	}{
+		// Run flushes hooks once on entry, then at the end of each instant.
+		{"plain", false, []string{"commit@0", "a", "b", "commit@1", "c", "commit@3"}},
+		{"reopened", true, []string{"commit@0", "a", "b", "commit@1", "c", "commit@3", "d", "commit@3"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			var log []string
+			reopen := tc.reopen
+			e.AddCommitHook(func() {
+				log = append(log, fmt.Sprintf("commit@%v", e.Now()))
+				if reopen && e.Now() == 3 {
+					reopen = false
+					e.Schedule(e.Now(), func() { log = append(log, "d") })
+				}
+			})
+			e.Schedule(1, func() { log = append(log, "a") })
+			e.Schedule(1, func() { log = append(log, "b") })
+			e.Schedule(3, func() { log = append(log, "c") })
+			if _, err := e.Run(Infinity); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(log, tc.want) {
+				t.Fatalf("log = %v, want %v", log, tc.want)
+			}
+		})
 	}
-	// Run flushes hooks once on entry, then after every dispatch.
-	want := []string{"commit@0", "a", "commit@1", "b", "commit@1", "c", "commit@3"}
-	if len(log) != len(want) {
-		t.Fatalf("log = %v, want %v", log, want)
+}
+
+// TestStepCommitsLikeRun drives random schedules with Step and with Run:
+// both must dispatch the same events and commit at the same points. Events
+// tie at a few distinct times, spawn events at their own time and later
+// ones, and some commits reopen their instant. The hook commits only when
+// an event ran since the last commit, as the flow network's Flush solves
+// only after churn, so Step's entry hooks at an instant boundary, which
+// find nothing to do, do not count as commits.
+func TestStepCommitsLikeRun(t *testing.T) {
+	drive := func(seed int64, step bool) []string {
+		rng := NewRNG(seed)
+		e := NewEngine()
+		var log []string
+		dirty := false
+		var spawn func(name string, at Time)
+		spawn = func(name string, at Time) {
+			e.Schedule(at, func() {
+				log = append(log, fmt.Sprintf("%s@%v", name, e.Now()))
+				dirty = true
+				if len(log) < 200 {
+					switch rng.Intn(4) {
+					case 0:
+						spawn(name+"n", e.Now())
+					case 1:
+						spawn(name+"l", e.Now()+Time(rng.Intn(3)))
+					}
+				}
+			})
+		}
+		e.AddCommitHook(func() {
+			if !dirty {
+				return
+			}
+			dirty = false
+			log = append(log, fmt.Sprintf("commit@%v", e.Now()))
+			if len(log) < 200 && rng.Intn(3) == 0 {
+				spawn("h", e.Now())
+			}
+		})
+		for i := 0; i < 12; i++ {
+			spawn(fmt.Sprint(i), Time(rng.Intn(4)))
+		}
+		if step {
+			for e.Step() {
+			}
+		} else if _, err := e.Run(Infinity); err != nil {
+			t.Fatal(err)
+		}
+		return log
 	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("log = %v, want %v", log, want)
+	for seed := int64(1); seed <= 50; seed++ {
+		run, step := drive(seed, false), drive(seed, true)
+		if !slices.Equal(step, run) {
+			t.Fatalf("seed %d:\nStep: %v\nRun:  %v", seed, step, run)
+		}
+		// Only an event a commit queued may run at the commit's time.
+		for i := 1; i < len(run); i++ {
+			at, ok := strings.CutPrefix(run[i-1], "commit")
+			if ok && strings.HasSuffix(run[i], at) && !strings.HasPrefix(run[i], "h") {
+				t.Fatalf("seed %d: %s ran after %s: %v", seed, run[i], run[i-1], run)
+			}
 		}
 	}
 }

@@ -70,7 +70,7 @@ type link struct {
 	// f flows: the link's term in a path transmission rate (Section
 	// II-B-3). refreshShare rewrites it wherever the flow count or the
 	// capacity changes, always beside an epoch bump, so it is
-	// exact mid-event and constant between epochs. Capacities are finite
+	// exact mid-instant and constant between epochs. Capacities are finite
 	// and non-negative, so every share is too.
 	share float64
 }
@@ -101,19 +101,19 @@ type sub struct{ link, next int32 }
 // FlowNet is a flow-level network simulator: each active flow receives a
 // max-min fair share of the capacity of every directed link on its path.
 //
-// Churn (flow start, finish, cancel or capacity change) updates
-// link occupancy, the stored per-link prospective shares and the epoch
-// at once, so occupancy-only reads (Cluster.PathRate, UpRate, InRate)
-// are exact mid-event. The
-// shares themselves are solved once per churning event, in Flush — the
-// engine's commit hook, which runs before the clock can move — as a pure
-// function of the live-flow set: the progressive fill a cold pass over
-// every live flow and every loaded link would run. The fill is
+// Churn (flow start, finish, cancel or capacity change) updates link
+// occupancy, the stored per-link prospective shares and the epoch at
+// once, so occupancy-only reads (Cluster.PathRate, UpRate, InRate) are
+// exact mid-instant. The shares themselves are solved once per instant
+// that churned (the events due at one time), in Flush — the engine's
+// commit hook, which runs at the end of the instant, before the clock
+// moves — as a pure function of the live-flow set: the progressive fill
+// a cold pass over every live flow and every loaded link would run. The fill is
 // warm-started: it replays every round of the previous fill whose
 // bottleneck no churn has reached, and re-solves only the flows the other
 // rounds froze, so its result is the cold fill's bit for bit. The solve
 // reschedules the completion of every re-solved flow whose share moved;
-// the event's flow_start emissions follow it. A share change emits
+// the instant's flow_start emissions follow it. A share change emits
 // nothing: the flow_start, flow_finish and link events already determine
 // every share.
 type FlowNet struct {
@@ -188,7 +188,7 @@ const (
 
 // NewFlowNet returns an empty network bound to eng. The share solve and
 // emission batches ride eng's commit hook, firing at the end of each
-// dispatched event.
+// instant.
 func NewFlowNet(eng *sim.Engine) *FlowNet {
 	n := &FlowNet{eng: eng}
 	eng.AddCommitHook(n.Flush)
@@ -244,7 +244,7 @@ func (n *FlowNet) flowEvent(t obs.Type, f *Flow, withLinks bool, reason string) 
 func (n *FlowNet) Epoch() uint64 { return n.epoch }
 
 // FullRecomputes returns the number of solver passes: at most one per
-// committed event that churned.
+// instant that churned.
 func (n *FlowNet) FullRecomputes() int64 { return n.passes }
 
 // IncrementalRecomputes is always 0: every solve yields every live flow's
@@ -464,7 +464,7 @@ func (n *FlowNet) Cancel(f *Flow) {
 	f.finished = true
 	n.detach(f)
 	if n.obs.Enabled() {
-		// A flow cancelled in its start event has its start emission still
+		// A flow cancelled in its start instant has its start emission still
 		// deferred; emit it first so the stream stays well-formed.
 		if f.pendingStart {
 			n.emitPendingStart(f)
@@ -474,7 +474,7 @@ func (n *FlowNet) Cancel(f *Flow) {
 }
 
 // emitPendingStart emits f's deferred flow_start immediately and removes
-// it from the pending list. Only used on the rare cancel-in-start-event
+// it from the pending list. Only used on the rare cancel-in-start-instant
 // path; normal starts are emitted in batch by Flush.
 func (n *FlowNet) emitPendingStart(f *Flow) {
 	n.obs.Emit(n.flowEvent(obs.FlowStart, f, true, ""))
@@ -559,18 +559,17 @@ func (n *FlowNet) mark() {
 	n.dirty = true
 }
 
-// Flush commits the event's churn: one share solve if anything churned,
-// then the batch of deferred flow_start emissions. It is the engine's
-// commit hook, running at the end of every dispatched event and before
-// Run or Step picks the next one, so no simulated time passes at a stale
-// share.
+// Flush commits the instant's churn: one share solve if anything
+// churned, then the batch of deferred flow_start emissions. It is the
+// engine's commit hook, running at the end of every instant, before the
+// clock moves, so no simulated time passes at a stale share.
 func (n *FlowNet) Flush() {
 	if n.dirty {
 		n.dirty = false
 		n.solve()
 	}
 
-	// Announce the flows born this event, in creation order, now that
+	// Announce the flows born this instant, in creation order, now that
 	// their first share is known.
 	if len(n.pendingStarts) > 0 {
 		emit := n.obs.Enabled()
@@ -894,8 +893,9 @@ func (n *FlowNet) finish(f *Flow) {
 // CheckFeasible verifies that no link is oversubscribed: the sum of flow
 // rates on each link must not exceed its capacity (within tolerance).
 // Shares are solved at commit points, so it must be called at one —
-// after Flush, e.g. from a later commit hook or between Run/Step calls;
-// between a churn and its commit it reports that instead. Used by
+// after Flush, e.g. from a later commit hook, between Run calls, or
+// between Step calls at the end of an instant; between a churn and its
+// commit it reports that instead. Used by
 // property tests.
 func (n *FlowNet) CheckFeasible() error {
 	if n.dirty {

@@ -3,14 +3,15 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mapsched/internal/sim"
 )
 
 // Rate returns the flow's bandwidth share in bytes/second as of the last
-// commit (FlowNet.Flush). Churn inside a dispatched event does not move it
-// until that event commits; a flow started mid-event reads 0 until then.
+// commit (FlowNet.Flush). Churn inside an instant does not move it until
+// the instant commits; a flow started mid-instant reads 0 until then.
 func (f *Flow) Rate() float64 { return f.rate }
 
 // StartFlow is StartFlowBetween on an untagged flow.
@@ -106,9 +107,12 @@ func checkMaxMin(n *FlowNet) error {
 // TestMaxMinOracle drives random churn — transfers, persistent flows,
 // cancels, links cut to zero capacity and restored, several churns per
 // event — over small random topologies and
-// checks the oracle after every commit. Every transfer that is not
-// cancelled must finish once the links are restored.
+// checks the oracle after every commit. Churning events share
+// timestamps, and some are due exactly when a transfer completes, so
+// one solve commits the churn of several events and a completion. Every
+// transfer that is not cancelled must finish once the links are restored.
 func TestMaxMinOracle(t *testing.T) {
+	coincident := 0 // churning events that ran in the instant of a completion
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := sim.NewRNG(seed)
 		eng := sim.NewEngine()
@@ -119,21 +123,18 @@ func TestMaxMinOracle(t *testing.T) {
 			caps[i] = rng.Uniform(1, 10)
 			n.AddLink(caps[i])
 		}
-		commits := 0
-		eng.AddCommitHook(func() {
-			commits++
-			if err := checkMaxMin(n); err != nil {
-				t.Fatalf("seed %d, commit %d: %v", seed, commits, err)
-			}
-		})
 
 		var flows []*Flow
 		started, cancelled, fired := 0, 0, 0
+		lastFire := sim.Time(-1)
 		churn := func() {
 			switch r := rng.Intn(10); {
 			case r < 5:
 				started++
-				flows = append(flows, n.StartFlow(randomPath(rng, nl), rng.Uniform(0.5, 30), func() { fired++ }))
+				flows = append(flows, n.StartFlow(randomPath(rng, nl), rng.Uniform(0.5, 30), func() {
+					fired++
+					lastFire = eng.Now()
+				}))
 			case r < 6:
 				flows = append(flows, n.StartPersistentFlow(randomPath(rng, nl)))
 			case r < 8:
@@ -153,12 +154,39 @@ func TestMaxMinOracle(t *testing.T) {
 				n.SetLinkCapacity(LinkID(rng.Intn(nl)), c)
 			}
 		}
-		for ev := 0; ev < 60; ev++ {
-			eng.Schedule(sim.Time(rng.Uniform(0, 20)), func() {
-				for k := 1 + rng.Intn(4); k > 0; k-- {
-					churn()
+		event := func() {
+			if lastFire == eng.Now() {
+				coincident++
+			}
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				churn()
+			}
+		}
+		commits, extra := 0, 0
+		eng.AddCommitHook(func() {
+			commits++
+			if err := checkMaxMin(n); err != nil {
+				t.Fatalf("seed %d, commit %d: %v", seed, commits, err)
+			}
+			// Queue a churning event at the instant the next transfer
+			// completes, if that comes before the restore.
+			next := sim.Time(25)
+			for _, f := range flows {
+				if f.doneEv.Queued() {
+					next = min(next, f.doneEv.At())
 				}
-			})
+			}
+			if extra < 30 && next < 25 && rng.Intn(2) == 0 {
+				extra++
+				eng.Schedule(next, event)
+			}
+		})
+		for ev := 0; ev < 60; ev++ {
+			at := sim.Time(rng.Uniform(0, 20))
+			if rng.Intn(2) == 0 {
+				at = sim.Time(rng.Intn(21)) // a timestamp other events share
+			}
+			eng.Schedule(at, event)
 		}
 		// Restore every link and drop the background flows so the stalled
 		// transfers drain.
@@ -181,6 +209,9 @@ func TestMaxMinOracle(t *testing.T) {
 		if n.ActiveFlows() != 0 {
 			t.Fatalf("seed %d: %d flows still active after drain", seed, n.ActiveFlows())
 		}
+	}
+	if coincident == 0 {
+		t.Fatal("no churning event ran in the instant of a completion")
 	}
 }
 
@@ -289,11 +320,12 @@ func TestSharesIndependentOfChurnOrder(t *testing.T) {
 	}
 }
 
-// TestOneSolvePerCommittedEvent pins the batching: k flow starts inside
-// one dispatched event cost exactly one solver pass, at the commit. Until
-// then Rate() reports the last committed share (zero for the new flows)
-// while the occupancy-only reads already see every start.
-func TestOneSolvePerCommittedEvent(t *testing.T) {
+// TestOneSolvePerInstant pins the batching: k flow starts in k separate
+// events due at one time cost exactly one solver pass, at the end of the
+// instant. Until then Rate() reports the last committed share (zero for
+// the new flows) while the occupancy-only reads already see every start,
+// and CheckFeasible refuses, in every event of the instant.
+func TestOneSolvePerInstant(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewFlowNet(eng)
 	path := []LinkID{n.AddLink(12)}
@@ -307,31 +339,33 @@ func TestOneSolvePerCommittedEvent(t *testing.T) {
 	const k = 5
 	before := n.FullRecomputes()
 	var fresh []*Flow
-	eng.Schedule(1, func() {
-		for i := 0; i < k; i++ {
+	for i := 0; i < k; i++ {
+		eng.Schedule(1, func() {
 			fresh = append(fresh, n.StartFlow(path, 1e6, nil))
-		}
-		if first.Rate() != 12 {
-			t.Errorf("mid-event Rate() = %v, want the committed 12", first.Rate())
-		}
-		for _, f := range fresh {
-			if f.Rate() != 0 {
-				t.Errorf("uncommitted flow reports rate %v, want 0", f.Rate())
+			if first.Rate() != 12 {
+				t.Errorf("event %d: mid-instant Rate() = %v, want the committed 12", i, first.Rate())
 			}
-		}
-		if got, want := n.ProspectiveRate(path), 12.0/(k+2); got != want {
-			t.Errorf("mid-event ProspectiveRate = %v, want %v", got, want)
-		}
-		if n.CheckFeasible() == nil {
-			t.Error("CheckFeasible accepted a call between a churn and its commit")
-		}
-		if n.FullRecomputes() != before {
-			t.Error("solver ran before the event committed")
-		}
-	})
-	eng.Step()
+			for _, f := range fresh {
+				if f.Rate() != 0 {
+					t.Errorf("event %d: uncommitted flow reports rate %v, want 0", i, f.Rate())
+				}
+			}
+			if got, want := n.ProspectiveRate(path), 12.0/float64(len(fresh)+2); got != want {
+				t.Errorf("event %d: mid-instant ProspectiveRate = %v, want %v", i, got, want)
+			}
+			if n.CheckFeasible() == nil {
+				t.Errorf("event %d: CheckFeasible accepted a call between a churn and its commit", i)
+			}
+			if n.FullRecomputes() != before {
+				t.Errorf("event %d: solver ran before the instant ended", i)
+			}
+		})
+	}
+	for i := 0; i < k; i++ {
+		eng.Step()
+	}
 	if got := n.FullRecomputes() - before; got != 1 {
-		t.Fatalf("%d flow starts in one event cost %d solver passes, want 1", k, got)
+		t.Fatalf("%d flow starts in %d events at one time cost %d solver passes, want 1", k, k, got)
 	}
 	for _, f := range append(fresh, first) {
 		if f.Rate() != 12.0/(k+1) {
@@ -340,6 +374,78 @@ func TestOneSolvePerCommittedEvent(t *testing.T) {
 	}
 	if err := checkMaxMin(n); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStepSolvesLikeRun drives one churn schedule with Step and with Run.
+// Transfers of a few equal sizes on links of equal capacity complete
+// together, churning events share their instants, and some completions
+// start another transfer. Both drives must solve at the same instants
+// with the same committed shares, and fire the completions in the same
+// order.
+func TestStepSolvesLikeRun(t *testing.T) {
+	drive := func(seed int64, step bool) (log []string, ties int) {
+		rng := sim.NewRNG(seed)
+		eng := sim.NewEngine()
+		n := NewFlowNet(eng)
+		nl := 2 + rng.Intn(3)
+		for i := 0; i < nl; i++ {
+			n.AddLink(2)
+		}
+		var passes int64
+		eng.AddCommitHook(func() {
+			if n.FullRecomputes() == passes {
+				return
+			}
+			passes = n.FullRecomputes()
+			entry := fmt.Sprintf("solve@%v:", eng.Now())
+			for _, f := range liveFlows(n) {
+				entry += fmt.Sprintf(" %d=%v", f.id, f.rate)
+			}
+			log = append(log, entry)
+		})
+		last, starts := sim.Time(-1), 0
+		var start func()
+		start = func() {
+			starts++
+			var f *Flow
+			f = n.StartFlow(randomPath(rng, nl), float64(4*(1+rng.Intn(2))), func() {
+				if eng.Now() == last {
+					ties++
+				}
+				last = eng.Now()
+				log = append(log, fmt.Sprintf("done %d@%v", f.id, eng.Now()))
+				if starts < 80 && rng.Intn(3) == 0 {
+					start()
+				}
+			})
+		}
+		for ev := 0; ev < 30; ev++ {
+			eng.Schedule(sim.Time(rng.Intn(8)), func() {
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					start()
+				}
+			})
+		}
+		if step {
+			for eng.Step() {
+			}
+		} else if _, err := eng.Run(sim.Infinity); err != nil {
+			t.Fatal(err)
+		}
+		return log, ties
+	}
+	ties := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		run, k := drive(seed, false)
+		step, _ := drive(seed, true)
+		if !slices.Equal(step, run) {
+			t.Fatalf("seed %d:\nStep: %v\nRun:  %v", seed, step, run)
+		}
+		ties += k
+	}
+	if ties == 0 {
+		t.Fatal("no two completions fired at one instant")
 	}
 }
 

@@ -85,8 +85,11 @@ func checkWarmFill(n *FlowNet) error {
 // common; the levels are not binary fractions, so freezing tied links in
 // another order rounds differently. Each event makes one to four churns: transfer and persistent
 // starts, cancels, capacity cuts to zero and restores, and cancelling
-// every live flow, which empties the live set. A final event restores
-// every link and cancels the persistent flows so the transfers drain.
+// every live flow, which empties the live set. Events share timestamps,
+// and a commit may queue one at the instant the next transfer completes,
+// so one solve commits the churn of several events and a completion. A
+// final event restores every link and cancels the persistent flows so
+// the transfers drain.
 func runWarmFillScript(t *testing.T, data []byte) {
 	next := func(mod int) int {
 		if len(data) == 0 {
@@ -105,13 +108,6 @@ func runWarmFillScript(t *testing.T, data []byte) {
 		caps[i] = levels[next(len(levels))]
 		n.AddLink(caps[i])
 	}
-	commits := 0
-	eng.AddCommitHook(func() {
-		commits++
-		if err := checkWarmFill(n); err != nil {
-			t.Fatalf("commit %d: %v", commits, err)
-		}
-	})
 
 	path := func() []LinkID {
 		var p []LinkID
@@ -146,13 +142,35 @@ func runWarmFillScript(t *testing.T, data []byte) {
 			}
 		}
 	}
-	for ev := 0; len(data) > 0 && ev < 200; ev++ {
-		k := 1 + next(4)
-		eng.Schedule(sim.Time(ev)/4, func() {
-			for ; k > 0; k-- {
-				churn()
+	event := func() {
+		for k := 1 + next(4); k > 0; k-- {
+			churn()
+		}
+	}
+	commits, extra := 0, 0
+	eng.AddCommitHook(func() {
+		commits++
+		if err := checkWarmFill(n); err != nil {
+			t.Fatalf("commit %d: %v", commits, err)
+		}
+		if next(4) != 3 || extra == 50 {
+			return
+		}
+		// Queue an event at the instant the next transfer completes, if
+		// that comes before the restore.
+		done := sim.Time(60)
+		for _, f := range flows {
+			if f.doneEv.Queued() {
+				done = min(done, f.doneEv.At())
 			}
-		})
+		}
+		if done < 60 {
+			extra++
+			eng.Schedule(done, event)
+		}
+	})
+	for ev := 0; len(data) > 0 && ev < 200; ev++ {
+		eng.Schedule(sim.Time(max(0, ev-next(3)))/4, event)
 	}
 	eng.Schedule(60, func() {
 		for l, c := range caps {
