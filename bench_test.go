@@ -231,6 +231,35 @@ func BenchmarkSimulation_Probabilistic(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulation_Batch60 is one repetition of cmd/mrbench's batch60
+// workload: the Wordcount, Terasort and Grep batches under the
+// probabilistic scheduler on the 60-node testbed, scale 12, seed 1. It is
+// the profiling target for the max-min solver in the shuffle-heavy regime
+// (DESIGN.md §9 gives the pprof recipe); Terasort's fills differ from
+// Wordcount's.
+func BenchmarkSimulation_Batch60(b *testing.B) {
+	s := benchSetup()
+	s.Engine.Seed = 1
+	builder := s.BuilderFor(experiments.Probabilistic)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var events uint64
+		for _, kind := range workload.Kinds() {
+			res, err := s.RunBatch(kind, builder)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Unfinished != 0 {
+				b.Fatalf("%v: unfinished jobs under probabilistic", kind)
+			}
+			events += res.Events
+		}
+		if i == 0 {
+			b.ReportMetric(float64(events), "sim_events")
+		}
+	}
+}
+
 // BenchmarkSimulation_Scale5k is one repetition of cmd/mrbench's batch5k
 // workload, engine.New plus Run: the first 30 simulated seconds of the
 // Wordcount batch on 250 racks of 20 nodes, with hop costs, no cross
@@ -266,9 +295,9 @@ func BenchmarkSimulation_Scale5k(b *testing.B) {
 }
 
 // kernelAllocBudget bounds the allocations of one
-// BenchmarkSimulation_Probabilistic batch: 26,895 recorded at commit
-// 687caf3, plus 20 %.
-const kernelAllocBudget = 26_895 * 120 / 100 // 32,274
+// BenchmarkSimulation_Probabilistic batch: 17,152 recorded once shuffle
+// buckets and flights swapped their maps arrays, plus 20 %.
+const kernelAllocBudget = 17_152 * 120 / 100 // 20,582
 
 // TestSimulationAllocBudget holds the kernel to kernelAllocBudget.
 // Allocation counts do not depend on machine load, so a trip means

@@ -936,10 +936,10 @@ func (s *Simulation) pumpShuffle(att *attempt) {
 		fl := s.newFlight(att)
 		fl.src = src
 		fl.bytes = b.bytes
-		// The maps slice moves to the flight; the bucket must not keep an
-		// alias or a recycled bucket would append into the flight's array.
-		fl.maps = b.maps
-		b.maps = nil
+		// The bucket and the flight swap maps arrays, so each keeps one
+		// owner: a recycled bucket never appends into the flight's array,
+		// and both arrays carry their storage into the next life.
+		fl.maps, b.maps = b.maps, fl.maps[:0]
 		s.releaseBucket(b)
 		if src == att.node {
 			s.shuffleLocalBytes += fl.bytes

@@ -120,9 +120,8 @@ func (s *Simulation) newBucket() *srcBucket {
 	return &srcBucket{}
 }
 
-// releaseBucket recycles a shuffle source bucket. A bucket whose maps
-// slice was moved into a flight has maps == nil; one drained in place
-// keeps its storage.
+// releaseBucket recycles a shuffle source bucket, keeping its maps
+// storage for the next life.
 func (s *Simulation) releaseBucket(b *srcBucket) {
 	//lint:pooled srcBucket
 	b.bytes = 0
@@ -159,9 +158,8 @@ func (s *Simulation) newFlight(att *attempt) *flight {
 	return fl
 }
 
-// releaseFlight recycles a completed or aborted fetch flight. A flight
-// whose maps slice was re-queued into a bucket has maps == nil; a
-// normally completed one keeps its storage for the next life.
+// releaseFlight recycles a completed or aborted fetch flight, keeping
+// its maps storage for the next life.
 func (s *Simulation) releaseFlight(fl *flight) {
 	//lint:pooled flight
 	fl.att = nil

@@ -150,18 +150,28 @@ type FlowNet struct {
 	dirtyLinks []uint64
 	dirtyList  []int
 	// remCap and cnt, indexed by link, hold the fill's state of dirty
-	// links only. scanList holds the dirty links that may still carry
-	// unfrozen flows.
+	// links only, and level holds remCap/cnt of those with unfrozen flows,
+	// so argmin compares without dividing. They are sized by sizeFill, not
+	// grown by AddLink. scanList holds the dirty links that may still
+	// carry unfrozen flows.
 	remCap     []float64
 	cnt        []int
+	level      []float64
 	scanList   []int
 	subs       []sub    // backs the rounds' subscription chains
 	resolved   []*Flow  // the flows scanned rounds froze
 	past       []int    // scratch: log positions a link's debits come from
 	freeRounds []*round // recycled round records
+	// lbShare and lbLink are a lower bound on (level, link) over the dirty
+	// links with unfrozen flows; lbTight reports that it is their minimum
+	// (see fill).
+	lbShare float64
+	lbLink  int
+	lbTight bool
 	// replayed and scanned count rounds taken from the log and found by a
-	// scan; resolvedFlows counts the flows scans froze.
-	replayed, scanned, resolvedFlows int64
+	// scan; resolvedFlows counts the flows scans froze, and argmins the
+	// scans of the dirty links.
+	replayed, scanned, resolvedFlows, argmins int64
 
 	// stats
 	started   int64
@@ -259,8 +269,6 @@ func (n *FlowNet) AddLink(capacity float64) LinkID {
 		panic(fmt.Sprintf("topology: link capacity %v must be finite and positive", capacity))
 	}
 	n.links = append(n.links, link{capacity: capacity})
-	n.remCap = append(n.remCap, 0)
-	n.cnt = append(n.cnt, 0)
 	l := LinkID(len(n.links) - 1)
 	if int(l)>>6 == len(n.dirtyLinks) {
 		n.dirtyLinks = append(n.dirtyLinks, 0)
@@ -661,10 +669,30 @@ func (n *FlowNet) solve() {
 // freezes the same flows at the same share as a cold scan would. Once the
 // log is spent, every clean link is fully frozen, so the dirty links are
 // the only ones left to scan.
+//
+// The fill does not scan the dirty links for every logged round. It keeps
+// each dirty link's level, remCap/cnt, and a lower bound lb on (level,
+// link) over the dirty links with unfrozen flows. Round k is replayed
+// unscanned when (share_k, link_k) is below lb, hence below the dirty
+// argmin: the branch a scan would take. lb is tight when it is the level
+// of its link, which then is the dirty argmin, so a round at or above a
+// tight lb freezes lb's link unscanned. Only a round at or above a loose
+// lb runs argmin, which makes lb the argmin it finds, or the runner-up
+// when that link is frozen next. lb stays a bound because one helper,
+// lower, folds into it every level the fill sets: at each link
+// materialize computes, each subscriber a replay debits, and each link a
+// scan debits other than the link it freezes (whose flows are then all
+// frozen). A fold takes the minimum and assumes nothing about the
+// direction a debit moves a level. A replayed share sits below every
+// dirty level, so in exact arithmetic its debit leaves them no lower, but
+// a rounded (remCap−s)/(cnt−1) can fall below remCap/cnt. lb loosens when
+// its link's level rises or its flows are all frozen.
 func (n *FlowNet) fill() {
+	n.sizeFill()
 	n.gen++
 	n.subs = append(n.subs[:0], sub{})
 	n.scanList = n.scanList[:0]
+	n.lbShare, n.lbLink, n.lbTight = math.Inf(1), -1, true
 	for _, l := range n.dirtyList {
 		n.materialize(l)
 	}
@@ -675,29 +703,83 @@ func (n *FlowNet) fill() {
 			n.skip(old[k])
 			old[k] = nil
 		}
-		best, bestShare := n.argmin()
-		if k < len(old) {
-			if r := old[k]; best < 0 || r.share < bestShare || r.share == bestShare && r.link < best {
-				n.replay(r)
-				old[k] = nil
-				k++
+		if k < len(old) && n.belowBound(old[k]) {
+			n.replay(old[k])
+			old[k] = nil
+			k++
+			continue
+		}
+		b, s := n.lbLink, n.lbShare
+		if n.lbTight {
+			// b is frozen next, so lb is no longer tight, but stays below
+			// every other link.
+			n.lbTight = false
+		} else {
+			var next int
+			var nextShare float64
+			b, s, next, nextShare = n.argmin()
+			n.lbShare, n.lbLink, n.lbTight = s, b, true
+			if k < len(old) && n.belowBound(old[k]) {
 				continue
 			}
+			n.lbShare, n.lbLink = nextShare, next
 		}
-		if best < 0 {
+		if b < 0 {
 			break
 		}
-		n.scan(best, bestShare)
+		n.scan(b, s)
 	}
 	n.log, n.next = n.next, old[:0]
 	n.clearDirty()
 }
 
-// argmin returns the minimum (remCap/cnt, link) over the dirty links with
-// unfrozen flows (link -1 if none), and drops fully frozen links from
-// scanList: a link's cnt only falls within a fill.
-func (n *FlowNet) argmin() (int, float64) {
-	best, bestShare := -1, math.Inf(1)
+// sizeFill sizes the fill state (remCap, cnt, level) for every link, in
+// one allocation each rather than growing with each AddLink. A fill
+// writes a link's entries before it reads them, so none is kept.
+// NewCluster calls it once its links exist, so a simulation's set-up, not
+// its first fill, pays for it.
+func (n *FlowNet) sizeFill() {
+	if k := len(n.links); len(n.cnt) < k {
+		n.remCap, n.cnt, n.level = make([]float64, k), make([]int, k), make([]float64, k)
+	}
+}
+
+// belowBound reports whether logged round r's (share, link) is below lb.
+// Shares are finite, so every round is below the bound of an empty dirty
+// set, (+Inf, -1).
+func (n *FlowNet) belowBound(r *round) bool {
+	return r.share < n.lbShare || r.share == n.lbShare && r.link < n.lbLink
+}
+
+// lower stores dirty link l's level, remCap/cnt, and folds (level, l)
+// into lb, if l has unfrozen flows; it loosens lb if l is lb's link and
+// its level rose or it has none. Every change to a dirty link's remCap or
+// cnt calls it, except the debits of a scan's own bottleneck, which leave
+// that link with none.
+func (n *FlowNet) lower(l int) {
+	c := n.cnt[l]
+	if c == 0 {
+		if l == n.lbLink {
+			n.lbTight = false
+		}
+		return
+	}
+	share := n.remCap[l] / float64(c)
+	n.level[l] = share
+	if share < n.lbShare || share == n.lbShare && l < n.lbLink {
+		n.lbShare, n.lbLink, n.lbTight = share, l, true
+	} else if l == n.lbLink && share > n.lbShare {
+		n.lbTight = false
+	}
+}
+
+// argmin returns the least and the second least (level, link) over the
+// dirty links with unfrozen flows (link -1 for none), and drops fully
+// frozen links from scanList: a link's cnt only falls within a fill.
+func (n *FlowNet) argmin() (best int, bestShare float64, next int, nextShare float64) {
+	n.argmins++
+	best, bestShare = -1, math.Inf(1)
+	next, nextShare = -1, math.Inf(1)
 	w := 0
 	for _, l := range n.scanList {
 		c := n.cnt[l]
@@ -706,12 +788,15 @@ func (n *FlowNet) argmin() (int, float64) {
 		}
 		n.scanList[w] = l
 		w++
-		if share := n.remCap[l] / float64(c); share < bestShare || share == bestShare && l < best {
+		if share := n.level[l]; share < bestShare || share == bestShare && l < best {
+			next, nextShare = best, bestShare
 			best, bestShare = l, share
+		} else if share < nextShare || share == nextShare && l < next {
+			next, nextShare = l, share
 		}
 	}
 	n.scanList = n.scanList[:w]
-	return best, bestShare
+	return best, bestShare, next, nextShare
 }
 
 // markDirty makes a clean link dirty and materializes its fill state.
@@ -752,6 +837,7 @@ func (n *FlowNet) materialize(l int) {
 	n.remCap[l], n.cnt[l] = rem, c
 	if c > 0 {
 		n.scanList = append(n.scanList, l)
+		n.lower(l)
 	}
 }
 
@@ -781,6 +867,7 @@ func (n *FlowNet) replay(r *round) {
 		l := n.subs[i].link
 		n.remCap[l] = debit(n.remCap[l], r.share)
 		n.cnt[l]--
+		n.lower(int(l))
 	}
 	r.subs = 0
 	n.replayed++
@@ -805,6 +892,9 @@ func (n *FlowNet) scan(b int, s float64) {
 		for _, l := range f.links {
 			n.remCap[l] = debit(n.remCap[l], s)
 			n.cnt[l]--
+			if int(l) != b {
+				n.lower(int(l))
+			}
 		}
 		n.resolved = append(n.resolved, f)
 	}

@@ -12,10 +12,10 @@ import (
 // coldFill runs a fill with no round log and every loaded link dirty: the
 // cold fill the warm start must reproduce. It leaves every live flow
 // pointing at the round that froze it, clears the re-solved list and
-// restores the round and flow counters.
+// restores the round, flow and argmin counters.
 func coldFill(n *FlowNet) {
-	replayed, scanned, resolved := n.replayed, n.scanned, n.resolvedFlows
-	defer func() { n.replayed, n.scanned, n.resolvedFlows = replayed, scanned, resolved }()
+	replayed, scanned, resolved, argmins := n.replayed, n.scanned, n.resolvedFlows, n.argmins
+	defer func() { n.replayed, n.scanned, n.resolvedFlows, n.argmins = replayed, scanned, resolved, argmins }()
 	for _, r := range n.log {
 		n.releaseRound(r)
 	}
@@ -217,7 +217,13 @@ func FuzzWarmFill(f *testing.F) {
 // one link per round, in capacity order. Raising the capacity of the last
 // bottleneck, of the first, or cutting a middle one below the first each
 // re-solves the one flow of the churned round by a scan and replays the
-// four other rounds, whether they come before or after it.
+// four other rounds, whether they come before or after it. The fill's
+// lower bound saves dirty-link scans (argmins). The first fill scans
+// three times for its five rounds: after each scan, the runner-up it
+// found is the next round. Each change scans once, after its last round,
+// to find no link left: every replayed round, the ones before a churned
+// last bottleneck too, is below the bound, and the churned round is the
+// bound's own link.
 func TestWarmFillReplaysUnchurnedPrefix(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewFlowNet(eng)
@@ -228,9 +234,9 @@ func TestWarmFillReplaysUnchurnedPrefix(t *testing.T) {
 		}
 	})
 	eng.Step()
-	if n.replayed != 0 || n.scanned != 5 || n.resolvedFlows != 5 {
-		t.Fatalf("first fill: %d rounds replayed, %d scanned, %d flows re-solved, want 0, 5 and 5",
-			n.replayed, n.scanned, n.resolvedFlows)
+	if n.replayed != 0 || n.scanned != 5 || n.resolvedFlows != 5 || n.argmins != 3 {
+		t.Fatalf("first fill: %d rounds replayed, %d scanned, %d flows re-solved, %d argmins, want 0, 5, 5 and 3",
+			n.replayed, n.scanned, n.resolvedFlows, n.argmins)
 	}
 	for _, tc := range []struct {
 		link     LinkID
@@ -241,12 +247,13 @@ func TestWarmFillReplaysUnchurnedPrefix(t *testing.T) {
 		{0, 1.5, []int{0, 1, 2, 3, 4}},
 		{2, 0.5, []int{2, 0, 1, 3, 4}},
 	} {
-		replayed, scanned, resolved := n.replayed, n.scanned, n.resolvedFlows
+		replayed, scanned, resolved, argmins := n.replayed, n.scanned, n.resolvedFlows, n.argmins
 		eng.Schedule(eng.Now()+1, func() { n.SetLinkCapacity(tc.link, tc.capacity) })
 		eng.Step()
-		if r, s, f := n.replayed-replayed, n.scanned-scanned, n.resolvedFlows-resolved; r != 4 || s != 1 || f != 1 {
-			t.Fatalf("link %d to %v: %d rounds replayed, %d scanned, %d flows re-solved, want 4, 1 and 1",
-				tc.link, tc.capacity, r, s, f)
+		r, s, f, a := n.replayed-replayed, n.scanned-scanned, n.resolvedFlows-resolved, n.argmins-argmins
+		if r != 4 || s != 1 || f != 1 || a != 1 {
+			t.Fatalf("link %d to %v: %d rounds replayed, %d scanned, %d flows re-solved, %d argmins, want 4, 1, 1 and 1",
+				tc.link, tc.capacity, r, s, f, a)
 		}
 		for k, r := range n.log {
 			if r.link != tc.order[k] {
@@ -259,6 +266,49 @@ func TestWarmFillReplaysUnchurnedPrefix(t *testing.T) {
 		if err := checkWarmFill(n); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestWarmFillFoldsRoundedDebits pins that the fill's lower bound takes
+// in every share a replay debits, even one that rounding moves below the
+// share it had. Link 2 carries three flows at capacity C, the least C
+// for which (C − s)/2 rounds below s = C/3. One of the flows is frozen
+// by the logged round of link 0, whose capacity is s, and link 1 also
+// carries one flow at capacity s. The warm fill replays link 0's round,
+// tied at s with link 2 and below it by link number; the debit leaves
+// link 2 below s, so link 2 must be scanned before link 1's round, as the
+// cold fill does. A bound that kept link 2 at s would replay link 1's
+// tied round first.
+func TestWarmFillFoldsRoundedDebits(t *testing.T) {
+	c := 1.0
+	for c/3 <= (c-c/3)/2 {
+		c++
+	}
+	s := c / 3
+	eng := sim.NewEngine()
+	n := NewFlowNet(eng)
+	eng.Schedule(0, func() {
+		n.AddLink(s)
+		n.AddLink(s)
+		n.AddLink(c)
+		n.StartPersistentFlow([]LinkID{0, 2})
+		n.StartPersistentFlow([]LinkID{1})
+	})
+	eng.Step()
+	eng.Schedule(1, func() {
+		n.StartPersistentFlow([]LinkID{2})
+		n.StartPersistentFlow([]LinkID{2})
+	})
+	eng.Step()
+	var order []int
+	for _, r := range n.log {
+		order = append(order, r.link)
+	}
+	if !slices.Equal(order, []int{0, 2, 1}) {
+		t.Fatalf("capacity %v: rounds froze links %v, want [0 2 1]", c, order)
+	}
+	if err := checkWarmFill(n); err != nil {
+		t.Fatalf("capacity %v: %v", c, err)
 	}
 }
 

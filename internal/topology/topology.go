@@ -124,6 +124,7 @@ func NewCluster(eng *sim.Engine, spec Spec) (*Cluster, error) {
 		c.torUp[r] = c.net.AddLink(spec.TorUplinkBps)
 		c.torDown[r] = c.net.AddLink(spec.TorUplinkBps)
 	}
+	c.net.sizeFill()
 	return c, nil
 }
 
