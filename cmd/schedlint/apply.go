@@ -60,7 +60,7 @@ type suggestedFix struct {
 type jsonDiagnostic struct {
 	Posn           string         `json:"posn"`
 	Message        string         `json:"message"`
-	SuggestedFixes []suggestedFix `json:"suggested_fixes"`
+	SuggestedFixes []suggestedFix `json:"suggested_fixes,omitempty"`
 }
 
 // collectEdits parses the (comment-interleaved) JSON stream and
@@ -128,43 +128,43 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // applyEdits splices the edits into each file, last-to-first so the
-// byte offsets stay valid, refusing files with overlapping edits.
+// byte offsets stay valid. It checks every file before it writes any,
+// so overlapping or out-of-range edits leave the whole tree untouched.
 func applyEdits(edits map[string][]textEdit) (int, error) {
-	var files []string
-	for name := range edits {
-		files = append(files, name)
-	}
-	sort.Strings(files)
-
-	applied := 0
-	for _, name := range files {
+	files := sortedKeys(edits)
+	out := make([][]byte, len(files))
+	for i, name := range files {
 		es := edits[name]
 		sort.Slice(es, func(i, j int) bool { return es[i].Start > es[j].Start })
 		for i := 1; i < len(es); i++ {
 			if es[i].End > es[i-1].Start {
-				return applied, fmt.Errorf("%s: overlapping suggested fixes at offsets %d and %d; apply manually",
+				return 0, fmt.Errorf("%s: overlapping suggested fixes at offsets %d and %d; apply manually",
 					name, es[i].Start, es[i-1].Start)
 			}
 		}
 		src, err := os.ReadFile(name)
 		if err != nil {
-			return applied, err
+			return 0, err
 		}
 		for _, e := range es {
 			if e.Start < 0 || e.End < e.Start || e.End > len(src) {
-				return applied, fmt.Errorf("%s: suggested fix offsets [%d,%d) out of range (file changed since lint?)",
+				return 0, fmt.Errorf("%s: suggested fix offsets [%d,%d) out of range (file changed since lint?)",
 					name, e.Start, e.End)
 			}
-			var out []byte
-			out = append(out, src[:e.Start]...)
-			out = append(out, e.New...)
-			out = append(out, src[e.End:]...)
-			src = out
+			var spliced []byte
+			spliced = append(spliced, src[:e.Start]...)
+			spliced = append(spliced, e.New...)
+			spliced = append(spliced, src[e.End:]...)
+			src = spliced
 		}
-		if err := os.WriteFile(name, src, 0o644); err != nil {
+		out[i] = src
+	}
+	applied := 0
+	for i, name := range files {
+		if err := os.WriteFile(name, out[i], 0o644); err != nil {
 			return applied, err
 		}
-		applied += len(es)
+		applied += len(edits[name])
 	}
 	return applied, nil
 }

@@ -109,3 +109,28 @@ func TestApplyDeduplicates(t *testing.T) {
 		t.Errorf("file = %q, want aZc", got)
 	}
 }
+
+// TestApplyChecksEveryFileBeforeWriting: a bad edit in a later file must
+// leave the earlier files untouched, not half-apply the fixes.
+func TestApplyChecksEveryFileBeforeWriting(t *testing.T) {
+	dir := t.TempDir()
+	good, bad := filepath.Join(dir, "a.go"), filepath.Join(dir, "b.go")
+	for _, f := range []string{good, bad} {
+		if err := os.WriteFile(f, []byte("0123456789"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edits := map[string][]textEdit{
+		good: {{Filename: good, Start: 1, End: 2, New: "Z"}},
+		bad: {
+			{Filename: bad, Start: 2, End: 6, New: "a"},
+			{Filename: bad, Start: 4, End: 8, New: "b"},
+		},
+	}
+	if _, err := applyEdits(edits); err == nil {
+		t.Fatal("overlapping edits applied without error")
+	}
+	if got, _ := os.ReadFile(good); string(got) != "0123456789" {
+		t.Errorf("a.go = %q, rewritten before b.go's edits were checked", got)
+	}
+}

@@ -67,7 +67,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 var moduleRoot = filepath.Join("..", "..")
 
 // walkModule parses every non-test Go file of the module outside
-// testdata, third_party and hidden directories and hands each to fn with
+// testdata and hidden directories and hands each to fn with
 // its path. It returns the file set positions resolve against.
 func walkModule(t *testing.T, fn func(path string, f *ast.File)) *token.FileSet {
 	t.Helper()
@@ -76,7 +76,7 @@ func walkModule(t *testing.T, fn func(path string, f *ast.File)) *token.FileSet 
 		if err != nil {
 			return err
 		}
-		if name := d.Name(); d.IsDir() && path != moduleRoot && (name == "testdata" || name == "third_party" || strings.HasPrefix(name, ".")) {
+		if name := d.Name(); d.IsDir() && path != moduleRoot && (name == "testdata" || strings.HasPrefix(name, ".")) {
 			return filepath.SkipDir
 		}
 		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

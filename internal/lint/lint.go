@@ -6,8 +6,7 @@
 package lint
 
 import (
-	"golang.org/x/tools/go/analysis"
-
+	"mapsched/internal/lint/analysis"
 	"mapsched/internal/lint/deltajournal"
 	"mapsched/internal/lint/epochbump"
 	"mapsched/internal/lint/errcmp"

@@ -1,7 +1,6 @@
-// Package linttest is a self-contained analysistest substitute: it
-// runs one analyzer over a testdata package and checks the reported
-// diagnostics against `// want` comments, using the same conventions
-// as golang.org/x/tools/go/analysis/analysistest:
+// Package linttest runs one analyzer over a testdata package and
+// checks the reported diagnostics against `// want` comments, with the
+// conventions of x/tools' analysistest:
 //
 //	x := bad() // want `regexp matching the diagnostic`
 //
@@ -10,19 +9,14 @@
 // packages may import the standard library — and, for the
 // cross-package fact analyzers, sibling packages under the same
 // testdata/src root: an import path that exists as a sibling
-// directory is loaded from source, analyzed first (exporting its
-// facts into an in-memory store), and its own // want comments are
-// checked too. Facts are gob round-tripped at export, so a fact type
-// that would not survive the real unitchecker wire format fails here
-// first.
-//
-// (The real analysistest depends on go/packages and is not part of
-// the vendored x/tools subset this repository builds against.)
+// directory is loaded from source and analyzed first, and its own
+// // want comments are checked too. The packages run through the same
+// pass runner and fact store as cmd/schedlint, and the store goes
+// through its wire encoding after each package, so a fact that would
+// not survive `go vet` fails here first.
 package linttest
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -31,14 +25,13 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"mapsched/internal/lint/analysis"
 )
 
 // Run loads the package in testdata/src/<pkg> (and any sibling
@@ -54,14 +47,23 @@ func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 // that assert beyond messages (SuggestedFix edits, positions).
 func Analyze(t *testing.T, a *analysis.Analyzer, pkg string) ([]analysis.Diagnostic, *token.FileSet) {
 	t.Helper()
-	h := newHarness(t, a, filepath.Join("testdata", "src"))
+	fset := token.NewFileSet()
+	h := &harness{
+		t:      t,
+		a:      a,
+		fset:   fset,
+		root:   filepath.Join("testdata", "src"),
+		std:    importer.ForCompiler(fset, "source", nil),
+		loaded: map[string]*loadedPkg{},
+		facts:  analysis.NewFacts(a),
+	}
 	h.load(pkg)
 	checkExpectations(t, h.fset, h.allFiles(), h.diags)
 	return h.diags, h.fset
 }
 
 // harness owns the shared FileSet, the loaded-package memo, and the
-// in-memory fact store one Run call accumulates across packages.
+// fact store one Run call accumulates across packages.
 type harness struct {
 	t      *testing.T
 	a      *analysis.Analyzer
@@ -71,9 +73,7 @@ type harness struct {
 	loaded map[string]*loadedPkg
 	order  []string // load completion order, for allFiles determinism
 	diags  []analysis.Diagnostic
-
-	objFacts map[objFactKey]analysis.Fact
-	pkgFacts map[pkgFactKey]analysis.Fact
+	facts  *analysis.Facts
 }
 
 type loadedPkg struct {
@@ -81,47 +81,15 @@ type loadedPkg struct {
 	files []*ast.File
 }
 
-type objFactKey struct {
-	obj types.Object
-	typ reflect.Type
-}
-
-type pkgFactKey struct {
-	pkg *types.Package
-	typ reflect.Type
-}
-
-func newHarness(t *testing.T, a *analysis.Analyzer, root string) *harness {
-	if len(a.Requires) > 0 {
-		t.Fatalf("linttest: analyzer %s has Requires; this harness runs dependency-free analyzers only", a.Name)
-	}
-	fset := token.NewFileSet()
-	return &harness{
-		t:        t,
-		a:        a,
-		fset:     fset,
-		root:     root,
-		std:      importer.ForCompiler(fset, "source", nil),
-		loaded:   map[string]*loadedPkg{},
-		objFacts: map[objFactKey]analysis.Fact{},
-		pkgFacts: map[pkgFactKey]analysis.Fact{},
-	}
-}
-
 // Import resolves an import path during type checking: paths that
 // exist as directories under the testdata/src root load (and analyze)
 // the sibling fixture package; everything else falls through to the
 // standard-library source importer.
 func (h *harness) Import(path string) (*types.Package, error) {
-	if dir := filepath.Join(h.root, path); dirExists(dir) {
+	if fi, err := os.Stat(filepath.Join(h.root, path)); err == nil && fi.IsDir() {
 		return h.load(path).tpkg, nil
 	}
 	return h.std.Import(path)
-}
-
-func dirExists(dir string) bool {
-	fi, err := os.Stat(dir)
-	return err == nil && fi.IsDir()
 }
 
 // load parses, type-checks, and analyzes the fixture package at
@@ -133,12 +101,9 @@ func (h *harness) load(path string) *loadedPkg {
 	if lp, ok := h.loaded[path]; ok {
 		return lp
 	}
-	return h.loadDir(path, filepath.Join(h.root, path))
-}
-
-func (h *harness) loadDir(path, dir string) *loadedPkg {
 	t := h.t
 	t.Helper()
+	dir := filepath.Join(h.root, path)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
@@ -158,43 +123,28 @@ func (h *harness) loadDir(path, dir string) *loadedPkg {
 		t.Fatalf("linttest: no Go files in %s", dir)
 	}
 
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-	conf := types.Config{Importer: h}
-	tpkg, err := conf.Check(path, h.fset, files, info)
+	tpkg, results, err := analysis.Check(&types.Config{Importer: h}, h.fset, path, files, []*analysis.Analyzer{h.a}, h.facts)
 	if err != nil {
 		t.Fatalf("linttest: typecheck %s: %v", dir, err)
 	}
+	if err := results[0].Err; err != nil {
+		t.Fatalf("linttest: %s failed on %s: %v", h.a.Name, path, err)
+	}
+	h.diags = append(h.diags, results[0].Diagnostics...)
+	data, err := h.facts.Encode()
+	if err != nil {
+		t.Fatalf("linttest: %v", err)
+	}
+	// Reset in place: the importing package's Check, already running,
+	// holds this store and must read the decoded facts.
+	*h.facts = analysis.Facts{}
+	if err := h.facts.Read(data); err != nil {
+		t.Fatalf("linttest: %v", err)
+	}
+
 	lp := &loadedPkg{tpkg: tpkg, files: files}
 	h.loaded[path] = lp
 	h.order = append(h.order, path)
-
-	pass := &analysis.Pass{
-		Analyzer:          h.a,
-		Fset:              h.fset,
-		Files:             files,
-		Pkg:               tpkg,
-		TypesInfo:         info,
-		TypesSizes:        types.SizesFor("gc", "amd64"),
-		ResultOf:          map[*analysis.Analyzer]interface{}{},
-		Report:            func(d analysis.Diagnostic) { h.diags = append(h.diags, d) },
-		ImportObjectFact:  h.importObjectFact,
-		ExportObjectFact:  h.exportObjectFact,
-		ImportPackageFact: h.importPackageFact,
-		ExportPackageFact: func(fact analysis.Fact) { h.exportPackageFact(tpkg, fact) },
-		AllObjectFacts:    h.allObjectFacts,
-		AllPackageFacts:   h.allPackageFacts,
-	}
-	if _, err := h.a.Run(pass); err != nil {
-		t.Fatalf("linttest: %s failed on %s: %v", h.a.Name, path, err)
-	}
 	return lp
 }
 
@@ -204,71 +154,6 @@ func (h *harness) allFiles() []*ast.File {
 		files = append(files, h.loaded[path].files...)
 	}
 	return files
-}
-
-// roundTrip gob-encodes the fact and decodes it into a fresh value of
-// the same concrete type, mirroring the unitchecker wire format so a
-// fact that would not serialize fails in the fixture suite.
-func (h *harness) roundTrip(fact analysis.Fact) analysis.Fact {
-	h.t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(fact); err != nil {
-		h.t.Fatalf("linttest: fact %T does not gob-encode: %v", fact, err)
-	}
-	fresh := reflect.New(reflect.TypeOf(fact).Elem()).Interface().(analysis.Fact)
-	if err := gob.NewDecoder(&buf).Decode(fresh); err != nil {
-		h.t.Fatalf("linttest: fact %T does not gob-decode: %v", fact, err)
-	}
-	return fresh
-}
-
-func (h *harness) exportObjectFact(obj types.Object, fact analysis.Fact) {
-	h.t.Helper()
-	if obj == nil {
-		h.t.Fatalf("linttest: ExportObjectFact(nil, %T)", fact)
-	}
-	h.objFacts[objFactKey{obj, reflect.TypeOf(fact)}] = h.roundTrip(fact)
-}
-
-func (h *harness) importObjectFact(obj types.Object, fact analysis.Fact) bool {
-	stored, ok := h.objFacts[objFactKey{obj, reflect.TypeOf(fact)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
-}
-
-func (h *harness) exportPackageFact(pkg *types.Package, fact analysis.Fact) {
-	h.t.Helper()
-	h.pkgFacts[pkgFactKey{pkg, reflect.TypeOf(fact)}] = h.roundTrip(fact)
-}
-
-func (h *harness) importPackageFact(pkg *types.Package, fact analysis.Fact) bool {
-	stored, ok := h.pkgFacts[pkgFactKey{pkg, reflect.TypeOf(fact)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
-}
-
-func (h *harness) allObjectFacts() []analysis.ObjectFact {
-	var out []analysis.ObjectFact
-	for k, f := range h.objFacts {
-		out = append(out, analysis.ObjectFact{Object: k.obj, Fact: f})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Object.Pos() < out[j].Object.Pos() })
-	return out
-}
-
-func (h *harness) allPackageFacts() []analysis.PackageFact {
-	var out []analysis.PackageFact
-	for k, f := range h.pkgFacts {
-		out = append(out, analysis.PackageFact{Package: k.pkg, Fact: f})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Package.Path() < out[j].Package.Path() })
-	return out
 }
 
 // wantRE extracts the quoted or backquoted expectation patterns from a

@@ -57,8 +57,7 @@ import (
 	"sort"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-
+	"mapsched/internal/lint/analysis"
 	"mapsched/internal/lint/directive"
 	"mapsched/internal/lint/scope"
 )

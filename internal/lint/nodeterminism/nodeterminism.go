@@ -26,8 +26,7 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-
+	"mapsched/internal/lint/analysis"
 	"mapsched/internal/lint/directive"
 	"mapsched/internal/lint/scope"
 )

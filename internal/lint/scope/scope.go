@@ -8,7 +8,7 @@ import (
 	"go/ast"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
+	"mapsched/internal/lint/analysis"
 )
 
 // module is the path prefix identifying this repository's packages.
@@ -22,8 +22,8 @@ const module = "mapsched"
 // tooling itself and the illustrative examples, plus any non-module
 // (testdata) package.
 func PackageInScope(path string) bool {
-	// go/types names external test packages "pkg_test" and unitchecker
-	// may suffix the test variant; normalize before matching.
+	// go/types names external test packages "pkg_test" and go vet
+	// suffixes the test variant; normalize before matching.
 	if i := strings.Index(path, " ["); i >= 0 {
 		path = path[:i]
 	}
@@ -32,8 +32,7 @@ func PackageInScope(path string) bool {
 	}
 	switch {
 	case strings.HasPrefix(path, module+"/internal/lint"),
-		strings.HasPrefix(path, module+"/examples"),
-		strings.HasPrefix(path, module+"/third_party"):
+		strings.HasPrefix(path, module+"/examples"):
 		return false
 	}
 	return true
